@@ -16,9 +16,14 @@ let blit_row ~src ~src_x ~src_y ~dst ~dst_x ~dst_y ~len =
     || dst_x + len > dst.width
     || dst_y < 0 || dst_y >= dst.height
   then invalid_arg "Image.blit_row: row out of bounds";
-  Array.blit src.data ((src_y * src.width) + src_x) dst.data
-    ((dst_y * dst.width) + dst_x)
-    len
+  (* Typed on [int array] and unchecked past the single check above:
+     plain stores, not the [caml_modify] a generic [Array.blit] pays
+     into a major-heap plane. *)
+  let s : int array = src.data and d : int array = dst.data in
+  let so = (src_y * src.width) + src_x and dof = (dst_y * dst.width) + dst_x in
+  for i = 0 to len - 1 do
+    Array.unsafe_set d (dof + i) (Array.unsafe_get s (so + i))
+  done
 
 let create ~width ~height ~components ?(bit_depth = 8) () =
   if components <= 0 then invalid_arg "Image.create: components";

@@ -27,9 +27,10 @@ val blit_row :
   dst_y:int ->
   len:int ->
   unit
-(** Copies [len] samples of one row — a single bounds check and an
-    [Array.blit], the tile split/assemble hot path. Raises
-    [Invalid_argument] if either row segment is out of bounds. *)
+(** Copies [len] samples of one row — a single bounds check, then an
+    unchecked [int] copy loop with no write barrier; the tile
+    split/assemble and region-crop hot path. Raises [Invalid_argument]
+    if either row segment is out of bounds (or [len < 0]). *)
 
 val create : width:int -> height:int -> components:int -> ?bit_depth:int -> unit -> t
 val width : t -> int

@@ -1,15 +1,32 @@
-type ('k, 'v) entry = {
-  e_hash : int;
-  e_key : 'k;
-  mutable e_value : 'v;
-  mutable e_tick : int;
-}
+(* A cell of the recency list: most recent at [head], least recent at
+   [tail]. Links are cells rather than options, so relinking on a hit
+   allocates nothing. *)
+type ('k, 'v) cell =
+  | Nil
+  | Node of {
+      hash : int;
+      key : 'k;
+      mutable value : 'v;
+      mutable prev : ('k, 'v) cell;  (* towards the head *)
+      mutable next : ('k, 'v) cell;  (* towards the tail *)
+    }
+
+(* The index is keyed by the stored hash, which is already a hash:
+   bucket it as is. *)
+module Index = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash h = h
+end)
 
 type ('k, 'v) t = {
   cap : int;
   hash : 'k -> int;
-  mutable entries : ('k, 'v) entry list;
-  mutable tick : int;
+  index : ('k, 'v) cell list Index.t;
+  mutable head : ('k, 'v) cell;
+  mutable tail : ('k, 'v) cell;
+  mutable size : int;
   mutable hits : int;
   mutable misses : int;
   mutable insertions : int;
@@ -28,8 +45,10 @@ let create ?(hash = Hashtbl.hash) ~capacity () =
   {
     cap = capacity;
     hash;
-    entries = [];
-    tick = 0;
+    index = Index.create 16;
+    head = Nil;
+    tail = Nil;
+    size = 0;
     hits = 0;
     misses = 0;
     insertions = 0;
@@ -37,58 +56,101 @@ let create ?(hash = Hashtbl.hash) ~capacity () =
   }
 
 let capacity t = t.cap
-let length t = List.length t.entries
+let length t = t.size
 
-let next_tick t =
-  t.tick <- t.tick + 1;
-  t.tick
+let unlink t cell =
+  match cell with
+  | Nil -> ()
+  | Node n ->
+    (match n.prev with Nil -> t.head <- n.next | Node p -> p.next <- n.next);
+    (match n.next with Nil -> t.tail <- n.prev | Node q -> q.prev <- n.prev);
+    n.prev <- Nil;
+    n.next <- Nil
 
-(* The hash comparison screens out non-matches cheaply; the key
-   comparison on a hash match is what makes collisions harmless. *)
-let lookup t key =
-  let h = t.hash key in
-  List.find_opt (fun e -> e.e_hash = h && e.e_key = key) t.entries
+let push_front t cell =
+  match cell with
+  | Nil -> ()
+  | Node n ->
+    n.next <- t.head;
+    (match t.head with Nil -> t.tail <- cell | Node h -> h.prev <- cell);
+    t.head <- cell
+
+let touch t cell =
+  if t.head != cell then begin
+    unlink t cell;
+    push_front t cell
+  end
+
+(* Every cell in a bucket shares the hash; the full-key comparison is
+   what makes collisions harmless. *)
+let rec in_bucket key = function
+  | [] -> Nil
+  | (Node n as cell) :: _ when n.key = key -> cell
+  | _ :: rest -> in_bucket key rest
+
+let lookup t h key =
+  match Index.find_opt t.index h with
+  | None -> Nil
+  | Some bucket -> in_bucket key bucket
+
+let unindex t cell =
+  match cell with
+  | Nil -> ()
+  | Node n -> (
+    match Index.find_opt t.index n.hash with
+    | None -> ()
+    | Some bucket -> (
+      match List.filter (fun c -> c != cell) bucket with
+      | [] -> Index.remove t.index n.hash
+      | rest -> Index.replace t.index n.hash rest))
+
+let drop t cell =
+  unlink t cell;
+  unindex t cell;
+  t.size <- t.size - 1
 
 let find (t : (_, _) t) key =
-  match lookup t key with
-  | Some e ->
+  match lookup t (t.hash key) key with
+  | Node n as cell ->
     t.hits <- t.hits + 1;
-    e.e_tick <- next_tick t;
-    Some e.e_value
-  | None ->
+    touch t cell;
+    Some n.value
+  | Nil ->
     t.misses <- t.misses + 1;
     None
 
-let mem t key = lookup t key <> None
-
-let evict_lru (t : (_, _) t) =
-  match t.entries with
-  | [] -> ()
-  | first :: rest ->
-    let victim =
-      List.fold_left (fun v e -> if e.e_tick < v.e_tick then e else v) first rest
-    in
-    t.entries <- List.filter (fun e -> e != victim) t.entries;
-    t.evictions <- t.evictions + 1
-
 let add (t : (_, _) t) key value =
   t.insertions <- t.insertions + 1;
-  match lookup t key with
-  | Some e ->
-    e.e_value <- value;
-    e.e_tick <- next_tick t
-  | None ->
-    if List.length t.entries >= t.cap then evict_lru t;
-    t.entries <-
-      { e_hash = t.hash key; e_key = key; e_value = value; e_tick = next_tick t }
-      :: t.entries
+  let h = t.hash key in
+  match lookup t h key with
+  | Node n as cell ->
+    n.value <- value;
+    touch t cell
+  | Nil ->
+    if t.size >= t.cap then begin
+      drop t t.tail;
+      t.evictions <- t.evictions + 1
+    end;
+    let cell = Node { hash = h; key; value; prev = Nil; next = Nil } in
+    let bucket = Option.value ~default:[] (Index.find_opt t.index h) in
+    Index.replace t.index h (cell :: bucket);
+    push_front t cell;
+    t.size <- t.size + 1
 
 let remove_where (t : (_, _) t) pred =
-  let keep, removed =
-    List.partition (fun e -> not (pred e.e_key)) t.entries
+  let removed = ref 0 in
+  let rec walk = function
+    | Nil -> ()
+    | Node n as cell ->
+      let next = n.next in
+      if pred n.key then begin
+        drop t cell;
+        incr removed
+      end;
+      walk next
   in
-  t.entries <- keep;
-  List.length removed
+  walk t.head;
+  !removed
 
 let stats (t : (_, _) t) =
   {

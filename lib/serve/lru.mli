@@ -1,21 +1,22 @@
 (** Generic bounded LRU map with hit/miss/eviction accounting.
 
-    The cache is {e content-addressed but collision-honest}: lookups
-    first compare the stored hash of each entry, then — on a hash
-    match — the {e full} key with structural equality, so two keys
+    The cache is {e content-addressed but collision-honest}: a lookup
+    first selects the entries whose stored hash matches, then compares
+    the {e full} key of each with structural equality, so two keys
     that collide under [hash] can never alias each other's values.
     [?hash] exists so tests can force every key into one hash class
     and prove that property.
 
-    Recency is a monotonic tick counter bumped on every hit and
-    insertion; eviction removes the entry with the smallest tick.
-    Ticks are unique, so the eviction order is deterministic — a
-    requirement of the serving layer's bit-identical reports.
+    Entries sit in a hash index (stored hash -> bucket of entries)
+    and on an intrusive doubly-linked recency list. A hit or a
+    replacing [add] moves the entry to the front; eviction removes the
+    tail. Every operation but [remove_where] is O(1) expected, and
+    relinking allocates nothing. The eviction order is the one unique
+    recency ticks would give — least recently touched first — so it
+    is deterministic, a requirement of the serving layer's
+    bit-identical reports.
 
-    Operations scan the (bounded) entry list linearly: the serving
-    cache holds at most a few hundred decoded tiles, and the scan
-    compares one int per non-matching entry. Not thread-safe; the
-    scheduler owns it from one domain. *)
+    Not thread-safe; the scheduler owns it from one domain. *)
 
 type ('k, 'v) t
 
@@ -36,9 +37,6 @@ val length : ('k, 'v) t -> int
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Full-key lookup; a hit refreshes the entry's recency and counts
     in [stats.hits], a miss in [stats.misses]. *)
-
-val mem : ('k, 'v) t -> 'k -> bool
-(** [find] without touching recency or stats. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Inserts or replaces the binding for the full key, evicting the

@@ -138,13 +138,19 @@ let fnv_int h v =
   let h = Int64.mul (Int64.logxor h (Int64.of_int v)) fnv_prime in
   h
 
+(* Nested loops over a local ref: the compiler keeps [h] unboxed, where
+   a ref captured by an iteration closure boxes an [Int64] per sample. *)
 let fnv_image h (image : Jpeg2000.Image.t) =
   let h = ref h in
-  Array.iter
-    (fun (p : Jpeg2000.Image.plane) ->
-      h := fnv_int (fnv_int !h p.Jpeg2000.Image.width) p.Jpeg2000.Image.height;
-      Array.iter (fun v -> h := fnv_int !h v) p.Jpeg2000.Image.data)
-    image.Jpeg2000.Image.planes;
+  let planes = image.Jpeg2000.Image.planes in
+  for c = 0 to Array.length planes - 1 do
+    let p = planes.(c) in
+    h := fnv_int (fnv_int !h p.Jpeg2000.Image.width) p.Jpeg2000.Image.height;
+    let data = p.Jpeg2000.Image.data in
+    for i = 0 to Array.length data - 1 do
+      h := fnv_int !h data.(i)
+    done
+  done;
   !h
 
 (* -- report ----------------------------------------------------------- *)
@@ -255,20 +261,22 @@ let assemble stream target tiles =
     let region =
       Jpeg2000.Image.create ~width:rw ~height:rh ~components ~bit_depth ()
     in
+    (* Clip each tile plane to the window once, then copy whole rows. *)
     List.iter
       (fun (tile : Jpeg2000.Tile.t) ->
+        let x0 = tile.Jpeg2000.Tile.x0 and y0 = tile.Jpeg2000.Tile.y0 in
         Array.iteri
           (fun c (sub : Jpeg2000.Image.plane) ->
             let plane = region.Jpeg2000.Image.planes.(c) in
-            for ty = 0 to sub.Jpeg2000.Image.height - 1 do
-              for tx = 0 to sub.Jpeg2000.Image.width - 1 do
-                let gx = tile.Jpeg2000.Tile.x0 + tx
-                and gy = tile.Jpeg2000.Tile.y0 + ty in
-                if gx >= rx && gx < rx + rw && gy >= ry && gy < ry + rh then
-                  Jpeg2000.Image.plane_set plane ~x:(gx - rx) ~y:(gy - ry)
-                    (Jpeg2000.Image.plane_get sub ~x:tx ~y:ty)
-              done
-            done)
+            let cx0 = Stdlib.max rx x0
+            and cx1 = Stdlib.min (rx + rw) (x0 + sub.Jpeg2000.Image.width) in
+            if cx0 < cx1 then
+              for gy = Stdlib.max ry y0
+                  to Stdlib.min (ry + rh) (y0 + sub.Jpeg2000.Image.height) - 1 do
+                Jpeg2000.Image.blit_row ~src:sub ~src_x:(cx0 - x0)
+                  ~src_y:(gy - y0) ~dst:plane ~dst_x:(cx0 - rx)
+                  ~dst_y:(gy - ry) ~len:(cx1 - cx0)
+              done)
           tile.Jpeg2000.Tile.planes)
       tiles;
     region

@@ -250,6 +250,38 @@ let test_fleet_rerun_and_jobs_invariant () =
   Alcotest.(check string) "jobs=2" a (run_with 2);
   Alcotest.(check string) "jobs=4" a (run_with 4)
 
+(* Recorded from the list-scan LRU, the per-sample region crop and the
+   closure-folded pixel digest: with 8-tile L1s and an evicting L2, the
+   report must not move by a byte. *)
+let golden_report =
+  "{\"fleet\":\"replicas=2,min=2,max=2,vnodes=16,l2=10,l2_us=20,spill=1,up=0.75,down=0.15,slo=0.5,interval=5,warmup=20,seed=0\",\"workload\":\"open:n=40,rate=1500,seed=29,deadline=20,region=0.4,reduced=0.3\",\"streams\":3,\"policy\":\"reject\",\"queue_capacity\":32,\"l1_capacity\":8,\"max_batch\":8,\"replicas\":{\"initial\":2,\"min\":2,\"max\":2,\"peak\":2,\"final\":2,\"scale_ups\":0,\"scale_downs\":0,\"events\":[]},\"total\":40,\"served\":40,\"rejected\":0,\"dropped\":0,\"degraded\":0,\"spilled\":0,\"batches\":38,\"coalesced\":0,\"concealed_blocks\":0,\"makespan_ms\":35.290017201,\"throughput_rps\":1133.46501851,\"latency_ms\":{\"mean\":0.7000947277,\"p50\":0.644010345,\"p95\":1.383750145,\"p99\":1.389942834,\"max\":1.389942834},\"slo_misses\":0,\"slo_miss_rate\":0,\"l1\":{\"hits\":72,\"misses\":192,\"insertions\":192,\"evictions\":176,\"hit_rate\":0.272727272727},\"l2\":{\"capacity\":10,\"hits\":22,\"misses\":170,\"insertions\":170,\"evictions\":160,\"hit_rate\":0.114583333333,\"transfers\":22,\"transfer_ms\":0.44,\"invalidations\":0},\"per_replica\":[{\"id\":0,\"served\":12,\"batches\":12,\"busy_ms\":4.414123802},{\"id\":1,\"served\":28,\"batches\":26,\"busy_ms\":16.054402713}],\"pixels_digest\":\"84379d26388f85df\"}"
+
+let test_fleet_golden_report () =
+  let streams =
+    Array.init 3 (fun i ->
+        Models.Workload.codestream ~width:80 ~height:72 ~seed:(2008 + i)
+          Jpeg2000.Codestream.Lossless)
+  in
+  let config =
+    {
+      Fleet.default_config with
+      Fleet.replicas = 2;
+      min_replicas = 2;
+      max_replicas = 2;
+      l2_capacity = 10;
+    }
+  in
+  let r =
+    Fleet.run
+      (Fleet.create ~config ~service:(small_l1 8) streams)
+      (spec_exn "open:n=40,rate=1500,seed=29,region=0.4,reduced=0.3,deadline=20")
+  in
+  (match r.Fleet.l2 with
+  | Some l2 ->
+    Alcotest.(check bool) "L2 evicts" true (l2.Fleet.l2_tier.Fleet.evictions > 0)
+  | None -> Alcotest.fail "no L2 in the report");
+  Alcotest.(check string) "report byte-identical" golden_report (report_string r)
+
 let test_fleet_counters_balance () =
   let fleet =
     Fleet.create
@@ -457,6 +489,7 @@ let () =
         [
           Alcotest.test_case "rerun and jobs invariant" `Quick
             test_fleet_rerun_and_jobs_invariant;
+          Alcotest.test_case "golden report" `Quick test_fleet_golden_report;
           Alcotest.test_case "counters balance" `Quick
             test_fleet_counters_balance;
           Alcotest.test_case "matches reference decoder" `Quick

@@ -60,6 +60,40 @@ let test_pnm_rejects_garbage () =
   Alcotest.(check bool) "bad magic" true (raised "P9\n2 2\n255\nxxxx");
   Alcotest.(check bool) "truncated" true (raised "P5\n4 4\n255\nab")
 
+let test_blit_row_bounds () =
+  (* One check guards an unchecked copy loop, so every out-of-range
+     side must raise, and a valid copy must write exactly [len]
+     samples and nothing beside them. *)
+  let src = Jpeg2000.Image.create_plane ~width:6 ~height:3 in
+  let dst = Jpeg2000.Image.create_plane ~width:5 ~height:4 in
+  Array.iteri (fun i _ -> src.Jpeg2000.Image.data.(i) <- i + 1) src.Jpeg2000.Image.data;
+  let blit ?(src_x = 0) ?(src_y = 0) ?(dst_x = 0) ?(dst_y = 0) len () =
+    Jpeg2000.Image.blit_row ~src ~src_x ~src_y ~dst ~dst_x ~dst_y ~len
+  in
+  let rejects name f =
+    Alcotest.check_raises name
+      (Invalid_argument "Image.blit_row: row out of bounds") f
+  in
+  rejects "negative src_x" (blit ~src_x:(-1) 2);
+  rejects "negative src_y" (blit ~src_y:(-1) 2);
+  rejects "negative dst_x" (blit ~dst_x:(-1) 2);
+  rejects "negative dst_y" (blit ~dst_y:(-1) 2);
+  rejects "src_x + len past src width" (blit ~src_x:2 5);
+  rejects "dst_x + len past dst width" (blit ~dst_x:1 5);
+  rejects "src_y past src height" (blit ~src_y:3 1);
+  rejects "dst_y past dst height" (blit ~dst_y:4 1);
+  rejects "negative len" (blit (-1));
+  Alcotest.(check bool) "failed calls write nothing" true
+    (Array.for_all (( = ) 0) dst.Jpeg2000.Image.data);
+  blit ~src_x:2 ~src_y:1 ~dst_x:1 ~dst_y:2 3 ();
+  let expected = Array.make (5 * 4) 0 in
+  Array.blit src.Jpeg2000.Image.data ((1 * 6) + 2) expected ((2 * 5) + 1) 3;
+  Alcotest.(check (array int)) "exactly len samples copied" expected
+    dst.Jpeg2000.Image.data;
+  blit ~src_x:6 ~dst_x:5 ~src_y:2 ~dst_y:3 0 ();
+  Alcotest.(check (array int)) "len 0 at the far edge is a no-op" expected
+    dst.Jpeg2000.Image.data
+
 (* -- Tile ---------------------------------------------------------- *)
 
 let test_tile_split_assemble () =
@@ -1187,6 +1221,7 @@ let () =
             test_generators_deterministic;
           Alcotest.test_case "pnm roundtrip" `Quick test_pnm_roundtrip;
           Alcotest.test_case "pnm rejects garbage" `Quick test_pnm_rejects_garbage;
+          Alcotest.test_case "blit_row bounds" `Quick test_blit_row_bounds;
         ] );
       ( "tile",
         [

@@ -62,6 +62,149 @@ let test_lru_rejects_bad_capacity () =
   Alcotest.check_raises "capacity 0" (Invalid_argument "Serve.Lru.create: capacity < 1")
     (fun () -> ignore (Serve.Lru.create ~capacity:0 ()))
 
+(* The list-scan LRU that [Serve.Lru]'s hash index and recency list
+   replaced, kept as the reference model: every entry carries a unique
+   recency tick, a lookup scans all entries, and eviction takes the
+   smallest tick. *)
+module Model = struct
+  type ('k, 'v) entry = {
+    e_hash : int;
+    e_key : 'k;
+    mutable e_value : 'v;
+    mutable e_tick : int;
+  }
+
+  type ('k, 'v) t = {
+    cap : int;
+    hash : 'k -> int;
+    mutable entries : ('k, 'v) entry list;
+    mutable tick : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable insertions : int;
+    mutable evictions : int;
+  }
+
+  let create ?(hash = Hashtbl.hash) ~capacity () =
+    {
+      cap = capacity;
+      hash;
+      entries = [];
+      tick = 0;
+      hits = 0;
+      misses = 0;
+      insertions = 0;
+      evictions = 0;
+    }
+
+  let length t = List.length t.entries
+
+  let next_tick t =
+    t.tick <- t.tick + 1;
+    t.tick
+
+  let lookup t key =
+    let h = t.hash key in
+    List.find_opt (fun e -> e.e_hash = h && e.e_key = key) t.entries
+
+  let find t key =
+    match lookup t key with
+    | Some e ->
+      t.hits <- t.hits + 1;
+      e.e_tick <- next_tick t;
+      Some e.e_value
+    | None ->
+      t.misses <- t.misses + 1;
+      None
+
+  let evict_lru t =
+    match t.entries with
+    | [] -> ()
+    | first :: rest ->
+      let victim =
+        List.fold_left (fun v e -> if e.e_tick < v.e_tick then e else v) first rest
+      in
+      t.entries <- List.filter (fun e -> e != victim) t.entries;
+      t.evictions <- t.evictions + 1
+
+  let add t key value =
+    t.insertions <- t.insertions + 1;
+    match lookup t key with
+    | Some e ->
+      e.e_value <- value;
+      e.e_tick <- next_tick t
+    | None ->
+      if List.length t.entries >= t.cap then evict_lru t;
+      t.entries <-
+        { e_hash = t.hash key; e_key = key; e_value = value; e_tick = next_tick t }
+        :: t.entries
+
+  let remove_where t pred =
+    let keep, removed = List.partition (fun e -> not (pred e.e_key)) t.entries in
+    t.entries <- keep;
+    List.length removed
+
+  let stats t =
+    {
+      Serve.Lru.hits = t.hits;
+      misses = t.misses;
+      insertions = t.insertions;
+      evictions = t.evictions;
+    }
+end
+
+type lru_op = Find of int | Add of int * int | Remove_mod3 of int
+
+let lru_op_to_string = function
+  | Find k -> Printf.sprintf "find %d" k
+  | Add (k, v) -> Printf.sprintf "add %d %d" k v
+  | Remove_mod3 r -> Printf.sprintf "remove k mod 3 = %d" r
+
+let lru_ops =
+  let open QCheck.Gen in
+  let key = int_range 0 11 in
+  let op =
+    frequency
+      [
+        (5, map (fun k -> Find k) key);
+        (5, map2 (fun k v -> Add (k, v)) key (int_range 0 999));
+        (1, map (fun r -> Remove_mod3 r) (int_range 0 2));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (capacity, collide, ops) ->
+      Printf.sprintf "capacity %d, %s hash: %s" capacity
+        (if collide then "constant" else "default")
+        (String.concat "; " (List.map lru_op_to_string ops)))
+    (triple (int_range 1 16) bool (list_size (int_range 0 200) op))
+
+let prop_lru_matches_model =
+  (* Same find results, length and stats as the model after every
+     step pins the eviction order; the constant hash puts every key in
+     one bucket and pins collision honesty. *)
+  QCheck.Test.make ~name:"Lru agrees with the list-scan model" ~count:500
+    lru_ops (fun (capacity, collide, ops) ->
+      let hash = if collide then Some (fun (_ : int) -> 0) else None in
+      let lru = Serve.Lru.create ?hash ~capacity () in
+      let model = Model.create ?hash ~capacity () in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | Find k -> Serve.Lru.find lru k = Model.find model k
+            | Add (k, v) ->
+              Serve.Lru.add lru k v;
+              Model.add model k v;
+              true
+            | Remove_mod3 r ->
+              let pred k = k mod 3 = r in
+              Serve.Lru.remove_where lru pred = Model.remove_where model pred
+          in
+          agree
+          && Serve.Lru.length lru = Model.length model
+          && Serve.Lru.stats lru = Model.stats model)
+        ops)
+
 (* -- cache keys ------------------------------------------------------- *)
 
 let test_cache_digest_discriminates () =
@@ -271,6 +414,30 @@ let test_service_counters_balance () =
   Alcotest.(check int) "total = served + rejected + dropped"
     r.Serve.Service.total
     (r.Serve.Service.served + r.Serve.Service.rejected + r.Serve.Service.dropped)
+
+(* Recorded from the list-scan LRU, the per-sample region crop and the
+   closure-folded pixel digest: the report of a run whose cache evicts
+   and whose requests mix region and reduced targets must not move by
+   a byte. *)
+let golden_report =
+  "{\"workload\":\"open:n=48,rate=900,seed=23,deadline=25,region=0.4,reduced=0.3\",\"streams\":2,\"policy\":\"reject\",\"queue_capacity\":32,\"cache_capacity\":12,\"max_batch\":8,\"total\":48,\"served\":48,\"rejected\":0,\"dropped\":0,\"degraded\":0,\"batches\":47,\"coalesced\":0,\"concealed_blocks\":0,\"makespan_ms\":64.81528535,\"throughput_rps\":740.566052295,\"latency_ms\":{\"mean\":0.437633789771,\"p50\":0.351245,\"p95\":0.793763,\"p99\":1.447935697,\"max\":1.447935697},\"slo_misses\":0,\"slo_miss_rate\":0,\"cache\":{\"hits\":71,\"misses\":198,\"evictions\":186,\"hit_rate\":0.263940520446},\"ingest\":null,\"pixels_digest\":\"bd6699c9593e1e47\"}"
+
+let test_service_golden_report () =
+  let streams =
+    Array.init 2 (fun i ->
+        Models.Workload.codestream ~width:80 ~height:72 ~seed:(2008 + i)
+          Jpeg2000.Codestream.Lossless)
+  in
+  let config =
+    { Serve.Service.default_config with Serve.Service.cache_capacity = 12 }
+  in
+  let r =
+    Serve.Service.run
+      (Serve.Service.create ~config streams)
+      (spec_exn "open:n=48,rate=900,seed=23,region=0.4,reduced=0.3")
+  in
+  Alcotest.(check bool) "cache evicts" true (r.Serve.Service.cache_evictions > 0);
+  Alcotest.(check string) "report byte-identical" golden_report (report_string r)
 
 let overload_config policy =
   {
@@ -498,6 +665,7 @@ let () =
           Alcotest.test_case "replace in place" `Quick test_lru_replace_in_place;
           Alcotest.test_case "bad capacity" `Quick test_lru_rejects_bad_capacity;
           Alcotest.test_case "digest" `Quick test_cache_digest_discriminates;
+          qc prop_lru_matches_model;
         ] );
       ( "workload specs",
         [
@@ -515,6 +683,7 @@ let () =
           Alcotest.test_case "matches reference decoder" `Quick
             test_service_matches_reference_decoder;
           Alcotest.test_case "counters balance" `Quick test_service_counters_balance;
+          Alcotest.test_case "golden report" `Quick test_service_golden_report;
         ] );
       ( "overload policies",
         [
