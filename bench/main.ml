@@ -130,9 +130,11 @@ let t1_roundtrip () =
     (Jpeg2000.T1.decode_block ~orientation:Jpeg2000.Subband.HL ~w:32 ~h:32 ~planes
        data)
 
-(* The pre-LUT reference context formation: the packed hot path's
-   baseline — the delta between this row and t1_block_32x32 is the
-   per-block gain of the flag-packed coder. *)
+(* The reference coder beside the production one: t1_block_32x32
+   round-trips a block through the LUT-context encoder and the
+   decoder-specialised passes, this row through the generic driver
+   with per-probe reference contexts on both sides ([~lut:false]). The
+   pair is production against reference. *)
 let t1_roundtrip_ref () =
   let planes, data =
     Jpeg2000.T1.encode_block ~lut:false ~orientation:Jpeg2000.Subband.HL ~w:32

@@ -2,12 +2,18 @@ let dc_shift_forward ~bit_depth samples =
   let offset = 1 lsl (bit_depth - 1) in
   Array.iteri (fun i v -> samples.(i) <- v - offset) samples
 
+(* Shift and clamp one sample to [0, top], with int comparisons (a
+   polymorphic [min]/[max] would be a C call per sample). *)
+let[@inline] shift_clamp ~offset ~top v =
+  let s = v + offset in
+  if s < 0 then 0 else if s > top then top else s
+
 let dc_shift_inverse ~bit_depth samples =
   let offset = 1 lsl (bit_depth - 1) in
   let top = (1 lsl bit_depth) - 1 in
-  Array.iteri
-    (fun i v -> samples.(i) <- Stdlib.max 0 (Stdlib.min top (v + offset)))
-    samples
+  for i = 0 to Array.length samples - 1 do
+    samples.(i) <- shift_clamp ~offset ~top samples.(i)
+  done
 
 let check_lengths a b c name =
   if Array.length a <> Array.length b || Array.length b <> Array.length c then
@@ -58,11 +64,12 @@ let ict_forward r g b =
     b.(i) <- 0.5 /. (1.0 -. w_r) *. (red -. y)
   done
 
+let k_cr = 2.0 *. (1.0 -. w_r)
+let k_cb = 2.0 *. (1.0 -. w_b)
+
 let ict_inverse y cb cr =
   if Array.length y <> Array.length cb || Array.length cb <> Array.length cr
   then invalid_arg "Colour.ict_inverse: component length mismatch";
-  let k_cr = 2.0 *. (1.0 -. w_r) in
-  let k_cb = 2.0 *. (1.0 -. w_b) in
   for i = 0 to Array.length y - 1 do
     let lum = y.(i) and u = cb.(i) and v = cr.(i) in
     let red = lum +. (k_cr *. v) in
@@ -72,3 +79,40 @@ let ict_inverse y cb cr =
     cb.(i) <- green;
     cr.(i) <- blue
   done
+
+(* -- the lossy path's last stage in one pass -------------------------
+
+   [ict_inverse], rounding to nearest and [dc_shift_inverse] fused per
+   sample, into fresh int arrays: the same float expressions in the
+   same order, so the samples are bit-identical to the three-stage
+   chain, without its three float-plane copies and two extra passes. *)
+
+let[@inline] round_shift ~offset ~top v =
+  shift_clamp ~offset ~top (int_of_float (Float.round v))
+
+let ict_inverse_shift ~bit_depth y cb cr =
+  if Array.length y <> Array.length cb || Array.length cb <> Array.length cr
+  then invalid_arg "Colour.ict_inverse_shift: component length mismatch";
+  let offset = 1 lsl (bit_depth - 1) in
+  let top = (1 lsl bit_depth) - 1 in
+  let n = Array.length y in
+  let r = Array.make n 0 and g = Array.make n 0 and b = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let lum = y.(i) and u = cb.(i) and v = cr.(i) in
+    let red = lum +. (k_cr *. v) in
+    let blue = lum +. (k_cb *. u) in
+    let green = (lum -. (w_r *. red) -. (w_b *. blue)) /. w_g in
+    r.(i) <- round_shift ~offset ~top red;
+    g.(i) <- round_shift ~offset ~top green;
+    b.(i) <- round_shift ~offset ~top blue
+  done;
+  (r, g, b)
+
+let round_shift_inverse ~bit_depth values =
+  let offset = 1 lsl (bit_depth - 1) in
+  let top = (1 lsl bit_depth) - 1 in
+  let out = Array.make (Array.length values) 0 in
+  for i = 0 to Array.length values - 1 do
+    out.(i) <- round_shift ~offset ~top values.(i)
+  done;
+  out

@@ -32,3 +32,25 @@ val ict_forward : float array -> float array -> float array -> unit
 (** In-place RGB → YCbCr irreversible transform. *)
 
 val ict_inverse : float array -> float array -> float array -> unit
+(** In-place YCbCr → RGB, the inverse of {!ict_forward}. *)
+
+(** {1 Fused lossy finish}
+
+    The decoder's last lossy stage in one pass per sample, into fresh
+    [int array]s. The float expressions are {!ict_inverse}'s, in the
+    same order, so each result equals [ict_inverse] →
+    [int_of_float (Float.round v)] → {!dc_shift_inverse} bit for bit;
+    the inputs are not modified. *)
+
+val ict_inverse_shift :
+  bit_depth:int ->
+  float array ->
+  float array ->
+  float array ->
+  int array * int array * int array
+(** Three (Y, Cb, Cr) planes to three clamped unsigned (R, G, B)
+    sample planes. Raises [Invalid_argument] on a length mismatch. *)
+
+val round_shift_inverse : bit_depth:int -> float array -> int array
+(** One plane without a colour transform (a grey image): round to
+    nearest, shift and clamp. *)

@@ -229,14 +229,17 @@ let inverse_colour_and_shift header tile domain =
       let arrays = Array.map (fun p -> p.Image.data) planes in
       if Array.length arrays = 3 then
         Colour.rct_inverse arrays.(0) arrays.(1) arrays.(2);
+      Array.iter (Colour.dc_shift_inverse ~bit_depth) arrays;
       arrays
+    | Floats [| y; cb; cr |] ->
+      let r, g, b =
+        Colour.ict_inverse_shift ~bit_depth y.Dwt97.values cb.Dwt97.values
+          cr.Dwt97.values
+      in
+      [| r; g; b |]
     | Floats ms ->
-      let arrays = Array.map (fun m -> Array.copy m.Dwt97.values) ms in
-      if Array.length arrays = 3 then
-        Colour.ict_inverse arrays.(0) arrays.(1) arrays.(2);
-      Array.map (Array.map (fun v -> int_of_float (Float.round v))) arrays
+      Array.map (fun m -> Colour.round_shift_inverse ~bit_depth m.Dwt97.values) ms
   in
-  Array.iter (Colour.dc_shift_inverse ~bit_depth) int_planes;
   let w = tile.Codestream.tile_w and h = tile.Codestream.tile_h in
   {
     Tile.index = tile.Codestream.tile_index;
@@ -312,7 +315,10 @@ let compensate_k ~discard domain =
       let k2d = Float.pow 1.230174104914001 (2.0 *. float_of_int discard) in
       Array.iter
         (fun m ->
-          Array.iteri (fun i v -> m.Dwt97.values.(i) <- v *. k2d) m.Dwt97.values)
+          let v = m.Dwt97.values in
+          for i = 0 to Array.length v - 1 do
+            v.(i) <- v.(i) *. k2d
+          done)
         ms
     end
 
@@ -441,21 +447,6 @@ let flat_entropy ?max_passes ~pool header tile =
   Par.Pool.iter pool ft.ft_jobs (decode_flat_job ft);
   ft
 
-(* IQ over one band rectangle of a flat plane — [Quant.dequantise]
-   per coefficient, without the boxed intermediate array. *)
-let dequantise_flat_band m plane ~step (band : Subband.band) =
-  for y = 0 to band.Subband.h - 1 do
-    for x = 0 to band.Subband.w - 1 do
-      let q =
-        Plane.get plane ~x:(band.Subband.x0 + x) ~y:(band.Subband.y0 + y)
-      in
-      Dwt97.matrix_set m
-        ~x:(band.Subband.x0 + x)
-        ~y:(band.Subband.y0 + y)
-        (Quant.dequantise_one ~step q)
-    done
-  done
-
 (* The remaining stages over flat planes: IQ, K compensation, in-place
    IDWT, colour/DC-shift — step for step the boxed
    [dequantise] / [compensate_k] / [inverse_wavelet] /
@@ -484,7 +475,7 @@ let finish_flat ?(pool = Par.Pool.sequential) ~discard header tile ft =
                   Quant.step_for ~base_step:header.Codestream.base_step ~levels
                     ~level:band.Subband.level band.Subband.orientation
                 in
-                dequantise_flat_band m plane ~step band
+                Quant.dequantise_band ~step plane m band
               end)
             ft.ft_bands;
           m)
@@ -806,15 +797,11 @@ let psnr_impact ~reference (image, report) =
    [decode_tile] / [decode_tile_reduced], so a finished tile is
    bit-identical to the monolithic per-tile decode.
 
-   The coefficients live in the flat planes of [flat_tile]. Two job
-   protocols share them: [staged_run] decodes job [i] directly into
-   the staged tile's planes (in place, no allocation — disjoint
-   rectangles keep concurrent jobs of any staged tiles race-free) and
-   [finish_staged_ok] only counts the concealments; the older
-   [staged_job]/[finish_staged] pair returns each block as a fresh
-   array and blits at finish time. Both orders write the same
-   rectangles with the same values, so they are interchangeable bit
-   for bit. *)
+   The coefficients live in the flat planes of [flat_tile]:
+   [staged_run] decodes job [i] directly into the staged tile's planes
+   (in place, no allocation — disjoint rectangles keep concurrent jobs
+   of any staged tiles race-free) and [finish_staged_ok] only counts
+   the concealments. *)
 
 type staged = {
   st_header : Codestream.header;  (* effective (reduced) header *)
@@ -868,40 +855,11 @@ let staged_block_classes st =
 
 let staged_run st i = decode_flat_job_robust st.st_flat st.st_flat.ft_jobs.(i)
 
-let check_result_count st n =
-  if n <> Array.length st.st_flat.ft_jobs then
-    invalid_arg "Decoder.finish_staged: result count mismatch"
-
 let finish_staged_ok st ok =
-  check_result_count st (Array.length ok);
+  if Array.length ok <> Array.length st.st_flat.ft_jobs then
+    invalid_arg "Decoder.finish_staged_ok: result count mismatch";
   let concealed =
     Array.fold_left (fun acc o -> if o then acc else acc + 1) 0 ok
   in
   ( finish_flat ~discard:st.st_discard st.st_header st.st_tile st.st_flat,
     concealed )
-
-(* Compat protocol: pure per-job decode returning a fresh block. *)
-let staged_job st i =
-  let j = st.st_flat.ft_jobs.(i) in
-  if j.fj_planes > max_robust_planes then None
-  else
-    match
-      T1.decode_block_scalable_scratch ~orientation:j.fj_orientation ~w:j.fj_w
-        ~h:j.fj_h ~planes:j.fj_planes j.fj_passes
-    with
-    | block -> Some (Array.sub block 0 (j.fj_w * j.fj_h))
-    | exception (Failure _ | Invalid_argument _ | Exit | Not_found) -> None
-
-let finish_staged st results =
-  check_result_count st (Array.length results);
-  let concealed = ref 0 in
-  Array.iteri
-    (fun i j ->
-      match results.(i) with
-      | Some block ->
-        Plane.blit_block st.st_flat.ft_planes.(j.fj_comp) ~x0:j.fj_x0
-          ~y0:j.fj_y0 ~w:j.fj_w ~h:j.fj_h block
-      | None -> incr concealed (* the block's coefficients stay zero *))
-    st.st_flat.ft_jobs;
-  ( finish_flat ~discard:st.st_discard st.st_header st.st_tile st.st_flat,
-    !concealed )

@@ -246,22 +246,6 @@ val finish_staged_ok : staged -> bool array -> Tile.t * int
     [Invalid_argument] if the result count does not match
     {!staged_jobs}. *)
 
-val staged_job : staged -> int -> int array option
-(** Compat protocol: decodes job [i] into a fresh array without
-    touching the staged planes. Pure with respect to shared state —
-    jobs of any staged tiles may run concurrently on pool workers.
-    [None] marks a damaged block (containment, as in
-    {!entropy_decode_tile_robust}); on a well-formed stream every job
-    is [Some]. [{!staged_job} + {!finish_staged}] and [{!staged_run} +
-    {!finish_staged_ok}] write the same rectangles with the same
-    values and are interchangeable bit for bit. *)
-
-val finish_staged : staged -> int array option array -> Tile.t * int
-(** Places the job results (in job order), conceals [None] blocks,
-    and runs IQ, IDWT and ICT/DC-shift. Returns the tile and the
-    concealed-block count. Raises [Invalid_argument] if the result
-    count does not match {!staged_jobs}. *)
-
 val reduced_size : int -> int -> int
 (** [reduced_size n d] is the length of an [n]-sample dimension after
     [d] resolution levels are discarded. *)

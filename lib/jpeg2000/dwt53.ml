@@ -98,64 +98,54 @@ let inverse_plane plane ~levels =
 (* -- in-place inverse over a flat plane ------------------------------
 
    The same lifting arithmetic as [inverse_1d] (integer, so the
-   result is bit-identical), but reading and writing a {!Plane}
-   directly through two per-domain scratch lines instead of
+   result is bit-identical), but reading and writing a {!Plane}'s
+   Bigarray directly through one per-domain scratch line instead of
    allocating [Array.init] rows/columns and intermediate arrays per
    line — on the parallel path those per-line allocations are minor-
-   heap churn every worker domain pays. *)
+   heap churn every worker domain pays. Every index stays inside the
+   plane because [w <= pw] and [h <= ph] at every level. *)
 
-(* [even.(i)] of a line whose [n]-prefix sits in [line]; shared by
-   the row and column passes below. *)
-let flat_even line even n =
+(* One line of [n >= 2] samples at [base + i * stride]: copy it to
+   [line] (lows, then highs), then write the interleaved output in one
+   sweep, carrying each even sample to the odd one after it. [d]'s
+   type is spelled out so its accesses compile to plain loads and
+   stores rather than generic Bigarray calls. *)
+let inverse_line_flat
+    (d : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t) line ~n
+    ~base ~stride =
+  for i = 0 to n - 1 do
+    line.(i) <- Bigarray.Array1.unsafe_get d (base + (i * stride))
+  done;
   let nl = (n + 1) / 2 and nh = n / 2 in
-  for i = 0 to nl - 1 do
-    let dm = line.(nl + (if i = 0 then 0 else i - 1)) in
-    let d0 = line.(nl + (if i >= nh then nh - 1 else i)) in
-    even.(i) <- line.(i) - ((dm + d0 + 2) asr 2)
-  done
+  (* even 0: both high neighbours clamp to [line.(nl)] *)
+  let e = ref (line.(0) - ((line.(nl) + line.(nl) + 2) asr 2)) in
+  for i = 0 to nh - 1 do
+    Bigarray.Array1.unsafe_set d (base + (2 * i * stride)) !e;
+    let e1 =
+      if i + 1 >= nl then !e
+      else
+        line.(i + 1)
+        - ((line.(nl + i) + line.(nl + if i + 1 >= nh then nh - 1 else i + 1) + 2)
+           asr 2)
+    in
+    Bigarray.Array1.unsafe_set d
+      (base + (((2 * i) + 1) * stride))
+      (line.(nl + i) + ((!e + e1) asr 1));
+    e := e1
+  done;
+  if nl > nh then Bigarray.Array1.unsafe_set d (base + (2 * nh * stride)) !e
 
-let inverse_level_flat p ~w ~h =
-  let pw = Plane.width p in
+let inverse_level_flat (p : Plane.t) ~w ~h =
   let line = Plane.Scratch.ints (Stdlib.max w h) in
-  let even = Plane.Scratch.ints2 ((Stdlib.max w h / 2) + 1) in
   (* Columns first, then rows — the order of [inverse_level]. *)
-  if h > 1 then begin
-    let nl = (h + 1) / 2 and nh = h / 2 in
+  if h > 1 then
     for x = 0 to w - 1 do
-      for i = 0 to h - 1 do
-        line.(i) <- Plane.unsafe_get p ((i * pw) + x)
-      done;
-      flat_even line even h;
-      for i = 0 to nl - 1 do
-        Plane.unsafe_set p ((2 * i * pw) + x) even.(i)
-      done;
-      for i = 0 to nh - 1 do
-        let e1 = if i + 1 >= nl then even.(nl - 1) else even.(i + 1) in
-        Plane.unsafe_set p
-          ((((2 * i) + 1) * pw) + x)
-          (line.(nl + i) + ((even.(i) + e1) asr 1))
-      done
-    done
-  end;
-  if w > 1 then begin
-    let nl = (w + 1) / 2 and nh = w / 2 in
+      inverse_line_flat p.data line ~n:h ~base:x ~stride:p.pw
+    done;
+  if w > 1 then
     for y = 0 to h - 1 do
-      let base = y * pw in
-      for i = 0 to w - 1 do
-        line.(i) <- Plane.unsafe_get p (base + i)
-      done;
-      flat_even line even w;
-      for i = 0 to nl - 1 do
-        Plane.unsafe_set p (base + (2 * i)) even.(i)
-      done;
-      for i = 0 to nh - 1 do
-        let e1 = if i + 1 >= nl then even.(nl - 1) else even.(i + 1) in
-        Plane.unsafe_set p
-          (base + (2 * i) + 1)
-          (line.(nl + i) + ((even.(i) + e1) asr 1))
-      done
+      inverse_line_flat p.data line ~n:w ~base:(y * p.pw) ~stride:1
     done
-  end
 
 let inverse_flat p ~levels =
   check_levels levels;

@@ -29,17 +29,26 @@ let gamma = 0.882911075530934
 let delta = 0.443506852043971
 let kappa = 1.230174104914001
 
-let reflect n i = if i < 0 then -i else if i >= n then (2 * n) - 2 - i else i
-
-(* One lifting step over the interleaved signal: for every index with
-   the given parity, add coef * (left neighbour + right neighbour). *)
+(* One lifting step over the interleaved signal ([n >= 2]): for every
+   index with the given parity, add coef * (left neighbour + right
+   neighbour), with whole-sample symmetric extension at the ends
+   ([y.(-1)] is [y.(1)], [y.(n)] is [y.(n-2)]). The two ends are
+   peeled off so the interior loop reads its neighbours directly: no
+   per-read reflection call, and no helper that would box the float
+   it returns. *)
 let lift y n ~parity coef =
-  let v i = y.(reflect n i) in
+  let last = n - 1 in
   let i = ref parity in
-  while !i < n do
-    y.(!i) <- y.(!i) +. (coef *. (v (!i - 1) +. v (!i + 1)));
+  if parity = 0 then begin
+    y.(0) <- y.(0) +. (coef *. (y.(1) +. y.(1)));
+    i := 2
+  end;
+  while !i < last do
+    y.(!i) <- y.(!i) +. (coef *. (y.(!i - 1) +. y.(!i + 1)));
     i := !i + 2
-  done
+  done;
+  if !i = last then
+    y.(last) <- y.(last) +. (coef *. (y.(last - 1) +. y.(last - 1)))
 
 let forward_1d src =
   let n = Array.length src in

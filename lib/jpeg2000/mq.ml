@@ -51,15 +51,29 @@ let qe_table =
     (0x5601, 46, 46, 0);
   |]
 
-let qe i = let (v, _, _, _) = qe_table.(i) in v
-let nmps i = let (_, v, _, _) = qe_table.(i) in v
-let nlps i = let (_, _, v, _) = qe_table.(i) in v
-let switch i = let (_, _, _, v) = qe_table.(i) in v
+(* The table's four columns as flat int arrays, derived once: a
+   lookup per coded decision is one array load, not a load of a boxed
+   row plus a field. *)
+let column f = Array.map f qe_table
+let qe_col = column (fun (v, _, _, _) -> v)
+let nmps_col = column (fun (_, v, _, _) -> v)
+let nlps_col = column (fun (_, _, v, _) -> v)
+let switch_col = column (fun (_, _, _, v) -> v)
+let qe i = qe_col.(i)
+let nmps i = nmps_col.(i)
+let nlps i = nlps_col.(i)
+let switch i = switch_col.(i)
+
+let num_states = Array.length qe_table
+
+let state i =
+  if i < 0 || i >= num_states then invalid_arg "Mq.state: index";
+  (qe i, nmps i, nlps i, switch i)
 
 type context = { mutable index : int; mutable mps : int }
 
 let check_state index mps =
-  if index < 0 || index >= Array.length qe_table then
+  if index < 0 || index >= num_states then
     invalid_arg "Mq.context: index";
   if mps <> 0 && mps <> 1 then invalid_arg "Mq.context: mps"
 

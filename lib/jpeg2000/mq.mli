@@ -10,6 +10,12 @@
     construction and are exercised against each other by property
     tests with random context/bit sequences. *)
 
+val state : int -> int * int * int * int
+(** [(Qe, NMPS, NLPS, SWITCH)] of one of the 47 states of the
+    probability estimation table (Table C.2), read back from the flat
+    per-column arrays the coder indexes on every decision. Raises
+    [Invalid_argument] outside [0 .. 46]. *)
+
 type context
 
 val context : ?index:int -> ?mps:int -> unit -> context

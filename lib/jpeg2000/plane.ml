@@ -32,11 +32,6 @@ let set p ~x ~y v =
     invalid_arg "Plane.set: out of bounds";
   Bigarray.Array1.unsafe_set p.data ((y * p.pw) + x) v
 
-(* Row-major linear access for the transform inner loops; bounds are
-   the caller's responsibility. *)
-let unsafe_get p i = Bigarray.Array1.unsafe_get p.data i
-let unsafe_set p i v = Bigarray.Array1.unsafe_set p.data i v
-
 let fill p v = Bigarray.Array1.fill p.data v
 
 (* Writes the [w]x[h] row-major prefix of [block] into the rectangle
@@ -59,7 +54,11 @@ let blit_block p ~x0 ~y0 ~w ~h block =
   done
 
 let to_array p =
-  Array.init (p.pw * p.ph) (fun i -> Bigarray.Array1.unsafe_get p.data i)
+  let a = Array.make (p.pw * p.ph) 0 in
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set a i (Bigarray.Array1.unsafe_get p.data i)
+  done;
+  a
 
 let of_array ~w ~h data =
   if Array.length data <> w * h then invalid_arg "Plane.of_array: length";
@@ -69,19 +68,14 @@ let of_array ~w ~h data =
 
 (* -- per-domain scratch buffers --------------------------------------
 
-   Reusable line/block buffers for the in-place wavelet transforms.
-   Each key hands the calling domain one growing buffer, valid until
-   the next request for the same key on the same domain — callers may
-   hold [ints] and [ints2] simultaneously (e.g. the 5/3 inverse needs
-   a source line and an even-sample line), but must never retain a
-   buffer across work items. Buffers only grow, so a domain decoding
-   many tiles of one geometry allocates exactly twice. *)
+   Reusable line buffers for the in-place wavelet transforms. Each key
+   hands the calling domain one growing buffer, valid until the next
+   request for the same key on the same domain — callers must never
+   retain a buffer across work items. Buffers only grow, so a domain
+   decoding many tiles of one geometry allocates once per key. *)
 
 module Scratch = struct
   let int_key : int array ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref [||])
-
-  let int2_key : int array ref Domain.DLS.key =
     Domain.DLS.new_key (fun () -> ref [||])
 
   let float_key : float array ref Domain.DLS.key =
@@ -94,6 +88,5 @@ module Scratch = struct
     !cell
 
   let ints n = grab (Domain.DLS.get int_key) (fun n -> Array.make n 0) n
-  let ints2 n = grab (Domain.DLS.get int2_key) (fun n -> Array.make n 0) n
   let floats n = grab (Domain.DLS.get float_key) (fun n -> Array.make n 0.0) n
 end

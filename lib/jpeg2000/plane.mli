@@ -14,7 +14,20 @@
     rectangles are disjoint — the discipline the decoder's per-code-
     block job structure guarantees. *)
 
-type t
+type t = private {
+  pw : int;  (** width *)
+  ph : int;  (** height *)
+  data : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
+      (** the [pw * ph] coefficients, row-major *)
+}
+(** Read-only record: transform and IQ loops in other modules index
+    [data] directly (a Bigarray access of a statically known kind
+    compiles to one load or store, where a call to an accessor in this
+    module would cost a call per sample — nothing is inlined across a
+    module boundary in this build). Only {!create} and {!of_array}
+    build a plane, so [Bigarray.Array1.dim data = pw * ph] always
+    holds; bounds of a direct index are the indexing loop's
+    responsibility, checked once per rectangle. *)
 
 val create : w:int -> h:int -> t
 (** Zero-filled [w]x[h] plane. Raises [Invalid_argument] if a
@@ -27,11 +40,6 @@ val get : t -> x:int -> y:int -> int
 val set : t -> x:int -> y:int -> int -> unit
 (** Bounds-checked single-coefficient access ([Invalid_argument]
     outside the plane). *)
-
-val unsafe_get : t -> int -> int
-val unsafe_set : t -> int -> int -> unit
-(** Row-major linear access for transform inner loops; bounds are the
-    caller's responsibility. *)
 
 val fill : t -> int -> unit
 
@@ -54,12 +62,10 @@ val of_array : w:int -> h:int -> int array -> t
     geometrically to at least the requested length (contents beyond
     what the caller writes are unspecified — stale data from earlier
     work items). A buffer is valid until the next request for the
-    {e same} key on the {e same} domain: [ints] and [ints2] may be
-    held simultaneously (the 5/3 inverse needs a source line and an
-    even-sample line), but no buffer may be retained across work
+    {e same} key on the {e same} domain: [ints] and [floats] may be
+    held simultaneously, but no buffer may be retained across work
     items. *)
 module Scratch : sig
   val ints : int -> int array
-  val ints2 : int -> int array
   val floats : int -> float array
 end

@@ -21,9 +21,17 @@ val dequantise : step:float -> int array -> float array
     [sign(q) * (|q| + 0.5) * step]. *)
 
 val dequantise_one : step:float -> int -> float
-(** One coefficient of {!dequantise} — the flat decode path applies it
-    per band rectangle without materialising the boxed array. No step
-    validation (the caller obtained [step] from {!step_for}). *)
+(** One coefficient of {!dequantise}. No step validation. *)
+
+val dequantise_band :
+  step:float -> Plane.t -> Dwt97.matrix -> Subband.band -> unit
+(** IQ of one band rectangle on the flat decode path: reads the
+    quantised coefficients at the band's absolute position ([x0],
+    [y0], [w], [h]) in the plane and writes {!dequantise_one} of each
+    to the same position in the matrix — no per-coefficient call, no
+    boxed intermediate array. One rectangle check per band: raises
+    [Invalid_argument] if the band leaves the plane or the matrix. No
+    step validation (the caller obtained [step] from {!step_for}). *)
 
 val max_error : step:float -> float
 (** Upper bound of [|dequantise (quantise x) - x|]: one full step (the

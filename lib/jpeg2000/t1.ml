@@ -204,13 +204,13 @@ let mr_context b p x y =
   then 14
   else 15
 
-(* Mark (x, y) significant: its own state bits plus the incremental
-   neighbour significance/sign bits of the eight surrounding cells
-   (padding absorbs the out-of-block writes). *)
-let set_significant b ~x ~y ~neg =
+(* Mark the coefficient at padded position [p] significant: its own
+   state bits plus the incremental neighbour significance/sign bits of
+   the eight surrounding cells (padding absorbs the out-of-block
+   writes). *)
+let set_significant b p ~neg =
   let fl = b.flags in
   let s = b.stride in
-  let p = pos b x y in
   fl.(p) <- fl.(p) lor f_sig lor f_became lor (if neg then f_sign else 0);
   fl.(p - 1) <- fl.(p - 1) lor f_nb_e lor (if neg then f_sg_e else 0);
   fl.(p + 1) <- fl.(p + 1) lor f_nb_w lor (if neg then f_sg_w else 0);
@@ -242,7 +242,7 @@ type io = {
 let make_significant b io ~x ~y ~plane =
   let sc = sc_packed b (pos b x y) x y in
   let s = io.sign_bit ~x ~y ~ctx:(sc lsr 1) ~xor:(sc land 1) in
-  set_significant b ~x ~y ~neg:(s = 1);
+  set_significant b (pos b x y) ~neg:(s = 1);
   io.on_significant ~x ~y ~plane
 
 (* One coefficient of a cleanup or significance pass: zero-coding
@@ -381,7 +381,11 @@ let num_planes coeffs =
 let check_dims ~w ~h len =
   if w <= 0 || h <= 0 || len <> w * h then invalid_arg "T1: dimensions"
 
-let negative b x y = b.flags.(pos b x y) land f_sign <> 0
+(* Decoders take a plane count from the codestream (one byte there);
+   a negative count is a caller error, refused by both drivers alike. *)
+let check_decode_args ~w ~h ~planes =
+  check_dims ~w ~h (w * h);
+  if planes < 0 then invalid_arg "T1: planes"
 
 let make_encoder_io b enc coeffs w =
   let magnitude x y = abs coeffs.((y * w) + x) in
@@ -430,6 +434,8 @@ let encode_block ?lut ~orientation ~w ~h coeffs =
     (planes, Mq.flush !enc)
   end
 
+(* The generic driver's decoder: the [~lut:false] reference the
+   specialised passes below are checked against. *)
 let make_decoder_io b dec magnitudes w =
   let set_bit x y plane =
     magnitudes.((y * w) + x) <- magnitudes.((y * w) + x) lor (1 lsl plane)
@@ -447,25 +453,208 @@ let make_decoder_io b dec magnitudes w =
     on_refine = (fun ~x ~y ~plane ~bit -> if bit = 1 then set_bit x y plane);
   }
 
-let signed_result b magnitudes =
-  Array.init (b.w * b.h) (fun i ->
-      let x = i mod b.w and y = i / b.w in
-      let m = magnitudes.(i) in
-      if negative b x y then -m else m)
+(* -- decoder-specialised passes ----------------------------------------
 
-let decode_block ?lut ~orientation ~w ~h ~planes data =
-  check_dims ~w ~h (w * h);
-  if planes = 0 then Array.make (w * h) 0
+   The three passes once more, for decoding only. Each decision costs
+   its MQ decode and the arithmetic around it: the passes take the
+   [Mq.decoder], the block's contexts and the magnitude buffer
+   directly (no [io] closures, no [ref] to dereference), form zero-
+   and sign-coding contexts from the packed flags word through the
+   LUTs (no [lut] test, no context-function call), and walk each
+   stripe column by adding the flags stride and the magnitude row
+   width to two positions. The order of decisions, context choices
+   and flag updates is the generic driver's exactly, so the output is
+   bit-identical; the [~lut:false] cross-check in the tests pins it. *)
+
+(* A 1 decoded in a zero-coding context (or implied by the run-length
+   path) at flags position [p], magnitude index [m]: decode the sign,
+   mark the coefficient significant, set its magnitude bit [one]. *)
+let dec_significant b dec mag ~p ~m ~one =
+  let f = b.flags.(p) in
+  let sc =
+    lut_sc.(((f lsr nb_shift) land 0xF) lor (((f lsr sg_shift) land 0xF) lsl 4))
+  in
+  let neg = Mq.decode dec b.contexts.(sc lsr 1) lxor (sc land 1) in
+  set_significant b p ~neg:(neg = 1);
+  mag.(m) <- mag.(m) lor one
+
+let dec_significance b dec mag ~plane =
+  let fl = b.flags and ctx = b.contexts and zc = b.zc_lut in
+  let w = b.w and h = b.h and s = b.stride in
+  let one = 1 lsl plane in
+  let y0 = ref 0 in
+  while !y0 < h do
+    let rows = if h - !y0 < stripe then h - !y0 else stripe in
+    for x = 0 to w - 1 do
+      let p = ref (((!y0 + 1) * s) + x + 1) and m = ref ((!y0 * w) + x) in
+      for _ = 1 to rows do
+        let f = fl.(!p) in
+        if f land f_sig = 0 && f land nb_mask <> 0 then begin
+          if Mq.decode dec ctx.(zc.((f lsr nb_shift) land 0xFF)) = 1 then
+            dec_significant b dec mag ~p:!p ~m:!m ~one;
+          fl.(!p) <- fl.(!p) lor f_visited
+        end;
+        p := !p + s;
+        m := !m + w
+      done
+    done;
+    y0 := !y0 + stripe
+  done
+
+let dec_refinement b dec mag ~plane =
+  let fl = b.flags and ctx = b.contexts in
+  let w = b.w and h = b.h and s = b.stride in
+  let one = 1 lsl plane in
+  let y0 = ref 0 in
+  while !y0 < h do
+    let rows = if h - !y0 < stripe then h - !y0 else stripe in
+    for x = 0 to w - 1 do
+      let p = ref (((!y0 + 1) * s) + x + 1) and m = ref ((!y0 * w) + x) in
+      for _ = 1 to rows do
+        let f = fl.(!p) in
+        if f land (f_sig lor f_became lor f_visited) = f_sig then begin
+          (* Table D.4, as [mr_context]. *)
+          let c =
+            if f land f_refined <> 0 then 16
+            else if f land nb_mask = 0 then 14
+            else 15
+          in
+          if Mq.decode dec ctx.(c) = 1 then mag.(!m) <- mag.(!m) lor one;
+          fl.(!p) <- f lor f_refined lor f_visited
+        end;
+        p := !p + s;
+        m := !m + w
+      done
+    done;
+    y0 := !y0 + stripe
+  done
+
+let dec_cleanup b dec mag ~plane =
+  let fl = b.flags and ctx = b.contexts and zc = b.zc_lut in
+  let w = b.w and h = b.h and s = b.stride in
+  let one = 1 lsl plane in
+  let y0 = ref 0 in
+  while !y0 < h do
+    let rows = if h - !y0 < stripe then h - !y0 else stripe in
+    for x = 0 to w - 1 do
+      let p0 = ((!y0 + 1) * s) + x + 1 and m0 = (!y0 * w) + x in
+      (* A full column with no significant, visited or significant-
+         neighbour coefficient takes the run-length path; [first] is
+         the row zero coding resumes at. Below the run-length 1 every
+         row is still neither significant nor visited, so one loop
+         serves both paths. *)
+      let first =
+        if
+          rows = stripe
+          && (fl.(p0) lor fl.(p0 + s) lor fl.(p0 + (2 * s)) lor fl.(p0 + (3 * s)))
+             land (f_sig lor f_visited lor nb_mask)
+             = 0
+        then
+          if Mq.decode dec ctx.(ctx_rl) = 0 then stripe
+          else begin
+            let hi = Mq.decode dec ctx.(ctx_uni) in
+            let lo = Mq.decode dec ctx.(ctx_uni) in
+            let r = (hi lsl 1) lor lo in
+            dec_significant b dec mag ~p:(p0 + (r * s)) ~m:(m0 + (r * w)) ~one;
+            r + 1
+          end
+        else 0
+      in
+      for k = first to rows - 1 do
+        let p = p0 + (k * s) in
+        let f = fl.(p) in
+        if
+          f land (f_sig lor f_visited) = 0
+          && Mq.decode dec ctx.(zc.((f lsr nb_shift) land 0xFF)) = 1
+        then dec_significant b dec mag ~p ~m:(m0 + (k * w)) ~one
+      done
+    done;
+    y0 := !y0 + stripe
+  done
+
+(* Pass [i] of [pass_schedule ~planes], by index: pass 0 is the top
+   plane's cleanup, then significance, refinement, cleanup per lower
+   plane. *)
+let dec_pass b dec mag ~planes i =
+  if i = 0 then begin
+    dec_cleanup b dec mag ~plane:(planes - 1);
+    clear_plane_flags b
+  end
+  else
+    let plane = planes - 2 - ((i - 1) / 3) in
+    match (i - 1) mod 3 with
+    | 0 -> dec_significance b dec mag ~plane
+    | 1 -> dec_refinement b dec mag ~plane
+    | _ ->
+      dec_cleanup b dec mag ~plane;
+      clear_plane_flags b
+
+(* -- decode entry points ----------------------------------------------
+
+   [b.lut] selects the passes: the specialised ones by default, the
+   generic [io] ones with reference contexts under [~lut:false]. *)
+
+(* All passes from one codeword. *)
+let decode_codeword b mag ~planes data =
+  if b.lut then begin
+    let dec = Mq.decoder data in
+    for i = 0 to total_passes ~planes - 1 do
+      dec_pass b dec mag ~planes i
+    done
+  end
   else begin
-    let b = make_blk ?lut ~orientation ~w ~h () in
-    let dec = ref (Mq.decoder data) in
-    let magnitudes = Array.make (w * h) 0 in
-    let io = make_decoder_io b dec magnitudes w in
+    let io = make_decoder_io b (ref (Mq.decoder data)) mag b.w in
     for plane = planes - 1 downto 0 do
       code_plane b io ~plane ~first:(plane = planes - 1)
-    done;
-    signed_result b magnitudes
+    done
   end
+
+(* One codeword per pass, as many passes as there are segments (at
+   most the schedule's). *)
+let decode_segments b mag ~planes segments =
+  if b.lut then begin
+    let total = total_passes ~planes in
+    let rec go i = function
+      | segment :: segments when i < total ->
+        dec_pass b (Mq.decoder segment) mag ~planes i;
+        go (i + 1) segments
+      | _ -> ()
+    in
+    go 0 segments
+  end
+  else begin
+    let dec = ref (Mq.decoder "") in
+    let io = make_decoder_io b dec mag b.w in
+    let rec go schedule segments =
+      match (schedule, segments) with
+      | _, [] | [], _ -> ()
+      | pass :: schedule, segment :: segments ->
+        dec := Mq.decoder segment;
+        run_pass b io pass;
+        go schedule segments
+    in
+    go (pass_schedule ~planes) segments
+  end
+
+(* Negate the magnitudes of negative coefficients in place: the
+   buffer's [w * h] prefix becomes the signed block. *)
+let apply_signs b mag =
+  for y = 0 to b.h - 1 do
+    let row = y * b.w and frow = ((y + 1) * b.stride) + 1 in
+    for x = 0 to b.w - 1 do
+      if b.flags.(frow + x) land f_sign <> 0 then mag.(row + x) <- -mag.(row + x)
+    done
+  done
+
+let decode_block ?lut ~orientation ~w ~h ~planes data =
+  check_decode_args ~w ~h ~planes;
+  let mag = Array.make (w * h) 0 in
+  if planes > 0 then begin
+    let b = make_blk ?lut ~orientation ~w ~h () in
+    decode_codeword b mag ~planes data;
+    apply_signs b mag
+  end;
+  mag
 
 (* -- SNR-scalable variant ---------------------------------------------
 
@@ -495,34 +684,24 @@ let encode_block_scalable ?lut ~orientation ~w ~h coeffs =
   end
 
 let decode_block_scalable ?lut ~orientation ~w ~h ~planes segments =
-  check_dims ~w ~h (w * h);
-  if planes = 0 then Array.make (w * h) 0
-  else begin
+  check_decode_args ~w ~h ~planes;
+  let mag = Array.make (w * h) 0 in
+  if planes > 0 then begin
     let b = make_blk ?lut ~orientation ~w ~h () in
-    let dec = ref (Mq.decoder "") in
-    let magnitudes = Array.make (w * h) 0 in
-    let io = make_decoder_io b dec magnitudes w in
-    let rec decode_passes schedule segments =
-      match (schedule, segments) with
-      | _, [] | [], _ -> ()
-      | pass :: schedule, segment :: segments ->
-        dec := Mq.decoder segment;
-        run_pass b io pass;
-        decode_passes schedule segments
-    in
-    decode_passes (pass_schedule ~planes) segments;
-    signed_result b magnitudes
-  end
+    decode_segments b mag ~planes segments;
+    apply_signs b mag
+  end;
+  mag
 
 (* -- per-domain scratch decode ----------------------------------------
 
    The allocating entry points above pay one flags array, one
-   magnitude buffer, one result array and 19 context records per code
-   block — on the parallel decode path that per-block minor-heap churn
-   is what forces the domains to rendezvous at every collection. The
-   scratch variant keeps one decode state per domain in [Domain.DLS]
-   and re-initialises it in place ([Array.fill] + [Mq.reset_context]),
-   so a worker decodes an entire tile's blocks without allocating
+   magnitude buffer and 19 context records per code block — on the
+   parallel decode path that per-block minor-heap churn is what forces
+   the domains to rendezvous at every collection. The scratch variant
+   keeps one decode state per domain in [Domain.DLS] and
+   re-initialises it in place ([Array.fill] + [Mq.reset_context]), so
+   a worker decodes an entire tile's blocks without allocating
    anything but the per-pass MQ decoders. *)
 
 type scratch = {
@@ -545,7 +724,6 @@ let reset_contexts ctxs =
   done
 
 let scratch_blk ?(lut = true) ~orientation ~w ~h () =
-  if w <= 0 || h <= 0 then invalid_arg "T1: block size";
   let s = Domain.DLS.get scratch_key in
   let fn = (w + 2) * (h + 2) in
   if Array.length s.sc_flags < fn then s.sc_flags <- Array.make fn 0
@@ -566,28 +744,10 @@ let scratch_blk ?(lut = true) ~orientation ~w ~h () =
     s.sc_mag )
 
 let decode_block_scalable_scratch ?lut ~orientation ~w ~h ~planes segments =
-  check_dims ~w ~h (w * h);
-  let b, magnitudes = scratch_blk ?lut ~orientation ~w ~h () in
+  check_decode_args ~w ~h ~planes;
+  let b, mag = scratch_blk ?lut ~orientation ~w ~h () in
   if planes > 0 then begin
-    let dec = ref (Mq.decoder "") in
-    let io = make_decoder_io b dec magnitudes w in
-    let rec decode_passes schedule segments =
-      match (schedule, segments) with
-      | _, [] | [], _ -> ()
-      | pass :: schedule, segment :: segments ->
-        dec := Mq.decoder segment;
-        run_pass b io pass;
-        decode_passes schedule segments
-    in
-    decode_passes (pass_schedule ~planes) segments;
-    (* Apply the signs in place: the buffer's w*h prefix becomes the
-       signed coefficient block. *)
-    for y = 0 to h - 1 do
-      let row = y * w and frow = ((y + 1) * b.stride) + 1 in
-      for x = 0 to w - 1 do
-        if b.flags.(frow + x) land f_sign <> 0 then
-          magnitudes.(row + x) <- -magnitudes.(row + x)
-      done
-    done
+    decode_segments b mag ~planes segments;
+    apply_signs b mag
   end;
-  magnitudes
+  mag

@@ -1,27 +1,39 @@
 (** EBCOT Tier-1 bit-plane coder (ISO/IEC 15444-1, Annex D).
 
-    Codes a block of signed quantised wavelet coefficients bit-plane
-    by bit-plane with three passes per plane — significance
+    Codes one code-block of signed quantised wavelet coefficients bit-
+    plane by bit-plane with three passes per plane — significance
     propagation, magnitude refinement, and cleanup with run-length
     shortcut — driving the {!Mq} coder through the standard 19
     contexts (9 zero-coding, 5 sign-coding, 3 magnitude-refinement,
     run-length, uniform). Zero-coding context formation depends on
     the subband orientation, exactly as in Table D.1.
 
-    Simplification w.r.t. the full standard (documented in
-    DESIGN.md): one code-block spans the whole subband and all passes
-    form a single MQ codeword segment — no pass boundaries, RESET/
-    BYPASS modes or rate-distortion truncation. Decoding inverts
+    A code-block is one cell of its subband's block grid
+    ([Codestream.block_grid]), at most the header's code-block size.
+    Two codeword layouts exist: {!encode_block}/{!decode_block} code
+    all passes into a single MQ codeword, and the SNR-scalable
+    functions terminate every pass into its own codeword (the layout
+    the codestream carries). Simplifications w.r.t. the full standard
+    (documented in DESIGN.md): no BYPASS/RESET/causal modes and no
+    rate-distortion truncation inside a pass. Decoding inverts
     encoding bit-exactly, which the property tests check on random
     blocks.
 
     Per-coefficient state is one packed flags word (own significance/
     sign/visited/refined plus incrementally maintained neighbour
     significance and sign bits); zero-coding and sign-coding contexts
-    are precomputed LUTs indexed by that word. [?lut:false] selects
-    the reference per-probe context formation instead — bit-identical
-    by construction (the LUTs are generated from it), kept as the
-    cross-check and the benchmark baseline for the packed hot path. *)
+    are precomputed LUTs indexed by that word.
+
+    Two drivers run the passes. Every decode entry point runs, by
+    default, passes written for decoding only: they call the MQ
+    decoder directly and walk positions incrementally, with no
+    per-decision closure call. [~lut:false] selects the generic driver
+    instead — one pass implementation behind a record of encode/decode
+    closures, with the reference per-probe context formation the LUTs
+    are generated from. The encoder always runs the generic driver
+    (with LUT contexts by default). The two decoders are bit-identical
+    by construction; the generic one stays as the cross-check the
+    tests compare against and as the benchmark baseline. *)
 
 val num_planes : int array -> int
 (** Number of magnitude bit-planes needed for the given coefficients
@@ -38,7 +50,11 @@ val encode_block :
 val decode_block :
   ?lut:bool ->
   orientation:Subband.orientation -> w:int -> h:int -> planes:int -> string -> int array
-(** Inverse of {!encode_block}: reconstructs the exact coefficients. *)
+(** Inverse of {!encode_block}: reconstructs the exact coefficients.
+    [lut] (default [true]) selects the decoder-specialised passes;
+    [false] the generic reference driver. Raises [Invalid_argument]
+    on a non-positive dimension or a negative plane count (as do the
+    other decoders). *)
 
 (** {1 SNR-scalable coding}
 

@@ -127,10 +127,10 @@ let some_tile data =
   let header = stream.Jpeg2000.Codestream.header in
   let seg = List.hd stream.Jpeg2000.Codestream.tiles in
   let st = Jpeg2000.Decoder.stage_tile ~discard:0 header seg in
-  let results =
-    Array.init (Jpeg2000.Decoder.staged_jobs st) (Jpeg2000.Decoder.staged_job st)
+  let oks =
+    Array.init (Jpeg2000.Decoder.staged_jobs st) (Jpeg2000.Decoder.staged_run st)
   in
-  fst (Jpeg2000.Decoder.finish_staged st results)
+  fst (Jpeg2000.Decoder.finish_staged_ok st oks)
 
 let key ~digest ~tile =
   { Serve.Cache.digest; length = 1000; tile; discard = 0 }

@@ -160,6 +160,52 @@ let ict_roundtrip_qcheck =
       && Float.abs (g.(0) -. g0) < 1e-10
       && Float.abs (b.(0) -. b0) < 1e-10)
 
+(* The fused lossy finish against its three-stage oracle:
+   [ict_inverse] on copies, round to nearest, [dc_shift_inverse].
+   A third of the samples are exact ties [k + 0.5] with zero chroma,
+   so red and blue hit the tie themselves; magnitudes reach twice the
+   sample range, past both clamp ends. *)
+let colour_sample bit_depth =
+  let range = 2.0 *. Float.pow 2.0 (float_of_int bit_depth) in
+  QCheck.Gen.(
+    oneof
+      [
+        map
+          (fun k -> (float_of_int k +. 0.5, 0.0, 0.0))
+          (int_range (-int_of_float range) (int_of_float range));
+        triple (float_range (-.range) range) (float_range (-.range) range)
+          (float_range (-.range) range);
+        map
+          (fun k -> (float_of_int k, 0.0, 0.0))
+          (int_range (-int_of_float range) (int_of_float range));
+      ])
+
+let colour_fused_qcheck =
+  QCheck.Test.make ~name:"fused ICT+round+shift equals the three-stage chain"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          oneofl [ 1; 8; 12; 16 ] >>= fun bit_depth ->
+          map
+            (fun samples -> (bit_depth, samples))
+            (list_size (int_range 1 64) (colour_sample bit_depth))))
+    (fun (bit_depth, samples) ->
+      let plane f = Array.of_list (List.map f samples) in
+      let y = plane (fun (v, _, _) -> v)
+      and cb = plane (fun (_, v, _) -> v)
+      and cr = plane (fun (_, _, v) -> v) in
+      let chain a =
+        let ints = Array.map (fun v -> int_of_float (Float.round v)) a in
+        Jpeg2000.Colour.dc_shift_inverse ~bit_depth ints;
+        ints
+      in
+      let y', cb', cr' = (Array.copy y, Array.copy cb, Array.copy cr) in
+      Jpeg2000.Colour.ict_inverse y' cb' cr';
+      let r, g, b = Jpeg2000.Colour.ict_inverse_shift ~bit_depth y cb cr in
+      (r, g, b) = (chain y', chain cb', chain cr')
+      && Jpeg2000.Colour.round_shift_inverse ~bit_depth y = chain y)
+
 (* -- Subband geometry ---------------------------------------------- *)
 
 let test_subband_decompose () =
@@ -230,6 +276,27 @@ let dwt53_2d_roundtrip_qcheck =
       Jpeg2000.Dwt53.inverse_plane plane ~levels;
       plane.Jpeg2000.Image.data = orig)
 
+(* The in-place flat inverse against the boxed reference, on random
+   coefficients at every size (odd, even, one-sample dimensions) and
+   level count. *)
+let dwt53_flat_equals_boxed_qcheck =
+  QCheck.Test.make ~name:"5/3 flat inverse equals the boxed inverse" ~count:150
+    QCheck.(quad (int_range 1 40) (int_range 1 40) (int_range 0 5) small_nat)
+    (fun (w, h, levels, seed) ->
+      let state = ref (seed + 3) in
+      let next () =
+        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+        !state
+      in
+      let coeffs = Array.init (w * h) (fun _ -> (next () mod 2001) - 1000) in
+      let boxed =
+        { Jpeg2000.Image.width = w; height = h; data = Array.copy coeffs }
+      in
+      Jpeg2000.Dwt53.inverse_plane boxed ~levels;
+      let flat = Jpeg2000.Plane.of_array ~w ~h coeffs in
+      Jpeg2000.Dwt53.inverse_flat flat ~levels;
+      Jpeg2000.Plane.to_array flat = boxed.Jpeg2000.Image.data)
+
 let test_dwt97_constant_line () =
   let out = Jpeg2000.Dwt97.forward_1d (Array.make 8 10.0) in
   (* DC gain of the scaled low-pass is 1; highs vanish. *)
@@ -255,6 +322,44 @@ let dwt97_roundtrip_qcheck =
       Jpeg2000.Dwt97.inverse m ~levels;
       Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) m.Jpeg2000.Dwt97.values orig)
 
+(* FNV-1a over the IEEE bits of a 9/7 forward + inverse over a fixed
+   pseudo-random 37x29 matrix (three levels, both inverse entry
+   points) and the 1-D transforms on odd and even lengths. The
+   lifting must keep its exact operation order: a reassociated step
+   still round-trips within 1e-9 but changes these bits. *)
+let dwt97_bits_digest () =
+  let h = ref 0xcbf29ce484222325L in
+  let mix v =
+    h := Int64.mul (Int64.logxor !h (Int64.bits_of_float v)) 0x100000001b3L
+  in
+  let state = ref 7 in
+  let next () =
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    float_of_int (!state mod 2001 - 1000) /. 7.0
+  in
+  let w = 37 and ht = 29 in
+  let m = Jpeg2000.Dwt97.matrix_create ~w ~h:ht in
+  Array.iteri (fun i _ -> m.Jpeg2000.Dwt97.values.(i) <- next ()) m.Jpeg2000.Dwt97.values;
+  Jpeg2000.Dwt97.forward m ~levels:3;
+  Array.iter mix m.Jpeg2000.Dwt97.values;
+  let m2 = { m with Jpeg2000.Dwt97.values = Array.copy m.Jpeg2000.Dwt97.values } in
+  Jpeg2000.Dwt97.inverse m ~levels:3;
+  Array.iter mix m.Jpeg2000.Dwt97.values;
+  Jpeg2000.Dwt97.inverse_ip m2 ~levels:3;
+  Array.iter mix m2.Jpeg2000.Dwt97.values;
+  List.iter
+    (fun n ->
+      let line = Array.init n (fun _ -> next ()) in
+      let f = Jpeg2000.Dwt97.forward_1d line in
+      Array.iter mix f;
+      Array.iter mix (Jpeg2000.Dwt97.inverse_1d f))
+    [ 2; 3; 8; 13 ];
+  !h
+
+let test_dwt97_bits_golden () =
+  Alcotest.(check string) "digest" "bbe3690196eaf9ba"
+    (Printf.sprintf "%016Lx" (dwt97_bits_digest ()))
+
 (* -- Quantiser ------------------------------------------------------ *)
 
 let test_quant_steps_ordered () =
@@ -276,6 +381,83 @@ let quant_error_bound_qcheck =
       Array.for_all2
         (fun x r -> Float.abs (x -. r) <= Jpeg2000.Quant.max_error ~step +. 1e-9)
         xs back)
+
+(* IQ of a band rectangle on the flat path against [Quant.dequantise]
+   of the same coefficients; cells outside the band keep a sentinel. *)
+let quant_band_qcheck =
+  QCheck.Test.make ~name:"dequantise_band equals Quant.dequantise" ~count:200
+    QCheck.(
+      quad
+        (pair (int_range 1 24) (int_range 1 24))
+        (pair small_nat small_nat)
+        (float_range 0.01 40.0) small_nat)
+    (fun ((pw, ph), (bx, by), step, seed) ->
+      let state = ref (seed + 5) in
+      let next () =
+        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+        !state
+      in
+      let x0 = bx mod pw and y0 = by mod ph in
+      let w = 1 + (next () mod (pw - x0)) and h = 1 + (next () mod (ph - y0)) in
+      let coeffs =
+        Array.init (pw * ph) (fun _ ->
+            if next () mod 3 = 0 then 0 else (next () mod 601) - 300)
+      in
+      let plane = Jpeg2000.Plane.of_array ~w:pw ~h:ph coeffs in
+      let m = Jpeg2000.Dwt97.matrix_create ~w:pw ~h:ph in
+      let sentinel = -12345.0 in
+      Array.fill m.Jpeg2000.Dwt97.values 0 (pw * ph) sentinel;
+      let band =
+        { Jpeg2000.Subband.level = 1; orientation = Jpeg2000.Subband.HH; x0; y0; w; h }
+      in
+      Jpeg2000.Quant.dequantise_band ~step plane m band;
+      let inside =
+        Array.init (w * h) (fun i ->
+            coeffs.(((y0 + (i / w)) * pw) + x0 + (i mod w)))
+      in
+      let expected = Jpeg2000.Quant.dequantise ~step inside in
+      let ok = ref true in
+      for y = 0 to ph - 1 do
+        for x = 0 to pw - 1 do
+          let v = Jpeg2000.Dwt97.matrix_get m ~x ~y in
+          let want =
+            if x >= x0 && x < x0 + w && y >= y0 && y < y0 + h then
+              expected.(((y - y0) * w) + (x - x0))
+            else sentinel
+          in
+          if Int64.bits_of_float v <> Int64.bits_of_float want then ok := false
+        done
+      done;
+      !ok)
+
+let test_quant_band_bounds () =
+  let plane = Jpeg2000.Plane.create ~w:8 ~h:6 in
+  let m = Jpeg2000.Dwt97.matrix_create ~w:8 ~h:6 in
+  let band x0 y0 w h =
+    { Jpeg2000.Subband.level = 1; orientation = Jpeg2000.Subband.LH; x0; y0; w; h }
+  in
+  List.iter
+    (fun (name, b) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Quant.dequantise_band: band outside the plane")
+        (fun () -> Jpeg2000.Quant.dequantise_band ~step:1.0 plane m b))
+    [
+      ("left", band (-1) 0 2 2);
+      ("top", band 0 (-1) 2 2);
+      ("right", band 7 0 2 2);
+      ("bottom", band 0 5 2 2);
+      ("negative width", band 0 0 (-1) 2);
+    ];
+  List.iter
+    (fun (name, (w, h), b) ->
+      let small = Jpeg2000.Dwt97.matrix_create ~w ~h in
+      Alcotest.check_raises name
+        (Invalid_argument "Quant.dequantise_band: band outside the plane")
+        (fun () -> Jpeg2000.Quant.dequantise_band ~step:1.0 plane small b))
+    [
+      ("matrix narrower than the plane", (4, 6), band 2 0 4 2);
+      ("matrix shorter than the plane", (8, 3), band 0 2 2 2);
+    ]
 
 let test_quant_zero_stays_zero () =
   Alcotest.(check (array int)) "zeros" [| 0; 0 |]
@@ -301,6 +483,44 @@ let test_mq_stuffing_pattern () =
     if Char.code data.[i] = 0xFF && Char.code data.[i + 1] > 0x8F then
       Alcotest.failf "marker emitted at %d" i
   done
+
+(* ISO/IEC 15444-1 Table C.2, transcribed column by column
+   independently of mq.ml: the flat arrays the coder indexes must
+   reproduce it for every state. *)
+let test_mq_table_c2 () =
+  let qe =
+    [| 0x5601; 0x3401; 0x1801; 0x0AC1; 0x0521; 0x0221; 0x5601; 0x5401;
+       0x4801; 0x3801; 0x3001; 0x2401; 0x1C01; 0x1601; 0x5601; 0x5401;
+       0x5101; 0x4801; 0x3801; 0x3401; 0x3001; 0x2801; 0x2401; 0x2201;
+       0x1C01; 0x1801; 0x1601; 0x1401; 0x1201; 0x1101; 0x0AC1; 0x09C1;
+       0x08A1; 0x0521; 0x0441; 0x02A1; 0x0221; 0x0141; 0x0111; 0x0085;
+       0x0049; 0x0025; 0x0015; 0x0009; 0x0005; 0x0001; 0x5601 |]
+  in
+  let nmps =
+    [| 1; 2; 3; 4; 5; 38; 7; 8; 9; 10; 11; 12; 13; 29; 15; 16; 17; 18; 19;
+       20; 21; 22; 23; 24; 25; 26; 27; 28; 29; 30; 31; 32; 33; 34; 35; 36;
+       37; 38; 39; 40; 41; 42; 43; 44; 45; 45; 46 |]
+  in
+  let nlps =
+    [| 1; 6; 9; 12; 29; 33; 6; 14; 14; 14; 17; 18; 20; 21; 14; 14; 15; 16;
+       17; 18; 19; 19; 20; 21; 22; 23; 24; 25; 26; 27; 28; 29; 30; 31; 32;
+       33; 34; 35; 36; 37; 38; 39; 40; 41; 42; 43; 46 |]
+  in
+  let switches = [ 0; 6; 14 ] in
+  for i = 0 to 46 do
+    let sw = if List.mem i switches then 1 else 0 in
+    Alcotest.(check (list int))
+      (Printf.sprintf "state %d" i)
+      [ qe.(i); nmps.(i); nlps.(i); sw ]
+      (let a, b, c, d = Jpeg2000.Mq.state i in
+       [ a; b; c; d ])
+  done;
+  List.iter
+    (fun i ->
+      Alcotest.check_raises (Printf.sprintf "state %d" i)
+        (Invalid_argument "Mq.state: index") (fun () ->
+          ignore (Jpeg2000.Mq.state i)))
+    [ -1; 47 ]
 
 let mq_roundtrip_qcheck =
   QCheck.Test.make ~name:"MQ encode/decode identity (random contexts)"
@@ -483,6 +703,145 @@ let t1_lut_equals_reference_qcheck =
       && Jpeg2000.T1.decode_block_scalable ~lut:false ~orientation ~w ~h
            ~planes:sp_lut sd_lut
          = coeffs)
+
+(* Random block: about a third of the coefficients non-zero, with
+   magnitudes below 2^bits. *)
+let t1_random_block ~w ~h ~bits seed =
+  let state = ref (seed + 11) in
+  let next () =
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    !state
+  in
+  Array.init (w * h) (fun _ ->
+      if next () mod 3 <> 0 then 0
+      else
+        let v = next () land ((1 lsl bits) - 1) in
+        if next () land 1 = 0 then v else -v)
+
+(* A full 32x32 block decoded through the scratch path right before a
+   smaller one, so the smaller decode starts from this domain's longer,
+   dirty scratch buffers. *)
+let t1_big_scratch_decode =
+  let planes, segments =
+    Jpeg2000.T1.encode_block_scalable ~orientation:Jpeg2000.Subband.HH ~w:32
+      ~h:32
+      (t1_random_block ~w:32 ~h:32 ~bits:10 99)
+  in
+  fun () ->
+    ignore
+      (Jpeg2000.T1.decode_block_scalable_scratch
+         ~orientation:Jpeg2000.Subband.HH ~w:32 ~h:32 ~planes segments)
+
+(* Every decode entry point, default (specialised passes) against
+   [~lut:false] (generic driver), on one block: the single codeword,
+   a prefix of the per-pass segments, and that prefix again through
+   the scratch state after a larger block. *)
+let t1_decoders_agree ~orientation ~w ~h ~planes ~codeword ~scalable_planes
+    segments =
+  let block lut =
+    Jpeg2000.T1.decode_block ~lut ~orientation ~w ~h ~planes codeword
+  in
+  let scalable lut =
+    Jpeg2000.T1.decode_block_scalable ~lut ~orientation ~w ~h
+      ~planes:scalable_planes segments
+  in
+  let scratch lut =
+    t1_big_scratch_decode ();
+    Array.sub
+      (Jpeg2000.T1.decode_block_scalable_scratch ~lut ~orientation ~w ~h
+         ~planes:scalable_planes segments)
+      0 (w * h)
+  in
+  let s = scalable true in
+  block true = block false && s = scalable false && scratch true = s
+  && scratch false = s
+
+let t1_specialised_decoder_qcheck =
+  QCheck.Test.make
+    ~name:"T1 specialised decoder equals the generic reference" ~count:300
+    QCheck.(
+      quad
+        (pair (int_range 1 32) (int_range 1 32))
+        (int_bound 3) (int_range 1 12) (pair small_nat small_nat))
+    (fun ((w, h), band_code, bits, (seed, cut)) ->
+      let orientation = Jpeg2000.Subband.orientation_of_code band_code in
+      let coeffs = t1_random_block ~w ~h ~bits seed in
+      let planes, codeword =
+        Jpeg2000.T1.encode_block ~orientation ~w ~h coeffs
+      in
+      let sp, segments =
+        Jpeg2000.T1.encode_block_scalable ~orientation ~w ~h coeffs
+      in
+      let keep = cut mod (List.length segments + 1) in
+      let prefix = List.filteri (fun i _ -> i < keep) segments in
+      Jpeg2000.T1.decode_block ~orientation ~w ~h ~planes codeword = coeffs
+      && t1_decoders_agree ~orientation ~w ~h ~planes ~codeword
+           ~scalable_planes:sp prefix)
+
+(* Damaged input: both drivers must return the same block, or both
+   raise an exception the robust decode path contains. *)
+let t1_damage seed segments =
+  let state = ref (seed + 17) in
+  let next () =
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    !state
+  in
+  List.map
+    (fun seg ->
+      let b = Bytes.of_string seg in
+      let n = Bytes.length b in
+      for _ = 1 to next () mod 4 do
+        if n > 0 then begin
+          let i = next () mod n in
+          Bytes.set b i
+            (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (next () mod 8))))
+        end
+      done;
+      let b = Bytes.to_string b in
+      match next () mod 4 with
+      | 0 -> String.sub b 0 (next () mod (n + 1))
+      | 1 -> b ^ "\xff\xff\x00"
+      | _ -> b)
+    segments
+
+let t1_hostile_segments_qcheck =
+  QCheck.Test.make ~name:"T1 drivers agree on damaged segments" ~count:300
+    QCheck.(
+      quad
+        (pair (int_range 1 32) (int_range 1 32))
+        (int_bound 3) (int_range 0 40) (pair small_nat small_nat))
+    (fun ((w, h), band_code, planes, (seed, extra)) ->
+      let orientation = Jpeg2000.Subband.orientation_of_code band_code in
+      let _, segments =
+        Jpeg2000.T1.encode_block_scalable ~orientation ~w ~h
+          (t1_random_block ~w ~h ~bits:8 seed)
+      in
+      let damaged = t1_damage seed segments in
+      (* Junk segments beyond the encoder's, and a codeword that is the
+         damaged segments glued together. *)
+      let damaged =
+        damaged @ List.init (extra mod 3) (fun i -> String.make (i + 1) '\x9f')
+      in
+      let codeword = String.concat "" damaged in
+      let contained f =
+        match f () with
+        | v -> Ok v
+        | exception (Failure _ | Invalid_argument _ | Exit | Not_found) -> Error ()
+      in
+      let outcome lut =
+        ( contained (fun () ->
+              Jpeg2000.T1.decode_block ~lut ~orientation ~w ~h ~planes codeword),
+          contained (fun () ->
+              Jpeg2000.T1.decode_block_scalable ~lut ~orientation ~w ~h ~planes
+                damaged),
+          contained (fun () ->
+              t1_big_scratch_decode ();
+              Array.sub
+                (Jpeg2000.T1.decode_block_scalable_scratch ~lut ~orientation ~w
+                   ~h ~planes damaged)
+                0 (w * h)) )
+      in
+      outcome true = outcome false)
 
 let test_t1_compresses_structure () =
   (* A structured block must code smaller than raw size. *)
@@ -1178,9 +1537,9 @@ let test_flat_identity_across_pools () =
     flat_configs
 
 let test_staged_protocols_agree () =
-  (* The in-place staged protocol (staged_run/finish_staged_ok), the
-     compat protocol (staged_job/finish_staged) and the monolithic
-     decode_tile must agree tile for tile. *)
+  (* The staged protocol (staged_run/finish_staged_ok) and the
+     monolithic decode_tile must agree tile for tile, and a result
+     array of the wrong length is refused. *)
   let img = Jpeg2000.Image.smooth ~width:40 ~height:24 ~components:3 ~seed:29 in
   List.iter
     (fun (name, config) ->
@@ -1190,22 +1549,19 @@ let test_staged_protocols_agree () =
       List.iter
         (fun tile ->
           let reference = Jpeg2000.Decoder.decode_tile header tile in
-          let st_old = Jpeg2000.Decoder.stage_tile header tile in
-          let n = Jpeg2000.Decoder.staged_jobs st_old in
-          let t_old, c_old =
-            Jpeg2000.Decoder.finish_staged st_old
-              (Array.init n (Jpeg2000.Decoder.staged_job st_old))
+          let st = Jpeg2000.Decoder.stage_tile header tile in
+          let n = Jpeg2000.Decoder.staged_jobs st in
+          let staged, concealed =
+            Jpeg2000.Decoder.finish_staged_ok st
+              (Array.init n (Jpeg2000.Decoder.staged_run st))
           in
-          let st_new = Jpeg2000.Decoder.stage_tile header tile in
-          let t_new, c_new =
-            Jpeg2000.Decoder.finish_staged_ok st_new
-              (Array.init n (Jpeg2000.Decoder.staged_run st_new))
-          in
-          Alcotest.(check int) (name ^ " compat concealed") 0 c_old;
-          Alcotest.(check int) (name ^ " in-place concealed") 0 c_new;
-          Alcotest.(check bool) (name ^ " compat tile") true (t_old = reference);
-          Alcotest.(check bool) (name ^ " in-place tile") true
-            (t_new = reference))
+          Alcotest.(check int) (name ^ " concealed") 0 concealed;
+          Alcotest.(check bool) (name ^ " tile") true (staged = reference);
+          Alcotest.check_raises (name ^ " result count")
+            (Invalid_argument "Decoder.finish_staged_ok: result count mismatch")
+            (fun () ->
+              ignore
+                (Jpeg2000.Decoder.finish_staged_ok st (Array.make (n + 1) true))))
         stream.Jpeg2000.Codestream.tiles)
     flat_configs
 
@@ -1235,6 +1591,7 @@ let () =
           Alcotest.test_case "dc shift clamps" `Quick test_dc_shift_clamps;
           qc rct_roundtrip_qcheck;
           qc ict_roundtrip_qcheck;
+          qc colour_fused_qcheck;
         ] );
       ( "subband",
         [
@@ -1247,14 +1604,18 @@ let () =
           Alcotest.test_case "5/3 singleton" `Quick test_dwt53_singleton;
           qc dwt53_1d_roundtrip_qcheck;
           qc dwt53_2d_roundtrip_qcheck;
+          qc dwt53_flat_equals_boxed_qcheck;
           Alcotest.test_case "9/7 constant line" `Quick test_dwt97_constant_line;
           qc dwt97_roundtrip_qcheck;
+          Alcotest.test_case "9/7 bits golden" `Quick test_dwt97_bits_golden;
         ] );
       ( "quant",
         [
           Alcotest.test_case "step ordering" `Quick test_quant_steps_ordered;
           Alcotest.test_case "zero stays zero" `Quick test_quant_zero_stays_zero;
           qc quant_error_bound_qcheck;
+          qc quant_band_qcheck;
+          Alcotest.test_case "band bounds" `Quick test_quant_band_bounds;
         ] );
       ( "mq",
         [
@@ -1263,6 +1624,7 @@ let () =
           Alcotest.test_case "adaptive compression" `Quick
             test_mq_compression_on_skewed_input;
           Alcotest.test_case "context isolation" `Quick test_mq_context_isolation;
+          Alcotest.test_case "flat Table C.2" `Quick test_mq_table_c2;
           qc mq_roundtrip_qcheck;
           qc mq_skewed_roundtrip_qcheck;
         ] );
@@ -1277,6 +1639,8 @@ let () =
           qc t1_roundtrip_all_bands_qcheck;
           qc t1_sparse_roundtrip_qcheck;
           qc t1_lut_equals_reference_qcheck;
+          qc t1_specialised_decoder_qcheck;
+          qc t1_hostile_segments_qcheck;
         ] );
       ( "misc",
         [

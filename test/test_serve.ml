@@ -307,11 +307,11 @@ let prop_staged_matches_reduced =
         List.map
           (fun seg ->
             let st = Jpeg2000.Decoder.stage_tile ~discard header seg in
-            let results =
+            let oks =
               Array.init (Jpeg2000.Decoder.staged_jobs st)
-                (Jpeg2000.Decoder.staged_job st)
+                (Jpeg2000.Decoder.staged_run st)
             in
-            let tile, concealed = Jpeg2000.Decoder.finish_staged st results in
+            let tile, concealed = Jpeg2000.Decoder.finish_staged_ok st oks in
             assert (concealed = 0);
             tile)
           stream.Jpeg2000.Codestream.tiles
