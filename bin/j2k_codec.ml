@@ -10,6 +10,16 @@ let read_file path =
   close_in ic;
   data
 
+(* A codestream input: a malformed file is an input error, reported
+   with the file name and the parser's message, exit 2. *)
+let read_codestream path =
+  let data = read_file path in
+  match Jpeg2000.Codestream.parse_result data with
+  | Ok stream -> (data, stream)
+  | Error e ->
+    Printf.eprintf "j2k_codec: %s: %s\n" path (Jpeg2000.Codestream.error_message e);
+    exit 2
+
 let write_file path data =
   let oc = open_out_bin path in
   output_string oc data;
@@ -83,7 +93,7 @@ let encode_cmd =
 
 let decode_cmd =
   let run input output reduce passes =
-    let data = read_file input in
+    let data, _ = read_codestream input in
     let image =
       match (reduce, passes) with
       | 0, None -> Jpeg2000.Decoder.decode data
@@ -116,7 +126,7 @@ let decode_cmd =
 
 let shape_cmd =
   let run input output max_bytes =
-    let data = read_file input in
+    let data, _ = read_codestream input in
     let shaped = Jpeg2000.Rate.shape ~max_bytes data in
     write_file output shaped;
     Printf.printf "%s: %d -> %d bytes (budget %d, floor %d)\n" output
@@ -134,7 +144,7 @@ let shape_cmd =
 
 let info_cmd =
   let run input =
-    let stream = Jpeg2000.Codestream.parse (read_file input) in
+    let _, stream = read_codestream input in
     let h = stream.Jpeg2000.Codestream.header in
     Printf.printf "%dx%d, %d component(s), %dx%d tiles, %d levels, %s\n"
       h.Jpeg2000.Codestream.width h.Jpeg2000.Codestream.height

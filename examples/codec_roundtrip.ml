@@ -54,7 +54,11 @@ let () =
     (Jpeg2000.Image.width half) (Jpeg2000.Image.height half);
 
   (* The staged decoder interface used by the system models. *)
-  let stream = Jpeg2000.Decoder.parse lossless_stream in
+  let stream =
+    match Jpeg2000.Codestream.parse_result lossless_stream with
+    | Ok stream -> stream
+    | Error e -> failwith (Jpeg2000.Codestream.error_message e)
+  in
   let header = stream.Jpeg2000.Codestream.header in
   let first_tile = List.hd stream.Jpeg2000.Codestream.tiles in
   let staged =

@@ -288,13 +288,6 @@ let parse_result data =
   | t -> Ok t
   | exception Error e -> Error e
 
-(* The legacy exception interface is a thin shim over [parse_result]
-   so there is exactly one parser and one error taxonomy. *)
-let parse data =
-  match parse_result data with
-  | Ok t -> t
-  | Error e -> failwith ("Codestream.parse: " ^ error_message e)
-
 (* -- incremental framing units -------------------------------------- *)
 
 type 'a step =

@@ -73,14 +73,6 @@ val pp_error : Format.formatter -> error -> unit
 val parse_result : string -> (t, error) result
 (** [parse_result (emit s) = Ok s]; total on arbitrary input. *)
 
-val parse : string -> t
-(** @deprecated Legacy wrapper over {!parse_result}: it runs exactly
-    that parser and turns [Error e] into
-    [Failure ("Codestream.parse: " ^ error_message e)] — the {!error}
-    type is the one source of truth for the error taxonomy. New code
-    should call {!parse_result} (or feed chunks to {!Stream}) and
-    match on the typed error. *)
-
 (** {1 Incremental framing units}
 
     The building blocks of the resumable {!Stream} parser. Each

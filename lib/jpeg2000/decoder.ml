@@ -13,7 +13,12 @@ type wavelet_domain =
   | Ints of Image.plane array
   | Floats of Dwt97.matrix array
 
-let parse = Codestream.parse
+(* The whole-image entry points raise [Failure] on a malformed
+   stream; [decode_robust] is the one that reports a typed error. *)
+let parse_exn data =
+  match Codestream.parse_result data with
+  | Ok stream -> stream
+  | Error e -> failwith ("Decoder: " ^ Codestream.error_message e)
 
 (* -- entropy decoding ------------------------------------------------
 
@@ -492,7 +497,7 @@ let decode_tile ?max_passes ?(pool = Par.Pool.sequential) header tile =
     (flat_entropy ?max_passes ~pool header tile)
 
 let decode_region ?(pool = Par.Pool.sequential) ~x ~y ~w ~h data =
-  let stream = parse data in
+  let stream = parse_exn data in
   let header = stream.Codestream.header in
   if w <= 0 || h <= 0 then invalid_arg "Decoder.decode_region: empty window";
   if
@@ -535,7 +540,7 @@ let decode_tile_reduced ?(pool = Par.Pool.sequential) header ~discard tile =
     (flat_entropy ~pool reduced_header reduced_tile)
 
 let decode_reduced ?(pool = Par.Pool.sequential) ~discard_levels data =
-  let stream = parse data in
+  let stream = parse_exn data in
   let header = stream.Codestream.header in
   if discard_levels < 0 || discard_levels > header.Codestream.levels then
     invalid_arg "Decoder.decode_reduced: discard_levels";
@@ -556,7 +561,7 @@ let decode_reduced ?(pool = Par.Pool.sequential) ~discard_levels data =
     ~bit_depth:header.Codestream.bit_depth tiles
 
 let decode_with ?max_passes ?(pool = Par.Pool.sequential) data =
-  let stream = parse data in
+  let stream = parse_exn data in
   let header = stream.Codestream.header in
   let tiles =
     Array.to_list
@@ -628,8 +633,7 @@ let entropy_decode_tile_robust ?(pool = Par.Pool.sequential) header tile =
         },
         !concealed )
 
-(* A fully concealed tile: every coefficient zero, same pipeline, so
-   it renders as mid-grey at the right place and size. *)
+(* A fully concealed tile's entropy stage: every coefficient zero. *)
 let concealed_entropy_decoded header tile =
   let bands =
     Subband.decompose ~width:tile.Codestream.tile_w
@@ -650,10 +654,23 @@ let concealed_entropy_decoded header tile =
     ed_comps = Array.map (fun _ -> zero_comp ()) tile.Codestream.comps;
   }
 
+(* A fully concealed tile, rendered mid-grey at the right place and
+   size. Zero coefficients dequantise to 0, invert to +-0 through
+   either wavelet and colour-transform to 0, so the boxed chain over
+   [concealed_entropy_decoded] leaves every sample at the DC level
+   2^(bit_depth-1); the tile is built with that value directly. *)
 let concealed_tile header tile =
-  concealed_entropy_decoded header tile
-  |> dequantise header |> inverse_wavelet header
-  |> inverse_colour_and_shift header tile
+  let w = tile.Codestream.tile_w and h = tile.Codestream.tile_h in
+  let mid = 1 lsl (header.Codestream.bit_depth - 1) in
+  {
+    Tile.index = tile.Codestream.tile_index;
+    x0 = tile.Codestream.tile_x0;
+    y0 = tile.Codestream.tile_y0;
+    planes =
+      Array.map
+        (fun _ -> { Image.width = w; height = h; data = Array.make (w * h) mid })
+        tile.Codestream.comps;
+  }
 
 let tile_block_count header tile =
   let bands =
@@ -762,7 +779,14 @@ let decode_robust_tiles ~pool header ~present ~missing =
       } )
 
 let decode_robust ?(pool = Par.Pool.sequential) data =
-  match Codestream.parse_result data with
+  (* One parse: the stream machine consumes every unit [data]
+     completes, and its [parse_result] is the error — including the
+     [Truncated] offset — that [Codestream.parse_result] reports. *)
+  let s = Stream.create () in
+  (match Stream.feed s data with
+  | Stream.Need_more | Stream.Segment_ready | Stream.Done | Stream.Corrupt _ ->
+    ());
+  match Stream.parse_result s with
   | Ok stream ->
     decode_robust_tiles ~pool stream.Codestream.header
       ~present:stream.Codestream.tiles ~missing:[]
@@ -771,11 +795,6 @@ let decode_robust ?(pool = Par.Pool.sequential) data =
        ingest path: salvage every tile segment the prefix completed
        and conceal the grid cells that never arrived. Only a prefix
        too short to deliver the preamble remains an error. *)
-    let s = Stream.create () in
-    (match Stream.feed s data with
-    | Stream.Need_more | Stream.Segment_ready | Stream.Done
-    | Stream.Corrupt _ ->
-      ());
     match Stream.header s with
     | None -> Error e
     | Some header ->

@@ -50,10 +50,6 @@ type wavelet_domain =
   | Ints of Image.plane array  (** reversible path *)
   | Floats of Dwt97.matrix array  (** irreversible path *)
 
-val parse : string -> Codestream.t
-(** Stage 0: codestream parsing (the paper folds this into the
-    arithmetic-decoder task). *)
-
 val entropy_decode_tile :
   ?max_passes:int ->
   ?pool:Par.Pool.t ->
@@ -151,9 +147,16 @@ val pp_report : Format.formatter -> report -> unit
 
 val concealed_entropy_decoded :
   Codestream.header -> Codestream.tile_segment -> entropy_decoded
-(** The all-zero entropy-decoded form of a tile — what a whole-tile
-    concealment feeds to the remaining stages (mid-grey after the DC
-    shift). *)
+(** The all-zero entropy-decoded form of a tile: the stage-by-stage
+    view of a whole-tile concealment (mid-grey after the DC shift). *)
+
+val concealed_tile : Codestream.header -> Codestream.tile_segment -> Tile.t
+(** The tile a whole-tile concealment renders: every sample of every
+    component is [2^(bit_depth-1)]. Zero coefficients dequantise to
+    0, invert to 0 through either wavelet and colour-transform to 0,
+    so this equals [concealed_entropy_decoded] pushed through
+    {!dequantise}, {!inverse_wavelet} and {!inverse_colour_and_shift}
+    (a qcheck property), without running them. *)
 
 val entropy_decode_tile_robust :
   ?pool:Par.Pool.t ->
@@ -180,9 +183,13 @@ val decode_robust :
     lossy ingest path — is decoded best-effort once its preamble is
     complete: every tile segment the prefix delivered decodes with
     per-block containment, and each grid cell whose segment never
-    arrived is concealed whole (counted in [concealed_tiles]).
+    arrived is concealed whole (counted in [concealed_tiles]) and
+    filled with [2^(bit_depth-1)] ({!concealed_tile}).
     [Error (Truncated _)] therefore only remains for a prefix too
-    short to carry the header. *)
+    short to carry the header. The input is parsed once, by a
+    {!Stream}: its [parse_result] is the error
+    {!Codestream.parse_result} would report, and its completed units
+    are the tiles a truncated prefix delivered. *)
 
 val psnr_impact : reference:Image.t -> Image.t * report -> float
 (** PSNR (dB) of a robust decode against the undamaged reference —

@@ -30,17 +30,22 @@ let all_blocks stream =
       |> List.concat_map (List.concat_map (fun seg -> seg.Codestream.seg_blocks)))
     stream.Codestream.tiles
 
+let parse data =
+  match Codestream.parse_result data with
+  | Ok stream -> stream
+  | Error e -> failwith ("Rate: " ^ Codestream.error_message e)
+
 let strip_passes stream =
   map_blocks stream (fun blk -> { blk with Codestream.blk_passes = [] })
 
 let minimum_bytes data =
-  String.length (Codestream.emit (strip_passes (Codestream.parse data)))
+  String.length (Codestream.emit (strip_passes (parse data)))
 
 let shape ~max_bytes data =
   if max_bytes <= 0 then invalid_arg "Rate.shape: max_bytes";
   if String.length data <= max_bytes then data
   else begin
-    let stream = Codestream.parse data in
+    let stream = parse data in
     let base = String.length (Codestream.emit (strip_passes stream)) in
     (* Grant passes in rounds across all blocks while the budget
        lasts. Blocks are visited in stream order, so the allocation

@@ -13,8 +13,9 @@ val shape : max_bytes:int -> string -> string
     [max_bytes] (or the unavoidable minimum: headers plus empty
     blocks, whichever is larger). If the input already fits, it is
     returned unchanged. Raises [Invalid_argument] if [max_bytes <= 0]
-    and [Failure] on a malformed stream. *)
+    and [Failure] on a malformed stream that does not fit. *)
 
 val minimum_bytes : string -> int
 (** Size of the stream with every coding pass dropped — the floor
-    {!shape} cannot go below. *)
+    {!shape} cannot go below. Raises [Failure] on a malformed
+    stream. *)

@@ -105,7 +105,12 @@ let codestream ?(width = 128) ?(height = 128) ?(seed = 2008) mode =
 
 let make_payload ?corrupt ~pool mode =
   let data = codestream mode in
-  let stream = Jpeg2000.Codestream.parse data in
+  let stream =
+    match Jpeg2000.Codestream.parse_result data with
+    | Ok stream -> stream
+    | Error e ->
+      failwith ("Workload: encoder output: " ^ Jpeg2000.Codestream.error_message e)
+  in
   let clean_reference = Jpeg2000.Decoder.decode ~pool data in
   let header = stream.Jpeg2000.Codestream.header in
   let clean_segments = Array.of_list stream.Jpeg2000.Codestream.tiles in

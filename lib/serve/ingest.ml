@@ -1,3 +1,9 @@
+type layout = {
+  l_data : string;
+  tile_end : int array;
+      (* end offset of every well-formed tile segment, stream order *)
+}
+
 type t = {
   data : string;
   dlv : Faults.Ingest.delivery;
@@ -8,17 +14,36 @@ type t = {
   received : int;  (* distinct payload bytes that ever arrive *)
 }
 
-let analyse ~seed spec ~start_ps data =
+(* The framing units [Jpeg2000.Stream] would consume from [data], read
+   once over the whole string: the preamble, then tile segments until
+   the announced count, the first truncated unit or the first damaged
+   one. *)
+let layout data =
+  let module C = Jpeg2000.Codestream in
+  let rec tiles header left pos acc =
+    if left = 0 then acc
+    else
+      match C.read_tile ~header data ~pos with
+      | C.Unit_ready (_, pos') -> tiles header (left - 1) pos' (pos' :: acc)
+      | C.Unit_truncated _ | C.Unit_error _ -> acc
+  in
+  let ends =
+    match C.read_preamble data ~pos:0 with
+    | C.Unit_ready ((header, ntiles), pos) -> tiles header ntiles pos []
+    | C.Unit_truncated _ | C.Unit_error _ -> []
+  in
+  { l_data = data; tile_end = Array.of_list (List.rev ends) }
+
+let analyse_layout ~seed spec ~start_ps l =
+  let data = l.l_data in
   let dlv = Faults.Ingest.schedule ~seed spec ~start_ps data in
   let len = String.length data in
   let chunk = spec.Faults.Ingest.chunk_bytes in
   let nchunks = (len + chunk - 1) / chunk in
   let got = Array.make (Stdlib.max 1 nchunks) false in
   let frontier = ref 0 (* first chunk index not yet received *) in
-  let stream = Jpeg2000.Stream.create () in
-  let ntiles = ref (-1) in
-  let tile_landed = ref [||] in
-  let ready = ref 0 in
+  let tile_landed = Array.make (Array.length l.tile_end) max_int in
+  let ready = ref 0 (* tiles whose segment lies inside the prefix *) in
   let complete = ref max_int in
   let steps = ref [ (min_int, 0) ] in
   let received = ref 0 in
@@ -31,39 +56,30 @@ let analyse ~seed spec ~start_ps data =
         let from = !frontier in
         while !frontier < nchunks && got.(!frontier) do incr frontier done;
         if !frontier > from then begin
-          (* the contiguous prefix grew: feed the new bytes *)
-          let lo = from * chunk in
+          (* the contiguous prefix grew: every tile segment it now
+             covers has landed *)
           let hi = Stdlib.min len (!frontier * chunk) in
-          (match
-             Jpeg2000.Stream.feed stream (String.sub data lo (hi - lo))
-           with
-          | Jpeg2000.Stream.Need_more | Jpeg2000.Stream.Segment_ready
-          | Jpeg2000.Stream.Done | Jpeg2000.Stream.Corrupt _ ->
-            ());
-          steps := (c.Faults.Ingest.c_arrival_ps, hi) :: !steps;
-          (match Jpeg2000.Stream.tile_count stream with
-          | Some n when !ntiles < 0 ->
-            ntiles := n;
-            tile_landed := Array.make (Stdlib.max 1 n) max_int
-          | _ -> ());
-          let now_ready = Jpeg2000.Stream.tiles_ready stream in
-          for ti = !ready to now_ready - 1 do
-            !tile_landed.(ti) <- c.Faults.Ingest.c_arrival_ps
+          let at = c.Faults.Ingest.c_arrival_ps in
+          steps := (at, hi) :: !steps;
+          while !ready < Array.length l.tile_end && l.tile_end.(!ready) <= hi do
+            tile_landed.(!ready) <- at;
+            incr ready
           done;
-          ready := now_ready;
-          if hi = len && !complete = max_int then
-            complete := c.Faults.Ingest.c_arrival_ps
+          if hi = len && !complete = max_int then complete := at
         end
       end)
     dlv.Faults.Ingest.chunks;
   {
     data;
     dlv;
-    tile_landed = !tile_landed;
+    tile_landed;
     complete = !complete;
     prefix_steps = Array.of_list (List.rev !steps);
     received = !received;
   }
+
+let analyse ~seed spec ~start_ps data =
+  analyse_layout ~seed spec ~start_ps (layout data)
 
 let delivery t = t.dlv
 

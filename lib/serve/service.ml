@@ -39,11 +39,12 @@ let default_config =
 type stream = {
   s_digest : int64;
   s_length : int;
-  s_data : string;
   s_header : Jpeg2000.Codestream.header;
   s_tiles : Jpeg2000.Codestream.tile_segment array;
   s_reference : Jpeg2000.Image.t Lazy.t;
       (* clean full decode; the psnr_impact baseline for flushes *)
+  s_layout : Ingest.layout Lazy.t;
+      (* tile-segment end offsets; read once, only by an ingest run *)
 }
 
 type t = { config : config; streams : stream array }
@@ -67,10 +68,10 @@ let create ?(config = default_config) corpus =
           {
             s_digest = Cache.digest data;
             s_length = String.length data;
-            s_data = data;
             s_header = stream.Jpeg2000.Codestream.header;
             s_tiles = Array.of_list stream.Jpeg2000.Codestream.tiles;
             s_reference = lazy (Jpeg2000.Decoder.decode data);
+            s_layout = lazy (Ingest.layout data);
           })
       corpus
   in
@@ -411,7 +412,8 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
              Int64.max_int)
       in
       let d =
-        Ingest.analyse ~seed ing ~start_ps:r.Request.arrival_ps stream.s_data
+        Ingest.analyse_layout ~seed ing ~start_ps:r.Request.arrival_ps
+          (Lazy.force stream.s_layout)
       in
       Hashtbl.replace deliveries r.Request.id d;
       d

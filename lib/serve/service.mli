@@ -23,10 +23,14 @@
 
     With [config.ingest] set, request bytes no longer arrive whole:
     each request's codestream is delivered as a seeded
-    {!Faults.Ingest.schedule} of chunks replayed through the resumable
-    {!Jpeg2000.Stream} parser ({!Ingest.analyse}), and the request
-    only becomes dispatchable once every tile it resolves to has
-    landed. A stream that stalls past the request's deadline is
+    {!Faults.Ingest.schedule} of chunks, and the request only becomes
+    dispatchable once every tile it resolves to has landed. A tile
+    lands when the contiguous received prefix reaches the end of its
+    segment ({!Ingest.analyse_layout}); the segment end offsets are
+    read once per stream, on first use by an ingest run
+    ({!Ingest.layout}), and by [Stream]'s chunk-size invariance they
+    are where the resumable {!Jpeg2000.Stream} parser would complete
+    each tile. A stream that stalls past the request's deadline is
     {e flushed}: the received contiguous prefix is decoded best-effort
     by {!Jpeg2000.Decoder.decode_robust} (missing tiles concealed),
     served as a full frame, and accounted in {!ingest_stats}. The

@@ -123,7 +123,7 @@ let corpus () =
 (* A real decoded tile for cache payloads (the tier stores whatever
    tiles the decode produces; the tests only care about identity). *)
 let some_tile data =
-  let stream = Jpeg2000.Codestream.parse data in
+  let stream = Result.get_ok (Jpeg2000.Codestream.parse_result data) in
   let header = stream.Jpeg2000.Codestream.header in
   let seg = List.hd stream.Jpeg2000.Codestream.tiles in
   let st = Jpeg2000.Decoder.stage_tile ~discard:0 header seg in

@@ -2,6 +2,11 @@
 
 let qc = QCheck_alcotest.to_alcotest
 
+let parse_ok data =
+  match Jpeg2000.Codestream.parse_result data with
+  | Ok stream -> stream
+  | Error e -> Alcotest.failf "parse: %s" (Jpeg2000.Codestream.error_message e)
+
 (* -- Image --------------------------------------------------------- *)
 
 let test_image_basics () =
@@ -902,7 +907,7 @@ let sample_stream () =
 
 let test_codestream_roundtrip () =
   let _, data = sample_stream () in
-  let parsed = Jpeg2000.Codestream.parse data in
+  let parsed = parse_ok data in
   Alcotest.(check string) "emit . parse = id" data
     (Jpeg2000.Codestream.emit parsed);
   Alcotest.(check int) "tiles" 6 (List.length parsed.Jpeg2000.Codestream.tiles)
@@ -948,10 +953,21 @@ let test_smaller_blocks_cost_more_bytes () =
 
 let test_codestream_rejects_corruption () =
   let _, data = sample_stream () in
-  let raised s = try ignore (Jpeg2000.Codestream.parse s); false with Failure _ -> true in
-  Alcotest.(check bool) "bad magic" true (raised ("XXXX" ^ String.sub data 4 (String.length data - 4)));
-  Alcotest.(check bool) "truncated" true (raised (String.sub data 0 (String.length data / 2)));
-  Alcotest.(check bool) "trailing" true (raised (data ^ "z"))
+  let error s =
+    match Jpeg2000.Codestream.parse_result s with
+    | Ok _ -> Alcotest.fail "damaged stream parsed"
+    | Error e -> e
+  in
+  Alcotest.(check bool) "bad magic" true
+    (error ("XXXX" ^ String.sub data 4 (String.length data - 4))
+    = Jpeg2000.Codestream.Bad_magic);
+  let half = String.length data / 2 in
+  (match error (String.sub data 0 half) with
+  | Jpeg2000.Codestream.Truncated off ->
+    Alcotest.(check bool) "truncated inside the prefix" true (off <= half)
+  | e -> Alcotest.failf "truncated: got %s" (Jpeg2000.Codestream.error_message e));
+  Alcotest.(check bool) "trailing" true
+    (error (data ^ "z") = Jpeg2000.Codestream.Trailing 1)
 
 (* -- Full codec ------------------------------------------------------ *)
 
@@ -1228,7 +1244,7 @@ let test_stagewise_equals_monolithic () =
   (* Composing the staged decoder functions by hand must equal the
      monolithic decode — the property the system models rely on. *)
   let img, data = sample_stream () in
-  let stream = Jpeg2000.Decoder.parse data in
+  let stream = parse_ok data in
   let header = stream.Jpeg2000.Codestream.header in
   let tiles =
     List.map
@@ -1297,6 +1313,59 @@ let stream_chunk_invariance_qcheck =
       in
       let s = feed_partition data cuts in
       Jpeg2000.Stream.parse_result s = Jpeg2000.Codestream.parse_result data)
+
+(* A whole-tile concealment is built as a constant DC-level tile; it
+   must equal the all-zero coefficients pushed through the boxed
+   dequantise, IDWT and colour stages, for any tile geometry, depth,
+   component count and either wavelet. *)
+let concealed_tile_qcheck =
+  QCheck.Test.make ~name:"concealed tile equals the boxed chain" ~count:200
+    (QCheck.make
+       ~print:(fun (w, h, levels, lossy, comps, depth) ->
+         Printf.sprintf "%dx%d levels=%d %s comps=%d depth=%d" w h levels
+           (if lossy then "lossy" else "lossless")
+           comps depth)
+       QCheck.Gen.(
+         let* w = int_range 1 40 in
+         let* h = int_range 1 40 in
+         let* levels = int_range 0 5 in
+         let* lossy = bool in
+         let* comps = int_range 1 4 in
+         let* depth = int_range 1 16 in
+         return (w, h, levels, lossy, comps, depth)))
+    (fun (w, h, levels, lossy, comps, depth) ->
+      (* the second tile of a two-tile row *)
+      let header =
+        {
+          Jpeg2000.Codestream.width = 2 * w;
+          height = h;
+          components = comps;
+          tile_w = w;
+          tile_h = h;
+          levels;
+          mode = (if lossy then Jpeg2000.Codestream.Lossy else Lossless);
+          bit_depth = depth;
+          base_step = 2.0;
+          code_block = 8;
+        }
+      in
+      let tile =
+        {
+          Jpeg2000.Codestream.tile_index = 1;
+          tile_x0 = w;
+          tile_y0 = 0;
+          tile_w = w;
+          tile_h = h;
+          comps = Array.make comps [];
+        }
+      in
+      let boxed =
+        Jpeg2000.Decoder.concealed_entropy_decoded header tile
+        |> Jpeg2000.Decoder.dequantise header
+        |> Jpeg2000.Decoder.inverse_wavelet header
+        |> Jpeg2000.Decoder.inverse_colour_and_shift header tile
+      in
+      Jpeg2000.Decoder.concealed_tile header tile = boxed)
 
 let test_stream_one_byte_chunks () =
   let data = Lazy.force stream_sample in
@@ -1374,25 +1443,6 @@ let test_stream_truncation_at_boundaries () =
         (Printf.sprintf "tiles ready at unit %d" i)
         (i + 1) (Jpeg2000.Stream.tiles_ready s))
     tile_ends
-
-let test_parse_wrapper_routes_result () =
-  (* The legacy wrapper must report exactly what parse_result says —
-     one source of truth for the error taxonomy. *)
-  let data = Lazy.force stream_sample in
-  let expect s =
-    match Jpeg2000.Codestream.parse_result s with
-    | Ok _ -> Alcotest.fail "expected a parse error"
-    | Error e -> (
-      match Jpeg2000.Codestream.parse s with
-      | _ -> Alcotest.fail "parse did not raise"
-      | exception Failure msg ->
-        Alcotest.(check string) "wrapper message"
-          ("Codestream.parse: " ^ Jpeg2000.Codestream.error_message e)
-          msg)
-  in
-  expect "XXXXjunk";
-  expect (String.sub data 0 (String.length data / 2));
-  expect (data ^ "!")
 
 (* -- flat coefficient planes ----------------------------------------
 
@@ -1544,7 +1594,7 @@ let test_staged_protocols_agree () =
   List.iter
     (fun (name, config) ->
       let data = Jpeg2000.Encoder.encode config img in
-      let stream = Jpeg2000.Codestream.parse data in
+      let stream = parse_ok data in
       let header = stream.Jpeg2000.Codestream.header in
       List.iter
         (fun tile ->
@@ -1667,9 +1717,8 @@ let () =
           Alcotest.test_case "one-byte chunks" `Quick test_stream_one_byte_chunks;
           Alcotest.test_case "truncation at marker boundaries" `Quick
             test_stream_truncation_at_boundaries;
-          Alcotest.test_case "parse wrapper routes parse_result" `Quick
-            test_parse_wrapper_routes_result;
         ] );
+      ("conceal", [ qc concealed_tile_qcheck ]);
       ( "codec",
         [
           Alcotest.test_case "lossless colour" `Quick test_lossless_roundtrip_colour;

@@ -229,7 +229,7 @@ let corrupt_stream ~seed ~rate data =
         List.map corrupt_block band.Jpeg2000.Codestream.seg_blocks;
     }
   in
-  let stream = Jpeg2000.Codestream.parse data in
+  let stream = Result.get_ok (Jpeg2000.Codestream.parse_result data) in
   Jpeg2000.Codestream.emit
     {
       stream with

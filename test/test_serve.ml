@@ -301,7 +301,7 @@ let prop_staged_matches_reduced =
     QCheck.(pair (int_range 0 2) small_int)
     (fun (discard, img_seed) ->
       let data, _ = encode_smooth ~width:96 ~height:64 ~seed:img_seed in
-      let stream = Jpeg2000.Codestream.parse data in
+      let stream = Result.get_ok (Jpeg2000.Codestream.parse_result data) in
       let header = stream.Jpeg2000.Codestream.header in
       let tiles =
         List.map
@@ -562,6 +562,269 @@ let test_ingest_clean_streaming_serves_all () =
       (i.Serve.Service.ing_bytes > 0)
   | None -> Alcotest.fail "report lacks ingest stats"
 
+(* Reports recorded with the Stream-driven ingest analysis and the
+   two-parse robust flush, before readiness moved to the per-stream
+   layout: the faulted configs above (loss, dup, reorder, stall;
+   flushes with concealed tiles) and a roomier deadline where region
+   requests are dispatched on tile readiness and others flush. *)
+let golden_ingest_reports =
+  [
+    ( "chunk=256,gap_us=300,loss=0.05,dup=0.05,reorder=0.1,stall=0.2,stall_us=2000",
+      "open:n=24,rate=600,seed=11,deadline=6",
+      "{\"workload\":\"open:n=24,rate=600,seed=11,deadline=6,region=0.25,reduced=0.25\",\"streams\":2,\"policy\":\"reject\",\"queue_capacity\":32,\"cache_capacity\":128,\"max_batch\":8,\"total\":24,\"served\":24,\"rejected\":0,\"dropped\":0,\"degraded\":0,\"batches\":24,\"coalesced\":0,\"concealed_blocks\":0,\"makespan_ms\":56.228951789,\"throughput_rps\":426.826381008,\"latency_ms\":{\"mean\":6.35428645454,\"p50\":6.36296,\"p95\":6.43208,\"p99\":6.47816,\"max\":6.47816},\"slo_misses\":24,\"slo_miss_rate\":1,\"cache\":{\"hits\":0,\"misses\":0,\"evictions\":0,\"hit_rate\":0},\"ingest\":{\"spec\":\"chunk=256,gap_us=300,loss=0.05,dup=0.05,reorder=0.1,window=4,stall=0.2,stall_us=2000\",\"chunks_sent\":1577,\"chunks_lost\":81,\"chunks_duped\":77,\"chunks_reordered\":162,\"stall_ms\":286.449402591,\"bytes_received\":381062,\"flushed\":24,\"flush_failed\":0,\"flush_concealed_blocks\":0,\"flush_concealed_tiles\":93,\"flush_psnr_db\":12.3942779561},\"pixels_digest\":\"92976f2b542f361a\"}" );
+    ( "chunk=256,loss=0.1,stall=0.3,stall_us=3000",
+      "open:n=20,rate=500,seed=9,deadline=5",
+      "{\"workload\":\"open:n=20,rate=500,seed=9,deadline=5,region=0.25,reduced=0.25\",\"streams\":2,\"policy\":\"reject\",\"queue_capacity\":32,\"cache_capacity\":128,\"max_batch\":8,\"total\":20,\"served\":19,\"rejected\":0,\"dropped\":1,\"degraded\":0,\"batches\":20,\"coalesced\":0,\"concealed_blocks\":0,\"makespan_ms\":37.721078749,\"throughput_rps\":503.69715369,\"latency_ms\":{\"mean\":5.33592927189,\"p50\":5.31688,\"p95\":5.547502482,\"p99\":5.547502482,\"max\":5.547502482},\"slo_misses\":20,\"slo_miss_rate\":1,\"cache\":{\"hits\":0,\"misses\":0,\"evictions\":0,\"hit_rate\":0},\"ingest\":{\"spec\":\"chunk=256,gap_us=100,loss=0.1,dup=0,reorder=0,window=4,stall=0.3,stall_us=3000\",\"chunks_sent\":1368,\"chunks_lost\":130,\"chunks_duped\":0,\"chunks_reordered\":0,\"stall_ms\":620.270180444,\"bytes_received\":315468,\"flushed\":19,\"flush_failed\":1,\"flush_concealed_blocks\":0,\"flush_concealed_tiles\":76,\"flush_psnr_db\":12.3942779561},\"pixels_digest\":\"2482650c82b6fe60\"}" );
+    ( "chunk=256,gap_us=100,dup=0.1,reorder=0.2,window=6,stall=0.1,stall_us=2000",
+      "open:n=24,rate=600,seed=11,deadline=10,region=0.4",
+      "{\"workload\":\"open:n=24,rate=600,seed=11,deadline=10,region=0.4,reduced=0.25\",\"streams\":2,\"policy\":\"reject\",\"queue_capacity\":32,\"cache_capacity\":128,\"max_batch\":8,\"total\":24,\"served\":24,\"rejected\":0,\"dropped\":0,\"degraded\":0,\"batches\":24,\"coalesced\":0,\"concealed_blocks\":0,\"makespan_ms\":62.365487124,\"throughput_rps\":384.828229631,\"latency_ms\":{\"mean\":9.90222778062,\"p50\":10.77768,\"p95\":11.000366629,\"p99\":11.03112,\"max\":11.03112},\"slo_misses\":18,\"slo_miss_rate\":0.75,\"cache\":{\"hits\":7,\"misses\":20,\"evictions\":0,\"hit_rate\":0.259259259259},\"ingest\":{\"spec\":\"chunk=256,gap_us=100,loss=0,dup=0.1,reorder=0.2,window=6,stall=0.1,stall_us=2000\",\"chunks_sent\":1558,\"chunks_lost\":0,\"chunks_duped\":134,\"chunks_reordered\":311,\"stall_ms\":129.146660158,\"bytes_received\":396480,\"flushed\":15,\"flush_failed\":0,\"flush_concealed_blocks\":0,\"flush_concealed_tiles\":22,\"flush_psnr_db\":15.6655966122},\"pixels_digest\":\"78a130023398b122\"}" );
+  ]
+
+let test_ingest_golden_reports () =
+  List.iter
+    (fun (ingest, workload, golden) ->
+      let service =
+        Serve.Service.create ~config:(ingest_config ingest) (corpus ())
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s / %s byte-identical" ingest workload)
+        golden
+        (report_string (Serve.Service.run service (spec_exn workload))))
+    golden_ingest_reports
+
+(* The Stream-driven analysis the layout walk replaced, kept as the
+   reference model: every contiguous extension of the prefix is fed
+   to one [Jpeg2000.Stream], and readiness is read off the parser. *)
+module Stream_model = struct
+  type t = {
+    data : string;
+    dlv : Faults.Ingest.delivery;
+    tile_landed : int array;
+    complete : int;
+    prefix_steps : (int * int) array;
+    received : int;
+  }
+
+  let analyse ~seed spec ~start_ps data =
+    let dlv = Faults.Ingest.schedule ~seed spec ~start_ps data in
+    let len = String.length data in
+    let chunk = spec.Faults.Ingest.chunk_bytes in
+    let nchunks = (len + chunk - 1) / chunk in
+    let got = Array.make (Stdlib.max 1 nchunks) false in
+    let frontier = ref 0 in
+    let stream = Jpeg2000.Stream.create () in
+    let ntiles = ref (-1) in
+    let tile_landed = ref [||] in
+    let ready = ref 0 in
+    let complete = ref max_int in
+    let steps = ref [ (min_int, 0) ] in
+    let received = ref 0 in
+    List.iter
+      (fun (c : Faults.Ingest.chunk) ->
+        let i = c.Faults.Ingest.c_offset / chunk in
+        if not got.(i) then begin
+          got.(i) <- true;
+          received := !received + String.length c.Faults.Ingest.c_bytes;
+          let from = !frontier in
+          while !frontier < nchunks && got.(!frontier) do incr frontier done;
+          if !frontier > from then begin
+            let lo = from * chunk in
+            let hi = Stdlib.min len (!frontier * chunk) in
+            ignore (Jpeg2000.Stream.feed stream (String.sub data lo (hi - lo)));
+            steps := (c.Faults.Ingest.c_arrival_ps, hi) :: !steps;
+            (match Jpeg2000.Stream.tile_count stream with
+            | Some n when !ntiles < 0 ->
+              ntiles := n;
+              tile_landed := Array.make (Stdlib.max 1 n) max_int
+            | _ -> ());
+            let now_ready = Jpeg2000.Stream.tiles_ready stream in
+            for ti = !ready to now_ready - 1 do
+              !tile_landed.(ti) <- c.Faults.Ingest.c_arrival_ps
+            done;
+            ready := now_ready;
+            if hi = len && !complete = max_int then
+              complete := c.Faults.Ingest.c_arrival_ps
+          end
+        end)
+      dlv.Faults.Ingest.chunks;
+    {
+      data;
+      dlv;
+      tile_landed = !tile_landed;
+      complete = !complete;
+      prefix_steps = Array.of_list (List.rev !steps);
+      received = !received;
+    }
+
+  let tile_landed_ps t i =
+    if i < 0 || i >= Array.length t.tile_landed then max_int
+    else t.tile_landed.(i)
+
+  let prefix_at t instant =
+    let best = ref 0 in
+    Array.iter
+      (fun (ts, n) -> if ts <= instant && n > !best then best := n)
+      t.prefix_steps;
+    String.sub t.data 0 !best
+end
+
+let test_ingest_damaged_stream () =
+  (* A damaged tile behind a clean one, all inside the first chunk:
+     the Stream-driven analysis lost the tile count to the [Corrupt]
+     phase and indexed an empty readiness array. *)
+  let data =
+    Models.Workload.codestream ~width:64 ~height:64 ~seed:3
+      Jpeg2000.Codestream.Lossless
+  in
+  let ntiles, tile0_end =
+    match Jpeg2000.Codestream.read_preamble data ~pos:0 with
+    | Jpeg2000.Codestream.Unit_ready ((header, ntiles), pos) -> (
+      match Jpeg2000.Codestream.read_tile ~header data ~pos with
+      | Jpeg2000.Codestream.Unit_ready (_, tile0_end) -> (ntiles, tile0_end)
+      | _ -> Alcotest.fail "tile 0 does not parse")
+    | _ -> Alcotest.fail "preamble does not parse"
+  in
+  Alcotest.(check int) "tiles" 4 ntiles;
+  Alcotest.(check int) "tile 0 end" 4371 tile0_end;
+  (* tile 1's width field: index u16, x0 u32, y0 u32, then width u16 *)
+  let damaged = Bytes.of_string data in
+  Bytes.set damaged (tile0_end + 10) '\000';
+  Bytes.set damaged (tile0_end + 11) '\000';
+  let damaged = Bytes.to_string damaged in
+  let spec = { Faults.Ingest.default_spec with Faults.Ingest.chunk_bytes = 65536 } in
+  let t = Serve.Ingest.analyse ~seed:1 spec ~start_ps:0 damaged in
+  let first =
+    (List.hd (Serve.Ingest.delivery t).Faults.Ingest.chunks).Faults.Ingest.c_arrival_ps
+  in
+  Alcotest.(check int) "tile 0 lands with the first chunk" first
+    (Serve.Ingest.tile_landed_ps t 0);
+  List.iter
+    (fun i ->
+      Alcotest.(check int) (Printf.sprintf "tile %d never lands" i) max_int
+        (Serve.Ingest.tile_landed_ps t i))
+    [ 1; 2; 3 ]
+
+(* A small codestream — clean, truncated, byte-flipped, followed by
+   junk, or followed by a repeat of its own tile segments (trailing
+   bytes that parse) — and a faulted ingest spec. The model re-buffers
+   and re-parses on every feed, so a chunk is at least 1/256 of the
+   stream. *)
+let ingest_draw =
+  let open QCheck.Gen in
+  let* lossy = bool in
+  let* components = int_range 1 3 in
+  let* tile_w = int_range 8 32 in
+  let* tile_h = int_range 8 32 in
+  let* width = int_range 8 40 in
+  let* height = int_range 8 40 in
+  let* levels = int_range 0 2 in
+  let* img_seed = int_range 0 9999 in
+  let* variant = int_range 0 4 in
+  let* a = int_range 0 999_999 in
+  let* b = int_range 1 255 in
+  let* junk = string_size ~gen:char (int_range 1 16) in
+  let* chunk = oneof [ int_range 1 64; int_range 1 4096 ] in
+  let rate = oneof [ return 0.0; float_range 0.0 0.3 ] in
+  let* loss = rate in
+  let* dup = rate in
+  let* reorder = rate in
+  let* window = int_range 1 6 in
+  let* stall = rate in
+  let* seed = int_range 0 1_000_000 in
+  let* start_ps = int_range 0 1_000_000_000 in
+  let image =
+    Jpeg2000.Image.smooth ~width ~height ~components ~seed:img_seed
+  in
+  let config =
+    {
+      Jpeg2000.Encoder.tile_w;
+      tile_h;
+      levels;
+      mode = (if lossy then Jpeg2000.Codestream.Lossy else Lossless);
+      base_step = 2.0;
+      code_block = 8;
+    }
+  in
+  let clean = Jpeg2000.Encoder.encode config image in
+  let n = String.length clean in
+  let data =
+    match variant with
+    | 0 -> clean
+    | 1 -> String.sub clean 0 (a mod (n + 1))
+    | 2 ->
+      let flipped = Bytes.of_string clean in
+      let i = a mod n in
+      Bytes.set flipped i (Char.chr (Char.code clean.[i] lxor b));
+      Bytes.to_string flipped
+    | 3 -> clean ^ junk
+    | _ -> (
+      match Jpeg2000.Codestream.read_preamble clean ~pos:0 with
+      | Jpeg2000.Codestream.Unit_ready (_, pos) -> clean ^ String.sub clean pos (n - pos)
+      | _ -> clean)
+  in
+  let spec =
+    {
+      Faults.Ingest.default_spec with
+      Faults.Ingest.chunk_bytes = Stdlib.max chunk (String.length data / 256);
+      profile =
+        {
+          Faults.Ingest.default_spec.Faults.Ingest.profile with
+          Faults.Ingest.loss;
+          dup;
+          reorder;
+          window;
+          stall;
+        };
+    }
+  in
+  return (variant, data, spec, seed, start_ps)
+
+let print_ingest_draw (variant, data, spec, seed, start_ps) =
+  Printf.sprintf "variant=%d bytes=%d spec=%s seed=%d start_ps=%d" variant
+    (String.length data) (Faults.Ingest.spec_to_string spec) seed start_ps
+
+let test_ingest_layout_matches_stream_model () =
+  (* The layout walk must report what the Stream-driven model reports
+     at every observable point, except where the model raises. *)
+  let count = 500 and model_raised = ref 0 in
+  let prop =
+    QCheck.Test.make ~name:"layout walk equals the Stream-driven model" ~count
+      (QCheck.make ~print:print_ingest_draw ingest_draw)
+      (fun (_, data, spec, seed, start_ps) ->
+        let t = Serve.Ingest.analyse ~seed spec ~start_ps data in
+        match Stream_model.analyse ~seed spec ~start_ps data with
+        | exception Invalid_argument _ ->
+          incr model_raised;
+          true
+        | m ->
+          let ntiles =
+            match Jpeg2000.Codestream.read_preamble data ~pos:0 with
+            | Jpeg2000.Codestream.Unit_ready ((_, n), _) -> n
+            | _ -> 0
+          in
+          let instants =
+            Array.to_list m.Stream_model.prefix_steps
+            |> List.filter_map (fun (ts, _) ->
+                   if ts = min_int then None else Some ts)
+            |> List.concat_map (fun ts -> [ ts - 1; ts ])
+          in
+          Serve.Ingest.delivery t = m.Stream_model.dlv
+          && List.for_all
+               (fun i ->
+                 Serve.Ingest.tile_landed_ps t i = Stream_model.tile_landed_ps m i)
+               (List.init (ntiles + 3) (fun i -> i - 1))
+          && Serve.Ingest.complete_ps t = m.Stream_model.complete
+          && Serve.Ingest.bytes_received t = m.Stream_model.received
+          && List.for_all
+               (fun ts ->
+                 Serve.Ingest.prefix_at t ts = Stream_model.prefix_at m ts)
+               instants)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 14 |]) prop;
+  Printf.printf
+    "the Stream-driven model raised on %d of %d draws; the layout walk returned\n"
+    !model_raised count
+
 (* -- profiling ------------------------------------------------------- *)
 
 let test_profile_jobs_and_rerun_identical () =
@@ -709,5 +972,9 @@ let () =
             test_ingest_flush_equals_robust_prefix;
           Alcotest.test_case "clean streaming serves all" `Quick
             test_ingest_clean_streaming_serves_all;
+          Alcotest.test_case "golden reports" `Quick test_ingest_golden_reports;
+          Alcotest.test_case "damaged stream" `Quick test_ingest_damaged_stream;
+          Alcotest.test_case "layout walk equals Stream model" `Quick
+            test_ingest_layout_matches_stream_model;
         ] );
     ]
