@@ -345,10 +345,34 @@ let campaign_cmd =
       $ json_arg
       $ jobs_arg)
 
-let serve_cmd =
-  let run workload streams mode queue policy cache batch ingest trace_path json
-      jobs =
-    let spec = parse_spec_flag "workload" Serve.Request.parse_spec workload in
+(* -- serve / fleet --------------------------------------------------- *)
+
+(* The corpus [serve], [fleet] and [profile] decode: default-size
+   streams seeded 2008, 2009, ... *)
+let cli_corpus streams mode =
+  Array.init streams (fun i -> Models.Workload.codestream ~seed:(2008 + i) mode)
+
+(* A library refusal of a config or a spec is a usage error. *)
+let or_exit2 f =
+  try f ()
+  with Invalid_argument msg ->
+    Printf.eprintf "osss_sim: %s\n" msg;
+    exit 2
+
+(* The flags [serve] and [fleet] share. Validation is deferred to the
+   returned thunk so each subcommand still checks its own spec flags
+   first. *)
+type serving = {
+  streams : int;
+  mode : Jpeg2000.Codestream.mode;
+  service : Serve.Service.config;  (** without ingest *)
+  trace : string option;
+  json : bool;
+  jobs : int;
+}
+
+let serving_term ~streams ~queue_doc ~cache_doc ~trace_doc =
+  let validate streams mode queue policy cache batch trace json jobs () =
     let overload =
       parse_spec_flag "policy" Serve.Service.overload_of_string policy
     in
@@ -356,43 +380,81 @@ let serve_cmd =
     require_min "queue" 1 queue;
     require_min "batch" 1 batch;
     require_min "cache" 0 cache;
+    {
+      streams;
+      mode;
+      service =
+        {
+          Serve.Service.queue_capacity = queue;
+          overload;
+          cache_capacity = cache;
+          max_batch = batch;
+          ingest = None;
+        };
+      trace;
+      json;
+      jobs;
+    }
+  in
+  let default = Serve.Service.default_config in
+  Term.(
+    const validate
+    $ Arg.(
+        value & opt int streams
+        & info [ "streams" ] ~docv:"N" ~doc:"Distinct codestreams in the corpus.")
+    $ mode_arg
+    $ Arg.(
+        value & opt int default.Serve.Service.queue_capacity
+        & info [ "queue" ] ~docv:"N" ~doc:queue_doc)
+    $ Arg.(
+        value & opt string "reject"
+        & info [ "policy" ] ~docv:"POLICY"
+            ~doc:"Overload policy: reject, drop-oldest or degrade.")
+    $ Arg.(
+        value & opt int default.Serve.Service.cache_capacity
+        & info [ "cache" ] ~docv:"N" ~doc:cache_doc)
+    $ Arg.(
+        value & opt int default.Serve.Service.max_batch
+        & info [ "batch" ] ~docv:"N" ~doc:"Max requests coalesced per dispatch.")
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "trace" ] ~docv:"FILE" ~doc:trace_doc)
+    $ json_arg
+    $ jobs_arg)
+
+(* Runs [serve] on the --jobs pool, under a sink exported to --trace
+   when one is named, and prints the report as --json or text. *)
+let serve_and_print s serve to_json pp =
+  let report =
+    match s.trace with
+    | None -> with_jobs s.jobs serve
+    | Some path ->
+      let sink, report =
+        Telemetry.Sink.with_sink (fun () -> with_jobs s.jobs serve)
+      in
+      Telemetry.Chrome.save path (Telemetry.Sink.events sink);
+      report
+  in
+  if s.json then print_endline (Telemetry.Json.to_string (to_json report))
+  else Format.printf "%a@." pp report
+
+let serve_cmd =
+  let run workload ingest serving =
+    let spec = parse_spec_flag "workload" Serve.Request.parse_spec workload in
+    let s = serving () in
     let ingest =
       Option.map (parse_spec_flag "ingest" Faults.Ingest.parse_spec) ingest
     in
-    let config =
-      {
-        Serve.Service.queue_capacity = queue;
-        overload;
-        cache_capacity = cache;
-        max_batch = batch;
-        ingest;
-      }
-    in
-    let corpus =
-      Array.init streams (fun i ->
-          Models.Workload.codestream ~seed:(2008 + i) mode)
-    in
     let service =
-      try Serve.Service.create ~config corpus
-      with Invalid_argument msg ->
-        Printf.eprintf "osss_sim: %s\n" msg;
-        exit 2
+      or_exit2 (fun () ->
+          Serve.Service.create
+            ~config:{ s.service with Serve.Service.ingest }
+            (cli_corpus s.streams s.mode))
     in
-    let serve pool = Serve.Service.run ~pool service spec in
-    let report =
-      match trace_path with
-      | None -> with_jobs jobs serve
-      | Some path ->
-        let sink, report =
-          Telemetry.Sink.with_sink (fun () -> with_jobs jobs serve)
-        in
-        Telemetry.Chrome.save path (Telemetry.Sink.events sink);
-        report
-    in
-    if json then
-      print_endline
-        (Telemetry.Json.to_string (Serve.Service.report_to_json report))
-    else Format.printf "%a@." Serve.Service.pp_report report
+    serve_and_print s
+      (fun pool -> Serve.Service.run ~pool service spec)
+      Serve.Service.report_to_json Serve.Service.pp_report
   in
   Cmd.v
     (Cmd.info "serve"
@@ -410,25 +472,6 @@ let serve_cmd =
                  [,region=F][,reduced=F] or \
                  closed:n=N,clients=C,think=MS,seed=S[,...].")
       $ Arg.(
-          value & opt int 3
-          & info [ "streams" ] ~docv:"N"
-              ~doc:"Distinct codestreams in the corpus.")
-      $ mode_arg
-      $ Arg.(
-          value & opt int Serve.Service.default_config.Serve.Service.queue_capacity
-          & info [ "queue" ] ~docv:"N" ~doc:"Request queue capacity.")
-      $ Arg.(
-          value & opt string "reject"
-          & info [ "policy" ] ~docv:"POLICY"
-              ~doc:"Overload policy: reject, drop-oldest or degrade.")
-      $ Arg.(
-          value & opt int Serve.Service.default_config.Serve.Service.cache_capacity
-          & info [ "cache" ] ~docv:"N"
-              ~doc:"Decoded-tile cache capacity (0 disables).")
-      $ Arg.(
-          value & opt int Serve.Service.default_config.Serve.Service.max_batch
-          & info [ "batch" ] ~docv:"N" ~doc:"Max requests coalesced per dispatch.")
-      $ Arg.(
           value
           & opt (some string) None
           & info [ "ingest" ] ~docv:"SPEC"
@@ -438,64 +481,23 @@ let serve_cmd =
                  stall=P,stall_us=US (every key optional; empty string = \
                  fault-free streaming). Stalled requests are flushed \
                  best-effort at their deadline.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "trace" ] ~docv:"FILE"
-              ~doc:"Export the service timeline as Chrome-trace JSON.")
-      $ json_arg
-      $ jobs_arg)
+      $ serving_term ~streams:3 ~queue_doc:"Request queue capacity."
+          ~cache_doc:"Decoded-tile cache capacity (0 disables)."
+          ~trace_doc:"Export the service timeline as Chrome-trace JSON.")
 
 let fleet_cmd =
-  let run workload streams mode fleet_spec queue policy cache batch trace_path
-      json jobs =
+  let run workload fleet_spec serving =
     let spec = parse_spec_flag "workload" Serve.Request.parse_spec workload in
     let fconfig = parse_spec_flag "fleet" Fleet.parse_config fleet_spec in
-    let overload =
-      parse_spec_flag "policy" Serve.Service.overload_of_string policy
-    in
-    require_min "streams" 1 streams;
-    require_min "queue" 1 queue;
-    require_min "batch" 1 batch;
-    require_min "cache" 0 cache;
-    let service =
-      {
-        Serve.Service.queue_capacity = queue;
-        overload;
-        cache_capacity = cache;
-        max_batch = batch;
-        ingest = None;
-      }
-    in
-    let corpus =
-      Array.init streams (fun i ->
-          Models.Workload.codestream ~seed:(2008 + i) mode)
-    in
+    let s = serving () in
     let fleet =
-      try Fleet.create ~config:fconfig ~service corpus
-      with Invalid_argument msg ->
-        Printf.eprintf "osss_sim: %s\n" msg;
-        exit 2
+      or_exit2 (fun () ->
+          Fleet.create ~config:fconfig ~service:s.service
+            (cli_corpus s.streams s.mode))
     in
-    let serve pool =
-      try Fleet.run ~pool fleet spec
-      with Invalid_argument msg ->
-        Printf.eprintf "osss_sim: %s\n" msg;
-        exit 2
-    in
-    let report =
-      match trace_path with
-      | None -> with_jobs jobs serve
-      | Some path ->
-        let sink, report =
-          Telemetry.Sink.with_sink (fun () -> with_jobs jobs serve)
-        in
-        Telemetry.Chrome.save path (Telemetry.Sink.events sink);
-        report
-    in
-    if json then
-      print_endline (Telemetry.Json.to_string (Fleet.report_to_json report))
-    else Format.printf "%a@." Fleet.pp_report report
+    serve_and_print s
+      (fun pool -> or_exit2 (fun () -> Fleet.run ~pool fleet spec))
+      Fleet.report_to_json Fleet.pp_report
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -514,11 +516,6 @@ let fleet_cmd =
                  open:n=N,rate=RPS,seed=S[,deadline=MS][,region=F]\
                  [,reduced=F].")
       $ Arg.(
-          value & opt int 6
-          & info [ "streams" ] ~docv:"N"
-              ~doc:"Distinct codestreams in the corpus.")
-      $ mode_arg
-      $ Arg.(
           value & opt string ""
           & info [ "fleet" ] ~docv:"SPEC"
               ~doc:
@@ -526,29 +523,12 @@ let fleet_cmd =
                  [,l2_us=US][,spill=0|1][,up=F][,down=F][,slo=F]\
                  [,interval=MS][,warmup=MS][,seed=S] (every key optional; \
                  min < max enables the autoscaler).")
-      $ Arg.(
-          value & opt int Serve.Service.default_config.Serve.Service.queue_capacity
-          & info [ "queue" ] ~docv:"N" ~doc:"Per-replica request queue capacity.")
-      $ Arg.(
-          value & opt string "reject"
-          & info [ "policy" ] ~docv:"POLICY"
-              ~doc:"Overload policy: reject, drop-oldest or degrade.")
-      $ Arg.(
-          value & opt int Serve.Service.default_config.Serve.Service.cache_capacity
-          & info [ "cache" ] ~docv:"N"
-              ~doc:"Per-replica L1 tile cache capacity (0 disables).")
-      $ Arg.(
-          value & opt int Serve.Service.default_config.Serve.Service.max_batch
-          & info [ "batch" ] ~docv:"N" ~doc:"Max requests coalesced per dispatch.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "trace" ] ~docv:"FILE"
-              ~doc:
-                "Export the fleet timeline as Chrome-trace JSON (one track \
-                 per replica plus the front end).")
-      $ json_arg
-      $ jobs_arg)
+      $ serving_term ~streams:6
+          ~queue_doc:"Per-replica request queue capacity."
+          ~cache_doc:"Per-replica L1 tile cache capacity (0 disables)."
+          ~trace_doc:
+            "Export the fleet timeline as Chrome-trace JSON (one track per \
+             replica plus the front end).")
 
 (* -- profile ----------------------------------------------------------- *)
 
@@ -611,15 +591,10 @@ let profile_cmd =
       Telemetry.Sink.with_sink (fun () ->
           Models.Experiment.run ~payload:false version mode)
     in
-    let corpus =
-      Array.init streams (fun i ->
-          Models.Workload.codestream ~seed:(2008 + i) mode)
-    in
     let service =
-      try Serve.Service.create ~config:Serve.Service.default_config corpus
-      with Invalid_argument msg ->
-        Printf.eprintf "osss_sim: %s\n" msg;
-        exit 2
+      or_exit2 (fun () ->
+          Serve.Service.create ~config:Serve.Service.default_config
+            (cli_corpus streams mode))
     in
     let serve_sink, report =
       Telemetry.Sink.with_sink (fun () ->

@@ -1,6 +1,7 @@
-(** The sharded decode fleet: replicated {!Serve.Service} machinery
-    behind a consistent-hash balancer, a shared L2 tile cache, and an
-    autoscaler — all on one virtual clock.
+(** The sharded decode fleet: runs the one engine
+    ({!Serve.Service.Engine}) with N replicas behind a consistent-hash
+    balancer, a shared L2 tile cache, and an autoscaler — all on one
+    virtual clock.
 
     A fleet serves the same seeded open-loop workloads as a single
     service, but across [replicas] independent decode replicas. The
@@ -33,11 +34,11 @@
     is therefore byte-identical across reruns and across any
     [--jobs]. *)
 
-module Ring = Ring
+module Ring = Serve.Ring
 (** The consistent-hash balancer ring (re-exported for tests and
-    tooling — [fleet] is a wrapped library). *)
+    tooling). *)
 
-module Tier = Tier
+module Tier = Serve.Tier
 (** The shared L2 tile cache (re-exported likewise). *)
 
 type config = {
@@ -104,7 +105,7 @@ type l2_stats = {
   l2_invalidations : int;
 }
 
-type replica_stat = {
+type replica_stat = Serve.Service.Engine.replica_stat = {
   rs_id : int;
   rs_served : int;
   rs_batches : int;
@@ -163,8 +164,9 @@ val run :
     closed-loop spec. When a {!Telemetry.Sink} is installed the run
     emits one track per replica ([fleet.r<i>]: queued/request/stage
     spans, queue-depth counters) plus a front-end track ([fleet.front]:
-    spill/degrade/reject/scale instants) and fleet.* counters on the
-    simulated timeline; telemetry never changes the report. *)
+    spill/degrade/reject/scale instants), and the same serve.* metrics
+    and [t1.class.*] attribution as a single service; telemetry never
+    changes the report. *)
 
 val report_to_json : report -> Telemetry.Json.t
 val pp_report : Format.formatter -> report -> unit

@@ -11,6 +11,13 @@
     contract), so a report, including every latency percentile, is
     byte-identical across repeated runs and across any [--jobs].
 
+    A service is the one-replica case of the serving {!Engine} that
+    [Fleet] runs with N replicas: one loop admits, batches and prices
+    for both. Admission happens at each request's arrival instant, so
+    the [degrade], [drop-oldest] and [reject] instants and the
+    admission queue-depth sample carry the arrival time, even when a
+    batch is still running on the virtual clock.
+
     A dispatch takes the [max_batch] earliest-deadline requests from
     the queue, expands them to (stream, tile, resolution) cache keys,
     and coalesces the entropy-decode jobs of every missing tile into
@@ -148,21 +155,33 @@ val run :
     tests use it to compare against the reference decoder. [on_flush]
     observes every deadline flush instead, with the contiguous byte
     prefix the best-effort frame was decoded from. When a
-    {!Telemetry.Sink} is installed, the run emits queue/exec/ingest
-    spans, queue-depth counter samples, and serve.* metrics on the
-    simulated timeline; telemetry never changes the report. *)
+    {!Telemetry.Sink} is installed, the run emits spans on
+    [serve.queue] (queued, queue-depth samples), [serve.exec]
+    (request, stages, deadline misses), [serve.sched] (batches,
+    admission and flush instants) and [serve.ingest], the serve.*
+    metrics, and the [t1.class.*] attribution of freshly staged
+    tiles; telemetry never changes the report. *)
 
 val report_to_json : report -> Telemetry.Json.t
 val pp_report : Format.formatter -> report -> unit
 
-(** {1 Fleet hooks}
+(** {1 The engine}
 
-    The building blocks an external balancer needs to run many replica
-    services against one corpus: per-stream accessors, request
-    expansion, the virtual-time cost constants, and the workload
-    generator. [Fleet] (in [lib/fleet]) composes these into a sharded
-    cluster; everything here is deterministic, so a fleet built on it
-    inherits the byte-identical-report property. *)
+    One event loop serves both a {!run} and a [Fleet.run]: a front end
+    admits each request at its arrival instant and routes it on a
+    consistent-hash {!Ring} to one of N replicas, each with its own
+    bounded queue, L1 tile cache and virtual-clock busy window; an
+    optional shared {!Tier} L2 sits between the L1s and a fresh
+    decode, and an optional autoscaler adds and drains replicas. A
+    replica's batch is the protocol described above (plan against the
+    L1, the batch's own staged tiles, then the L2; one pool map;
+    price back to back). Ingest readiness, deadline
+    flushes and closed-loop chaining run in the same loop. {!run} is
+    its one-replica case: no L2, no autoscaler, no jitter.
+
+    Everything the loop decides is a pure function of the spec, the
+    config and the topology, so a caller's report inherits the
+    byte-identical-across-reruns-and-[--jobs] property. *)
 
 type stream
 (** One registered codestream: bytes, digest, parsed header and tile
@@ -176,50 +195,103 @@ val stream_digest : stream -> int64
 
 val stream_header : stream -> Jpeg2000.Codestream.header
 val stream_tile : stream -> int -> Jpeg2000.Codestream.tile_segment
-val stream_tile_count : stream -> int
-
-val stream_reference : stream -> Jpeg2000.Image.t
-(** Clean full decode (forced on first use). *)
 
 val needed_keys : stream -> Request.target -> (int * Cache.key) list
 (** The (tile index, cache key) pairs a target expands to: all tiles
     at full resolution ([Full]), all tiles at the discard level
     ([Reduced]), or the intersecting tiles ([Region]). *)
 
-val output_dims : stream -> Request.target -> int * int
 val assemble : stream -> Request.target -> Jpeg2000.Tile.t list -> Jpeg2000.Image.t
-
-val max_discard : stream -> int
-(** Largest degrade level the stream's tile grid supports. *)
-
-val degrade_target : stream -> Request.target -> Request.target option
-(** The next lower resolution for an overloaded request, [None] when
-    already at {!max_discard}. *)
-
-val edf_request_order : Request.t -> Request.t -> int
-(** The batch scheduler's order: deadline, then priority, then id. *)
 
 val open_arrivals : t -> Request.spec -> Request.t array
 (** Pre-draws the complete arrival sequence of an {e open-loop} spec
-    with the same RNG discipline as {!run}'s generator, sorted by
+    with the same RNG discipline as every open-loop run, sorted by
     (arrival, id). Raises [Invalid_argument] on a closed-loop spec —
-    closed-loop arrivals depend on completions, which belong to the
-    service (or fleet) that serves them. *)
+    closed-loop arrivals depend on completions. *)
 
-val latency_of : int list -> latency
-(** Nearest-rank percentiles over latency samples in picoseconds. *)
+module Engine : sig
+  type topology = {
+    replicas : int;  (** active at t=0, ids [0 .. replicas-1] *)
+    min_replicas : int;
+    max_replicas : int;  (** [min = max] disables the autoscaler *)
+    vnodes : int;  (** ring points per replica *)
+    spill : bool;  (** a full owner spills to its ring successors *)
+    l2 : Tier.t option;  (** shared tile tier behind every L1 *)
+    up_frac : float;  (** mean queue-depth fraction that adds a replica *)
+    down_frac : float;  (** depth fraction at or below which one drains *)
+    slo_up : float;  (** windowed SLO-miss rate that adds a replica *)
+    interval_ps : int;  (** autoscaler evaluation period *)
+    warmup_ps : int;  (** boot time before a new replica joins *)
+    jitter_seed : int option;
+        (** [Some seed]: each batch's dispatch overhead gains a
+            sub-microsecond hash of (seed, replica, batch ordinal) *)
+  }
 
-(** {2 Virtual-time cost model}
+  type tracks = {
+    front : string;  (** admission, spill and autoscaler instants *)
+    queue : int -> string;  (** per replica: queued spans, depth samples *)
+    exec : int -> string;  (** request and stage spans, deadline misses *)
+    sched : int -> string;  (** batch spans, flush and lifecycle instants *)
+  }
 
-    The constants every service time derives from, in picoseconds;
-    see the calibration note in the implementation. *)
+  type replica_stat = {
+    rs_id : int;
+    rs_served : int;
+    rs_batches : int;
+    rs_busy_ms : float;  (** simulated time spent serving batches *)
+  }
 
-val ps_per_batch : int
-val ps_per_block : int
-val ps_per_coded_byte : int
-val ps_per_sample : int
-val ps_per_hit : int
-val ps_per_out_sample : int
+  type totals = {
+    total : int;
+    served : int;
+    rejected : int;
+    dropped : int;
+    degraded : int;
+    spilled : int;
+    batches : int;
+    coalesced : int;
+    concealed_blocks : int;
+    makespan_ms : float;
+    throughput_rps : float;
+    latency : latency;
+    slo_misses : int;  (** late, rejected and dropped *)
+    slo_miss_rate : float;
+    l1 : Lru.stats;  (** summed over every replica incarnation *)
+    peak_replicas : int;
+    final_replicas : int;
+    scale_ups : int;
+    scale_downs : int;
+    scale_events : (float * string) list;
+        (** (simulated ms, ["+r5"] / ["-r2"]) in decision order *)
+    per_replica : replica_stat list;  (** replicas that ever activated *)
+    ingest : ingest_stats option;
+  }
+
+  val run :
+    ?pool:Par.Pool.t ->
+    on_served:
+      (replica:int ->
+      completion_ps:int ->
+      flush:string option ->
+      Request.t ->
+      Jpeg2000.Image.t ->
+      unit) ->
+    topology ->
+    tracks ->
+    t ->
+    Request.spec ->
+    totals
+  (** Serves one workload to completion. [on_served] sees every served
+      image in dispatch order, with the contiguous prefix it was
+      decoded from when it was a deadline flush. Emits the serve.*
+      metrics and, on [tracks], the spans and instants documented at
+      the service's [run]. *)
+end
+
+val latency_json : latency -> Telemetry.Json.t
+val pp_latency : Format.formatter -> latency -> unit
+(** The report line [latency [ms]: mean … max …], with a break. *)
+
 val ps_of_ms : float -> int
 val ms_of_ps : int -> float
 

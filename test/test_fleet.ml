@@ -461,6 +461,160 @@ let test_fleet_rejects_bad_inputs () =
         (Fleet.run (Fleet.create streams)
            (spec_exn "closed:n=8,clients=2,think=1,seed=1")))
 
+(* -- goldens over the CLI corpus ------------------------------------- *)
+
+(* The corpus [osss_sim fleet] builds by default: six default-size
+   streams seeded 2008, 2009, ... *)
+let cli_corpus ?(mode = Jpeg2000.Codestream.Lossless) () =
+  Array.init 6 (fun i -> Models.Workload.codestream ~seed:(2008 + i) mode)
+
+let fleet_config s =
+  match Fleet.parse_config s with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "bad fleet spec %S: %s" s e
+
+let cli_service ?(queue = 32) ?(policy = Serve.Service.Reject) ?(cache = 128)
+    ?(batch = 8) () =
+  {
+    Serve.Service.queue_capacity = queue;
+    overload = policy;
+    cache_capacity = cache;
+    max_batch = batch;
+    ingest = None;
+  }
+
+let f2 =
+  ( "replicas=2,min=1,max=6,interval=2,warmup=3,l2=64",
+    cli_service ~cache:8 (),
+    Jpeg2000.Codestream.Lossless,
+    "open:n=300,rate=6000,seed=4,deadline=15" )
+
+let run_cli ?pool (fleet, service, mode, workload) =
+  Fleet.run ?pool
+    (Fleet.create ~config:(fleet_config fleet) ~service (cli_corpus ~mode ()))
+    (spec_exn workload)
+
+(* Recorded before the service and the fleet shared one engine: an
+   autoscaling run with 5 scale-ups, 2 scale-downs and 24 spills; spill
+   and the L2 off under drop-oldest; a degrading autoscaler with no L1
+   and dispatch jitter; and a single replica behind an L2. *)
+let cli_goldens =
+  [
+    ( f2,
+      {|{"fleet":"replicas=2,min=1,max=6,vnodes=16,l2=64,l2_us=20,spill=1,up=0.75,down=0.15,slo=0.5,interval=2,warmup=3,seed=0","workload":"open:n=300,rate=6000,seed=4,deadline=15,region=0.25,reduced=0.25","streams":6,"policy":"reject","queue_capacity":32,"l1_capacity":8,"max_batch":8,"replicas":{"initial":2,"min":1,"max":6,"peak":6,"final":5,"scale_ups":5,"scale_downs":2,"events":[{"t_ms":4,"event":"-r0"},{"t_ms":8,"event":"+r2"},{"t_ms":10,"event":"+r0"},{"t_ms":12,"event":"+r3"},{"t_ms":22,"event":"+r4"},{"t_ms":42,"event":"+r5"},{"t_ms":66,"event":"-r5"}]},"total":300,"served":288,"rejected":12,"dropped":0,"degraded":0,"spilled":24,"batches":53,"coalesced":996,"concealed_blocks":0,"makespan_ms":73.53925701,"throughput_rps":3916.27562896,"latency_ms":{"mean":14.1213654874,"p50":12.624503751,"p95":35.408007805,"p99":38.927838806,"max":42.050890238},"slo_misses":132,"slo_miss_rate":0.44,"l1":{"hits":265,"misses":3623,"insertions":2627,"evictions":2579,"hit_rate":0.068158436214},"l2":{"capacity":64,"hits":705,"misses":1922,"insertions":1922,"evictions":1858,"hit_rate":0.268366958508,"transfers":705,"transfer_ms":14.1,"invalidations":0},"per_replica":[{"id":0,"served":74,"batches":16,"busy_ms":62.603854788},{"id":1,"served":77,"batches":11,"busy_ms":67.210314672},{"id":2,"served":69,"batches":11,"busy_ms":50.391227516},{"id":3,"served":12,"batches":6,"busy_ms":12.600368583},{"id":4,"served":56,"batches":9,"busy_ms":47.733832686},{"id":5,"served":0,"batches":0,"busy_ms":0}],"pixels_digest":"f84c4bd97a72839a"}|}
+    );
+    ( ( "replicas=3,spill=0,l2=0",
+        cli_service ~policy:Serve.Service.Drop_oldest ~queue:4 ~cache:4 (),
+        Jpeg2000.Codestream.Lossless,
+        "open:n=120,rate=9000,seed=8" ),
+      {|{"fleet":"replicas=3,min=3,max=3,vnodes=16,l2=0,l2_us=20,spill=0,up=0.75,down=0.15,slo=0.5,interval=5,warmup=20,seed=0","workload":"open:n=120,rate=9000,seed=8,deadline=25,region=0.25,reduced=0.25","streams":6,"policy":"drop-oldest","queue_capacity":4,"l1_capacity":4,"max_batch":8,"replicas":{"initial":3,"min":3,"max":3,"peak":3,"final":3,"scale_ups":0,"scale_downs":0,"events":[]},"total":120,"served":50,"rejected":0,"dropped":70,"degraded":0,"spilled":0,"batches":15,"coalesced":158,"concealed_blocks":0,"makespan_ms":20.115978139,"throughput_rps":2485.58631624,"latency_ms":{"mean":4.1015641925,"p50":3.877299545,"p95":6.843784363,"p99":7.964727569,"max":7.964727569},"slo_misses":70,"slo_miss_rate":0.583333333333,"l1":{"hits":26,"misses":608,"insertions":450,"evictions":438,"hit_rate":0.0410094637224},"l2":null,"per_replica":[{"id":0,"served":17,"batches":5,"busy_ms":19.700480244},{"id":1,"served":17,"batches":5,"busy_ms":18.558802275},{"id":2,"served":16,"batches":5,"busy_ms":20.008905189}],"pixels_digest":"e25a42d6906a742e"}|}
+    );
+    ( ( "replicas=4,min=2,max=4,interval=1,l2=32,seed=7",
+        cli_service ~policy:Serve.Service.Degrade ~queue:6 ~cache:0 (),
+        Jpeg2000.Codestream.Lossless,
+        "open:n=200,rate=8000,seed=12,region=0.3,reduced=0.3" ),
+      {|{"fleet":"replicas=4,min=2,max=4,vnodes=16,l2=32,l2_us=20,spill=1,up=0.75,down=0.15,slo=0.5,interval=1,warmup=20,seed=7","workload":"open:n=200,rate=8000,seed=12,deadline=25,region=0.3,reduced=0.3","streams":6,"policy":"degrade","queue_capacity":6,"l1_capacity":0,"max_batch":8,"replicas":{"initial":4,"min":2,"max":4,"peak":4,"final":4,"scale_ups":1,"scale_downs":1,"events":[{"t_ms":1,"event":"-r3"},{"t_ms":5,"event":"+r3"}]},"total":200,"served":106,"rejected":94,"dropped":0,"degraded":140,"spilled":48,"batches":24,"coalesced":143,"concealed_blocks":0,"makespan_ms":37.108865529,"throughput_rps":2856.4602687,"latency_ms":{"mean":7.66271989017,"p50":7.602105699,"p95":13.370492711,"p99":14.005287328,"max":14.870354516},"slo_misses":94,"slo_miss_rate":0.47,"l1":{"hits":0,"misses":0,"insertions":0,"evictions":0,"hit_rate":0},"l2":{"capacity":32,"hits":272,"misses":1177,"insertions":1177,"evictions":1145,"hit_rate":0.187715665977,"transfers":272,"transfer_ms":5.44,"invalidations":0},"per_replica":[{"id":0,"served":29,"batches":6,"busy_ms":29.247558167},{"id":1,"served":40,"batches":9,"busy_ms":36.240970306},{"id":2,"served":31,"batches":6,"busy_ms":33.057707911},{"id":3,"served":6,"batches":3,"busy_ms":9.86984687}],"pixels_digest":"76e4b3fd54f5d571"}|}
+    );
+    ( ( "replicas=1,l2=16",
+        cli_service ~queue:5 ~batch:2 (),
+        Jpeg2000.Codestream.Lossy,
+        "open:n=60,rate=5000,seed=2" ),
+      {|{"fleet":"replicas=1,min=1,max=1,vnodes=16,l2=16,l2_us=20,spill=1,up=0.75,down=0.15,slo=0.5,interval=5,warmup=20,seed=0","workload":"open:n=60,rate=5000,seed=2,deadline=25,region=0.25,reduced=0.25","streams":6,"policy":"reject","queue_capacity":5,"l1_capacity":128,"max_batch":2,"replicas":{"initial":1,"min":1,"max":1,"peak":1,"final":1,"scale_ups":0,"scale_downs":0,"events":[]},"total":60,"served":20,"rejected":40,"dropped":0,"degraded":0,"spilled":0,"batches":11,"coalesced":0,"concealed_blocks":0,"makespan_ms":16.481088471,"throughput_rps":1213.51208297,"latency_ms":{"mean":4.577358855,"p50":4.044596031,"p95":7.361178365,"p99":7.600578423,"max":7.600578423},"slo_misses":40,"slo_miss_rate":0.666666666667,"l1":{"hits":55,"misses":197,"insertions":197,"evictions":69,"hit_rate":0.218253968254},"l2":{"capacity":16,"hits":0,"misses":197,"insertions":197,"evictions":181,"hit_rate":0,"transfers":0,"transfer_ms":0,"invalidations":0},"per_replica":[{"id":0,"served":20,"batches":11,"busy_ms":16.302187645}],"pixels_digest":"6cc7cbbe4e572f1f"}|}
+    );
+  ]
+
+let test_fleet_cli_golden_reports () =
+  List.iter
+    (fun (((fleet, _, _, workload) as cfg), golden) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s / %s byte-identical" fleet workload)
+        golden
+        (report_string (run_cli cfg)))
+    cli_goldens
+
+(* Recorded with the goldens above: the Chrome trace of the F2 run. *)
+let golden_f2_trace_digest = "b4be6fb9805def8de617fa90b0bcbb2d"
+
+let test_fleet_trace_digest () =
+  let sink, _ = Telemetry.Sink.with_sink (fun () -> run_cli f2) in
+  Alcotest.(check string) "F2 Chrome trace" golden_f2_trace_digest
+    (Digest.to_hex
+       (Digest.string (Telemetry.Chrome.to_string (Telemetry.Sink.events sink))))
+
+(* -- conservation over random configs --------------------------------- *)
+
+type fleet_draw = {
+  d_replicas : int;
+  d_min : int;
+  d_max : int;
+  d_spill : bool;
+  d_l2 : int;
+  d_policy : Serve.Service.overload;
+  d_queue : int;
+  d_cache : int;
+  d_workload : string;
+}
+
+let print_fleet_draw d =
+  Printf.sprintf
+    "replicas=%d min=%d max=%d spill=%b l2=%d policy=%s queue=%d cache=%d %s"
+    d.d_replicas d.d_min d.d_max d.d_spill d.d_l2
+    (Serve.Service.overload_to_string d.d_policy)
+    d.d_queue d.d_cache d.d_workload
+
+let fleet_draw =
+  let open QCheck.Gen in
+  let* d_replicas = int_range 1 4 in
+  let* d_min = int_range 1 d_replicas and* d_max = int_range d_replicas 4 in
+  let* d_spill = bool and* d_l2 = int_range 0 16 in
+  let* d_policy = oneofl Serve.Service.[ Reject; Drop_oldest; Degrade ] in
+  let* d_queue = int_range 1 8 and* d_cache = int_range 0 16 in
+  let+ d_workload =
+    map3
+      (fun n rate seed ->
+        Printf.sprintf "open:n=%d,rate=%d,seed=%d,deadline=8" n rate seed)
+      (int_range 1 40) (int_range 500 12000) (int_range 0 9999)
+  in
+  { d_replicas; d_min; d_max; d_spill; d_l2; d_policy; d_queue; d_cache; d_workload }
+
+let test_fleet_conservation () =
+  let corpus = corpus () in
+  let sum f r = List.fold_left (fun acc s -> acc + f s) 0 r.Fleet.per_replica in
+  let prop pool1 pool2 d =
+    let config =
+      {
+        Fleet.default_config with
+        Fleet.replicas = d.d_replicas;
+        min_replicas = d.d_min;
+        max_replicas = d.d_max;
+        spill = d.d_spill;
+        l2_capacity = d.d_l2;
+        interval_ps = 1_000_000_000;
+        warmup_ps = 2_000_000_000;
+      }
+    in
+    let service =
+      cli_service ~queue:d.d_queue ~policy:d.d_policy ~cache:d.d_cache ()
+    in
+    let run pool =
+      Fleet.run ~pool
+        (Fleet.create ~config ~service corpus)
+        (spec_exn d.d_workload)
+    in
+    let r = run pool1 in
+    r.Fleet.total = r.Fleet.served + r.Fleet.rejected + r.Fleet.dropped
+    && sum (fun s -> s.Fleet.rs_served) r = r.Fleet.served
+    && sum (fun s -> s.Fleet.rs_batches) r = r.Fleet.batches
+    && r.Fleet.degraded <= r.Fleet.total
+    && String.equal (report_string r) (report_string (run pool2))
+  in
+  Par.Pool.with_jobs 1 (fun pool1 ->
+      Par.Pool.with_jobs 2 (fun pool2 ->
+          QCheck.Test.check_exn ~rand:(Random.State.make [| 15 |])
+            (QCheck.Test.make ~name:"fleet conserves requests" ~count:40
+               (QCheck.make ~print:print_fleet_draw fleet_draw)
+               (prop pool1 pool2))))
+
 let () =
   Alcotest.run "fleet"
     [
@@ -504,5 +658,10 @@ let () =
             test_fleet_config_roundtrip;
           Alcotest.test_case "rejects bad inputs" `Quick
             test_fleet_rejects_bad_inputs;
+          Alcotest.test_case "CLI golden reports" `Quick
+            test_fleet_cli_golden_reports;
+          Alcotest.test_case "trace digest" `Quick test_fleet_trace_digest;
+          Alcotest.test_case "conservation over random configs" `Quick
+            test_fleet_conservation;
         ] );
     ]

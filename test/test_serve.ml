@@ -917,6 +917,251 @@ let test_policy_names_roundtrip () =
   Alcotest.(check bool) "unknown name rejected" true
     (Result.is_error (Serve.Service.overload_of_string "lifo"))
 
+(* -- goldens over the CLI corpus ------------------------------------- *)
+
+(* The corpus [osss_sim serve] builds: default-size streams seeded
+   2008, 2009, ... *)
+let cli_corpus ?(mode = Jpeg2000.Codestream.Lossless) streams =
+  Array.init streams (fun i -> Models.Workload.codestream ~seed:(2008 + i) mode)
+
+let cli_config ?(queue = 32) ?(policy = Serve.Service.Reject) ?(cache = 128)
+    ?(batch = 8) ?ingest () =
+  {
+    Serve.Service.queue_capacity = queue;
+    overload = policy;
+    cache_capacity = cache;
+    max_batch = batch;
+    ingest =
+      Option.map
+        (fun s ->
+          match Faults.Ingest.parse_spec s with
+          | Ok spec -> spec
+          | Error e -> Alcotest.failf "bad ingest spec: %s" e)
+        ingest;
+  }
+
+let s1_config = cli_config ~policy:Serve.Service.Degrade ~queue:8 ()
+let s1_workload = "open:n=48,rate=2000,seed=11"
+
+let s2_config =
+  cli_config ~policy:Serve.Service.Drop_oldest ~queue:4 ~cache:8 ()
+
+let s2_workload = "open:n=80,rate=4000,seed=17"
+let s3_config = cli_config ~queue:4 ~cache:0 ~batch:1 ()
+let s3_workload = s2_workload
+let s4_config = cli_config ~policy:Serve.Service.Degrade ~queue:3 ()
+let s4_workload = "closed:n=60,clients=4,think=1,seed=5,region=0.3,reduced=0.3"
+
+let s5_config =
+  cli_config
+    ~ingest:"chunk=256,loss=0.05,dup=0.05,reorder=0.1,stall=0.2,stall_us=2000"
+    ()
+
+let s5_workload = "closed:n=40,clients=3,think=2,seed=9,deadline=6"
+
+(* Recorded before the service and the fleet shared one engine: an
+   evicting drop-oldest run, a cacheless reject run with batches of
+   one, a degrading closed loop over mixed targets, and a faulted
+   ingest closed loop with flushes and one flush failure. *)
+let cli_goldens =
+  [
+    ( "S2 drop-oldest",
+      s2_config,
+      s2_workload,
+      {|{"workload":"open:n=80,rate=4000,seed=17,deadline=25,region=0.25,reduced=0.25","streams":3,"policy":"drop-oldest","queue_capacity":4,"cache_capacity":8,"max_batch":8,"total":80,"served":25,"rejected":0,"dropped":55,"degraded":0,"batches":7,"coalesced":39,"concealed_blocks":0,"makespan_ms":32.334010438,"throughput_rps":773.179684838,"latency_ms":{"mean":4.58750332904,"p50":4.66699387,"p95":8.292726261,"p99":9.190387058,"max":9.190387058},"slo_misses":55,"slo_miss_rate":0.6875,"cache":{"hits":36,"misses":290,"evictions":243,"hit_rate":0.110429447853},"ingest":null,"pixels_digest":"adac59249c1e2d4e"}|}
+    );
+    ( "S3 reject, no cache, batch 1",
+      s3_config,
+      s3_workload,
+      {|{"workload":"open:n=80,rate=4000,seed=17,deadline=25,region=0.25,reduced=0.25","streams":3,"policy":"reject","queue_capacity":4,"cache_capacity":0,"max_batch":1,"total":80,"served":21,"rejected":59,"dropped":0,"degraded":0,"batches":21,"coalesced":0,"concealed_blocks":0,"makespan_ms":30.178004438,"throughput_rps":695.871062089,"latency_ms":{"mean":5.89846810567,"p50":5.956159337,"p95":7.90395885,"p99":9.045534964,"max":9.045534964},"slo_misses":59,"slo_miss_rate":0.7375,"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"ingest":null,"pixels_digest":"03b44f8a652b7270"}|}
+    );
+    ( "S4 closed-loop degrade",
+      s4_config,
+      s4_workload,
+      {|{"workload":"closed:n=60,clients=4,think=1,seed=5,deadline=25,region=0.3,reduced=0.3","streams":3,"policy":"degrade","queue_capacity":3,"cache_capacity":128,"max_batch":8,"total":60,"served":60,"rejected":0,"dropped":0,"degraded":9,"batches":49,"coalesced":32,"concealed_blocks":0,"makespan_ms":29.508799158,"throughput_rps":2033.29182183,"latency_ms":{"mean":0.831277530017,"p50":0.11537362,"p95":2.792195546,"p99":4.163503601,"max":4.163503601},"slo_misses":0,"slo_miss_rate":0,"cache":{"hits":571,"misses":218,"evictions":58,"hit_rate":0.723700887199},"ingest":null,"pixels_digest":"8179ef5bbb1157f9"}|}
+    );
+    ( "S5 closed-loop faulted ingest",
+      s5_config,
+      s5_workload,
+      {|{"workload":"closed:n=40,clients=3,think=2,seed=9,deadline=6,region=0.25,reduced=0.25","streams":3,"policy":"reject","queue_capacity":32,"cache_capacity":128,"max_batch":8,"total":40,"served":39,"rejected":0,"dropped":1,"degraded":0,"batches":40,"coalesced":0,"concealed_blocks":0,"makespan_ms":121.848503892,"throughput_rps":320.069584396,"latency_ms":{"mean":7.26203877056,"p50":7.18088,"p95":8.011797672,"p99":8.159274018,"max":8.159274018},"slo_misses":40,"slo_miss_rate":1,"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"ingest":{"spec":"chunk=256,gap_us=100,loss=0.05,dup=0.05,reorder=0.1,window=4,stall=0.2,stall_us=2000","chunks_sent":7460,"chunks_lost":368,"chunks_duped":376,"chunks_reordered":719,"stall_ms":1444.55944995,"bytes_received":1811958,"flushed":39,"flush_failed":1,"flush_concealed_blocks":0,"flush_concealed_tiles":599,"flush_psnr_db":12.3978038681},"pixels_digest":"b6fc633f9af564a0"}|}
+    );
+  ]
+
+let test_cli_golden_reports () =
+  List.iter
+    (fun (label, config, workload, golden) ->
+      let service = Serve.Service.create ~config (cli_corpus 3) in
+      Alcotest.(check string)
+        (label ^ " byte-identical")
+        golden
+        (report_string (Serve.Service.run service (spec_exn workload))))
+    cli_goldens
+
+let traced config workload =
+  let service = Serve.Service.create ~config (cli_corpus 3) in
+  fst
+    (Telemetry.Sink.with_sink (fun () ->
+         Serve.Service.run service (spec_exn workload)))
+
+(* Every span of a run, one line each, sorted: the span set without
+   the order the run emitted it in. *)
+let sorted_spans sink =
+  List.filter_map
+    (fun (ev : Telemetry.Event.t) ->
+      match ev.Telemetry.Event.phase with
+      | Telemetry.Event.Complete dur ->
+        Some
+          (Printf.sprintf "%s %s %s %d %d %s" ev.Telemetry.Event.track
+             ev.Telemetry.Event.cat ev.Telemetry.Event.name
+             ev.Telemetry.Event.ts_ps dur
+             (Telemetry.Json.to_string
+                (Telemetry.Json.Obj
+                   (List.map
+                      (fun (k, a) -> (k, Telemetry.Event.arg_to_json a))
+                      ev.Telemetry.Event.args))))
+      | Telemetry.Event.Instant | Telemetry.Event.Counter _ -> None)
+    (Telemetry.Sink.events sink)
+  |> List.sort String.compare
+
+(* Recorded with the goldens above: the spans of the S2 and S4 runs
+   and the cost tree of a traced S1 run. *)
+let golden_spans_digest = "72e80edf27184feeba338057b9115a02"
+let golden_profile_digest = "ba60777851474855ac47f458548f9c13"
+
+let test_trace_and_profile_digests () =
+  let spans =
+    sorted_spans (traced s2_config s2_workload)
+    @ sorted_spans (traced s4_config s4_workload)
+  in
+  Alcotest.(check string) "S2+S4 spans" golden_spans_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" spans)));
+  let collapsed =
+    Telemetry.Profile.collapsed
+      (Telemetry.Profile.of_events
+         (Telemetry.Sink.events (traced s1_config s1_workload)))
+  in
+  Alcotest.(check string) "S1 collapsed profile" golden_profile_digest
+    (Digest.to_hex (Digest.string collapsed))
+
+(* -- admission instants ---------------------------------------------- *)
+
+(* A degrade or reject instant is about the arriving request and is
+   stamped at its arrival, however long the running batch still takes. *)
+let test_admission_stamped_at_arrival () =
+  let check config workload =
+    let service = Serve.Service.create ~config (cli_corpus 3) in
+    let spec = spec_exn workload in
+    let arrival = Hashtbl.create 64 in
+    Array.iter
+      (fun (r : Serve.Request.t) ->
+        Hashtbl.replace arrival r.Serve.Request.id r.Serve.Request.arrival_ps)
+      (Serve.Service.open_arrivals service spec);
+    let sink, _ =
+      Telemetry.Sink.with_sink (fun () -> Serve.Service.run service spec)
+    in
+    let instants =
+      List.filter
+        (fun (ev : Telemetry.Event.t) ->
+          ev.Telemetry.Event.phase = Telemetry.Event.Instant
+          && List.mem ev.Telemetry.Event.name [ "degrade"; "reject" ])
+        (Telemetry.Sink.events sink)
+    in
+    Alcotest.(check bool) (workload ^ ": admission instants") true
+      (instants <> []);
+    List.iter
+      (fun (ev : Telemetry.Event.t) ->
+        let id =
+          match List.assoc "id" ev.Telemetry.Event.args with
+          | Telemetry.Event.Int id -> id
+          | _ -> Alcotest.fail "admission instant without an id"
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "%s of request %d at its arrival"
+             ev.Telemetry.Event.name id)
+          (Hashtbl.find arrival id) ev.Telemetry.Event.ts_ps)
+      instants
+  in
+  check s1_config s1_workload;
+  check s3_config s3_workload
+
+(* -- conservation over random configs --------------------------------- *)
+
+type service_draw = {
+  d_workload : string;
+  d_queue : int;
+  d_policy : Serve.Service.overload;
+  d_cache : int;
+  d_batch : int;
+  d_ingest : string option;
+}
+
+let print_service_draw d =
+  Printf.sprintf "%s queue=%d policy=%s cache=%d batch=%d ingest=%s"
+    d.d_workload d.d_queue
+    (Serve.Service.overload_to_string d.d_policy)
+    d.d_cache d.d_batch
+    (Option.value d.d_ingest ~default:"off")
+
+let service_draw =
+  let open QCheck.Gen in
+  let* n = int_range 1 40 and* seed = int_range 0 9999 in
+  let* deadline = int_range 2 30 and* region = int_range 0 4 in
+  let* reduced = int_range 0 4 in
+  let mix =
+    Printf.sprintf "n=%d,seed=%d,deadline=%d,region=0.%d,reduced=0.%d" n seed
+      deadline region reduced
+  in
+  let* d_workload =
+    oneof
+      [
+        map (fun rate -> Printf.sprintf "open:%s,rate=%d" mix rate)
+          (int_range 200 8000);
+        map2
+          (fun clients think ->
+            Printf.sprintf "closed:%s,clients=%d,think=%d" mix clients think)
+          (int_range 1 4) (int_range 0 3);
+      ]
+  in
+  let* d_queue = int_range 1 8 and* d_cache = int_range 0 16 in
+  let* d_batch = int_range 1 4 in
+  let* d_policy =
+    oneofl Serve.Service.[ Reject; Drop_oldest; Degrade ]
+  in
+  let+ d_ingest =
+    opt
+      (map3
+         (fun chunk loss stall ->
+           Printf.sprintf
+             "chunk=%d,loss=0.0%d,dup=0.05,reorder=0.1,stall=0.%d,stall_us=1500"
+             chunk loss stall)
+         (int_range 64 1024) (int_range 0 9) (int_range 0 3))
+  in
+  { d_workload; d_queue; d_policy; d_cache; d_batch; d_ingest }
+
+let test_service_conservation () =
+  let corpus = corpus () in
+  let prop pool1 pool2 d =
+    let config =
+      cli_config ~queue:d.d_queue ~policy:d.d_policy ~cache:d.d_cache
+        ~batch:d.d_batch ?ingest:d.d_ingest ()
+    in
+    let spec = spec_exn d.d_workload in
+    let run pool =
+      Serve.Service.run ~pool (Serve.Service.create ~config corpus) spec
+    in
+    let r = run pool1 in
+    r.Serve.Service.total
+    = r.Serve.Service.served + r.Serve.Service.rejected + r.Serve.Service.dropped
+    && r.Serve.Service.degraded <= r.Serve.Service.total
+    && String.equal (report_string r) (report_string (run pool2))
+  in
+  Par.Pool.with_jobs 1 (fun pool1 ->
+      Par.Pool.with_jobs 2 (fun pool2 ->
+          QCheck.Test.check_exn ~rand:(Random.State.make [| 15 |])
+            (QCheck.Test.make ~name:"service conserves requests" ~count:40
+               (QCheck.make ~print:print_service_draw service_draw)
+               (prop pool1 pool2))))
+
 let () =
   Alcotest.run "serve"
     [
@@ -947,6 +1192,13 @@ let () =
             test_service_matches_reference_decoder;
           Alcotest.test_case "counters balance" `Quick test_service_counters_balance;
           Alcotest.test_case "golden report" `Quick test_service_golden_report;
+          Alcotest.test_case "CLI golden reports" `Quick test_cli_golden_reports;
+          Alcotest.test_case "trace and profile digests" `Quick
+            test_trace_and_profile_digests;
+          Alcotest.test_case "admission stamped at arrival" `Quick
+            test_admission_stamped_at_arrival;
+          Alcotest.test_case "conservation over random configs" `Quick
+            test_service_conservation;
         ] );
       ( "overload policies",
         [
