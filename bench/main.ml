@@ -102,17 +102,10 @@ let mq_roundtrip () =
   let dec = Jpeg2000.Mq.decoder data in
   Array.iter (fun _ -> ignore (Jpeg2000.Mq.decode dec ctx')) mq_payload
 
-let dwt_plane =
-  let p = Jpeg2000.Image.create_plane ~width:128 ~height:128 in
-  Array.iteri
-    (fun i _ -> p.Jpeg2000.Image.data.(i) <- ((i * 37) mod 511) - 255)
-    p.Jpeg2000.Image.data;
-  p
+let dwt_coeffs = Array.init (128 * 128) (fun i -> ((i * 37) mod 511) - 255)
 
 let dwt53_roundtrip () =
-  let p =
-    { dwt_plane with Jpeg2000.Image.data = Array.copy dwt_plane.Jpeg2000.Image.data }
-  in
+  let p = Jpeg2000.Plane.of_array ~w:128 ~h:128 dwt_coeffs in
   Jpeg2000.Dwt53.forward_plane p ~levels:3;
   Jpeg2000.Dwt53.inverse_plane p ~levels:3
 

@@ -3,22 +3,44 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let data = really_input_string ic n in
-  close_in ic;
-  data
+(* An input error names the file or the flag value at fault and the
+   reason, then exits 2. *)
+let input_error what fmt =
+  Printf.ksprintf
+    (fun reason ->
+      Printf.eprintf "j2k_codec: %s: %s\n" what reason;
+      exit 2)
+    fmt
 
-(* A codestream input: a malformed file is an input error, reported
-   with the file name and the parser's message, exit 2. *)
+(* [Sys_error] messages already start with the file name. *)
+let read_file path =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | data -> data
+  | exception Sys_error msg ->
+    Printf.eprintf "j2k_codec: %s\n" msg;
+    exit 2
+
 let read_codestream path =
   let data = read_file path in
   match Jpeg2000.Codestream.parse_result data with
   | Ok stream -> (data, stream)
-  | Error e ->
-    Printf.eprintf "j2k_codec: %s: %s\n" path (Jpeg2000.Codestream.error_message e);
-    exit 2
+  | Error e -> input_error path "%s" (Jpeg2000.Codestream.error_message e)
+
+let read_pnm path =
+  match Jpeg2000.Image.of_pnm (read_file path) with
+  | image -> image
+  | exception Failure msg -> input_error path "%s" msg
+
+let positive flag v =
+  if v <= 0 then input_error (Printf.sprintf "%s %d" flag v) "must be positive"
+
+let non_negative flag v =
+  if v < 0 then input_error (Printf.sprintf "%s %d" flag v) "must be >= 0"
 
 let write_file path data =
   let oc = open_out_bin path in
@@ -63,7 +85,12 @@ let code_block_arg =
 
 let encode_cmd =
   let run input output mode tile levels step code_block =
-    let image = Jpeg2000.Image.of_pnm (read_file input) in
+    positive "--tile" tile;
+    non_negative "--levels" levels;
+    if not (step > 0.0) then
+      input_error (Printf.sprintf "--step %g" step) "must be positive";
+    positive "--code-block" code_block;
+    let image = read_pnm input in
     let config =
       {
         Jpeg2000.Encoder.tile_w = tile;
@@ -93,15 +120,36 @@ let encode_cmd =
 
 let decode_cmd =
   let run input output reduce passes =
-    let data, _ = read_codestream input in
+    let flag_reduce = Printf.sprintf "--reduce %d" reduce in
+    non_negative "--reduce" reduce;
+    Option.iter (non_negative "--passes") passes;
+    (match passes with
+    | Some k when reduce > 0 ->
+      input_error (Printf.sprintf "--passes %d" k) "cannot be combined with %s"
+        flag_reduce
+    | _ -> ());
+    let data, stream = read_codestream input in
+    let h = stream.Jpeg2000.Codestream.header in
+    if reduce > h.Jpeg2000.Codestream.levels then
+      input_error flag_reduce "%s has %d wavelet levels" input
+        h.Jpeg2000.Codestream.levels;
+    if
+      h.Jpeg2000.Codestream.tile_w mod (1 lsl reduce) <> 0
+      || h.Jpeg2000.Codestream.tile_h mod (1 lsl reduce) <> 0
+    then
+      input_error flag_reduce "%s has %dx%d tiles, not a multiple of %d" input
+        h.Jpeg2000.Codestream.tile_w h.Jpeg2000.Codestream.tile_h (1 lsl reduce);
+    if
+      h.Jpeg2000.Codestream.bit_depth <> 8
+      || not (List.mem h.Jpeg2000.Codestream.components [ 1; 3 ])
+    then
+      input_error input "%d-bit, %d-component images have no PGM/PPM form"
+        h.Jpeg2000.Codestream.bit_depth h.Jpeg2000.Codestream.components;
     let image =
-      match (reduce, passes) with
-      | 0, None -> Jpeg2000.Decoder.decode data
-      | 0, Some k -> Jpeg2000.Decoder.decode_progressive ~max_passes:k data
-      | d, None -> Jpeg2000.Decoder.decode_reduced ~discard_levels:d data
-      | _, Some _ ->
-        prerr_endline "decode: --reduce and --passes cannot be combined";
-        exit 1
+      match passes with
+      | Some k -> Jpeg2000.Decoder.decode_progressive ~max_passes:k data
+      | None when reduce = 0 -> Jpeg2000.Decoder.decode data
+      | None -> Jpeg2000.Decoder.decode_reduced ~discard_levels:reduce data
     in
     write_file output (Jpeg2000.Image.to_pnm image);
     Printf.printf "%s: %dx%dx%d decoded%s\n" output (Jpeg2000.Image.width image)
@@ -126,6 +174,7 @@ let decode_cmd =
 
 let shape_cmd =
   let run input output max_bytes =
+    positive "--bytes" max_bytes;
     let data, _ = read_codestream input in
     let shaped = Jpeg2000.Rate.shape ~max_bytes data in
     write_file output shaped;

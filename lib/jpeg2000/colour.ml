@@ -80,39 +80,86 @@ let ict_inverse y cb cr =
     cr.(i) <- blue
   done
 
-(* -- the lossy path's last stage in one pass -------------------------
+(* -- the decoder's last stage in one pass ------------------------------
 
-   [ict_inverse], rounding to nearest and [dc_shift_inverse] fused per
-   sample, into fresh int arrays: the same float expressions in the
-   same order, so the samples are bit-identical to the three-stage
-   chain, without its three float-plane copies and two extra passes. *)
+   Colour transform, rounding (lossy) and [dc_shift_inverse] fused per
+   sample and written straight into the tile's output planes: the same
+   arithmetic in the same order as the oracles above, so the samples
+   are bit-identical to the multi-stage chain, without its
+   intermediate planes and extra passes. *)
+
+(* The output planes' 16-bit store (see image.mli): one store per
+   sample, unchecked. Every loop below first checks that each plane
+   holds exactly [n] samples, and every value it stores is clamped to
+   [0, 2^bit_depth - 1] with [bit_depth <= 16]. *)
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+
+let shift_range name ~bit_depth =
+  if bit_depth < 1 || bit_depth > 16 then invalid_arg (name ^ ": bit_depth");
+  (1 lsl (bit_depth - 1), (1 lsl bit_depth) - 1)
+
+let output name n (p : Image.plane) =
+  if Bytes.length p.Image.data <> 2 * n then
+    invalid_arg (name ^ ": output plane size mismatch");
+  p.Image.data
+
+let coefficients name n (p : Plane.t) =
+  if Plane.width p * Plane.height p <> n then
+    invalid_arg (name ^ ": component length mismatch");
+  p.Plane.data
+
+let rct_inverse_shift ~bit_depth y cb cr ~r ~g ~b =
+  let name = "Colour.rct_inverse_shift" in
+  let offset, top = shift_range name ~bit_depth in
+  let n = Plane.width y * Plane.height y in
+  let y = coefficients name n y
+  and cb = coefficients name n cb
+  and cr = coefficients name n cr in
+  let r = output name n r and g = output name n g and b = output name n b in
+  for i = 0 to n - 1 do
+    let u = Bigarray.Array1.unsafe_get cb i
+    and v = Bigarray.Array1.unsafe_get cr i in
+    let green = Bigarray.Array1.unsafe_get y i - ((u + v) asr 2) in
+    set16 r (2 * i) (shift_clamp ~offset ~top (v + green));
+    set16 g (2 * i) (shift_clamp ~offset ~top green);
+    set16 b (2 * i) (shift_clamp ~offset ~top (u + green))
+  done
+
+let shift_inverse ~bit_depth p ~into =
+  let name = "Colour.shift_inverse" in
+  let offset, top = shift_range name ~bit_depth in
+  let n = Plane.width p * Plane.height p in
+  let src = coefficients name n p and dst = output name n into in
+  for i = 0 to n - 1 do
+    set16 dst (2 * i)
+      (shift_clamp ~offset ~top (Bigarray.Array1.unsafe_get src i))
+  done
 
 let[@inline] round_shift ~offset ~top v =
   shift_clamp ~offset ~top (int_of_float (Float.round v))
 
-let ict_inverse_shift ~bit_depth y cb cr =
+let ict_inverse_shift ~bit_depth y cb cr ~r ~g ~b =
+  let name = "Colour.ict_inverse_shift" in
   if Array.length y <> Array.length cb || Array.length cb <> Array.length cr
-  then invalid_arg "Colour.ict_inverse_shift: component length mismatch";
-  let offset = 1 lsl (bit_depth - 1) in
-  let top = (1 lsl bit_depth) - 1 in
+  then invalid_arg (name ^ ": component length mismatch");
+  let offset, top = shift_range name ~bit_depth in
   let n = Array.length y in
-  let r = Array.make n 0 and g = Array.make n 0 and b = Array.make n 0 in
+  let r = output name n r and g = output name n g and b = output name n b in
   for i = 0 to n - 1 do
     let lum = y.(i) and u = cb.(i) and v = cr.(i) in
     let red = lum +. (k_cr *. v) in
     let blue = lum +. (k_cb *. u) in
     let green = (lum -. (w_r *. red) -. (w_b *. blue)) /. w_g in
-    r.(i) <- round_shift ~offset ~top red;
-    g.(i) <- round_shift ~offset ~top green;
-    b.(i) <- round_shift ~offset ~top blue
-  done;
-  (r, g, b)
+    set16 r (2 * i) (round_shift ~offset ~top red);
+    set16 g (2 * i) (round_shift ~offset ~top green);
+    set16 b (2 * i) (round_shift ~offset ~top blue)
+  done
 
-let round_shift_inverse ~bit_depth values =
-  let offset = 1 lsl (bit_depth - 1) in
-  let top = (1 lsl bit_depth) - 1 in
-  let out = Array.make (Array.length values) 0 in
-  for i = 0 to Array.length values - 1 do
-    out.(i) <- round_shift ~offset ~top values.(i)
-  done;
-  out
+let round_shift_inverse ~bit_depth values ~into =
+  let name = "Colour.round_shift_inverse" in
+  let offset, top = shift_range name ~bit_depth in
+  let n = Array.length values in
+  let dst = output name n into in
+  for i = 0 to n - 1 do
+    set16 dst (2 * i) (round_shift ~offset ~top values.(i))
+  done

@@ -10,7 +10,7 @@ type entropy_decoded = {
 }
 
 type wavelet_domain =
-  | Ints of Image.plane array
+  | Ints of Plane.t array
   | Floats of Dwt97.matrix array
 
 (* The whole-image entry points raise [Failure] on a malformed
@@ -164,13 +164,8 @@ let entropy_decode_tile ?max_passes ?(pool = Par.Pool.sequential) header tile =
   }
 
 let place_int_band plane bc =
-  let band = bc.bc_band in
-  Array.iteri
-    (fun i v ->
-      let x = band.Subband.x0 + (i mod band.Subband.w) in
-      let y = band.Subband.y0 + (i / band.Subband.w) in
-      Image.plane_set plane ~x ~y v)
-    bc.bc_coeffs
+  let { Subband.x0; y0; w; h; _ } = bc.bc_band in
+  Plane.blit_block plane ~x0 ~y0 ~w ~h bc.bc_coeffs
 
 let place_float_band m ~step bc =
   let band = bc.bc_band in
@@ -190,7 +185,7 @@ let dequantise header decoded =
     Ints
       (Array.map
          (fun bands ->
-           let plane = Image.create_plane ~width:w ~height:h in
+           let plane = Plane.create ~w ~h in
            List.iter
              (fun bc ->
                if bc.bc_band.Subband.w > 0 && bc.bc_band.Subband.h > 0 then
@@ -222,43 +217,47 @@ let inverse_wavelet ?(pool = Par.Pool.sequential) header domain =
   let levels = header.Codestream.levels in
   (match domain with
   | Ints planes ->
-    Par.Pool.iter pool planes (fun p -> Dwt53.inverse_plane p ~levels)
+    Par.Pool.iter pool planes (fun p -> Dwt53.inverse_flat p ~levels)
   | Floats ms -> Par.Pool.iter pool ms (fun m -> Dwt97.inverse m ~levels));
   domain
 
 let inverse_colour_and_shift header tile domain =
   let bit_depth = header.Codestream.bit_depth in
-  let int_planes =
-    match domain with
-    | Ints planes ->
-      let arrays = Array.map (fun p -> p.Image.data) planes in
-      if Array.length arrays = 3 then
-        Colour.rct_inverse arrays.(0) arrays.(1) arrays.(2);
-      Array.iter (Colour.dc_shift_inverse ~bit_depth) arrays;
-      arrays
-    | Floats [| y; cb; cr |] ->
-      let r, g, b =
-        Colour.ict_inverse_shift ~bit_depth y.Dwt97.values cb.Dwt97.values
-          cr.Dwt97.values
-      in
-      [| r; g; b |]
-    | Floats ms ->
-      Array.map (fun m -> Colour.round_shift_inverse ~bit_depth m.Dwt97.values) ms
-  in
   let w = tile.Codestream.tile_w and h = tile.Codestream.tile_h in
+  let ncomps =
+    match domain with Ints ps -> Array.length ps | Floats ms -> Array.length ms
+  in
+  let planes =
+    Array.init ncomps (fun _ -> Image.create_plane ~width:w ~height:h)
+  in
+  (match domain with
+  | Ints [| y; cb; cr |] ->
+    Colour.rct_inverse_shift ~bit_depth y cb cr ~r:planes.(0) ~g:planes.(1)
+      ~b:planes.(2)
+  | Ints ps ->
+    Array.iteri
+      (fun c p -> Colour.shift_inverse ~bit_depth p ~into:planes.(c))
+      ps
+  | Floats [| y; cb; cr |] ->
+    Colour.ict_inverse_shift ~bit_depth y.Dwt97.values cb.Dwt97.values
+      cr.Dwt97.values ~r:planes.(0) ~g:planes.(1) ~b:planes.(2)
+  | Floats ms ->
+    Array.iteri
+      (fun c m ->
+        Colour.round_shift_inverse ~bit_depth m.Dwt97.values ~into:planes.(c))
+      ms);
   {
     Tile.index = tile.Codestream.tile_index;
     x0 = tile.Codestream.tile_x0;
     y0 = tile.Codestream.tile_y0;
-    planes =
-      Array.map (fun data -> { Image.width = w; height = h; data }) int_planes;
+    planes;
   }
 
 (* -- reduced-resolution view ----------------------------------------
 
-   Keep only the bands with level > discard (they occupy the top-left
-   low-resolution corner of the Mallat layout), then invert the
-   remaining levels. *)
+   Keep the LL band and the bands with level > discard (they occupy
+   the top-left low-resolution corner of the Mallat layout), then
+   invert the remaining levels. *)
 let reduced_size n d =
   let rec shrink n k = if k = 0 then n else shrink (Subband.low_size n) (k - 1) in
   shrink n d
@@ -273,7 +272,11 @@ let reduced_view header ~discard tile =
       Subband.decompose ~width:tile.Codestream.tile_w
         ~height:tile.Codestream.tile_h ~levels:header.Codestream.levels
     in
-    let keep (band : Subband.band) = band.Subband.level > discard in
+    (* LL sits at level [levels], so a test on the level alone would
+       drop it at [discard = levels]. *)
+    let keep (band : Subband.band) =
+      band.Subband.orientation = Subband.LL || band.Subband.level > discard
+    in
     let reduced_header =
       {
         header with
@@ -310,8 +313,10 @@ let reduced_view header ~discard tile =
     (reduced_header, reduced_tile)
   end
 
-(* Each skipped inverse level would have multiplied the lows by K
-   (per dimension); compensate so brightness does not drift. *)
+(* Multiplies back the K of each skipped inverse level (per
+   dimension). This over-corrects — the 9/7 analysis low-pass has unit
+   DC gain — so lossy reduced decodes drift from mid-grey; see
+   [decode_reduced] in the interface. *)
 let compensate_k ~discard domain =
   match domain with
   | Ints _ -> () (* the 5/3 low-pass has unit DC gain *)
@@ -456,18 +461,14 @@ let flat_entropy ?max_passes ~pool header tile =
    IDWT, colour/DC-shift — step for step the boxed
    [dequantise] / [compensate_k] / [inverse_wavelet] /
    [inverse_colour_and_shift] chain, so the two paths agree bit for
-   bit. *)
+   bit. The lossless planes go to the colour stage as they are. *)
 let finish_flat ?(pool = Par.Pool.sequential) ~discard header tile ft =
   let w = tile.Codestream.tile_w and h = tile.Codestream.tile_h in
   let levels = header.Codestream.levels in
   match header.Codestream.mode with
   | Codestream.Lossless ->
     Par.Pool.iter pool ft.ft_planes (fun p -> Dwt53.inverse_flat p ~levels);
-    inverse_colour_and_shift header tile
-      (Ints
-         (Array.map
-            (fun p -> { Image.width = w; height = h; data = Plane.to_array p })
-            ft.ft_planes))
+    inverse_colour_and_shift header tile (Ints ft.ft_planes)
   | Codestream.Lossy ->
     let ms =
       Array.map
@@ -512,27 +513,12 @@ let decode_region ?(pool = Par.Pool.sequential) ~x ~y ~w ~h data =
     && tile.Codestream.tile_y0 + tile.Codestream.tile_h > y
   in
   let needed = Array.of_list (List.filter intersects stream.Codestream.tiles) in
-  let region = Image.create ~width:w ~height:h ~components:header.Codestream.components
-      ~bit_depth:header.Codestream.bit_depth () in
   let decoded =
     Par.Pool.map pool needed (fun seg -> decode_tile ~pool header seg)
   in
-  Array.iter
-    (fun tile ->
-      Array.iteri
-        (fun c sub ->
-          let plane = region.Image.planes.(c) in
-          for ty = 0 to sub.Image.height - 1 do
-            for tx = 0 to sub.Image.width - 1 do
-              let gx = tile.Tile.x0 + tx and gy = tile.Tile.y0 + ty in
-              if gx >= x && gx < x + w && gy >= y && gy < y + h then
-                Image.plane_set plane ~x:(gx - x) ~y:(gy - y)
-                  (Image.plane_get sub ~x:tx ~y:ty)
-            done
-          done)
-        tile.Tile.planes)
-    decoded;
-  region
+  Tile.assemble_region ~x ~y ~width:w ~height:h
+    ~components:header.Codestream.components
+    ~bit_depth:header.Codestream.bit_depth (Array.to_list decoded)
 
 let decode_tile_reduced ?(pool = Par.Pool.sequential) header ~discard tile =
   let reduced_header, reduced_tile = reduced_view header ~discard tile in
@@ -668,7 +654,10 @@ let concealed_tile header tile =
     y0 = tile.Codestream.tile_y0;
     planes =
       Array.map
-        (fun _ -> { Image.width = w; height = h; data = Array.make (w * h) mid })
+        (fun _ ->
+          let p = Image.create_plane ~width:w ~height:h in
+          Image.fill_plane p mid;
+          p)
         tile.Codestream.comps;
   }
 

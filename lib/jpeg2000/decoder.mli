@@ -47,7 +47,9 @@ type entropy_decoded = {
 }
 
 type wavelet_domain =
-  | Ints of Image.plane array  (** reversible path *)
+  | Ints of Plane.t array
+      (** reversible path: signed 5/3 coefficients in the codec's
+          coefficient type, never in an {!Image.plane} *)
   | Floats of Dwt97.matrix array  (** irreversible path *)
 
 val entropy_decode_tile :
@@ -63,17 +65,19 @@ val entropy_decode_tile :
 
 val dequantise : Codestream.header -> entropy_decoded -> wavelet_domain
 (** Stage 2 (IQ): rebuild the Mallat coefficient layout; inverse
-    quantisation on the lossy path, plain placement on the lossless
-    path. *)
+    quantisation on the lossy path, plain placement into {!Plane.t}s
+    on the lossless path. *)
 
 val inverse_wavelet :
   ?pool:Par.Pool.t -> Codestream.header -> wavelet_domain -> wavelet_domain
-(** Stage 3 (IDWT): 5/3 or 9/7 multi-level inverse transform, in
-    place; component planes transform in parallel on [pool]. *)
+(** Stage 3 (IDWT): 5/3 ({!Dwt53.inverse_flat}, the transform the
+    flat path runs) or 9/7 multi-level inverse transform, in place;
+    component planes transform in parallel on [pool]. *)
 
 val inverse_colour_and_shift :
   Codestream.header -> Codestream.tile_segment -> wavelet_domain -> Tile.t
-(** Stage 4 (ICT + DC shift): back to unsigned samples. *)
+(** Stage 4 (ICT + DC shift): back to unsigned samples, written by
+    the fused {!Colour} stages straight into the tile's planes. *)
 
 val decode_tile :
   ?max_passes:int ->
@@ -108,8 +112,9 @@ val decode_region :
   string ->
   Image.t
 (** Region-of-interest decode: entropy-decodes only the tiles that
-    intersect the requested window and crops the result to it — the
-    random-access capability tiling exists for. Raises
+    intersect the requested window and crops the result to it with
+    {!Tile.assemble_region} — the random-access capability tiling
+    exists for. Raises
     [Invalid_argument] if the window is empty or falls outside the
     image. *)
 
@@ -118,12 +123,19 @@ val decode_reduced :
 (** Resolution-scalable decode: reconstructs the image at
     [1/2^discard_levels] of its dimensions by entropy-decoding only
     the coarser subbands and running fewer inverse-wavelet levels —
-    the wavelet pyramid's signature capability. Requires
+    the wavelet pyramid's signature capability. Accepts
     [0 <= discard_levels <= levels] and a tile grid aligned to
     [2^discard_levels] (any power-of-two tile size qualifies);
-    raises [Invalid_argument] otherwise. On the lossy path the K
-    normalisation of skipped levels is preserved, so brightness does
-    not drift. *)
+    raises [Invalid_argument] otherwise. At [discard_levels = levels]
+    only the LL band is decoded and no inverse level runs.
+
+    On the lossy path the coefficients are multiplied by
+    [K^(2 * discard_levels)] for the skipped levels. The 9/7 analysis
+    low-pass already has unit DC gain, so this over-corrects: lossy
+    reduced images drift away from mid-grey with every discarded
+    level (a constant 200 decodes to 237 at [discard_levels = 1]).
+    The factor stays until a change that may move the recorded
+    lossy-reduced digests removes it. *)
 
 (** {1 Graceful degradation}
 

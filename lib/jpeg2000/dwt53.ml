@@ -42,18 +42,20 @@ let inverse_1d src =
     dst
   end
 
-(* Row/column access into the top-left [w]x[h] region of a plane. *)
-let get_row plane ~w y =
-  Array.init w (fun x -> Image.plane_get plane ~x ~y)
+(* Row/column access into the top-left [w]x[h] region of a plane,
+   through bounds-checked Bigarray accesses of a known kind (one load
+   or store each, no call). *)
+let get_row (p : Plane.t) ~w y =
+  Array.init w (fun x -> Bigarray.Array1.get p.data ((y * p.pw) + x))
 
-let set_row plane y row =
-  Array.iteri (fun x v -> Image.plane_set plane ~x ~y v) row
+let set_row (p : Plane.t) y row =
+  Array.iteri (fun x v -> Bigarray.Array1.set p.data ((y * p.pw) + x) v) row
 
-let get_col plane ~h x =
-  Array.init h (fun y -> Image.plane_get plane ~x ~y)
+let get_col (p : Plane.t) ~h x =
+  Array.init h (fun y -> Bigarray.Array1.get p.data ((y * p.pw) + x))
 
-let set_col plane x col =
-  Array.iteri (fun y v -> Image.plane_set plane ~x ~y v) col
+let set_col (p : Plane.t) x col =
+  Array.iteri (fun y v -> Bigarray.Array1.set p.data ((y * p.pw) + x) v) col
 
 let forward_level plane ~w ~h =
   for y = 0 to h - 1 do
@@ -82,7 +84,7 @@ let forward_plane plane ~levels =
       loop (level + 1) (Subband.low_size w) (Subband.low_size h)
     end
   in
-  loop 0 plane.Image.width plane.Image.height
+  loop 0 (Plane.width plane) (Plane.height plane)
 
 let inverse_plane plane ~levels =
   check_levels levels;
@@ -93,7 +95,7 @@ let inverse_plane plane ~levels =
   in
   List.iter
     (fun (w, h) -> inverse_level plane ~w ~h)
-    (sizes 0 plane.Image.width plane.Image.height [])
+    (sizes 0 (Plane.width plane) (Plane.height plane) [])
 
 (* -- in-place inverse over a flat plane ------------------------------
 

@@ -13,14 +13,18 @@ val forward_1d : int array -> int array
 val inverse_1d : int array -> int array
 (** Exact inverse of {!forward_1d}. *)
 
-val forward_plane : Image.plane -> levels:int -> unit
+val forward_plane : Plane.t -> levels:int -> unit
 (** In-place multi-level 2-D decomposition in Mallat layout (rows
-    then columns per level, recursing on the LL quadrant). *)
+    then columns per level, recursing on the LL quadrant) — the
+    encoder's transform. *)
 
-val inverse_plane : Image.plane -> levels:int -> unit
+val inverse_plane : Plane.t -> levels:int -> unit
+(** Test oracle for {!inverse_flat}: the inverse composed from
+    {!inverse_1d} one row and column at a time, allocating per line.
+    Nothing in the decoder calls it. *)
 
 val inverse_flat : Plane.t -> levels:int -> unit
-(** {!inverse_plane} over a flat {!Plane}, in place, using per-domain
-    scratch lines ({!Plane.Scratch}) instead of per-line allocation.
-    Integer lifting, so the coefficients are bit-identical to the
-    boxed path's. *)
+(** The decoder's inverse, in place, using per-domain scratch lines
+    ({!Plane.Scratch}) instead of per-line allocation. Integer
+    lifting, so the coefficients are bit-identical to
+    {!inverse_plane}'s. *)

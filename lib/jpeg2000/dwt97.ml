@@ -7,20 +7,6 @@ let matrix_create ~w ~h =
 let matrix_get m ~x ~y = m.values.((y * m.mw) + x)
 let matrix_set m ~x ~y v = m.values.((y * m.mw) + x) <- v
 
-let of_int_plane plane =
-  {
-    mw = plane.Image.width;
-    mh = plane.Image.height;
-    values = Array.map float_of_int plane.Image.data;
-  }
-
-let to_int_plane m =
-  {
-    Image.width = m.mw;
-    height = m.mh;
-    data = Array.map (fun v -> int_of_float (Float.round v)) m.values;
-  }
-
 (* Lifting constants of the Daubechies (9,7) filter bank
    (ISO/IEC 15444-1 Annex F). *)
 let alpha = -1.586134342059924

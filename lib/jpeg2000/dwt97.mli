@@ -13,10 +13,6 @@ val matrix_create : w:int -> h:int -> matrix
 val matrix_get : matrix -> x:int -> y:int -> float
 val matrix_set : matrix -> x:int -> y:int -> float -> unit
 
-val of_int_plane : Image.plane -> matrix
-val to_int_plane : matrix -> Image.plane
-(** Rounds to nearest integer. *)
-
 val forward_1d : float array -> float array
 (** One decomposition of a line: lows first, then highs. *)
 

@@ -42,7 +42,7 @@ let extract_band_int plane band =
   Array.init (band.Subband.w * band.Subband.h) (fun i ->
       let x = band.Subband.x0 + (i mod band.Subband.w) in
       let y = band.Subband.y0 + (i / band.Subband.w) in
-      Image.plane_get plane ~x ~y)
+      Plane.get plane ~x ~y)
 
 let extract_band_float m band =
   Array.init (band.Subband.w * band.Subband.h) (fun i ->
@@ -78,11 +78,12 @@ let band_segment header band coeffs =
     seg_blocks = blocks;
   }
 
-(* Lossless component path: integer plane -> 5/3 DWT -> T1 segments. *)
+(* Lossless component path: coefficient plane -> 5/3 DWT -> T1
+   segments. *)
 let encode_component_lossless header plane =
   Dwt53.forward_plane plane ~levels:header.Codestream.levels;
   let bands =
-    Subband.decompose ~width:plane.Image.width ~height:plane.Image.height
+    Subband.decompose ~width:(Plane.width plane) ~height:(Plane.height plane)
       ~levels:header.Codestream.levels
   in
   List.map
@@ -118,9 +119,9 @@ let encode_component_lossy header m =
 
 let encode_tile header tile =
   let bit_depth = header.Codestream.bit_depth in
-  let int_planes =
-    Array.map (fun p -> Array.copy p.Image.data) tile.Tile.planes
-  in
+  (* Signed from here on: the samples are copied out of the tile's
+     unsigned store before the DC shift. *)
+  let int_planes = Array.map Image.plane_to_array tile.Tile.planes in
   Array.iter (Colour.dc_shift_forward ~bit_depth) int_planes;
   let w = Tile.width tile and h = Tile.height tile in
   let comps =
@@ -130,7 +131,7 @@ let encode_tile header tile =
         Colour.rct_forward int_planes.(0) int_planes.(1) int_planes.(2);
       Array.map
         (fun data ->
-          encode_component_lossless header { Image.width = w; height = h; data })
+          encode_component_lossless header (Plane.of_array ~w ~h data))
         int_planes
     | Codestream.Lossy ->
       let float_planes =

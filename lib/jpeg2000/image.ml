@@ -1,13 +1,42 @@
-type plane = { width : int; height : int; data : int array }
+type plane = { width : int; height : int; data : Bytes.t }
 
 type t = { planes : plane array; bit_depth : int }
 
+(* Sample [i] is the native-endian 16-bit word at byte [2 * i]. These
+   primitives compile to one load or store without a bounds check;
+   every caller below has checked its whole range first. *)
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+
 let create_plane ~width ~height =
   if width <= 0 || height <= 0 then invalid_arg "Image.create_plane: size";
-  { width; height; data = Array.make (width * height) 0 }
+  { width; height; data = Bytes.make (2 * width * height) '\000' }
 
-let plane_get p ~x ~y = p.data.((y * p.width) + x)
-let plane_set p ~x ~y v = p.data.((y * p.width) + x) <- v
+let check_xy name p ~x ~y =
+  if x < 0 || x >= p.width || y < 0 || y >= p.height then
+    invalid_arg (name ^ ": out of bounds")
+
+(* A 16-bit store would keep only the low bits of anything wider. *)
+let check_sample name v =
+  if v < 0 || v > 0xFFFF then invalid_arg (name ^ ": sample out of range")
+
+let plane_get p ~x ~y =
+  check_xy "Image.plane_get" p ~x ~y;
+  get16 p.data (2 * ((y * p.width) + x))
+
+let plane_set p ~x ~y v =
+  check_xy "Image.plane_set" p ~x ~y;
+  check_sample "Image.plane_set" v;
+  set16 p.data (2 * ((y * p.width) + x)) v
+
+let fill_plane p v =
+  check_sample "Image.fill_plane" v;
+  for i = 0 to (p.width * p.height) - 1 do
+    set16 p.data (2 * i) v
+  done
+
+let plane_to_array p =
+  Array.init (p.width * p.height) (fun i -> get16 p.data (2 * i))
 
 let blit_row ~src ~src_x ~src_y ~dst ~dst_x ~dst_y ~len =
   if
@@ -16,14 +45,8 @@ let blit_row ~src ~src_x ~src_y ~dst ~dst_x ~dst_y ~len =
     || dst_x + len > dst.width
     || dst_y < 0 || dst_y >= dst.height
   then invalid_arg "Image.blit_row: row out of bounds";
-  (* Typed on [int array] and unchecked past the single check above:
-     plain stores, not the [caml_modify] a generic [Array.blit] pays
-     into a major-heap plane. *)
-  let s : int array = src.data and d : int array = dst.data in
   let so = (src_y * src.width) + src_x and dof = (dst_y * dst.width) + dst_x in
-  for i = 0 to len - 1 do
-    Array.unsafe_set d (dof + i) (Array.unsafe_get s (so + i))
-  done
+  Bytes.unsafe_blit src.data (2 * so) dst.data (2 * dof) (2 * len)
 
 let create ~width ~height ~components ?(bit_depth = 8) () =
   if components <= 0 then invalid_arg "Image.create: components";
@@ -43,21 +66,24 @@ let same_shape a b =
 
 let equal a b =
   same_shape a b && a.bit_depth = b.bit_depth
-  && Array.for_all2 (fun p q -> p.data = q.data) a.planes b.planes
+  && Array.for_all2
+       (fun p q ->
+         p.width = q.width && p.height = q.height && Bytes.equal p.data q.data)
+       a.planes b.planes
 
 let mse a b =
   if not (same_shape a b) then invalid_arg "Image.mse: shape mismatch";
   let total = ref 0.0 in
   let samples = width a * height a * components a in
-  Array.iteri
-    (fun c p ->
-      let q = b.planes.(c) in
-      Array.iteri
-        (fun i v ->
-          let d = float_of_int (v - q.data.(i)) in
-          total := !total +. (d *. d))
-        p.data)
-    a.planes;
+  for c = 0 to components a - 1 do
+    let p = a.planes.(c) and q = b.planes.(c) in
+    if p.width <> q.width || p.height <> q.height then
+      invalid_arg "Image.mse: shape mismatch";
+    for i = 0 to (p.width * p.height) - 1 do
+      let d = float_of_int (get16 p.data (2 * i) - get16 q.data (2 * i)) in
+      total := !total +. (d *. d)
+    done
+  done;
   !total /. float_of_int samples
 
 let psnr a b =
@@ -136,20 +162,23 @@ let smooth ~width ~height ~components ~seed =
 
 let to_pnm t =
   if t.bit_depth <> 8 then invalid_arg "Image.to_pnm: bit depth must be 8";
-  let w = width t and h = height t in
-  let buffer = Buffer.create ((w * h * components t) + 32) in
-  (match components t with
-  | 1 -> Buffer.add_string buffer (Printf.sprintf "P5\n%d %d\n255\n" w h)
-  | 3 -> Buffer.add_string buffer (Printf.sprintf "P6\n%d %d\n255\n" w h)
-  | n -> invalid_arg (Printf.sprintf "Image.to_pnm: %d components" n));
-  for y = 0 to h - 1 do
-    for x = 0 to w - 1 do
-      Array.iter
-        (fun p -> Buffer.add_char buffer (Char.chr (plane_get p ~x ~y land 0xFF)))
-        t.planes
-    done
-  done;
-  Buffer.contents buffer
+  let w = width t and h = height t and n = components t in
+  let magic =
+    match n with
+    | 1 -> "P5"
+    | 3 -> "P6"
+    | n -> invalid_arg (Printf.sprintf "Image.to_pnm: %d components" n)
+  in
+  (* Interleaved raster: sample [i] of component [c] at byte [i*n + c]. *)
+  let raster = Bytes.create (w * h * n) in
+  Array.iteri
+    (fun c p ->
+      for i = 0 to (w * h) - 1 do
+        Bytes.unsafe_set raster ((i * n) + c)
+          (Char.unsafe_chr (get16 p.data (2 * i) land 0xFF))
+      done)
+    t.planes;
+  Printf.sprintf "%s\n%d %d\n255\n" magic w h ^ Bytes.unsafe_to_string raster
 
 let of_pnm s =
   let pos = ref 0 in
@@ -198,17 +227,17 @@ let of_pnm s =
   (match peek () with
   | ' ' | '\t' | '\n' | '\r' -> incr pos
   | _ -> fail "missing raster separator");
-  if len - !pos < w * h * components then fail "truncated raster";
+  if w <= 0 || h <= 0 then fail "bad dimensions";
+  (* [w * h * components] could overflow; divide the remainder instead. *)
+  if (len - !pos) / components / w < h then fail "truncated raster";
   let t = create ~width:w ~height:h ~components () in
-  for y = 0 to h - 1 do
-    for x = 0 to w - 1 do
-      Array.iter
-        (fun p ->
-          plane_set p ~x ~y (Char.code s.[!pos]);
-          incr pos)
-        t.planes
-    done
-  done;
+  let base = !pos in
+  Array.iteri
+    (fun c p ->
+      for i = 0 to (w * h) - 1 do
+        set16 p.data (2 * i) (Char.code s.[base + (i * components) + c])
+      done)
+    t.planes;
   t
 
 let save_pnm t path =

@@ -53,13 +53,6 @@ let blit_block p ~x0 ~y0 ~w ~h block =
     done
   done
 
-let to_array p =
-  let a = Array.make (p.pw * p.ph) 0 in
-  for i = 0 to Array.length a - 1 do
-    Array.unsafe_set a i (Bigarray.Array1.unsafe_get p.data i)
-  done;
-  a
-
 let of_array ~w ~h data =
   if Array.length data <> w * h then invalid_arg "Plane.of_array: length";
   let p = create ~w ~h in

@@ -1,4 +1,7 @@
-(** Flat, off-heap coefficient planes for the parallel decode path.
+(** Flat, off-heap coefficient planes: the codec's type for signed
+    wavelet coefficients, on the decode path, in the boxed stage
+    chain ({!Decoder.wavelet_domain}) and under the encoder's 5/3
+    transform. Unsigned output samples live in {!Image.plane}.
 
     A plane is one native-int Bigarray per tile component, zero-filled
     on creation. Worker domains blit decoded code-blocks into disjoint
@@ -48,10 +51,6 @@ val blit_block : t -> x0:int -> y0:int -> w:int -> h:int -> int array -> unit
     rectangle at ([x0], [y0]). One bounds check per block; raises
     [Invalid_argument] if the rectangle leaves the plane or the array
     is too short. *)
-
-val to_array : t -> int array
-(** Row-major copy — the hand-off to the boxed colour/assemble
-    stages. *)
 
 val of_array : w:int -> h:int -> int array -> t
 (** Raises [Invalid_argument] unless the array has length [w * h]. *)

@@ -32,21 +32,27 @@ let height t = t.planes.(0).Image.height
 let components t = Array.length t.planes
 let samples t = width t * height t * components t
 
-let assemble ~width:image_w ~height:image_h ~components ?bit_depth tiles =
-  let image =
-    Image.create ~width:image_w ~height:image_h ~components ?bit_depth ()
-  in
+let assemble_region ~x ~y ~width ~height ~components ?bit_depth tiles =
+  let region = Image.create ~width ~height ~components ?bit_depth () in
+  (* Clip each tile plane to the window once, then copy whole rows. *)
   List.iter
     (fun tile ->
       if Array.length tile.planes <> components then
-        invalid_arg "Tile.assemble: component mismatch";
+        invalid_arg "Tile.assemble_region: component mismatch";
       Array.iteri
-        (fun c sub ->
-          let plane = image.Image.planes.(c) in
-          for y = 0 to sub.Image.height - 1 do
-            Image.blit_row ~src:sub ~src_x:0 ~src_y:y ~dst:plane
-              ~dst_x:tile.x0 ~dst_y:(tile.y0 + y) ~len:sub.Image.width
-          done)
+        (fun c (sub : Image.plane) ->
+          let cx0 = Stdlib.max x tile.x0
+          and cx1 = Stdlib.min (x + width) (tile.x0 + sub.Image.width) in
+          if cx0 < cx1 then
+            for gy = Stdlib.max y tile.y0
+                to Stdlib.min (y + height) (tile.y0 + sub.Image.height) - 1 do
+              Image.blit_row ~src:sub ~src_x:(cx0 - tile.x0)
+                ~src_y:(gy - tile.y0) ~dst:region.Image.planes.(c)
+                ~dst_x:(cx0 - x) ~dst_y:(gy - y) ~len:(cx1 - cx0)
+            done)
         tile.planes)
     tiles;
-  image
+  region
+
+let assemble ~width ~height ~components ?bit_depth tiles =
+  assemble_region ~x:0 ~y:0 ~width ~height ~components ?bit_depth tiles

@@ -20,7 +20,23 @@ val split : Image.t -> tile_w:int -> tile_h:int -> t list
 
 val assemble :
   width:int -> height:int -> components:int -> ?bit_depth:int -> t list -> Image.t
-(** Rebuilds an image from tiles produced by {!split} (any order). *)
+(** Rebuilds an image from tiles produced by {!split} (any order):
+    {!assemble_region} at the origin. *)
+
+val assemble_region :
+  x:int ->
+  y:int ->
+  width:int ->
+  height:int ->
+  components:int ->
+  ?bit_depth:int ->
+  t list ->
+  Image.t
+(** The [width]x[height] window at ([x], [y]) of the image the tiles
+    cover: each tile is clipped to the window once and copied a whole
+    row at a time; tiles outside the window contribute nothing, and
+    samples no tile covers stay zero. Raises [Invalid_argument] on a
+    component mismatch or a non-positive window size. *)
 
 val width : t -> int
 val height : t -> int

@@ -155,17 +155,26 @@ let fnv_int h v =
   let h = Int64.mul (Int64.logxor h (Int64.of_int v)) fnv_prime in
   h
 
+(* A plane's sample [i] is the native-endian 16-bit word at byte
+   [2 * i] of its store (image.mli); the primitive reads it with one
+   load, where a call to [Image.plane_get] per sample would not be
+   inlined across the module boundary. *)
+external sample16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+
 (* Nested loops over a local ref: the compiler keeps [h] unboxed, where
-   a ref captured by an iteration closure boxes an [Int64] per sample. *)
+   a ref captured by an iteration closure boxes an [Int64] per sample.
+   The samples are folded as values, in row-major order per plane. *)
 let fnv_image h (image : Jpeg2000.Image.t) =
   let h = ref h in
   let planes = image.Jpeg2000.Image.planes in
   for c = 0 to Array.length planes - 1 do
     let p = planes.(c) in
-    h := fnv_int (fnv_int !h p.Jpeg2000.Image.width) p.Jpeg2000.Image.height;
+    let n = p.Jpeg2000.Image.width * p.Jpeg2000.Image.height in
     let data = p.Jpeg2000.Image.data in
-    for i = 0 to Array.length data - 1 do
-      h := fnv_int !h data.(i)
+    if Bytes.length data < 2 * n then invalid_arg "Service.fnv_image: plane";
+    h := fnv_int (fnv_int !h p.Jpeg2000.Image.width) p.Jpeg2000.Image.height;
+    for i = 0 to n - 1 do
+      h := fnv_int !h (sample16 data (2 * i))
     done
   done;
   !h
@@ -261,46 +270,20 @@ let output_dims stream = function
 
 let assemble stream target tiles =
   let header = stream.s_header in
-  let components = header.Jpeg2000.Codestream.components in
-  let bit_depth = header.Jpeg2000.Codestream.bit_depth in
-  match target with
-  | Request.Full ->
-    Jpeg2000.Tile.assemble ~width:header.Jpeg2000.Codestream.width
-      ~height:header.Jpeg2000.Codestream.height ~components ~bit_depth tiles
-  | Request.Reduced { discard } ->
-    Jpeg2000.Tile.assemble
-      ~width:
-        (Jpeg2000.Decoder.reduced_size header.Jpeg2000.Codestream.width discard)
-      ~height:
-        (Jpeg2000.Decoder.reduced_size header.Jpeg2000.Codestream.height discard)
-      ~components ~bit_depth tiles
-  | Request.Region { rx; ry; rw; rh } ->
-    let region =
-      Jpeg2000.Image.create ~width:rw ~height:rh ~components ~bit_depth ()
-    in
-    (* Clip each tile plane to the window once, then copy whole rows. *)
-    List.iter
-      (fun (tile : Jpeg2000.Tile.t) ->
-        let x0 = tile.Jpeg2000.Tile.x0 and y0 = tile.Jpeg2000.Tile.y0 in
-        Array.iteri
-          (fun c (sub : Jpeg2000.Image.plane) ->
-            let plane = region.Jpeg2000.Image.planes.(c) in
-            let cx0 = Stdlib.max rx x0
-            and cx1 = Stdlib.min (rx + rw) (x0 + sub.Jpeg2000.Image.width) in
-            if cx0 < cx1 then
-              for gy = Stdlib.max ry y0
-                  to Stdlib.min (ry + rh) (y0 + sub.Jpeg2000.Image.height) - 1 do
-                Jpeg2000.Image.blit_row ~src:sub ~src_x:(cx0 - x0)
-                  ~src_y:(gy - y0) ~dst:plane ~dst_x:(cx0 - rx)
-                  ~dst_y:(gy - ry) ~len:(cx1 - cx0)
-              done)
-          tile.Jpeg2000.Tile.planes)
-      tiles;
-    region
+  let width, height = output_dims stream target in
+  let x, y =
+    match target with
+    | Request.Region { rx; ry; _ } -> (rx, ry)
+    | Request.Full | Request.Reduced _ -> (0, 0)
+  in
+  Jpeg2000.Tile.assemble_region ~x ~y ~width ~height
+    ~components:header.Jpeg2000.Codestream.components
+    ~bit_depth:header.Jpeg2000.Codestream.bit_depth tiles
 
 (* Largest degrade level the stream supports: the tile grid must stay
-   aligned, and a decode must keep at least one detail level
-   ([discard = levels] would leave no band the reduced view keeps). *)
+   aligned, and the search starts one level short of [levels]. A
+   decode at [discard = levels] works (it keeps only LL), but the
+   golden reports pin the degrade targets this bound picks. *)
 let max_discard stream =
   let header = stream.s_header in
   let aligned d =

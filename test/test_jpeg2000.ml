@@ -7,6 +7,12 @@ let parse_ok data =
   | Ok stream -> stream
   | Error e -> Alcotest.failf "parse: %s" (Jpeg2000.Codestream.error_message e)
 
+(* Row-major copy of a coefficient plane. *)
+let plane_ints (p : Jpeg2000.Plane.t) =
+  Array.init
+    (Jpeg2000.Plane.width p * Jpeg2000.Plane.height p)
+    (Bigarray.Array1.get p.Jpeg2000.Plane.data)
+
 (* -- Image --------------------------------------------------------- *)
 
 let test_image_basics () =
@@ -24,8 +30,10 @@ let test_image_metrics () =
   Alcotest.(check bool) "identical psnr infinite" true
     (Jpeg2000.Image.psnr a a = infinity);
   let b = Jpeg2000.Image.create ~width:16 ~height:16 ~components:1 () in
-  Array.blit a.Jpeg2000.Image.planes.(0).Jpeg2000.Image.data 0
-    b.Jpeg2000.Image.planes.(0).Jpeg2000.Image.data 0 256;
+  for y = 0 to 15 do
+    Jpeg2000.Image.blit_row ~src:a.Jpeg2000.Image.planes.(0) ~src_x:0 ~src_y:y
+      ~dst:b.Jpeg2000.Image.planes.(0) ~dst_x:0 ~dst_y:y ~len:16
+  done;
   Jpeg2000.Image.plane_set b.Jpeg2000.Image.planes.(0) ~x:0 ~y:0
     (Jpeg2000.Image.plane_get a.Jpeg2000.Image.planes.(0) ~x:0 ~y:0 + 16);
   Alcotest.(check (float 1e-9)) "mse of one error" (256.0 /. 256.0)
@@ -37,7 +45,7 @@ let test_generators_in_range () =
       (fun p ->
         Array.iter
           (fun v -> if v < 0 || v > 255 then Alcotest.fail "out of range")
-          p.Jpeg2000.Image.data)
+          (Jpeg2000.Image.plane_to_array p))
       img.Jpeg2000.Image.planes
   in
   check_img (Jpeg2000.Image.gradient ~width:33 ~height:17 ~components:3);
@@ -71,7 +79,11 @@ let test_blit_row_bounds () =
      samples and nothing beside them. *)
   let src = Jpeg2000.Image.create_plane ~width:6 ~height:3 in
   let dst = Jpeg2000.Image.create_plane ~width:5 ~height:4 in
-  Array.iteri (fun i _ -> src.Jpeg2000.Image.data.(i) <- i + 1) src.Jpeg2000.Image.data;
+  for y = 0 to 2 do
+    for x = 0 to 5 do
+      Jpeg2000.Image.plane_set src ~x ~y ((y * 6) + x + 1)
+    done
+  done;
   let blit ?(src_x = 0) ?(src_y = 0) ?(dst_x = 0) ?(dst_y = 0) len () =
     Jpeg2000.Image.blit_row ~src ~src_x ~src_y ~dst ~dst_x ~dst_y ~len
   in
@@ -89,15 +101,139 @@ let test_blit_row_bounds () =
   rejects "dst_y past dst height" (blit ~dst_y:4 1);
   rejects "negative len" (blit (-1));
   Alcotest.(check bool) "failed calls write nothing" true
-    (Array.for_all (( = ) 0) dst.Jpeg2000.Image.data);
+    (Array.for_all (( = ) 0) (Jpeg2000.Image.plane_to_array dst));
   blit ~src_x:2 ~src_y:1 ~dst_x:1 ~dst_y:2 3 ();
   let expected = Array.make (5 * 4) 0 in
-  Array.blit src.Jpeg2000.Image.data ((1 * 6) + 2) expected ((2 * 5) + 1) 3;
+  Array.blit
+    (Jpeg2000.Image.plane_to_array src)
+    ((1 * 6) + 2) expected ((2 * 5) + 1) 3;
   Alcotest.(check (array int)) "exactly len samples copied" expected
-    dst.Jpeg2000.Image.data;
+    (Jpeg2000.Image.plane_to_array dst);
   blit ~src_x:6 ~dst_x:5 ~src_y:2 ~dst_y:3 0 ();
   Alcotest.(check (array int)) "len 0 at the far edge is a no-op" expected
-    dst.Jpeg2000.Image.data
+    (Jpeg2000.Image.plane_to_array dst)
+
+(* The 16-bit store holds 0 .. 0xFFFF; anything else must be refused,
+   not wrapped to its low bits. *)
+let test_plane_set_range () =
+  let p = Jpeg2000.Image.create_plane ~width:3 ~height:2 in
+  let rejects name f =
+    Alcotest.(check bool) name true
+      (try f (); false with Invalid_argument _ -> true)
+  in
+  rejects "-1" (fun () -> Jpeg2000.Image.plane_set p ~x:1 ~y:1 (-1));
+  rejects "65536" (fun () -> Jpeg2000.Image.plane_set p ~x:1 ~y:1 65536);
+  rejects "fill 65536" (fun () -> Jpeg2000.Image.fill_plane p 65536);
+  rejects "x past the width" (fun () -> Jpeg2000.Image.plane_set p ~x:3 ~y:0 1);
+  rejects "get y past the height" (fun () ->
+      ignore (Jpeg2000.Image.plane_get p ~x:0 ~y:2));
+  Alcotest.(check (array int)) "rejected writes change nothing"
+    (Array.make 6 0) (Jpeg2000.Image.plane_to_array p);
+  Jpeg2000.Image.plane_set p ~x:2 ~y:1 0xFFFF;
+  Jpeg2000.Image.plane_set p ~x:0 ~y:0 0;
+  Alcotest.(check int) "0xFFFF round-trips" 0xFFFF
+    (Jpeg2000.Image.plane_get p ~x:2 ~y:1);
+  Jpeg2000.Image.fill_plane p 0x8001;
+  Alcotest.(check (array int)) "fill" (Array.make 6 0x8001)
+    (Jpeg2000.Image.plane_to_array p)
+
+(* Random images at every bit depth 1..16: values up to [max_sample]
+   survive [plane_set]/[plane_get], [blit_row], a split/assemble round
+   trip and [equal], and one changed sample breaks [equal]. *)
+let sample_store_qcheck =
+  QCheck.Test.make ~name:"16-bit sample store round-trips at every depth"
+    ~count:120
+    QCheck.(
+      quad (int_range 1 16)
+        (pair (int_range 1 40) (int_range 1 40))
+        (pair (int_range 1 3) (int_range 1 17))
+        small_nat)
+    (fun (bit_depth, (width, height), (components, tile), seed) ->
+      let img =
+        Jpeg2000.Image.create ~width ~height ~components ~bit_depth ()
+      in
+      let top = Jpeg2000.Image.max_sample img in
+      let state = ref (seed + 1) in
+      let next () =
+        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+        (* a third at [top], a third at 0, the rest anywhere *)
+        match !state mod 3 with 0 -> top | 1 -> 0 | _ -> !state mod (top + 1)
+      in
+      let values =
+        Array.init components (fun _ ->
+            Array.init (width * height) (fun _ -> next ()))
+      in
+      Array.iteri
+        (fun c p ->
+          Array.iteri
+            (fun i v ->
+              Jpeg2000.Image.plane_set p ~x:(i mod width) ~y:(i / width) v)
+            values.(c))
+        img.Jpeg2000.Image.planes;
+      let read p =
+        Array.init (width * height) (fun i ->
+            Jpeg2000.Image.plane_get p ~x:(i mod width) ~y:(i / width))
+      in
+      let copy =
+        Jpeg2000.Image.create ~width ~height ~components ~bit_depth ()
+      in
+      Array.iteri
+        (fun c src ->
+          for y = 0 to height - 1 do
+            Jpeg2000.Image.blit_row ~src ~src_x:0 ~src_y:y
+              ~dst:copy.Jpeg2000.Image.planes.(c) ~dst_x:0 ~dst_y:y ~len:width
+          done)
+        img.Jpeg2000.Image.planes;
+      let tiles = Jpeg2000.Tile.split img ~tile_w:tile ~tile_h:tile in
+      let back =
+        Jpeg2000.Tile.assemble ~width ~height ~components ~bit_depth tiles
+      in
+      let broken =
+        Jpeg2000.Tile.assemble ~width ~height ~components ~bit_depth tiles
+      in
+      let p0 = broken.Jpeg2000.Image.planes.(0) in
+      Jpeg2000.Image.plane_set p0 ~x:0 ~y:0
+        (if Jpeg2000.Image.plane_get p0 ~x:0 ~y:0 = 0 then 1 else 0);
+      Array.for_all2
+        (fun p v -> read p = v && Jpeg2000.Image.plane_to_array p = v)
+        img.Jpeg2000.Image.planes values
+      && Jpeg2000.Image.equal img copy
+      && Jpeg2000.Image.equal img back
+      && not (Jpeg2000.Image.equal img broken))
+
+(* 8-bit PGM/PPM of random content: image -> bytes -> image is the
+   identity, and so is bytes -> image -> bytes. *)
+let pnm_random_qcheck =
+  QCheck.Test.make ~name:"8-bit PNM round-trips a random image" ~count:60
+    QCheck.(
+      quad (int_range 1 40) (int_range 1 40) (oneofl [ 1; 3 ]) small_nat)
+    (fun (width, height, components, seed) ->
+      let img = Jpeg2000.Image.noise ~width ~height ~components ~seed in
+      let pnm = Jpeg2000.Image.to_pnm img in
+      let back = Jpeg2000.Image.of_pnm pnm in
+      Jpeg2000.Image.equal img back && Jpeg2000.Image.to_pnm back = pnm)
+
+(* The point of the 16-bit store: assembling served images allocates
+   their 2-byte samples and little else (an [int array] store costs 8
+   bytes a sample). Allocation is deterministic, so this pins the
+   mechanism without a timing threshold. *)
+let test_assemble_allocation () =
+  let side = 256 and components = 3 in
+  let img = Jpeg2000.Image.smooth ~width:side ~height:side ~components ~seed:4 in
+  let tiles = Jpeg2000.Tile.split img ~tile_w:32 ~tile_h:32 in
+  (* Start from an empty minor heap: words allocated before this point
+     but counted only when that heap is next emptied would otherwise
+     land in the measurement. *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let back = Jpeg2000.Tile.assemble ~width:side ~height:side ~components tiles in
+  let bytes = Gc.allocated_bytes () -. before in
+  let per_sample = bytes /. float_of_int (side * side * components) in
+  Alcotest.(check bool) "assembled image equals the source" true
+    (Jpeg2000.Image.equal img back);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f bytes allocated per sample (at most 3)" per_sample)
+    true (per_sample <= 3.0)
 
 (* -- Tile ---------------------------------------------------------- *)
 
@@ -207,9 +343,54 @@ let colour_fused_qcheck =
       in
       let y', cb', cr' = (Array.copy y, Array.copy cb, Array.copy cr) in
       Jpeg2000.Colour.ict_inverse y' cb' cr';
-      let r, g, b = Jpeg2000.Colour.ict_inverse_shift ~bit_depth y cb cr in
-      (r, g, b) = (chain y', chain cb', chain cr')
-      && Jpeg2000.Colour.round_shift_inverse ~bit_depth y = chain y)
+      let out () =
+        Jpeg2000.Image.create_plane ~width:(Array.length y) ~height:1
+      in
+      let r = out () and g = out () and b = out () and grey = out () in
+      Jpeg2000.Colour.ict_inverse_shift ~bit_depth y cb cr ~r ~g ~b;
+      Jpeg2000.Colour.round_shift_inverse ~bit_depth y ~into:grey;
+      let ints = Jpeg2000.Image.plane_to_array in
+      (ints r, ints g, ints b) = (chain y', chain cb', chain cr')
+      && ints grey = chain y)
+
+(* The fused lossless finish against its oracle chain: [rct_inverse],
+   then [dc_shift_inverse], on random coefficients wide enough to pass
+   both clamp ends. *)
+let colour_fused_lossless_qcheck =
+  QCheck.Test.make ~name:"fused RCT+shift equals the two-stage chain"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          oneofl [ 1; 8; 12; 16 ] >>= fun bit_depth ->
+          let range = 1 lsl (bit_depth + 1) in
+          map
+            (fun samples -> (bit_depth, samples))
+            (list_size (int_range 1 64)
+               (triple (int_range (-range) range) (int_range (-range) range)
+                  (int_range (-range) range)))))
+    (fun (bit_depth, samples) ->
+      let n = List.length samples in
+      let column f = Array.of_list (List.map f samples) in
+      let y = column (fun (v, _, _) -> v)
+      and cb = column (fun (_, v, _) -> v)
+      and cr = column (fun (_, _, v) -> v) in
+      let coeffs a = Jpeg2000.Plane.of_array ~w:n ~h:1 a in
+      let out () = Jpeg2000.Image.create_plane ~width:n ~height:1 in
+      let r = out () and g = out () and b = out () and grey = out () in
+      Jpeg2000.Colour.rct_inverse_shift ~bit_depth (coeffs y) (coeffs cb)
+        (coeffs cr) ~r ~g ~b;
+      Jpeg2000.Colour.shift_inverse ~bit_depth (coeffs y) ~into:grey;
+      let y', cb', cr' = (Array.copy y, Array.copy cb, Array.copy cr) in
+      Jpeg2000.Colour.rct_inverse y' cb' cr';
+      let shifted a =
+        let a = Array.copy a in
+        Jpeg2000.Colour.dc_shift_inverse ~bit_depth a;
+        a
+      in
+      let ints = Jpeg2000.Image.plane_to_array in
+      (ints r, ints g, ints b) = (shifted y', shifted cb', shifted cr')
+      && ints grey = shifted y)
 
 (* -- Subband geometry ---------------------------------------------- *)
 
@@ -272,14 +453,11 @@ let dwt53_2d_roundtrip_qcheck =
   QCheck.Test.make ~name:"5/3 2-D multi-level identity" ~count:60
     QCheck.(triple (int_range 1 33) (int_range 1 33) (int_range 0 4))
     (fun (w, h, levels) ->
-      let plane = Jpeg2000.Image.create_plane ~width:w ~height:h in
-      Array.iteri
-        (fun i _ -> plane.Jpeg2000.Image.data.(i) <- ((i * 97) mod 511) - 255)
-        plane.Jpeg2000.Image.data;
-      let orig = Array.copy plane.Jpeg2000.Image.data in
+      let orig = Array.init (w * h) (fun i -> ((i * 97) mod 511) - 255) in
+      let plane = Jpeg2000.Plane.of_array ~w ~h orig in
       Jpeg2000.Dwt53.forward_plane plane ~levels;
       Jpeg2000.Dwt53.inverse_plane plane ~levels;
-      plane.Jpeg2000.Image.data = orig)
+      plane_ints plane = orig)
 
 (* The in-place flat inverse against the boxed reference, on random
    coefficients at every size (odd, even, one-sample dimensions) and
@@ -294,13 +472,11 @@ let dwt53_flat_equals_boxed_qcheck =
         !state
       in
       let coeffs = Array.init (w * h) (fun _ -> (next () mod 2001) - 1000) in
-      let boxed =
-        { Jpeg2000.Image.width = w; height = h; data = Array.copy coeffs }
-      in
+      let boxed = Jpeg2000.Plane.of_array ~w ~h coeffs in
       Jpeg2000.Dwt53.inverse_plane boxed ~levels;
       let flat = Jpeg2000.Plane.of_array ~w ~h coeffs in
       Jpeg2000.Dwt53.inverse_flat flat ~levels;
-      Jpeg2000.Plane.to_array flat = boxed.Jpeg2000.Image.data)
+      plane_ints flat = plane_ints boxed)
 
 let test_dwt97_constant_line () =
   let out = Jpeg2000.Dwt97.forward_1d (Array.make 8 10.0) in
@@ -1126,9 +1302,8 @@ let test_reduced_resolution_lossy_brightness () =
       img
   in
   let mean image =
-    let p = image.Jpeg2000.Image.planes.(0) in
-    float_of_int (Array.fold_left ( + ) 0 p.Jpeg2000.Image.data)
-    /. float_of_int (Array.length p.Jpeg2000.Image.data)
+    let p = Jpeg2000.Image.plane_to_array image.Jpeg2000.Image.planes.(0) in
+    float_of_int (Array.fold_left ( + ) 0 p) /. float_of_int (Array.length p)
   in
   let full = Jpeg2000.Decoder.decode data in
   let half = Jpeg2000.Decoder.decode_reduced ~discard_levels:1 data in
@@ -1136,7 +1311,19 @@ let test_reduced_resolution_lossy_brightness () =
   Alcotest.(check bool)
     (Printf.sprintf "brightness preserved (%.1f vs %.1f)" (mean half) (mean full))
     true
-    (Float.abs (mean half -. mean full) < 4.0)
+    (Float.abs (mean half -. mean full) < 4.0);
+  (* Every level discarded: only the LL band is left, and it decodes.
+     Its brightness is not asserted: [compensate_k] multiplies by
+     K^(2 discard) although the 9/7 analysis low-pass already has unit
+     DC gain, so lossy reduced decodes drift away from mid-grey with
+     every discarded level (a constant 200 decodes to 237 at discard
+     1). Here the LL-only mean is 138.8 against 133.5; without the
+     factor it is 136.3. *)
+  let levels = Jpeg2000.Encoder.default_lossy.Jpeg2000.Encoder.levels in
+  let ll = Jpeg2000.Decoder.decode_reduced ~discard_levels:levels data in
+  Alcotest.(check int) "LL-only width" (64 lsr levels) (Jpeg2000.Image.width ll);
+  Alcotest.(check int) "LL-only height" (64 lsr levels)
+    (Jpeg2000.Image.height ll)
 
 let test_reduced_resolution_rejects_bad_args () =
   let img = Jpeg2000.Image.smooth ~width:32 ~height:32 ~components:1 ~seed:1 in
@@ -1462,9 +1649,8 @@ let test_plane_basics () =
   Jpeg2000.Plane.blit_block p ~x0:1 ~y0:1 ~w:2 ~h:2 [| 1; 2; 3; 4 |];
   Alcotest.(check int) "blit top-left" 1 (Jpeg2000.Plane.get p ~x:1 ~y:1);
   Alcotest.(check int) "blit bottom-right" 4 (Jpeg2000.Plane.get p ~x:2 ~y:2);
-  Alcotest.(check (array int)) "to_array round-trips"
-    (Jpeg2000.Plane.to_array p)
-    Jpeg2000.Plane.(to_array (of_array ~w:5 ~h:3 (to_array p)));
+  Alcotest.(check (array int)) "of_array round-trips" (plane_ints p)
+    (plane_ints (Jpeg2000.Plane.of_array ~w:5 ~h:3 (plane_ints p)));
   let raises f = try f (); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "get out of bounds" true
     (raises (fun () -> ignore (Jpeg2000.Plane.get p ~x:5 ~y:0)));
@@ -1491,7 +1677,7 @@ let image_digest h (img : Jpeg2000.Image.t) =
   h := fnv_int !h (Array.length img.Jpeg2000.Image.planes);
   Array.iter
     (fun (p : Jpeg2000.Image.plane) ->
-      Array.iter (fun v -> h := fnv_int !h v) p.Jpeg2000.Image.data)
+      Array.iter (fun v -> h := fnv_int !h v) (Jpeg2000.Image.plane_to_array p))
     img.Jpeg2000.Image.planes;
   !h
 
@@ -1628,6 +1814,11 @@ let () =
           Alcotest.test_case "pnm roundtrip" `Quick test_pnm_roundtrip;
           Alcotest.test_case "pnm rejects garbage" `Quick test_pnm_rejects_garbage;
           Alcotest.test_case "blit_row bounds" `Quick test_blit_row_bounds;
+          Alcotest.test_case "plane_set range" `Quick test_plane_set_range;
+          qc sample_store_qcheck;
+          qc pnm_random_qcheck;
+          Alcotest.test_case "assemble allocation" `Quick
+            test_assemble_allocation;
         ] );
       ( "tile",
         [
@@ -1642,6 +1833,7 @@ let () =
           qc rct_roundtrip_qcheck;
           qc ict_roundtrip_qcheck;
           qc colour_fused_qcheck;
+          qc colour_fused_lossless_qcheck;
         ] );
       ( "subband",
         [

@@ -295,10 +295,10 @@ let prop_region_equals_crop =
 let prop_staged_matches_reduced =
   (* The staged pipeline (the serving layer's unit of work) must be
      bit-identical to [decode_reduced] at every resolution level the
-     degrade path can pick — this is what makes cache keys
-     (digest, tile, discard) sound. *)
+     decoder accepts, [discard = levels] (LL only) included — this is
+     what makes cache keys (digest, tile, discard) sound. *)
   QCheck.Test.make ~name:"staged decode equals decode_reduced" ~count:15
-    QCheck.(pair (int_range 0 2) small_int)
+    QCheck.(pair (int_range 0 3) small_int)
     (fun (discard, img_seed) ->
       let data, _ = encode_smooth ~width:96 ~height:64 ~seed:img_seed in
       let stream = Result.get_ok (Jpeg2000.Codestream.parse_result data) in
