@@ -101,6 +101,20 @@ let encode_cmd =
         code_block;
       }
     in
+    (* A field the codestream cannot carry names the flag that set it,
+       or the input for a property of the image. *)
+    (match Jpeg2000.Encoder.header_of_config config image with
+    | Ok _ -> ()
+    | Error (field, reason) ->
+      let what =
+        match field with
+        | "tile width" | "tile height" -> Printf.sprintf "--tile %d" tile
+        | "levels" -> Printf.sprintf "--levels %d" levels
+        | "code-block size" -> Printf.sprintf "--code-block %d" code_block
+        | "base step" -> Printf.sprintf "--step %g" step
+        | _ -> input
+      in
+      input_error what "%s" reason);
     let data = Jpeg2000.Encoder.encode config image in
     write_file output data;
     Printf.printf "%s: %dx%dx%d -> %d bytes (%.2f bits/sample, %s)\n" output

@@ -186,6 +186,37 @@ let check_range what v lo hi =
   if v < lo || v > hi then
     fail (Printf.sprintf "%s %d out of range [%d, %d]" what v lo hi)
 
+(* The bounds of every header field, in the parser's words. One source
+   of truth for the parser, which refuses such a preamble, and the
+   encoder, which refuses to build such a header. *)
+let check_header h =
+  let range field v lo hi =
+    if v < lo || v > hi then
+      Some (field, Printf.sprintf "%s %d out of range [%d, %d]" field v lo hi)
+    else None
+  in
+  let failures =
+    [
+      range "width" h.width 1 max_dim;
+      range "height" h.height 1 max_dim;
+      range "components" h.components 1 max_components;
+      range "tile width" h.tile_w 1 max_dim;
+      range "tile height" h.tile_h 1 max_dim;
+      range "levels" h.levels 0 max_levels;
+      range "bit depth" h.bit_depth 1 16;
+      range "code-block size" h.code_block 1 max_code_block;
+      (if h.width * h.height * h.components > max_pixels then
+         Some ("pixels", "image too large")
+       else None);
+      (if not (Float.is_finite h.base_step) || h.base_step < 0.0 then
+         Some ("base step", "bad base step")
+       else None);
+    ]
+  in
+  match List.find_map Fun.id failures with
+  | None -> Ok ()
+  | Some failure -> Error failure
+
 let parse_band r ~tile_w ~tile_h =
   let seg_level = r8 r in
   let seg_orientation =
@@ -250,23 +281,15 @@ let parse_preamble r =
   let bit_depth = r8 r in
   let base_step = rf64 r in
   let code_block = r16 r in
-  check_range "width" width 1 max_dim;
-  check_range "height" height 1 max_dim;
-  check_range "components" components 1 max_components;
-  check_range "tile width" tile_w 1 max_dim;
-  check_range "tile height" tile_h 1 max_dim;
-  check_range "levels" levels 0 max_levels;
-  check_range "bit depth" bit_depth 1 16;
-  check_range "code-block size" code_block 1 max_code_block;
-  if width * height * components > max_pixels then fail "image too large";
-  if not (Float.is_finite base_step) || base_step < 0.0 then
-    fail "bad base step";
   let header =
     {
       width; height; components; tile_w; tile_h; levels; mode; bit_depth;
       base_step; code_block;
     }
   in
+  (match check_header header with
+  | Ok () -> ()
+  | Error (_, reason) -> fail reason);
   let ntiles = r16 r in
   let grid_tiles =
     ((width + tile_w - 1) / tile_w) * ((height + tile_h - 1) / tile_h)

@@ -73,6 +73,15 @@ val pp_error : Format.formatter -> error -> unit
 val parse_result : string -> (t, error) result
 (** [parse_result (emit s) = Ok s]; total on arbitrary input. *)
 
+val check_header : header -> (unit, string * string) result
+(** The header bounds. [Error (field, reason)] names the first field
+    outside them (["tile width"], ["levels"], ["code-block size"],
+    ["pixels"] for the product of the sizes, ...) and the parser's
+    message, e.g. [("levels", "levels 13 out of range [0, 12]")].
+    {!parse_result} and {!Encoder.header_of_config} both refuse what
+    it refuses, so the encoder cannot emit a stream the parser
+    rejects. *)
+
 (** {1 Incremental framing units}
 
     The building blocks of the resumable {!Stream} parser. Each

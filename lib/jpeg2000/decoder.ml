@@ -1,14 +1,3 @@
-type band_coeffs = {
-  bc_band : Subband.band;
-  bc_planes : int;
-  bc_coeffs : int array;
-}
-
-type entropy_decoded = {
-  ed_tile : Codestream.tile_segment;
-  ed_comps : band_coeffs list array;
-}
-
 type wavelet_domain =
   | Ints of Plane.t array
   | Floats of Dwt97.matrix array
@@ -19,239 +8,6 @@ let parse_exn data =
   match Codestream.parse_result data with
   | Ok stream -> stream
   | Error e -> failwith ("Decoder: " ^ Codestream.error_message e)
-
-(* -- entropy decoding ------------------------------------------------
-
-   A tile is flattened up front into an array of independent per-code-
-   block jobs plus one coefficient slot per (component, band): every
-   job touches only its own rectangle of its own slot, so the jobs can
-   run on a [Par.Pool] in any schedule and the merged coefficients are
-   identical to the sequential decode. The flattening also de-lists
-   the hot path: segments, grids and blocks are walked as arrays, not
-   by [List.map2]/[List.length] per tile.
-
-   Two representations share that job structure. The {e boxed} form
-   decodes every block into a fresh [int array] and merges by index;
-   it survives only as the exported stage-by-stage API
-   ([entropy_decode_tile] → [dequantise] → [inverse_wavelet] →
-   [inverse_colour_and_shift]) that the OSSS system models refine over
-   Software Tasks and Shared Objects. Every whole-tile entry point
-   decodes through the {e flat} path: per-domain scratch state into
-   one off-heap {!Plane} per component — no per-block allocation, so
-   parallel decodes stop serialising on the minor collector. (The
-   boxed whole-tile pipeline behind the former [?flat:false] flag was
-   retired after one release as a cross-check; a golden-digest qcheck
-   regression pins the flat output in its place.) *)
-
-type block_job = {
-  bj_slot : int; (* (component, band) slot index *)
-  bj_x0 : int;
-  bj_y0 : int;
-  bj_w : int;
-  bj_h : int;
-  bj_planes : int;
-  bj_passes : string list;
-}
-
-type band_slot = {
-  sl_band : Subband.band;
-  sl_coeffs : int array;
-  mutable sl_planes : int;
-}
-
-(* Band geometry is recomputed from the tile dimensions so that a
-   corrupted stream cannot make us write outside a plane. [fail] is
-   called (and must raise) on any inconsistency between the segment
-   structure and that geometry. *)
-let tile_jobs ~fail ?max_passes header tile =
-  let bands =
-    Subband.decompose_array ~width:tile.Codestream.tile_w
-      ~height:tile.Codestream.tile_h ~levels:header.Codestream.levels
-  in
-  let nbands = Array.length bands in
-  let grids =
-    Array.map
-      (fun (band : Subband.band) ->
-        Array.of_list
-          (Codestream.block_grid ~code_block:header.Codestream.code_block
-             ~w:band.Subband.w ~h:band.Subband.h))
-      bands
-  in
-  let ncomps = Array.length tile.Codestream.comps in
-  let slots =
-    Array.init (ncomps * nbands) (fun si ->
-        let band = bands.(si mod nbands) in
-        {
-          sl_band = band;
-          sl_coeffs =
-            Array.make (Stdlib.max 1 (band.Subband.w * band.Subband.h)) 0;
-          sl_planes = 0;
-        })
-  in
-  let jobs = ref [] in
-  Array.iteri
-    (fun ci segments ->
-      let segs = Array.of_list segments in
-      if Array.length segs <> nbands then fail "band count mismatch";
-      Array.iteri
-        (fun bi (seg : Codestream.band_segment) ->
-          let band = bands.(bi) in
-          if
-            band.Subband.w <> seg.Codestream.seg_w
-            || band.Subband.h <> seg.Codestream.seg_h
-            || band.Subband.orientation <> seg.Codestream.seg_orientation
-          then fail "band geometry mismatch";
-          let grid = grids.(bi) in
-          let blocks = Array.of_list seg.Codestream.seg_blocks in
-          if Array.length grid <> Array.length blocks then
-            fail "code-block count mismatch";
-          let slot = (ci * nbands) + bi in
-          Array.iteri
-            (fun k (x0, y0, w, h) ->
-              let blk = blocks.(k) in
-              let passes =
-                match max_passes with
-                | None -> blk.Codestream.blk_passes
-                | Some n ->
-                  List.filteri (fun i _ -> i < n) blk.Codestream.blk_passes
-              in
-              jobs :=
-                {
-                  bj_slot = slot;
-                  bj_x0 = x0;
-                  bj_y0 = y0;
-                  bj_w = w;
-                  bj_h = h;
-                  bj_planes = blk.Codestream.blk_planes;
-                  bj_passes = passes;
-                }
-                :: !jobs)
-            grid)
-        segs)
-    tile.Codestream.comps;
-  (nbands, slots, Array.of_list (List.rev !jobs))
-
-let decode_job slots j =
-  T1.decode_block_scalable
-    ~orientation:slots.(j.bj_slot).sl_band.Subband.orientation ~w:j.bj_w
-    ~h:j.bj_h ~planes:j.bj_planes j.bj_passes
-
-let place_block slots j block =
-  let slot = slots.(j.bj_slot) in
-  let bw = slot.sl_band.Subband.w in
-  slot.sl_planes <- Stdlib.max slot.sl_planes j.bj_planes;
-  Array.iteri
-    (fun i v ->
-      let x = j.bj_x0 + (i mod j.bj_w) and y = j.bj_y0 + (i / j.bj_w) in
-      slot.sl_coeffs.((y * bw) + x) <- v)
-    block
-
-let comps_of_slots ~ncomps ~nbands slots =
-  Array.init ncomps (fun ci ->
-      List.init nbands (fun bi ->
-          let s = slots.((ci * nbands) + bi) in
-          { bc_band = s.sl_band; bc_planes = s.sl_planes; bc_coeffs = s.sl_coeffs }))
-
-let entropy_decode_tile ?max_passes ?(pool = Par.Pool.sequential) header tile =
-  let fail msg = failwith ("Decoder: " ^ msg) in
-  let nbands, slots, jobs = tile_jobs ~fail ?max_passes header tile in
-  let blocks = Par.Pool.map pool jobs (decode_job slots) in
-  Array.iteri (fun i j -> place_block slots j blocks.(i)) jobs;
-  {
-    ed_tile = tile;
-    ed_comps =
-      comps_of_slots ~ncomps:(Array.length tile.Codestream.comps) ~nbands slots;
-  }
-
-let place_int_band plane bc =
-  let { Subband.x0; y0; w; h; _ } = bc.bc_band in
-  Plane.blit_block plane ~x0 ~y0 ~w ~h bc.bc_coeffs
-
-let place_float_band m ~step bc =
-  let band = bc.bc_band in
-  let values = Quant.dequantise ~step bc.bc_coeffs in
-  Array.iteri
-    (fun i v ->
-      let x = band.Subband.x0 + (i mod band.Subband.w) in
-      let y = band.Subband.y0 + (i / band.Subband.w) in
-      Dwt97.matrix_set m ~x ~y v)
-    values
-
-let dequantise header decoded =
-  let w = decoded.ed_tile.Codestream.tile_w in
-  let h = decoded.ed_tile.Codestream.tile_h in
-  match header.Codestream.mode with
-  | Codestream.Lossless ->
-    Ints
-      (Array.map
-         (fun bands ->
-           let plane = Plane.create ~w ~h in
-           List.iter
-             (fun bc ->
-               if bc.bc_band.Subband.w > 0 && bc.bc_band.Subband.h > 0 then
-                 place_int_band plane bc)
-             bands;
-           plane)
-         decoded.ed_comps)
-  | Codestream.Lossy ->
-    Floats
-      (Array.map
-         (fun bands ->
-           let m = Dwt97.matrix_create ~w ~h in
-           List.iter
-             (fun bc ->
-               if bc.bc_band.Subband.w > 0 && bc.bc_band.Subband.h > 0 then begin
-                 let step =
-                   Quant.step_for ~base_step:header.Codestream.base_step
-                     ~levels:header.Codestream.levels
-                     ~level:bc.bc_band.Subband.level
-                     bc.bc_band.Subband.orientation
-                 in
-                 place_float_band m ~step bc
-               end)
-             bands;
-           m)
-         decoded.ed_comps)
-
-let inverse_wavelet ?(pool = Par.Pool.sequential) header domain =
-  let levels = header.Codestream.levels in
-  (match domain with
-  | Ints planes ->
-    Par.Pool.iter pool planes (fun p -> Dwt53.inverse_flat p ~levels)
-  | Floats ms -> Par.Pool.iter pool ms (fun m -> Dwt97.inverse m ~levels));
-  domain
-
-let inverse_colour_and_shift header tile domain =
-  let bit_depth = header.Codestream.bit_depth in
-  let w = tile.Codestream.tile_w and h = tile.Codestream.tile_h in
-  let ncomps =
-    match domain with Ints ps -> Array.length ps | Floats ms -> Array.length ms
-  in
-  let planes =
-    Array.init ncomps (fun _ -> Image.create_plane ~width:w ~height:h)
-  in
-  (match domain with
-  | Ints [| y; cb; cr |] ->
-    Colour.rct_inverse_shift ~bit_depth y cb cr ~r:planes.(0) ~g:planes.(1)
-      ~b:planes.(2)
-  | Ints ps ->
-    Array.iteri
-      (fun c p -> Colour.shift_inverse ~bit_depth p ~into:planes.(c))
-      ps
-  | Floats [| y; cb; cr |] ->
-    Colour.ict_inverse_shift ~bit_depth y.Dwt97.values cb.Dwt97.values
-      cr.Dwt97.values ~r:planes.(0) ~g:planes.(1) ~b:planes.(2)
-  | Floats ms ->
-    Array.iteri
-      (fun c m ->
-        Colour.round_shift_inverse ~bit_depth m.Dwt97.values ~into:planes.(c))
-      ms);
-  {
-    Tile.index = tile.Codestream.tile_index;
-    x0 = tile.Codestream.tile_x0;
-    y0 = tile.Codestream.tile_y0;
-    planes;
-  }
 
 (* -- reduced-resolution view ----------------------------------------
 
@@ -313,40 +69,24 @@ let reduced_view header ~discard tile =
     (reduced_header, reduced_tile)
   end
 
-(* Multiplies back the K of each skipped inverse level (per
-   dimension). This over-corrects — the 9/7 analysis low-pass has unit
-   DC gain — so lossy reduced decodes drift from mid-grey; see
-   [decode_reduced] in the interface. *)
-let compensate_k ~discard domain =
-  match domain with
-  | Ints _ -> () (* the 5/3 low-pass has unit DC gain *)
-  | Floats ms ->
-    if discard > 0 then begin
-      let k2d = Float.pow 1.230174104914001 (2.0 *. float_of_int discard) in
-      Array.iter
-        (fun m ->
-          let v = m.Dwt97.values in
-          for i = 0 to Array.length v - 1 do
-            v.(i) <- v.(i) *. k2d
-          done)
-        ms
-    end
-
 (* Blocks whose advertised plane count exceeds any plausible magnitude
    are refused up front on the robust paths (a corrupted count would
    otherwise cost 3 passes per bogus plane before failing). *)
 let max_robust_planes = 30
 
-(* -- flat decode path ------------------------------------------------
+(* -- the staged tile ------------------------------------------------
 
-   The same job structure as [tile_jobs], decoded into one off-heap
-   {!Plane} per component (Mallat layout, absolute band coordinates)
-   through T1's per-domain scratch state. Worker domains write
+   A tile is flattened up front into an array of independent per-code-
+   block jobs over one off-heap {!Plane} per component (Mallat layout,
+   absolute band coordinates). Every job decodes through T1's
+   per-domain scratch state and blits only its own rectangle, so the
+   jobs can run on a [Par.Pool] in any schedule: worker domains write
    disjoint rectangles of the shared planes — race-free, and
    deterministic because where a block lands depends only on the job,
    never on the schedule. A block decode that raises blits nothing,
    so its rectangle simply stays zero: exactly the concealment the
-   robust path wants. *)
+   robust path wants. Once its jobs have run, the same value is the
+   entropy-decoded tile the remaining Fig. 1 stages consume. *)
 
 type flat_job = {
   fj_comp : int;
@@ -359,17 +99,43 @@ type flat_job = {
   fj_passes : string list;
 }
 
-type flat_tile = {
-  ft_bands : Subband.band array;
-  ft_planes : Plane.t array; (* one per component, tile_w x tile_h *)
-  ft_jobs : flat_job array;
+type staged = {
+  st_header : Codestream.header;  (* effective (reduced) header *)
+  st_tile : Codestream.tile_segment;  (* effective (reduced) segment *)
+  st_discard : int;
+  st_bands : Subband.band array;
+  st_planes : Plane.t array;  (* one per component, tile_w x tile_h *)
+  st_jobs : flat_job array;
 }
 
-let flat_tile_jobs ~fail ?max_passes header tile =
-  let bands =
-    Subband.decompose_array ~width:tile.Codestream.tile_w
-      ~height:tile.Codestream.tile_h ~levels:header.Codestream.levels
-  in
+type entropy_decoded = staged
+
+(* A tile with zero coefficients and no jobs. *)
+let blank_tile ~discard header tile =
+  {
+    st_header = header;
+    st_tile = tile;
+    st_discard = discard;
+    st_bands =
+      Subband.decompose_array ~width:tile.Codestream.tile_w
+        ~height:tile.Codestream.tile_h ~levels:header.Codestream.levels;
+    st_planes =
+      Array.map
+        (fun _ ->
+          Plane.create ~w:tile.Codestream.tile_w ~h:tile.Codestream.tile_h)
+        tile.Codestream.comps;
+    st_jobs = [||];
+  }
+
+(* The jobs of the reduced view at [discard]. Band geometry is
+   recomputed from the tile dimensions so that a corrupted stream
+   cannot make us write outside a plane. [fail] is called (and must
+   raise) on any inconsistency between the segment structure and that
+   geometry. *)
+let flat_tile_jobs ~fail ?max_passes ~discard header tile =
+  let header, tile = reduced_view header ~discard tile in
+  let st = blank_tile ~discard header tile in
+  let bands = st.st_bands in
   let nbands = Array.length bands in
   let grids =
     Array.map
@@ -378,12 +144,6 @@ let flat_tile_jobs ~fail ?max_passes header tile =
           (Codestream.block_grid ~code_block:header.Codestream.code_block
              ~w:band.Subband.w ~h:band.Subband.h))
       bands
-  in
-  let planes =
-    Array.map
-      (fun _ ->
-        Plane.create ~w:tile.Codestream.tile_w ~h:tile.Codestream.tile_h)
-      tile.Codestream.comps
   in
   let jobs = ref [] in
   Array.iteri
@@ -426,54 +186,78 @@ let flat_tile_jobs ~fail ?max_passes header tile =
             grid)
         segs)
     tile.Codestream.comps;
-  {
-    ft_bands = bands;
-    ft_planes = planes;
-    ft_jobs = Array.of_list (List.rev !jobs);
-  }
+  { st with st_jobs = Array.of_list (List.rev !jobs) }
 
-(* One flat job: scratch-decode the block on this domain and blit it
-   into its component plane. *)
-let decode_flat_job ft j =
+(* One job: scratch-decode the block on this domain and blit it into
+   its component plane. *)
+let decode_flat_job st j =
   let block =
     T1.decode_block_scalable_scratch ~orientation:j.fj_orientation ~w:j.fj_w
       ~h:j.fj_h ~planes:j.fj_planes j.fj_passes
   in
-  Plane.blit_block ft.ft_planes.(j.fj_comp) ~x0:j.fj_x0 ~y0:j.fj_y0 ~w:j.fj_w
+  Plane.blit_block st.st_planes.(j.fj_comp) ~x0:j.fj_x0 ~y0:j.fj_y0 ~w:j.fj_w
     ~h:j.fj_h block
 
 (* Containment semantics of the robust path: [false] marks a block
    whose codeword no longer decodes; its rectangle stays zero. *)
-let decode_flat_job_robust ft j =
+let decode_flat_job_robust st j =
   if j.fj_planes > max_robust_planes then false
   else
-    match decode_flat_job ft j with
+    match decode_flat_job st j with
     | () -> true
     | exception (Failure _ | Invalid_argument _ | Exit | Not_found) -> false
 
-let flat_entropy ?max_passes ~pool header tile =
-  let fail msg = failwith ("Decoder: " ^ msg) in
-  let ft = flat_tile_jobs ~fail ?max_passes header tile in
-  Par.Pool.iter pool ft.ft_jobs (decode_flat_job ft);
-  ft
+let count_concealed ok =
+  Array.fold_left (fun acc o -> if o then acc else acc + 1) 0 ok
 
-(* The remaining stages over flat planes: IQ, K compensation, in-place
-   IDWT, colour/DC-shift — step for step the boxed
-   [dequantise] / [compensate_k] / [inverse_wavelet] /
-   [inverse_colour_and_shift] chain, so the two paths agree bit for
-   bit. The lossless planes go to the colour stage as they are. *)
-let finish_flat ?(pool = Par.Pool.sequential) ~discard header tile ft =
-  let w = tile.Codestream.tile_w and h = tile.Codestream.tile_h in
-  let levels = header.Codestream.levels in
+let stage_tile ?max_passes ?(discard = 0) header tile =
+  if discard < 0 || discard > header.Codestream.levels then
+    invalid_arg "Decoder.stage_tile: discard";
+  let fail msg = failwith ("Decoder: " ^ msg) in
+  flat_tile_jobs ~fail ?max_passes ~discard header tile
+
+let run_jobs ~pool st =
+  Par.Pool.iter pool st.st_jobs (decode_flat_job st);
+  st
+
+(* -- the four Fig. 1 stages -----------------------------------------
+
+   Each stage works in place on its input where it can: the lossless
+   planes go from the entropy stage through IQ to the IDWT as they
+   are, and both wavelets invert in place. *)
+
+let entropy_decode_tile ?max_passes ?(pool = Par.Pool.sequential) header tile =
+  run_jobs ~pool (stage_tile ?max_passes header tile)
+
+(* Multiplies back the K of each skipped inverse level (per
+   dimension). This over-corrects — the 9/7 analysis low-pass has unit
+   DC gain — so lossy reduced decodes drift from mid-grey; see
+   [decode_reduced] in the interface. (The 5/3 low-pass has unit DC
+   gain, so the lossless path needs nothing.) *)
+let compensate_k ~discard ms =
+  if discard > 0 then begin
+    let k2d = Float.pow 1.230174104914001 (2.0 *. float_of_int discard) in
+    Array.iter
+      (fun m ->
+        let v = m.Dwt97.values in
+        for i = 0 to Array.length v - 1 do
+          v.(i) <- v.(i) *. k2d
+        done)
+      ms
+  end
+
+let dequantise header ed =
   match header.Codestream.mode with
-  | Codestream.Lossless ->
-    Par.Pool.iter pool ft.ft_planes (fun p -> Dwt53.inverse_flat p ~levels);
-    inverse_colour_and_shift header tile (Ints ft.ft_planes)
+  | Codestream.Lossless -> Ints ed.st_planes
   | Codestream.Lossy ->
+    let levels = header.Codestream.levels in
     let ms =
       Array.map
         (fun plane ->
-          let m = Dwt97.matrix_create ~w ~h in
+          let m =
+            Dwt97.matrix_create ~w:ed.st_tile.Codestream.tile_w
+              ~h:ed.st_tile.Codestream.tile_h
+          in
           Array.iter
             (fun (band : Subband.band) ->
               if band.Subband.w > 0 && band.Subband.h > 0 then begin
@@ -483,19 +267,63 @@ let finish_flat ?(pool = Par.Pool.sequential) ~discard header tile ft =
                 in
                 Quant.dequantise_band ~step plane m band
               end)
-            ft.ft_bands;
+            ed.st_bands;
           m)
-        ft.ft_planes
+        ed.st_planes
     in
-    compensate_k ~discard (Floats ms);
-    Par.Pool.iter pool ms (fun m -> Dwt97.inverse_ip m ~levels);
-    inverse_colour_and_shift header tile (Floats ms)
+    compensate_k ~discard:ed.st_discard ms;
+    Floats ms
+
+let inverse_wavelet ?(pool = Par.Pool.sequential) header domain =
+  let levels = header.Codestream.levels in
+  (match domain with
+  | Ints planes ->
+    Par.Pool.iter pool planes (fun p -> Dwt53.inverse_flat p ~levels)
+  | Floats ms -> Par.Pool.iter pool ms (fun m -> Dwt97.inverse_ip m ~levels));
+  domain
+
+let inverse_colour_and_shift header tile domain =
+  let bit_depth = header.Codestream.bit_depth in
+  let w = tile.Codestream.tile_w and h = tile.Codestream.tile_h in
+  let ncomps =
+    match domain with Ints ps -> Array.length ps | Floats ms -> Array.length ms
+  in
+  let planes =
+    Array.init ncomps (fun _ -> Image.create_plane ~width:w ~height:h)
+  in
+  (match domain with
+  | Ints [| y; cb; cr |] ->
+    Colour.rct_inverse_shift ~bit_depth y cb cr ~r:planes.(0) ~g:planes.(1)
+      ~b:planes.(2)
+  | Ints ps ->
+    Array.iteri
+      (fun c p -> Colour.shift_inverse ~bit_depth p ~into:planes.(c))
+      ps
+  | Floats [| y; cb; cr |] ->
+    Colour.ict_inverse_shift ~bit_depth y.Dwt97.values cb.Dwt97.values
+      cr.Dwt97.values ~r:planes.(0) ~g:planes.(1) ~b:planes.(2)
+  | Floats ms ->
+    Array.iteri
+      (fun c m ->
+        Colour.round_shift_inverse ~bit_depth m.Dwt97.values ~into:planes.(c))
+      ms);
+  {
+    Tile.index = tile.Codestream.tile_index;
+    x0 = tile.Codestream.tile_x0;
+    y0 = tile.Codestream.tile_y0;
+    planes;
+  }
+
+(* The composition every decode finishes a tile through. *)
+let finish ?pool st =
+  dequantise st.st_header st
+  |> inverse_wavelet ?pool st.st_header
+  |> inverse_colour_and_shift st.st_header st.st_tile
 
 (* -- whole-tile / whole-image decode -------------------------------- *)
 
 let decode_tile ?max_passes ?(pool = Par.Pool.sequential) header tile =
-  finish_flat ~pool ~discard:0 header tile
-    (flat_entropy ?max_passes ~pool header tile)
+  finish ~pool (entropy_decode_tile ?max_passes ~pool header tile)
 
 let decode_region ?(pool = Par.Pool.sequential) ~x ~y ~w ~h data =
   let stream = parse_exn data in
@@ -521,9 +349,7 @@ let decode_region ?(pool = Par.Pool.sequential) ~x ~y ~w ~h data =
     ~bit_depth:header.Codestream.bit_depth (Array.to_list decoded)
 
 let decode_tile_reduced ?(pool = Par.Pool.sequential) header ~discard tile =
-  let reduced_header, reduced_tile = reduced_view header ~discard tile in
-  finish_flat ~pool ~discard reduced_header reduced_tile
-    (flat_entropy ~pool reduced_header reduced_tile)
+  finish ~pool (run_jobs ~pool (stage_tile ~discard header tile))
 
 let decode_reduced ?(pool = Par.Pool.sequential) ~discard_levels data =
   let stream = parse_exn data in
@@ -588,62 +414,20 @@ let pp_report ppf r =
    error-resilience strategy) instead of poisoning the tile. Returns
    [None] when the tile's structure itself is inconsistent with the
    header geometry and the whole tile must be concealed. *)
-
 let entropy_decode_tile_robust ?(pool = Par.Pool.sequential) header tile =
-  match tile_jobs ~fail:(fun _ -> raise Exit) header tile with
+  match flat_tile_jobs ~fail:(fun _ -> raise Exit) ~discard:0 header tile with
   | exception Exit -> None
-  | nbands, slots, jobs ->
-    let results =
-      Par.Pool.map pool jobs (fun j ->
-          if j.bj_planes > max_robust_planes then None
-          else
-            try Some (decode_job slots j)
-            with Failure _ | Invalid_argument _ | Exit | Not_found -> None)
-    in
-    let concealed = ref 0 in
-    Array.iteri
-      (fun i j ->
-        match results.(i) with
-        | Some block when Array.length block = j.bj_w * j.bj_h ->
-          place_block slots j block
-        | _ ->
-          (* concealed: the block's coefficients stay zero *)
-          incr concealed)
-      jobs;
-    Some
-      ( {
-          ed_tile = tile;
-          ed_comps =
-            comps_of_slots ~ncomps:(Array.length tile.Codestream.comps) ~nbands
-              slots;
-        },
-        !concealed )
+  | st ->
+    let ok = Par.Pool.map pool st.st_jobs (decode_flat_job_robust st) in
+    Some (st, count_concealed ok)
 
 (* A fully concealed tile's entropy stage: every coefficient zero. *)
-let concealed_entropy_decoded header tile =
-  let bands =
-    Subband.decompose ~width:tile.Codestream.tile_w
-      ~height:tile.Codestream.tile_h ~levels:header.Codestream.levels
-  in
-  let zero_comp () =
-    List.map
-      (fun (band : Subband.band) ->
-        {
-          bc_band = band;
-          bc_planes = 0;
-          bc_coeffs = Array.make (Stdlib.max 1 (band.Subband.w * band.Subband.h)) 0;
-        })
-      bands
-  in
-  {
-    ed_tile = tile;
-    ed_comps = Array.map (fun _ -> zero_comp ()) tile.Codestream.comps;
-  }
+let concealed_entropy_decoded header tile = blank_tile ~discard:0 header tile
 
 (* A fully concealed tile, rendered mid-grey at the right place and
    size. Zero coefficients dequantise to 0, invert to +-0 through
-   either wavelet and colour-transform to 0, so the boxed chain over
-   [concealed_entropy_decoded] leaves every sample at the DC level
+   either wavelet and colour-transform to 0, so the four stages over
+   [concealed_entropy_decoded] leave every sample at the DC level
    2^(bit_depth-1); the tile is built with that value directly. *)
 let concealed_tile header tile =
   let w = tile.Codestream.tile_w and h = tile.Codestream.tile_h in
@@ -718,14 +502,10 @@ let decode_robust_tiles ~pool header ~present ~missing =
        per-tile results stay pure so the fan-out over tiles cannot
        race on the report counters. *)
     let total = tile_block_count header tile in
-    match flat_tile_jobs ~fail:(fun _ -> raise Exit) header tile with
-    | exception Exit -> (concealed_tile header tile, 0, 1, total)
-    | ft -> (
-      let oks = Par.Pool.map pool ft.ft_jobs (decode_flat_job_robust ft) in
-      let concealed =
-        Array.fold_left (fun acc ok -> if ok then acc else acc + 1) 0 oks
-      in
-      match finish_flat ~discard:0 header tile ft with
+    match entropy_decode_tile_robust ~pool header tile with
+    | None -> (concealed_tile header tile, 0, 1, total)
+    | Some (ed, concealed) -> (
+      match finish ed with
       | t -> (t, concealed, 0, total)
       | exception (Failure _ | Invalid_argument _) ->
         (concealed_tile header tile, concealed, 1, total))
@@ -797,36 +577,16 @@ let psnr_impact ~reference (image, report) =
 
 (* -- staged tile decode (serving support) --------------------------- *)
 
-(* A tile split into its independent entropy-decode jobs but not yet
-   decoded: the serving layer's batch scheduler collects the jobs of
-   many tiles across many requests into one array and runs them on a
-   single [Par.Pool] batch, and finishes each tile from its slice of
-   the results. The staged pipeline performs exactly the steps of
-   [decode_tile] / [decode_tile_reduced], so a finished tile is
-   bit-identical to the monolithic per-tile decode.
+(* The serving layer's batch scheduler collects the jobs of many
+   tiles across many requests into one array, runs them on a single
+   [Par.Pool] batch through [staged_run] (in place, no allocation —
+   disjoint rectangles keep concurrent jobs of any staged tiles
+   race-free), and finishes each tile from its slice of the results
+   through the same four stages as [decode_tile] /
+   [decode_tile_reduced]; [finish_staged_ok] only counts the
+   concealments. *)
 
-   The coefficients live in the flat planes of [flat_tile]:
-   [staged_run] decodes job [i] directly into the staged tile's planes
-   (in place, no allocation — disjoint rectangles keep concurrent jobs
-   of any staged tiles race-free) and [finish_staged_ok] only counts
-   the concealments. *)
-
-type staged = {
-  st_header : Codestream.header;  (* effective (reduced) header *)
-  st_tile : Codestream.tile_segment;  (* effective (reduced) segment *)
-  st_discard : int;
-  st_flat : flat_tile;
-}
-
-let stage_tile ?max_passes ?(discard = 0) header tile =
-  if discard < 0 || discard > header.Codestream.levels then
-    invalid_arg "Decoder.stage_tile: discard";
-  let st_header, st_tile = reduced_view header ~discard tile in
-  let fail msg = failwith ("Decoder: " ^ msg) in
-  let st_flat = flat_tile_jobs ~fail ?max_passes st_header st_tile in
-  { st_header; st_tile; st_discard = discard; st_flat }
-
-let staged_jobs st = Array.length st.st_flat.ft_jobs
+let staged_jobs st = Array.length st.st_jobs
 
 let staged_coded_bytes st = Codestream.segment_bytes st.st_tile
 
@@ -846,7 +606,7 @@ let staged_block_classes st =
       bytes.(i) <-
         bytes.(i)
         + List.fold_left (fun acc p -> acc + String.length p) 0 j.fj_passes)
-    st.st_flat.ft_jobs;
+    st.st_jobs;
   List.filter_map
     (fun i ->
       if blocks.(i) = 0 then None
@@ -861,13 +621,9 @@ let staged_block_classes st =
         Some (name, blocks.(i), bytes.(i)))
     [ 0; 1; 2; 3 ]
 
-let staged_run st i = decode_flat_job_robust st.st_flat st.st_flat.ft_jobs.(i)
+let staged_run st i = decode_flat_job_robust st st.st_jobs.(i)
 
 let finish_staged_ok st ok =
-  if Array.length ok <> Array.length st.st_flat.ft_jobs then
+  if Array.length ok <> Array.length st.st_jobs then
     invalid_arg "Decoder.finish_staged_ok: result count mismatch";
-  let concealed =
-    Array.fold_left (fun acc o -> if o then acc else acc + 1) 0 ok
-  in
-  ( finish_flat ~discard:st.st_discard st.st_header st.st_tile st.st_flat,
-    concealed )
+  (finish st, count_concealed ok)

@@ -7,10 +7,11 @@
     v}
 
     — because the OSSS system models distribute exactly these stages
-    over Software Tasks and Shared Objects; each model invokes the
-    same functions the monolithic {!decode} uses, so the functional
-    behaviour of every hardware/software partitioning is identical by
-    construction.
+    over Software Tasks and Shared Objects. The four stage calls are
+    the production decoder: every entry point below finishes a tile
+    through {!dequantise} → {!inverse_wavelet} →
+    {!inverse_colour_and_shift}, so the models run the decoder that
+    ships. The stages work in place: each may consume its input.
 
     Every stage that fans out over independent work units — code
     blocks within a tile, planes in the IDWT, tiles in a full decode —
@@ -18,33 +19,22 @@
     {!Par.Pool.sequential}). Results are merged by index, so a decode
     on any pool is bit-identical to the sequential one.
 
-    {b Memory layout.} Every whole-image entry point decodes through
-    {e flat} coefficient planes: each component's coefficients live in
-    one off-heap {!Plane} (Mallat layout), code blocks decode through
+    {b Memory layout.} Each component's coefficients live in one
+    off-heap {!Plane} (Mallat layout). Code blocks decode through
     per-domain scratch state ({!T1.decode_block_scalable_scratch}) and
     blit their rectangle into the shared plane, and the inverse
     transforms run in place ({!Dwt53.inverse_flat},
     {!Dwt97.inverse_ip}). No per-block or per-line allocation survives
     into the steady state, so parallel decodes stop serialising on the
-    minor collector's stop-the-world synchronisation. (The boxed
-    whole-tile pipeline behind the former [?flat:false] flag served
-    one release as a bit-identity cross-check and is retired; a
-    golden-digest qcheck regression pins the flat output instead.)
-    The boxed {e stage-by-stage} functions below remain — they are
-    the refinement surface the OSSS system models distribute over
-    Software Tasks and Shared Objects, not a second whole-tile
-    pipeline. *)
+    minor collector's stop-the-world synchronisation. The tests check
+    the output against recorded golden digests and, on random
+    streams, against a reference chain built from the per-block and
+    per-line reference kernels. *)
 
-type band_coeffs = {
-  bc_band : Subband.band;
-  bc_planes : int;
-  bc_coeffs : int array;  (** quantiser indices (or raw 5/3 coefficients) *)
-}
-
-type entropy_decoded = {
-  ed_tile : Codestream.tile_segment;  (** originating segment *)
-  ed_comps : band_coeffs list array;
-}
+type entropy_decoded
+(** A tile after Stage 1: its flat coefficient planes, one per
+    component, with the header, segment and discarded levels of the
+    view it was decoded at. *)
 
 type wavelet_domain =
   | Ints of Plane.t array
@@ -58,21 +48,27 @@ val entropy_decode_tile :
   Codestream.header ->
   Codestream.tile_segment ->
   entropy_decoded
-(** Stage 1: MQ/EBCOT decoding of every subband of a tile.
-    [max_passes] truncates every code block to its first coding
-    passes (SNR scalability); default: all. Code blocks are
-    independent MQ codewords and decode in parallel on [pool]. *)
+(** Stage 1: MQ/EBCOT decoding of every code block of a tile into
+    its component planes. [max_passes] truncates every code block to
+    its first coding passes (SNR scalability); default: all. Code
+    blocks are independent MQ codewords and decode in parallel on
+    [pool]. Raises on a segment that contradicts the header geometry
+    ([Failure]) or a block that does not decode;
+    {!entropy_decode_tile_robust} contains both. *)
 
 val dequantise : Codestream.header -> entropy_decoded -> wavelet_domain
-(** Stage 2 (IQ): rebuild the Mallat coefficient layout; inverse
-    quantisation on the lossy path, plain placement into {!Plane.t}s
-    on the lossless path. *)
+(** Stage 2 (IQ). The lossless planes are handed over as they are,
+    without a copy. The lossy path dequantises every band into a
+    float matrix ({!Quant.dequantise_band}) and, for a tile decoded
+    at reduced resolution, applies the level compensation described
+    under {!decode_reduced}. *)
 
 val inverse_wavelet :
   ?pool:Par.Pool.t -> Codestream.header -> wavelet_domain -> wavelet_domain
-(** Stage 3 (IDWT): 5/3 ({!Dwt53.inverse_flat}, the transform the
-    flat path runs) or 9/7 multi-level inverse transform, in place;
-    component planes transform in parallel on [pool]. *)
+(** Stage 3 (IDWT): 5/3 ({!Dwt53.inverse_flat}) or 9/7
+    ({!Dwt97.inverse_ip}) multi-level inverse transform, in place —
+    the result is its argument; component planes transform in
+    parallel on [pool]. *)
 
 val inverse_colour_and_shift :
   Codestream.header -> Codestream.tile_segment -> wavelet_domain -> Tile.t
@@ -85,9 +81,9 @@ val decode_tile :
   Codestream.header ->
   Codestream.tile_segment ->
   Tile.t
-(** All tile stages composed, through the flat-plane pipeline. Equals
-    the boxed stage chain ({!entropy_decode_tile} → {!dequantise} →
-    {!inverse_wavelet} → {!inverse_colour_and_shift}) bit for bit. *)
+(** The four stages composed: {!entropy_decode_tile} →
+    {!dequantise} → {!inverse_wavelet} →
+    {!inverse_colour_and_shift}. *)
 
 val decode : ?pool:Par.Pool.t -> string -> Image.t
 (** Full decode of a codestream. Tiles fan out over [pool]; inside a
@@ -159,14 +155,15 @@ val pp_report : Format.formatter -> report -> unit
 
 val concealed_entropy_decoded :
   Codestream.header -> Codestream.tile_segment -> entropy_decoded
-(** The all-zero entropy-decoded form of a tile: the stage-by-stage
-    view of a whole-tile concealment (mid-grey after the DC shift). *)
+(** The tile with every coefficient zero and no code block decoded:
+    the stage-by-stage view of a whole-tile concealment (mid-grey
+    after the DC shift). *)
 
 val concealed_tile : Codestream.header -> Codestream.tile_segment -> Tile.t
 (** The tile a whole-tile concealment renders: every sample of every
     component is [2^(bit_depth-1)]. Zero coefficients dequantise to
     0, invert to 0 through either wavelet and colour-transform to 0,
-    so this equals [concealed_entropy_decoded] pushed through
+    so this equals {!concealed_entropy_decoded} pushed through
     {!dequantise}, {!inverse_wavelet} and {!inverse_colour_and_shift}
     (a qcheck property), without running them. *)
 
@@ -175,10 +172,12 @@ val entropy_decode_tile_robust :
   Codestream.header ->
   Codestream.tile_segment ->
   (entropy_decoded * int) option
-(** Stage 1 with per-code-block containment. [Some (decoded, n)]
-    decodes the tile with [n] blocks concealed; [None] means the
-    tile structure itself contradicts the header geometry and the
-    whole tile must be concealed. Never raises on any parsed tile. *)
+(** Stage 1 with per-code-block containment, the body of
+    {!decode_robust}'s tile decode. [Some (decoded, n)] decodes the
+    tile with [n] blocks concealed (their coefficients stay zero);
+    [None] means the tile structure itself contradicts the header
+    geometry and the whole tile must be concealed. Never raises on
+    any parsed tile. *)
 
 val decode_robust :
   ?pool:Par.Pool.t ->
@@ -214,9 +213,10 @@ val psnr_impact : reference:Image.t -> Image.t * report -> float
     entropy-decode jobs of many tiles — across many concurrent
     requests — into one array and runs them on a single
     {!Par.Pool.map}. A {!staged} value is a tile split into those
-    jobs; finishing it performs exactly the remaining stages of
-    {!decode_tile} (or {!decode_tile_reduced} via [?discard]), so the
-    result is bit-identical to the monolithic per-tile decode. *)
+    jobs; once they have run it is the tile's {!entropy_decoded}
+    value, and finishing it runs the same three remaining stages as
+    {!decode_tile} (or, via [?discard], as {!decode_reduced}), so the
+    result is bit-identical to the per-tile decode. *)
 
 type staged
 
@@ -255,13 +255,14 @@ val staged_run : staged -> int -> bool
     number of jobs of any staged tiles may run concurrently on pool
     workers. [false] marks a damaged block (containment, as in
     {!entropy_decode_tile_robust}): its rectangle stays zero and it
-    must be counted via {!finish_staged_ok}. On a well-formed stream
+    is counted by {!finish_staged_ok}. On a well-formed stream
     every job returns [true]. *)
 
 val finish_staged_ok : staged -> bool array -> Tile.t * int
-(** Finishes a tile whose jobs ran through {!staged_run}: runs IQ,
-    IDWT and ICT/DC-shift over the in-place planes and returns the
-    tile with the concealed-block count (the [false] entries). Raises
+(** Finishes a tile whose jobs ran through {!staged_run}: runs
+    {!dequantise} → {!inverse_wavelet} → {!inverse_colour_and_shift}
+    over the in-place planes and returns the tile with the
+    concealed-block count (the [false] entries). Raises
     [Invalid_argument] if the result count does not match
     {!staged_jobs}. *)
 

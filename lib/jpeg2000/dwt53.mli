@@ -19,9 +19,9 @@ val forward_plane : Plane.t -> levels:int -> unit
     encoder's transform. *)
 
 val inverse_plane : Plane.t -> levels:int -> unit
-(** Test oracle for {!inverse_flat}: the inverse composed from
-    {!inverse_1d} one row and column at a time, allocating per line.
-    Nothing in the decoder calls it. *)
+(** Reference for tests (and the [dwt53] bench row's baseline): the
+    inverse composed from {!inverse_1d} one row and column at a time,
+    allocating per line. The decoder runs {!inverse_flat}. *)
 
 val inverse_flat : Plane.t -> levels:int -> unit
 (** The decoder's inverse, in place, using per-domain scratch lines

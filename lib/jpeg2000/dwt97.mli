@@ -11,7 +11,6 @@ type matrix = { mw : int; mh : int; values : float array }
 
 val matrix_create : w:int -> h:int -> matrix
 val matrix_get : matrix -> x:int -> y:int -> float
-val matrix_set : matrix -> x:int -> y:int -> float -> unit
 
 val forward_1d : float array -> float array
 (** One decomposition of a line: lows first, then highs. *)
@@ -22,10 +21,12 @@ val forward : matrix -> levels:int -> unit
 (** In-place multi-level 2-D decomposition, Mallat layout. *)
 
 val inverse : matrix -> levels:int -> unit
+(** Reference for tests: the inverse composed from {!inverse_1d} one
+    row and column at a time, allocating per line. The decoder runs
+    {!inverse_ip}. *)
 
 val inverse_ip : matrix -> levels:int -> unit
-(** {!inverse} staged through one per-domain scratch line
-    ({!Plane.Scratch.floats}) instead of allocating per row/column.
-    The floating-point operations run in exactly the order of
-    {!inverse}, so the reconstruction is bit-identical — the property
-    the flat decode path's cross-check rests on. *)
+(** The decoder's inverse: {!inverse} staged through one per-domain
+    scratch line ({!Plane.Scratch.floats}) instead of allocating per
+    row/column. The floating-point operations run in exactly the
+    order of {!inverse}, so the reconstruction is bit-identical. *)

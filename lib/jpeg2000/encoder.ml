@@ -20,23 +20,25 @@ let default_lossless =
 let default_lossy = { default_lossless with mode = Codestream.Lossy; base_step = 2.0 }
 
 let header_of_config config image =
-  if config.tile_w <= 0 || config.tile_h <= 0 then
-    invalid_arg "Encoder: tile size";
-  if config.levels < 0 then invalid_arg "Encoder: levels";
-  if config.base_step <= 0.0 then invalid_arg "Encoder: base_step";
-  if config.code_block <= 0 then invalid_arg "Encoder: code_block";
-  {
-    Codestream.width = Image.width image;
-    height = Image.height image;
-    components = Image.components image;
-    tile_w = config.tile_w;
-    tile_h = config.tile_h;
-    levels = config.levels;
-    mode = config.mode;
-    bit_depth = image.Image.bit_depth;
-    base_step = config.base_step;
-    code_block = config.code_block;
-  }
+  let header =
+    {
+      Codestream.width = Image.width image;
+      height = Image.height image;
+      components = Image.components image;
+      tile_w = config.tile_w;
+      tile_h = config.tile_h;
+      levels = config.levels;
+      mode = config.mode;
+      bit_depth = image.Image.bit_depth;
+      base_step = config.base_step;
+      code_block = config.code_block;
+    }
+  in
+  if not (config.base_step > 0.0) then
+    Error
+      ( "base step",
+        Printf.sprintf "base step %g must be positive" config.base_step )
+  else Result.map (fun () -> header) (Codestream.check_header header)
 
 let extract_band_int plane band =
   Array.init (band.Subband.w * band.Subband.h) (fun i ->
@@ -154,7 +156,11 @@ let encode_tile header tile =
   }
 
 let encode config image =
-  let header = header_of_config config image in
+  let header =
+    match header_of_config config image with
+    | Ok header -> header
+    | Error (_, reason) -> invalid_arg ("Encoder: " ^ reason)
+  in
   let tiles = Tile.split image ~tile_w:config.tile_w ~tile_h:config.tile_h in
   let segments = List.map (encode_tile header) tiles in
   Codestream.emit { Codestream.header; tiles = segments }

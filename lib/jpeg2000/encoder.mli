@@ -23,11 +23,16 @@ val default_lossy : config
 (** 128×128 tiles, 3 levels, 9/7 path, base step 2.0. *)
 
 val encode : config -> Image.t -> string
-(** Full encode to a codestream. Raises [Invalid_argument] on
-    inconsistent configuration (e.g. non-positive sizes). *)
+(** Full encode to a codestream. Raises [Invalid_argument] when
+    {!header_of_config} refuses the configuration. *)
 
 val encode_tile : Codestream.header -> Tile.t -> Codestream.tile_segment
 (** Single-tile forward chain; exposed for tests and for the system
     models that need per-tile workloads. *)
 
-val header_of_config : config -> Image.t -> Codestream.header
+val header_of_config :
+  config -> Image.t -> (Codestream.header, string * string) result
+(** The header [encode] writes. [Error (field, reason)] if a
+    non-positive [base_step] (field ["base step"]) or any field
+    {!Codestream.check_header} refuses: sizes, levels or code-block
+    size the codestream cannot carry, or an image too large for it. *)

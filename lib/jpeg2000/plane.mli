@@ -1,7 +1,7 @@
 (** Flat, off-heap coefficient planes: the codec's type for signed
-    wavelet coefficients, on the decode path, in the boxed stage
-    chain ({!Decoder.wavelet_domain}) and under the encoder's 5/3
-    transform. Unsigned output samples live in {!Image.plane}.
+    wavelet coefficients, from the decoder's entropy stage through its
+    5/3 inverse ({!Decoder.wavelet_domain}) and under the encoder's
+    5/3 transform. Unsigned output samples live in {!Image.plane}.
 
     A plane is one native-int Bigarray per tile component, zero-filled
     on creation. Worker domains blit decoded code-blocks into disjoint

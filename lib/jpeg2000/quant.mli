@@ -18,17 +18,15 @@ val quantise : step:float -> float array -> int array
 
 val dequantise : step:float -> int array -> float array
 (** Mid-point reconstruction: 0 maps to 0, otherwise
-    [sign(q) * (|q| + 0.5) * step]. *)
-
-val dequantise_one : step:float -> int -> float
-(** One coefficient of {!dequantise}. No step validation. *)
+    [sign(q) * (|q| + 0.5) * step]. Reference for tests: the decoder
+    runs {!dequantise_band}. *)
 
 val dequantise_band :
   step:float -> Plane.t -> Dwt97.matrix -> Subband.band -> unit
-(** IQ of one band rectangle on the flat decode path: reads the
+(** The decoder's IQ of one band rectangle: reads the
     quantised coefficients at the band's absolute position ([x0],
-    [y0], [w], [h]) in the plane and writes {!dequantise_one} of each
-    to the same position in the matrix — no per-coefficient call, no
+    [y0], [w], [h]) in the plane and writes the {!dequantise} value of
+    each to the same position in the matrix — no per-coefficient call, no
     boxed intermediate array. One rectangle check per band: raises
     [Invalid_argument] if the band leaves the plane or the matrix. No
     step validation (the caller obtained [step] from {!step_for}). *)

@@ -84,8 +84,10 @@ val decode_block_scalable :
   planes:int ->
   string list ->
   int array
-(** Decodes the given pass segments (a prefix of the encoder's list);
-    with all of them the reconstruction is exact. *)
+(** Decodes the given pass segments (a prefix of the encoder's list)
+    into a fresh array; with all of them the reconstruction is exact.
+    Reference for tests: the decoder runs
+    {!decode_block_scalable_scratch}. *)
 
 val decode_block_scalable_scratch :
   ?lut:bool ->

@@ -176,7 +176,6 @@ let make ?(payload = true) ?corrupt ?(pool = Par.Pool.sequential) mode =
 
 let mode t = t.w_mode
 let tile_count t = t.w_tiles
-let has_payload t = t.payload <> None
 let corrupted t =
   match t.payload with Some p -> p.robust | None -> false
 
@@ -248,16 +247,6 @@ let stage_ict_dc t i =
       p.slots.(i).finished <-
         Some (Jpeg2000.Decoder.inverse_colour_and_shift p.header p.segments.(i) wd)
     | None -> failwith "Workload: ICT before IDWT")
-
-let tile_payload_words t i =
-  match t.payload with
-  | None -> 0
-  | Some p ->
-    (* The entropy-decoded coefficients of the reduced tile: one word
-       per sample per component. *)
-    let seg = p.segments.(i) in
-    seg.Jpeg2000.Codestream.tile_w * seg.Jpeg2000.Codestream.tile_h
-    * Array.length seg.Jpeg2000.Codestream.comps
 
 let check t =
   match t.payload with

@@ -36,7 +36,6 @@ val make :
 
 val mode : t -> Profile.mode
 val tile_count : t -> int
-val has_payload : t -> bool
 
 val corrupted : t -> bool
 (** Whether this workload carries a corrupted payload. *)
@@ -63,10 +62,6 @@ val stage_decode : t -> int -> unit
 val stage_iq : t -> int -> unit
 val stage_idwt : t -> int -> unit
 val stage_ict_dc : t -> int -> unit
-
-val tile_payload_words : t -> int -> int
-(** Serialised size of the (reduced) tile's entropy-decoded data —
-    the functional part of a tile transfer. *)
 
 val check : t -> bool option
 (** After a run: [Some true] if all tiles went through all stages and

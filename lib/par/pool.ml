@@ -212,10 +212,6 @@ let iter ?chunk t arr f =
       batch_telemetry ~nchunks ~chunk ~stolen
     end
 
-let with_pool ~domains f =
-  let t = create ~domains in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
 let with_jobs n f =
   let t = of_jobs n in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

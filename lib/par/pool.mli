@@ -83,8 +83,5 @@ val shutdown : t -> unit
 (** Joins the worker domains. Idempotent; {!map} after [shutdown]
     raises [Invalid_argument]. *)
 
-val with_pool : domains:int -> (t -> 'a) -> 'a
-(** [create], run, and [shutdown] (also on exceptions). *)
-
 val with_jobs : int -> (t -> 'a) -> 'a
 (** {!of_jobs} with the same lifetime guarantee. *)

@@ -1072,7 +1072,15 @@ let test_encoder_rejects_bad_config () =
   Alcotest.(check bool) "zero code block" true
     (raised { Jpeg2000.Encoder.default_lossless with code_block = 0 });
   Alcotest.(check bool) "bad step" true
-    (raised { Jpeg2000.Encoder.default_lossy with base_step = 0.0 })
+    (raised { Jpeg2000.Encoder.default_lossy with base_step = 0.0 });
+  (* Fields the codestream cannot carry: the parser would refuse the
+     stream, so the encoder must refuse to write it. *)
+  Alcotest.(check bool) "levels beyond the codestream's" true
+    (raised { Jpeg2000.Encoder.default_lossless with levels = 13 });
+  Alcotest.(check bool) "code block beyond the codestream's" true
+    (raised { Jpeg2000.Encoder.default_lossless with code_block = 8192 });
+  Alcotest.(check bool) "tile beyond the codestream's" true
+    (raised { Jpeg2000.Encoder.default_lossless with tile_w = 70000 })
 
 (* -- Codestream ------------------------------------------------------ *)
 
@@ -1448,6 +1456,149 @@ let test_stagewise_equals_monolithic () =
   Alcotest.(check bool) "stages compose to identity" true
     (Jpeg2000.Image.equal img out)
 
+(* One tile decoded by a chain of reference kernels instead of the
+   decoder's stages: generic T1 ([~lut:false]) per code block into a
+   fresh array, [Quant.dequantise] per band, the per-line inverse
+   wavelets and the unfused colour chains of the "fused ... equals the
+   ... chain" properties. It shares with the decoder only the band and
+   block geometry, the quantiser steps and the innermost arithmetic
+   (MQ coder, lifting steps). Returns the tile's samples per
+   component, row-major. *)
+let reference_tile (header : Jpeg2000.Codestream.header)
+    (seg : Jpeg2000.Codestream.tile_segment) =
+  let module C = Jpeg2000.Codestream in
+  let w = seg.C.tile_w and h = seg.C.tile_h and levels = header.C.levels in
+  let bands = Jpeg2000.Subband.decompose ~width:w ~height:h ~levels in
+  (* where sample [i] of a [bw]-wide rectangle at [(x0, y0)] lands *)
+  let at ~x0 ~y0 ~bw i = ((y0 + (i / bw)) * w) + x0 + (i mod bw) in
+  let index (band : Jpeg2000.Subband.band) =
+    at ~x0:band.x0 ~y0:band.y0 ~bw:band.w
+  in
+  (* Mallat-layout coefficients of one component *)
+  let coefficients segments =
+    let coeffs = Array.make (w * h) 0 in
+    List.iter2
+      (fun (band : Jpeg2000.Subband.band) (bseg : C.band_segment) ->
+        List.iter2
+          (fun (x0, y0, bw, bh) (blk : C.block_segment) ->
+            Array.iteri
+              (fun i v ->
+                coeffs.(at ~x0:(band.x0 + x0) ~y0:(band.y0 + y0) ~bw i) <- v)
+              (Jpeg2000.T1.decode_block_scalable ~lut:false
+                 ~orientation:band.orientation ~w:bw ~h:bh
+                 ~planes:blk.C.blk_planes blk.C.blk_passes))
+          (C.block_grid ~code_block:header.C.code_block ~w:band.w ~h:band.h)
+          bseg.C.seg_blocks)
+      bands segments;
+    coeffs
+  in
+  let comps = Array.map coefficients seg.C.comps in
+  let shifted a =
+    Jpeg2000.Colour.dc_shift_inverse ~bit_depth:header.C.bit_depth a;
+    a
+  in
+  match header.C.mode with
+  | C.Lossless ->
+    let spatial =
+      Array.map
+        (fun c ->
+          let p = Jpeg2000.Plane.of_array ~w ~h c in
+          Jpeg2000.Dwt53.inverse_plane p ~levels;
+          Array.init (w * h) (fun i ->
+              Jpeg2000.Plane.get p ~x:(i mod w) ~y:(i / w)))
+        comps
+    in
+    (match spatial with
+    | [| y; cb; cr |] -> Jpeg2000.Colour.rct_inverse y cb cr
+    | _ -> ());
+    Array.map shifted spatial
+  | C.Lossy ->
+    let spatial =
+      Array.map
+        (fun c ->
+          let values = Array.make (w * h) 0.0 in
+          List.iter
+            (fun (band : Jpeg2000.Subband.band) ->
+              let step =
+                Jpeg2000.Quant.step_for ~base_step:header.C.base_step ~levels
+                  ~level:band.level band.orientation
+              in
+              let q =
+                Array.init (band.w * band.h) (fun i -> c.(index band i))
+              in
+              Array.iteri
+                (fun i v -> values.(index band i) <- v)
+                (Jpeg2000.Quant.dequantise ~step q))
+            bands;
+          Jpeg2000.Dwt97.inverse
+            { Jpeg2000.Dwt97.mw = w; mh = h; values }
+            ~levels;
+          values)
+        comps
+    in
+    (match spatial with
+    | [| y; cb; cr |] -> Jpeg2000.Colour.ict_inverse y cb cr
+    | _ -> ());
+    Array.map
+      (fun v -> shifted (Array.map (fun x -> int_of_float (Float.round x)) v))
+      spatial
+
+(* The decoder against that reference on random streams: both modes,
+   1 or 3 components, random image, tile and code-block sizes and
+   0-3 wavelet levels. *)
+let reference_decode_qcheck =
+  QCheck.Test.make ~name:"decode equals the independent reference chain"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (lossy, comps, (w, h), (tw, th), levels, cb, seed) ->
+         Printf.sprintf "%s comps=%d %dx%d tiles %dx%d levels=%d cb=%d seed=%d"
+           (if lossy then "lossy" else "lossless")
+           comps w h tw th levels cb seed)
+       QCheck.Gen.(
+         let* lossy = bool in
+         let* comps = oneofl [ 1; 3 ] in
+         let* w = int_range 1 40 in
+         let* h = int_range 1 40 in
+         let* tw = int_range 4 40 in
+         let* th = int_range 4 40 in
+         let* levels = int_range 0 3 in
+         let* cb = int_range 2 24 in
+         let* seed = int_range 0 9_999 in
+         return (lossy, comps, (w, h), (tw, th), levels, cb, seed)))
+    (fun (lossy, comps, (width, height), (tile_w, tile_h), levels, code_block,
+          seed) ->
+      let img =
+        if seed mod 2 = 0 then
+          Jpeg2000.Image.smooth ~width ~height ~components:comps ~seed
+        else Jpeg2000.Image.noise ~width ~height ~components:comps ~seed
+      in
+      let config =
+        {
+          (if lossy then Jpeg2000.Encoder.default_lossy
+           else Jpeg2000.Encoder.default_lossless)
+          with
+          tile_w;
+          tile_h;
+          levels;
+          code_block;
+        }
+      in
+      let data = Jpeg2000.Encoder.encode config img in
+      let stream = parse_ok data in
+      let decoded = Jpeg2000.Decoder.decode data in
+      List.for_all
+        (fun (seg : Jpeg2000.Codestream.tile_segment) ->
+          let w = seg.tile_w in
+          let decoded_samples c =
+            Array.init (w * seg.tile_h) (fun i ->
+                Jpeg2000.Image.plane_get decoded.Jpeg2000.Image.planes.(c)
+                  ~x:(seg.tile_x0 + (i mod w))
+                  ~y:(seg.tile_y0 + (i / w)))
+          in
+          reference_tile stream.Jpeg2000.Codestream.header seg
+          = Array.init comps decoded_samples)
+        stream.Jpeg2000.Codestream.tiles)
+
 (* -- Stream (resumable parsing) -------------------------------------- *)
 
 let stream_sample = lazy (snd (sample_stream ()))
@@ -1502,11 +1653,11 @@ let stream_chunk_invariance_qcheck =
       Jpeg2000.Stream.parse_result s = Jpeg2000.Codestream.parse_result data)
 
 (* A whole-tile concealment is built as a constant DC-level tile; it
-   must equal the all-zero coefficients pushed through the boxed
-   dequantise, IDWT and colour stages, for any tile geometry, depth,
-   component count and either wavelet. *)
+   must equal the all-zero coefficients pushed through the dequantise,
+   IDWT and colour stages, for any tile geometry, depth, component
+   count and either wavelet. *)
 let concealed_tile_qcheck =
-  QCheck.Test.make ~name:"concealed tile equals the boxed chain" ~count:200
+  QCheck.Test.make ~name:"concealed tile equals the four stages" ~count:200
     (QCheck.make
        ~print:(fun (w, h, levels, lossy, comps, depth) ->
          Printf.sprintf "%dx%d levels=%d %s comps=%d depth=%d" w h levels
@@ -1546,13 +1697,13 @@ let concealed_tile_qcheck =
           comps = Array.make comps [];
         }
       in
-      let boxed =
+      let staged =
         Jpeg2000.Decoder.concealed_entropy_decoded header tile
         |> Jpeg2000.Decoder.dequantise header
         |> Jpeg2000.Decoder.inverse_wavelet header
         |> Jpeg2000.Decoder.inverse_colour_and_shift header tile
       in
-      Jpeg2000.Decoder.concealed_tile header tile = boxed)
+      Jpeg2000.Decoder.concealed_tile header tile = staged)
 
 let test_stream_one_byte_chunks () =
   let data = Lazy.force stream_sample in
@@ -1633,11 +1784,11 @@ let test_stream_truncation_at_boundaries () =
 
 (* -- flat coefficient planes ----------------------------------------
 
-   The flat decode path (off-heap planes, scratch T1, in-place IDWT)
-   is the only whole-tile pipeline since the boxed cross-check path
-   retired. Golden FNV-1a-64 digests recorded while both paths still
-   agreed pin its output on every entry point; set PRINT_GOLDENS=1 to
-   regenerate the table after an intentional output change. *)
+   The decoder runs on flat planes (off-heap planes, scratch T1,
+   in-place IDWT). Golden FNV-1a-64 digests, recorded while a second
+   whole-tile pipeline still agreed with it, pin its output on every
+   entry point; set PRINT_GOLDENS=1 to regenerate the table after an
+   intentional output change. *)
 
 let test_plane_basics () =
   let p = Jpeg2000.Plane.create ~w:5 ~h:3 in
@@ -1921,6 +2072,7 @@ let () =
           Alcotest.test_case "lossless compresses" `Quick
             test_lossless_compresses_smooth_content;
           Alcotest.test_case "stages compose" `Quick test_stagewise_equals_monolithic;
+          qc reference_decode_qcheck;
           Alcotest.test_case "reduced-resolution decode" `Quick
             test_reduced_resolution_decode;
           Alcotest.test_case "reduced lossy brightness" `Quick

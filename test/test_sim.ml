@@ -385,46 +385,6 @@ let test_mailbox_blocks_when_full () =
   Sim.Kernel.run k;
   Alcotest.check time "third put blocked until get" (ms 5) !producer_done
 
-(* -- Trace -------------------------------------------------------- *)
-
-let test_trace () =
-  let k = Sim.Kernel.create () in
-  let tr = Sim.Trace.create k () in
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Trace.record tr "start";
-      Sim.Kernel.wait_for (ms 2);
-      Sim.Trace.recordf tr "tick %d" 1);
-  Sim.Kernel.run k;
-  Alcotest.(check (option time)) "start at 0" (Some Sim.Sim_time.zero)
-    (Sim.Trace.find tr "start");
-  Alcotest.(check (option time)) "tick at 2ms" (Some (ms 2))
-    (Sim.Trace.find tr "tick 1");
-  Alcotest.(check int) "two records" 2 (List.length (Sim.Trace.records tr))
-
-let test_trace_capacity () =
-  let k = Sim.Kernel.create () in
-  let tr = Sim.Trace.create k ~capacity:2 () in
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Trace.record tr "a";
-      Sim.Kernel.wait_for (ms 1);
-      Sim.Trace.record tr "b";
-      Sim.Kernel.wait_for (ms 1);
-      Sim.Trace.record tr "c");
-  Sim.Kernel.run k;
-  Alcotest.(check (list string))
-    "ring keeps the newest records, oldest first" [ "b"; "c" ]
-    (List.map snd (Sim.Trace.records tr));
-  Alcotest.(check int) "one eviction counted" 1 (Sim.Trace.dropped tr);
-  Alcotest.(check (option time)) "evicted record unfindable" None
-    (Sim.Trace.find tr "a");
-  Alcotest.(check (option time)) "retained record findable" (Some (ms 2))
-    (Sim.Trace.find tr "c");
-  Alcotest.(check bool) "capacity 0 rejected" true
-    (try
-       ignore (Sim.Trace.create k ~capacity:0 ());
-       false
-     with Invalid_argument _ -> true)
-
 (* -- Clock ---------------------------------------------------------- *)
 
 let test_clock_edges () =
@@ -638,11 +598,6 @@ let () =
           Alcotest.test_case "fifo order" `Quick test_mailbox_fifo;
           Alcotest.test_case "blocks when full" `Quick
             test_mailbox_blocks_when_full;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "records" `Quick test_trace;
-          Alcotest.test_case "capacity ring" `Quick test_trace_capacity;
         ] );
       ( "clock",
         [
