@@ -62,8 +62,9 @@ let parse_version name =
   match Models.Experiment.version_of_name name with
   | Some v -> v
   | None ->
-    Printf.eprintf "unknown version %S (use 1..5, 6a, 6b, 7a, 7b)\n" name;
-    exit 1
+    Printf.eprintf "osss_sim: unknown version %S (use 1..5, 6a, 6b, 7a, 7b)\n"
+      name;
+    exit 2
 
 let run_cmd =
   let run version_name mode no_payload json jobs =
@@ -243,6 +244,11 @@ let relations_cmd =
 
 let campaign_cmd =
   let run seed rates mode versions unprotected ingest fleet json jobs =
+    (* Every rate is a probability: reject a bad one before any run. *)
+    Option.iter
+      (List.iter (fun r ->
+           ignore (parse_spec_flag "rates" (Spec.unit_interval "rate") r)))
+      rates;
     if fleet then begin
       let rows =
         with_jobs jobs (fun pool ->
@@ -267,16 +273,7 @@ let campaign_cmd =
     let versions =
       match versions with
       | [] -> Models.Experiment.all_versions
-      | names ->
-        List.map
-          (fun name ->
-            match Models.Experiment.version_of_name name with
-            | Some v -> v
-            | None ->
-              Printf.eprintf "unknown version %S (use 1..5, 6a, 6b, 7a, 7b)\n"
-                name;
-              exit 1)
-          names
+      | names -> List.map parse_version names
     in
     let protection =
       if unprotected then Some Osss.Channel.Unprotected else None

@@ -58,16 +58,6 @@ type solution = {
   after : Names.t array;
 }
 
-val forward :
-  t -> init:Names.t -> transfer:(node -> Names.t -> Names.t) -> solution
-(** Union-over-predecessors forward fixpoint; [init] seeds the entry
-    node. *)
-
-val backward :
-  t -> init:Names.t -> transfer:(node -> Names.t -> Names.t) -> solution
-(** Union-over-successors backward fixpoint; [init] seeds the exit
-    node. *)
-
 val maybe_uninit : t -> at_entry:Names.t -> solution
 (** A name is in [before.(id)] while some path from entry reaches the
     node without writing it. *)

@@ -12,7 +12,6 @@ let make ~code ~severity ~path fmt =
 
 let error ~code ~path fmt = make ~code ~severity:Error ~path fmt
 let warning ~code ~path fmt = make ~code ~severity:Warning ~path fmt
-let info ~code ~path fmt = make ~code ~severity:Info ~path fmt
 
 let severity_label = function
   | Error -> "error"
@@ -41,5 +40,3 @@ let compare a b =
     else
       let c = String.compare a.path b.path in
       if c <> 0 then c else String.compare a.message b.message
-
-let pp fmt d = Format.pp_print_string fmt (render d)

@@ -17,7 +17,6 @@ type t = {
 
 val error : code:string -> path:string -> ('a, Format.formatter, unit, t) format4 -> 'a
 val warning : code:string -> path:string -> ('a, Format.formatter, unit, t) format4 -> 'a
-val info : code:string -> path:string -> ('a, Format.formatter, unit, t) format4 -> 'a
 
 val severity_label : severity -> string
 
@@ -32,5 +31,3 @@ val compare : t -> t -> int
     message — a total, byte-stable order so sorted lint output can be
     diffed in CI, and [List.sort_uniq] deduplicates exactly the
     findings that are identical. *)
-
-val pp : Format.formatter -> t -> unit

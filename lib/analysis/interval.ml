@@ -61,6 +61,8 @@ let range_of_bits known bits =
   let unk = lnot known in
   if unk >= 0 then Some (bits, bits lor unk) else None
 
+(* Smart constructor: mutually reduces the two components. The
+   arguments must describe a non-empty, consistent set. *)
 let make ~lo ~hi ~known ~bits =
   let bits = bits land known in
   let step (lo, hi, known, bits) =

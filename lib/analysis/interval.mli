@@ -30,10 +30,6 @@ val of_ty : Fossy.Hir.ty -> t
 (** Value range of a declared type as {!Fossy.Interp} stores it:
     widths >= 62 are unwrapped native ints, so they map to {!top}. *)
 
-val make : lo:int -> hi:int -> known:int -> bits:int -> t
-(** Smart constructor: mutually reduces the two components. The
-    arguments must describe a non-empty, consistent set. *)
-
 val join : t -> t -> t
 val meet : t -> t -> t option
 (** [meet a b] is [None] when the intersection is provably empty. *)
@@ -46,9 +42,6 @@ val widen : t -> t -> t
 val equal : t -> t -> bool
 val contains : t -> int -> bool
 val is_singleton : t -> int option
-val fits_ty : Fossy.Hir.ty -> t -> bool
-(** The whole abstract value lies inside the type's storable range
-    (so wrapping at a store is the identity). *)
 
 val wrap_ty : Fossy.Hir.ty -> t -> t
 (** Abstract counterpart of [Interp.wrap]. Precise when the input
@@ -68,5 +61,4 @@ val min_width : signed:bool -> t -> int
     contains the whole abstract value. For unsigned, requires
     [lo >= 0] — callers must check. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

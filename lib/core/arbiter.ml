@@ -3,7 +3,6 @@ type policy = Fcfs | Round_robin | Static_priority
 type t = { policy : policy; mutable last_grant : int }
 
 let create policy = { policy; last_grant = -1 }
-let policy t = t.policy
 
 let min_list = function
   | [] -> None
@@ -25,8 +24,3 @@ let choose t ~pending =
     | Round_robin -> round_robin_choice t pending)
 
 let note_grant t id = t.last_grant <- id
-
-let pp_policy fmt = function
-  | Fcfs -> Format.pp_print_string fmt "fcfs"
-  | Round_robin -> Format.pp_print_string fmt "round-robin"
-  | Static_priority -> Format.pp_print_string fmt "static-priority"

@@ -14,7 +14,6 @@ type policy =
 type t
 
 val create : policy -> t
-val policy : t -> policy
 
 val choose : t -> pending:int list -> int option
 (** [choose t ~pending] picks a client id from [pending] (given in
@@ -24,5 +23,3 @@ val choose : t -> pending:int list -> int option
 val note_grant : t -> int -> unit
 (** Informs the arbiter that the given client was granted; updates
     rotating state for {!Round_robin}. *)
-
-val pp_policy : Format.formatter -> policy -> unit

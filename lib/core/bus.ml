@@ -6,9 +6,6 @@ type t = {
   address_cycles : int;
   cycles_per_word : int;
   max_burst_words : int;
-  mutable transactions : int;
-  mutable words : int;
-  mutable master_names : string list; (* reversed *)
 }
 
 type master = Lock.holder
@@ -31,20 +28,13 @@ let create kernel ~name ~clock_hz ?(data_width_bits = 32)
     address_cycles;
     cycles_per_word;
     max_burst_words;
-    transactions = 0;
-    words = 0;
-    master_names = [];
   }
 
 let name t = Lock.name t.lock
 let kernel t = Lock.kernel t.lock
 let clock_hz t = t.clock_hz
 
-let attach_master t ~name =
-  t.master_names <- name :: t.master_names;
-  Lock.register t.lock ~name ()
-
-let master_names t = List.rev t.master_names
+let attach_master t ~name = Lock.register t.lock ~name ()
 
 let beats t ~burst_words =
   let words_per_beat = t.data_width_bits / 32 in
@@ -57,8 +47,6 @@ let burst_cycles t ~burst_words =
 let transfer t master ~words =
   if words < 0 then invalid_arg "Bus.transfer: negative word count";
   if words > 0 then begin
-    t.transactions <- t.transactions + 1;
-    t.words <- t.words + words;
     if Telemetry.Sink.enabled () then begin
       Telemetry.Sink.incr ("bus." ^ name t ^ ".transactions");
       Telemetry.Sink.incr ~by:words ("bus." ^ name t ^ ".words")
@@ -94,7 +82,4 @@ let plb kernel ?(clock_hz = 100_000_000) () =
   create kernel ~name:"plb" ~clock_hz ~data_width_bits:64 ~arbitration_cycles:2
     ~address_cycles:0 ~max_burst_words:32 ()
 
-let transactions t = t.transactions
-let words_transferred t = t.words
-let busy_time t = Lock.total_held t.lock
 let contention_time t = Lock.total_wait t.lock

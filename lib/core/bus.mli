@@ -42,7 +42,6 @@ val clock_hz : t -> int
 type master
 
 val attach_master : t -> name:string -> master
-val master_names : t -> string list
 
 val transfer : t -> master -> words:int -> unit
 (** Blocking bus transaction of [words] 32-bit words (either
@@ -53,8 +52,5 @@ val transfer_time_unloaded : t -> words:int -> Sim.Sim_time.t
 
 (** {1 Statistics} *)
 
-val transactions : t -> int
-val words_transferred : t -> int
-val busy_time : t -> Sim.Sim_time.t
 val contention_time : t -> Sim.Sim_time.t
 (** Total time masters spent waiting for a grant. *)

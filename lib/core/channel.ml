@@ -48,8 +48,6 @@ let p2p kernel ?(clock_hz = 100_000_000) ?(cycles_per_word = 1)
   if setup_cycles < 0 then invalid_arg "Channel.p2p: setup_cycles";
   make (P2p { kernel; clock_hz; cycles_per_word; setup_cycles }) name
 
-let transport_name t = t.link_name
-
 let kernel_of t =
   match t.kind with
   | Bus_link (bus, _) -> Bus.kernel bus
@@ -66,16 +64,7 @@ let crc_retry ?(max_retries = 8) ?(timeout_cycles = 64)
   Crc_retry { max_retries; timeout_cycles; backoff_base_cycles }
 
 let set_protection t p = t.protection <- p
-let protection t = t.protection
 let stats t = t.stats
-
-let reset_stats t =
-  let s = t.stats in
-  s.frames <- 0;
-  s.crc_errors <- 0;
-  s.retries <- 0;
-  s.giveups <- 0;
-  s.retry_time <- Sim.Sim_time.zero
 
 let clock_hz t =
   match t.kind with

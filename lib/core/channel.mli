@@ -43,12 +43,6 @@ val p2p :
     [setup_cycles + words * cycles_per_word] at [clock_hz]. Defaults:
     100 MHz, 1 cycle/word, 2 setup cycles, name ["p2p"]. *)
 
-val transport_name : transport -> string
-
-val clock_hz : transport -> int
-(** Clock of the physical carrier (bus clock or P2P link clock);
-    prices the hardened mode's timeout and backoff waits. *)
-
 val transfer : transport -> words:int -> unit
 (** Raw timed transfer (process context). Never protected, never
     faulted — use {!payload_transfer} for frames that should be. *)
@@ -79,7 +73,6 @@ val crc_retry :
     backoff base. *)
 
 val set_protection : transport -> protection -> unit
-val protection : transport -> protection
 
 type stats = {
   mutable frames : int;  (** transmission attempts (incl. retries) *)
@@ -91,7 +84,6 @@ type stats = {
 }
 
 val stats : transport -> stats
-val reset_stats : transport -> unit
 
 exception Transfer_failed of { link : string; what : string; attempts : int }
 (** Raised by a protected transfer once [max_retries] retransmissions

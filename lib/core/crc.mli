@@ -6,10 +6,6 @@
     bits — which covers the bit-flip and word-drop fault models of
     the [faults] library. *)
 
-val words : int32 array -> int32
-(** CRC-32 (IEEE, reflected) of the word array, bytes taken
-    little-endian within each word. *)
-
 val frame : int32 array -> int32 array
 (** [frame payload] is [payload] with its CRC appended — the wire
     format of a protected transfer ([length] + 1 words). *)

@@ -2,28 +2,20 @@ type t = {
   kernel : Sim.Kernel.t;
   name : string;
   clock_hz : int option;
-  mutable processes : string list; (* reversed *)
 }
 
 let create kernel ~name ?clock_hz () =
   (match clock_hz with
   | Some hz when hz <= 0 -> invalid_arg "Hw_module.create: clock_hz"
   | Some _ | None -> ());
-  { kernel; name; clock_hz; processes = [] }
-
-let name t = t.name
-let kernel t = t.kernel
-let clock_hz t = t.clock_hz
+  { kernel; name; clock_hz }
 
 let add_process t ~name body =
   if not (Sim.Sim_time.is_zero (Sim.Kernel.now t.kernel)) then
     invalid_arg
       (Printf.sprintf "Hw_module.add_process: %s elaborated after time zero"
          t.name);
-  t.processes <- name :: t.processes;
   Sim.Kernel.spawn t.kernel ~name:(t.name ^ "." ^ name) body
-
-let process_names t = List.rev t.processes
 
 let round_up_to_cycles ~hz duration =
   let period = Sim.Sim_time.to_ps (Sim.Sim_time.period ~hz) in

@@ -10,17 +10,11 @@ type t
 
 val create : Sim.Kernel.t -> name:string -> ?clock_hz:int -> unit -> t
 
-val name : t -> string
-val kernel : t -> Sim.Kernel.t
-val clock_hz : t -> int option
-
 val add_process : t -> name:string -> (unit -> unit) -> unit
 (** Spawns one of the module's concurrent processes. The process set
     of a module is fixed at elaboration: adding a process after the
     simulation has advanced past time zero raises
     [Invalid_argument]. *)
-
-val process_names : t -> string list
 
 val eet : t -> Sim.Sim_time.t -> (unit -> 'a) -> 'a
 (** Hardware EET block: when the module has a clock, the duration is

@@ -5,10 +5,8 @@ type t = {
   grant_overhead : Sim.Sim_time.t;
   mutable owner : int option;
   mutable pending : int list; (* arrival order *)
-  mutable holder_names : string list; (* reversed registration order *)
   mutable num_holders : int;
   released : Sim.Event.t;
-  mutable grants : int;
   mutable total_wait : Sim.Sim_time.t;
   mutable total_held : Sim.Sim_time.t;
   mutable held_since : Sim.Sim_time.t;
@@ -24,10 +22,8 @@ let create kernel ~name ~arbiter ?(grant_overhead = Sim.Sim_time.zero) () =
     grant_overhead;
     owner = None;
     pending = [];
-    holder_names = [];
     num_holders = 0;
     released = Sim.Event.create kernel ~name:(name ^ ".released") ();
-    grants = 0;
     total_wait = Sim.Sim_time.zero;
     total_held = Sim.Sim_time.zero;
     held_since = Sim.Sim_time.zero;
@@ -39,12 +35,9 @@ let kernel t = t.kernel
 let register t ~name ?(overhead = Sim.Sim_time.zero) () =
   let id = t.num_holders in
   t.num_holders <- id + 1;
-  t.holder_names <- name :: t.holder_names;
   { id; hname = name; overhead }
 
-let holder_name h = h.hname
 let holder_id h = h.id
-let num_holders t = t.num_holders
 
 let remove_pending t id =
   t.pending <- List.filter (fun other -> other <> id) t.pending
@@ -63,7 +56,6 @@ let acquire t holder =
       t.owner <- Some holder.id;
       remove_pending t holder.id;
       Arbiter.note_grant t.arbiter holder.id;
-      t.grants <- t.grants + 1;
       let waited =
         Sim.Sim_time.sub (Sim.Kernel.now t.kernel) started
       in
@@ -121,6 +113,5 @@ let with_lock t holder f =
     release t holder;
     raise exn
 
-let grants t = t.grants
 let total_wait t = t.total_wait
 let total_held t = t.total_held

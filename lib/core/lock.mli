@@ -26,9 +26,7 @@ val register : t -> name:string -> ?overhead:Sim.Sim_time.t -> unit -> holder
     the lock) whenever this holder is granted — on top of the lock's
     global [grant_overhead]. Default zero. *)
 
-val holder_name : holder -> string
 val holder_id : holder -> int
-val num_holders : t -> int
 
 val acquire : t -> holder -> unit
 (** Blocks the calling process until the lock is granted to this
@@ -44,7 +42,6 @@ val with_lock : t -> holder -> (unit -> 'a) -> 'a
 
 (** {1 Statistics} *)
 
-val grants : t -> int
 val total_wait : t -> Sim.Sim_time.t
 (** Cumulated time holders spent blocked in {!acquire}. *)
 

@@ -7,8 +7,6 @@ type t = {
   name : string;
   storage : int32 array;
   timing : timing;
-  mutable reads : int;
-  mutable writes : int;
 }
 
 let register_file kernel ~name ~size_words =
@@ -18,8 +16,6 @@ let register_file kernel ~name ~size_words =
     name;
     storage = Array.make size_words 0l;
     timing = Combinational;
-    reads = 0;
-    writes = 0;
   }
 
 let xilinx_block_ram kernel ~name ~data_width ~addr_width ~clock_hz
@@ -34,13 +30,7 @@ let xilinx_block_ram kernel ~name ~data_width ~addr_width ~clock_hz
     name;
     storage = Array.make (1 lsl addr_width) 0l;
     timing = Clocked { clock_hz; read_latency_cycles };
-    reads = 0;
-    writes = 0;
   }
-
-let name t = t.name
-let size_words t = Array.length t.storage
-let is_block_ram t = t.timing <> Combinational
 
 let check_addr t addr =
   if addr < 0 || addr >= Array.length t.storage then
@@ -76,14 +66,12 @@ let faulted_write t addr v =
 
 let read t addr =
   check_addr t addr;
-  t.reads <- t.reads + 1;
   Telemetry.Sink.incr ("memory." ^ t.name ^ ".reads");
   Eet.consume (single_access_time t);
   faulted_read t addr t.storage.(addr)
 
 let write t addr v =
   check_addr t addr;
-  t.writes <- t.writes + 1;
   Telemetry.Sink.incr ("memory." ^ t.name ^ ".writes");
   (match t.timing with
   | Combinational -> ()
@@ -96,7 +84,6 @@ let read_burst t ~addr ~len =
     check_addr t addr;
     check_addr t (addr + len - 1)
   end;
-  t.reads <- t.reads + len;
   let span_start =
     if Telemetry.Sink.enabled () && len > 0 then begin
       Telemetry.Sink.incr ~by:len ("memory." ^ t.name ^ ".reads");
@@ -125,7 +112,6 @@ let write_burst t ~addr data =
     check_addr t addr;
     check_addr t (addr + len - 1)
   end;
-  t.writes <- t.writes + len;
   let span_start =
     if Telemetry.Sink.enabled () && len > 0 then begin
       Telemetry.Sink.incr ~by:len ("memory." ^ t.name ^ ".writes");
@@ -145,6 +131,3 @@ let write_burst t ~addr data =
   | None -> Array.blit data 0 t.storage addr len
   | Some f ->
     Array.iteri (fun i v -> t.storage.(addr + i) <- f ~mem:t.name ~addr:(addr + i) v) data
-
-let reads t = t.reads
-let writes t = t.writes

@@ -30,10 +30,6 @@ val xilinx_block_ram :
     the model stores 32-bit words, like the OSSS serialisation
     layer. *)
 
-val name : t -> string
-val size_words : t -> int
-val is_block_ram : t -> bool
-
 (** {1 Timed access (process context)} *)
 
 val read : t -> int -> int32
@@ -47,6 +43,3 @@ val access_time : t -> words:int -> Sim.Sim_time.t
 (** Time for a burst of [words] sequential accesses, without
     performing them; used to compose EETs for computations whose data
     lives in this memory. *)
-
-val reads : t -> int
-val writes : t -> int

@@ -40,9 +40,3 @@ let ml401 =
     ()
 
 let clock_period t = Sim.Sim_time.period ~hz:t.clock_hz
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<v>platform %s: fpga=%s clock=%d Hz cpu=%s bus=%s/%d-bit@]"
-    t.platform_name t.fpga t.clock_hz t.processor_kind t.bus_kind
-    t.bus_data_width

@@ -26,17 +26,4 @@ val ml401 : t
 (** The paper's target: ML401 board, Virtex-4 LX25, 100 MHz system
     clock, IBM OPB, multi-channel DDR controller. *)
 
-val make :
-  name:string ->
-  fpga:string ->
-  clock_hz:int ->
-  ?processor_kind:string ->
-  ?bus_kind:string ->
-  ?bus_data_width:int ->
-  ?bus_max_burst:int ->
-  ?memories:memory_resource list ->
-  unit ->
-  t
-
 val clock_period : t -> Sim.Sim_time.t
-val pp : Format.formatter -> t -> unit

@@ -20,8 +20,6 @@ let create kernel ~name ~clock_hz ?(context_switch = Sim.Sim_time.zero)
   }
 
 let name t = Lock.name t.lock
-let clock_hz t = t.clock_hz
-let kernel t = Lock.kernel t.lock
 
 let add_sw_task t ~task_name =
   t.tasks <- t.tasks + 1;

@@ -18,10 +18,6 @@ val create :
 (** [context_switch] is consumed whenever the processor switches to a
     different task than the one it last ran (default zero). *)
 
-val name : t -> string
-val clock_hz : t -> int
-val kernel : t -> Sim.Kernel.t
-
 type binding
 (** A task's seat on the processor. *)
 

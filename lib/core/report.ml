@@ -54,8 +54,6 @@ let render ~header ?align rows =
     rows;
   Buffer.contents buffer
 
-let print ~header ?align rows = print_string (render ~header ?align rows)
-
 let fmt_ms v = Printf.sprintf "%.1f" v
 let fmt_factor v = Printf.sprintf "%.2fx" v
 let fmt_pct v = Printf.sprintf "%.1f%%" v

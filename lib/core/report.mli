@@ -7,9 +7,6 @@ val render : header:string list -> ?align:align list -> string list list -> stri
     [align] defaults to left for the first column and right for the
     rest. Rows shorter than the header are padded with empty cells. *)
 
-val print : header:string list -> ?align:align list -> string list list -> unit
-(** [render] to stdout. *)
-
 val fmt_ms : float -> string
 (** Milliseconds with one decimal, e.g. ["3243.1"]. *)
 

@@ -174,7 +174,3 @@ let int_word =
   }
 
 let int_array = array int_word
-let float_array = array float
-
-let mapped to_repr of_repr c =
-  { wr = (fun w v -> c.wr w (to_repr v)); rd = (fun r -> of_repr (c.rd r)) }

@@ -45,9 +45,3 @@ val option : 'a codec -> 'a option codec
 val int_array : int array codec
 (** Length-prefixed array of one-word signed 32-bit values; raises on
     encode if an element does not fit. The workhorse for image tiles. *)
-
-val float_array : float array codec
-
-val mapped : ('a -> 'b) -> ('b -> 'a) -> 'b codec -> 'a codec
-(** [mapped to_repr of_repr c] serialises ['a] through its ['b]
-    representation. *)

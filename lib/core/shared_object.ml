@@ -19,8 +19,6 @@ let name t = Lock.name t.lock
 let kernel t = Lock.kernel t.lock
 let register_client t ~name ?overhead () =
   Lock.register t.lock ~name ?overhead ()
-let client_name = Lock.holder_name
-let num_clients t = Lock.num_holders t.lock
 let peek t f = f t.state
 
 let run_method t ?eet f =

@@ -26,9 +26,6 @@ val create :
 (** [grant_overhead] models per-grant arbitration latency; it is what
     makes many-client Shared Objects slower (paper's version 5). *)
 
-val name : _ t -> string
-val kernel : _ t -> Sim.Kernel.t
-
 val register_client :
   _ t -> name:string -> ?overhead:Sim.Sim_time.t -> unit -> client
 (** Declares a port-to-interface binding. Each active component that
@@ -37,9 +34,6 @@ val register_client :
     object's global [grant_overhead] — software clients going through
     the OSSS run-time pay it, hardware blocks with dedicated ports
     typically do not. *)
-
-val client_name : client -> string
-val num_clients : _ t -> int
 
 val peek : 'state t -> ('state -> 'a) -> 'a
 (** Unsynchronised, zero-time read of the object state. For test

@@ -12,9 +12,6 @@ let create kernel ~name body =
       t.finished <- true);
   t
 
-let name t = t.name
-let kernel t = t.kernel
-
 let map_to_processor t proc =
   match t.processor with
   | Some _ ->

@@ -12,9 +12,6 @@ val create : Sim.Kernel.t -> name:string -> (t -> unit) -> t
 (** [create k ~name body] declares the task. The body receives the
     task handle (for {!eet}) and is spawned immediately. *)
 
-val name : t -> string
-val kernel : t -> Sim.Kernel.t
-
 val map_to_processor : t -> Processor.t -> unit
 (** VTA refinement: bind this task to a processor. Must happen before
     the simulation reaches the task's first EET block. Raises

@@ -38,7 +38,6 @@ val record_so_access : t -> client:string -> so:string -> guarded:bool -> unit
 
 val task_mappings : t -> (string * string) list
 val module_mappings : t -> (string * string) list
-val link_mappings : t -> (string * string * channel_kind) list
 
 val so_accesses : t -> so_access list
 

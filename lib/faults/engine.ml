@@ -67,8 +67,6 @@ let create ~seed rates =
     stuck = Hashtbl.create 64;
   }
 
-let seed t = t.seed
-let rates t = t.rates
 let counters t = t.counters
 
 (* -- fault models ---------------------------------------------------- *)
@@ -177,11 +175,9 @@ let install t =
   if r.stall_probability > 0.0 && r.stall_max_cycles > 0 then
     Osss.Fault_hooks.set_stall (stall_hook t)
 
-let uninstall () = Osss.Fault_hooks.clear ()
-
 let with_engine t f =
   install t;
-  Fun.protect ~finally:uninstall f
+  Fun.protect ~finally:Osss.Fault_hooks.clear f
 
 let pp_counters ppf c =
   Format.fprintf ppf

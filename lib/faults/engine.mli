@@ -1,12 +1,12 @@
 (** Seeded deterministic fault-injection campaigns.
 
     An engine bundles a set of fault {!rates}, a seeded {!Rng} stream
-    and hit counters. {!install} plugs its fault models into the
-    {!Osss.Fault_hooks} points of the core carriers; because the
-    simulation kernel is deterministic and every probabilistic choice
-    draws from the engine's stream, an identical seed replays an
-    identical fault pattern — campaigns are reproducible experiments,
-    not noise.
+    and hit counters. {!with_engine} plugs its fault models into the
+    {!Osss.Fault_hooks} points of the core carriers for one run;
+    because the simulation kernel is deterministic and every
+    probabilistic choice draws from the engine's stream, an identical
+    seed replays an identical fault pattern — campaigns are
+    reproducible experiments, not noise.
 
     Fault models (per the robustness refinement of the decoder
     platform):
@@ -51,18 +51,11 @@ val create : seed:int -> rates -> t
 (** Raises [Invalid_argument] on rates outside [0,1] or a negative
     stall bound. *)
 
-val seed : t -> int
-val rates : t -> rates
 val counters : t -> counters
 
-val install : t -> unit
-(** Installs the engine's models into {!Osss.Fault_hooks}. Only the
-    hook points with a non-zero rate are claimed. *)
-
-val uninstall : unit -> unit
-(** Clears every fault hook (also those of other engines). *)
-
 val with_engine : t -> (unit -> 'a) -> 'a
-(** [install], run, then [uninstall] — exception-safe. *)
+(** Installs the engine's models into {!Osss.Fault_hooks}, runs [f],
+    then clears every fault hook — also on exceptions. Only the hook
+    points with a non-zero rate are claimed. *)
 
 val pp_counters : Format.formatter -> counters -> unit

@@ -21,9 +21,6 @@ type profile = {
   stall_max_ps : int;  (** stall duration uniform in [1, max] ps *)
 }
 
-val no_faults : profile
-(** Every rate zero: chunks arrive in order, one gap apart. *)
-
 (** {1 Specs}
 
     A spec bundles the transport shape (chunk size and gap) with the

@@ -6,7 +6,4 @@
     type — "all functions and procedures inlined into a single
     explicit state machine", identifiers preserved. *)
 
-val state_label : int -> string
-(** Name of state [i] in the generated enumeration ("s0", "s1", ...). *)
-
 val run : Fsm.t -> Rtl.Vhdl.design

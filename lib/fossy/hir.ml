@@ -60,10 +60,7 @@ let ( +: ) a b = Bin (Add, a, b)
 let ( -: ) a b = Bin (Sub, a, b)
 let ( *: ) a b = Bin (Mul, a, b)
 let ( >>: ) a n = Bin (Shr, a, Const n)
-let ( <<: ) a n = Bin (Shl, a, Const n)
-let ( =: ) a b = Bin (Eq, a, b)
 let ( <: ) a b = Bin (Lt, a, b)
-let ( >=: ) a b = Bin (Ge, a, b)
 let assign name e = Assign (Lv_var name, e)
 let assign_arr name idx e = Assign (Lv_arr (name, idx), e)
 

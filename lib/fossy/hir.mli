@@ -73,10 +73,7 @@ val ( +: ) : expr -> expr -> expr
 val ( -: ) : expr -> expr -> expr
 val ( *: ) : expr -> expr -> expr
 val ( >>: ) : expr -> int -> expr
-val ( <<: ) : expr -> int -> expr
-val ( =: ) : expr -> expr -> expr
 val ( <: ) : expr -> expr -> expr
-val ( >=: ) : expr -> expr -> expr
 val assign : string -> expr -> stmt
 val assign_arr : string -> expr -> expr -> stmt
 

@@ -9,16 +9,6 @@
     {!Interp}. The reference stream is embedded as a VHDL constant so
     an RTL simulation can be diffed against the high-level model. *)
 
-val generate :
-  Fsm.t ->
-  stimulus:Interp.stimulus ->
-  reference:Interp.trace ->
-  ?clock_ns:int ->
-  unit ->
-  string
-(** The testbench entity [<core>_tb]. [clock_ns] is the clock period
-    (default 10 ns = 100 MHz). *)
-
 val generate_for_module :
   Hir.module_def ->
   stimulus:Interp.stimulus ->

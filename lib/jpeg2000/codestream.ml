@@ -69,8 +69,6 @@ let error_message = function
   | Bad_field what -> what
   | Trailing n -> Printf.sprintf "%d trailing bytes" n
 
-let pp_error fmt e = Format.pp_print_string fmt (error_message e)
-
 exception Error of error
 
 type reader = { data : string; mutable pos : int }

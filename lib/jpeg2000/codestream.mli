@@ -68,7 +68,6 @@ type error =
   | Trailing of int  (** well-formed stream followed by junk bytes *)
 
 val error_message : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val parse_result : string -> (t, error) result
 (** [parse_result (emit s) = Ok s]; total on arbitrary input. *)

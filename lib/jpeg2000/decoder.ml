@@ -229,23 +229,6 @@ let run_jobs ~pool st =
 let entropy_decode_tile ?max_passes ?(pool = Par.Pool.sequential) header tile =
   run_jobs ~pool (stage_tile ?max_passes header tile)
 
-(* Multiplies back the K of each skipped inverse level (per
-   dimension). This over-corrects — the 9/7 analysis low-pass has unit
-   DC gain — so lossy reduced decodes drift from mid-grey; see
-   [decode_reduced] in the interface. (The 5/3 low-pass has unit DC
-   gain, so the lossless path needs nothing.) *)
-let compensate_k ~discard ms =
-  if discard > 0 then begin
-    let k2d = Float.pow 1.230174104914001 (2.0 *. float_of_int discard) in
-    Array.iter
-      (fun m ->
-        let v = m.Dwt97.values in
-        for i = 0 to Array.length v - 1 do
-          v.(i) <- v.(i) *. k2d
-        done)
-      ms
-  end
-
 let dequantise header ed =
   match header.Codestream.mode with
   | Codestream.Lossless -> Ints ed.st_planes
@@ -271,7 +254,6 @@ let dequantise header ed =
           m)
         ed.st_planes
     in
-    compensate_k ~discard:ed.st_discard ms;
     Floats ms
 
 let inverse_wavelet ?(pool = Par.Pool.sequential) header domain =
@@ -403,10 +385,6 @@ type report = {
 let no_damage = function
   | { concealed_blocks = 0; concealed_tiles = 0; _ } -> true
   | _ -> false
-
-let pp_report ppf r =
-  Format.fprintf ppf "%d/%d blocks concealed, %d/%d tiles concealed"
-    r.concealed_blocks r.total_blocks r.concealed_tiles r.total_tiles
 
 (* Entropy decode in which each code block is a containment domain: a
    block whose MQ codeword no longer decodes is concealed (all-zero

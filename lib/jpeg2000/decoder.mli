@@ -59,9 +59,9 @@ val entropy_decode_tile :
 val dequantise : Codestream.header -> entropy_decoded -> wavelet_domain
 (** Stage 2 (IQ). The lossless planes are handed over as they are,
     without a copy. The lossy path dequantises every band into a
-    float matrix ({!Quant.dequantise_band}) and, for a tile decoded
-    at reduced resolution, applies the level compensation described
-    under {!decode_reduced}. *)
+    float matrix ({!Quant.dequantise_band}). A tile decoded at reduced
+    resolution needs no level compensation: both low-pass filters
+    have unit DC gain. *)
 
 val inverse_wavelet :
   ?pool:Par.Pool.t -> Codestream.header -> wavelet_domain -> wavelet_domain
@@ -123,15 +123,7 @@ val decode_reduced :
     [0 <= discard_levels <= levels] and a tile grid aligned to
     [2^discard_levels] (any power-of-two tile size qualifies);
     raises [Invalid_argument] otherwise. At [discard_levels = levels]
-    only the LL band is decoded and no inverse level runs.
-
-    On the lossy path the coefficients are multiplied by
-    [K^(2 * discard_levels)] for the skipped levels. The 9/7 analysis
-    low-pass already has unit DC gain, so this over-corrects: lossy
-    reduced images drift away from mid-grey with every discarded
-    level (a constant 200 decodes to 237 at [discard_levels = 1]).
-    The factor stays until a change that may move the recorded
-    lossy-reduced digests removes it. *)
+    only the LL band is decoded and no inverse level runs. *)
 
 (** {1 Graceful degradation}
 
@@ -151,7 +143,6 @@ type report = {
 }
 
 val no_damage : report -> bool
-val pp_report : Format.formatter -> report -> unit
 
 val concealed_entropy_decoded :
   Codestream.header -> Codestream.tile_segment -> entropy_decoded

@@ -26,10 +26,6 @@ val encode : config -> Image.t -> string
 (** Full encode to a codestream. Raises [Invalid_argument] when
     {!header_of_config} refuses the configuration. *)
 
-val encode_tile : Codestream.header -> Tile.t -> Codestream.tile_segment
-(** Single-tile forward chain; exposed for tests and for the system
-    models that need per-tile workloads. *)
-
 val header_of_config :
   config -> Image.t -> (Codestream.header, string * string) result
 (** The header [encode] writes. [Error (field, reason)] if a

@@ -239,18 +239,3 @@ let of_pnm s =
       done)
     t.planes;
   t
-
-let save_pnm t path =
-  let oc = open_out_bin path in
-  (try output_string oc (to_pnm t)
-   with exn ->
-     close_out oc;
-     raise exn);
-  close_out oc
-
-let load_pnm path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let data = really_input_string ic n in
-  close_in ic;
-  of_pnm data

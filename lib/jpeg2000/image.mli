@@ -103,6 +103,3 @@ val to_pnm : t -> string
 
 val of_pnm : string -> t
 (** Parses binary P5/P6 data. Raises [Failure] on malformed input. *)
-
-val save_pnm : t -> string -> unit
-val load_pnm : string -> t

@@ -86,7 +86,6 @@ let reset_context ctx ~index ~mps =
   ctx.index <- index;
   ctx.mps <- mps
 
-let context_index ctx = ctx.index
 let context_mps ctx = ctx.mps
 
 (* -- Encoder --------------------------------------------------------
@@ -192,8 +191,6 @@ let flush e =
   let stop = if last_byte e = 0xFF then e.len - 1 else e.len in
   Bytes.sub_string e.bytes 1 (stop - 1)
 
-let encoded_bytes e = e.len - 1
-
 (* -- Decoder ------------------------------------------------------- *)
 
 type decoder = {
@@ -291,5 +288,3 @@ let decode d ctx =
     end
   in
   decision
-
-let consumed_bytes d = d.pos + 1

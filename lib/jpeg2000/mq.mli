@@ -23,7 +23,6 @@ val context : ?index:int -> ?mps:int -> unit -> context
     [Invalid_argument] outside index 0..46 or mps 0..1. *)
 
 val reset_context : context -> index:int -> mps:int -> unit
-val context_index : context -> int
 val context_mps : context -> int
 
 (** {1 Encoding} *)
@@ -39,9 +38,6 @@ val flush : encoder -> string
 (** Terminates the codeword (SETBITS + two BYTEOUTs) and returns the
     bytes. The encoder must not be used afterwards. *)
 
-val encoded_bytes : encoder -> int
-(** Bytes emitted so far (grows during encoding). *)
-
 (** {1 Decoding} *)
 
 type decoder
@@ -52,5 +48,3 @@ val decoder : string -> decoder
 
 val decode : decoder -> context -> int
 (** Decodes one binary decision. *)
-
-val consumed_bytes : decoder -> int

@@ -32,8 +32,6 @@ let set p ~x ~y v =
     invalid_arg "Plane.set: out of bounds";
   Bigarray.Array1.unsafe_set p.data ((y * p.pw) + x) v
 
-let fill p v = Bigarray.Array1.fill p.data v
-
 (* Writes the [w]x[h] row-major prefix of [block] into the rectangle
    at ([x0], [y0]). The bounds check runs once per block, not per
    coefficient — corrupted geometry fails loudly instead of writing

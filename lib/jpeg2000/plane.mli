@@ -44,8 +44,6 @@ val set : t -> x:int -> y:int -> int -> unit
 (** Bounds-checked single-coefficient access ([Invalid_argument]
     outside the plane). *)
 
-val fill : t -> int -> unit
-
 val blit_block : t -> x0:int -> y0:int -> w:int -> h:int -> int array -> unit
 (** Writes the [w]x[h] row-major prefix of the array into the
     rectangle at ([x0], [y0]). One bounds check per block; raises

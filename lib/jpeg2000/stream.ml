@@ -111,10 +111,6 @@ let feed t chunk =
   | (Done | Corrupt _) as s -> s
   | Need_more | Segment_ready -> if landed > 0 then Segment_ready else Need_more
 
-let finish t =
-  t.finished <- true;
-  status t
-
 let header t =
   match t.phase with
   | Preamble | Corrupt _ -> None
@@ -142,8 +138,13 @@ let tile t i =
 let bytes_fed t = Buffer.length t.buf
 let received t = Buffer.contents t.buf
 
+(* At end-of-input [status] is [Done] iff the bytes form a
+   well-formed codestream, otherwise [Corrupt] with exactly the error,
+   [Truncated] offset included, that [Codestream.parse_result]
+   reports for the same bytes. *)
 let parse_result t =
-  match finish t with
+  t.finished <- true;
+  match status t with
   | Done -> (
     match t.phase with
     | Complete { header; _ } ->

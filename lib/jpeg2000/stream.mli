@@ -11,8 +11,8 @@
     qcheck property in the test suite).
 
     Streaming cannot distinguish "truncated" from "more bytes on the
-    way", so truncation is only reported by {!finish}, which marks
-    end-of-input and returns the definitive status. Non-truncation
+    way", so truncation is only reported by {!parse_result}, which
+    marks end-of-input and returns the definitive parse. Non-truncation
     framing damage (bad magic, bad version, an out-of-range field) is
     definite the moment it is seen: no suffix can repair a broken
     prefix, so {!feed} reports it immediately as [Corrupt]. *)
@@ -26,21 +26,15 @@ type status =
           during this call; inspect {!header} / {!tiles_ready} *)
   | Done
       (** structurally complete: preamble and every announced tile
-          segment parsed (a subsequent {!finish} returns the parse) *)
+          segment parsed (a subsequent {!parse_result} returns the
+          parse) *)
   | Corrupt of Codestream.error  (** definite framing damage *)
 
 val create : unit -> t
 
 val feed : t -> string -> status
 (** Append a chunk and consume every framing unit it completes.
-    Raises [Invalid_argument] after {!finish}. *)
-
-val finish : t -> status
-(** Mark end-of-input and return the definitive status: [Done] iff
-    the bytes fed so far form a well-formed codestream, otherwise
-    [Corrupt] with exactly the error — including the [Truncated]
-    offset — that {!Codestream.parse_result} reports for the same
-    bytes. Idempotent. *)
+    Raises [Invalid_argument] after {!parse_result}. *)
 
 val status : t -> status
 (** Current status without feeding ([Need_more] while incomplete and

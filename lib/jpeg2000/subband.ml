@@ -46,7 +46,3 @@ let orientation_of_code = function
   | 2 -> LH
   | 3 -> HH
   | n -> invalid_arg (Printf.sprintf "Subband.orientation_of_code: %d" n)
-
-let pp_orientation fmt o =
-  Format.pp_print_string fmt
-    (match o with LL -> "LL" | HL -> "HL" | LH -> "LH" | HH -> "HH")

@@ -38,5 +38,3 @@ val gain_log2 : orientation -> int
 val orientation_code : orientation -> int
 val orientation_of_code : int -> orientation
 (** 0–3 wire encoding; raises [Invalid_argument] on other values. *)
-
-val pp_orientation : Format.formatter -> orientation -> unit

@@ -11,9 +11,6 @@ type t = {
   planes : Image.plane array;  (** one rectangle per component *)
 }
 
-val tile_grid : image_w:int -> image_h:int -> tile_w:int -> tile_h:int -> int * int
-(** Number of tile columns and rows. *)
-
 val split : Image.t -> tile_w:int -> tile_h:int -> t list
 (** Cuts the image into tiles in raster order; border tiles are
     smaller. Raises [Invalid_argument] on non-positive tile size. *)
@@ -40,7 +37,6 @@ val assemble_region :
 
 val width : t -> int
 val height : t -> int
-val components : t -> int
 val samples : t -> int
 (** Total sample count across all components — the serialisation
     payload size of the tile. *)

@@ -115,8 +115,6 @@ val run_fleet :
 val render_fleet : fleet_row list -> string
 val fleet_to_json : fleet_row list -> Telemetry.Json.t
 
-val row_to_json : row -> Telemetry.Json.t
-
 val to_json : config -> row list -> Telemetry.Json.t
 (** The whole campaign as one JSON document (non-finite inflation and
     PSNR values become [null] / ["inf"]). *)

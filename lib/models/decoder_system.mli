@@ -50,9 +50,6 @@ type rig = {
           (empty on the Application Layer) *)
 }
 
-val application_rig : rig
-(** All-direct rig: unmapped tasks, register memories, no payload. *)
-
 val run_sw_only :
   version:string -> ?idwt_deadline:Sim.Sim_time.t -> Workload.t -> Outcome.t
 

@@ -16,8 +16,12 @@ let version_name = function
 let version_of_name name =
   List.find_opt (fun v -> String.equal (version_name v) name) all_versions
 
+(* The paper's "four independent Software Tasks performing the
+   arithmetic decoding of disjoint parts of the image". *)
+let sw_parallel_tasks = 4
+
 let run_workload ?protection ?idwt_deadline version w =
-  let tasks = App_models.sw_parallel_tasks in
+  let tasks = sw_parallel_tasks in
   match version with
   | V1 -> Decoder_system.run_sw_only ~version:"1" ?idwt_deadline w
   | V2 ->

@@ -2,6 +2,16 @@
     qualitative relations the paper reports. *)
 
 type version = V1 | V2 | V3 | V4 | V5 | V6a | V6b | V7a | V7b
+(** The nine models of Table 1. The Application-Layer versions (upper
+    half):
+    - version 1: software only;
+    - version 2: HW/SW, not parallel (blocking IQ+IDWT co-processor);
+    - version 3: HW/SW parallel (pipeline, 3 IDWT modules);
+    - version 4: SW parallel (4 decoder tasks, cp. version 2);
+    - version 5: SW & HW/SW parallel (cp. version 3, 7-client SO).
+
+    Versions 6a–7b (lower half) refine 3 and 5 onto the Virtual Target
+    Architecture; {!Vta_models} describes them. *)
 
 val all_versions : version list
 val version_name : version -> string

@@ -11,14 +11,13 @@ let measure t f =
   t.spans <- (started, Sim.Kernel.now t.kernel) :: t.spans;
   result
 
-let intervals t = List.rev t.spans
 let count t = List.length t.spans
 
 let busy t =
   let sorted =
     List.sort (fun (a, _) (b, _) -> Sim.Sim_time.compare a b) t.spans
   in
-  let total, open_span =
+  let total, last =
     List.fold_left
       (fun (total, current) (start, stop) ->
         match current with
@@ -31,7 +30,7 @@ let busy t =
               Some (start, stop) ))
       (Sim.Sim_time.zero, None) sorted
   in
-  match open_span with
+  match last with
   | None -> total
   | Some (start, stop) -> Sim.Sim_time.add total (Sim.Sim_time.sub stop start)
 

@@ -14,11 +14,7 @@ val measure : t -> (unit -> 'a) -> 'a
 (** Runs the thunk in process context, recording [now] before and
     after as one interval. *)
 
-val intervals : t -> (Sim.Sim_time.t * Sim.Sim_time.t) list
 val count : t -> int
-
-val busy : t -> Sim.Sim_time.t
-(** Length of the union of all recorded intervals. *)
 
 val busy_ms : t -> float
 

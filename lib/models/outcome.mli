@@ -39,8 +39,6 @@ val speedup_vs : t -> t -> float
 val idwt_speedup_vs : t -> t -> float
 
 val mode_string : Profile.mode -> string
-val resilience_to_json : resilience -> Telemetry.Json.t
 val to_json : t -> Telemetry.Json.t
 
-val pp_resilience : Format.formatter -> resilience -> unit
 val pp : Format.formatter -> t -> unit

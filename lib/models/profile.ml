@@ -62,11 +62,6 @@ let sw_decode_time mode ~tile =
   let factor = 0.85 +. (0.3 *. float_of_int s /. float_of_int (tiles - 1)) in
   Osss.Eet.scaled factor (sw mode).t_decode
 
-let sw_total_per_tile mode =
-  let s = sw mode in
-  List.fold_left Sim.Sim_time.add Sim.Sim_time.zero
-    [ s.t_decode; s.t_iq; s.t_idwt; s.t_ict; s.t_dc_shift ]
-
 (* Calibration: the paper reports HW IDWT 12x (lossless) / 16x
    (lossy) faster than SW even after VTA refinement, and refinement
    costs up to a factor 8 — which pins the Application-Layer

@@ -40,23 +40,15 @@ val sw_decode_time : mode -> tile:int -> Sim.Sim_time.t
     180 ms mean (±15 %); the 16-tile total equals
     [16 * (sw mode).t_decode]. *)
 
-val sw_total_per_tile : mode -> Sim.Sim_time.t
-
 val shares : mode -> (stage * float) list
 (** Figure 1's percentages. *)
 
 val stage_name : stage -> string
 
-val hw_acceleration : mode -> float
-(** Speed-up of the IQ/IDWT hardware implementation over software on
-    the Application Layer (no communication cost). Calibrated so that
-    after VTA refinement the HW IDWT retains the paper's 12×/16×
-    advantage over software while the refinement itself costs up to
-    8×. *)
-
 val hw : mode -> stage_times
-(** {!sw} with IQ and IDWT accelerated by {!hw_acceleration}
-    (decode/ICT/DC unchanged — they stay in software). *)
+(** {!sw} with IQ and IDWT accelerated 60× (lossless) / 80× (lossy),
+    calibrated so that the refined HW IDWT keeps the paper's 12×/16×
+    advantage (decode/ICT/DC unchanged — they stay in software). *)
 
 val nominal_tile_words : mode -> int
 (** Bus words of one full-resolution tile (all components) — the

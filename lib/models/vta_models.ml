@@ -67,13 +67,6 @@ let run_custom ?(bus_max_burst = default_bus_max_burst) ?so_policy ?protection
         ?protection ())
     ?so_policy ?idwt_deadline w
 
-let run version ~sw_tasks ~idwt_p2p w = run_custom ~version ~sw_tasks ~idwt_p2p w
-
-let v6a w = run "6a" ~sw_tasks:1 ~idwt_p2p:false w
-let v6b w = run "6b" ~sw_tasks:1 ~idwt_p2p:true w
-let v7a w = run "7a" ~sw_tasks:App_models.sw_parallel_tasks ~idwt_p2p:false w
-let v7b w = run "7b" ~sw_tasks:App_models.sw_parallel_tasks ~idwt_p2p:true w
-
 let mapping ~sw_tasks ~idwt_p2p =
   let vta = Osss.Vta.create Osss.Platform.ml401 in
   for i = 0 to sw_tasks - 1 do

@@ -28,11 +28,6 @@ val run_custom :
     of the rig — the hardened-RMI mode of the fault campaigns;
     [idwt_deadline] overrides the per-tile IDWT deadline monitor. *)
 
-val v6a : Workload.t -> Outcome.t
-val v6b : Workload.t -> Outcome.t
-val v7a : Workload.t -> Outcome.t
-val v7b : Workload.t -> Outcome.t
-
 val mapping : sw_tasks:int -> idwt_p2p:bool -> Osss.Vta.t
 (** The declarative VTA mapping registry for the given configuration
     (validated; used by platform generation and shown by the CLI). *)

@@ -45,12 +45,6 @@ val sequential : t
 (** Runs every {!map} as a plain [Array.map] on the calling domain.
     No domains are spawned; {!shutdown} is a no-op. *)
 
-val create : domains:int -> t
-(** [create ~domains] spawns [domains] worker domains that block on a
-    Mutex/Condition work queue until {!shutdown}. Raises
-    [Invalid_argument] if [domains < 1]. Pools are not a measure of
-    available hardware: callers pick the size (e.g. from [--jobs]). *)
-
 val of_jobs : int -> t
 (** [of_jobs n] is {!sequential} for [n = 1] and a pool of [n - 1]
     workers otherwise — the calling domain claims chunks alongside the

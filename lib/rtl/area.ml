@@ -95,7 +95,3 @@ let regressions ~tolerance_pct ~baseline r =
       ("flip_flops", baseline.flip_flops, r.flip_flops);
       ("luts", baseline.luts, r.luts);
     ]
-
-let pp_report fmt r =
-  Format.fprintf fmt "FF=%d LUT=%d slices=%d gates=%d" r.flip_flops r.luts
-    r.slices r.gates

@@ -38,5 +38,3 @@ val regressions :
     percent over [baseline], as [(metric, delta_pct)] pairs — the
     area-regression gate run by the CLI [area --check] command and
     CI. Empty means the gate passes. *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -582,30 +582,3 @@ let of_design design =
     critical_path_ns = body_acc.crit;
     process_count = List.length design.architecture.processes;
   }
-
-let pp_kind fmt = function
-  | Add -> Format.pp_print_string fmt "add"
-  | Sub -> Format.pp_print_string fmt "sub"
-  | Mul -> Format.pp_print_string fmt "mul"
-  | Compare -> Format.pp_print_string fmt "cmp"
-  | Bitwise -> Format.pp_print_string fmt "logic"
-  | Shift -> Format.pp_print_string fmt "shift"
-
-let pp_ops fmt ops =
-  List.iter
-    (fun o -> Format.fprintf fmt "  %a/%d x%d@," pp_kind o.kind o.width o.count)
-    ops
-
-let pp_ports fmt ports =
-  List.iter
-    (fun p -> Format.fprintf fmt "  %dx%d x%d@," p.depth p.pwidth p.pcount)
-    ports
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "@[<v>registers: %d bits (%d in arrays)@,states: %d@,mux2: %d bits@,\
-     critical: %.2f ns@,processes: %d@,ops total:@,%aops shared:@,%a\
-     reads total:@,%areads shared:@,%awrites total:@,%a@]"
-    s.register_bits s.array_bits s.state_count s.mux2_bits s.critical_path_ns
-    s.process_count pp_ops s.ops_total pp_ops s.ops_shared pp_ports
-    s.reads_total pp_ports s.reads_shared pp_ports s.writes_total

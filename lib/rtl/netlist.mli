@@ -45,10 +45,6 @@ type summary = {
 
 val of_design : Vhdl.design -> summary
 
-val op_delay_ns : op_kind -> width:int -> float
-(** Raw combinational delay of one operator on a Virtex-4 class
-    fabric (LUT levels + carry chains). *)
-
 val total_op_luts : op_count list -> int
 (** LUT4 cost of a set of operator instances (see {!Area} for the
     cost-table rationale). *)
@@ -60,5 +56,3 @@ val read_port_luts : port_count list -> int
 
 val write_port_luts : port_count list -> int
 (** Write-enable decoders: [depth / 2] LUTs per port. *)
-
-val pp_summary : Format.formatter -> summary -> unit

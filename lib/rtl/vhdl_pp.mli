@@ -12,6 +12,3 @@ val emit : Vhdl.design -> string
 val loc : Vhdl.design -> int
 (** Non-blank lines of the emitted text — the LoC metric used in
     Section 4 of the paper. *)
-
-val pp_expr : Format.formatter -> Vhdl.expr -> unit
-val pp_type : Format.formatter -> Vhdl.vtype -> unit

@@ -18,5 +18,3 @@ let create ~capacity = Lru.create ~capacity ()
 let find = Lru.find
 let add = Lru.add
 let stats = Lru.stats
-let length = Lru.length
-let capacity = Lru.capacity

@@ -32,5 +32,3 @@ val create : capacity:int -> t
 val find : t -> key -> Jpeg2000.Tile.t option
 val add : t -> key -> Jpeg2000.Tile.t -> unit
 val stats : t -> Lru.stats
-val length : t -> int
-val capacity : t -> int

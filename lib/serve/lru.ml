@@ -55,7 +55,6 @@ let create ?(hash = Hashtbl.hash) ~capacity () =
     evictions = 0;
   }
 
-let capacity t = t.cap
 let length t = t.size
 
 let unlink t cell =

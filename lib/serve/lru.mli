@@ -31,7 +31,6 @@ val create : ?hash:('k -> int) -> capacity:int -> unit -> ('k, 'v) t
 (** [hash] defaults to [Hashtbl.hash]. Raises [Invalid_argument] if
     [capacity < 1]. *)
 
-val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
 
 val find : ('k, 'v) t -> 'k -> 'v option

@@ -26,8 +26,6 @@ let create ?(vnodes = 16) members =
   if vnodes < 1 then invalid_arg "Fleet.Ring.create: vnodes < 1";
   of_members vnodes (List.sort_uniq Int.compare members)
 
-let vnodes t = t.vn
-
 let members t =
   List.sort_uniq Int.compare (Array.to_list (Array.map snd t.points))
 

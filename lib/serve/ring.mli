@@ -25,7 +25,6 @@ val create : ?vnodes:int -> int list -> t
     < 1. An empty member list is legal — the ring just owns
     nothing. *)
 
-val vnodes : t -> int
 val members : t -> int list
 (** Sorted, distinct. *)
 

@@ -15,8 +15,6 @@ let create ?hash ~capacity ~transfer_ps () =
     invalidations = 0;
   }
 
-let capacity t = Lru.capacity t.lru
-let length t = Lru.length t.lru
 let transfer_ps t = t.tr_ps
 
 let find t key =

@@ -24,8 +24,6 @@ val create : ?hash:(Cache.key -> int) -> capacity:int -> transfer_ps:int -> unit
     is negative. [?hash] exists so tests can force collisions, as in
     {!Lru.create}. *)
 
-val capacity : t -> int
-val length : t -> int
 val transfer_ps : t -> int
 
 val find : t -> Cache.key -> Jpeg2000.Tile.t option

@@ -52,13 +52,8 @@ let create kernel ?(name = "clk") ?(duty = 0.5) ?(start_high = false) ?until
       run (not start_high));
   t
 
-let name t = t.c_name
-let period t = t.c_period
 let signal t = t.c_signal
-let posedge t = t.c_posedge
-let negedge t = t.c_negedge
 let wait_posedge t = Event.wait t.c_posedge
-let wait_negedge t = Event.wait t.c_negedge
 
 let wait_cycles t n =
   for _ = 1 to n do

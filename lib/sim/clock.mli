@@ -22,19 +22,10 @@ val create :
     strictly between 0 and 1. Raises [Invalid_argument] on a zero
     period. *)
 
-val name : t -> string
-val period : t -> Sim_time.t
 val signal : t -> bool Signal.t
-
-val posedge : t -> Event.t
-(** Notified on every rising edge. *)
-
-val negedge : t -> Event.t
 
 val wait_posedge : t -> unit
 (** Suspends the calling process until the next rising edge. *)
-
-val wait_negedge : t -> unit
 
 val wait_cycles : t -> int -> unit
 (** Suspends for the given number of rising edges. *)

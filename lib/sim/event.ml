@@ -7,8 +7,6 @@ type t = {
 let create kernel ?(name = "event") () =
   { kernel; name; waiters = Queue.create () }
 
-let name t = t.name
-let kernel t = t.kernel
 let on_next t f = Queue.push f t.waiters
 
 (* Notification captures the waiter set at notify time; waiters

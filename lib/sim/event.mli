@@ -8,8 +8,6 @@
 type t
 
 val create : Kernel.t -> ?name:string -> unit -> t
-val name : t -> string
-val kernel : t -> Kernel.t
 
 val on_next : t -> (unit -> unit) -> unit
 (** [on_next e f] runs [f] once, at delivery of the next notification

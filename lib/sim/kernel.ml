@@ -65,9 +65,7 @@ let at_update t f = Queue.push f t.updates
 let stop t = t.stop_requested <- true
 let current_label t = t.current_label
 let set_race_policy t p = t.race_policy <- p
-let race_policy t = t.race_policy
 let races t = List.rev t.races
-let clear_races t = t.races <- []
 
 let report_race t ~signal ~first ~second =
   let race =

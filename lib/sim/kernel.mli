@@ -103,7 +103,6 @@ val current_label : t -> string option
     inside scheduler callbacks and outside {!run}. *)
 
 val set_race_policy : t -> race_policy -> unit
-val race_policy : t -> race_policy
 
 val report_race : t -> signal:string -> first:string -> second:string -> unit
 (** Applies the current policy to a conflicting-driver observation.
@@ -112,8 +111,6 @@ val report_race : t -> signal:string -> first:string -> second:string -> unit
 
 val races : t -> race list
 (** Races recorded so far (oldest first) under [Race_record]. *)
-
-val clear_races : t -> unit
 
 (** {1 Process context}
 

@@ -16,10 +16,6 @@ let create kernel ?(name = "mailbox") ?(capacity = 16) () =
     removed = Event.create kernel ~name:(name ^ ".removed") ();
   }
 
-let name t = t.name
-let length t = Queue.length t.items
-let capacity t = t.capacity
-
 let rec put t v =
   if Queue.length t.items >= t.capacity then begin
     Event.wait t.removed;
@@ -38,12 +34,3 @@ let rec get t =
   | None ->
     Event.wait t.inserted;
     get t
-
-let try_get t =
-  match Queue.take_opt t.items with
-  | Some v ->
-    Event.notify t.removed;
-    Some v
-  | None -> None
-
-let not_empty t = t.inserted

@@ -5,18 +5,8 @@ type 'a t
 val create : Kernel.t -> ?name:string -> ?capacity:int -> unit -> 'a t
 (** [capacity] defaults to 16; it must be positive. *)
 
-val name : 'a t -> string
-val length : 'a t -> int
-val capacity : 'a t -> int
-
 val put : 'a t -> 'a -> unit
 (** Blocks the calling process while the mailbox is full. *)
 
 val get : 'a t -> 'a
 (** Blocks the calling process while the mailbox is empty. *)
-
-val try_get : 'a t -> 'a option
-(** Non-blocking read. *)
-
-val not_empty : 'a t -> Event.t
-(** Notified whenever an element is inserted. *)

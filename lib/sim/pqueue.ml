@@ -15,7 +15,6 @@ let dummy_entry () : 'a entry = Obj.magic dummy
 
 let create () = { heap = [||]; size = 0; next_seq = 0 }
 
-let is_empty q = q.size = 0
 let length q = q.size
 
 (* [before a b] implements the heap order: key first, then insertion

@@ -19,7 +19,6 @@ let create kernel ?(name = "signal") ?(equal = ( = )) init =
     changed = Event.create kernel ~name:(name ^ ".changed") ();
   }
 
-let name t = t.name
 let value t = t.current
 let changed t = t.changed
 let last_writer t = if t.pending = None && t.pending_writer = "" then None else Some t.pending_writer

@@ -14,8 +14,6 @@ val create :
     (default structural equality) decides whether a committed write
     is a change. *)
 
-val name : 'a t -> string
-
 val value : 'a t -> 'a
 (** Current (committed) value. *)
 

@@ -5,15 +5,9 @@ let zero = 0
 let of_ps n =
   if n < 0 then invalid_arg "Sim_time.of_ps: negative" else n
 
-let ps n = of_ps n
 let ns n = of_ps (n * 1_000)
 let us n = of_ps (n * 1_000_000)
 let ms n = of_ps (n * 1_000_000_000)
-let s n = of_ps (n * 1_000_000_000_000)
-
-let of_ns_float x =
-  if x < 0.0 then invalid_arg "Sim_time.of_ns_float: negative"
-  else int_of_float (Float.round (x *. 1_000.0))
 
 let of_ms_float x =
   if x < 0.0 then invalid_arg "Sim_time.of_ms_float: negative"
@@ -21,7 +15,6 @@ let of_ms_float x =
 
 let to_ps t = t
 let to_float_ns t = float_of_int t /. 1_000.0
-let to_float_us t = float_of_int t /. 1_000_000.0
 let to_float_ms t = float_of_int t /. 1_000_000_000.0
 
 let add a b = a + b
@@ -31,9 +24,6 @@ let sub a b =
 
 let mul_int t n =
   if n < 0 then invalid_arg "Sim_time.mul_int: negative" else t * n
-
-let div_int t n =
-  if n <= 0 then invalid_arg "Sim_time.div_int: non-positive" else t / n
 
 let cycles ~hz n =
   if hz <= 0 then invalid_arg "Sim_time.cycles: non-positive frequency"
@@ -48,7 +38,6 @@ let ( < ) (a : t) b = Stdlib.( < ) a b
 let ( <= ) (a : t) b = Stdlib.( <= ) a b
 let ( > ) (a : t) b = Stdlib.( > ) a b
 let ( >= ) (a : t) b = Stdlib.( >= ) a b
-let min (a : t) b = Stdlib.min a b
 let max (a : t) b = Stdlib.max a b
 let is_zero t = t = 0
 

@@ -13,21 +13,15 @@ val zero : t
 val of_ps : int -> t
 (** [of_ps n] is [n] picoseconds. Raises [Invalid_argument] if [n < 0]. *)
 
-val ps : int -> t
 val ns : int -> t
 val us : int -> t
 val ms : int -> t
-val s : int -> t
-
-val of_ns_float : float -> t
-(** [of_ns_float x] rounds [x] nanoseconds to the nearest picosecond. *)
 
 val of_ms_float : float -> t
 (** [of_ms_float x] rounds [x] milliseconds to the nearest picosecond. *)
 
 val to_ps : t -> int
 val to_float_ns : t -> float
-val to_float_us : t -> float
 val to_float_ms : t -> float
 
 val add : t -> t -> t
@@ -36,7 +30,6 @@ val sub : t -> t -> t
     would be negative. *)
 
 val mul_int : t -> int -> t
-val div_int : t -> int -> t
 
 val cycles : hz:int -> int -> t
 (** [cycles ~hz n] is the duration of [n] clock cycles at [hz] hertz. *)
@@ -51,7 +44,6 @@ val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 
-val min : t -> t -> t
 val max : t -> t -> t
 
 val is_zero : t -> bool

@@ -1,43 +1,25 @@
-type probe = {
-  p_name : string;
-  width : int;
-  id : string; (* VCD identifier code *)
-  initial : int;
-}
+type probe = { p_name : string; width : int; initial : int }
 
 type t = {
   kernel : Kernel.t;
   top : string;
   mutable probes : probe list; (* reversed *)
-  mutable changes : (Sim_time.t * string * int * int) list; (* reversed: time, id, width, value *)
-  mutable next_id : int;
+  mutable changes : (Sim_time.t * int * int) list; (* reversed: time, probe index, value *)
 }
 
-let create kernel ?(top = "top") () =
-  { kernel; top; probes = []; changes = []; next_id = 0 }
-
-(* VCD identifier codes: printable ASCII 33..126, multi-char beyond. *)
-let id_of_index index =
-  let base = 94 in
-  let rec build i acc =
-    let c = Char.chr (33 + (i mod base)) in
-    let acc = String.make 1 c ^ acc in
-    if i < base then acc else build ((i / base) - 1) acc
-  in
-  build index ""
+let create kernel ?(top = "top") () = { kernel; top; probes = []; changes = [] }
 
 let probe t ~name ~width project signal =
   if width <= 0 || width > 62 then invalid_arg "Vcd.probe: width";
   if List.exists (fun p -> String.equal p.p_name name) t.probes then
     invalid_arg (Printf.sprintf "Vcd.probe: duplicate name %s" name);
-  let id = id_of_index t.next_id in
-  t.next_id <- t.next_id + 1;
-  t.probes <- { p_name = name; width; id; initial = project (Signal.value signal) } :: t.probes;
+  let index = List.length t.probes in
+  t.probes <- { p_name = name; width; initial = project (Signal.value signal) } :: t.probes;
   (* Re-arming change listener: callbacks run in scheduler context. *)
   let rec listen () =
     Event.on_next (Signal.changed signal) (fun () ->
         t.changes <-
-          (Kernel.now t.kernel, id, width, project (Signal.value signal))
+          (Kernel.now t.kernel, index, project (Signal.value signal))
           :: t.changes;
         listen ())
   in
@@ -50,48 +32,13 @@ let probe_bool t ~name signal =
 
 let change_count t = List.length t.changes
 
-let binary_of_value ~width v =
-  let bits = Bytes.make width '0' in
-  for i = 0 to width - 1 do
-    if (v lsr i) land 1 = 1 then Bytes.set bits (width - 1 - i) '1'
-  done;
-  Bytes.to_string bits
-
 let render t =
-  let buf = Buffer.create 1024 in
-  let line fmt = Format.kasprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "$date";
-  line "  (simulation)";
-  line "$end";
-  line "$version";
-  line "  osss-jpeg2000 sim kernel";
-  line "$end";
-  line "$timescale 1ps $end";
-  line "$scope module %s $end" t.top;
-  let probes = List.rev t.probes in
-  List.iter
-    (fun p -> line "$var wire %d %s %s $end" p.width p.id p.p_name)
-    probes;
-  line "$upscope $end";
-  line "$enddefinitions $end";
-  line "$dumpvars";
-  List.iter
-    (fun p -> line "b%s %s" (binary_of_value ~width:p.width p.initial) p.id)
-    probes;
-  line "$end";
-  (* Group changes by time, oldest first. *)
-  let changes = List.rev t.changes in
-  let last_time = ref None in
-  List.iter
-    (fun (time, id, width, value) ->
-      (match !last_time with
-      | Some prev when Sim_time.equal prev time -> ()
-      | Some _ | None ->
-        line "#%d" (Sim_time.to_ps time);
-        last_time := Some time);
-      line "b%s %s" (binary_of_value ~width value) id)
-    changes;
-  Buffer.contents buf
+  Telemetry.Vcd_export.document ~version:"osss-jpeg2000 sim kernel" ~scope:t.top
+    ~vars:(List.rev_map (fun p -> (p.p_name, p.width, p.initial)) t.probes)
+    ~changes:
+      (List.rev_map
+         (fun (time, index, value) -> (Sim_time.to_ps time, index, value))
+         t.changes)
 
 let save t path =
   let oc = open_out path in

@@ -24,6 +24,7 @@ val change_count : t -> int
 (** Number of recorded value changes (excluding initial values). *)
 
 val render : t -> string
-(** The complete VCD document for the changes recorded so far. *)
+(** The complete VCD document for the changes recorded so far,
+    written by {!Telemetry.Vcd_export.document}. *)
 
 val save : t -> string -> unit

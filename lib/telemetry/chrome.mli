@@ -8,7 +8,6 @@
     entries with [ts]/[dur] in microseconds of simulated time,
     instants become "i" entries. *)
 
-val to_json : Event.t list -> Json.t
 val to_string : Event.t list -> string
 
 val save : string -> Event.t list -> unit

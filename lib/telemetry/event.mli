@@ -32,8 +32,6 @@ type t = {
 val duration_ps : t -> int
 (** Duration of a [Complete] event, 0 for [Instant]. *)
 
-val is_span : t -> bool
-
 val tracks : t list -> string list
 (** Distinct track names, sorted. *)
 

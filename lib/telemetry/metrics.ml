@@ -26,11 +26,6 @@ let create () =
     dists = Hashtbl.create 32;
   }
 
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.dists
-
 let incr t ?(by = 1) key =
   match Hashtbl.find_opt t.counters key with
   | Some r -> r := !r + by

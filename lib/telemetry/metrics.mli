@@ -23,7 +23,6 @@ type dist = {
 type t
 
 val create : unit -> t
-val reset : t -> unit
 
 val incr : t -> ?by:int -> string -> unit
 (** Bumps a monotonic counter (created at 0 on first use). *)

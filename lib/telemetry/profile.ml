@@ -214,14 +214,3 @@ let rec node_to_json node =
     ]
 
 let to_json t = Json.Obj [ ("tracks", Json.List (List.map node_to_json t.roots)) ]
-
-let pp fmt t =
-  let rec walk depth node =
-    Format.fprintf fmt "%s%-*s self=%d ps  total=%d ps  n=%d@."
-      (String.make (2 * depth) ' ')
-      (40 - (2 * depth))
-      node.name node.self_ps node.total_ps node.count;
-    List.iter (walk (depth + 1)) node.children
-  in
-  if t.roots = [] then Format.fprintf fmt "  (no spans)@."
-  else List.iter (walk 0) t.roots

@@ -61,4 +61,3 @@ val collapsed : t -> string
     for [flamegraph.pl] and stable under byte comparison. *)
 
 val to_json : t -> Json.t
-val pp : Format.formatter -> t -> unit

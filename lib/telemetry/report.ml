@@ -14,7 +14,6 @@ type t = {
 }
 
 let empty = { counters = []; gauges = []; dists = [] }
-let is_empty t = t.counters = [] && t.gauges = [] && t.dists = []
 
 let of_metrics m =
   let dist_of (d : Metrics.dist) =
@@ -130,16 +129,3 @@ let to_json t =
       ("gauges", fields (fun v -> Json.Int v) t.gauges);
       ("dists", fields dist_to_json t.dists);
     ]
-
-let pp fmt t =
-  let line k v = Format.fprintf fmt "  %-48s %d@." k v in
-  if is_empty t then Format.fprintf fmt "  (no telemetry)@."
-  else begin
-    List.iter (fun (k, v) -> line k v) t.counters;
-    List.iter (fun (k, v) -> line (k ^ " (gauge)") v) t.gauges;
-    List.iter
-      (fun (k, d) ->
-        Format.fprintf fmt "  %-48s n=%d sum=%d min=%d max=%d@." k d.count
-          d.sum d.min d.max)
-      t.dists
-  end

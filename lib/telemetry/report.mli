@@ -22,7 +22,6 @@ type t = {
 val empty : t
 (** What a run without an installed sink reports. *)
 
-val is_empty : t -> bool
 val of_metrics : Metrics.t -> t
 
 val counter : t -> string -> int
@@ -50,4 +49,3 @@ val quantile_exemplar : dist -> float -> Metrics.exemplar option
     above. *)
 
 val to_json : t -> Json.t
-val pp : Format.formatter -> t -> unit

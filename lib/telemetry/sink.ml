@@ -1,16 +1,8 @@
-type open_span = {
-  os_ts : int;
-  os_name : string;
-  os_cat : string;
-  os_args : (string * Event.arg) list;
-}
-
 type t = {
   events : Event.t Queue.t;
   capacity : int option;
   mutable dropped : int;
   metrics : Metrics.t;
-  stacks : (string, open_span list ref) Hashtbl.t;
   mutable context : string option;
 }
 
@@ -23,7 +15,6 @@ let create ?capacity () =
     capacity;
     dropped = 0;
     metrics = Metrics.create ();
-    stacks = Hashtbl.create 16;
     context = None;
   }
 
@@ -36,8 +27,6 @@ let create ?capacity () =
    domain, and fresh worker domains start with no sink. *)
 let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let install t = Domain.DLS.set current (Some t)
-let uninstall () = Domain.DLS.set current None
 let active () = Domain.DLS.get current
 let enabled () = Domain.DLS.get current <> None
 
@@ -57,7 +46,6 @@ let report t =
     in
     { r with Report.counters }
 
-let context t = t.context
 let set_context t label = t.context <- label
 
 let default_track t =
@@ -70,45 +58,6 @@ let push t (ev : Event.t) =
     t.dropped <- t.dropped + 1
   | _ -> ());
   Queue.push ev t.events
-
-let stack t track =
-  match Hashtbl.find_opt t.stacks track with
-  | Some s -> s
-  | None ->
-    let s = ref [] in
-    Hashtbl.replace t.stacks track s;
-    s
-
-let open_span t ~ts_ps ~track ~name ~cat ~args =
-  let s = stack t track in
-  s := { os_ts = ts_ps; os_name = name; os_cat = cat; os_args = args } :: !s
-
-let close_span t ~ts_ps ~track ~args =
-  let s = stack t track in
-  match !s with
-  | [] ->
-    invalid_arg
-      (Printf.sprintf "Telemetry.Sink: end of unopened span on track %S" track)
-  | frame :: rest ->
-    s := rest;
-    if ts_ps < frame.os_ts then
-      invalid_arg
-        (Printf.sprintf "Telemetry.Sink: span %S ends before it starts"
-           frame.os_name);
-    push t
-      {
-        Event.ts_ps = frame.os_ts;
-        track;
-        name = frame.os_name;
-        cat = frame.os_cat;
-        phase = Event.Complete (ts_ps - frame.os_ts);
-        args = frame.os_args @ args;
-      }
-
-let open_depth t track =
-  match Hashtbl.find_opt t.stacks track with
-  | Some s -> List.length !s
-  | None -> 0
 
 let with_sink ?capacity f =
   let t = create ?capacity () in
@@ -139,8 +88,3 @@ let set_gauge key v =
   match Domain.DLS.get current with
   | None -> ()
   | Some t -> Metrics.set t.metrics key v
-
-let set_current_context label =
-  match Domain.DLS.get current with
-  | None -> ()
-  | Some t -> t.context <- label

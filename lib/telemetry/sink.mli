@@ -12,22 +12,18 @@
     the most recent [capacity] events as a ring, counting the rest in
     {!dropped}.
 
-    The installed-sink slot lives in [Domain.DLS]: {!install} and
-    {!with_sink} affect only the calling domain, and a fresh domain
+    The installed-sink slot lives in [Domain.DLS]: {!with_sink}
+    affects only the calling domain, and a fresh domain
     (e.g. a [Par.Pool] worker) starts with no sink. Parallel
     simulations therefore never race on — or interleave events into —
-    each other's sinks; a worker that wants telemetry installs its own
-    sink inside its task. *)
+    each other's sinks; a worker that wants telemetry runs its task
+    under its own {!with_sink}. *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
 (** Raises [Invalid_argument] if [capacity <= 0]. *)
 
-val install : t -> unit
-(** Makes [t] the calling domain's sink; replaces any previous one. *)
-
-val uninstall : unit -> unit
 val active : unit -> t option
 val enabled : unit -> bool
 
@@ -36,9 +32,7 @@ val with_sink : ?capacity:int -> (unit -> 'a) -> t * 'a
     global sink afterwards (also on exceptions). *)
 
 val events : t -> Event.t list
-(** Collected events, oldest first. Spans appear in order of their
-    {e end} time (a span is recorded when it closes), instants in
-    order of emission. *)
+(** Collected events, oldest first, in order of emission. *)
 
 val event_count : t -> int
 
@@ -51,33 +45,13 @@ val report : t -> Report.t
 (** Snapshot of the metrics; when the ring has discarded events the
     snapshot gains a [telemetry.dropped_events] gauge. *)
 
-val context : t -> string option
-(** The current default track, mirrored from the running simulation
-    process by the kernel. *)
-
 val set_context : t -> string option -> unit
+(** Sets the current default track; the kernel mirrors the label of
+    the running simulation process into it. *)
 
 val default_track : t -> string
-(** [context t], or ["main"] when outside any labelled process. *)
-
-val open_span :
-  t ->
-  ts_ps:int ->
-  track:string ->
-  name:string ->
-  cat:string ->
-  args:(string * Event.arg) list ->
-  unit
-
-val close_span :
-  t -> ts_ps:int -> track:string -> args:(string * Event.arg) list -> unit
-(** Pops the innermost open span of [track] and records one
-    [Complete] event. Extra [args] are appended to the opening args.
-    Raises [Invalid_argument] if the track has no open span or time
-    runs backwards. *)
-
-val open_depth : t -> string -> int
-(** Number of currently open spans on a track. *)
+(** The current default track, or ["main"] when outside any labelled
+    process. *)
 
 (** {2 Global hooks for instrumented code}
 
@@ -87,4 +61,3 @@ val emit : Event.t -> unit
 val incr : ?by:int -> string -> unit
 val observe : ?exemplar:int * string -> string -> int -> unit
 val set_gauge : string -> int -> unit
-val set_current_context : string option -> unit

@@ -43,14 +43,3 @@ let counter ~ts_ps ?track ?(cat = "counter") ?(args = []) name value =
         phase = Event.Counter value;
         args;
       }
-
-let begin_ ~ts_ps ?track ?(cat = "span") ?(args = []) name =
-  match Sink.active () with
-  | None -> ()
-  | Some t ->
-    Sink.open_span t ~ts_ps ~track:(resolve_track t track) ~name ~cat ~args
-
-let end_ ~ts_ps ?track ?(args = []) () =
-  match Sink.active () with
-  | None -> ()
-  | Some t -> Sink.close_span t ~ts_ps ~track:(resolve_track t track) ~args

@@ -4,12 +4,7 @@
     defaults to the sink's current context — the label of the running
     simulation process, mirrored by the kernel — so instrumented
     library code rarely names a track explicitly; resource "busy"
-    spans are the exception and pass [?track] with the resource name.
-
-    [begin_]/[end_] pair per track, innermost-first, and record one
-    [Complete] event when the span closes; they therefore guarantee
-    proper nesting on each track by construction. Mismatched [end_]
-    raises [Invalid_argument]. *)
+    spans are the exception and pass [?track] with the resource name. *)
 
 val complete :
   ts_ps:int ->
@@ -41,16 +36,3 @@ val counter :
 (** One sample of a named time-series (queue depth, cache fill) —
     an [Event.Counter] on the track, exported as a Chrome counter
     lane. *)
-
-val begin_ :
-  ts_ps:int ->
-  ?track:string ->
-  ?cat:string ->
-  ?args:(string * Event.arg) list ->
-  string ->
-  unit
-
-val end_ :
-  ts_ps:int -> ?track:string -> ?args:(string * Event.arg) list -> unit -> unit
-(** Closes the innermost open span of the track; extra [args] are
-    appended to the opening args. *)

@@ -4,8 +4,7 @@
 
 let depth_width = 8
 
-(* VCD identifier codes: printable ASCII 33..126, multi-char beyond
-   (same scheme as the kernel's signal-level VCD writer). *)
+(* VCD identifier codes: printable ASCII 33..126, multi-char beyond. *)
 let id_of_index index =
   let base = 94 in
   let rec build i acc =
@@ -48,10 +47,8 @@ let deltas_of events =
   |> List.sort (fun (ta, _, da) (tb, _, db) ->
          if ta <> tb then compare ta tb else compare da db)
 
-let render events =
-  let tracks = Event.tracks events in
-  let ids = Hashtbl.create 16 in
-  List.iteri (fun i track -> Hashtbl.replace ids track (id_of_index i)) tracks;
+let document ~version ~scope ~vars ~changes =
+  let vars = Array.of_list vars in
   let buf = Buffer.create 1024 in
   let line fmt =
     Format.kasprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt
@@ -60,44 +57,52 @@ let render events =
   line "  (simulation)";
   line "$end";
   line "$version";
-  line "  osss-jpeg2000 telemetry span depth";
+  line "  %s" version;
   line "$end";
   line "$timescale 1ps $end";
-  line "$scope module telemetry $end";
-  List.iter
-    (fun track ->
-      line "$var wire %d %s %s $end" depth_width (Hashtbl.find ids track)
-        (sanitize track))
-    tracks;
+  line "$scope module %s $end" scope;
+  Array.iteri
+    (fun i (name, width, _) ->
+      line "$var wire %d %s %s $end" width (id_of_index i) name)
+    vars;
   line "$upscope $end";
   line "$enddefinitions $end";
   line "$dumpvars";
-  List.iter
-    (fun track ->
-      line "b%s %s"
-        (binary_of_value ~width:depth_width 0)
-        (Hashtbl.find ids track))
-    tracks;
+  Array.iteri
+    (fun i (_, width, initial) ->
+      line "b%s %s" (binary_of_value ~width initial) (id_of_index i))
+    vars;
   line "$end";
-  let depths = Hashtbl.create 16 in
-  let depth track =
-    match Hashtbl.find_opt depths track with Some d -> d | None -> 0
-  in
   let last_time = ref None in
   List.iter
-    (fun (ts, track, delta) ->
-      let d = Stdlib.max 0 (depth track + delta) in
-      Hashtbl.replace depths track d;
-      (match !last_time with
-      | Some prev when prev = ts -> ()
-      | Some _ | None ->
+    (fun (ts, i, value) ->
+      if !last_time <> Some ts then begin
         line "#%d" ts;
-        last_time := Some ts);
-      line "b%s %s"
-        (binary_of_value ~width:depth_width (Stdlib.min d 255))
-        (Hashtbl.find ids track))
-    (deltas_of events);
+        last_time := Some ts
+      end;
+      let _, width, _ = vars.(i) in
+      line "b%s %s" (binary_of_value ~width value) (id_of_index i))
+    changes;
   Buffer.contents buf
+
+let render events =
+  let tracks = Event.tracks events in
+  let index = Hashtbl.create 16 in
+  List.iteri (fun i track -> Hashtbl.replace index track i) tracks;
+  let depths = Hashtbl.create 16 in
+  let changes =
+    List.fold_left
+      (fun acc (ts, track, delta) ->
+        let prev = Option.value ~default:0 (Hashtbl.find_opt depths track) in
+        let d = Stdlib.max 0 (prev + delta) in
+        Hashtbl.replace depths track d;
+        (ts, Hashtbl.find index track, Stdlib.min d 255) :: acc)
+      [] (deltas_of events)
+    |> List.rev
+  in
+  document ~version:"osss-jpeg2000 telemetry span depth" ~scope:"telemetry"
+    ~vars:(List.map (fun track -> (sanitize track, depth_width, 0)) tracks)
+    ~changes
 
 let save path events =
   let oc = open_out path in

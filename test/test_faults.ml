@@ -70,8 +70,7 @@ let test_rng_determinism () =
 
 let engine_trace seed =
   let e = Faults.Engine.create ~seed (Faults.Engine.channel_only 0.5) in
-  Faults.Engine.install e;
-  Fun.protect ~finally:Faults.Engine.uninstall (fun () ->
+  Faults.Engine.with_engine e (fun () ->
       let hook = Option.get (Osss.Fault_hooks.channel ()) in
       let outputs =
         List.init 50 (fun i ->
@@ -97,8 +96,7 @@ let test_engine_rejects_bad_rates () =
      with Invalid_argument _ -> true);
   (* Zero rates claim no hook points at all. *)
   let e = Faults.Engine.create ~seed:1 Faults.Engine.no_faults in
-  Faults.Engine.install e;
-  Fun.protect ~finally:Faults.Engine.uninstall (fun () ->
+  Faults.Engine.with_engine e (fun () ->
       Alcotest.(check bool) "no hooks for no faults" false
         (Osss.Fault_hooks.active ()))
 

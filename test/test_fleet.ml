@@ -519,7 +519,7 @@ let cli_goldens =
         cli_service ~queue:5 ~batch:2 (),
         Jpeg2000.Codestream.Lossy,
         "open:n=60,rate=5000,seed=2" ),
-      {|{"fleet":"replicas=1,min=1,max=1,vnodes=16,l2=16,l2_us=20,spill=1,up=0.75,down=0.15,slo=0.5,interval=5,warmup=20,seed=0","workload":"open:n=60,rate=5000,seed=2,deadline=25,region=0.25,reduced=0.25","streams":6,"policy":"reject","queue_capacity":5,"l1_capacity":128,"max_batch":2,"replicas":{"initial":1,"min":1,"max":1,"peak":1,"final":1,"scale_ups":0,"scale_downs":0,"events":[]},"total":60,"served":20,"rejected":40,"dropped":0,"degraded":0,"spilled":0,"batches":11,"coalesced":0,"concealed_blocks":0,"makespan_ms":16.481088471,"throughput_rps":1213.51208297,"latency_ms":{"mean":4.577358855,"p50":4.044596031,"p95":7.361178365,"p99":7.600578423,"max":7.600578423},"slo_misses":40,"slo_miss_rate":0.666666666667,"l1":{"hits":55,"misses":197,"insertions":197,"evictions":69,"hit_rate":0.218253968254},"l2":{"capacity":16,"hits":0,"misses":197,"insertions":197,"evictions":181,"hit_rate":0,"transfers":0,"transfer_ms":0,"invalidations":0},"per_replica":[{"id":0,"served":20,"batches":11,"busy_ms":16.302187645}],"pixels_digest":"6cc7cbbe4e572f1f"}|}
+      {|{"fleet":"replicas=1,min=1,max=1,vnodes=16,l2=16,l2_us=20,spill=1,up=0.75,down=0.15,slo=0.5,interval=5,warmup=20,seed=0","workload":"open:n=60,rate=5000,seed=2,deadline=25,region=0.25,reduced=0.25","streams":6,"policy":"reject","queue_capacity":5,"l1_capacity":128,"max_batch":2,"replicas":{"initial":1,"min":1,"max":1,"peak":1,"final":1,"scale_ups":0,"scale_downs":0,"events":[]},"total":60,"served":20,"rejected":40,"dropped":0,"degraded":0,"spilled":0,"batches":11,"coalesced":0,"concealed_blocks":0,"makespan_ms":16.481088471,"throughput_rps":1213.51208297,"latency_ms":{"mean":4.577358855,"p50":4.044596031,"p95":7.361178365,"p99":7.600578423,"max":7.600578423},"slo_misses":40,"slo_miss_rate":0.666666666667,"l1":{"hits":55,"misses":197,"insertions":197,"evictions":69,"hit_rate":0.218253968254},"l2":{"capacity":16,"hits":0,"misses":197,"insertions":197,"evictions":181,"hit_rate":0,"transfers":0,"transfer_ms":0,"invalidations":0},"per_replica":[{"id":0,"served":20,"batches":11,"busy_ms":16.302187645}],"pixels_digest":"a9c1e1887a8b027a"}|}
     );
   ]
 
@@ -580,7 +580,7 @@ let fleet_draw =
 let test_fleet_conservation () =
   let corpus = corpus () in
   let sum f r = List.fold_left (fun acc s -> acc + f s) 0 r.Fleet.per_replica in
-  let prop pool1 pool2 d =
+  let prop pool1 others d =
     let config =
       {
         Fleet.default_config with
@@ -606,14 +606,17 @@ let test_fleet_conservation () =
     && sum (fun s -> s.Fleet.rs_served) r = r.Fleet.served
     && sum (fun s -> s.Fleet.rs_batches) r = r.Fleet.batches
     && r.Fleet.degraded <= r.Fleet.total
-    && String.equal (report_string r) (report_string (run pool2))
+    && List.for_all
+         (fun pool -> String.equal (report_string r) (report_string (run pool)))
+         others
   in
   Par.Pool.with_jobs 1 (fun pool1 ->
       Par.Pool.with_jobs 2 (fun pool2 ->
-          QCheck.Test.check_exn ~rand:(Random.State.make [| 15 |])
-            (QCheck.Test.make ~name:"fleet conserves requests" ~count:40
-               (QCheck.make ~print:print_fleet_draw fleet_draw)
-               (prop pool1 pool2))))
+          Par.Pool.with_jobs 4 (fun pool4 ->
+              QCheck.Test.check_exn ~rand:(Random.State.make [| 15 |])
+                (QCheck.Test.make ~name:"fleet conserves requests" ~count:40
+                   (QCheck.make ~print:print_fleet_draw fleet_draw)
+                   (prop pool1 [ pool2; pool4 ])))))
 
 let () =
   Alcotest.run "fleet"

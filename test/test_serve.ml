@@ -1140,7 +1140,7 @@ let service_draw =
 
 let test_service_conservation () =
   let corpus = corpus () in
-  let prop pool1 pool2 d =
+  let prop pool1 others d =
     let config =
       cli_config ~queue:d.d_queue ~policy:d.d_policy ~cache:d.d_cache
         ~batch:d.d_batch ?ingest:d.d_ingest ()
@@ -1153,14 +1153,17 @@ let test_service_conservation () =
     r.Serve.Service.total
     = r.Serve.Service.served + r.Serve.Service.rejected + r.Serve.Service.dropped
     && r.Serve.Service.degraded <= r.Serve.Service.total
-    && String.equal (report_string r) (report_string (run pool2))
+    && List.for_all
+         (fun pool -> String.equal (report_string r) (report_string (run pool)))
+         others
   in
   Par.Pool.with_jobs 1 (fun pool1 ->
       Par.Pool.with_jobs 2 (fun pool2 ->
-          QCheck.Test.check_exn ~rand:(Random.State.make [| 15 |])
-            (QCheck.Test.make ~name:"service conserves requests" ~count:40
-               (QCheck.make ~print:print_service_draw service_draw)
-               (prop pool1 pool2))))
+          Par.Pool.with_jobs 4 (fun pool4 ->
+              QCheck.Test.check_exn ~rand:(Random.State.make [| 15 |])
+                (QCheck.Test.make ~name:"service conserves requests" ~count:40
+                   (QCheck.make ~print:print_service_draw service_draw)
+                   (prop pool1 [ pool2; pool4 ])))))
 
 let () =
   Alcotest.run "serve"

@@ -430,7 +430,9 @@ let test_clock_invalid () =
 
 (* -- Vcd ----------------------------------------------------------- *)
 
-let test_vcd_records_changes () =
+(* An 8-bit counter steps 0 -> 1 -> 2 -> 3 one ms apart, then a flag
+   rises in the same instant as the last step. *)
+let records_changes_vcd () =
   let k = Sim.Kernel.create () in
   let v = Sim.Vcd.create k () in
   let s1 = Sim.Signal.create k ~name:"counter" 0 in
@@ -444,6 +446,10 @@ let test_vcd_records_changes () =
       done;
       Sim.Signal.write s2 true);
   Sim.Kernel.run k;
+  v
+
+let test_vcd_records_changes () =
+  let v = records_changes_vcd () in
   Alcotest.(check int) "four changes" 4 (Sim.Vcd.change_count v);
   let text = Sim.Vcd.render v in
   List.iter
@@ -458,6 +464,37 @@ let test_vcd_records_changes () =
       "#1000000000";
       "b00000011 !";
     ]
+
+(* The whole document of the "records changes" scenario, recorded
+   before the signal-level and span-depth writers shared one renderer:
+   the file viewers open must not change under that refactoring. *)
+let test_vcd_records_changes_bytes () =
+  Alcotest.(check string) "document"
+    {|$date
+  (simulation)
+$end
+$version
+  osss-jpeg2000 sim kernel
+$end
+$timescale 1ps $end
+$scope module top $end
+$var wire 8 ! counter $end
+$var wire 1 " flag $end
+$upscope $end
+$enddefinitions $end
+$dumpvars
+b00000000 !
+b0 "
+$end
+#1000000000
+b00000001 !
+#2000000000
+b00000010 !
+#3000000000
+b00000011 !
+b1 "
+|}
+    (Sim.Vcd.render (records_changes_vcd ()))
 
 let test_vcd_rejects_duplicates () =
   let k = Sim.Kernel.create () in
@@ -609,6 +646,8 @@ let () =
       ( "vcd",
         [
           Alcotest.test_case "records changes" `Quick test_vcd_records_changes;
+          Alcotest.test_case "records changes bytes" `Quick
+            test_vcd_records_changes_bytes;
           Alcotest.test_case "rejects duplicates" `Quick
             test_vcd_rejects_duplicates;
           Alcotest.test_case "zero-change render" `Quick

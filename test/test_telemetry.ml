@@ -350,16 +350,13 @@ let prop_profile_tree_invariant =
 (* -- Sink ----------------------------------------------------------- *)
 
 let test_sink_disabled_noops () =
-  Telemetry.Sink.uninstall ();
   Alcotest.(check bool) "disabled" false (Telemetry.Sink.enabled ());
   (* All hooks must be silent no-ops without a sink. *)
   Telemetry.Sink.incr "x";
   Telemetry.Sink.observe "y" 1;
   Telemetry.Sink.set_gauge "z" 2;
   Telemetry.Span.complete ~ts_ps:0 ~dur_ps:5 "s";
-  Telemetry.Span.instant ~ts_ps:0 "i";
-  Telemetry.Span.begin_ ~ts_ps:0 "b";
-  Telemetry.Span.end_ ~ts_ps:1 ()
+  Telemetry.Span.instant ~ts_ps:0 "i"
 
 let test_sink_capacity () =
   let sink, () =
@@ -378,31 +375,10 @@ let test_sink_capacity () =
     (Invalid_argument "Telemetry.Sink.create: capacity <= 0") (fun () ->
       ignore (Telemetry.Sink.create ~capacity:0 ()))
 
-let test_sink_begin_end () =
-  let sink, () =
-    Telemetry.Sink.with_sink (fun () ->
-        Telemetry.Span.begin_ ~ts_ps:0 ~track:"t" ~cat:"stage" "outer";
-        Telemetry.Span.begin_ ~ts_ps:10 ~track:"t" "inner";
-        Telemetry.Span.end_ ~ts_ps:20 ~track:"t" ();
-        Telemetry.Span.end_ ~ts_ps:100 ~track:"t" ())
-  in
-  match Telemetry.Sink.events sink with
-  | [ inner; outer ] ->
-    (* Spans are recorded when they close: inner first. *)
-    Alcotest.(check string) "inner name" "inner" inner.Telemetry.Event.name;
-    Alcotest.(check int) "inner dur" 10 (Telemetry.Event.duration_ps inner);
-    Alcotest.(check string) "outer name" "outer" outer.Telemetry.Event.name;
-    Alcotest.(check int) "outer start" 0 outer.Telemetry.Event.ts_ps;
-    Alcotest.(check int) "outer dur" 100 (Telemetry.Event.duration_ps outer)
-  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
-
-let test_sink_unmatched_end () =
-  (match
-     Telemetry.Sink.with_sink (fun () ->
-         Telemetry.Span.end_ ~ts_ps:5 ~track:"t" ())
-   with
-  | _ -> Alcotest.fail "unmatched end_ accepted"
-  | exception Invalid_argument _ -> ());
+let test_sink_restored_after_exception () =
+  (match Telemetry.Sink.with_sink (fun () -> failwith "boom") with
+  | _ -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
   (* The failed with_sink must not leave its sink installed. *)
   Alcotest.(check bool) "sink restored" false (Telemetry.Sink.enabled ())
 
@@ -444,6 +420,36 @@ let test_vcd_export () =
     [ "$timescale 1ps $end"; "a_b"; "$dumpvars"; "#0"; "#2"; "#5"; "#10" ];
   Alcotest.(check string) "sanitize" "x_y.z_2"
     (Telemetry.Vcd_export.sanitize "x y.z-2")
+
+(* The whole two-span document, recorded before the span-depth and
+   signal-level writers shared one renderer. *)
+let test_vcd_export_bytes () =
+  Alcotest.(check string) "document"
+    {|$date
+  (simulation)
+$end
+$version
+  osss-jpeg2000 telemetry span depth
+$end
+$timescale 1ps $end
+$scope module telemetry $end
+$var wire 8 ! a_b $end
+$upscope $end
+$enddefinitions $end
+$dumpvars
+b00000000 !
+$end
+#0
+b00000001 !
+#2
+b00000010 !
+#5
+b00000001 !
+#10
+b00000000 !
+|}
+    (Telemetry.Vcd_export.render
+       [ span ~track:"a b" 0 10; span ~track:"a b" 2 3 ])
 
 (* -- end-to-end against the decoder models -------------------------- *)
 
@@ -554,7 +560,6 @@ let test_trace_metrics_consistent () =
     (Telemetry.Report.counter_sum report ~prefix:"lock.opb.grants." > 0)
 
 let test_sink_does_not_perturb_models () =
-  Telemetry.Sink.uninstall ();
   List.iter
     (fun version ->
       let plain = Models.Experiment.run ~payload:false version lossless in
@@ -622,8 +627,8 @@ let () =
         [
           Alcotest.test_case "disabled no-ops" `Quick test_sink_disabled_noops;
           Alcotest.test_case "capacity ring" `Quick test_sink_capacity;
-          Alcotest.test_case "begin/end pairing" `Quick test_sink_begin_end;
-          Alcotest.test_case "unmatched end" `Quick test_sink_unmatched_end;
+          Alcotest.test_case "unmatched end" `Quick
+            test_sink_restored_after_exception;
           Alcotest.test_case "context default track" `Quick
             test_sink_context_default_track;
         ] );
@@ -631,6 +636,7 @@ let () =
         [
           Alcotest.test_case "chrome" `Quick test_chrome_export;
           Alcotest.test_case "vcd" `Quick test_vcd_export;
+          Alcotest.test_case "vcd bytes" `Quick test_vcd_export_bytes;
         ] );
       ( "models",
         [
