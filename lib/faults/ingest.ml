@@ -84,7 +84,7 @@ let spec_to_string spec =
 
 (* -- schedules ------------------------------------------------------- *)
 
-type chunk = { c_offset : int; c_bytes : string; c_arrival_ps : int }
+type chunk = { c_offset : int; c_length : int; c_arrival_ps : int }
 
 type delivery = {
   chunks : chunk list;
@@ -95,10 +95,9 @@ type delivery = {
   stall_ps : int;
 }
 
-let schedule ~seed spec ~start_ps data =
+let schedule ~seed spec ~start_ps len =
   let rng = Rng.create seed in
   let p = spec.profile in
-  let len = String.length data in
   let sent = (len + spec.chunk_bytes - 1) / spec.chunk_bytes in
   let lost = ref 0 and duped = ref 0 and reordered = ref 0 in
   let stall_total = ref 0 in
@@ -106,9 +105,9 @@ let schedule ~seed spec ~start_ps data =
   let out = ref [] in
   for i = 0 to sent - 1 do
     let offset = i * spec.chunk_bytes in
-    let bytes = String.sub data offset (Stdlib.min spec.chunk_bytes (len - offset)) in
+    let length = Stdlib.min spec.chunk_bytes (len - offset) in
     (* Fixed per-chunk draw order — stall, loss, reorder, dup — so the
-       schedule is a pure function of (seed, spec, data). *)
+       schedule is a pure function of (seed, spec, len). *)
     if p.stall > 0.0 && p.stall_max_ps > 0 && Rng.float rng < p.stall then begin
       let s = 1 + Rng.int rng p.stall_max_ps in
       delay := !delay + s;
@@ -127,13 +126,13 @@ let schedule ~seed spec ~start_ps data =
         end
         else base
       in
-      out := { c_offset = offset; c_bytes = bytes; c_arrival_ps = arrival } :: !out;
+      out := { c_offset = offset; c_length = length; c_arrival_ps = arrival } :: !out;
       if p.dup > 0.0 && Rng.float rng < p.dup then begin
         incr duped;
         out :=
           {
             c_offset = offset;
-            c_bytes = bytes;
+            c_length = length;
             c_arrival_ps = arrival + Stdlib.max 1 (spec.gap_ps / 4);
           }
           :: !out

@@ -6,7 +6,7 @@
     apart, and each chunk may independently be lost, duplicated,
     reordered within a bounded window, or held up by stall jitter
     that also delays everything behind it. Every choice draws from a
-    seeded {!Rng} stream, so an identical [(seed, spec, data)] yields
+    seeded {!Rng} stream, so an identical [(seed, spec, length)] yields
     an identical arrival schedule — ingest campaigns replay bit for
     bit. *)
 
@@ -46,7 +46,7 @@ val spec_to_string : spec -> string
 
 type chunk = {
   c_offset : int;  (** byte offset of this chunk within the stream *)
-  c_bytes : string;
+  c_length : int;  (** bytes it carries, [spec.chunk_bytes] but the last *)
   c_arrival_ps : int;  (** absolute arrival instant *)
 }
 
@@ -59,7 +59,9 @@ type delivery = {
   stall_ps : int;  (** total head-of-line stall injected *)
 }
 
-val schedule : seed:int -> spec -> start_ps:int -> string -> delivery
-(** Cut [data] into [spec.chunk_bytes]-sized chunks arriving from
-    [start_ps] one gap apart, then apply the fault profile. Pure:
-    equal arguments give equal deliveries. *)
+val schedule : seed:int -> spec -> start_ps:int -> int -> delivery
+(** [schedule ~seed spec ~start_ps len] cuts a [len]-byte stream into
+    [spec.chunk_bytes]-sized chunks arriving from [start_ps] one gap
+    apart, then applies the fault profile. A chunk names its bytes by
+    offset and length; the caller keeps the stream. Pure: equal
+    arguments give equal deliveries. *)

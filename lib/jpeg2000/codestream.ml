@@ -239,18 +239,34 @@ let parse_band r ~tile_w ~tile_h =
   in
   { seg_level; seg_orientation; seg_w; seg_h; seg_blocks }
 
-let parse_tile r ~header =
+(* The tile grid: cell [k] in raster order, border cells clipped to
+   the image. A stream carries exactly one segment per cell, segment
+   [k] in cell [k]. *)
+let grid_columns h = (h.width + h.tile_w - 1) / h.tile_w
+let grid_count h = grid_columns h * ((h.height + h.tile_h - 1) / h.tile_h)
+
+let cell h k =
+  let cols = grid_columns h in
+  let x0 = k mod cols * h.tile_w and y0 = k / cols * h.tile_h in
+  ( x0,
+    y0,
+    Stdlib.min h.tile_w (h.width - x0),
+    Stdlib.min h.tile_h (h.height - y0) )
+
+let grid_cell h k = if k < 0 || k >= grid_count h then None else Some (cell h k)
+
+let parse_tile r ~header ~index =
   let tile_index = r16 r in
   let tile_x0 = r32 r in
   let tile_y0 = r32 r in
   let tile_w = r16 r in
   let tile_h = r16 r in
-  check_range "tile x0" tile_x0 0 header.width;
-  check_range "tile y0" tile_y0 0 header.height;
-  check_range "tile width" tile_w 1 header.tile_w;
-  check_range "tile height" tile_h 1 header.tile_h;
-  if tile_x0 + tile_w > header.width || tile_y0 + tile_h > header.height then
-    fail "tile exceeds image bounds";
+  let x0, y0, w, h = cell header index in
+  check_range "tile index" tile_index index index;
+  check_range "tile x0" tile_x0 x0 x0;
+  check_range "tile y0" tile_y0 y0 y0;
+  check_range "tile width" tile_w w w;
+  check_range "tile height" tile_h h h;
   let ncomps = r8 r in
   if ncomps <> header.components then fail "tile component count mismatch";
   let comps =
@@ -262,9 +278,7 @@ let parse_tile r ~header =
   { tile_index; tile_x0; tile_y0; tile_w; tile_h; comps }
 
 (* The preamble: magic, version, header fields and the tile count —
-   everything before the first tile segment. One source of truth for
-   both the monolithic [parse_result] and the incremental [Stream]
-   reader. *)
+   everything before the first tile segment. *)
 let parse_preamble r =
   if rbytes r 4 <> magic then fail_err Bad_magic;
   let v = r8 r in
@@ -289,43 +303,46 @@ let parse_preamble r =
   | Ok () -> ()
   | Error (_, reason) -> fail reason);
   let ntiles = r16 r in
-  let grid_tiles =
-    ((width + tile_w - 1) / tile_w) * ((height + tile_h - 1) / tile_h)
-  in
-  check_range "tile count" ntiles 0 grid_tiles;
-  (header, ntiles)
+  let cells = grid_count header in
+  check_range "tile count" ntiles cells cells;
+  header
 
-let parse_exn data =
+type prefix = {
+  header : header option;
+  segments : (tile_segment * int) list;
+  error : error option;
+}
+
+(* One walk reads the framing: the preamble, one segment per grid cell,
+   then the end of input. It stops at the first unit the bytes do not
+   complete or that breaks a bound, keeping what it read before it. *)
+let parse_prefix data =
   let r = { data; pos = 0 } in
-  if String.length data < 4 then fail_err Bad_magic;
-  let header, ntiles = parse_preamble r in
-  let tiles = List.init ntiles (fun _ -> parse_tile r ~header) in
-  if r.pos <> String.length data then
-    fail_err (Trailing (String.length data - r.pos));
-  { header; tiles }
+  let header = ref None and segments = ref [] in
+  let error =
+    match
+      if String.length data < 4 then fail_err Bad_magic;
+      let h = parse_preamble r in
+      header := Some h;
+      for index = 0 to grid_count h - 1 do
+        let tile = parse_tile r ~header:h ~index in
+        segments := (tile, r.pos) :: !segments
+      done;
+      if r.pos <> String.length data then
+        fail_err (Trailing (String.length data - r.pos))
+    with
+    | () -> None
+    | exception Error e -> Some e
+  in
+  { header = !header; segments = List.rev !segments; error }
 
 let parse_result data =
-  match parse_exn data with
-  | t -> Ok t
-  | exception Error e -> Error e
-
-(* -- incremental framing units -------------------------------------- *)
-
-type 'a step =
-  | Unit_ready of 'a * int
-  | Unit_truncated of int
-  | Unit_error of error
-
-let step_of ~pos ~data parse_unit =
-  let r = { data; pos } in
-  match parse_unit r with
-  | v -> Unit_ready (v, r.pos)
-  | exception Error (Truncated off) -> Unit_truncated off
-  | exception Error e -> Unit_error e
-
-let read_preamble data ~pos = step_of ~pos ~data parse_preamble
-
-let read_tile ~header data ~pos = step_of ~pos ~data (parse_tile ~header)
+  match parse_prefix data with
+  | { header = Some header; segments; error = None } ->
+    Ok { header; tiles = List.map fst segments }
+  | { error = Some e; _ } -> Error e
+  | { header = None; error = None; _ } ->
+    assert false (* the walk reads a header or stops with an error *)
 
 let segment_bytes tile =
   Array.fold_left

@@ -69,8 +69,28 @@ type error =
 
 val error_message : error -> string
 
+type prefix = {
+  header : header option;  (** [None] only with an [error] *)
+  segments : (tile_segment * int) list;
+      (** complete tile segments in stream order, each with the
+          offset just past it *)
+  error : error option;  (** [None] iff the bytes are a whole stream *)
+}
+
+val parse_prefix : string -> prefix
+(** The one reader of the framing: the preamble, then one tile
+    segment per cell of the tile grid, segment [k] in cell [k] (see
+    {!grid_cell}), then the end of input. It stops at the first unit
+    the bytes do not complete or that breaks a bound, and keeps the
+    header and the segments it read before it; the error is the one
+    {!parse_result} reports. A unit's parse reads no byte past its
+    end, so the walk is prefix-closed: the segments of
+    [String.sub data 0 n] are exactly the segments of [data] that end
+    at or before [n]. Total on arbitrary input. *)
+
 val parse_result : string -> (t, error) result
-(** [parse_result (emit s) = Ok s]; total on arbitrary input. *)
+(** [parse_result (emit s) = Ok s]; total on arbitrary input. The
+    whole stream as {!parse_prefix} reads it, or its error. *)
 
 val check_header : header -> (unit, string * string) result
 (** The header bounds. [Error (field, reason)] names the first field
@@ -81,30 +101,12 @@ val check_header : header -> (unit, string * string) result
     it refuses, so the encoder cannot emit a stream the parser
     rejects. *)
 
-(** {1 Incremental framing units}
-
-    The building blocks of the resumable {!Stream} parser. Each
-    attempts to read one framing unit of [data] starting at [pos]
-    against the hostile-input bounds above and reports how far it
-    got. [Unit_truncated off] means the available bytes ran out at
-    offset [off] — feeding more data may complete the unit, so a
-    streaming caller treats it as "need more" while a caller at
-    end-of-input treats it as the definitive {!Truncated} error
-    (offsets agree with {!parse_result} by construction).
-    [Unit_error] is definite: no suffix can repair the prefix. *)
-
-type 'a step =
-  | Unit_ready of 'a * int  (** parsed value and the position after it *)
-  | Unit_truncated of int  (** ran out of bytes at this offset *)
-  | Unit_error of error  (** unrepairable framing damage *)
-
-val read_preamble : string -> pos:int -> (header * int) step
-(** Magic, version, header fields and the tile count — everything
-    before the first tile segment. *)
-
-val read_tile : header:header -> string -> pos:int -> tile_segment step
-(** One tile segment, validated against [header] exactly as
-    {!parse_result} does. *)
+val grid_cell : header -> int -> (int * int * int * int) option
+(** [grid_cell header k] is cell [k] of the header's tile grid in
+    raster order, [(x0, y0, w, h)] with border cells clipped to the
+    image, or [None] past the last cell. The parser refuses a stream
+    whose tile count is not the cell count or whose segment [k] does
+    not carry index [k] and cell [k]'s rectangle. *)
 
 val segment_bytes : tile_segment -> int
 (** Total entropy-coded payload of a tile (sum of all code-block

@@ -437,39 +437,26 @@ let tile_block_count header tile =
     0 bands
   * Array.length tile.Codestream.comps
 
-(* A tile segment standing in for one that never arrived: right grid
-   cell, right component count, no entropy payload — exactly what
-   [concealed_tile] needs to render mid-grey at the right place. *)
-let absent_tile header ~index ~x0 ~y0 =
-  let { Codestream.tile_w; tile_h; width; height; components; _ } = header in
-  {
-    Codestream.tile_index = index;
-    tile_x0 = x0;
-    tile_y0 = y0;
-    tile_w = Stdlib.min tile_w (width - x0);
-    tile_h = Stdlib.min tile_h (height - y0);
-    comps = Array.make components [];
-  }
-
-(* Grid cells of [header] not covered by any tile in [present], in
-   raster order — the tiles a truncated stream never delivered. *)
-let missing_tiles (header : Codestream.header) present =
-  let covered =
-    List.map
-      (fun (t : Codestream.tile_segment) ->
-        (t.Codestream.tile_x0, t.Codestream.tile_y0))
-      present
+(* The grid cells past the first [delivered] segments, each as a
+   segment with the cell's index and rectangle and no entropy payload
+   — exactly what [concealed_tile] needs to render mid-grey at the
+   right place. *)
+let missing_tiles (header : Codestream.header) ~delivered =
+  let rec from k =
+    match Codestream.grid_cell header k with
+    | None -> []
+    | Some (tile_x0, tile_y0, tile_w, tile_h) ->
+      {
+        Codestream.tile_index = k;
+        tile_x0;
+        tile_y0;
+        tile_w;
+        tile_h;
+        comps = Array.make header.Codestream.components [];
+      }
+      :: from (k + 1)
   in
-  let tw = header.Codestream.tile_w and th = header.Codestream.tile_h in
-  let cols = (header.Codestream.width + tw - 1) / tw in
-  let rows = (header.Codestream.height + th - 1) / th in
-  List.concat
-    (List.init rows (fun ty ->
-         List.init cols (fun tx ->
-             ((ty * cols) + tx, tx * tw, ty * th))))
-  |> List.filter_map (fun (index, x0, y0) ->
-         if List.mem (x0, y0) covered then None
-         else Some (absent_tile header ~index ~x0 ~y0))
+  from delivered
 
 (* The robust body over an explicit tile population: [present] tiles
    decode with per-block containment, [missing] ones are concealed
@@ -526,29 +513,22 @@ let decode_robust_tiles ~pool header ~present ~missing =
       } )
 
 let decode_robust ?(pool = Par.Pool.sequential) data =
-  (* One parse: the stream machine consumes every unit [data]
-     completes, and its [parse_result] is the error — including the
-     [Truncated] offset — that [Codestream.parse_result] reports. *)
-  let s = Stream.create () in
-  (match Stream.feed s data with
-  | Stream.Need_more | Stream.Segment_ready | Stream.Done | Stream.Corrupt _ ->
-    ());
-  match Stream.parse_result s with
-  | Ok stream ->
-    decode_robust_tiles ~pool stream.Codestream.header
-      ~present:stream.Codestream.tiles ~missing:[]
-  | Error (Codestream.Truncated _ as e) -> (
+  match Codestream.parse_prefix data with
+  | {
+      Codestream.header = Some header;
+      segments;
+      error = None | Some (Codestream.Truncated _);
+    } ->
     (* A truncated stream is the signature of a stalled or lossy
        ingest path: salvage every tile segment the prefix completed
        and conceal the grid cells that never arrived. Only a prefix
        too short to deliver the preamble remains an error. *)
-    match Stream.header s with
-    | None -> Error e
-    | Some header ->
-      let present = List.init (Stream.tiles_ready s) (Stream.tile s) in
-      decode_robust_tiles ~pool header ~present
-        ~missing:(missing_tiles header present))
-  | Error e -> Error e
+    let present = List.map fst segments in
+    decode_robust_tiles ~pool header ~present
+      ~missing:(missing_tiles header ~delivered:(List.length present))
+  | { error = Some e; _ } -> Error e
+  | { header = None; error = None; _ } ->
+    assert false (* the walk reads a header or stops with an error *)
 
 let psnr_impact ~reference (image, report) =
   if no_damage report then Float.infinity else Image.psnr reference image

@@ -188,10 +188,10 @@ val decode_robust :
     arrived is concealed whole (counted in [concealed_tiles]) and
     filled with [2^(bit_depth-1)] ({!concealed_tile}).
     [Error (Truncated _)] therefore only remains for a prefix too
-    short to carry the header. The input is parsed once, by a
-    {!Stream}: its [parse_result] is the error
-    {!Codestream.parse_result} would report, and its completed units
-    are the tiles a truncated prefix delivered. *)
+    short to carry the header. The input is read once, by
+    {!Codestream.parse_prefix}: its error is the one
+    {!Codestream.parse_result} reports, and its segments are the tiles
+    a truncated prefix delivered, the first cells of the tile grid. *)
 
 val psnr_impact : reference:Image.t -> Image.t * report -> float
 (** PSNR (dB) of a robust decode against the undamaged reference —

@@ -14,30 +14,18 @@ type t = {
   received : int;  (* distinct payload bytes that ever arrive *)
 }
 
-(* The framing units [Jpeg2000.Stream] would consume from [data], read
-   once over the whole string: the preamble, then tile segments until
-   the announced count, the first truncated unit or the first damaged
-   one. *)
 let layout data =
-  let module C = Jpeg2000.Codestream in
-  let rec tiles header left pos acc =
-    if left = 0 then acc
-    else
-      match C.read_tile ~header data ~pos with
-      | C.Unit_ready (_, pos') -> tiles header (left - 1) pos' (pos' :: acc)
-      | C.Unit_truncated _ | C.Unit_error _ -> acc
-  in
-  let ends =
-    match C.read_preamble data ~pos:0 with
-    | C.Unit_ready ((header, ntiles), pos) -> tiles header ntiles pos []
-    | C.Unit_truncated _ | C.Unit_error _ -> []
-  in
-  { l_data = data; tile_end = Array.of_list (List.rev ends) }
+  {
+    l_data = data;
+    tile_end =
+      Array.of_list
+        (List.map snd (Jpeg2000.Codestream.parse_prefix data).segments);
+  }
 
 let analyse_layout ~seed spec ~start_ps l =
   let data = l.l_data in
-  let dlv = Faults.Ingest.schedule ~seed spec ~start_ps data in
   let len = String.length data in
+  let dlv = Faults.Ingest.schedule ~seed spec ~start_ps len in
   let chunk = spec.Faults.Ingest.chunk_bytes in
   let nchunks = (len + chunk - 1) / chunk in
   let got = Array.make (Stdlib.max 1 nchunks) false in
@@ -52,7 +40,7 @@ let analyse_layout ~seed spec ~start_ps l =
       let i = c.Faults.Ingest.c_offset / chunk in
       if not got.(i) then begin
         got.(i) <- true;
-        received := !received + String.length c.Faults.Ingest.c_bytes;
+        received := !received + c.Faults.Ingest.c_length;
         let from = !frontier in
         while !frontier < nchunks && got.(!frontier) do incr frontier done;
         if !frontier > from then begin

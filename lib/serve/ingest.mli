@@ -7,20 +7,20 @@
     reaches them — and records the instant every tile segment lands:
     the first instant the contiguous prefix covers the segment's end
     offset. Those end offsets come from a per-stream {!layout}, read
-    once with the unit readers the resumable {!Jpeg2000.Stream} parser
-    drives. Because [Stream] is chunk-size invariant (a qcheck
-    property in the codec's test suite), a unit completes exactly when
-    the buffered prefix reaches its end offset in the whole string, so
-    the layout walk reports the instants a [Stream] fed the same
-    prefixes would. Because the schedule is deterministic too, the
-    whole delivery is a pure function of (seed, spec, stream bytes):
-    the scheduler can read tile readiness and stall outcomes off the
-    precomputed timeline without simulating I/O events. *)
+    once by {!Jpeg2000.Codestream.parse_prefix}. The walk is
+    prefix-closed (a qcheck property in the codec's test suite), so a
+    segment is complete in a received prefix exactly when the prefix
+    reaches its end offset in the whole string: the instants are those
+    a parse of each received prefix would report. Because the
+    schedule is deterministic too, the whole delivery is a pure
+    function of (seed, spec, stream bytes): the scheduler can read
+    tile readiness and stall outcomes off the precomputed timeline
+    without simulating I/O events. *)
 
 type layout
-(** A codestream and the end offset of every tile segment a [Stream]
-    would complete from it, in stream order — stopping at the first
-    truncated or damaged unit, or after the announced tile count. *)
+(** A codestream and the end offset of every tile segment
+    {!Jpeg2000.Codestream.parse_prefix} reads from it, in stream
+    order. *)
 
 val layout : string -> layout
 (** Read the preamble and tile segments of a codestream once. Never

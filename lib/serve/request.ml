@@ -47,8 +47,10 @@ let parse_spec s =
   in
   let ( let* ) = Result.bind in
   let* pairs = Spec.parse_pairs body in
-  let int_field key default = Spec.int_field pairs key default Spec.any in
-  let float_field key default = Spec.float_field pairs key default Spec.any in
+  let int_field key default check = Spec.int_field pairs key default check in
+  let float_field key default check =
+    Spec.float_field pairs key default (check key)
+  in
   let known shape_keys =
     let all = [ "n"; "seed"; "deadline"; "region"; "reduced" ] @ shape_keys in
     Spec.check_known all pairs
@@ -57,32 +59,26 @@ let parse_spec s =
     match shape_name with
     | "open" ->
       let* () = known [ "rate" ] in
-      let* rate_rps = float_field "rate" 400.0 in
-      if rate_rps <= 0.0 then Error "rate must be > 0"
-      else Ok (Open_loop { rate_rps })
+      let* rate_rps = float_field "rate" 400.0 Spec.positive in
+      Ok (Open_loop { rate_rps })
     | "closed" ->
       let* () = known [ "clients"; "think" ] in
-      let* clients = int_field "clients" 4 in
-      let* think_ms = float_field "think" 2.0 in
-      if clients < 1 then Error "clients must be >= 1"
-      else if think_ms < 0.0 then Error "think must be >= 0"
-      else Ok (Closed_loop { clients; think_ms })
+      let* clients = int_field "clients" 4 (Spec.at_least "clients" 1) in
+      let* think_ms = float_field "think" 2.0 Spec.non_negative in
+      Ok (Closed_loop { clients; think_ms })
     | other ->
       Error (Printf.sprintf "unknown workload shape %S (use open or closed)" other)
   in
-  let* n = int_field "n" 64 in
-  let* seed = int_field "seed" 11 in
-  let* deadline_ms = float_field "deadline" 25.0 in
-  let* region_share = float_field "region" 0.25 in
-  let* reduced_share = float_field "reduced" 0.25 in
-  if n < 1 then Error "n must be >= 1"
-  else if deadline_ms <= 0.0 then Error "deadline must be > 0"
-  else if
-    region_share < 0.0 || reduced_share < 0.0
-    || region_share +. reduced_share > 1.0
-  then Error "region and reduced shares must be >= 0 and sum to <= 1"
-  else
-    Ok { shape; n; seed; deadline_ms; region_share; reduced_share }
+  let* n = int_field "n" 64 (Spec.at_least "n" 1) in
+  let* seed = int_field "seed" 11 Spec.any in
+  let* deadline_ms = float_field "deadline" 25.0 Spec.positive in
+  let* region_share = float_field "region" 0.25 Spec.unit_interval in
+  let* reduced_share = float_field "reduced" 0.25 Spec.unit_interval in
+  if region_share +. reduced_share > 1.0 then
+    Error
+      (Printf.sprintf "region=%g and reduced=%g must sum to <= 1" region_share
+         reduced_share)
+  else Ok { shape; n; seed; deadline_ms; region_share; reduced_share }
 
 let spec_to_string spec =
   let mix =

@@ -35,9 +35,10 @@
     lands when the contiguous received prefix reaches the end of its
     segment ({!Ingest.analyse_layout}); the segment end offsets are
     read once per stream, on first use by an ingest run
-    ({!Ingest.layout}), and by [Stream]'s chunk-size invariance they
-    are where the resumable {!Jpeg2000.Stream} parser would complete
-    each tile. A stream that stalls past the request's deadline is
+    ({!Ingest.layout}), by the codestream's one reader
+    ({!Jpeg2000.Codestream.parse_prefix}), which completes each tile
+    in a prefix exactly when the prefix reaches that offset. A stream
+    that stalls past the request's deadline is
     {e flushed}: the received contiguous prefix is decoded best-effort
     by {!Jpeg2000.Decoder.decode_robust} (missing tiles concealed),
     served as a full frame, and accounted in {!ingest_stats}. The

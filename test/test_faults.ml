@@ -350,12 +350,12 @@ let test_fuzz_decode_robust_total () =
          32x32 unless the damage landed in the preamble itself (a
          truncated prefix decodes best-effort once its preamble is
          complete, so a self-consistent flipped header can survive). *)
-      (match Jpeg2000.Codestream.read_preamble corrupted ~pos:0 with
-      | Jpeg2000.Codestream.Unit_ready ((header, _), _) ->
+      (match (Jpeg2000.Codestream.parse_prefix corrupted).header with
+      | Some header ->
         Alcotest.(check bool) "header-size image" true
           (Jpeg2000.Image.width image = header.Jpeg2000.Codestream.width
           && Jpeg2000.Image.height image = header.Jpeg2000.Codestream.height)
-      | _ -> Alcotest.fail "Ok decode without a parseable preamble");
+      | None -> Alcotest.fail "Ok decode without a parseable preamble");
       Alcotest.(check bool) "report counts sane" true
         (report.Jpeg2000.Decoder.concealed_blocks >= 0
         && report.Jpeg2000.Decoder.concealed_tiles
@@ -397,6 +397,176 @@ let test_parse_result_typed_errors () =
     Alcotest.failf "well-formed stream rejected: %s"
       (Jpeg2000.Codestream.error_message e)
 
+(* -- structure-aware mutation ---------------------------------------
+
+   Mutants cut, splice, repeat and overwrite at the framing's own
+   boundaries, which random byte damage rarely hits: the walk's segment
+   ends and the length fields the parser sizes its reads from. *)
+
+(* A tile segment's own header: index, x0, y0, width and height. *)
+let tile_header_bytes = 14
+
+(* A well-formed stream with the byte range of each tile segment, as
+   the walk ends them, and [(offset, width)] of each length field: the
+   tile count (u16), then each component's band count (u8), each band's
+   block count (u16) and each pass length (u32). *)
+type source = {
+  data : string;
+  spans : (int * int) array;
+  fields : (int * int) array;
+}
+
+let source data =
+  let s =
+    match Jpeg2000.Codestream.parse_result data with
+    | Ok s -> s
+    | Error e -> failwith (Jpeg2000.Codestream.error_message e)
+  in
+  let preamble =
+    String.length
+      (Jpeg2000.Codestream.emit { s with Jpeg2000.Codestream.tiles = [] })
+  in
+  let _, spans =
+    List.fold_left_map
+      (fun start e -> (e, (start, e)))
+      preamble
+      (List.map snd (Jpeg2000.Codestream.parse_prefix data).segments)
+  in
+  let pos = ref preamble in
+  let fields = ref [ (preamble - 2, 2) ] in
+  let field width = fields := (!pos, width) :: !fields in
+  List.iter
+    (fun (tile : Jpeg2000.Codestream.tile_segment) ->
+      (* the tile header, then the component count *)
+      pos := !pos + tile_header_bytes + 1;
+      Array.iter
+        (fun bands ->
+          field 1;
+          pos := !pos + 1;
+          List.iter
+            (fun (band : Jpeg2000.Codestream.band_segment) ->
+              (* level, orientation, width, height, then the count *)
+              pos := !pos + 6;
+              field 2;
+              pos := !pos + 2;
+              List.iter
+                (fun (blk : Jpeg2000.Codestream.block_segment) ->
+                  (* plane count, pass count *)
+                  pos := !pos + 2;
+                  List.iter
+                    (fun pass ->
+                      field 4;
+                      pos := !pos + 4 + String.length pass)
+                    blk.Jpeg2000.Codestream.blk_passes)
+                band.Jpeg2000.Codestream.seg_blocks)
+            bands)
+        tile.Jpeg2000.Codestream.comps)
+    s.Jpeg2000.Codestream.tiles;
+  assert (!pos = String.length data);
+  { data; spans = Array.of_list spans; fields = Array.of_list !fields }
+
+(* Two sources of different geometry and mode, three components each,
+   so a segment spliced under the other's header reaches the band
+   structure checks. *)
+let mutant_sources =
+  lazy
+    (let lossy =
+       Jpeg2000.Encoder.encode
+         {
+           fuzz_config with
+           Jpeg2000.Encoder.tile_w = 16;
+           tile_h = 24;
+           levels = 1;
+           mode = Jpeg2000.Codestream.Lossy;
+         }
+         (Jpeg2000.Image.smooth ~width:24 ~height:40 ~components:3 ~seed:9)
+     in
+     [| source (Lazy.force fuzz_stream); source lossy |])
+
+let mutant_gen =
+  let open QCheck.Gen in
+  let* src = int_range 0 1 in
+  let* kind = int_range 0 3 in
+  let* a = int_range 0 999_999 in
+  let* b = int_range 0 999_999 in
+  let* tweak = int_range (-1) 1 in
+  let* cut = int_range 0 999_999 in
+  let* chunk = int_range 1 512 in
+  let sources = Lazy.force mutant_sources in
+  let { data; spans; fields } = sources.(src) and other = sources.(1 - src) in
+  let n = String.length data in
+  let pick arr i = arr.(i mod Array.length arr) in
+  let between data lo hi = String.sub data lo (hi - lo) in
+  let mutant =
+    match kind with
+    | 0 ->
+      (* a cut one byte before, at or after a boundary *)
+      let bounds = 0 :: fst spans.(0) :: Array.to_list (Array.map snd spans) in
+      let at = List.nth bounds (a mod List.length bounds) + tweak in
+      String.sub data 0 (Stdlib.max 0 (Stdlib.min n at))
+    | 1 ->
+      (* a segment spliced in from the other stream, whole or under the
+         replaced segment's own header *)
+      let keep = if tweak = 0 then 0 else tile_header_bytes in
+      let lo, hi = pick spans a in
+      let olo, ohi = pick other.spans b in
+      between data 0 (lo + keep) ^ between other.data (olo + keep) ohi
+      ^ between data hi n
+    | 2 ->
+      (* one length field overwritten: all ones, one off, or anything *)
+      let off, width = pick fields a in
+      let field = 1 lsl (8 * width) in
+      let value =
+        match tweak with
+        | -1 -> field - 1
+        | 0 ->
+          let v = ref 0 in
+          for i = 0 to width - 1 do
+            v := (!v lsl 8) lor Char.code data.[off + i]
+          done;
+          (!v + if b land 1 = 0 then 1 else field - 1) land (field - 1)
+        | _ -> b land (field - 1)
+      in
+      let bytes = Bytes.of_string data in
+      for i = 0 to width - 1 do
+        Bytes.set bytes (off + i)
+          (Char.chr ((value lsr (8 * (width - 1 - i))) land 0xFF))
+      done;
+      Bytes.to_string bytes
+    | _ ->
+      (* one segment repeated *)
+      let lo, hi = pick spans a in
+      between data 0 hi ^ between data lo n
+  in
+  return (kind, mutant, cut, chunk)
+
+let mutant_qcheck =
+  QCheck.Test.make ~name:"framing mutants never raise" ~count:200
+    (QCheck.make
+       ~print:(fun (kind, m, cut, chunk) ->
+         Printf.sprintf "kind=%d bytes=%d cut=%d chunk=%d" kind
+           (String.length m) cut chunk)
+       mutant_gen)
+    (fun (_, m, cut, chunk) ->
+      let walk = Jpeg2000.Codestream.parse_prefix m in
+      let result_error =
+        match Jpeg2000.Codestream.parse_result m with
+        | Ok _ -> None
+        | Error e -> Some e
+      in
+      (match Jpeg2000.Decoder.decode_robust m with Ok _ | Error _ -> ());
+      let spec =
+        {
+          Faults.Ingest.default_spec with
+          Faults.Ingest.chunk_bytes = chunk;
+        }
+      in
+      ignore (Serve.Ingest.analyse ~seed:cut spec ~start_ps:0 m);
+      let cut = cut mod (String.length m + 1) in
+      walk.Jpeg2000.Codestream.error = result_error
+      && (Jpeg2000.Codestream.parse_prefix (String.sub m 0 cut)).segments
+         = List.filter (fun (_, e) -> e <= cut) walk.segments)
+
 (* -- Campaign ------------------------------------------------------- *)
 
 let test_campaign_deterministic () =
@@ -431,7 +601,7 @@ let test_campaign_concealment_visible () =
 
 (* -- ingest faults ----------------------------------------------------- *)
 
-let ingest_payload = String.init 10_000 (fun i -> Char.chr (i land 0xff))
+let ingest_length = 10_000
 
 let ingest_spec_exn s =
   match Faults.Ingest.parse_spec s with
@@ -440,22 +610,22 @@ let ingest_spec_exn s =
 
 let test_ingest_schedule_deterministic () =
   let spec = ingest_spec_exn "loss=0.1,dup=0.1,reorder=0.2,stall=0.3" in
-  let a = Faults.Ingest.schedule ~seed:7 spec ~start_ps:1000 ingest_payload in
-  let b = Faults.Ingest.schedule ~seed:7 spec ~start_ps:1000 ingest_payload in
+  let a = Faults.Ingest.schedule ~seed:7 spec ~start_ps:1000 ingest_length in
+  let b = Faults.Ingest.schedule ~seed:7 spec ~start_ps:1000 ingest_length in
   Alcotest.(check bool) "equal seeds, equal deliveries" true (a = b);
-  let c = Faults.Ingest.schedule ~seed:8 spec ~start_ps:1000 ingest_payload in
+  let c = Faults.Ingest.schedule ~seed:8 spec ~start_ps:1000 ingest_length in
   Alcotest.(check bool) "different seed, different schedule" true (a <> c)
 
 let test_ingest_schedule_bounds () =
   let spec = ingest_spec_exn "chunk=256,loss=0.2,dup=0.2,reorder=0.3,stall=0.2" in
-  let d = Faults.Ingest.schedule ~seed:42 spec ~start_ps:0 ingest_payload in
-  let n = String.length ingest_payload in
+  let d = Faults.Ingest.schedule ~seed:42 spec ~start_ps:0 ingest_length in
+  let n = ingest_length in
   Alcotest.(check int) "sent covers the stream" ((n + 255) / 256)
     d.Faults.Ingest.sent;
   Alcotest.(check int) "chunk count balances"
     (d.Faults.Ingest.sent - d.Faults.Ingest.lost + d.Faults.Ingest.duped)
     (List.length d.Faults.Ingest.chunks);
-  (* arrivals sorted, offsets chunk-aligned, payloads match the data *)
+  (* arrivals sorted, offsets chunk-aligned, lengths the chunk's share *)
   let last = ref min_int in
   List.iter
     (fun (c : Faults.Ingest.chunk) ->
@@ -463,23 +633,29 @@ let test_ingest_schedule_bounds () =
         (c.Faults.Ingest.c_arrival_ps >= !last);
       last := c.Faults.Ingest.c_arrival_ps;
       Alcotest.(check int) "aligned offset" 0 (c.Faults.Ingest.c_offset mod 256);
-      Alcotest.(check string) "payload is the slice"
-        (String.sub ingest_payload c.Faults.Ingest.c_offset
-           (String.length c.Faults.Ingest.c_bytes))
-        c.Faults.Ingest.c_bytes)
+      Alcotest.(check int) "length is the chunk's share"
+        (Stdlib.min 256 (n - c.Faults.Ingest.c_offset))
+        c.Faults.Ingest.c_length)
     d.Faults.Ingest.chunks;
-  (* a lossless schedule reassembles to the exact stream *)
+  (* a lossless schedule's offsets and lengths tile the stream *)
   let clean = ingest_spec_exn "chunk=256" in
-  let d0 = Faults.Ingest.schedule ~seed:42 clean ~start_ps:0 ingest_payload in
+  let d0 = Faults.Ingest.schedule ~seed:42 clean ~start_ps:0 ingest_length in
   Alcotest.(check int) "nothing lost" 0 d0.Faults.Ingest.lost;
-  let buf = Bytes.make n '\000' in
-  List.iter
-    (fun (c : Faults.Ingest.chunk) ->
-      Bytes.blit_string c.Faults.Ingest.c_bytes 0 buf c.Faults.Ingest.c_offset
-        (String.length c.Faults.Ingest.c_bytes))
-    d0.Faults.Ingest.chunks;
-  Alcotest.(check string) "reassembles exactly" ingest_payload
-    (Bytes.to_string buf)
+  let next =
+    List.fold_left
+      (fun pos (c : Faults.Ingest.chunk) ->
+        Alcotest.(check int) "chunk starts where the last ended" pos
+          c.Faults.Ingest.c_offset;
+        Alcotest.(check bool) "chunk not empty" true
+          (c.Faults.Ingest.c_length > 0);
+        pos + c.Faults.Ingest.c_length)
+      0
+      (List.sort
+         (fun (a : Faults.Ingest.chunk) b ->
+           Int.compare a.Faults.Ingest.c_offset b.Faults.Ingest.c_offset)
+         d0.Faults.Ingest.chunks)
+  in
+  Alcotest.(check int) "chunks end at the stream's end" n next
 
 let test_ingest_spec_validation () =
   List.iter
@@ -544,6 +720,8 @@ let () =
             test_decode_robust_clean_stream;
           Alcotest.test_case "typed parse errors" `Quick
             test_parse_result_typed_errors;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |])
+            mutant_qcheck;
         ] );
       ( "ingest",
         [

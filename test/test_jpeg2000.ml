@@ -1143,7 +1143,30 @@ let test_codestream_rejects_corruption () =
     Alcotest.(check bool) "truncated inside the prefix" true (off <= half)
   | e -> Alcotest.failf "truncated: got %s" (Jpeg2000.Codestream.error_message e));
   Alcotest.(check bool) "trailing" true
-    (error (data ^ "z") = Jpeg2000.Codestream.Trailing 1)
+    (error (data ^ "z") = Jpeg2000.Codestream.Trailing 1);
+  (* A stream covers its tile grid exactly once, segment k in cell k. *)
+  let grid =
+    parse_ok
+      (Jpeg2000.Encoder.encode
+         { Jpeg2000.Encoder.default_lossless with tile_w = 32; tile_h = 32 }
+         (Jpeg2000.Image.smooth ~width:64 ~height:64 ~components:1 ~seed:5))
+  in
+  let tile0 = List.hd grid.Jpeg2000.Codestream.tiles in
+  List.iter
+    (fun (what, tiles) ->
+      let s = Jpeg2000.Codestream.emit { grid with Jpeg2000.Codestream.tiles } in
+      (match error s with
+      | Jpeg2000.Codestream.Bad_field _ -> ()
+      | e -> Alcotest.failf "%s: got %s" what (Jpeg2000.Codestream.error_message e));
+      match Jpeg2000.Decoder.decode_robust s with
+      | Ok _ -> Alcotest.failf "%s: decode_robust accepted it" what
+      | Error _ -> ())
+    [
+      ("first tile only", [ tile0 ]);
+      ( "tile 0 repeated as tile 1",
+        tile0 :: { tile0 with Jpeg2000.Codestream.tile_index = 1 }
+        :: List.tl (List.tl grid.Jpeg2000.Codestream.tiles) );
+    ]
 
 (* -- Full codec ------------------------------------------------------ *)
 
@@ -1624,28 +1647,16 @@ let reference_decode_qcheck =
           = Array.init comps decoded_samples)
         stream.Jpeg2000.Codestream.tiles)
 
-(* -- Stream (resumable parsing) -------------------------------------- *)
+(* -- the framing walk ------------------------------------------------ *)
 
 let stream_sample = lazy (snd (sample_stream ()))
 
-(* Feed [data] split at the given (sorted, strictly interior) cut
-   offsets; returns the machine. *)
-let feed_partition data cuts =
-  let s = Jpeg2000.Stream.create () in
-  let n = String.length data in
-  let rec go pos cuts =
-    let next = match cuts with [] -> n | c :: _ -> c in
-    ignore (Jpeg2000.Stream.feed s (String.sub data pos (next - pos)));
-    match cuts with [] -> () | _ :: rest -> go next rest
-  in
-  go 0 cuts;
-  s
-
-(* The tentpole invariant: any partition of any byte string drives the
-   machine to Codestream.parse_result of the concatenation — on clean
-   streams, truncated prefixes and bit-stomped variants alike. *)
-let stream_chunk_invariance_qcheck =
-  QCheck.Test.make ~name:"Stream.feed is chunk-size invariant" ~count:120
+(* The walk is prefix-closed: on clean streams, truncated prefixes and
+   bit-stomped variants alike, the segments of every prefix are
+   exactly the segments of the whole that end inside it, and the
+   walk's error is the one parse_result reports. *)
+let walk_prefix_closed_qcheck =
+  QCheck.Test.make ~name:"walk segments are prefix-closed" ~count:120
     (QCheck.make
        QCheck.Gen.(
          let* variant = int_range 0 2 in
@@ -1666,16 +1677,26 @@ let stream_chunk_invariance_qcheck =
           Bytes.to_string stomped
       in
       let m = String.length data in
-      let cuts =
-        List.sort_uniq Int.compare
-          (List.filter_map
-             (fun c ->
-               let c = c mod (m + 1) in
-               if c > 0 && c < m then Some c else None)
-             cuts)
+      let walk_error data =
+        (Jpeg2000.Codestream.parse_prefix data).Jpeg2000.Codestream.error
       in
-      let s = feed_partition data cuts in
-      Jpeg2000.Stream.parse_result s = Jpeg2000.Codestream.parse_result data)
+      let result_error data =
+        match Jpeg2000.Codestream.parse_result data with
+        | Ok _ -> None
+        | Error e -> Some e
+      in
+      let whole = Jpeg2000.Codestream.parse_prefix data in
+      walk_error data = result_error data
+      && List.for_all
+           (fun c ->
+             let cut = c mod (m + 1) in
+             let prefix = String.sub data 0 cut in
+             (Jpeg2000.Codestream.parse_prefix prefix).Jpeg2000.Codestream.segments
+             = List.filter
+                 (fun (_, e) -> e <= cut)
+                 whole.Jpeg2000.Codestream.segments
+             && walk_error prefix = result_error prefix)
+           cuts)
 
 (* A whole-tile concealment is built as a constant DC-level tile; it
    must equal the all-zero coefficients pushed through the dequantise,
@@ -1730,82 +1751,47 @@ let concealed_tile_qcheck =
       in
       Jpeg2000.Decoder.concealed_tile header tile = staged)
 
-let test_stream_one_byte_chunks () =
-  let data = Lazy.force stream_sample in
-  let s = Jpeg2000.Stream.create () in
-  String.iter (fun c -> ignore (Jpeg2000.Stream.feed s (String.make 1 c))) data;
-  Alcotest.(check bool) "done" true
-    (Jpeg2000.Stream.status s = Jpeg2000.Stream.Done);
-  Alcotest.(check string) "received" data (Jpeg2000.Stream.received s);
-  Alcotest.(check int) "bytes_fed" (String.length data)
-    (Jpeg2000.Stream.bytes_fed s);
-  (match
-     (Jpeg2000.Stream.parse_result s, Jpeg2000.Codestream.parse_result data)
-   with
-  | Ok a, Ok b ->
-    Alcotest.(check bool) "equal parse" true (a = b);
-    Alcotest.(check string) "emit round trip" data (Jpeg2000.Codestream.emit a)
-  | _ -> Alcotest.fail "parse failed");
-  Alcotest.(check bool) "feed after finish raises" true
-    (try
-       ignore (Jpeg2000.Stream.feed s "x");
-       false
-     with Invalid_argument _ -> true)
-
-(* Unit boundaries of the sample stream, via the incremental readers
-   themselves: end of preamble, then end of each tile segment. *)
-let unit_boundaries data =
-  match Jpeg2000.Codestream.read_preamble data ~pos:0 with
-  | Jpeg2000.Codestream.Unit_ready ((header, ntiles), pos) ->
-    let rec go acc pos n =
-      if n = 0 then List.rev acc
-      else
-        match Jpeg2000.Codestream.read_tile ~header data ~pos with
-        | Jpeg2000.Codestream.Unit_ready (_, pos') ->
-          go (pos' :: acc) pos' (n - 1)
-        | _ -> List.rev acc
-    in
-    (pos, go [] pos ntiles)
-  | _ -> Alcotest.fail "sample preamble did not parse"
-
+(* Cutting the sample stream at, just before and just after every unit
+   boundary — the magic, the preamble and each tile segment's end —
+   leaves the header only once the preamble is whole and exactly the
+   segments the cut contains. *)
 let test_stream_truncation_at_boundaries () =
   let data = Lazy.force stream_sample in
-  let preamble_end, tile_ends = unit_boundaries data in
+  let n = String.length data in
+  let whole = Jpeg2000.Codestream.parse_prefix data in
+  let tile_ends = List.map snd whole.Jpeg2000.Codestream.segments in
   Alcotest.(check int) "six tile units" 6 (List.length tile_ends);
-  (* Truncating at, just before and just after every marker boundary
-     must agree with the batch parser, Truncated offsets included. *)
+  let preamble_end =
+    String.length
+      (Jpeg2000.Codestream.emit
+         { (parse_ok data) with Jpeg2000.Codestream.tiles = [] })
+  in
   List.iter
     (fun b ->
       List.iter
         (fun cut ->
-          if cut >= 0 && cut <= String.length data then begin
-            let prefix = String.sub data 0 cut in
-            let s = Jpeg2000.Stream.create () in
-            ignore (Jpeg2000.Stream.feed s prefix);
-            if
-              Jpeg2000.Stream.parse_result s
-              <> Jpeg2000.Codestream.parse_result prefix
-            then Alcotest.failf "cut %d: stream disagrees with parse_result" cut
+          if cut >= 0 && cut <= n then begin
+            let walk =
+              Jpeg2000.Codestream.parse_prefix (String.sub data 0 cut)
+            in
+            (match walk.Jpeg2000.Codestream.error with
+            | None when cut = n -> ()
+            | Some Jpeg2000.Codestream.Bad_magic when cut < 4 -> ()
+            | Some (Jpeg2000.Codestream.Truncated off) when cut >= 4 && cut < n
+              ->
+              if off > cut then Alcotest.failf "cut %d: truncated at %d" cut off
+            | _ -> Alcotest.failf "cut %d: wrong error" cut);
+            Alcotest.(check bool)
+              (Printf.sprintf "cut %d: header" cut)
+              (cut >= preamble_end)
+              (walk.Jpeg2000.Codestream.header <> None);
+            Alcotest.(check int)
+              (Printf.sprintf "cut %d: segments" cut)
+              (List.length (List.filter (fun e -> e <= cut) tile_ends))
+              (List.length walk.Jpeg2000.Codestream.segments)
           end)
         [ b - 1; b; b + 1 ])
-    (0 :: 4 :: preamble_end :: tile_ends);
-  (* At an exact boundary the machine has landed exactly the units
-     before the cut. *)
-  let s = Jpeg2000.Stream.create () in
-  ignore (Jpeg2000.Stream.feed s (String.sub data 0 preamble_end));
-  Alcotest.(check bool) "header at preamble" true
-    (Jpeg2000.Stream.header s <> None);
-  Alcotest.(check (option int)) "tile count" (Some 6)
-    (Jpeg2000.Stream.tile_count s);
-  Alcotest.(check int) "no tiles yet" 0 (Jpeg2000.Stream.tiles_ready s);
-  List.iteri
-    (fun i e ->
-      let s = Jpeg2000.Stream.create () in
-      ignore (Jpeg2000.Stream.feed s (String.sub data 0 e));
-      Alcotest.(check int)
-        (Printf.sprintf "tiles ready at unit %d" i)
-        (i + 1) (Jpeg2000.Stream.tiles_ready s))
-    tile_ends
+    (0 :: 4 :: preamble_end :: tile_ends)
 
 (* -- flat coefficient planes ----------------------------------------
 
@@ -2082,8 +2068,7 @@ let () =
         ] );
       ( "stream",
         [
-          qc stream_chunk_invariance_qcheck;
-          Alcotest.test_case "one-byte chunks" `Quick test_stream_one_byte_chunks;
+          qc walk_prefix_closed_qcheck;
           Alcotest.test_case "truncation at marker boundaries" `Quick
             test_stream_truncation_at_boundaries;
         ] );

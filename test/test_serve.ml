@@ -247,7 +247,27 @@ let test_spec_parse_errors () =
   Alcotest.(check bool) "shares sum > 1" true
     (rejected "open:region=0.8,reduced=0.8");
   Alcotest.(check bool) "negative share" true (rejected "open:region=-0.1");
-  Alcotest.(check bool) "bad deadline" true (rejected "open:deadline=0")
+  Alcotest.(check bool) "bad deadline" true (rejected "open:deadline=0");
+  (* NaN passes any hand-written comparison, and an infinite rate or
+     deadline cannot be timed: every float field refuses both and names
+     the value. *)
+  List.iter
+    (fun (s, value) ->
+      match Serve.Request.parse_spec s with
+      | Ok _ -> Alcotest.failf "%s accepted" s
+      | Error msg ->
+        if not (Str_util.contains msg value) then
+          Alcotest.failf "%s: %S does not name %s" s msg value)
+    [
+      ("open:n=4,rate=nan", "rate=nan");
+      ("open:n=4,rate=inf", "rate=inf");
+      ("open:n=4,deadline=nan", "deadline=nan");
+      ("open:n=4,deadline=inf", "deadline=inf");
+      ("open:n=4,region=nan", "region=nan");
+      ("open:n=4,reduced=inf", "reduced=inf");
+      ("closed:n=4,think=nan", "think=nan");
+      ("closed:n=4,think=inf", "think=inf");
+    ]
 
 (* -- scalable-decode equivalences (the cache-key semantics) ---------- *)
 
@@ -592,29 +612,27 @@ let test_ingest_golden_reports () =
         (report_string (Serve.Service.run service (spec_exn workload))))
     golden_ingest_reports
 
-(* The Stream-driven analysis the layout walk replaced, kept as the
-   reference model: every contiguous extension of the prefix is fed
-   to one [Jpeg2000.Stream], and readiness is read off the parser. *)
-module Stream_model = struct
+(* The reference for the layout walk: every time the contiguous prefix
+   grows, the whole received prefix is read again by
+   [Codestream.parse_prefix], and readiness is read off that parse. *)
+module Prefix_model = struct
   type t = {
     data : string;
     dlv : Faults.Ingest.delivery;
-    tile_landed : int array;
+    tile_landed : (int, int) Hashtbl.t;
     complete : int;
     prefix_steps : (int * int) array;
     received : int;
   }
 
   let analyse ~seed spec ~start_ps data =
-    let dlv = Faults.Ingest.schedule ~seed spec ~start_ps data in
     let len = String.length data in
+    let dlv = Faults.Ingest.schedule ~seed spec ~start_ps len in
     let chunk = spec.Faults.Ingest.chunk_bytes in
     let nchunks = (len + chunk - 1) / chunk in
     let got = Array.make (Stdlib.max 1 nchunks) false in
     let frontier = ref 0 in
-    let stream = Jpeg2000.Stream.create () in
-    let ntiles = ref (-1) in
-    let tile_landed = ref [||] in
+    let tile_landed = Hashtbl.create 16 in
     let ready = ref 0 in
     let complete = ref max_int in
     let steps = ref [ (min_int, 0) ] in
@@ -624,22 +642,19 @@ module Stream_model = struct
         let i = c.Faults.Ingest.c_offset / chunk in
         if not got.(i) then begin
           got.(i) <- true;
-          received := !received + String.length c.Faults.Ingest.c_bytes;
+          received := !received + c.Faults.Ingest.c_length;
           let from = !frontier in
           while !frontier < nchunks && got.(!frontier) do incr frontier done;
           if !frontier > from then begin
-            let lo = from * chunk in
             let hi = Stdlib.min len (!frontier * chunk) in
-            ignore (Jpeg2000.Stream.feed stream (String.sub data lo (hi - lo)));
             steps := (c.Faults.Ingest.c_arrival_ps, hi) :: !steps;
-            (match Jpeg2000.Stream.tile_count stream with
-            | Some n when !ntiles < 0 ->
-              ntiles := n;
-              tile_landed := Array.make (Stdlib.max 1 n) max_int
-            | _ -> ());
-            let now_ready = Jpeg2000.Stream.tiles_ready stream in
+            let now_ready =
+              List.length
+                (Jpeg2000.Codestream.parse_prefix (String.sub data 0 hi))
+                  .Jpeg2000.Codestream.segments
+            in
             for ti = !ready to now_ready - 1 do
-              !tile_landed.(ti) <- c.Faults.Ingest.c_arrival_ps
+              Hashtbl.replace tile_landed ti c.Faults.Ingest.c_arrival_ps
             done;
             ready := now_ready;
             if hi = len && !complete = max_int then
@@ -650,15 +665,14 @@ module Stream_model = struct
     {
       data;
       dlv;
-      tile_landed = !tile_landed;
+      tile_landed;
       complete = !complete;
       prefix_steps = Array.of_list (List.rev !steps);
       received = !received;
     }
 
   let tile_landed_ps t i =
-    if i < 0 || i >= Array.length t.tile_landed then max_int
-    else t.tile_landed.(i)
+    Option.value (Hashtbl.find_opt t.tile_landed i) ~default:max_int
 
   let prefix_at t instant =
     let best = ref 0 in
@@ -670,21 +684,17 @@ end
 
 let test_ingest_damaged_stream () =
   (* A damaged tile behind a clean one, all inside the first chunk:
-     the Stream-driven analysis lost the tile count to the [Corrupt]
-     phase and indexed an empty readiness array. *)
+     tile 0 lands with that chunk and the tiles from the damage on
+     never do. *)
   let data =
     Models.Workload.codestream ~width:64 ~height:64 ~seed:3
       Jpeg2000.Codestream.Lossless
   in
-  let ntiles, tile0_end =
-    match Jpeg2000.Codestream.read_preamble data ~pos:0 with
-    | Jpeg2000.Codestream.Unit_ready ((header, ntiles), pos) -> (
-      match Jpeg2000.Codestream.read_tile ~header data ~pos with
-      | Jpeg2000.Codestream.Unit_ready (_, tile0_end) -> (ntiles, tile0_end)
-      | _ -> Alcotest.fail "tile 0 does not parse")
-    | _ -> Alcotest.fail "preamble does not parse"
+  let ends =
+    List.map snd (Jpeg2000.Codestream.parse_prefix data).Jpeg2000.Codestream.segments
   in
-  Alcotest.(check int) "tiles" 4 ntiles;
+  let tile0_end = List.hd ends in
+  Alcotest.(check int) "tiles" 4 (List.length ends);
   Alcotest.(check int) "tile 0 end" 4371 tile0_end;
   (* tile 1's width field: index u16, x0 u32, y0 u32, then width u16 *)
   let damaged = Bytes.of_string data in
@@ -706,9 +716,9 @@ let test_ingest_damaged_stream () =
 
 (* A small codestream — clean, truncated, byte-flipped, followed by
    junk, or followed by a repeat of its own tile segments (trailing
-   bytes that parse) — and a faulted ingest spec. The model re-buffers
-   and re-parses on every feed, so a chunk is at least 1/256 of the
-   stream. *)
+   bytes that parse) — and a faulted ingest spec. The model re-parses
+   the received prefix whenever it grows, so a chunk is at least 1/256
+   of the stream. *)
 let ingest_draw =
   let open QCheck.Gen in
   let* lossy = bool in
@@ -758,9 +768,14 @@ let ingest_draw =
       Bytes.to_string flipped
     | 3 -> clean ^ junk
     | _ -> (
-      match Jpeg2000.Codestream.read_preamble clean ~pos:0 with
-      | Jpeg2000.Codestream.Unit_ready (_, pos) -> clean ^ String.sub clean pos (n - pos)
-      | _ -> clean)
+      match Jpeg2000.Codestream.parse_result clean with
+      | Ok s ->
+        let pos =
+          String.length
+            (Jpeg2000.Codestream.emit { s with Jpeg2000.Codestream.tiles = [] })
+        in
+        clean ^ String.sub clean pos (n - pos)
+      | Error _ -> clean)
   in
   let spec =
     {
@@ -783,47 +798,44 @@ let print_ingest_draw (variant, data, spec, seed, start_ps) =
   Printf.sprintf "variant=%d bytes=%d spec=%s seed=%d start_ps=%d" variant
     (String.length data) (Faults.Ingest.spec_to_string spec) seed start_ps
 
-let test_ingest_layout_matches_stream_model () =
-  (* The layout walk must report what the Stream-driven model reports
-     at every observable point, except where the model raises. *)
-  let count = 500 and model_raised = ref 0 in
+let test_ingest_layout_matches_prefix_model () =
+  (* The layout walk must report what re-reading every received prefix
+     reports, at every observable point. *)
   let prop =
-    QCheck.Test.make ~name:"layout walk equals the Stream-driven model" ~count
+    QCheck.Test.make ~name:"layout walk equals the prefix re-parse model"
+      ~count:500
       (QCheck.make ~print:print_ingest_draw ingest_draw)
       (fun (_, data, spec, seed, start_ps) ->
         let t = Serve.Ingest.analyse ~seed spec ~start_ps data in
-        match Stream_model.analyse ~seed spec ~start_ps data with
-        | exception Invalid_argument _ ->
-          incr model_raised;
-          true
-        | m ->
-          let ntiles =
-            match Jpeg2000.Codestream.read_preamble data ~pos:0 with
-            | Jpeg2000.Codestream.Unit_ready ((_, n), _) -> n
-            | _ -> 0
-          in
-          let instants =
-            Array.to_list m.Stream_model.prefix_steps
-            |> List.filter_map (fun (ts, _) ->
-                   if ts = min_int then None else Some ts)
-            |> List.concat_map (fun ts -> [ ts - 1; ts ])
-          in
-          Serve.Ingest.delivery t = m.Stream_model.dlv
-          && List.for_all
-               (fun i ->
-                 Serve.Ingest.tile_landed_ps t i = Stream_model.tile_landed_ps m i)
-               (List.init (ntiles + 3) (fun i -> i - 1))
-          && Serve.Ingest.complete_ps t = m.Stream_model.complete
-          && Serve.Ingest.bytes_received t = m.Stream_model.received
-          && List.for_all
-               (fun ts ->
-                 Serve.Ingest.prefix_at t ts = Stream_model.prefix_at m ts)
-               instants)
+        let m = Prefix_model.analyse ~seed spec ~start_ps data in
+        let ntiles =
+          match (Jpeg2000.Codestream.parse_prefix data).Jpeg2000.Codestream.header with
+          | None -> 0
+          | Some header ->
+            let rec cells k =
+              if Jpeg2000.Codestream.grid_cell header k = None then k
+              else cells (k + 1)
+            in
+            cells 0
+        in
+        let instants =
+          Array.to_list m.Prefix_model.prefix_steps
+          |> List.filter_map (fun (ts, _) ->
+                 if ts = min_int then None else Some ts)
+          |> List.concat_map (fun ts -> [ ts - 1; ts ])
+        in
+        Serve.Ingest.delivery t = m.Prefix_model.dlv
+        && List.for_all
+             (fun i ->
+               Serve.Ingest.tile_landed_ps t i = Prefix_model.tile_landed_ps m i)
+             (List.init (ntiles + 3) (fun i -> i - 1))
+        && Serve.Ingest.complete_ps t = m.Prefix_model.complete
+        && Serve.Ingest.bytes_received t = m.Prefix_model.received
+        && List.for_all
+             (fun ts -> Serve.Ingest.prefix_at t ts = Prefix_model.prefix_at m ts)
+             instants)
   in
-  QCheck.Test.check_exn ~rand:(Random.State.make [| 14 |]) prop;
-  Printf.printf
-    "the Stream-driven model raised on %d of %d draws; the layout walk returned\n"
-    !model_raised count
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 14 |]) prop
 
 (* -- profiling ------------------------------------------------------- *)
 
@@ -1229,7 +1241,7 @@ let () =
             test_ingest_clean_streaming_serves_all;
           Alcotest.test_case "golden reports" `Quick test_ingest_golden_reports;
           Alcotest.test_case "damaged stream" `Quick test_ingest_damaged_stream;
-          Alcotest.test_case "layout walk equals Stream model" `Quick
-            test_ingest_layout_matches_stream_model;
+          Alcotest.test_case "layout walk equals prefix model" `Quick
+            test_ingest_layout_matches_prefix_model;
         ] );
     ]
