@@ -618,8 +618,8 @@ let write_results_json path sc rows =
       ]
   in
   (* Synthesis rows: LUT/FF with and without the value-analysis
-     optimiser (installed at startup) plus the wall time of one full
-     synthesise call per core. *)
+     optimiser plus the wall time of one full synthesise call per
+     core. *)
   let area_json (a : Rtl.Area.report) =
     Obj
       [
@@ -823,7 +823,6 @@ let print_ablations () =
     ]
 
 let () =
-  Analysis.Lint.install ();
   let passes = benchmark () in
   let rows = bench_rows passes in
   print_bench_results rows;

@@ -112,15 +112,15 @@ let testbench_cmd =
           & opt (some string) None
           & info [ "o"; "out" ] ~docv:"DIR" ~doc:"Write the testbench here."))
 
-let json_of_diag (d : Analysis.Diagnostic.t) =
+let json_of_diag (d : Fossy.Diagnostic.t) =
   Telemetry.Json.Obj
     [
-      ("code", Telemetry.Json.Str d.Analysis.Diagnostic.code);
+      ("code", Telemetry.Json.Str d.Fossy.Diagnostic.code);
       ( "severity",
         Telemetry.Json.Str
-          (Analysis.Diagnostic.severity_label d.Analysis.Diagnostic.severity) );
-      ("path", Telemetry.Json.Str d.Analysis.Diagnostic.path);
-      ("message", Telemetry.Json.Str d.Analysis.Diagnostic.message);
+          (Fossy.Diagnostic.severity_label d.Fossy.Diagnostic.severity) );
+      ("path", Telemetry.Json.Str d.Fossy.Diagnostic.path);
+      ("message", Telemetry.Json.Str d.Fossy.Diagnostic.message);
     ]
 
 let lint_cmd =
@@ -164,8 +164,8 @@ let lint_cmd =
                 collect [ Analysis.Concurrency.diag_of_race race ])
             Models.Experiment.all_versions)
         [ Jpeg2000.Codestream.Lossless; Jpeg2000.Codestream.Lossy ];
-    let ds = List.sort_uniq Analysis.Diagnostic.compare !diagnostics in
-    let errors = Analysis.Diagnostic.errors ds in
+    let ds = List.sort_uniq Fossy.Diagnostic.compare !diagnostics in
+    let errors = Fossy.Diagnostic.errors ds in
     if json then
       print_endline
         (Telemetry.Json.to_string
@@ -176,7 +176,7 @@ let lint_cmd =
                 ("errors", Telemetry.Json.Int (List.length errors));
               ]))
     else begin
-      List.iter (fun d -> print_endline (Analysis.Diagnostic.render d)) ds;
+      List.iter (fun d -> print_endline (Fossy.Diagnostic.render d)) ds;
       Printf.printf "lint: %d finding(s), %d error(s)\n" (List.length ds)
         (List.length errors)
     end;
@@ -379,7 +379,6 @@ let swgen_cmd =
           & info [ "o"; "out" ] ~docv:"DIR" ~doc:"Write files here instead of stdout."))
 
 let () =
-  Analysis.Lint.install ();
   let doc = "FOSSY high-level synthesis flow" in
   exit
     (Cmd.eval

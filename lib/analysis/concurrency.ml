@@ -1,4 +1,4 @@
-module D = Diagnostic
+module D = Fossy.Diagnostic
 
 (* -- OSSS guard-deadlock analysis ------------------------------------ *)
 

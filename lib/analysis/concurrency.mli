@@ -9,12 +9,12 @@
       kernel (two processes drove one signal in the same evaluation
       phase). *)
 
-val guard_deadlocks : Osss.Vta.t -> Diagnostic.t list
+val guard_deadlocks : Osss.Vta.t -> Fossy.Diagnostic.t list
 (** Static analysis of {!Osss.Vta.so_accesses}. *)
 
-val diag_of_race : Sim.Kernel.race -> Diagnostic.t
+val diag_of_race : Sim.Kernel.race -> Fossy.Diagnostic.t
 (** One recorded (or raised) race as an [E015] diagnostic. *)
 
-val race_diagnostics : Sim.Kernel.t -> Diagnostic.t list
+val race_diagnostics : Sim.Kernel.t -> Fossy.Diagnostic.t list
 (** Renders the races a kernel recorded under
     {!Sim.Kernel.Race_record} into diagnostics. *)

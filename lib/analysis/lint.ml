@@ -1,14 +1,4 @@
-module D = Diagnostic
-
-let fsm_diagnostics m =
-  (* FSM extraction can legitimately fail on modules the HIR lints
-     already reject (e.g. wait-free loops); those passes have reported
-     the cause, so extraction failure is not itself a finding. *)
-  match Fossy.Fsm.of_module (Fossy.Inline.run m) with
-  | fsm -> Fsm_lint.run fsm @ Absint.lint_fsm fsm
-  | exception _ -> []
-
-let semantic m = Hir_lint.run m @ Absint.lint m @ fsm_diagnostics m
+module D = Fossy.Diagnostic
 
 let lint_module m =
   let structural =
@@ -19,19 +9,9 @@ let lint_module m =
         (fun e -> D.error ~code:"E000" ~path:m.Fossy.Hir.m_name "%s" e)
         es
   in
-  List.sort_uniq D.compare (structural @ semantic m)
+  List.sort_uniq D.compare (structural @ Fossy.Synthesis.diagnostics m)
 
 let lint_design = Vhdl_lint.run
 let lint_vta = Concurrency.guard_deadlocks
 let lint_kernel = Concurrency.race_diagnostics
-
-let split ds =
-  ( List.map D.render (List.filter D.is_error ds),
-    List.map D.render (List.filter (fun d -> not (D.is_error d)) ds) )
-
-let install () =
-  Fossy.Synthesis.set_linter (fun m ->
-      (* validate already ran inside [synthesise]; only the semantic
-         passes gate here. *)
-      split (List.sort_uniq D.compare (semantic m)));
-  Fossy.Synthesis.set_optimiser ~hir:Absint.optimise ~fsm:Absint.prune_fsm
+let install () = ()

@@ -1,5 +1,5 @@
 open Rtl
-module D = Diagnostic
+module D = Fossy.Diagnostic
 
 (* Name-resolution-free RTL lint: ports, architecture signals and
    process variables share one string namespace, which the generated

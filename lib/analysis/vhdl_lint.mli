@@ -6,4 +6,4 @@
     - [W015] — an [out] port is never driven;
     - [W017] — an architecture signal is declared but never used. *)
 
-val run : Rtl.Vhdl.design -> Diagnostic.t list
+val run : Rtl.Vhdl.design -> Fossy.Diagnostic.t list

@@ -1,4 +1,3 @@
-open Fossy
 module M = Map.Make (String)
 module S = Set.Make (String)
 module I = Interval

@@ -1,7 +1,9 @@
 (** Interprocedural interval + known-bits abstract interpretation
-    over {!Fossy.Hir}, and the synthesis optimisations it licenses.
+    over {!Hir}, and the synthesis optimisations it licenses.
+    {!Synthesis.synthesise} runs {!optimise} and {!prune_fsm} on every
+    core, and {!lint}/{!lint_fsm} are part of {!Synthesis.diagnostics}.
 
-    The engine mirrors {!Fossy.Interp} exactly: variables and arrays
+    The engine mirrors {!Interp} exactly: variables and arrays
     start at 0, stores wrap through the declared type (identity at
     widths >= 62), shift amounts are masked, [For] binds the loop
     variable raw, subprogram calls push frames whose params wrap on
@@ -32,10 +34,10 @@ type result = {
           never written have no entry. *)
 }
 
-val analyse : Fossy.Hir.module_def -> result
-(** Requires a validated module (see {!Fossy.Hir.validate}). *)
+val analyse : Hir.module_def -> result
+(** Requires a validated module (see {!Hir.validate}). *)
 
-val lint : Fossy.Hir.module_def -> Diagnostic.t list
+val lint : Hir.module_def -> Diagnostic.t list
 (** Value-analysis diagnostics:
     - [W018] assignment whose value range never fits the target type
       (proved truncation; the constant-only case stays [W005]);
@@ -45,11 +47,11 @@ val lint : Fossy.Hir.module_def -> Diagnostic.t list
       whenever executed);
     - [W021] array index that may exceed the bounds. *)
 
-val lint_fsm : Fossy.Fsm.t -> Diagnostic.t list
+val lint_fsm : Fsm.t -> Diagnostic.t list
 (** [W022]: states syntactically reachable but unreachable under
     value constraints (abstract execution never enters them). *)
 
-val optimise : Fossy.Hir.module_def -> Fossy.Hir.module_def
+val optimise : Hir.module_def -> Hir.module_def
 (** Behaviour-preserving shrink, run between inline and FSM
     extraction: folds proved-constant expressions, deletes
     proved-dead branches and loops, and narrows variable/array
@@ -61,7 +63,7 @@ val optimise : Fossy.Hir.module_def -> Fossy.Hir.module_def
     contains a [Wait], ports are never re-typed, and the result is
     re-validated (reverting to the input on failure). *)
 
-val prune_fsm : Fossy.Fsm.t -> Fossy.Fsm.t
+val prune_fsm : Fsm.t -> Fsm.t
 (** Drops states no abstract execution reaches and rewrites branches
     whose condition is proved one-sided (and side-effect-free) into
     gotos. The entry state and the trace are preserved. *)

@@ -1,5 +1,3 @@
-open Fossy
-
 module Names = Set.Make (String)
 
 (* -- call summaries -------------------------------------------------- *)

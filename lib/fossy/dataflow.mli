@@ -27,7 +27,7 @@ type summary = {
   su_arr_defs : Names.t;
 }
 
-val summaries : Fossy.Hir.module_def -> string -> summary
+val summaries : Hir.module_def -> string -> summary
 (** [summaries m] computes (memoised, cycle-tolerant) transitive
     module-level def/use summaries for every subprogram of [m] and
     returns the lookup function. Unknown names yield the empty
@@ -36,7 +36,7 @@ val summaries : Fossy.Hir.module_def -> string -> summary
 type node = {
   id : int;
   path : string;  (** e.g. ["idwt53/body/3/then/0"] *)
-  stmt : Fossy.Hir.stmt option;  (** [None] for synthetic entry/exit *)
+  stmt : Hir.stmt option;  (** [None] for synthetic entry/exit *)
   defs : Names.t;
   uses : Names.t;
   array_defs : Names.t;
@@ -47,11 +47,11 @@ type node = {
 
 type t = { nodes : node array; entry : int; exit_ : int }
 
-val of_body : Fossy.Hir.module_def -> t
+val of_body : Hir.module_def -> t
 (** CFG of the behavioural process, with the infinite-loop back
     edge. *)
 
-val of_subprogram : Fossy.Hir.module_def -> Fossy.Hir.subprogram -> t
+val of_subprogram : Hir.module_def -> Hir.subprogram -> t
 
 type solution = {
   before : Names.t array;  (** per node id: set before the node *)
@@ -70,6 +70,6 @@ val reachable : t -> bool array
 (** Per node id, whether a (constant-aware) path from the entry
     reaches it. *)
 
-val stmt_label : Fossy.Hir.stmt -> string
+val stmt_label : Hir.stmt -> string
 (** Short human label ("assignment to x", "while", ...) for
     diagnostics. *)

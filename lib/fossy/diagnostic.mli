@@ -1,4 +1,4 @@
-(** The one currency of the analysis layer.
+(** The one currency of the FOSSY lints and the analysis layer.
 
     Every pass — HIR dataflow, FSM structure, VHDL port discipline,
     OSSS concurrency — reports findings as values of {!t}, so the CLI,

@@ -4,8 +4,8 @@
     - [W013] — register never read by any action or branch condition
       (a flip-flop whose output goes nowhere). *)
 
-val reachable : Fossy.Fsm.t -> bool array
-(** Constant-aware variant of {!Fossy.Fsm.reachable_states}: a
+val reachable : Fsm.t -> bool array
+(** Constant-aware variant of {!Fsm.reachable_states}: a
     [Branch] on a constant condition only reaches the selected arm. *)
 
-val run : Fossy.Fsm.t -> Diagnostic.t list
+val run : Fsm.t -> Diagnostic.t list

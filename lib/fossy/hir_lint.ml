@@ -1,4 +1,3 @@
-open Fossy
 module D = Diagnostic
 module Names = Dataflow.Names
 

@@ -20,7 +20,7 @@
     - [E011]/[W015] — output port never driven (error when it is also
       read back, warning otherwise). *)
 
-val run : Fossy.Hir.module_def -> Diagnostic.t list
+val run : Hir.module_def -> Diagnostic.t list
 (** All passes; result sorted errors-first and de-duplicated. Assumes
-    the module passes {!Fossy.Hir.validate} (unknown names are not
+    the module passes {!Hir.validate} (unknown names are not
     re-reported here). *)

@@ -1,4 +1,4 @@
-(* Interval + known-bits domain. Soundness reference: Fossy.Interp.
+(* Interval + known-bits domain. Soundness reference: Interp.
    Native int arithmetic there wraps modulo 2^63 on overflow, so an
    overflowing bound widens to the full int range (saturating would
    claim a bound the wrapped value can escape); the low bits stay
@@ -89,7 +89,7 @@ let of_bounds a b =
   let lo = Stdlib.min a b and hi = Stdlib.max a b in
   make ~lo ~hi ~known:0 ~bits:0
 
-let of_ty (ty : Fossy.Hir.ty) =
+let of_ty (ty : Hir.ty) =
   let w = Stdlib.max 1 ty.width in
   if w >= 62 then top
   else if ty.signed then of_bounds (-(1 lsl (w - 1))) ((1 lsl (w - 1)) - 1)
@@ -136,7 +136,7 @@ let fits_ty ty t =
   let r = of_ty ty in
   t.lo >= r.lo && t.hi <= r.hi
 
-let wrap_ty (ty : Fossy.Hir.ty) t =
+let wrap_ty (ty : Hir.ty) t =
   if ty.width >= 62 then t (* Interp.wrap is the identity there *)
   else if fits_ty ty t then t
   else
@@ -323,7 +323,7 @@ let cmp op a b =
     else if a.hi < b.lo then decided false
     else bool_top
 
-let binop (op : Fossy.Hir.binop) a b =
+let binop (op : Hir.binop) a b =
   match op with
   | Add -> arith `Add add_opt a b
   | Sub -> arith `Sub sub_opt a b
@@ -340,7 +340,7 @@ let binop (op : Fossy.Hir.binop) a b =
   | Gt -> cmp `Gt a b
   | Ge -> cmp `Ge a b
 
-let unop (op : Fossy.Hir.unop) t =
+let unop (op : Hir.unop) t =
   match op with
   | Neg -> arith `Sub sub_opt (of_const 0) t
   | Bnot ->
@@ -355,7 +355,7 @@ let trim_ne t v =
   else if t.hi = v then Some (make ~lo:t.lo ~hi:(v - 1) ~known:t.known ~bits:t.bits)
   else Some t
 
-let rec assume_cmp (op : Fossy.Hir.binop) a b =
+let rec assume_cmp (op : Hir.binop) a b =
   match op with
   | Eq -> ( match meet a b with None -> None | Some m -> Some (m, m))
   | Ne -> (

@@ -10,7 +10,7 @@
     span a contiguous range).
 
     All transfer functions are sound over-approximations of the exact
-    semantics implemented by {!Fossy.Interp}: shift amounts are
+    semantics implemented by {!Interp}: shift amounts are
     masked with [land 63], [wrap_ty] mirrors [Interp.wrap] including
     its identity at widths >= 62, and arithmetic that could exceed
     the native range saturates outward (saturation only ever widens
@@ -26,8 +26,8 @@ val top : t
 val of_const : int -> t
 val of_bounds : int -> int -> t
 
-val of_ty : Fossy.Hir.ty -> t
-(** Value range of a declared type as {!Fossy.Interp} stores it:
+val of_ty : Hir.ty -> t
+(** Value range of a declared type as {!Interp} stores it:
     widths >= 62 are unwrapped native ints, so they map to {!top}. *)
 
 val join : t -> t -> t
@@ -43,14 +43,14 @@ val equal : t -> t -> bool
 val contains : t -> int -> bool
 val is_singleton : t -> int option
 
-val wrap_ty : Fossy.Hir.ty -> t -> t
+val wrap_ty : Hir.ty -> t -> t
 (** Abstract counterpart of [Interp.wrap]. Precise when the input
     fits, or when the input spans at most one wrap window. *)
 
-val binop : Fossy.Hir.binop -> t -> t -> t
-val unop : Fossy.Hir.unop -> t -> t
+val binop : Hir.binop -> t -> t -> t
+val unop : Hir.unop -> t -> t
 
-val assume_cmp : Fossy.Hir.binop -> t -> t -> (t * t) option
+val assume_cmp : Hir.binop -> t -> t -> (t * t) option
 (** [assume_cmp op a b] refines [a] and [b] under the assumption that
     [Bin (op, a, b)] evaluated nonzero (the comparison held). [None]
     means the assumption is unsatisfiable (the guarded code is

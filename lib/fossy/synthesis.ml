@@ -13,29 +13,18 @@ type result = {
   warnings : string list;
 }
 
-(* The deep semantic checks live in the [analysis] library, which
-   depends on this one; it plugs itself in through this hook
-   ([Analysis.Lint.install]). Without a linter installed, synthesis
-   performs only the structural [Hir.validate]. *)
-let linter : (Hir.module_def -> string list * string list) ref =
-  ref (fun _ -> ([], []))
+let diagnostics m =
+  (* FSM extraction can legitimately fail on modules the HIR lints
+     already reject (e.g. wait-free loops); those passes have reported
+     the cause, so extraction failure is not itself a finding. *)
+  let fsm_ds =
+    match Fsm.of_module (Inline.run m) with
+    | fsm -> Fsm_lint.run fsm @ Absint.lint_fsm fsm
+    | exception _ -> []
+  in
+  List.sort_uniq Diagnostic.compare (Hir_lint.run m @ Absint.lint m @ fsm_ds)
 
-let set_linter f = linter := f
-
-(* Same inversion for the value-analysis optimiser: the abstract
-   interpreter lives in [analysis], which depends on this library, so
-   it installs itself here. Uninstalled, [optimise] is the identity
-   and the flow is exactly the historical inline → FSM → VHDL chain. *)
-let optimiser : (Hir.module_def -> Hir.module_def) ref = ref (fun m -> m)
-let fsm_optimiser : (Fsm.t -> Fsm.t) ref = ref (fun f -> f)
-let optimiser_installed = ref false
-
-let set_optimiser ~hir ~fsm =
-  optimiser := hir;
-  fsm_optimiser := fsm;
-  optimiser_installed := true
-
-let optimise m = !optimiser m
+let optimise = Absint.optimise
 
 let cost fsm =
   let vhdl = Codegen.run fsm in
@@ -51,18 +40,15 @@ let synthesise m =
   match Hir.validate m with
   | Error es -> Error es
   | Ok () ->
-    let lint_errors, warnings = !linter m in
-    if lint_errors <> [] then Error lint_errors
+    let errors, warnings =
+      List.partition Diagnostic.is_error (diagnostics m)
+    in
+    if errors <> [] then Error (List.map Diagnostic.render errors)
     else
       let systemc_loc = Hir_pp.loc m in
       let inlined = Inline.run m in
-      let unopt_fsm = Fsm.of_module inlined in
-      let _, _, unopt_summary, unopt_area, _ = cost unopt_fsm in
-      let fsm =
-        if !optimiser_installed then
-          !fsm_optimiser (Fsm.of_module (!optimiser inlined))
-        else unopt_fsm
-      in
+      let _, _, unopt_summary, unopt_area, _ = cost (Fsm.of_module inlined) in
+      let fsm = Absint.prune_fsm (Fsm.of_module (Absint.optimise inlined)) in
       let vhdl, vhdl_text, summary, area, fmax_mhz = cost fsm in
       Ok
         {
@@ -77,7 +63,7 @@ let synthesise m =
           fmax_mhz;
           unopt_summary;
           unopt_area;
-          warnings;
+          warnings = List.map Diagnostic.render warnings;
         }
 
 type reference_result = {

@@ -1,12 +1,12 @@
 (** FOSSY driver: end-to-end high-level synthesis.
 
-    validate → inline subprograms → optimise (when a value-analysis
-    optimiser is installed) → extract FSM → emit VHDL → estimate RTL
-    synthesis results (area / f_max on the Virtex-4 model). The same
-    estimation is applied to hand-written reference VHDL for the
-    Table 2 comparison; reference designs keep their multi-process
-    structure and are therefore costed without cross-state operator
-    sharing. *)
+    validate → lint ({!diagnostics}) → inline subprograms → optimise
+    ({!Absint.optimise}) → extract FSM ({!Absint.prune_fsm}) → emit
+    VHDL → estimate RTL synthesis results (area / f_max on the
+    Virtex-4 model). The same estimation is applied to hand-written
+    reference VHDL for the Table 2 comparison; reference designs keep
+    their multi-process structure and are therefore costed without
+    cross-state operator sharing. *)
 
 type result = {
   module_name : string;
@@ -20,38 +20,28 @@ type result = {
   fmax_mhz : float;
   unopt_summary : Rtl.Netlist.summary;
       (** netlist of the straight inline → FSM chain, before the
-          installed optimiser ran (equal to [summary] when no
-          optimiser is installed) *)
+          value-analysis optimiser ran *)
   unopt_area : Rtl.Area.report;
       (** area of [unopt_summary] — the baseline the optimiser's
           LUT/FF win is measured against *)
   warnings : string list;
-      (** non-blocking findings of the installed linter (empty when no
-          linter is installed) *)
+      (** rendered non-blocking findings of {!diagnostics} *)
 }
 
-val set_linter : (Hir.module_def -> string list * string list) -> unit
-(** Installs a semantic linter run after {!Hir.validate}. It returns
-    [(errors, warnings)]: any error blocks synthesis (reported through
-    the [Error] case exactly like validation failures), warnings are
-    passed through in {!result.warnings}. The [analysis] library
-    installs its diagnostic suite here ([Analysis.Lint.install]); the
-    default linter reports nothing. *)
-
-val set_optimiser :
-  hir:(Hir.module_def -> Hir.module_def) -> fsm:(Fsm.t -> Fsm.t) -> unit
-(** Installs the behaviour-preserving optimisation passes run between
-    inline and FSM extraction ([hir], e.g. [Analysis.Absint.optimise])
-    and after FSM extraction ([fsm], e.g. [Analysis.Absint.prune_fsm]).
-    [Analysis.Lint.install] wires both. Without an optimiser the flow
-    is unchanged and [unopt_summary]/[unopt_area] simply duplicate
-    [summary]/[area]. *)
+val diagnostics : Hir.module_def -> Diagnostic.t list
+(** The semantic lints synthesis runs after {!Hir.validate}:
+    {!Hir_lint.run}, {!Absint.lint} and, when FSM extraction of the
+    inlined module succeeds, {!Fsm_lint.run} and {!Absint.lint_fsm}.
+    Sorted errors-first and de-duplicated. Any error-severity finding
+    blocks synthesis. *)
 
 val optimise : Hir.module_def -> Hir.module_def
-(** The installed HIR optimiser (identity when none is installed). *)
+(** The HIR optimiser run between inline and FSM extraction
+    ({!Absint.optimise}). *)
 
 val synthesise : Hir.module_def -> (result, string list) Stdlib.result
-(** The full flow. [Error] carries validation or lint diagnostics. *)
+(** The full flow. [Error] carries validation failures or the rendered
+    error-severity {!diagnostics}. *)
 
 type reference_result = {
   ref_name : string;

@@ -23,8 +23,7 @@ type table2_row = {
   fossy_area : Rtl.Area.report;
   fossy_unopt_area : Rtl.Area.report;
       (** area of the straight inline → FSM flow, before the
-          value-analysis optimiser (equals [fossy_area] when no
-          optimiser is installed) *)
+          value-analysis optimiser *)
   fossy_mhz : float;
   fossy_vhdl_loc : int;
   systemc_loc : int;

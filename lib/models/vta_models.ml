@@ -82,25 +82,18 @@ let mapping ~sw_tasks ~idwt_p2p =
       ~link:(Printf.sprintf "decoder%d->hwsw_so" i)
       ~channel:"opb" ~kind:Osss.Vta.Shared_bus
   done;
-  (if idwt_p2p then
-     List.iteri
-       (fun i m ->
-         Osss.Vta.map_link vta ~link:(m ^ "->hwsw_so")
-           ~channel:(Printf.sprintf "p2p%d" i)
-           ~kind:Osss.Vta.Point_to_point)
-       [ "idwt2d"; "idwt53"; "idwt97" ]
-   else
-     List.iter
-       (fun m ->
-         Osss.Vta.map_link vta ~link:(m ^ "->hwsw_so") ~channel:"opb"
-           ~kind:Osss.Vta.Shared_bus)
-       [ "idwt2d"; "idwt53"; "idwt97" ]);
+  (* The channels [make_rig] builds: one IDWT and one params transport. *)
+  let idwt_channel, idwt_kind =
+    if idwt_p2p then ("idwt_p2p", Osss.Vta.Point_to_point)
+    else ("opb", Osss.Vta.Shared_bus)
+  in
   List.iter
-    (fun m ->
-      Osss.Vta.map_link vta ~link:(m ^ "->params_so")
-        ~channel:("params_" ^ m)
-        ~kind:Osss.Vta.Point_to_point)
-    [ "idwt2d"; "idwt53"; "idwt97" ];
+    (fun (so, channel, kind) ->
+      List.iter
+        (fun m -> Osss.Vta.map_link vta ~link:(m ^ "->" ^ so) ~channel ~kind)
+        [ "idwt2d"; "idwt53"; "idwt97" ])
+    [ ("hwsw_so", idwt_channel, idwt_kind);
+      ("params_so", "params_p2p", Osss.Vta.Point_to_point) ];
   (* Shared-Object access declarations mirroring the method calls of
      Decoder_system.run_pipeline — the wait-for graph the analysis
      layer checks for guard-deadlock cycles. *)

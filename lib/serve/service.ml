@@ -519,11 +519,7 @@ module Engine = struct
     (* Instant a queued request may leave its queue: when its bytes are
        ready, or at its deadline — whichever comes first — so a stalled
        stream is flushed rather than waited out. *)
-    let dispatch_ps q =
-      match config.ingest with
-      | None -> q.q_req.Request.arrival_ps
-      | Some _ -> Stdlib.min q.q_ready_ps q.q_req.Request.deadline_ps
-    in
+    let dispatch_ps q = Stdlib.min q.q_ready_ps q.q_req.Request.deadline_ps in
     (* Generated-but-not-admitted requests, sorted by (arrival, id): an
        open-loop spec is drawn whole; a closed loop draws one request
        per client now and each next one when its predecessor leaves. *)
@@ -815,7 +811,7 @@ module Engine = struct
           (fun q ->
             let r = q.q_req in
             let stream = t.streams.(r.Request.stream) in
-            if config.ingest <> None && q.q_ready_ps > batch_start then
+            if q.q_ready_ps > batch_start then
               (* deadline fired before the bytes finished landing:
                  serve best-effort from the received prefix *)
               (q, `Flush)
@@ -1162,14 +1158,11 @@ module Engine = struct
       window_missed := 0
     in
     (* A queued request is dispatchable once [dispatch_ps] has passed —
-       at once when ingest is off (its bytes arrived whole), else when
-       its tiles land or its deadline fires. *)
+       when its tiles land (at arrival when ingest is off) or its
+       deadline fires. *)
     let earliest_dispatch rep =
-      match config.ingest with
-      | None -> !now
-      | Some _ ->
-        List.fold_left (fun acc q -> Stdlib.min acc (dispatch_ps q)) max_int
-          rep.r_queue
+      List.fold_left (fun acc q -> Stdlib.min acc (dispatch_ps q)) max_int
+        rep.r_queue
     in
     let dispatch rep =
       if
@@ -1177,9 +1170,7 @@ module Engine = struct
         && rep.r_queue <> [] && rep.r_busy_until <= !now
       then begin
         let eligible, waiting =
-          match config.ingest with
-          | None -> (rep.r_queue, [])
-          | Some _ -> List.partition (fun q -> dispatch_ps q <= !now) rep.r_queue
+          List.partition (fun q -> dispatch_ps q <= !now) rep.r_queue
         in
         if eligible <> [] then begin
           let rec take k = function

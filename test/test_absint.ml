@@ -1,5 +1,5 @@
 (* Soundness and profitability tests for the interval + known-bits
-   abstract interpreter (Analysis.Interval / Analysis.Absint) and the
+   abstract interpreter (Fossy.Interval / Fossy.Absint) and the
    synthesis optimisations it licenses.
 
    Two layers of qcheck properties share one generator each:
@@ -12,7 +12,7 @@
      preserve the observable trace exactly. *)
 
 open Fossy.Hir
-module I = Analysis.Interval
+module I = Fossy.Interval
 
 let qc = QCheck_alcotest.to_alcotest
 
@@ -193,13 +193,13 @@ let analysis_soundness =
     (QCheck.make typed_module_gen)
     (fun (m, stim) ->
       assume_valid m;
-      let r = Analysis.Absint.analyse m in
+      let r = Fossy.Absint.analyse m in
       let trace = Fossy.Interp.run_hir m stim in
       List.for_all
         (fun (port, values) ->
           values = []
           ||
-          match List.assoc_opt port r.Analysis.Absint.port_ranges with
+          match List.assoc_opt port r.Fossy.Absint.port_ranges with
           | None -> false (* emitted on a port the analysis missed *)
           | Some iv -> List.for_all (I.contains iv) values)
         trace)
@@ -214,12 +214,12 @@ let optimise_equivalence =
     (fun (m, stim) ->
       assume_valid m;
       let inlined = Fossy.Inline.run m in
-      let opt = Analysis.Absint.optimise inlined in
+      let opt = Fossy.Absint.optimise inlined in
       let reference = Fossy.Interp.run_hir inlined stim in
       let hir_ok = Fossy.Interp.run_hir opt stim = reference in
       let fsm_ok =
         Fossy.Interp.run_fsm
-          (Analysis.Absint.prune_fsm (Fossy.Fsm.of_module opt))
+          (Fossy.Absint.prune_fsm (Fossy.Fsm.of_module opt))
           stim
         = reference
       in
@@ -249,10 +249,10 @@ let test_for_widening_sound () =
       ]
       [ ("x", int_ty 16) ]
   in
-  let r = Analysis.Absint.analyse m in
-  let x = List.assoc "x" r.Analysis.Absint.var_ranges in
+  let r = Fossy.Absint.analyse m in
+  let x = List.assoc "x" r.Fossy.Absint.var_ranges in
   Alcotest.(check bool) "10 in range" true (I.contains x 10);
-  let out = List.assoc "out" r.Analysis.Absint.port_ranges in
+  let out = List.assoc "out" r.Fossy.Absint.port_ranges in
   Alcotest.(check bool) "10 emitted" true (I.contains out 10)
 
 let test_for_bound_narrowing () =
@@ -263,7 +263,7 @@ let test_for_bound_narrowing () =
       [ For ("i", 0, 9, [ assign "y" (v "i" *: c 3); assign "out" (v "y") ]) ]
       [ ("y", int_ty 20) ]
   in
-  let opt = Analysis.Absint.optimise m in
+  let opt = Fossy.Absint.optimise m in
   Alcotest.(check int) "narrowed width" 6
     (match List.assoc_opt "y" opt.m_vars with
     | Some ty -> ty.width
@@ -302,7 +302,7 @@ let test_corner_widths () =
 (* -- fixed regressions: diagnostics ---------------------------------- *)
 
 let has_code code ds =
-  List.exists (fun d -> d.Analysis.Diagnostic.code = code) ds
+  List.exists (fun d -> d.Fossy.Diagnostic.code = code) ds
 
 let test_w018_proved_truncation () =
   (* din in [-8,7], so x := din + 100 lies in [92,107]: disjoint from
@@ -318,9 +318,9 @@ let test_w018_proved_truncation () =
     }
   in
   Alcotest.(check bool) "W018 fires" true
-    (has_code "W018" (Analysis.Absint.lint m));
+    (has_code "W018" (Fossy.Absint.lint m));
   (* narrowing must leave the truncating store alone: behaviour holds *)
-  let opt = Analysis.Absint.optimise m in
+  let opt = Fossy.Absint.optimise m in
   let stim = [ ("din", [ -8; 0; 7 ]) ] in
   Alcotest.(check bool) "still equivalent" true
     (Fossy.Interp.run_hir opt stim = Fossy.Interp.run_hir m stim)
@@ -344,13 +344,13 @@ let test_w019_proved_branch () =
     }
   in
   Alcotest.(check bool) "W019 fires" true
-    (has_code "W019" (Analysis.Absint.lint m));
+    (has_code "W019" (Fossy.Absint.lint m));
   (* syntactic constant conditions are idioms, not findings *)
   let const_cond =
     { m with m_body = [ If (c 1, [ assign "out" (c 1) ], []); Wait ] }
   in
   Alcotest.(check bool) "Const cond exempt" false
-    (has_code "W019" (Analysis.Absint.lint const_cond))
+    (has_code "W019" (Fossy.Absint.lint const_cond))
 
 let test_e020_w021_array_bounds () =
   let mk index =
@@ -366,14 +366,14 @@ let test_e020_w021_array_bounds () =
   (* (din land 3) lor 4 lies in [4,7]: every execution faults *)
   let always = mk (Bin (Bor, Bin (Band, v "din", c 3), c 4)) in
   Alcotest.(check bool) "E020 fires" true
-    (has_code "E020" (Analysis.Absint.lint always));
+    (has_code "E020" (Fossy.Absint.lint always));
   (* din land 7 lies in [0,7]: may fault on a 4-element array *)
   let maybe = mk (Bin (Band, v "din", c 7)) in
-  let ds = Analysis.Absint.lint maybe in
+  let ds = Fossy.Absint.lint maybe in
   Alcotest.(check bool) "W021 fires" true (has_code "W021" ds);
   Alcotest.(check bool) "not E020" false (has_code "E020" ds);
   (* din land 3 is proved in range: silence *)
-  let fine = Analysis.Absint.lint (mk (Bin (Band, v "din", c 3))) in
+  let fine = Fossy.Absint.lint (mk (Bin (Band, v "din", c 3))) in
   Alcotest.(check bool) "in-range silent" false
     (has_code "W021" fine || has_code "E020" fine)
 
@@ -401,8 +401,8 @@ let test_w022_and_prune () =
   in
   let fsm = Fossy.Fsm.of_module (Fossy.Inline.run m) in
   Alcotest.(check bool) "W022 fires" true
-    (has_code "W022" (Analysis.Absint.lint_fsm fsm));
-  let pruned = Analysis.Absint.prune_fsm fsm in
+    (has_code "W022" (Fossy.Absint.lint_fsm fsm));
+  let pruned = Fossy.Absint.prune_fsm fsm in
   Alcotest.(check bool) "states dropped" true
     (Fossy.Fsm.state_count pruned < Fossy.Fsm.state_count fsm);
   let stim = [ ("din", [ 3; -5; 7 ]) ] in
@@ -413,12 +413,12 @@ let test_w022_and_prune () =
 
 let test_lint_stable_and_deduped () =
   let ds = Analysis.Lint.lint_module Models.Idwt_cores.idwt97_systemc in
-  let resorted = List.sort_uniq Analysis.Diagnostic.compare ds in
+  let resorted = List.sort_uniq Fossy.Diagnostic.compare ds in
   Alcotest.(check bool) "sorted and deduplicated (idempotent)" true
     (ds = resorted);
-  let rendered = List.map Analysis.Diagnostic.render ds in
+  let rendered = List.map Fossy.Diagnostic.render ds in
   let again =
-    List.map Analysis.Diagnostic.render
+    List.map Fossy.Diagnostic.render
       (Analysis.Lint.lint_module Models.Idwt_cores.idwt97_systemc)
   in
   Alcotest.(check (list string)) "byte-stable across runs" rendered again
@@ -432,7 +432,6 @@ let core_stimulus =
   ]
 
 let test_cores_optimised_area_and_trace () =
-  Analysis.Lint.install ();
   List.iter
     (fun (name, core) ->
       match Fossy.Synthesis.synthesise core with
@@ -473,7 +472,6 @@ let test_cores_optimised_area_and_trace () =
 let test_cores_testbench_identical () =
   (* The generated self-checking testbench embeds the reference
      output stream; optimisation must not disturb one character. *)
-  Analysis.Lint.install ();
   List.iter
     (fun (name, core) ->
       let tb m =

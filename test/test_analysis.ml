@@ -3,7 +3,7 @@
    detectors, and the synthesis lint gate. *)
 
 open Fossy.Hir
-module D = Analysis.Diagnostic
+module D = Fossy.Diagnostic
 
 let codes ds = List.map (fun d -> d.D.code) ds
 let has code ds = List.mem code (codes ds)
@@ -52,22 +52,22 @@ let test_dataflow_uninit_sets () =
       ~vars:[ ("x", int_ty 8); ("y", int_ty 8) ]
       [ assign "x" (c 1); assign "y" (v "x"); Wait ]
   in
-  let cfg = Analysis.Dataflow.of_body m in
+  let cfg = Fossy.Dataflow.of_body m in
   let sol =
-    Analysis.Dataflow.maybe_uninit cfg
-      ~at_entry:(Analysis.Dataflow.Names.of_list [ "x"; "y" ])
+    Fossy.Dataflow.maybe_uninit cfg
+      ~at_entry:(Fossy.Dataflow.Names.of_list [ "x"; "y" ])
   in
   let node =
-    Array.to_list cfg.Analysis.Dataflow.nodes
-    |> List.find (fun n -> n.Analysis.Dataflow.path = "fix/body/1")
+    Array.to_list cfg.Fossy.Dataflow.nodes
+    |> List.find (fun n -> n.Fossy.Dataflow.path = "fix/body/1")
   in
-  let before = sol.Analysis.Dataflow.before.(node.Analysis.Dataflow.id) in
+  let before = sol.Fossy.Dataflow.before.(node.Fossy.Dataflow.id) in
   Alcotest.(check bool)
     "x defined before its read" false
-    (Analysis.Dataflow.Names.mem "x" before);
+    (Fossy.Dataflow.Names.mem "x" before);
   Alcotest.(check bool)
     "y still undefined there" true
-    (Analysis.Dataflow.Names.mem "y" before)
+    (Fossy.Dataflow.Names.mem "y" before)
 
 let test_dataflow_back_edge_liveness () =
   (* x is written at the bottom of the process loop and read at the
@@ -294,7 +294,7 @@ let test_fsm_unreachable_state () =
   Alcotest.(check bool)
     "Fsm.reachable_states is not const-aware" true
     (Fossy.Fsm.reachable_states fsm).(1);
-  let ds = Analysis.Fsm_lint.run fsm in
+  let ds = Fossy.Fsm_lint.run fsm in
   Alcotest.(check bool)
     "state 1 unreachable" true
     (List.exists
@@ -319,7 +319,7 @@ let test_fsm_unread_register () =
       entry = 0;
     }
   in
-  let ds = Analysis.Fsm_lint.run fsm in
+  let ds = Fossy.Fsm_lint.run fsm in
   Alcotest.(check bool)
     "r written but never read" true
     (List.exists (fun d -> d.D.code = "W013" && d.D.path = "fsmfix/r") ds);
@@ -508,11 +508,10 @@ let test_validate_reversed_for () =
 (* -- synthesis gate -------------------------------------------------- *)
 
 let test_synthesis_rejects_lint_error () =
-  Analysis.Lint.install ();
   let m =
     fixture ~ports:[ ("din", Pin, int_ty 8) ] [ assign "din" (c 0); Wait ]
   in
-  (* Structurally valid — only the analysis layer objects. *)
+  (* Structurally valid — only the semantic lints object. *)
   (match validate m with
   | Ok () -> ()
   | Error es -> Alcotest.failf "validate should accept: %s" (String.concat "; " es));
@@ -524,7 +523,6 @@ let test_synthesis_rejects_lint_error () =
       (List.exists (fun e -> str_contains e "E010") es)
 
 let test_synthesis_passes_warnings_through () =
-  Analysis.Lint.install ();
   match Fossy.Synthesis.synthesise Models.Idwt_cores.idwt53_systemc with
   | Error es -> Alcotest.failf "idwt53 must synthesise: %s" (String.concat "; " es)
   | Ok r ->
@@ -554,7 +552,6 @@ let test_references_lint_error_free () =
     ]
 
 let test_generated_vhdl_lint_error_free () =
-  Analysis.Lint.install ();
   List.iter
     (fun (label, hir) ->
       match Fossy.Synthesis.synthesise hir with

@@ -577,6 +577,51 @@ let fleet_draw =
   in
   { d_replicas; d_min; d_max; d_spill; d_l2; d_policy; d_queue; d_cache; d_workload }
 
+(* The sink's serve.* figures equal the report's; [serve.slo_misses]
+   counts only served requests past their deadline. A fleet serves
+   whole streams, so its ingest counters stay at zero. *)
+let sink_agrees sink r =
+  let open Fleet in
+  let m = Telemetry.Sink.metrics sink in
+  let c key want = (key, Telemetry.Metrics.counter m ("serve." ^ key), want) in
+  let dist key =
+    match List.assoc_opt ("serve." ^ key) (Telemetry.Metrics.dists m) with
+    | Some d -> (d.Telemetry.Metrics.d_count, d.Telemetry.Metrics.d_sum)
+    | None -> (0, 0)
+  in
+  let l2 f = match r.l2 with Some l2 -> f l2 | None -> 0 in
+  let batched, batch_requests = dist "batch_requests" in
+  List.iter
+    (fun (metric, got, want) ->
+      if got <> want then
+        QCheck.Test.fail_reportf "serve.%s: sink %d, report %d" metric got want)
+    [
+      c "arrivals" r.total;
+      c "rejected" r.rejected;
+      c "dropped" r.dropped;
+      c "degraded" r.degraded;
+      c "spilled" r.spilled;
+      c "batches" r.batches;
+      c "coalesced" r.coalesced;
+      c "scale_ups" r.scale_ups;
+      c "scale_downs" r.scale_downs;
+      c "slo_misses" (r.slo_misses - r.rejected - r.dropped);
+      c "cache.hits" r.l1.hits;
+      c "cache.misses" r.l1.misses;
+      c "cache.evictions" r.l1.evictions;
+      c "l2.hits" (l2 (fun l2 -> l2.l2_tier.hits));
+      c "l2.misses" (l2 (fun l2 -> l2.l2_tier.misses));
+      c "l2.fetches" (l2 (fun l2 -> l2.l2_transfers));
+      c "ingest.flushed" 0;
+      c "ingest.chunks" 0;
+      c "ingest.lost" 0;
+      c "ingest.bytes" 0;
+      ("latency_us count", fst (dist "latency_us"), r.served);
+      ("batch_requests count", batched, r.batches);
+      ("batch_requests sum", batch_requests, r.served);
+    ];
+  true
+
 let test_fleet_conservation () =
   let corpus = corpus () in
   let sum f r = List.fold_left (fun acc s -> acc + f s) 0 r.Fleet.per_replica in
@@ -601,11 +646,12 @@ let test_fleet_conservation () =
         (Fleet.create ~config ~service corpus)
         (spec_exn d.d_workload)
     in
-    let r = run pool1 in
+    let sink, r = Telemetry.Sink.with_sink (fun () -> run pool1) in
     r.Fleet.total = r.Fleet.served + r.Fleet.rejected + r.Fleet.dropped
     && sum (fun s -> s.Fleet.rs_served) r = r.Fleet.served
     && sum (fun s -> s.Fleet.rs_batches) r = r.Fleet.batches
     && r.Fleet.degraded <= r.Fleet.total
+    && sink_agrees sink r
     && List.for_all
          (fun pool -> String.equal (report_string r) (report_string (run pool)))
          others

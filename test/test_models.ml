@@ -279,6 +279,19 @@ let test_table2_loc_relations () =
         > (find_core "IDWT53").Models.Tables.systemc_loc))
     (Lazy.force table2)
 
+let test_table2_is_the_flows () =
+  (* The digest of [fossy_cli table2]: every process prints one
+     Table 2, whatever it ran before. *)
+  Alcotest.(check string) "Table 2 digest" "84ac37f6b72ca16a96fe3b8069b37dba"
+    (Digest.to_hex (Digest.string (Models.Tables.table2 ())));
+  let r = find_core "IDWT97" in
+  let opt = r.Models.Tables.fossy_area
+  and unopt = r.Models.Tables.fossy_unopt_area in
+  Alcotest.(check bool) "value analysis saves FFs" true
+    (opt.Rtl.Area.flip_flops < unopt.Rtl.Area.flip_flops);
+  Alcotest.(check bool) "value analysis saves LUTs" true
+    (opt.Rtl.Area.luts < unopt.Rtl.Area.luts)
+
 let test_idwt_cores_validate () =
   List.iter
     (fun m ->
@@ -302,6 +315,33 @@ let test_vta_mapping_valid () =
 let test_vta_mapping_processors () =
   let vta = Models.Vta_models.mapping ~sw_tasks:4 ~idwt_p2p:false in
   Alcotest.(check int) "four processors" 4 (List.length (Osss.Vta.processors vta))
+
+let test_vta_mapping_names_simulated_channels () =
+  (* The registry FOSSY generates the platform from must name the
+     channels the simulated rig moves words over. *)
+  List.iter
+    (fun (version, sw_tasks, idwt_p2p) ->
+      let sink, _ =
+        Telemetry.Sink.with_sink (fun () ->
+            Models.Experiment.run ~payload:false version lossless)
+      in
+      let simulated =
+        List.filter_map
+          (fun (key, _) ->
+            match String.split_on_char '.' key with
+            | [ "channel"; name; "words" ] -> Some name
+            | _ -> None)
+          (Telemetry.Metrics.counters (Telemetry.Sink.metrics sink))
+      in
+      let registry =
+        Models.Vta_models.mapping ~sw_tasks ~idwt_p2p
+        |> Osss.Vta.channels |> List.map fst |> List.sort String.compare
+      in
+      Alcotest.(check (list string))
+        (Models.Experiment.version_name version)
+        simulated registry)
+    Models.Experiment.
+      [ (V6a, 1, false); (V6b, 1, true); (V7a, 4, false); (V7b, 4, true) ]
 
 let test_version_names () =
   List.iter
@@ -406,6 +446,8 @@ let () =
           Alcotest.test_case "IDWT97 shape" `Quick test_table2_idwt97_shape;
           Alcotest.test_case "LoC relations" `Quick test_table2_loc_relations;
           Alcotest.test_case "cores validate" `Quick test_idwt_cores_validate;
+          Alcotest.test_case "Table 2 is the FOSSY flow's" `Quick
+            test_table2_is_the_flows;
         ] );
       ( "helpers",
         [
@@ -420,5 +462,7 @@ let () =
         [
           Alcotest.test_case "mappings valid" `Quick test_vta_mapping_valid;
           Alcotest.test_case "processor count" `Quick test_vta_mapping_processors;
+          Alcotest.test_case "registry names the simulated channels" `Quick
+            test_vta_mapping_names_simulated_channels;
         ] );
     ]

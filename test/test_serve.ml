@@ -1150,6 +1150,53 @@ let service_draw =
   in
   { d_workload; d_queue; d_policy; d_cache; d_batch; d_ingest }
 
+(* The sink's serve.* figures equal the report's; [serve.slo_misses]
+   counts only served requests past their deadline. A single service
+   never spills, scales or has an L2. *)
+let sink_agrees sink r =
+  let open Serve.Service in
+  let m = Telemetry.Sink.metrics sink in
+  let c key want = (key, Telemetry.Metrics.counter m ("serve." ^ key), want) in
+  let dist key =
+    match List.assoc_opt ("serve." ^ key) (Telemetry.Metrics.dists m) with
+    | Some d -> (d.Telemetry.Metrics.d_count, d.Telemetry.Metrics.d_sum)
+    | None -> (0, 0)
+  in
+  let ing f = match r.ingest with Some i -> f i | None -> 0 in
+  let batched, batch_requests = dist "batch_requests" in
+  List.iter
+    (fun (metric, got, want) ->
+      if got <> want then
+        QCheck.Test.fail_reportf "serve.%s: sink %d, report %d" metric got want)
+    [
+      c "arrivals" r.total;
+      c "rejected" r.rejected;
+      c "dropped" r.dropped;
+      c "degraded" r.degraded;
+      c "spilled" 0;
+      c "batches" r.batches;
+      c "coalesced" r.coalesced;
+      c "scale_ups" 0;
+      c "scale_downs" 0;
+      c "slo_misses" (r.slo_misses - r.rejected - r.dropped);
+      c "cache.hits" r.cache_hits;
+      c "cache.misses" r.cache_misses;
+      c "cache.evictions" r.cache_evictions;
+      c "l2.hits" 0;
+      c "l2.misses" 0;
+      c "l2.fetches" 0;
+      c "ingest.flushed" (ing (fun i -> i.ing_flushed));
+      c "ingest.chunks" (ing (fun i -> i.ing_chunks_sent));
+      c "ingest.lost" (ing (fun i -> i.ing_chunks_lost));
+      c "ingest.bytes" (ing (fun i -> i.ing_bytes));
+      ("latency_us count", fst (dist "latency_us"), r.served);
+      ("batch_requests count", batched, r.batches);
+      ( "batch_requests sum",
+        batch_requests,
+        r.served + ing (fun i -> i.ing_flush_failed) );
+    ];
+  true
+
 let test_service_conservation () =
   let corpus = corpus () in
   let prop pool1 others d =
@@ -1161,10 +1208,11 @@ let test_service_conservation () =
     let run pool =
       Serve.Service.run ~pool (Serve.Service.create ~config corpus) spec
     in
-    let r = run pool1 in
+    let sink, r = Telemetry.Sink.with_sink (fun () -> run pool1) in
     r.Serve.Service.total
     = r.Serve.Service.served + r.Serve.Service.rejected + r.Serve.Service.dropped
     && r.Serve.Service.degraded <= r.Serve.Service.total
+    && sink_agrees sink r
     && List.for_all
          (fun pool -> String.equal (report_string r) (report_string (run pool)))
          others
