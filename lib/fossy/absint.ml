@@ -1,101 +1,159 @@
-module M = Map.Make (String)
-module S = Set.Make (String)
 module I = Interval
 module D = Diagnostic
 
 (* ------------------------------------------------------------------ *)
-(* Abstract state                                                      *)
+(* Slot table and abstract state                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Missing key = top. Arrays are summarised by one element interval
-   (weak updates only), which is exact for the all-zero initial state
-   and sound for every partial write pattern. *)
-type env = { vars : I.t M.t; arrs : I.t M.t }
+(* Every scalar name of the analysed module or FSM (port, variable,
+   subprogram parameter or local, For iterator) owns one slot of
+   [env.vars]; every declared array owns one slot of [env.arrs]. A
+   slot no binding is live for holds top. Arrays are summarised by one
+   element interval (weak updates only), which is exact for the
+   all-zero initial state and sound for every partial write pattern.
+   Slot arrays are never mutated once built: an update copies, so
+   environments share freely and an unchanged slot keeps its value. *)
+type env = { vars : I.t array; arrs : I.t array }
 
-let merge_with f a b =
-  M.merge
-    (fun _ x y -> match (x, y) with Some x, Some y -> Some (f x y) | _ -> None)
-    a b
+type var_info = {
+  slot : int;
+  decl : Hir.ty option;  (* module variable or output port *)
+  input : Hir.ty option;  (* input port: fresh nondeterministic reads *)
+}
 
-let join_env a b =
-  { vars = merge_with I.join a.vars b.vars; arrs = merge_with I.join a.arrs b.arrs }
+type arr_info = { aslot : int; ety : Hir.ty; len : int }
 
-let widen_env a b =
-  { vars = merge_with I.widen a.vars b.vars;
-    arrs = merge_with I.widen a.arrs b.arrs }
+type ctx = {
+  var_tab : (string, var_info) Hashtbl.t;
+  arr_tab : (string, arr_info) Hashtbl.t;
+  var_names : string array;  (* slot -> name *)
+  subs : (string, Hir.subprogram) Hashtbl.t;
+  summary : string -> Dataflow.summary;
+}
 
-let equal_env a b =
-  M.equal I.equal a.vars b.vars && M.equal I.equal a.arrs b.arrs
+(* [step old next] for every slot. Slots that hold the same interval on
+   both sides keep it without a call ([join a a = a] and
+   [widen a a = a]); the result is [a] itself, physically, when no slot
+   changed, so callers detect a fixpoint with [==]. *)
+let combine step (a : I.t array) (b : I.t array) =
+  let r = ref a in
+  for i = 0 to Array.length a - 1 do
+    let x = a.(i) and y = b.(i) in
+    if x != y then begin
+      let z = step x y in
+      if not (I.equal z x) then begin
+        if !r == a then r := Array.copy a;
+        !r.(i) <- z
+      end
+    end
+  done;
+  !r
+
+let combine_env step a b =
+  let vars = combine step a.vars b.vars and arrs = combine step a.arrs b.arrs in
+  if vars == a.vars && arrs == a.arrs then a else { vars; arrs }
+
+let join_env a b = combine_env I.join a b
+let widen_env a b = combine_env I.widen a b
+
+(* The FSM worklist's delayed widening: [widen old (join old next)]. *)
+let join_widen_env a b = combine_env (fun x y -> I.widen x (I.join x y)) a b
 
 let join_opt a b =
   match (a, b) with
   | None, x | x, None -> x
   | Some a, Some b -> Some (join_env a b)
 
+let set_slot (arr : I.t array) i v =
+  if I.equal arr.(i) v then arr
+  else
+    let a = Array.copy arr in
+    a.(i) <- v;
+    a
+
+let set_var env i v =
+  let vars = set_slot env.vars i v in
+  if vars == env.vars then env else { env with vars }
+
+let set_arr env i v =
+  let arrs = set_slot env.arrs i v in
+  if arrs == env.arrs then env else { env with arrs }
+
 (* ------------------------------------------------------------------ *)
 (* Context                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type ctx = {
-  var_ty : Hir.ty M.t;  (* module variables and output ports *)
-  arr_ty : (Hir.ty * int) M.t;
-  input_ty : Hir.ty M.t;  (* input ports: fresh nondeterministic reads *)
-  subs : Hir.subprogram M.t;
-  summary : string -> Dataflow.summary;
+(* Bindings currently in scope (subprogram frames and For loop
+   variables, as slots) and the innermost call's declared local types
+   — mirrors Interp's [locals] stack and per-call [local_types]
+   exactly. *)
+type scope = { bound : int list; ltys : (int * Hir.ty) list }
+
+let scope0 = { bound = []; ltys = [] }
+
+let is_bound sc slot = List.mem slot sc.bound
+
+(* Joined observations per module variable and array slot (analyse
+   and optimise). *)
+type recorder = {
+  wrapped_var : I.t option array;  (* post-wrap stores per module var *)
+  raw_var : I.t option array;  (* pre-wrap assigned values *)
+  wrapped_arr : I.t option array;
+  raw_arr : I.t option array;
 }
 
-(* Local bindings currently in scope (subprogram frames and For loop
-   variables) and the innermost call's declared local types — mirrors
-   Interp's [locals] stack and per-call [local_types] exactly. *)
-type scope = { bound : S.t; ltys : Hir.ty M.t }
-
-let scope0 = { bound = S.empty; ltys = M.empty }
-
-(* Joined observations, keyed by syntactic location so facts that
+(* Observations keyed by syntactic location (lint only), so facts that
    must hold on *every* visit (call sites, loop iterations) are only
-   reported when the join still proves them. *)
-type recorder = {
-  mutable wrapped_var : I.t M.t;  (* post-wrap stores per module var *)
-  mutable raw_var : I.t M.t;  (* pre-wrap assigned values *)
-  mutable wrapped_arr : I.t M.t;
-  mutable raw_arr : I.t M.t;
+   reported when the join still proves them. Statement paths are
+   formatted only while these are kept. *)
+type sites = {
   assigns : (string, I.t * Hir.ty option * bool) Hashtbl.t;
   branches : (string, I.t * [ `If | `While ]) Hashtbl.t;
   indices : (string * string, I.t * int) Hashtbl.t;
 }
 
-let fresh_recorder () =
+let fresh_recorder ctx =
+  let nv = Array.length ctx.var_names and na = Hashtbl.length ctx.arr_tab in
   {
-    wrapped_var = M.empty;
-    raw_var = M.empty;
-    wrapped_arr = M.empty;
-    raw_arr = M.empty;
+    wrapped_var = Array.make nv None;
+    raw_var = Array.make nv None;
+    wrapped_arr = Array.make na None;
+    raw_arr = Array.make na None;
+  }
+
+let fresh_sites () =
+  {
     assigns = Hashtbl.create 64;
     branches = Hashtbl.create 32;
     indices = Hashtbl.create 32;
   }
 
-type st = { ctx : ctx; rec_ : recorder option; mutable depth : int }
+type st = {
+  ctx : ctx;
+  rec_ : recorder option;
+  sites : sites option;
+  mutable depth : int;
+}
 
-let joined_add m k v =
-  M.update k (function None -> Some v | Some o -> Some (I.join o v)) m
+let joined_add tab i v =
+  tab.(i) <- (match tab.(i) with None -> Some v | Some o -> Some (I.join o v))
 
-let rec_store st name ~raw ~wrapped =
+let rec_store st slot ~raw ~wrapped =
   match st.rec_ with
   | None -> ()
   | Some r ->
-    r.raw_var <- joined_add r.raw_var name raw;
-    r.wrapped_var <- joined_add r.wrapped_var name wrapped
+    joined_add r.raw_var slot raw;
+    joined_add r.wrapped_var slot wrapped
 
-let rec_arr_store st name ~raw ~wrapped =
+let rec_arr_store st slot ~raw ~wrapped =
   match st.rec_ with
   | None -> ()
   | Some r ->
-    r.raw_arr <- joined_add r.raw_arr name raw;
-    r.wrapped_arr <- joined_add r.wrapped_arr name wrapped
+    joined_add r.raw_arr slot raw;
+    joined_add r.wrapped_arr slot wrapped
 
 let rec_assign st path iv ty is_const =
-  match st.rec_ with
+  match st.sites with
   | None -> ()
   | Some r ->
     let v =
@@ -106,7 +164,7 @@ let rec_assign st path iv ty is_const =
     Hashtbl.replace r.assigns path v
 
 let rec_branch st path iv kind =
-  match st.rec_ with
+  match st.sites with
   | None -> ()
   | Some r ->
     let v =
@@ -117,7 +175,7 @@ let rec_branch st path iv kind =
     Hashtbl.replace r.branches path v
 
 let rec_index st path arr iv len =
-  match st.rec_ with
+  match st.sites with
   | None -> ()
   | Some r ->
     let key = (path, arr) in
@@ -128,11 +186,13 @@ let rec_index st path arr iv len =
     in
     Hashtbl.replace r.indices key v
 
+(* Statement paths name diagnostics; nothing else reads them. *)
+let sub_path st path seg =
+  match st.sites with None -> path | Some _ -> path ^ seg
+
 (* ------------------------------------------------------------------ *)
 (* Small helpers                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let var_iv env x = match M.find_opt x env.vars with Some v -> v | None -> I.top
 
 let wrap_opt ty iv = match ty with None -> iv | Some ty -> I.wrap_ty ty iv
 
@@ -175,19 +235,17 @@ let rec_depth_limit = 24
 let rec peval st sc env (e : Hir.expr) : I.t * bool =
   match e with
   | Const n -> (I.of_const n, true)
-  | Var x ->
-    if S.mem x sc.bound then (var_iv env x, true)
-    else (
-      match M.find_opt x st.ctx.input_ty with
-      | Some ty -> (I.of_ty ty, false)
-      | None -> (var_iv env x, true))
+  | Var x -> (
+    let vi = Hashtbl.find st.ctx.var_tab x in
+    match vi.input with
+    | Some ty when not (is_bound sc vi.slot) -> (I.of_ty ty, false)
+    | _ -> (env.vars.(vi.slot), true))
   | Arr (a, i) -> (
     let iiv, isafe = peval st sc env i in
-    match M.find_opt a st.ctx.arr_ty with
-    | Some (ety, len) ->
-      let inb = iiv.I.lo >= 0 && iiv.I.hi <= len - 1 in
-      let v = match M.find_opt a env.arrs with Some v -> v | None -> I.of_ty ety in
-      (v, isafe && inb)
+    match Hashtbl.find_opt st.ctx.arr_tab a with
+    | Some ai ->
+      let inb = iiv.I.lo >= 0 && iiv.I.hi <= ai.len - 1 in
+      (env.arrs.(ai.aslot), isafe && inb)
     | None -> (I.top, false))
   | Bin (op, a, b) ->
     let aiv, sa = peval st sc env a in
@@ -202,10 +260,13 @@ let rec peval st sc env (e : Hir.expr) : I.t * bool =
    refinable (never input ports — their reads are independent). *)
 let push_refinement st sc env e iv =
   match e with
-  | Hir.Var x when S.mem x sc.bound || not (M.mem x st.ctx.input_ty) -> (
-    match I.meet (var_iv env x) iv with
-    | Some m -> { env with vars = M.add x m env.vars }
-    | None -> env (* contradiction: path is dead anyway; stay sound *))
+  | Hir.Var x -> (
+    let vi = Hashtbl.find st.ctx.var_tab x in
+    if vi.input <> None && not (is_bound sc vi.slot) then env
+    else
+      match I.meet env.vars.(vi.slot) iv with
+      | Some m -> set_var env vi.slot m
+      | None -> env (* contradiction: path is dead anyway; stay sound *))
   | _ -> env
 
 (* Refine [env] under "cond evaluated truthy/falsy". [None] =
@@ -252,23 +313,20 @@ let ret_join (cell : retcell option) iv env =
 let rec eval st sc path env (e : Hir.expr) : env * Hir.expr * I.t * bool =
   match e with
   | Const n -> (env, e, I.of_const n, true)
-  | Var x ->
-    if S.mem x sc.bound then
-      let iv = var_iv env x in
-      (env, folded e iv true, iv, true)
-    else (
-      match M.find_opt x st.ctx.input_ty with
-      | Some ty -> (env, e, I.of_ty ty, false)
-      | None ->
-        let iv = var_iv env x in
-        (env, folded e iv true, iv, true))
+  | Var x -> (
+    let vi = Hashtbl.find st.ctx.var_tab x in
+    match vi.input with
+    | Some ty when not (is_bound sc vi.slot) -> (env, e, I.of_ty ty, false)
+    | _ ->
+      let iv = env.vars.(vi.slot) in
+      (env, folded e iv true, iv, true))
   | Arr (a, i) -> (
     let env, i', iiv, isafe = eval st sc path env i in
-    match M.find_opt a st.ctx.arr_ty with
-    | Some (ety, len) ->
-      rec_index st path a iiv len;
-      let inb = iiv.I.lo >= 0 && iiv.I.hi <= len - 1 in
-      let v = match M.find_opt a env.arrs with Some v -> v | None -> I.of_ty ety in
+    match Hashtbl.find_opt st.ctx.arr_tab a with
+    | Some ai ->
+      rec_index st path a iiv ai.len;
+      let inb = iiv.I.lo >= 0 && iiv.I.hi <= ai.len - 1 in
+      let v = env.arrs.(ai.aslot) in
       let safe = isafe && inb in
       (env, folded (Hir.Arr (a, i')) v safe, v, safe)
     | None -> (env, Hir.Arr (a, i'), I.top, false))
@@ -295,7 +353,7 @@ and call st sc path env f args : env * Hir.expr list * I.t =
       (env, [], []) args
   in
   let args' = List.rev rev_args and arg_ivs = List.rev rev_ivs in
-  match M.find_opt f st.ctx.subs with
+  match Hashtbl.find_opt st.ctx.subs f with
   | None -> (env, args', I.top)
   | Some sub ->
     let ret_default () =
@@ -307,46 +365,32 @@ and call st sc path env f args : env * Hir.expr list * I.t =
     then (havoc st env f, args', ret_default ())
     else (
       st.depth <- st.depth + 1;
-      let names =
-        List.map fst sub.Hir.s_params @ List.map fst sub.Hir.s_locals
-      in
-      let saved = List.map (fun n -> (n, M.find_opt n env.vars)) names in
-      let vars =
-        List.fold_left2
-          (fun m (p, ty) iv -> M.add p (I.wrap_ty ty iv) m)
-          env.vars sub.Hir.s_params arg_ivs
-      in
-      let vars =
-        List.fold_left
-          (fun m (l, _) -> M.add l (I.of_const 0) m)
-          vars sub.Hir.s_locals
-      in
+      let slot n = (Hashtbl.find st.ctx.var_tab n).slot in
+      let decls = sub.Hir.s_params @ sub.Hir.s_locals in
+      let slots = List.map (fun (n, _) -> slot n) decls in
+      let saved = List.map (fun i -> (i, env.vars.(i))) slots in
+      let vars = Array.copy env.vars in
+      List.iter2
+        (fun (p, ty) iv -> vars.(slot p) <- I.wrap_ty ty iv)
+        sub.Hir.s_params arg_ivs;
+      List.iter (fun (l, _) -> vars.(slot l) <- I.of_const 0) sub.Hir.s_locals;
       let sc' =
         {
-          bound = List.fold_left (fun s n -> S.add n s) sc.bound names;
-          ltys =
-            List.fold_left
-              (fun m (n, ty) -> M.add n ty m)
-              M.empty
-              (sub.Hir.s_params @ sub.Hir.s_locals);
+          bound = List.rev_append slots sc.bound;
+          ltys = List.fold_left2 (fun m i (_, ty) -> (i, ty) :: m) [] slots decls;
         }
       in
       let ret : retcell = ref None in
       let out, _ =
-        exec st sc' ~ret:(Some ret) (path ^ "/" ^ f)
+        exec st sc' ~ret:(Some ret) (sub_path st path ("/" ^ f))
           (Some { env with vars })
           sub.Hir.s_body
       in
       st.depth <- st.depth - 1;
       let restore e =
-        {
-          e with
-          vars =
-            List.fold_left
-              (fun m (n, o) ->
-                match o with Some v -> M.add n v m | None -> M.remove n m)
-              e.vars saved;
-        }
+        let vars = Array.copy e.vars in
+        List.iter (fun (i, v) -> vars.(i) <- v) saved;
+        { e with vars }
       in
       let fall =
         match out with Some e -> Some (I.of_const 0, e) | None -> None
@@ -372,42 +416,43 @@ and call st sc path env f args : env * Hir.expr list * I.t =
 
 and havoc st env f =
   let su = st.ctx.summary f in
-  let vars =
+  let env =
     Dataflow.Names.fold
-      (fun n m ->
-        match M.find_opt n st.ctx.var_ty with
-        | Some ty ->
-          rec_store st n ~raw:I.top ~wrapped:(I.of_ty ty);
-          M.add n (I.of_ty ty) m
-        | None -> if M.mem n m then M.add n I.top m else m)
-      su.Dataflow.su_defs env.vars
+      (fun n env ->
+        match Hashtbl.find_opt st.ctx.var_tab n with
+        | Some { slot; decl = Some ty; _ } ->
+          rec_store st slot ~raw:I.top ~wrapped:(I.of_ty ty);
+          set_var env slot (I.of_ty ty)
+        | Some { slot; decl = None; _ } -> set_var env slot I.top
+        | None -> env)
+      su.Dataflow.su_defs env
   in
-  let arrs =
-    Dataflow.Names.fold
-      (fun a m ->
-        match M.find_opt a st.ctx.arr_ty with
-        | Some (ety, _) ->
-          rec_arr_store st a ~raw:I.top ~wrapped:(I.of_ty ety);
-          M.add a (I.of_ty ety) m
-        | None -> m)
-      su.Dataflow.su_arr_defs env.arrs
-  in
-  { vars; arrs }
+  Dataflow.Names.fold
+    (fun a env ->
+      match Hashtbl.find_opt st.ctx.arr_tab a with
+      | Some ai ->
+        rec_arr_store st ai.aslot ~raw:I.top ~wrapped:(I.of_ty ai.ety);
+        set_arr env ai.aslot (I.of_ty ai.ety)
+      | None -> env)
+    su.Dataflow.su_arr_defs env
 
 and exec st sc ~ret path (env : env option) (stmts : Hir.stmt list) :
     env option * Hir.stmt list =
-  let _, env, rev =
-    List.fold_left
-      (fun (i, env, acc) s ->
-        let p = Printf.sprintf "%s/%d" path i in
-        match env with
-        | None -> (i + 1, None, s :: acc) (* unreachable: keep as-is *)
-        | Some e ->
-          let env', ss = exec_stmt st sc ~ret p e s in
-          (i + 1, env', List.rev_append ss acc))
-      (0, env, []) stmts
+  let rec go i env acc = function
+    | [] -> (env, List.rev acc)
+    | s :: rest -> (
+      match env with
+      | None -> go (i + 1) None (s :: acc) rest (* unreachable: keep as-is *)
+      | Some e ->
+        let p =
+          match st.sites with
+          | None -> path
+          | Some _ -> Printf.sprintf "%s/%d" path i
+        in
+        let env', ss = exec_stmt st sc ~ret p e s in
+        go (i + 1) env' (List.rev_append ss acc) rest)
   in
-  (env, List.rev rev)
+  go 0 env [] stmts
 
 and exec_stmt st sc ~ret path env (s : Hir.stmt) : env option * Hir.stmt list =
   match s with
@@ -416,39 +461,31 @@ and exec_stmt st sc ~ret path env (s : Hir.stmt) : env option * Hir.stmt list =
     let env, rhs', riv, _ = eval st sc path env rhs in
     match lv with
     | Lv_var x ->
-      let is_local = S.mem x sc.bound in
+      let vi = Hashtbl.find st.ctx.var_tab x in
+      let is_local = is_bound sc vi.slot in
       let ty =
-        if is_local then M.find_opt x sc.ltys
-        else
-          match M.find_opt x st.ctx.var_ty with
-          | Some ty -> Some ty
-          | None -> M.find_opt x st.ctx.input_ty
+        if is_local then List.assoc_opt vi.slot sc.ltys
+        else match vi.decl with Some ty -> Some ty | None -> vi.input
       in
       rec_assign st path riv ty is_const;
       let wrapped = wrap_opt ty riv in
-      if (not is_local) && M.mem x st.ctx.var_ty then
-        rec_store st x ~raw:riv ~wrapped;
-      ( Some { env with vars = M.add x wrapped env.vars },
-        [ Hir.Assign (Lv_var x, rhs') ] )
+      if (not is_local) && vi.decl <> None then
+        rec_store st vi.slot ~raw:riv ~wrapped;
+      (Some (set_var env vi.slot wrapped), [ Hir.Assign (Lv_var x, rhs') ])
     | Lv_arr (a, i) -> (
       let env, i', iiv, _ = eval st sc path env i in
       let s' = [ Hir.Assign (Hir.Lv_arr (a, i'), rhs') ] in
-      match M.find_opt a st.ctx.arr_ty with
+      match Hashtbl.find_opt st.ctx.arr_tab a with
       | None -> (None, s') (* unknown array: certain runtime error *)
-      | Some (ety, len) ->
-        rec_index st path a iiv len;
-        rec_assign st path riv (Some ety) is_const;
-        if iiv.I.hi < 0 || iiv.I.lo > len - 1 then (None, s')
+      | Some ai ->
+        rec_index st path a iiv ai.len;
+        rec_assign st path riv (Some ai.ety) is_const;
+        if iiv.I.hi < 0 || iiv.I.lo > ai.len - 1 then (None, s')
         else (
-          let wrapped = I.wrap_ty ety riv in
-          rec_arr_store st a ~raw:riv ~wrapped;
-          let prev =
-            match M.find_opt a env.arrs with
-            | Some v -> v
-            | None -> I.of_ty ety
-          in
-          ( Some { env with arrs = M.add a (I.join prev wrapped) env.arrs },
-            s' ))))
+          let wrapped = I.wrap_ty ai.ety riv in
+          rec_arr_store st ai.aslot ~raw:riv ~wrapped;
+          let prev = env.arrs.(ai.aslot) in
+          (Some (set_arr env ai.aslot (I.join prev wrapped)), s'))))
   | If (c, t, e) ->
     let env, c', civ, csafe = eval st sc path env c in
     (match c with Hir.Const _ -> () | _ -> rec_branch st path civ `If);
@@ -456,8 +493,8 @@ and exec_stmt st sc ~ret path env (s : Hir.stmt) : env option * Hir.stmt list =
     let e_reach = may_be_zero civ in
     let t_in = if t_reach then refine st sc env c true else None in
     let e_in = if e_reach then refine st sc env c false else None in
-    let t_out, t' = exec st sc ~ret (path ^ "/then") t_in t in
-    let e_out, e' = exec st sc ~ret (path ^ "/else") e_in e in
+    let t_out, t' = exec st sc ~ret (sub_path st path "/then") t_in t in
+    let e_out, e' = exec st sc ~ret (sub_path st path "/else") e_in e in
     let out = join_opt t_out e_out in
     if t_in <> None && e_in = None && csafe && not (Hir.stmts_contain_wait e)
     then (out, t')
@@ -466,24 +503,25 @@ and exec_stmt st sc ~ret path env (s : Hir.stmt) : env option * Hir.stmt list =
     then (out, e')
     else (out, [ Hir.If (c', t', e') ])
   | While (c, body) ->
+    let body_path = sub_path st path "/do" in
     let rec fix n head =
       let h1, _, civ, _ = eval st sc path head c in
       let body_in =
         if never_nonzero civ then None else refine st sc h1 c true
       in
-      let body_out, _ = exec st sc ~ret (path ^ "/do") body_in body in
+      let body_out, _ = exec st sc ~ret body_path body_in body in
       match body_out with
       | None -> head
       | Some b ->
         let j = join_env head b in
-        if equal_env j head then head
+        if j == head then head
         else fix (n + 1) (if n >= 2 then widen_env head j else j)
     in
     let head = fix 0 env in
     let h1, c', civ, csafe = eval st sc path head c in
     (match c with Hir.Const _ -> () | _ -> rec_branch st path civ `While);
     let body_in = if never_nonzero civ then None else refine st sc h1 c true in
-    let _, body' = exec st sc ~ret (path ^ "/do") body_in body in
+    let _, body' = exec st sc ~ret body_path body_in body in
     let exit_env =
       if may_be_zero civ then refine st sc h1 c false else None
     in
@@ -492,38 +530,28 @@ and exec_stmt st sc ~ret path env (s : Hir.stmt) : env option * Hir.stmt list =
   | For (iv_name, lo, hi, body) ->
     if lo > hi then (Some env, [])
     else
-      let saved = M.find_opt iv_name env.vars in
-      let sc' = { sc with bound = S.add iv_name sc.bound } in
-      let with_iv e =
-        { e with vars = M.add iv_name (I.of_bounds lo hi) e.vars }
+      let slot = (Hashtbl.find st.ctx.var_tab iv_name).slot in
+      let saved = env.vars.(slot) in
+      let sc' = { sc with bound = slot :: sc.bound } in
+      let range = I.of_bounds lo hi in
+      let body_path = sub_path st path "/do" in
+      let step h =
+        fst (exec st sc' ~ret body_path (Some (set_var h slot range)) body)
       in
-      let step h = fst (exec st sc' ~ret (path ^ "/do") (Some (with_iv h)) body) in
       let rec fix n head =
         match step head with
         | None -> head
         | Some b ->
           let j = join_env head b in
-          if equal_env j head then head
+          if j == head then head
           else fix (n + 1) (if n >= 2 then widen_env head j else j)
       in
       let head = fix 0 env in
       let out, body' =
-        exec st sc' ~ret (path ^ "/do") (Some (with_iv head)) body
+        exec st sc' ~ret body_path (Some (set_var head slot range)) body
       in
-      let out =
-        match out with
-        | None -> None
-        | Some o ->
-          Some
-            {
-              o with
-              vars =
-                (match saved with
-                | Some v -> M.add iv_name v o.vars
-                | None -> M.remove iv_name o.vars);
-            }
-      in
-      (out, [ Hir.For (iv_name, lo, hi, body') ])
+      (Option.map (fun o -> set_var o slot saved) out,
+       [ Hir.For (iv_name, lo, hi, body') ])
   | Wait -> (Some env, [ Hir.Wait ])
   | Call_p (f, args) ->
     let env, args', _ = call st sc path env f args in
@@ -539,41 +567,106 @@ and exec_stmt st sc ~ret path env (s : Hir.stmt) : env option * Hir.stmt list =
       (None, [ Hir.Return (Some e') ]))
 
 (* ------------------------------------------------------------------ *)
-(* Whole-module driver                                                 *)
+(* Slot tables                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let rec expr_names add (e : Hir.expr) =
+  match e with
+  | Const _ -> ()
+  | Var x -> add x
+  | Arr (_, i) | Un (_, i) -> expr_names add i
+  | Bin (_, a, b) ->
+    expr_names add a;
+    expr_names add b
+  | Call (_, args) -> List.iter (expr_names add) args
+
+let rec stmt_names add (s : Hir.stmt) =
+  match s with
+  | Assign (lv, e) ->
+    (match lv with Lv_var x -> add x | Lv_arr (_, i) -> expr_names add i);
+    expr_names add e
+  | If (c, t, e) ->
+    expr_names add c;
+    List.iter (stmt_names add) t;
+    List.iter (stmt_names add) e
+  | While (c, body) ->
+    expr_names add c;
+    List.iter (stmt_names add) body
+  | For (x, _, _, body) ->
+    add x;
+    List.iter (stmt_names add) body
+  | Wait -> ()
+  | Call_p (_, args) -> List.iter (expr_names add) args
+  | Return e -> Option.iter (expr_names add) e
+
+(* [decls] and [inputs] are applied in order, a later declaration of a
+   name overriding an earlier one. [scan] reports every name the
+   analysed code binds, reads or writes: For iterators are declared
+   nowhere else, and lint also runs on modules that fail validation,
+   whose undeclared names start at top. *)
+let make_ctx ~decls ~inputs ~arrays ~subs ~summary ~scan =
+  let var_tab = Hashtbl.create 64 in
+  let info n =
+    match Hashtbl.find_opt var_tab n with
+    | Some vi -> vi
+    | None ->
+      let vi = { slot = Hashtbl.length var_tab; decl = None; input = None } in
+      Hashtbl.replace var_tab n vi;
+      vi
+  in
+  List.iter
+    (fun (n, ty) -> Hashtbl.replace var_tab n { (info n) with decl = Some ty })
+    decls;
+  List.iter
+    (fun (n, ty) -> Hashtbl.replace var_tab n { (info n) with input = Some ty })
+    inputs;
+  scan (fun n -> ignore (info n));
+  let var_names = Array.make (Hashtbl.length var_tab) "" in
+  Hashtbl.iter (fun n vi -> var_names.(vi.slot) <- n) var_tab;
+  let arr_tab = Hashtbl.create 16 in
+  List.iter
+    (fun (n, ety, len) ->
+      let aslot =
+        match Hashtbl.find_opt arr_tab n with
+        | Some ai -> ai.aslot
+        | None -> Hashtbl.length arr_tab
+      in
+      Hashtbl.replace arr_tab n { aslot; ety; len })
+    arrays;
+  let sub_tab = Hashtbl.create 8 in
+  List.iter
+    (fun (s : Hir.subprogram) -> Hashtbl.replace sub_tab s.Hir.s_name s)
+    subs;
+  { var_tab; arr_tab; var_names; subs = sub_tab; summary }
+
 let build_ctx (md : Hir.module_def) =
-  let var_ty =
-    List.fold_left
-      (fun m (n, ty) -> M.add n ty m)
-      (List.fold_left
-         (fun m (n, dir, ty) ->
-           match dir with Hir.Pout -> M.add n ty m | Hir.Pin -> m)
-         M.empty md.Hir.m_ports)
-      md.Hir.m_vars
+  let ports dir =
+    List.filter_map
+      (fun (n, d, ty) -> if d = dir then Some (n, ty) else None)
+      md.Hir.m_ports
   in
-  let input_ty =
-    List.fold_left
-      (fun m (n, dir, ty) ->
-        match dir with Hir.Pin -> M.add n ty m | Hir.Pout -> m)
-      M.empty md.Hir.m_ports
-  in
-  let arr_ty =
-    List.fold_left
-      (fun m (n, ty, len) -> M.add n (ty, len) m)
-      M.empty md.Hir.m_arrays
-  in
-  let subs =
-    List.fold_left
-      (fun m (s : Hir.subprogram) -> M.add s.Hir.s_name s m)
-      M.empty md.Hir.m_subprograms
-  in
-  { var_ty; arr_ty; input_ty; subs; summary = Dataflow.summaries md }
+  make_ctx
+    ~decls:(ports Hir.Pout @ md.Hir.m_vars)
+    ~inputs:(ports Hir.Pin) ~arrays:md.Hir.m_arrays ~subs:md.Hir.m_subprograms
+    ~summary:(Dataflow.summaries md)
+    ~scan:(fun add ->
+      List.iter (stmt_names add) md.Hir.m_body;
+      List.iter
+        (fun (s : Hir.subprogram) ->
+          List.iter (fun (n, _) -> add n) (s.Hir.s_params @ s.Hir.s_locals);
+          List.iter (stmt_names add) s.Hir.s_body)
+        md.Hir.m_subprograms)
 
 let init_env ctx =
   {
-    vars = M.map (fun _ -> I.of_const 0) ctx.var_ty;
-    arrs = M.map (fun _ -> I.of_const 0) ctx.arr_ty;
+    vars =
+      Array.map
+        (fun n ->
+          match (Hashtbl.find ctx.var_tab n).decl with
+          | Some _ -> I.of_const 0
+          | None -> I.top)
+        ctx.var_names;
+    arrs = Array.make (Hashtbl.length ctx.arr_tab) (I.of_const 0);
   }
 
 (* Fixpoint over the implicit process loop (SC_CTHREAD repeats
@@ -587,7 +680,7 @@ let run st (md : Hir.module_def) =
     | None -> head
     | Some o ->
       let j = join_env head o in
-      if equal_env j head then head
+      if j == head then head
       else fix (n + 1) (if n >= 2 then widen_env head j else j)
   in
   let head = fix 0 env0 in
@@ -601,28 +694,39 @@ type result = {
   port_ranges : (string * Interval.t) list;
 }
 
+let recorded ctx tab name = tab.((Hashtbl.find ctx.var_tab name).slot)
+
 let analyse (md : Hir.module_def) : result =
   let ctx = build_ctx md in
-  let r = fresh_recorder () in
-  let st = { ctx; rec_ = Some r; depth = 0 } in
+  let r = fresh_recorder ctx in
+  let st = { ctx; rec_ = Some r; sites = None; depth = 0 } in
   let _ = run st md in
   let zero = I.of_const 0 in
-  let with0 m name = match M.find_opt name m with None -> zero | Some v -> I.join zero v in
+  let with0 = function None -> zero | Some v -> I.join zero v in
   let outs =
     List.filter_map
       (fun (n, dir, _) -> match dir with Hir.Pout -> Some n | Hir.Pin -> None)
       md.Hir.m_ports
   in
+  let raw =
+    List.filter_map
+      (fun i -> Option.map (fun v -> (ctx.var_names.(i), v)) r.raw_var.(i))
+      (List.init (Array.length ctx.var_names) Fun.id)
+  in
   {
     var_ranges =
-      List.map (fun (n, _) -> (n, with0 r.wrapped_var n)) md.Hir.m_vars
-      @ List.map (fun n -> (n, with0 r.wrapped_var n)) outs;
-    raw_ranges = M.bindings r.raw_var;
+      List.map
+        (fun n -> (n, with0 (recorded ctx r.wrapped_var n)))
+        (List.map fst md.Hir.m_vars @ outs);
+    raw_ranges = List.sort (fun (a, _) (b, _) -> String.compare a b) raw;
     arr_ranges =
-      List.map (fun (n, _, _) -> (n, with0 r.wrapped_arr n)) md.Hir.m_arrays;
+      List.map
+        (fun (n, _, _) ->
+          (n, with0 r.wrapped_arr.((Hashtbl.find ctx.arr_tab n).aslot)))
+        md.Hir.m_arrays;
     port_ranges =
       List.filter_map
-        (fun n -> Option.map (fun v -> (n, v)) (M.find_opt n r.wrapped_var))
+        (fun n -> Option.map (fun v -> (n, v)) (recorded ctx r.wrapped_var n))
         outs;
   }
 
@@ -635,8 +739,8 @@ let pp_ty (ty : Hir.ty) =
 
 let lint (md : Hir.module_def) : D.t list =
   let ctx = build_ctx md in
-  let r = fresh_recorder () in
-  let st = { ctx; rec_ = Some r; depth = 0 } in
+  let r = fresh_sites () in
+  let st = { ctx; rec_ = None; sites = Some r; depth = 0 } in
   let _ = run st md in
   let ds = ref [] in
   let add d = ds := d :: !ds in
@@ -702,17 +806,18 @@ let optimise (md : Hir.module_def) : Hir.module_def =
     if md.Hir.m_subprograms <> [] then Inline.run md else md
   in
   let ctx = build_ctx inlined in
-  let r = fresh_recorder () in
-  let st = { ctx; rec_ = Some r; depth = 0 } in
+  let r = fresh_recorder ctx in
+  let st = { ctx; rec_ = Some r; sites = None; depth = 0 } in
   let body' = run st inlined in
   let m_vars' =
     List.map
-      (fun (n, ty) -> (n, narrow_ty ty (M.find_opt n r.raw_var)))
+      (fun (n, ty) -> (n, narrow_ty ty (recorded ctx r.raw_var n)))
       inlined.Hir.m_vars
   in
   let m_arrays' =
     List.map
-      (fun (n, ty, len) -> (n, narrow_ty ty (M.find_opt n r.raw_arr), len))
+      (fun (n, ty, len) ->
+        (n, narrow_ty ty r.raw_arr.((Hashtbl.find ctx.arr_tab n).aslot), len))
       inlined.Hir.m_arrays
   in
   let md' =
@@ -732,32 +837,41 @@ let empty_summary =
     su_arr_defs = Dataflow.Names.empty;
   }
 
-let fsm_ctx (fsm : Fsm.t) =
-  let add m (n, ty) = M.add n ty m in
-  {
-    var_ty = List.fold_left add (List.fold_left add M.empty fsm.Fsm.vars) fsm.Fsm.outputs;
-    input_ty = List.fold_left add M.empty fsm.Fsm.inputs;
-    arr_ty =
-      List.fold_left
-        (fun m (n, ty, len) -> M.add n (ty, len) m)
-        M.empty fsm.Fsm.arrays;
-    subs = M.empty;
-    summary = (fun _ -> empty_summary);
-  }
-
 let rec stmt_of_action = function
   | Fsm.Do (lv, e) -> Hir.Assign (lv, e)
   | Fsm.Do_if (c, a, b) ->
     Hir.If (c, List.map stmt_of_action a, List.map stmt_of_action b)
 
+let fsm_ctx (fsm : Fsm.t) bodies =
+  make_ctx
+    ~decls:(fsm.Fsm.vars @ fsm.Fsm.outputs)
+    ~inputs:fsm.Fsm.inputs ~arrays:fsm.Fsm.arrays ~subs:[]
+    ~summary:(fun _ -> empty_summary)
+    ~scan:(fun add ->
+      Array.iter (List.iter (stmt_names add)) bodies;
+      Array.iter
+        (fun (s : Fsm.state) ->
+          match s.Fsm.next with
+          | Fsm.Branch (c, _, _) -> expr_names add c
+          | Fsm.Goto _ -> ())
+        fsm.Fsm.states)
+
 (* Worklist abstract execution of the state machine. Entry is seeded
    with the all-zero reset state; the implicit repeat-forever edge is
-   modelled by propagating into the entry like any other state. *)
+   modelled by propagating into the entry like any other state.
+   Returns each state's entry environment ([None]: never reached) and
+   the environment after its actions on the last visit, which is the
+   visit of its final entry environment ([None] also when the actions
+   provably crash). *)
 let fsm_envs (fsm : Fsm.t) =
-  let ctx = fsm_ctx fsm in
-  let st = { ctx; rec_ = None; depth = 0 } in
+  let bodies =
+    Array.map (fun s -> List.map stmt_of_action s.Fsm.actions) fsm.Fsm.states
+  in
+  let ctx = fsm_ctx fsm bodies in
+  let st = { ctx; rec_ = None; sites = None; depth = 0 } in
   let n = Array.length fsm.Fsm.states in
   let envs : env option array = Array.make n None in
+  let posts : env option array = Array.make n None in
   let joins = Array.make n 0 in
   let queue = Queue.create () in
   let propagate j e =
@@ -765,9 +879,8 @@ let fsm_envs (fsm : Fsm.t) =
       match envs.(j) with
       | None -> Some e
       | Some old ->
-        let joined = join_env old e in
-        let joined = if joins.(j) > 3 then widen_env old joined else joined in
-        if equal_env joined old then None else Some joined
+        let m = if joins.(j) > 3 then join_widen_env old e else join_env old e in
+        if m == old then None else Some m
     in
     match merged with
     | None -> ()
@@ -782,11 +895,8 @@ let fsm_envs (fsm : Fsm.t) =
     match envs.(i) with
     | None -> ()
     | Some e -> (
-      let path = Printf.sprintf "%s/state-%d" fsm.Fsm.fsm_name i in
-      let out, _ =
-        exec st scope0 ~ret:None path (Some e)
-          (List.map stmt_of_action fsm.Fsm.states.(i).Fsm.actions)
-      in
+      let out, _ = exec st scope0 ~ret:None fsm.Fsm.fsm_name (Some e) bodies.(i) in
+      posts.(i) <- out;
       match out with
       | None -> () (* actions provably crash: no successors *)
       | Some e -> (
@@ -803,10 +913,10 @@ let fsm_envs (fsm : Fsm.t) =
             | Some e' -> propagate b e'
             | None -> ())))
   done;
-  (envs, st)
+  (envs, posts, st)
 
 let lint_fsm (fsm : Fsm.t) : D.t list =
-  let envs, _ = fsm_envs fsm in
+  let envs, _, _ = fsm_envs fsm in
   let syntactic = Fsm_lint.reachable fsm in
   let ds = ref [] in
   Array.iteri
@@ -821,34 +931,25 @@ let lint_fsm (fsm : Fsm.t) : D.t list =
   List.sort_uniq D.compare !ds
 
 let prune_fsm (fsm : Fsm.t) : Fsm.t =
-  let envs, st = fsm_envs fsm in
+  let envs, posts, st = fsm_envs fsm in
   let n = Array.length fsm.Fsm.states in
   if n = 0 then fsm
   else begin
     (* Decide each live state's next: a Branch collapses to Goto only
        when the analysis proves it one-sided AND the condition is
        side-effect- and crash-free (dropping its evaluation must not
-       change input consumption or error behaviour). *)
+       change input consumption or error behaviour). The condition is
+       evaluated after the state's actions, so it is judged on the
+       post-actions environment. *)
     let next' =
       Array.mapi
         (fun i (state : Fsm.state) ->
-          match (state.Fsm.next, envs.(i)) with
-          | Fsm.Branch (c, a, b), Some e -> (
-            (* the condition is evaluated after this state's actions,
-               so judge it on the post-actions environment *)
-            let post, _ =
-              exec st scope0 ~ret:None
-                (Printf.sprintf "%s/state-%d" fsm.Fsm.fsm_name i)
-                (Some e)
-                (List.map stmt_of_action state.Fsm.actions)
-            in
-            match post with
-            | None -> state.Fsm.next
-            | Some e ->
-              let civ, csafe = peval st scope0 e c in
-              if csafe && never_nonzero civ then Fsm.Goto b
-              else if csafe && not (may_be_zero civ) then Fsm.Goto a
-              else state.Fsm.next)
+          match (state.Fsm.next, posts.(i)) with
+          | Fsm.Branch (c, a, b), Some e ->
+            let civ, csafe = peval st scope0 e c in
+            if csafe && never_nonzero civ then Fsm.Goto b
+            else if csafe && not (may_be_zero civ) then Fsm.Goto a
+            else state.Fsm.next
           | next, _ -> next)
         fsm.Fsm.states
     in

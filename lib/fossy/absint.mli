@@ -17,7 +17,19 @@
     analysis terminates on every validated module. Subprogram calls
     are followed interprocedurally; past a depth cutoff (mutual
     recursion) the callee's {!Dataflow} def summary havocs the state
-    instead. *)
+    instead.
+
+    The abstract state is a pair of slot arrays. Each analysed module
+    or FSM gets a slot table once: every port, variable, subprogram
+    parameter or local and [For] iterator has an index into the
+    scalar array, and every array an index into the array summary.
+    A slot whose binding is not live (a parameter outside its call, an
+    iterator outside its loop) holds top. Arrays are never mutated
+    after they are built, so states share them; join, widening and
+    the fixpoint test are one pass that keeps the old interval of
+    every slot that did not change and returns the old state itself
+    when none did. Statement paths, which only name diagnostics, are
+    formatted by {!lint} alone. *)
 
 type result = {
   var_ranges : (string * Interval.t) list;

@@ -6,8 +6,8 @@
 
 type t = { lo : int; hi : int; known : int; bits : int }
 
-let min_i = Stdlib.min_int
-let max_i = Stdlib.max_int
+let min_i = Int.min_int
+let max_i = Int.max_int
 
 (* ---- checked native arithmetic: None = would overflow ---- *)
 
@@ -48,60 +48,54 @@ let smear x =
   let x = x lor (x lsr 16) in
   x lor (x lsr 32)
 
-(* Shared high-bit prefix of everything in [lo, hi]. *)
-let prefix_of_range lo hi =
-  if lo = hi then (-1, lo)
+(* Mask of the high-bit prefix shared by everything in [lo, hi]; the
+   prefix's value is [lo land mask]. *)
+let prefix_mask lo hi = if lo = hi then -1 else lnot (smear (lo lxor hi))
+
+(* Smart constructor: mutually reduces the two components in two
+   rounds, each taking the interval's shared prefix into the bits and,
+   when the sign region is known (unknown mask non-negative), the
+   contiguous range the unknown bits span into the interval. The
+   arguments must describe a non-empty, consistent set. Only the result
+   is allocated. *)
+let rec reduce rounds lo hi known bits =
+  if rounds = 0 then
+    if lo = hi then { lo; hi; known = -1; bits = lo } else { lo; hi; known; bits }
   else
-    let m = lnot (smear (lo lxor hi)) in
-    (m, lo land m)
-
-(* Interval implied by the known bits, when the sign region is known
-   (unknown mask non-negative): unknown bits span a contiguous range. *)
-let range_of_bits known bits =
-  let unk = lnot known in
-  if unk >= 0 then Some (bits, bits lor unk) else None
-
-(* Smart constructor: mutually reduces the two components. The
-   arguments must describe a non-empty, consistent set. *)
-let make ~lo ~hi ~known ~bits =
-  let bits = bits land known in
-  let step (lo, hi, known, bits) =
-    let ik, ib = prefix_of_range lo hi in
+    let ik = prefix_mask lo hi in
+    let ib = lo land ik in
     if (bits lxor ib) land known land ik <> 0 then
       (* caller fed inconsistent facts; trust the interval *)
-      (lo, hi, ik, ib)
+      reduce (rounds - 1) lo hi ik ib
     else
       let k = known lor ik and b = bits lor ib in
-      match range_of_bits k b with
-      | Some (blo, bhi)
-        when Stdlib.max lo blo <= Stdlib.min hi bhi ->
-        (Stdlib.max lo blo, Stdlib.min hi bhi, k, b)
-      | _ -> (lo, hi, k, b)
-  in
-  let lo, hi, known, bits = step (step (lo, hi, known, bits)) in
-  if lo = hi then { lo; hi; known = -1; bits = lo }
-  else { lo; hi; known; bits }
+      let unk = lnot k in
+      let blo = Int.max lo b and bhi = Int.min hi (b lor unk) in
+      if unk >= 0 && blo <= bhi then reduce (rounds - 1) blo bhi k b
+      else reduce (rounds - 1) lo hi k b
+
+let make ~lo ~hi ~known ~bits = reduce 2 lo hi known (bits land known)
 
 let top = { lo = min_i; hi = max_i; known = 0; bits = 0 }
 let of_const n = { lo = n; hi = n; known = -1; bits = n }
 
 let of_bounds a b =
-  let lo = Stdlib.min a b and hi = Stdlib.max a b in
+  let lo = Int.min a b and hi = Int.max a b in
   make ~lo ~hi ~known:0 ~bits:0
 
 let of_ty (ty : Hir.ty) =
-  let w = Stdlib.max 1 ty.width in
+  let w = Int.max 1 ty.width in
   if w >= 62 then top
   else if ty.signed then of_bounds (-(1 lsl (w - 1))) ((1 lsl (w - 1)) - 1)
   else of_bounds 0 ((1 lsl w) - 1)
 
 let join a b =
   let known = a.known land b.known land lnot (a.bits lxor b.bits) in
-  make ~lo:(Stdlib.min a.lo b.lo) ~hi:(Stdlib.max a.hi b.hi) ~known
+  make ~lo:(Int.min a.lo b.lo) ~hi:(Int.max a.hi b.hi) ~known
     ~bits:(a.bits land known)
 
 let meet a b =
-  let lo = Stdlib.max a.lo b.lo and hi = Stdlib.min a.hi b.hi in
+  let lo = Int.max a.lo b.lo and hi = Int.min a.hi b.hi in
   if lo > hi then None
   else if (a.bits lxor b.bits) land a.known land b.known <> 0 then None
   else Some (make ~lo ~hi ~known:(a.known lor b.known) ~bits:(a.bits lor b.bits))
@@ -112,12 +106,18 @@ let thresholds =
 
 let widen_down v =
   let best = ref min_i in
-  Array.iter (fun t -> if t <= v && t > !best then best := t) thresholds;
+  for i = 0 to Array.length thresholds - 1 do
+    let t = thresholds.(i) in
+    if t <= v && t > !best then best := t
+  done;
   !best
 
 let widen_up v =
   let best = ref max_i in
-  Array.iter (fun t -> if t >= v && t < !best then best := t) thresholds;
+  for i = 0 to Array.length thresholds - 1 do
+    let t = thresholds.(i) in
+    if t >= v && t < !best then best := t
+  done;
   !best
 
 let widen a b =
@@ -140,7 +140,7 @@ let wrap_ty (ty : Hir.ty) t =
   if ty.width >= 62 then t (* Interp.wrap is the identity there *)
   else if fits_ty ty t then t
   else
-    let w = Stdlib.max 1 ty.width in
+    let w = Int.max 1 ty.width in
     let m = 1 lsl w in
     let wrap v =
       let x = v land (m - 1) in
@@ -179,7 +179,7 @@ let trailing_known k =
   go 0
 
 let trailing_bits op a b =
-  let n = Stdlib.min (trailing_known a.known) (trailing_known b.known) in
+  let n = Int.min (trailing_known a.known) (trailing_known b.known) in
   if n = 0 then (0, 0)
   else
     let mask = (1 lsl n) - 1 in
@@ -196,8 +196,8 @@ let arith op f a b =
   let known, bits = trailing_bits op a b in
   match (f a.lo b.lo, f a.lo b.hi, f a.hi b.lo, f a.hi b.hi) with
   | Some c1, Some c2, Some c3, Some c4 ->
-    let lo = Stdlib.min (Stdlib.min c1 c2) (Stdlib.min c3 c4) in
-    let hi = Stdlib.max (Stdlib.max c1 c2) (Stdlib.max c3 c4) in
+    let lo = Int.min (Int.min c1 c2) (Int.min c3 c4) in
+    let hi = Int.max (Int.max c1 c2) (Int.max c3 c4) in
     make ~lo ~hi ~known ~bits
   | _ ->
     (* a corner wraps natively: the value can land anywhere, but the
@@ -224,8 +224,8 @@ let shl a b =
     (match (shl_opt a.lo kl, shl_opt a.lo kh, shl_opt a.hi kl, shl_opt a.hi kh)
      with
     | Some c1, Some c2, Some c3, Some c4 ->
-      let lo = Stdlib.min (Stdlib.min c1 c2) (Stdlib.min c3 c4) in
-      let hi = Stdlib.max (Stdlib.max c1 c2) (Stdlib.max c3 c4) in
+      let lo = Int.min (Int.min c1 c2) (Int.min c3 c4) in
+      let hi = Int.max (Int.max c1 c2) (Int.max c3 c4) in
       make ~lo ~hi ~known ~bits:(bits land known)
     | _ -> make ~lo:min_i ~hi:max_i ~known ~bits:(bits land known))
 
@@ -238,8 +238,8 @@ let shr a b =
     in
     let c1 = a.lo asr kl and c2 = a.lo asr kh in
     let c3 = a.hi asr kl and c4 = a.hi asr kh in
-    let lo = Stdlib.min (Stdlib.min c1 c2) (Stdlib.min c3 c4) in
-    let hi = Stdlib.max (Stdlib.max c1 c2) (Stdlib.max c3 c4) in
+    let lo = Int.min (Int.min c1 c2) (Int.min c3 c4) in
+    let hi = Int.max (Int.max c1 c2) (Int.max c3 c4) in
     make ~lo ~hi ~known ~bits:(bits land known)
 
 let band a b =
@@ -250,15 +250,15 @@ let band a b =
   in
   let bits = a.bits land b.bits land known in
   let lo, hi =
-    if a.lo >= 0 && b.lo >= 0 then (0, Stdlib.min a.hi b.hi)
+    if a.lo >= 0 && b.lo >= 0 then (0, Int.min a.hi b.hi)
     else if a.lo >= 0 then (0, a.hi)
     else if b.lo >= 0 then (0, b.hi)
     else
       (* x land y >= x + y + 1 when both negative; >= 0 otherwise *)
       let lo =
-        match add_opt a.lo b.lo with Some s -> Stdlib.min 0 s | None -> min_i
+        match add_opt a.lo b.lo with Some s -> Int.min 0 s | None -> min_i
       in
-      (lo, Stdlib.max 0 (Stdlib.max a.hi b.hi))
+      (lo, Int.max 0 (Int.max a.hi b.hi))
   in
   make ~lo ~hi ~known ~bits
 
@@ -268,13 +268,13 @@ let bor a b =
   in
   let bits = (a.bits lor b.bits) land known in
   let lo =
-    if a.lo >= 0 && b.lo >= 0 then Stdlib.max a.lo b.lo
-    else Stdlib.min a.lo b.lo
+    if a.lo >= 0 && b.lo >= 0 then Int.max a.lo b.lo
+    else Int.min a.lo b.lo
   in
   let hi =
     if a.hi < 0 || b.hi < 0 then -1 (* a set sign bit survives lor *)
     else
-      match add_opt (Stdlib.max 0 a.hi) (Stdlib.max 0 b.hi) with
+      match add_opt (Int.max 0 a.hi) (Int.max 0 b.hi) with
       | Some s -> s
       | None -> max_i
   in
@@ -369,18 +369,18 @@ let rec assume_cmp (op : Hir.binop) a b =
   | Lt ->
     if b.hi = min_i then None
     else
-      let ahi = Stdlib.min a.hi (b.hi - 1) in
+      let ahi = Int.min a.hi (b.hi - 1) in
       if a.lo > ahi then None
       else if a.lo = max_i then None
       else
-        let blo = Stdlib.max b.lo (a.lo + 1) in
+        let blo = Int.max b.lo (a.lo + 1) in
         if blo > b.hi then None
         else
           Some
             ( make ~lo:a.lo ~hi:ahi ~known:a.known ~bits:a.bits,
               make ~lo:blo ~hi:b.hi ~known:b.known ~bits:b.bits )
   | Le ->
-    let ahi = Stdlib.min a.hi b.hi and blo = Stdlib.max b.lo a.lo in
+    let ahi = Int.min a.hi b.hi and blo = Int.max b.lo a.lo in
     if a.lo > ahi || blo > b.hi then None
     else
       Some

@@ -1,9 +1,6 @@
 let modes = [ Jpeg2000.Codestream.Lossless; Jpeg2000.Codestream.Lossy ]
 
-let figure1 ?payload () =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "Figure 1 - profiled share of SW-only decoding time per stage\n\n";
+let figure1_rows ?payload () =
   let measured_shares mode =
     (* Measure stage times from the version-1 model structure: the
        profile drives the EETs, so this checks the model reproduces
@@ -33,8 +30,14 @@ let figure1 ?payload () =
         (stage, paper_pct, 100.0 *. per_stage stage /. total))
       (Profile.shares mode)
   in
+  List.map (fun mode -> (mode, measured_shares mode)) modes
+
+let figure1 ?payload () =
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf
+    "Figure 1 - profiled share of SW-only decoding time per stage\n\n";
   List.iter
-    (fun mode ->
+    (fun (mode, shares) ->
       Buffer.add_string buf
         (Format.asprintf "%a:\n" Jpeg2000.Codestream.pp_mode mode);
       let rows =
@@ -45,12 +48,12 @@ let figure1 ?payload () =
               Osss.Report.fmt_pct paper;
               Osss.Report.fmt_pct measured;
             ])
-          (measured_shares mode)
+          shares
       in
       Buffer.add_string buf
         (Osss.Report.render ~header:[ "stage"; "paper"; "measured" ] rows);
       Buffer.add_char buf '\n')
-    modes;
+    (figure1_rows ?payload ());
   Buffer.contents buf
 
 let table1_results ?payload () =

@@ -4,6 +4,13 @@ val figure1 : ?payload:bool -> unit -> string
 (** Figure 1: per-stage share of the software-only decoding time,
     lossless and lossy, measured from the version-1 model. *)
 
+val figure1_rows :
+  ?payload:bool ->
+  unit ->
+  (Jpeg2000.Codestream.mode * (Profile.stage * float * float) list) list
+(** The rows behind {!figure1}: per mode, each stage with the paper's
+    share and the share measured from the version-1 model, in %. *)
+
 val table1 : ?payload:bool -> unit -> string
 (** Table 1: decoding time and IDWT time for the 16-tile, 3-component
     workload, versions 1–5 (Application Layer) and 6a–7b (VTA Layer),

@@ -121,6 +121,36 @@ let widen_soundness =
       let w = I.widen ia ib in
       I.contains w a && I.contains w b)
 
+(* Absint's environment join and widening keep a slot's old value
+   untouched when both sides hold the same interval; that shortcut is
+   only sound while join and widen are idempotent on every value the
+   analysis can build: constructor results, transfer-function results,
+   wrapped stores and refinements. *)
+let reachable_interval_gen =
+  let open QCheck.Gen in
+  let point = map snd point_in_interval_gen in
+  oneof
+    [
+      point;
+      map3 I.binop (oneofl all_binops) point point;
+      map3
+        (fun width signed a -> I.wrap_ty { width; signed } a)
+        (1 -- 64) bool point;
+      map2
+        (fun a b -> match I.meet a b with Some m -> m | None -> a)
+        point point;
+    ]
+
+let reachable_interval = QCheck.make ~print:I.to_string reachable_interval_gen
+
+let join_idempotent =
+  QCheck.Test.make ~name:"Interval.join a a = a" ~count:2000 reachable_interval
+    (fun a -> I.equal (I.join a a) a)
+
+let widen_idempotent =
+  QCheck.Test.make ~name:"Interval.widen a a = a" ~count:2000 reachable_interval
+    (fun a -> I.equal (I.widen a a) a)
+
 (* -- shared random-module generator ---------------------------------- *)
 
 (* Statement pool over two variables (one optionally unsigned), a
@@ -423,6 +453,74 @@ let test_lint_stable_and_deduped () =
   in
   Alcotest.(check (list string)) "byte-stable across runs" rendered again
 
+(* -- golden digest of the value-analysis flow ------------------------ *)
+
+(* One MD5 over everything the analysis decides for 300 seeded random
+   modules and the two IDWT cores: the analyse ranges, the rendered HIR
+   and FSM diagnostics, the optimised HIR and the VHDL of the pruned
+   FSM. Widening makes those outputs depend on how many times each
+   fixpoint iterates, so a change to the environment representation or
+   the worklist that alters any iteration count shows up here. *)
+let golden_flow_digest = "73d15876cb85886882fe250cb622fc1d"
+
+let flow_digest () =
+  let drawn =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 2008 |]) ~n:300
+      typed_module_gen
+  in
+  let modules =
+    List.map fst drawn
+    @ [ Models.Idwt_cores.idwt53_systemc; Models.Idwt_cores.idwt97_systemc ]
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  let add f =
+    (match f () with
+    | s -> Buffer.add_string buf s
+    | exception e -> Buffer.add_string buf ("raised " ^ Printexc.to_string e));
+    Buffer.add_char buf '\n'
+  in
+  let ranges l =
+    String.concat ";"
+      (List.map
+         (fun (n, (x : I.t)) ->
+           Printf.sprintf "%s=%d,%d,%d,%d" n x.I.lo x.I.hi x.I.known x.I.bits)
+         l)
+  in
+  let render ds = String.concat "\n" (List.map Fossy.Diagnostic.render ds) in
+  List.iter
+    (fun m ->
+      Buffer.add_string buf m.m_name;
+      Buffer.add_char buf '\n';
+      match validate m with
+      | Error _ -> Buffer.add_string buf "invalid\n"
+      | Ok () ->
+        add (fun () ->
+            let r = Fossy.Absint.analyse m in
+            String.concat "|"
+              [
+                ranges r.Fossy.Absint.var_ranges;
+                ranges r.Fossy.Absint.raw_ranges;
+                ranges r.Fossy.Absint.arr_ranges;
+                ranges r.Fossy.Absint.port_ranges;
+              ]);
+        add (fun () -> render (Fossy.Absint.lint m));
+        add (fun () ->
+            render
+              (Fossy.Absint.lint_fsm (Fossy.Fsm.of_module (Fossy.Inline.run m))));
+        add (fun () ->
+            Fossy.Hir_pp.emit (Fossy.Absint.optimise (Fossy.Inline.run m)));
+        add (fun () ->
+            Rtl.Vhdl_pp.emit
+              (Fossy.Codegen.run
+                 (Fossy.Absint.prune_fsm
+                    (Fossy.Fsm.of_module
+                       (Fossy.Absint.optimise (Fossy.Inline.run m)))))))
+    modules;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_flow () =
+  Alcotest.(check string) "flow digest" golden_flow_digest (flow_digest ())
+
 (* -- the decoder cores ----------------------------------------------- *)
 
 let core_stimulus =
@@ -503,6 +601,8 @@ let () =
           qc assume_soundness;
           qc meet_soundness;
           qc widen_soundness;
+          qc join_idempotent;
+          qc widen_idempotent;
           Alcotest.test_case "corner widths" `Quick test_corner_widths;
         ] );
       ( "absint",
@@ -524,6 +624,7 @@ let () =
             test_e020_w021_array_bounds;
           Alcotest.test_case "W022 + prune_fsm" `Quick test_w022_and_prune;
           Alcotest.test_case "stable output" `Quick test_lint_stable_and_deduped;
+          Alcotest.test_case "golden flow digest" `Quick test_golden_flow;
         ] );
       ( "cores",
         [

@@ -374,6 +374,41 @@ let test_platgen_rejects_invalid_mapping () =
        false
      with Invalid_argument _ -> true)
 
+(* Every BUS_INTERFACE of a generated MHS names an instance of the same
+   file, for every mapping platgen can be asked for. *)
+let test_platgen_bus_interfaces_resolve () =
+  List.iter
+    (fun (sw_tasks, idwt_p2p) ->
+      let mhs =
+        Fossy.Platgen.mhs
+          (Models.Vta_models.mapping ~sw_tasks ~idwt_p2p)
+          ~hw_cores:[ "idwt2d"; "idwt53"; "idwt97" ]
+      in
+      let lines =
+        List.map
+          (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+          (String.split_on_char '\n' mhs)
+      in
+      let instances =
+        List.filter_map
+          (function [ "PARAMETER"; "INSTANCE"; "="; n ] -> Some n | _ -> None)
+          lines
+      in
+      let targets =
+        List.filter_map
+          (function [ "BUS_INTERFACE"; _; "="; t ] -> Some t | _ -> None)
+          lines
+      in
+      if targets = [] then
+        Alcotest.failf "tasks=%d p2p=%b: no BUS_INTERFACE" sw_tasks idwt_p2p;
+      List.iter
+        (fun t ->
+          if not (List.mem t instances) then
+            Alcotest.failf "tasks=%d p2p=%b: BUS_INTERFACE target %s is no INSTANCE"
+              sw_tasks idwt_p2p t)
+        targets)
+    (List.concat_map (fun n -> [ (n, false); (n, true) ]) [ 1; 2; 3; 4 ])
+
 let test_testbench_generation () =
   let stimulus = [ ("din", [ 3; 5; 7; 9 ]); ("go", [ 1 ]) ] in
   match
@@ -492,6 +527,8 @@ let () =
           Alcotest.test_case "mhs/mss generation" `Quick test_platgen_mhs_mss;
           Alcotest.test_case "invalid mapping rejected" `Quick
             test_platgen_rejects_invalid_mapping;
+          Alcotest.test_case "MHS bus interfaces resolve" `Quick
+            test_platgen_bus_interfaces_resolve;
           Alcotest.test_case "sw stubs" `Quick test_sw_codegen;
           Alcotest.test_case "testbench generation" `Quick
             test_testbench_generation;
