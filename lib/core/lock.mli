@@ -3,7 +3,20 @@
     The concurrency core shared by Shared Objects, buses and
     processors: a single-owner resource whose grant order is decided
     by an {!Arbiter.t}. Holders must be registered once; acquisition
-    blocks the calling process until the arbiter selects it. *)
+    blocks the calling process until the arbiter selects it.
+
+    {b Targeted wake.} A holder that cannot be granted parks. A
+    release hands the holders parked at that moment to the next delta
+    cycle, where they take turns in the order they parked, exactly as
+    if the release had woken them all to re-check. At its turn, a
+    holder is resumed only if the lock is free and the arbiter grants
+    it then. Every other holder stays parked without being resumed:
+    woken, it would only lose and park again. The resumed holder
+    re-checks before it takes the lock, so a requester that arrived
+    in between and wins under the arbiter's rules still wins. Grant
+    order, grant instants, delta cycles and the statistics below are
+    those of the broadcast wake; only [process.*.wakeups] counts fewer
+    resumes. *)
 
 type t
 type holder
@@ -30,9 +43,10 @@ val holder_id : holder -> int
 
 val acquire : t -> holder -> unit
 (** Blocks the calling process until the lock is granted to this
-    holder. Process context only. Re-entrant acquisition by the same
-    holder while it already owns the lock is a programming error and
-    raises [Invalid_argument]. *)
+    holder. Process context only. A holder stands for one requester:
+    acquiring with a holder that already owns the lock, or that another
+    process is blocked on, is a programming error and raises
+    [Invalid_argument]. *)
 
 val release : t -> holder -> unit
 (** Raises [Invalid_argument] if this holder does not own the lock. *)

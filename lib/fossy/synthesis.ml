@@ -28,13 +28,12 @@ let optimise = Absint.optimise
 
 let cost fsm =
   let vhdl = Codegen.run fsm in
-  let vhdl_text = Rtl.Vhdl_pp.emit vhdl in
   let summary = Rtl.Netlist.of_design vhdl in
   let area = Rtl.Area.estimate ~sharing:Rtl.Area.Shared summary in
   let fmax_mhz =
     Rtl.Timing_model.estimate_mhz ~sharing:Rtl.Area.Shared summary
   in
-  (vhdl, vhdl_text, summary, area, fmax_mhz)
+  (vhdl, summary, area, fmax_mhz)
 
 let synthesise m =
   match Hir.validate m with
@@ -47,9 +46,10 @@ let synthesise m =
     else
       let systemc_loc = Hir_pp.loc m in
       let inlined = Inline.run m in
-      let _, _, unopt_summary, unopt_area, _ = cost (Fsm.of_module inlined) in
+      let _, unopt_summary, unopt_area, _ = cost (Fsm.of_module inlined) in
       let fsm = Absint.prune_fsm (Fsm.of_module (Absint.optimise inlined)) in
-      let vhdl, vhdl_text, summary, area, fmax_mhz = cost fsm in
+      let vhdl, summary, area, fmax_mhz = cost fsm in
+      let vhdl_text = Rtl.Vhdl_pp.emit vhdl in
       Ok
         {
           module_name = m.Hir.m_name;
@@ -57,7 +57,7 @@ let synthesise m =
           fsm;
           vhdl;
           vhdl_text;
-          vhdl_loc = Rtl.Vhdl_pp.loc vhdl;
+          vhdl_loc = Rtl.Vhdl_pp.loc vhdl_text;
           summary;
           area;
           fmax_mhz;
@@ -78,7 +78,7 @@ let analyse_reference design =
   let summary = Rtl.Netlist.of_design design in
   {
     ref_name = design.Rtl.Vhdl.entity.Rtl.Vhdl.ent_name;
-    ref_vhdl_loc = Rtl.Vhdl_pp.loc design;
+    ref_vhdl_loc = Rtl.Vhdl_pp.loc (Rtl.Vhdl_pp.emit design);
     ref_summary = summary;
     ref_area = Rtl.Area.estimate ~sharing:Rtl.Area.Flat summary;
     ref_fmax_mhz = Rtl.Timing_model.estimate_mhz ~sharing:Rtl.Area.Flat summary;

@@ -162,7 +162,7 @@ let emit design =
   line ctx "end architecture;";
   Buffer.contents ctx.buf
 
-let loc design =
-  emit design |> String.split_on_char '\n'
+let loc text =
+  String.split_on_char '\n' text
   |> List.filter (fun l -> String.trim l <> "")
   |> List.length

@@ -9,6 +9,6 @@
 val emit : Vhdl.design -> string
 (** Full design file: library clauses, entity, architecture. *)
 
-val loc : Vhdl.design -> int
-(** Non-blank lines of the emitted text — the LoC metric used in
+val loc : string -> int
+(** Non-blank lines of an {!emit}ted text — the LoC metric used in
     Section 4 of the paper. *)

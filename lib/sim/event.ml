@@ -16,24 +16,26 @@ let drain t =
   Queue.transfer t.waiters woken;
   woken
 
-let deliver woken = Queue.iter (fun f -> f ()) woken
+(* Each waiter may resume a process inline; one still to run is a
+   sibling that must not be overtaken, so the delivery never settles
+   early. *)
+let never () = false
+let run_waiter f = f ()
+let deliver t woken = Kernel.deliver t.kernel woken ~settle:never run_waiter
 
 let notify t =
   let woken = drain t in
   if not (Queue.is_empty woken) then
-    Kernel.schedule_delta t.kernel (fun () -> deliver woken)
+    Kernel.schedule_delta t.kernel (fun () -> deliver t woken)
 
 let notify_immediate t =
   let woken = drain t in
   if not (Queue.is_empty woken) then
-    Kernel.schedule_now t.kernel (fun () -> deliver woken)
+    Kernel.schedule_now t.kernel (fun () -> deliver t woken)
 
 let notify_after t d =
   if Sim_time.is_zero d then notify t
-  else
-    Kernel.schedule_after t.kernel d (fun () ->
-        let woken = drain t in
-        deliver woken)
+  else Kernel.schedule_after t.kernel d (fun () -> deliver t (drain t))
 
 let wait t = Kernel.suspend (fun resume -> on_next t resume)
 

@@ -24,12 +24,20 @@ type t = {
   mutable stop_requested : bool;
   mutable started : bool;
   mutable current_label : string option;
+  mutable woke_in_place : unit -> unit;
+      (* the running process's wake-up bookkeeping, set per slice *)
+  mutable horizon : int; (* the running [run]'s [until], in ps *)
+  mutable settle : unit -> bool;
+      (* the running delivery's answer to "are you done?" *)
   mutable race_policy : race_policy;
   mutable races : race list; (* reversed *)
 }
 
 type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 type _ Effect.t += Self : t Effect.t
+
+(* [settle] outside a delivery, and on its last callback. *)
+let settled () = true
 
 let create () =
   {
@@ -46,6 +54,9 @@ let create () =
     stop_requested = false;
     started = false;
     current_label = None;
+    woke_in_place = ignore;
+    horizon = max_int;
+    settle = settled;
     race_policy = Race_record;
     races = [];
   }
@@ -105,26 +116,31 @@ let spawn t ?name body =
      slice bumps a ref instead of hashing the key; invalidated when a
      different sink is installed between slices. *)
   let cached_cell : (Telemetry.Sink.t * int ref) option ref = ref None in
+  let note_wakeup s =
+    Telemetry.Sink.set_context s some_label;
+    let cell =
+      match !cached_cell with
+      | Some (s', r) when s' == s -> r
+      | Some _ | None ->
+        let r =
+          Telemetry.Metrics.counter_ref (Telemetry.Sink.metrics s) wakeups_key
+        in
+        cached_cell := Some (s, r);
+        r
+    in
+    Stdlib.incr cell
+  in
+  (* A [wait_for] that advances time in place keeps the slice running:
+     it owes the wake-up only this bookkeeping. *)
+  let woke_in_place () =
+    match Telemetry.Sink.active () with None -> () | Some s -> note_wakeup s
+  in
   let with_label f () =
     let prev = t.current_label in
     t.current_label <- some_label;
+    t.woke_in_place <- woke_in_place;
     let sink = Telemetry.Sink.active () in
-    (match sink with
-    | None -> ()
-    | Some s ->
-      Telemetry.Sink.set_context s some_label;
-      let cell =
-        match !cached_cell with
-        | Some (s', r) when s' == s -> r
-        | Some _ | None ->
-          let r =
-            Telemetry.Metrics.counter_ref (Telemetry.Sink.metrics s)
-              wakeups_key
-          in
-          cached_cell := Some (s, r);
-          r
-      in
-      Stdlib.incr cell);
+    (match sink with None -> () | Some s -> note_wakeup s);
     match f () with
     | () -> (
       t.current_label <- prev;
@@ -142,6 +158,9 @@ let spawn t ?name body =
     t.live <- t.live - 1;
     Hashtbl.remove t.unfinished pid
   in
+  let self_answer =
+    Some (fun (k : (t, unit) Effect.Deep.continuation) -> Effect.Deep.continue k t)
+  in
   let handler =
     {
       Effect.Deep.retc = finished;
@@ -153,10 +172,7 @@ let spawn t ?name body =
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 register (with_label (fun () -> Effect.Deep.continue k ())))
-          | Self ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                Effect.Deep.continue k t)
+          | Self -> self_answer
           | _ -> None);
     }
   in
@@ -179,24 +195,43 @@ let run_delta t =
   t.deltas <- t.deltas + 1;
   not (Queue.is_empty t.next_delta)
 
+(* Runs [f] on every element of [q], popping each first. While
+   elements remain, [t.settle] is [settle], so a process resumed by [f]
+   advances time in place only if the rest of the delivery can finish
+   without running anyone. *)
+let deliver t q ~settle f =
+  match
+    while not (Queue.is_empty q) do
+      let x = Queue.pop q in
+      t.settle <- (if Queue.is_empty q then settled else settle);
+      f x
+    done
+  with
+  | () -> t.settle <- settled
+  | exception exn ->
+    t.settle <- settled;
+    raise exn
+
 let run ?until t =
   t.started <- true;
   t.stop_requested <- false;
   let horizon =
     match until with None -> max_int | Some u -> Sim_time.to_ps u
   in
+  t.horizon <- horizon;
   let continue = ref true in
   while !continue && not t.stop_requested do
     let again = run_delta t in
     if t.stop_requested then continue := false
     else if again then Queue.transfer t.next_delta t.current
+    else if Pqueue.length t.calendar = 0 then continue := false
     else begin
-      match Pqueue.min_key t.calendar with
-      | None -> continue := false
-      | Some key when key > horizon ->
+      let key = Pqueue.next_key t.calendar in
+      if key > horizon then begin
         (match until with Some u -> t.now <- u | None -> ());
         continue := false
-      | Some key ->
+      end
+      else begin
         t.now <- Sim_time.of_ps key;
         t.advances <- t.advances + 1;
         let rec drain () =
@@ -207,6 +242,7 @@ let run ?until t =
             drain ()
         in
         drain ()
+      end
     end
   done
 
@@ -218,9 +254,36 @@ let self () = Effect.perform Self
 
 let suspend register = Effect.perform (Suspend register)
 
+(* Suspending the caller of [wait_for d] would end this delta cycle,
+   advance time to [now + d] and resume the caller there, and nothing
+   else would run in between when: nothing is runnable at [now], the
+   running delivery has nothing left to run, no stop is pending,
+   [now + d] is within the horizon, and no calendar entry is due at or
+   before [now + d] (one due exactly then was queued first and runs
+   first). Then do the same bookkeeping here and keep the slice
+   running. *)
+let advance_in_place t d =
+  let wake = Sim_time.to_ps t.now + Sim_time.to_ps d in
+  Queue.is_empty t.current
+  && Queue.is_empty t.next_delta
+  && Queue.is_empty t.updates
+  && (not t.stop_requested)
+  && wake <= t.horizon
+  && Pqueue.next_key t.calendar > wake
+  && t.settle ()
+  && begin
+       t.settle <- settled;
+       t.deltas <- t.deltas + 1;
+       t.now <- Sim_time.of_ps wake;
+       t.advances <- t.advances + 1;
+       t.woke_in_place ();
+       true
+     end
+
 let wait_for d =
   let t = self () in
-  suspend (fun resume -> schedule_after t d resume)
+  if Sim_time.is_zero d || not (advance_in_place t d) then
+    suspend (fun resume -> schedule_after t d resume)
 
 let yield () =
   let t = self () in

@@ -98,6 +98,18 @@ val at_update : t -> (unit -> unit) -> unit
 (** Registers an action for the update phase of the current delta
     cycle. *)
 
+val deliver : t -> 'a Queue.t -> settle:(unit -> bool) -> ('a -> unit) -> unit
+(** [deliver t q ~settle f] pops every element of [q] in order and runs
+    [f] on it, within the current evaluation phase. This is how one
+    notification resumes several processes: [f] may resume one inline.
+    While elements remain, a process that [f] resumed advances time in
+    place (see {!wait_for}) only if [settle ()] returns [true].
+    [settle] may return [true] only after it has done what the
+    remaining elements would do if that process suspended instead, and
+    removed them from [q], without running any process. Otherwise it
+    returns [false]. Call it from a scheduler callback, not from a
+    process. *)
+
 val current_label : t -> string option
 (** Name of the process whose slice is currently executing, [None]
     inside scheduler callbacks and outside {!run}. *)
@@ -126,7 +138,25 @@ val suspend : ((unit -> unit) -> unit) -> unit
     once) resumes the process. *)
 
 val wait_for : Sim_time.t -> unit
-(** Suspends the calling process for the given duration. *)
+(** [wait_for d] lets the calling process resume [d] later.
+
+    For [d > 0] it suspends only if something else could run before the
+    caller's wake-up. It does not suspend, and advances time in place,
+    when all of these hold:
+    - nothing else is runnable now (the evaluation, next-delta and
+      update queues are empty);
+    - the running {!deliver} has no callback left, or settles;
+    - no {!stop} is pending;
+    - [now + d] is within the running {!run}'s [until];
+    - no calendar entry is due at or before [now + d].
+
+    An entry due exactly at [now + d] was queued earlier and runs
+    first, so it forces a suspend. The in-place path does what the
+    scheduler would have done: it ends the delta cycle, sets the time
+    to [now + d], counts one time advance, and counts the caller's
+    wake-up ([process.<name>.wakeups]). {!delta_count},
+    {!time_advances} and every ordering are the same as with a
+    suspend. *)
 
 val yield : unit -> unit
 (** Suspends the calling process until the next delta cycle. *)

@@ -63,7 +63,7 @@ let push q ~key value =
   q.size <- q.size + 1;
   sift_up q (q.size - 1)
 
-let min_key q = if q.size = 0 then None else Some q.heap.(0).key
+let next_key q = if q.size = 0 then max_int else q.heap.(0).key
 
 let pop q =
   if q.size = 0 then None

@@ -12,8 +12,9 @@ val length : 'a t -> int
 
 val push : 'a t -> key:int -> 'a -> unit
 
-val min_key : 'a t -> int option
-(** Smallest key currently in the queue, if any. *)
+val next_key : 'a t -> int
+(** Smallest key currently in the queue; [max_int] when it is empty.
+    Allocates nothing. *)
 
 val pop : 'a t -> (int * 'a) option
 (** Removes and returns the entry with the smallest key; ties are

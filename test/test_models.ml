@@ -292,6 +292,56 @@ let test_table2_is_the_flows () =
   Alcotest.(check bool) "value analysis saves LUTs" true
     (opt.Rtl.Area.luts < unopt.Rtl.Area.luts)
 
+(* MD5s of what [osss_sim trace --version V --mode lossy --no-payload]
+   writes for the four VTA versions: the Chrome trace, and the
+   [--metrics] JSON without the [process.*.wakeups] counters. Those
+   count host-side resumes, which a scheduler change may remove; every
+   span, instant, counter, gauge and distribution of the model itself
+   must stay byte-identical. Recorded with the broadcast lock and the
+   suspend-every-wait kernel. *)
+let pinned_vta_traces =
+  [
+    ("6a", "ebc1cbc6267b40db8a28705456329c07", "461d3627a616d35f737bbbc197ea2c65");
+    ("6b", "9c45e58e3a4b7ab0a62f8db04e4a2b11", "7ad778d4fecd8b1e49e530eb97a557e5");
+    ("7a", "ae1c0d88575a3eb8e52c822e60fa269e", "732783f9f3b8da84f39c7c217d0e58ad");
+    ("7b", "e01d3c586ea3acdec07b7d077eaa71ed", "85404ed8ba93806ec80fc8ed572d09c4");
+  ]
+
+let rec drop_wakeup_counters (json : Telemetry.Json.t) : Telemetry.Json.t =
+  match json with
+  | Obj fields ->
+    Obj
+      (List.filter_map
+         (fun (key, value) ->
+           if
+             String.starts_with ~prefix:"process." key
+             && String.ends_with ~suffix:".wakeups" key
+           then None
+           else Some (key, drop_wakeup_counters value))
+         fields)
+  | List items -> List (List.map drop_wakeup_counters items)
+  | other -> other
+
+let test_vta_traces_pinned () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let digests =
+    List.map
+      (fun (name, _, _) ->
+        let version = Option.get (Models.Experiment.version_of_name name) in
+        let sink, outcome =
+          Telemetry.Sink.with_sink (fun () ->
+              Models.Experiment.run ~payload:false version lossy)
+        in
+        ( name,
+          md5 (Telemetry.Chrome.to_string (Telemetry.Sink.events sink)),
+          md5
+            (Telemetry.Json.to_string
+               (drop_wakeup_counters (Models.Outcome.to_json outcome))) ))
+      pinned_vta_traces
+  in
+  Alcotest.(check (list (triple string string string)))
+    "trace and metrics digests" pinned_vta_traces digests
+
 let test_idwt_cores_validate () =
   List.iter
     (fun m ->
@@ -436,6 +486,7 @@ let () =
           Alcotest.test_case "VTA decode above app layer" `Quick
             test_vta_decode_slower_than_app;
           Alcotest.test_case "simulation deterministic" `Quick test_determinism;
+          Alcotest.test_case "VTA traces pinned" `Quick test_vta_traces_pinned;
         ] );
       ( "figure1",
         [ Alcotest.test_case "stage shares match" `Quick test_figure1_shares_match ]

@@ -91,7 +91,182 @@ let test_lock_reentry_rejected () =
       (try Osss.Lock.acquire lock h with Invalid_argument _ -> raised := true);
       Osss.Lock.release lock h);
   Sim.Kernel.run k;
-  Alcotest.(check bool) "re-acquire rejected" true !raised
+  Alcotest.(check bool) "re-acquire rejected" true !raised;
+  (* One holder blocked from two processes: a release could resume
+     only one of them. *)
+  let other = Osss.Lock.register lock ~name:"other" () in
+  let shared = ref false in
+  Sim.Kernel.spawn k (fun () ->
+      Osss.Lock.with_lock lock other (fun () -> Sim.Kernel.wait_for (ms 1)));
+  Sim.Kernel.spawn k (fun () -> Osss.Lock.with_lock lock h ignore);
+  Sim.Kernel.spawn k (fun () ->
+      try Osss.Lock.with_lock lock h ignore with Invalid_argument _ -> shared := true);
+  Sim.Kernel.run k;
+  Alcotest.(check bool) "holder blocked twice rejected" true !shared
+
+(* [Osss.Lock] against [Broadcast_lock], the lock that woke every
+   parked holder on each release. Random holders request, hold and
+   release one lock; both locks must grant the same holders in the same
+   order, at the same instant and delta cycle, and end with the same
+   statistics and telemetry. Only the per-process wake-up counters may
+   differ: removing the losers' resumes is the point. *)
+
+module type LOCK = sig
+  type t
+  type holder
+
+  val create :
+    Sim.Kernel.t ->
+    name:string ->
+    arbiter:Osss.Arbiter.t ->
+    ?grant_overhead:Sim.Sim_time.t ->
+    unit ->
+    t
+
+  val register : t -> name:string -> ?overhead:Sim.Sim_time.t -> unit -> holder
+  val acquire : t -> holder -> unit
+  val release : t -> holder -> unit
+  val total_wait : t -> Sim.Sim_time.t
+  val total_held : t -> Sim.Sim_time.t
+end
+
+(* What a holder does before each request. *)
+type request =
+  | After of int  (** wait this many ns *)
+  | Next_delta  (** yield: the next delta cycle at the same instant *)
+  | At_once  (** straight after the previous release, in the same slice *)
+
+type lock_scenario = {
+  policy : Osss.Arbiter.policy;
+  grant_overhead_ns : int;
+  holders : (int * (request * int) list) list;
+      (** per holder: its own grant overhead (ns) and its
+          [(before request, hold ns)] steps; a hold of 0 releases in
+          the granting slice *)
+}
+
+let show_lock_scenario s =
+  let request = function
+    | After n -> Printf.sprintf "after %d" n
+    | Next_delta -> "next delta"
+    | At_once -> "at once"
+  in
+  Printf.sprintf "%s, grant overhead %d ns\n%s"
+    (match s.policy with
+    | Osss.Arbiter.Fcfs -> "fcfs"
+    | Round_robin -> "round robin"
+    | Static_priority -> "static priority")
+    s.grant_overhead_ns
+    (String.concat "\n"
+       (List.mapi
+          (fun i (overhead, steps) ->
+            Printf.sprintf "  h%d (+%d ns): %s" i overhead
+              (String.concat "; "
+                 (List.map
+                    (fun (r, hold) -> Printf.sprintf "%s, hold %d" (request r) hold)
+                    steps)))
+          s.holders))
+
+let lock_scenario_gen =
+  let open QCheck.Gen in
+  let request =
+    frequency
+      [ (3, map (fun n -> After n) (int_range 1 4)); (2, return Next_delta); (2, return At_once) ]
+  in
+  let hold = frequency [ (2, return 0); (3, int_range 1 5) ] in
+  let holder = pair (oneofl [ 0; 0; 2 ]) (list_size (int_range 1 6) (pair request hold)) in
+  map3
+    (fun policy grant_overhead_ns holders -> { policy; grant_overhead_ns; holders })
+    (oneofl Osss.Arbiter.[ Fcfs; Round_robin; Static_priority ])
+    (oneofl [ 0; 0; 3 ])
+    (list_size (int_range 1 6) holder)
+
+(* The grants (holder, ps, delta) in order, the lock's statistics, and
+   the telemetry without the wake-up counters. *)
+let run_lock_scenario (module L : LOCK) s =
+  let ns = Sim.Sim_time.ns in
+  let k = Sim.Kernel.create () in
+  let grants = ref [] in
+  let lock =
+    L.create k ~name:"l"
+      ~arbiter:(Osss.Arbiter.create s.policy)
+      ~grant_overhead:(ns s.grant_overhead_ns) ()
+  in
+  let sink, () =
+    Telemetry.Sink.with_sink (fun () ->
+        List.iteri
+          (fun i (overhead, steps) ->
+            let name = Printf.sprintf "h%d" i in
+            let h = L.register lock ~name ~overhead:(ns overhead) () in
+            Sim.Kernel.spawn k ~name (fun () ->
+                List.iter
+                  (fun (request, hold) ->
+                    (match request with
+                    | After n -> Sim.Kernel.wait_for (ns n)
+                    | Next_delta -> Sim.Kernel.yield ()
+                    | At_once -> ());
+                    L.acquire lock h;
+                    grants :=
+                      (i, Sim.Sim_time.to_ps (Sim.Kernel.now k), Sim.Kernel.delta_count k)
+                      :: !grants;
+                    if hold > 0 then Sim.Kernel.wait_for (ns hold);
+                    L.release lock h)
+                  steps))
+          s.holders;
+        Sim.Kernel.run k)
+  in
+  let counters =
+    List.filter
+      (fun (key, _) -> not (String.ends_with ~suffix:".wakeups" key))
+      (Telemetry.Metrics.counters (Telemetry.Sink.metrics sink))
+  in
+  ( List.rev !grants,
+    (Sim.Sim_time.to_ps (L.total_wait lock), Sim.Sim_time.to_ps (L.total_held lock)),
+    counters,
+    Telemetry.Chrome.to_string (Telemetry.Sink.events sink),
+    Sim.Kernel.live_processes k )
+
+(* Static priority, B above C. A holds the lock for 2 ms while C and
+   then B park. A's release grants B, and C stays parked until B's
+   release grants it. The broadcast lock also woke C at A's release,
+   only for C to lose to B and park again. *)
+let test_lock_wakes_only_the_winner () =
+  let wakeups (module L : LOCK) =
+    let k = Sim.Kernel.create () in
+    let lock =
+      L.create k ~name:"l"
+        ~arbiter:(Osss.Arbiter.create Osss.Arbiter.Static_priority)
+        ()
+    in
+    let holders = List.map (fun name -> (name, L.register lock ~name ())) [ "A"; "B"; "C" ] in
+    let sink, () =
+      Telemetry.Sink.with_sink (fun () ->
+          List.iter
+            (fun name ->
+              let h = List.assoc name holders in
+              Sim.Kernel.spawn k ~name (fun () ->
+                  L.acquire lock h;
+                  Sim.Kernel.wait_for (ms 2);
+                  L.release lock h))
+            [ "A"; "C"; "B" ];
+          Sim.Kernel.run k)
+    in
+    List.map
+      (fun (name, _) ->
+        Telemetry.Metrics.counter (Telemetry.Sink.metrics sink)
+          ("process." ^ name ^ ".wakeups"))
+      holders
+  in
+  Alcotest.(check (list int)) "targeted" [ 2; 3; 3 ] (wakeups (module Osss.Lock));
+  Alcotest.(check (list int)) "broadcast" [ 2; 3; 4 ]
+    (wakeups (module Broadcast_lock))
+
+let lock_matches_broadcast_qcheck =
+  QCheck.Test.make ~name:"lock grants as the broadcast lock does" ~count:1000
+    (QCheck.make ~print:show_lock_scenario lock_scenario_gen)
+    (fun s ->
+      run_lock_scenario (module Osss.Lock) s
+      = run_lock_scenario (module Broadcast_lock) s)
 
 let test_shared_object_blocking_call () =
   let result = ref 0 in
@@ -652,6 +827,9 @@ let () =
             test_lock_mutual_exclusion;
           Alcotest.test_case "re-entry rejected" `Quick
             test_lock_reentry_rejected;
+          Alcotest.test_case "release wakes only the winner" `Quick
+            test_lock_wakes_only_the_winner;
+          qc lock_matches_broadcast_qcheck;
         ] );
       ( "shared_object",
         [

@@ -575,6 +575,226 @@ let monotonic_time_qcheck =
       Sim.Kernel.run k;
       !ok)
 
+(* -- In-place time advance ----------------------------------------- *)
+
+(* [Kernel.wait_for] as it was before it could advance time in place:
+   always a suspend and a calendar entry. The reference of the property
+   below. *)
+let suspending_wait_for d =
+  let k = Sim.Kernel.self () in
+  Sim.Kernel.suspend (fun resume -> Sim.Kernel.schedule_after k d resume)
+
+(* Two processes woken by one notification: the first one's wait must
+   not run ahead of its sibling, which still runs at the notify time. *)
+let test_in_place_sibling_in_delivery () =
+  let k = Sim.Kernel.create () in
+  let e = Sim.Event.create k () in
+  let log = ref [] in
+  let say s = log := (s, Sim.Kernel.now k) :: !log in
+  Sim.Kernel.spawn k (fun () ->
+      Sim.Event.wait e;
+      Sim.Kernel.wait_for (ms 1);
+      say "first");
+  Sim.Kernel.spawn k (fun () ->
+      Sim.Event.wait e;
+      say "second");
+  Sim.Kernel.spawn k (fun () ->
+      Sim.Kernel.wait_for (ms 2);
+      Sim.Event.notify_after e (ms 1));
+  Sim.Kernel.run k;
+  Alcotest.(check (list (pair string time)))
+    "sibling at the notify time" [ ("second", ms 3); ("first", ms 4) ]
+    (List.rev !log)
+
+(* A calendar entry due exactly at [now + d] was queued first, so it
+   runs first. *)
+let test_in_place_entry_due_at_wake () =
+  let k = Sim.Kernel.create () in
+  let log = ref [] in
+  Sim.Kernel.spawn k ~name:"early" (fun () ->
+      Sim.Kernel.wait_for (ms 3);
+      log := "early" :: !log);
+  Sim.Kernel.spawn k ~name:"late" (fun () ->
+      Sim.Kernel.wait_for (ms 1);
+      Sim.Kernel.wait_for (ms 2);
+      log := "late" :: !log);
+  Sim.Kernel.run k;
+  Alcotest.(check (list string)) "queued first runs first" [ "early"; "late" ]
+    (List.rev !log);
+  Alcotest.(check int) "time advances" 2 (Sim.Kernel.time_advances k)
+
+(* A wake-up beyond [run ~until] waits for the next [run]. *)
+let test_in_place_horizon () =
+  let k = Sim.Kernel.create () in
+  let woke = ref None in
+  Sim.Kernel.spawn k (fun () ->
+      Sim.Kernel.wait_for (ms 5);
+      woke := Some (Sim.Kernel.now k));
+  Sim.Kernel.run ~until:(ms 3) k;
+  Alcotest.(check (option time)) "not before the horizon" None !woke;
+  Alcotest.check time "stopped at the horizon" (ms 3) (Sim.Kernel.now k);
+  Sim.Kernel.run k;
+  Alcotest.(check (option time)) "on the next run" (Some (ms 5)) !woke
+
+(* A process that stops the kernel and then waits is resumed by the
+   next [run], not in place. *)
+let test_in_place_stop () =
+  let k = Sim.Kernel.create () in
+  let woke = ref None in
+  Sim.Kernel.spawn k (fun () ->
+      Sim.Kernel.wait_for (ms 1);
+      Sim.Kernel.stop k;
+      Sim.Kernel.wait_for (ms 1);
+      woke := Some (Sim.Kernel.now k));
+  Sim.Kernel.run k;
+  Alcotest.(check (option time)) "stopped before the wake-up" None !woke;
+  Alcotest.check time "at the stop" (ms 1) (Sim.Kernel.now k);
+  Sim.Kernel.run k;
+  Alcotest.(check (option time)) "on the next run" (Some (ms 2)) !woke
+
+(* Random process programs, run once with [Kernel.wait_for] and once
+   with [suspending_wait_for]: every step must happen in the same
+   process order, at the same instant and in the same delta cycle, and
+   the time advances, races and telemetry (wake-up counters included)
+   must be the same. *)
+type op =
+  | Wait of int  (** [wait_for] this many ns; 0 is the next delta *)
+  | Yield
+  | Notify of int
+  | Notify_now of int
+  | Notify_after of int * int
+  | Wait_event of int
+  | Wait_any of int list
+  | Write of int * int
+  | Wait_change of int
+  | Locked of int * int  (** hold lock [l] for [n] ns *)
+  | Spawn of op list
+  | Stop
+
+let rec show_op = function
+  | Wait n -> Printf.sprintf "wait %d" n
+  | Yield -> "yield"
+  | Notify e -> Printf.sprintf "notify e%d" e
+  | Notify_now e -> Printf.sprintf "notify_immediate e%d" e
+  | Notify_after (e, n) -> Printf.sprintf "notify_after e%d %d" e n
+  | Wait_event e -> Printf.sprintf "wait e%d" e
+  | Wait_any es ->
+    Printf.sprintf "wait_any [%s]"
+      (String.concat " " (List.map (Printf.sprintf "e%d") es))
+  | Write (s, v) -> Printf.sprintf "write s%d %d" s v
+  | Wait_change s -> Printf.sprintf "wait_change s%d" s
+  | Locked (l, n) -> Printf.sprintf "lock l%d for %d" l n
+  | Spawn ops -> Printf.sprintf "spawn {%s}" (String.concat "; " (List.map show_op ops))
+  | Stop -> "stop"
+
+type program = { horizons : int list; processes : op list list }
+
+let show_program p =
+  Printf.sprintf "run until %s, then to the end\n%s"
+    (String.concat ", " (List.map string_of_int p.horizons))
+    (String.concat "\n"
+       (List.mapi
+          (fun i ops ->
+            Printf.sprintf "  p%d: %s" i (String.concat "; " (List.map show_op ops)))
+          p.processes))
+
+let events = 2
+let signals = 2
+let locks = 2
+
+let program_gen =
+  let open QCheck.Gen in
+  let ns = int_range 0 4 in
+  let base =
+    frequency
+      [
+        (6, map (fun n -> Wait n) ns);
+        (2, return Yield);
+        (2, map (fun e -> Notify e) (int_bound (events - 1)));
+        (1, map (fun e -> Notify_now e) (int_bound (events - 1)));
+        (2, map2 (fun e n -> Notify_after (e, n)) (int_bound (events - 1)) ns);
+        (2, map (fun e -> Wait_event e) (int_bound (events - 1)));
+        (1, map (fun es -> Wait_any es) (list_size (int_range 1 events) (int_bound (events - 1))));
+        (2, map2 (fun s v -> Write (s, v)) (int_bound (signals - 1)) (int_bound 2));
+        (1, map (fun s -> Wait_change s) (int_bound (signals - 1)));
+        (3, map2 (fun l n -> Locked (l, n)) (int_bound (locks - 1)) ns);
+        (1, return Stop);
+      ]
+  in
+  let op =
+    frequency [ (12, base); (1, map (fun ops -> Spawn ops) (list_size (int_range 1 4) base)) ]
+  in
+  map2
+    (fun horizons processes -> { horizons = List.sort compare horizons; processes })
+    (list_size (int_range 0 2) (int_range 0 12))
+    (list_size (int_range 1 4) (list_size (int_range 1 8) op))
+
+let run_program wait p =
+  let k = Sim.Kernel.create () in
+  let evs = Array.init events (fun i -> Sim.Event.create k ~name:(Printf.sprintf "e%d" i) ()) in
+  let sigs = Array.init signals (fun i -> Sim.Signal.create k ~name:(Printf.sprintf "s%d" i) 0) in
+  let lks =
+    Array.init locks (fun i ->
+        Osss.Lock.create k ~name:(Printf.sprintf "l%d" i)
+          ~arbiter:(Osss.Arbiter.create Osss.Arbiter.Fcfs) ())
+  in
+  let log = ref [] in
+  let stops = ref 0 in
+  let rec spawn name ops =
+    let holders =
+      Array.map (fun l -> Osss.Lock.register l ~name ()) lks
+    in
+    Sim.Kernel.spawn k ~name (fun () ->
+        List.iteri
+          (fun step op ->
+            (match op with
+            | Wait n -> wait (ns n)
+            | Yield -> Sim.Kernel.yield ()
+            | Notify e -> Sim.Event.notify evs.(e)
+            | Notify_now e -> Sim.Event.notify_immediate evs.(e)
+            | Notify_after (e, n) -> Sim.Event.notify_after evs.(e) (ns n)
+            | Wait_event e -> Sim.Event.wait evs.(e)
+            | Wait_any es -> Sim.Event.wait_any (List.map (fun e -> evs.(e)) es)
+            | Write (s, v) -> Sim.Signal.write sigs.(s) v
+            | Wait_change s -> Sim.Signal.wait_change sigs.(s)
+            | Locked (l, n) ->
+              Osss.Lock.with_lock lks.(l) holders.(l) (fun () ->
+                  if n > 0 then wait (ns n))
+            | Spawn ops -> spawn (Printf.sprintf "%s.%d" name step) ops
+            | Stop ->
+              incr stops;
+              Sim.Kernel.stop k);
+            log :=
+              (name, step, Sim.Sim_time.to_ps (Sim.Kernel.now k), Sim.Kernel.delta_count k)
+              :: !log)
+          ops)
+  in
+  let sink, () =
+    Telemetry.Sink.with_sink (fun () ->
+        List.iteri (fun i ops -> spawn (Printf.sprintf "p%d" i) ops) p.processes;
+        List.iter (fun h -> Sim.Kernel.run ~until:(ns h) k) p.horizons;
+        (* One more run per stop, so every program runs to its end. *)
+        let runs = ref 0 in
+        while !runs <= !stops do
+          incr runs;
+          Sim.Kernel.run k
+        done)
+  in
+  ( List.rev !log,
+    Sim.Sim_time.to_ps (Sim.Kernel.now k),
+    Sim.Kernel.delta_count k,
+    Sim.Kernel.time_advances k,
+    Sim.Kernel.live_process_names k,
+    List.map (fun r -> (r.Sim.Kernel.race_signal, r.race_first, r.race_second, r.race_delta))
+      (Sim.Kernel.races k),
+    Telemetry.Metrics.counters (Telemetry.Sink.metrics sink),
+    Telemetry.Chrome.to_string (Telemetry.Sink.events sink) )
+
+let in_place_matches_suspend_qcheck =
+  QCheck.Test.make ~name:"wait_for in place = wait_for by suspend" ~count:3000
+    (QCheck.make ~print:show_program program_gen)
+    (fun p -> run_program Sim.Kernel.wait_for p = run_program suspending_wait_for p)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
@@ -608,6 +828,16 @@ let () =
           Alcotest.test_case "live process names" `Quick
             test_live_process_names;
           qc monotonic_time_qcheck;
+        ] );
+      ( "advance",
+        [
+          Alcotest.test_case "sibling in a delivery" `Quick
+            test_in_place_sibling_in_delivery;
+          Alcotest.test_case "entry due at the wake-up" `Quick
+            test_in_place_entry_due_at_wake;
+          Alcotest.test_case "until horizon" `Quick test_in_place_horizon;
+          Alcotest.test_case "stop" `Quick test_in_place_stop;
+          qc in_place_matches_suspend_qcheck;
         ] );
       ( "event",
         [
