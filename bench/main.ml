@@ -94,13 +94,13 @@ let mq_payload =
       (!state lsr 7) land 1)
 
 let mq_roundtrip () =
-  let ctx = Jpeg2000.Mq.context () in
+  let ctx = [| 0 |] in
   let enc = Jpeg2000.Mq.encoder () in
-  Array.iter (Jpeg2000.Mq.encode enc ctx) mq_payload;
+  Array.iter (Jpeg2000.Mq.encode enc ctx 0) mq_payload;
   let data = Jpeg2000.Mq.flush enc in
-  let ctx' = Jpeg2000.Mq.context () in
-  let dec = Jpeg2000.Mq.decoder data in
-  Array.iter (fun _ -> ignore (Jpeg2000.Mq.decode dec ctx')) mq_payload
+  let ctx' = [| 0 |] in
+  let dec = Jpeg2000.T1.mq_decoder data in
+  Array.iter (fun _ -> ignore (Jpeg2000.T1.mq_decode dec ctx' 0)) mq_payload
 
 let dwt_coeffs = Array.init (128 * 128) (fun i -> ((i * 37) mod 511) - 255)
 

@@ -4,23 +4,29 @@ type t = { policy : policy; mutable last_grant : int }
 
 let create policy = { policy; last_grant = -1 }
 
-let min_list = function
-  | [] -> None
-  | x :: rest -> Some (List.fold_left Stdlib.min x rest)
+let free = -1
 
 (* Round-robin: the smallest id strictly greater than the last grant,
-   wrapping to the overall smallest when none is greater. *)
-let round_robin_choice t pending =
-  let greater = List.filter (fun id -> id > t.last_grant) pending in
-  match min_list greater with Some id -> Some id | None -> min_list pending
+   wrapping to the overall smallest when none is greater. One pass,
+   no allocation: [above] is [free] until an id above the last grant
+   is seen. *)
+let rec round_robin_choice last above least = function
+  | [] -> if above = free then least else above
+  | id :: rest ->
+    let above = if id > last && (above = free || id < above) then id else above in
+    round_robin_choice last above (if id < least then id else least) rest
+
+let rec lowest least = function
+  | [] -> least
+  | id :: rest -> lowest (if id < least then id else least) rest
 
 let choose t ~pending =
   match pending with
-  | [] -> None
-  | first :: _ -> (
+  | [] -> free
+  | first :: rest -> (
     match t.policy with
-    | Fcfs -> Some first
-    | Static_priority -> min_list pending
-    | Round_robin -> round_robin_choice t pending)
+    | Fcfs -> first
+    | Static_priority -> lowest first rest
+    | Round_robin -> round_robin_choice t.last_grant free first pending)
 
 let note_grant t id = t.last_grant <- id

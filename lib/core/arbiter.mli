@@ -15,10 +15,11 @@ type t
 
 val create : policy -> t
 
-val choose : t -> pending:int list -> int option
+val choose : t -> pending:int list -> int
 (** [choose t ~pending] picks a client id from [pending] (given in
-    arrival order) without changing the arbiter state. [None] iff
-    [pending] is empty. *)
+    arrival order) without changing the arbiter state, or returns -1
+    iff [pending] is empty. Client ids are non-negative. It allocates
+    nothing: a lock asks it on every grant test. *)
 
 val note_grant : t -> int -> unit
 (** Informs the arbiter that the given client was granted; updates

@@ -55,10 +55,16 @@ let transfer t master ~words =
     while !remaining > 0 do
       let burst = Stdlib.min !remaining t.max_burst_words in
       remaining := !remaining - burst;
-      Lock.with_lock t.lock master (fun () ->
-          Eet.consume
-            (Sim.Sim_time.cycles ~hz:t.clock_hz
-               (burst_cycles t ~burst_words:burst)))
+      (* [Lock.with_lock] without its per-burst closure. *)
+      Lock.acquire t.lock master;
+      match
+        Eet.consume
+          (Sim.Sim_time.cycles ~hz:t.clock_hz (burst_cycles t ~burst_words:burst))
+      with
+      | () -> Lock.release t.lock master
+      | exception exn ->
+        Lock.release t.lock master;
+        raise exn
     done
   end
 

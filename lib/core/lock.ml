@@ -54,11 +54,7 @@ let remove_pending t id =
 (* The lock is free and the arbiter picks [holder] among the pending
    requests. *)
 let grantable t holder =
-  t.owner = free
-  &&
-  match Arbiter.choose t.arbiter ~pending:t.pending with
-  | Some id -> id = holder.id
-  | None -> false
+  t.owner = free && Arbiter.choose t.arbiter ~pending:t.pending = holder.id
 
 let acquire t holder =
   if t.owner = holder.id then

@@ -51,42 +51,25 @@ let qe_table =
     (0x5601, 46, 46, 0);
   |]
 
-(* The table's four columns as flat int arrays, derived once: a
-   lookup per coded decision is one array load, not a load of a boxed
-   row plus a field. *)
-let column f = Array.map f qe_table
-let qe_col = column (fun (v, _, _, _) -> v)
-let nmps_col = column (fun (_, v, _, _) -> v)
-let nlps_col = column (fun (_, _, v, _) -> v)
-let switch_col = column (fun (_, _, _, v) -> v)
-let qe i = qe_col.(i)
-let nmps i = nmps_col.(i)
-let nlps i = nlps_col.(i)
-let switch i = switch_col.(i)
-
 let num_states = Array.length qe_table
+
+(* The table as three flat arrays over packed context states
+   [(index lsl 1) lor mps], derived once: a decision is one load of
+   Qe and one load of the next state, with the MPS switch of an LPS
+   already folded into [after_lps]. *)
+let packed f =
+  Array.init (2 * num_states) (fun st -> f qe_table.(st lsr 1) (st land 1))
+
+let qe = packed (fun (q, _, _, _) _ -> q)
+let after_mps = packed (fun (_, nmps, _, _) mps -> (nmps lsl 1) lor mps)
+
+let after_lps =
+  packed (fun (_, _, nlps, switch) mps -> (nlps lsl 1) lor (mps lxor switch))
 
 let state i =
   if i < 0 || i >= num_states then invalid_arg "Mq.state: index";
-  (qe i, nmps i, nlps i, switch i)
-
-type context = { mutable index : int; mutable mps : int }
-
-let check_state index mps =
-  if index < 0 || index >= num_states then
-    invalid_arg "Mq.context: index";
-  if mps <> 0 && mps <> 1 then invalid_arg "Mq.context: mps"
-
-let context ?(index = 0) ?(mps = 0) () =
-  check_state index mps;
-  { index; mps }
-
-let reset_context ctx ~index ~mps =
-  check_state index mps;
-  ctx.index <- index;
-  ctx.mps <- mps
-
-let context_mps ctx = ctx.mps
+  let st = i lsl 1 in
+  (qe.(st), after_mps.(st) lsr 1, after_lps.(st) lsr 1, after_lps.(st) land 1)
 
 (* -- Encoder --------------------------------------------------------
 
@@ -155,15 +138,16 @@ let renorm_enc e =
     if e.a land 0x8000 <> 0 then continue := false
   done
 
-let encode e ctx bit =
+let encode e contexts i bit =
   if bit <> 0 && bit <> 1 then invalid_arg "Mq.encode: bit";
-  let q = qe ctx.index in
-  if bit = ctx.mps then begin
+  let st = contexts.(i) in
+  let q = qe.(st) in
+  if bit = st land 1 then begin
     (* CODEMPS *)
     e.a <- e.a - q;
     if e.a land 0x8000 = 0 then begin
       if e.a < q then e.a <- q else e.c <- e.c + q;
-      ctx.index <- nmps ctx.index;
+      contexts.(i) <- after_mps.(st);
       renorm_enc e
     end
     else e.c <- e.c + q
@@ -172,8 +156,7 @@ let encode e ctx bit =
     (* CODELPS *)
     e.a <- e.a - q;
     if e.a < q then e.c <- e.c + q else e.a <- q;
-    if switch ctx.index = 1 then ctx.mps <- 1 - ctx.mps;
-    ctx.index <- nlps ctx.index;
+    contexts.(i) <- after_lps.(st);
     renorm_enc e
   end
 
@@ -190,101 +173,3 @@ let flush e =
      virtual first byte. *)
   let stop = if last_byte e = 0xFF then e.len - 1 else e.len in
   Bytes.sub_string e.bytes 1 (stop - 1)
-
-(* -- Decoder ------------------------------------------------------- *)
-
-type decoder = {
-  data : string;
-  mutable pos : int; (* index of the byte B currently in use *)
-  mutable d_a : int;
-  mutable d_c : int;
-  mutable d_ct : int;
-}
-
-let byte_at d i =
-  if i < String.length d.data then Char.code d.data.[i] else 0xFF
-
-let bytein d =
-  if byte_at d d.pos = 0xFF then begin
-    if byte_at d (d.pos + 1) > 0x8F then begin
-      (* Marker (or synthesised end): feed 1-bits forever. *)
-      d.d_c <- d.d_c + 0xFF00;
-      d.d_ct <- 8
-    end
-    else begin
-      d.pos <- d.pos + 1;
-      d.d_c <- d.d_c + (byte_at d d.pos lsl 9);
-      d.d_ct <- 7
-    end
-  end
-  else begin
-    d.pos <- d.pos + 1;
-    d.d_c <- d.d_c + (byte_at d d.pos lsl 8);
-    d.d_ct <- 8
-  end
-
-let decoder data =
-  let d = { data; pos = 0; d_a = 0; d_c = 0; d_ct = 0 } in
-  d.d_c <- byte_at d 0 lsl 16;
-  bytein d;
-  d.d_c <- (d.d_c lsl 7) land 0xFFFFFFFF;
-  d.d_ct <- d.d_ct - 7;
-  d.d_a <- 0x8000;
-  d
-
-let renorm_dec d =
-  let continue = ref true in
-  while !continue do
-    if d.d_ct = 0 then bytein d;
-    d.d_a <- (d.d_a lsl 1) land 0xFFFF;
-    d.d_c <- (d.d_c lsl 1) land 0xFFFFFFFF;
-    d.d_ct <- d.d_ct - 1;
-    if d.d_a land 0x8000 <> 0 then continue := false
-  done
-
-let decode d ctx =
-  let q = qe ctx.index in
-  d.d_a <- d.d_a - q;
-  let decision =
-    if (d.d_c lsr 16) land 0xFFFF < q then begin
-      (* LPS path (chigh < Qe): conditional exchange *)
-      let bit =
-        if d.d_a < q then begin
-          let bit = ctx.mps in
-          ctx.index <- nmps ctx.index;
-          bit
-        end
-        else begin
-          let bit = 1 - ctx.mps in
-          if switch ctx.index = 1 then ctx.mps <- 1 - ctx.mps;
-          ctx.index <- nlps ctx.index;
-          bit
-        end
-      in
-      d.d_a <- q;
-      renorm_dec d;
-      bit
-    end
-    else begin
-      d.d_c <- d.d_c - (q lsl 16);
-      if d.d_a land 0x8000 = 0 then begin
-        let bit =
-          if d.d_a < q then begin
-            let bit = 1 - ctx.mps in
-            if switch ctx.index = 1 then ctx.mps <- 1 - ctx.mps;
-            ctx.index <- nlps ctx.index;
-            bit
-          end
-          else begin
-            let bit = ctx.mps in
-            ctx.index <- nmps ctx.index;
-            bit
-          end
-        in
-        renorm_dec d;
-        bit
-      end
-      else ctx.mps
-    end
-  in
-  decision

@@ -1,29 +1,39 @@
-(** MQ binary arithmetic coder (ISO/IEC 15444-1, Annex C).
+(** MQ binary arithmetic coder (ISO/IEC 15444-1, Annex C): the
+    probability estimation table and the encoder.
 
     The adaptive arithmetic coder underneath EBCOT: a 47-state
     probability estimation table, conditional MPS/LPS exchange,
     byte-stuffing after [0xFF], and the standard FLUSH termination.
-    Contexts carry the adaptive state (table index + current MPS) and
-    are shared between the Tier-1 passes exactly as in the standard.
 
-    The encoder and decoder here are mutually consistent by
-    construction and are exercised against each other by property
-    tests with random context/bit sequences. *)
+    A context is one [int], its packed state [(index lsl 1) lor mps]
+    (table index 0..46, current MPS 0..1), held in an [int array] the
+    coder updates in place. The Tier-1 passes share one array of 19
+    contexts exactly as in the standard. The decoder is
+    {!T1.mq_decode}: it lives with the passes that make nearly all its
+    decisions, so that the decision compiles into them. Encoder and
+    decoder are exercised against each other by property tests with
+    random context/bit sequences. *)
 
 val state : int -> int * int * int * int
 (** [(Qe, NMPS, NLPS, SWITCH)] of one of the 47 states of the
-    probability estimation table (Table C.2), read back from the flat
-    per-column arrays the coder indexes on every decision. Raises
-    [Invalid_argument] outside [0 .. 46]. *)
+    probability estimation table (Table C.2), read back from the packed
+    arrays below. Raises [Invalid_argument] outside [0 .. 46]. *)
 
-type context
+(** {1 Packed-state tables}
 
-val context : ?index:int -> ?mps:int -> unit -> context
-(** Fresh context, default state (index 0, MPS 0). Raises
-    [Invalid_argument] outside index 0..46 or mps 0..1. *)
+    Table C.2 indexed by packed state [st = (index lsl 1) lor mps],
+    94 entries each. Read-only. *)
 
-val reset_context : context -> index:int -> mps:int -> unit
-val context_mps : context -> int
+val qe : int array
+(** [qe.(st)] is the state's Qe. *)
+
+val after_mps : int array
+(** [after_mps.(st)] is the packed state after coding an MPS: table
+    index NMPS, same MPS. *)
+
+val after_lps : int array
+(** [after_lps.(st)] is the packed state after coding an LPS: table
+    index NLPS, the MPS flipped where SWITCH is 1. *)
 
 (** {1 Encoding} *)
 
@@ -31,20 +41,10 @@ type encoder
 
 val encoder : unit -> encoder
 
-val encode : encoder -> context -> int -> unit
-(** Codes one binary decision (0 or 1) in the given context. *)
+val encode : encoder -> int array -> int -> int -> unit
+(** [encode e contexts i bit] codes one binary decision (0 or 1) in
+    context [contexts.(i)] and updates that context's state. *)
 
 val flush : encoder -> string
 (** Terminates the codeword (SETBITS + two BYTEOUTs) and returns the
     bytes. The encoder must not be used afterwards. *)
-
-(** {1 Decoding} *)
-
-type decoder
-
-val decoder : string -> decoder
-(** Initialises decoding over a terminated codeword. Reading past the
-    end behaves as if [0xFF] bytes followed, per the standard. *)
-
-val decode : decoder -> context -> int
-(** Decodes one binary decision. *)

@@ -4,24 +4,148 @@ let ctx_rl = 17
 let ctx_uni = 18
 let num_contexts = 19
 
-(* Initial context states, ISO Table D.7. *)
-let fresh_contexts () =
+(* Initial context states, ISO Table D.7, packed as [Mq] holds them
+   ([(index lsl 1) lor mps], MPS 0): zero-coding context 0 starts at
+   index 4, run-length at 3, uniform at 46, the rest at 0. *)
+let initial_contexts =
   Array.init num_contexts (fun i ->
-      if i = 0 then Mq.context ~index:4 ()
-      else if i = ctx_rl then Mq.context ~index:3 ()
-      else if i = ctx_uni then Mq.context ~index:46 ()
-      else Mq.context ())
+      if i = 0 then 4 lsl 1
+      else if i = ctx_rl then 3 lsl 1
+      else if i = ctx_uni then 46 lsl 1
+      else 0)
+
+let fresh_contexts () = Array.copy initial_contexts
+let reset_contexts cx = Array.blit initial_contexts 0 cx 0 num_contexts
+
+(* -- MQ decoder (ISO/IEC 15444-1, C.3) ---------------------------------
+
+   The decoder lives here, beside the passes that make nearly all its
+   decisions, because the build passes [-opaque]: nothing inlines
+   across modules, so a decision in [Mq] would be a real call per
+   coded bit. Here [decide] and its RENORMD are [@inline] and compile
+   into every pass. The registers sit in one record of immediate
+   fields, which a block's passes reuse from segment to segment
+   ([mq_start]). *)
+
+type mq_decoder = {
+  mutable data : string;
+  mutable pos : int; (* index of the byte B currently in use *)
+  mutable a : int;
+  mutable c : int;
+  mutable ct : int;
+}
+
+let byte_at d i = if i < String.length d.data then Char.code d.data.[i] else 0xFF
+
+(* BYTEIN. *)
+let bytein d =
+  if byte_at d d.pos = 0xFF then begin
+    if byte_at d (d.pos + 1) > 0x8F then begin
+      (* Marker (or synthesised end): feed 1-bits forever. *)
+      d.c <- d.c + 0xFF00;
+      d.ct <- 8
+    end
+    else begin
+      d.pos <- d.pos + 1;
+      d.c <- d.c + (byte_at d d.pos lsl 9);
+      d.ct <- 7
+    end
+  end
+  else begin
+    d.pos <- d.pos + 1;
+    d.c <- d.c + (byte_at d d.pos lsl 8);
+    d.ct <- 8
+  end
+
+(* INITDEC over a new codeword, in place. *)
+let mq_start d data =
+  d.data <- data;
+  d.pos <- 0;
+  d.c <- byte_at d 0 lsl 16;
+  bytein d;
+  d.c <- (d.c lsl 7) land 0xFFFFFFFF;
+  d.ct <- d.ct - 7;
+  d.a <- 0x8000
+
+let mq_blank () = { data = ""; pos = 0; a = 0; c = 0; ct = 0 }
+
+let mq_decoder data =
+  let d = mq_blank () in
+  mq_start d data;
+  d
+
+(* RENORMD, with A, C and CT in locals for the loop; BYTEIN reads and
+   writes C and CT through the record. *)
+let[@inline] renorm d =
+  let a = ref d.a and c = ref d.c and ct = ref d.ct in
+  while !a land 0x8000 = 0 do
+    if !ct = 0 then begin
+      d.c <- !c;
+      bytein d;
+      c := d.c;
+      ct := d.ct
+    end;
+    a := (!a lsl 1) land 0xFFFF;
+    c := (!c lsl 1) land 0xFFFFFFFF;
+    decr ct
+  done;
+  d.a <- !a;
+  d.c <- !c;
+  d.ct <- !ct
+
+(* DECODE: one decision in context [cx.(i)], whose packed state it
+   advances through [Mq]'s tables. *)
+let[@inline] decide d cx i =
+  let st = cx.(i) in
+  let q = Mq.qe.(st) in
+  let a = d.a - q in
+  if (d.c lsr 16) land 0xFFFF < q then begin
+    (* LPS path (chigh < Qe): conditional exchange *)
+    let bit =
+      if a < q then begin
+        cx.(i) <- Mq.after_mps.(st);
+        st land 1
+      end
+      else begin
+        cx.(i) <- Mq.after_lps.(st);
+        (st land 1) lxor 1
+      end
+    in
+    d.a <- q;
+    renorm d;
+    bit
+  end
+  else begin
+    d.c <- d.c - (q lsl 16);
+    d.a <- a;
+    if a land 0x8000 <> 0 then st land 1
+    else begin
+      let bit =
+        if a < q then begin
+          cx.(i) <- Mq.after_lps.(st);
+          (st land 1) lxor 1
+        end
+        else begin
+          cx.(i) <- Mq.after_mps.(st);
+          st land 1
+        end
+      in
+      renorm d;
+      bit
+    end
+  end
+
+let mq_decode = decide
 
 (* -- packed coefficient state ----------------------------------------
 
-   One flags word per coefficient replaces the five per-coefficient
-   byte arrays (significant/sign/became/visited/refined) the coder
-   used to probe: the word carries the coefficient's own state plus
-   the significance of all eight neighbours and the sign of the four
-   horizontal/vertical ones, maintained incrementally when a
-   coefficient becomes significant. Context formation then reads one
-   word and one LUT entry instead of paying eight bounds-checked
-   probes per decision (the OpenJPEG flag layout idea). The array is
+   The generic passes below (the encoder, and the [~lut:false]
+   reference decoder) keep one flags word per coefficient: the
+   coefficient's own state plus the significance of all eight
+   neighbours and the sign of the four horizontal/vertical ones,
+   maintained incrementally when a coefficient becomes significant.
+   Context formation then reads one word and one LUT entry instead of
+   paying eight bounds-checked probes per decision. The array is
    padded by one cell on every side so neighbour updates never branch
    on block edges. *)
 
@@ -60,7 +184,7 @@ type blk = {
   lut : bool; (* false: reference per-probe context formation *)
   flags : int array; (* (w + 2) * (h + 2), padded *)
   zc_lut : int array; (* the orientation's zero-coding table *)
-  contexts : Mq.context array;
+  contexts : int array;
 }
 
 let pos b x y = ((y + 1) * b.stride) + (x + 1)
@@ -84,6 +208,11 @@ let zc_hh hv d =
   else if hv >= 2 then 2
   else if hv = 1 then 1
   else 0
+
+let zc_of_orientation = function
+  | Subband.LL | Subband.LH -> zc_primary
+  | Subband.HL -> fun h v d -> zc_primary v h d
+  | Subband.HH -> fun h v d -> zc_hh (h + v) d
 
 (* Sign-coding context and XOR bit, ISO Tables D.2/D.3, from the
    clamped horizontal and vertical sign contributions. *)
@@ -110,9 +239,9 @@ let build_zc f =
       let d = b 4 + b 5 + b 6 + b 7 in
       f h v d)
 
-let lut_zc_primary = build_zc zc_primary
-let lut_zc_swapped = build_zc (fun h v d -> zc_primary v h d)
-let lut_zc_hh = build_zc (fun h v d -> zc_hh (h + v) d)
+let lut_zc_primary = build_zc (zc_of_orientation Subband.LL)
+let lut_zc_swapped = build_zc (zc_of_orientation Subband.HL)
+let lut_zc_hh = build_zc (zc_of_orientation Subband.HH)
 
 (* Sign-coding LUT, indexed by [sig W E N S | sign W E N S] (8 bits);
    each entry packs [(context lsl 1) lor xor]. *)
@@ -162,10 +291,7 @@ let neighbour_counts b x y =
 
 let zc_context_ref b x y =
   let h, v, d = neighbour_counts b x y in
-  match b.orientation with
-  | Subband.LL | Subband.LH -> zc_primary h v d
-  | Subband.HL -> zc_primary v h d
-  | Subband.HH -> zc_hh (h + v) d
+  zc_of_orientation b.orientation h v d
 
 let sign_contribution b x y =
   if not (sig_at b x y) then 0
@@ -333,38 +459,28 @@ let cleanup_pass b io ~plane =
   done
 
 (* End of a plane: every visited/became bit drops (padding cells
-   never carry them, so sweeping the whole padded block is safe). The
-   sweep stops at the block's own extent — a scratch flags array may
-   be longer than this block needs. *)
+   never carry them, so sweeping the whole padded block is safe). *)
 let clear_plane_flags b =
   let fl = b.flags in
   let keep = lnot (f_visited lor f_became) in
-  for i = 0 to (b.stride * (b.h + 2)) - 1 do
+  for i = 0 to Array.length fl - 1 do
     fl.(i) <- fl.(i) land keep
   done
 
-let code_plane b io ~plane ~first =
-  if not first then begin
-    significance_pass b io ~plane;
-    refinement_pass b io ~plane
-  end;
-  cleanup_pass b io ~plane;
-  clear_plane_flags b
-
-(* The same plane schedule expressed as the standard pass sequence:
-   the top plane has only its cleanup pass, every lower plane runs
-   significance propagation, refinement, cleanup. *)
+(* The standard pass sequence, pass [i] of a block with [planes]
+   bit-planes: the top plane has only its cleanup pass, every lower
+   plane runs significance propagation, refinement, cleanup. *)
 type pass_kind = Significance | Refinement | Cleanup
 
-let pass_schedule ~planes =
-  List.concat
-    (List.init planes (fun i ->
-         let plane = planes - 1 - i in
-         if i = 0 then [ (Cleanup, plane) ]
-         else [ (Significance, plane); (Refinement, plane); (Cleanup, plane) ]))
+let pass_plane ~planes i = if i = 0 then planes - 1 else planes - 2 - ((i - 1) / 3)
 
-let run_pass b io (kind, plane) =
-  match kind with
+let pass_kind i =
+  if i = 0 then Cleanup
+  else match (i - 1) mod 3 with 0 -> Significance | 1 -> Refinement | _ -> Cleanup
+
+let run_pass b io ~planes i =
+  let plane = pass_plane ~planes i in
+  match pass_kind i with
   | Significance -> significance_pass b io ~plane
   | Refinement -> refinement_pass b io ~plane
   | Cleanup ->
@@ -394,12 +510,12 @@ let make_encoder_io b enc coeffs w =
     coeff_bit =
       (fun ~x ~y ~plane ~ctx ->
         let bit = bit_of x y plane in
-        Mq.encode !enc b.contexts.(ctx) bit;
+        Mq.encode !enc b.contexts ctx bit;
         bit);
     sign_bit =
       (fun ~x ~y ~ctx ~xor ->
         let s = if coeffs.((y * w) + x) < 0 then 1 else 0 in
-        Mq.encode !enc b.contexts.(ctx) (s lxor xor);
+        Mq.encode !enc b.contexts ctx (s lxor xor);
         s);
     rl_bit =
       (fun ~x ~y0 ~plane ->
@@ -407,14 +523,14 @@ let make_encoder_io b enc coeffs w =
         for y = y0 to y0 + 3 do
           if bit_of x y plane = 1 then any := 1
         done;
-        Mq.encode !enc b.contexts.(ctx_rl) !any;
+        Mq.encode !enc b.contexts ctx_rl !any;
         !any);
     uni_pos =
       (fun ~x ~y0 ~plane ->
         let rec first r = if bit_of x (y0 + r) plane = 1 then r else first (r + 1) in
         let r = first 0 in
-        Mq.encode !enc b.contexts.(ctx_uni) ((r lsr 1) land 1);
-        Mq.encode !enc b.contexts.(ctx_uni) (r land 1);
+        Mq.encode !enc b.contexts ctx_uni ((r lsr 1) land 1);
+        Mq.encode !enc b.contexts ctx_uni (r land 1);
         r);
     on_significant = (fun ~x:_ ~y:_ ~plane:_ -> ());
     on_refine = (fun ~x:_ ~y:_ ~plane:_ ~bit:_ -> ());
@@ -428,216 +544,294 @@ let encode_block ?lut ~orientation ~w ~h coeffs =
     let b = make_blk ?lut ~orientation ~w ~h () in
     let enc = ref (Mq.encoder ()) in
     let io = make_encoder_io b enc coeffs w in
-    for plane = planes - 1 downto 0 do
-      code_plane b io ~plane ~first:(plane = planes - 1)
+    for i = 0 to total_passes ~planes - 1 do
+      run_pass b io ~planes i
     done;
     (planes, Mq.flush !enc)
   end
 
 (* The generic driver's decoder: the [~lut:false] reference the
-   specialised passes below are checked against. *)
-let make_decoder_io b dec magnitudes w =
+   column-word passes below are checked against. *)
+let make_decoder_io b d magnitudes w =
   let set_bit x y plane =
     magnitudes.((y * w) + x) <- magnitudes.((y * w) + x) lor (1 lsl plane)
   in
   {
-    coeff_bit = (fun ~x:_ ~y:_ ~plane:_ ~ctx -> Mq.decode !dec b.contexts.(ctx));
-    sign_bit = (fun ~x:_ ~y:_ ~ctx ~xor -> Mq.decode !dec b.contexts.(ctx) lxor xor);
-    rl_bit = (fun ~x:_ ~y0:_ ~plane:_ -> Mq.decode !dec b.contexts.(ctx_rl));
+    coeff_bit = (fun ~x:_ ~y:_ ~plane:_ ~ctx -> decide d b.contexts ctx);
+    sign_bit = (fun ~x:_ ~y:_ ~ctx ~xor -> decide d b.contexts ctx lxor xor);
+    rl_bit = (fun ~x:_ ~y0:_ ~plane:_ -> decide d b.contexts ctx_rl);
     uni_pos =
       (fun ~x:_ ~y0:_ ~plane:_ ->
-        let hi = Mq.decode !dec b.contexts.(ctx_uni) in
-        let lo = Mq.decode !dec b.contexts.(ctx_uni) in
+        let hi = decide d b.contexts ctx_uni in
+        let lo = decide d b.contexts ctx_uni in
         (hi lsl 1) lor lo);
     on_significant = (fun ~x ~y ~plane -> set_bit x y plane);
     on_refine = (fun ~x ~y ~plane ~bit -> if bit = 1 then set_bit x y plane);
   }
 
-(* -- decoder-specialised passes ----------------------------------------
+(* -- decoding passes on stripe-column words -----------------------------
 
-   The three passes once more, for decoding only. Each decision costs
-   its MQ decode and the arithmetic around it: the passes take the
-   [Mq.decoder], the block's contexts and the magnitude buffer
-   directly (no [io] closures, no [ref] to dereference), form zero-
-   and sign-coding contexts from the packed flags word through the
-   LUTs (no [lut] test, no context-function call), and walk each
-   stripe column by adding the flags stride and the magnitude row
-   width to two positions. The order of decisions, context choices
-   and flag updates is the generic driver's exactly, so the output is
-   bit-identical; the [~lut:false] cross-check in the tests pins it. *)
+   The three passes once more, for decoding only, over one word per
+   four-row stripe column (OpenJPEG's layout). The word array is
+   padded by one column and one stripe on every side. Word bits:
+
+   - 0-17: significance of the column's 3x6 neighbourhood, rows -1..4
+     of the stripe (i = 0..5) by column W, self, E (c = 0..2) at bit
+     [3i + c]. Row r's 3x3 window is bits [3r .. 3r + 8], in the order
+     NW N NE W self E SW S SE.
+   - 18-23: sign (1 = negative) of the column's own rows -1..4.
+   - 24-27: refined, rows 0..3.
+   - 28-31: visited in this bit-plane, rows 0..3.
+
+   Rows -1 and 4 repeat the neighbouring stripes' edge rows, so a
+   significance change writes three words, six at a stripe edge. A
+   pass skips a column on one load: the significance pass when the
+   word is 0, the refinement pass when no own row is significant. The
+   run-length test of the cleanup pass is word = 0. One 512-entry
+   table per orientation maps a row's window to its context: with the
+   self bit clear, the zero-coding context (Table D.1); with it set,
+   the refinement context 14 or 15 (Table D.4). The cleanup pass
+   clears a column's visited bits as it leaves it, so no sweep ends a
+   plane. The order of decisions and the context of each are those of
+   the generic passes, so the output is bit-identical; the tests pin
+   it against [~lut:false]. *)
+
+let sig_rows = 0x2490 (* own significance of rows 0..3: bits 4, 7, 10, 13 *)
+let visited_rows = 0xF lsl 28
+
+let[@inline] sig_row r = 1 lsl ((3 * r) + 4)
+let[@inline] refined_row r = 1 lsl (24 + r)
+let[@inline] visited_row r = 1 lsl (28 + r)
+let[@inline] window f r = (f lsr (3 * r)) land 0x1FF
+
+let build_window zc =
+  Array.init 512 (fun win ->
+      let b i = (win lsr i) land 1 in
+      let h = b 3 + b 5 and v = b 1 + b 7 and d = b 0 + b 2 + b 6 + b 8 in
+      if b 4 = 1 then if h + v + d = 0 then 14 else 15 else zc h v d)
+
+let win_primary = build_window (zc_of_orientation Subband.LL)
+let win_swapped = build_window (zc_of_orientation Subband.HL)
+let win_hh = build_window (zc_of_orientation Subband.HH)
+
+let window_lut_for = function
+  | Subband.LL | Subband.LH -> win_primary
+  | Subband.HL -> win_swapped
+  | Subband.HH -> win_hh
+
+(* Sign-coding LUT over what a column word yields for row r: index
+   bits 1, 3, 5, 7 are the window's N, W, E, S significance, bits 0
+   and 2 the N and S signs (own word), bits 4 and 6 the W and E signs
+   (the neighbouring words). Entries are [lut_sc]'s. *)
+let lut_sc_col =
+  Array.init 256 (fun idx ->
+      let b i = (idx lsr i) land 1 in
+      lut_sc.(b 3 lor (b 5 lsl 1) lor (b 1 lsl 2) lor (b 7 lsl 3) lor (b 4 lsl 4)
+              lor (b 6 lsl 5) lor (b 0 lsl 6) lor (b 2 lsl 7)))
+
+(* One block's decoding state: its words, window LUT, contexts and
+   magnitude buffer (either fresh or the domain's scratch). *)
+type cblk = {
+  cw : int array; (* (cw_w + 2) * (stripes + 2) words, padded *)
+  cs : int; (* cw_w + 2 *)
+  cw_w : int;
+  cw_h : int;
+  win : int array;
+  cx : int array;
+  mag : int array;
+}
+
+let stripes h = (h + stripe - 1) / stripe
+let words_for ~w ~h = (w + 2) * (stripes h + 2)
+
+let cblk ~orientation ~w ~h cw cx mag =
+  { cw; cs = w + 2; cw_w = w; cw_h = h; win = window_lut_for orientation; cx; mag }
+
+(* Coefficient (x, 4k + r) became significant: [p] is its column word
+   (stripe k), [neg] 1 for a negative sign. *)
+let col_set_significant cw s p r neg =
+  cw.(p) <- cw.(p) lor sig_row r lor (neg lsl (19 + r));
+  cw.(p - 1) <- cw.(p - 1) lor (1 lsl ((3 * r) + 5));
+  cw.(p + 1) <- cw.(p + 1) lor (1 lsl ((3 * r) + 3));
+  if r = 0 then begin
+    (* row 4 of the stripe above *)
+    cw.(p - s) <- cw.(p - s) lor (1 lsl 16) lor (neg lsl 23);
+    cw.(p - s - 1) <- cw.(p - s - 1) lor (1 lsl 17);
+    cw.(p - s + 1) <- cw.(p - s + 1) lor (1 lsl 15)
+  end
+  else if r = 3 then begin
+    (* row -1 of the stripe below *)
+    cw.(p + s) <- cw.(p + s) lor (1 lsl 1) lor (neg lsl 18);
+    cw.(p + s - 1) <- cw.(p + s - 1) lor (1 lsl 2);
+    cw.(p + s + 1) <- cw.(p + s + 1) lor 1
+  end
 
 (* A 1 decoded in a zero-coding context (or implied by the run-length
-   path) at flags position [p], magnitude index [m]: decode the sign,
+   path) at row [r] of word [p], magnitude index [m]: decode the sign,
    mark the coefficient significant, set its magnitude bit [one]. *)
-let dec_significant b dec mag ~p ~m ~one =
-  let f = b.flags.(p) in
+let dec_significant k d ~p ~r ~m ~one =
+  let cw = k.cw in
+  let f = cw.(p) in
   let sc =
-    lut_sc.(((f lsr nb_shift) land 0xF) lor (((f lsr sg_shift) land 0xF) lsl 4))
+    lut_sc_col.(((f lsr (3 * r)) land 0xAA)
+                lor ((f lsr (18 + r)) land 5)
+                lor ((cw.(p - 1) lsr (15 + r)) land 0x10)
+                lor ((cw.(p + 1) lsr (13 + r)) land 0x40))
   in
-  let neg = Mq.decode dec b.contexts.(sc lsr 1) lxor (sc land 1) in
-  set_significant b p ~neg:(neg = 1);
-  mag.(m) <- mag.(m) lor one
+  let neg = decide d k.cx (sc lsr 1) lxor (sc land 1) in
+  col_set_significant cw k.cs p r neg;
+  k.mag.(m) <- k.mag.(m) lor one
 
-let dec_significance b dec mag ~plane =
-  let fl = b.flags and ctx = b.contexts and zc = b.zc_lut in
-  let w = b.w and h = b.h and s = b.stride in
+(* One row of a significance pass: row [r] of word [p], magnitude
+   index [m]. Inlined with a constant [r], so its shifts are constants. *)
+let[@inline] sig_row_step k d cw cx win ~p ~r ~m ~one =
+  let wn = window cw.(p) r in
+  if wn land 0x10 = 0 && wn <> 0 then begin
+    if decide d cx win.(wn) = 1 then dec_significant k d ~p ~r ~m ~one;
+    cw.(p) <- cw.(p) lor visited_row r
+  end
+
+let dec_significance k d ~plane =
+  let cw = k.cw and cx = k.cx and win = k.win in
+  let w = k.cw_w and h = k.cw_h and s = k.cs in
   let one = 1 lsl plane in
-  let y0 = ref 0 in
+  let y0 = ref 0 and base = ref (s + 1) in
   while !y0 < h do
     let rows = if h - !y0 < stripe then h - !y0 else stripe in
     for x = 0 to w - 1 do
-      let p = ref (((!y0 + 1) * s) + x + 1) and m = ref ((!y0 * w) + x) in
-      for _ = 1 to rows do
-        let f = fl.(!p) in
-        if f land f_sig = 0 && f land nb_mask <> 0 then begin
-          if Mq.decode dec ctx.(zc.((f lsr nb_shift) land 0xFF)) = 1 then
-            dec_significant b dec mag ~p:!p ~m:!m ~one;
-          fl.(!p) <- fl.(!p) lor f_visited
-        end;
-        p := !p + s;
-        m := !m + w
-      done
+      let p = !base + x in
+      if cw.(p) <> 0 then begin
+        let m = (!y0 * w) + x in
+        sig_row_step k d cw cx win ~p ~r:0 ~m ~one;
+        if rows > 1 then begin
+          sig_row_step k d cw cx win ~p ~r:1 ~m:(m + w) ~one;
+          if rows > 2 then begin
+            sig_row_step k d cw cx win ~p ~r:2 ~m:(m + (2 * w)) ~one;
+            if rows > 3 then sig_row_step k d cw cx win ~p ~r:3 ~m:(m + (3 * w)) ~one
+          end
+        end
+      end
     done;
-    y0 := !y0 + stripe
+    y0 := !y0 + stripe;
+    base := !base + s
   done
 
-let dec_refinement b dec mag ~plane =
-  let fl = b.flags and ctx = b.contexts in
-  let w = b.w and h = b.h and s = b.stride in
+(* One row of a refinement pass on the column's word [f] (no
+   significance changes in this pass): the word with the row's refined
+   bit set. *)
+let[@inline] ref_row_step d cx win mag f ~r ~m ~one =
+  if f land (sig_row r lor visited_row r) = sig_row r then begin
+    let c = if f land refined_row r <> 0 then 16 else win.(window f r) in
+    if decide d cx c = 1 then mag.(m) <- mag.(m) lor one;
+    f lor refined_row r
+  end
+  else f
+
+let dec_refinement k d ~plane =
+  let cw = k.cw and cx = k.cx and win = k.win and mag = k.mag in
+  let w = k.cw_w and h = k.cw_h and s = k.cs in
   let one = 1 lsl plane in
-  let y0 = ref 0 in
+  let y0 = ref 0 and base = ref (s + 1) in
   while !y0 < h do
     let rows = if h - !y0 < stripe then h - !y0 else stripe in
     for x = 0 to w - 1 do
-      let p = ref (((!y0 + 1) * s) + x + 1) and m = ref ((!y0 * w) + x) in
-      for _ = 1 to rows do
-        let f = fl.(!p) in
-        if f land (f_sig lor f_became lor f_visited) = f_sig then begin
-          (* Table D.4, as [mr_context]. *)
-          let c =
-            if f land f_refined <> 0 then 16
-            else if f land nb_mask = 0 then 14
-            else 15
-          in
-          if Mq.decode dec ctx.(c) = 1 then mag.(!m) <- mag.(!m) lor one;
-          fl.(!p) <- f lor f_refined lor f_visited
-        end;
-        p := !p + s;
-        m := !m + w
-      done
+      let p = !base + x in
+      let f = cw.(p) in
+      if f land sig_rows <> 0 then begin
+        let m = (!y0 * w) + x in
+        let f = ref_row_step d cx win mag f ~r:0 ~m ~one in
+        let f =
+          if rows > 1 then begin
+            let f = ref_row_step d cx win mag f ~r:1 ~m:(m + w) ~one in
+            if rows > 2 then begin
+              let f = ref_row_step d cx win mag f ~r:2 ~m:(m + (2 * w)) ~one in
+              if rows > 3 then ref_row_step d cx win mag f ~r:3 ~m:(m + (3 * w)) ~one
+              else f
+            end
+            else f
+          end
+          else f
+        in
+        cw.(p) <- f
+      end
     done;
-    y0 := !y0 + stripe
+    y0 := !y0 + stripe;
+    base := !base + s
   done
 
-let dec_cleanup b dec mag ~plane =
-  let fl = b.flags and ctx = b.contexts and zc = b.zc_lut in
-  let w = b.w and h = b.h and s = b.stride in
+(* One row of a cleanup pass that is neither significant nor visited. *)
+let[@inline] clean_row_step k d cw cx win ~p ~r ~m ~one =
+  let f = cw.(p) in
+  if f land (sig_row r lor visited_row r) = 0 && decide d cx win.(window f r) = 1
+  then dec_significant k d ~p ~r ~m ~one
+
+let dec_cleanup k d ~plane =
+  let cw = k.cw and cx = k.cx and win = k.win in
+  let w = k.cw_w and h = k.cw_h and s = k.cs in
   let one = 1 lsl plane in
-  let y0 = ref 0 in
+  let y0 = ref 0 and base = ref (s + 1) in
   while !y0 < h do
     let rows = if h - !y0 < stripe then h - !y0 else stripe in
     for x = 0 to w - 1 do
-      let p0 = ((!y0 + 1) * s) + x + 1 and m0 = (!y0 * w) + x in
-      (* A full column with no significant, visited or significant-
-         neighbour coefficient takes the run-length path; [first] is
-         the row zero coding resumes at. Below the run-length 1 every
-         row is still neither significant nor visited, so one loop
-         serves both paths. *)
+      let p = !base + x in
+      let m = (!y0 * w) + x in
+      (* A full column whose word is 0 takes the run-length path;
+         [first] is the row zero coding resumes at. Below the
+         run-length 1 every row is still neither significant nor
+         visited, so one sequence serves both paths. *)
       let first =
-        if
-          rows = stripe
-          && (fl.(p0) lor fl.(p0 + s) lor fl.(p0 + (2 * s)) lor fl.(p0 + (3 * s)))
-             land (f_sig lor f_visited lor nb_mask)
-             = 0
-        then
-          if Mq.decode dec ctx.(ctx_rl) = 0 then stripe
+        if rows = stripe && cw.(p) = 0 then
+          if decide d cx ctx_rl = 0 then stripe
           else begin
-            let hi = Mq.decode dec ctx.(ctx_uni) in
-            let lo = Mq.decode dec ctx.(ctx_uni) in
+            let hi = decide d cx ctx_uni in
+            let lo = decide d cx ctx_uni in
             let r = (hi lsl 1) lor lo in
-            dec_significant b dec mag ~p:(p0 + (r * s)) ~m:(m0 + (r * w)) ~one;
+            dec_significant k d ~p ~r ~m:(m + (r * w)) ~one;
             r + 1
           end
         else 0
       in
-      for k = first to rows - 1 do
-        let p = p0 + (k * s) in
-        let f = fl.(p) in
-        if
-          f land (f_sig lor f_visited) = 0
-          && Mq.decode dec ctx.(zc.((f lsr nb_shift) land 0xFF)) = 1
-        then dec_significant b dec mag ~p ~m:(m0 + (k * w)) ~one
-      done
+      if first < stripe then begin
+        if first = 0 then clean_row_step k d cw cx win ~p ~r:0 ~m ~one;
+        if first <= 1 && rows > 1 then
+          clean_row_step k d cw cx win ~p ~r:1 ~m:(m + w) ~one;
+        if first <= 2 && rows > 2 then
+          clean_row_step k d cw cx win ~p ~r:2 ~m:(m + (2 * w)) ~one;
+        if rows > 3 then clean_row_step k d cw cx win ~p ~r:3 ~m:(m + (3 * w)) ~one;
+        cw.(p) <- cw.(p) land lnot visited_rows
+      end
     done;
-    y0 := !y0 + stripe
+    y0 := !y0 + stripe;
+    base := !base + s
   done
 
-(* Pass [i] of [pass_schedule ~planes], by index: pass 0 is the top
-   plane's cleanup, then significance, refinement, cleanup per lower
-   plane. *)
-let dec_pass b dec mag ~planes i =
-  if i = 0 then begin
-    dec_cleanup b dec mag ~plane:(planes - 1);
-    clear_plane_flags b
-  end
-  else
-    let plane = planes - 2 - ((i - 1) / 3) in
-    match (i - 1) mod 3 with
-    | 0 -> dec_significance b dec mag ~plane
-    | 1 -> dec_refinement b dec mag ~plane
-    | _ ->
-      dec_cleanup b dec mag ~plane;
-      clear_plane_flags b
-
-(* -- decode entry points ----------------------------------------------
-
-   [b.lut] selects the passes: the specialised ones by default, the
-   generic [io] ones with reference contexts under [~lut:false]. *)
-
-(* All passes from one codeword. *)
-let decode_codeword b mag ~planes data =
-  if b.lut then begin
-    let dec = Mq.decoder data in
-    for i = 0 to total_passes ~planes - 1 do
-      dec_pass b dec mag ~planes i
-    done
-  end
-  else begin
-    let io = make_decoder_io b (ref (Mq.decoder data)) mag b.w in
-    for plane = planes - 1 downto 0 do
-      code_plane b io ~plane ~first:(plane = planes - 1)
-    done
-  end
-
-(* One codeword per pass, as many passes as there are segments (at
-   most the schedule's). *)
-let decode_segments b mag ~planes segments =
-  if b.lut then begin
-    let total = total_passes ~planes in
-    let rec go i = function
-      | segment :: segments when i < total ->
-        dec_pass b (Mq.decoder segment) mag ~planes i;
-        go (i + 1) segments
-      | _ -> ()
-    in
-    go 0 segments
-  end
-  else begin
-    let dec = ref (Mq.decoder "") in
-    let io = make_decoder_io b dec mag b.w in
-    let rec go schedule segments =
-      match (schedule, segments) with
-      | _, [] | [], _ -> ()
-      | pass :: schedule, segment :: segments ->
-        dec := Mq.decoder segment;
-        run_pass b io pass;
-        go schedule segments
-    in
-    go (pass_schedule ~planes) segments
-  end
+let dec_pass k d ~planes i =
+  let plane = pass_plane ~planes i in
+  match pass_kind i with
+  | Significance -> dec_significance k d ~plane
+  | Refinement -> dec_refinement k d ~plane
+  | Cleanup -> dec_cleanup k d ~plane
 
 (* Negate the magnitudes of negative coefficients in place: the
    buffer's [w * h] prefix becomes the signed block. *)
+let col_apply_signs k =
+  let w = k.cw_w and h = k.cw_h in
+  let y0 = ref 0 and base = ref (k.cs + 1) in
+  while !y0 < h do
+    let rows = if h - !y0 < stripe then h - !y0 else stripe in
+    for x = 0 to w - 1 do
+      let f = k.cw.(!base + x) in
+      for r = 0 to rows - 1 do
+        if f land (1 lsl (19 + r)) <> 0 then begin
+          let m = ((!y0 + r) * w) + x in
+          k.mag.(m) <- -k.mag.(m)
+        end
+      done
+    done;
+    y0 := !y0 + stripe;
+    base := !base + k.cs
+  done
+
 let apply_signs b mag =
   for y = 0 to b.h - 1 do
     let row = y * b.w and frow = ((y + 1) * b.stride) + 1 in
@@ -646,15 +840,56 @@ let apply_signs b mag =
     done
   done
 
-let decode_block ?lut ~orientation ~w ~h ~planes data =
+(* -- decode entry points ----------------------------------------------
+
+   A block's passes come from one codeword, or from one segment per
+   pass: as many passes as there are segments, at most the schedule's.
+   [lut] selects the passes: the column-word ones by default, the
+   generic [io] ones with reference contexts under [~lut:false].
+   Either decodes into [k.mag], which must hold [w * h] zeros. *)
+
+type input = Codeword of string | Segments of string list
+
+let feed d ~planes input pass =
+  let total = total_passes ~planes in
+  match input with
+  | Codeword data ->
+    mq_start d data;
+    for i = 0 to total - 1 do
+      pass i
+    done
+  | Segments segments ->
+    List.iteri
+      (fun i segment ->
+        if i < total then begin
+          mq_start d segment;
+          pass i
+        end)
+      segments
+
+let decode_into ~lut ~orientation ~planes k d input =
+  if lut then begin
+    feed d ~planes input (dec_pass k d ~planes);
+    col_apply_signs k
+  end
+  else begin
+    let b = make_blk ~lut:false ~orientation ~w:k.cw_w ~h:k.cw_h () in
+    feed d ~planes input (run_pass b (make_decoder_io b d k.mag k.cw_w) ~planes);
+    apply_signs b k.mag
+  end
+
+let decode_fresh ?(lut = true) ~orientation ~w ~h ~planes input =
   check_decode_args ~w ~h ~planes;
-  let mag = Array.make (w * h) 0 in
-  if planes > 0 then begin
-    let b = make_blk ?lut ~orientation ~w ~h () in
-    decode_codeword b mag ~planes data;
-    apply_signs b mag
-  end;
-  mag
+  let k =
+    cblk ~orientation ~w ~h
+      (Array.make (words_for ~w ~h) 0)
+      (fresh_contexts ()) (Array.make (w * h) 0)
+  in
+  if planes > 0 then decode_into ~lut ~orientation ~planes k (mq_blank ()) input;
+  k.mag
+
+let decode_block ?lut ~orientation ~w ~h ~planes data =
+  decode_fresh ?lut ~orientation ~w ~h ~planes (Codeword data)
 
 (* -- SNR-scalable variant ---------------------------------------------
 
@@ -671,83 +906,56 @@ let encode_block_scalable ?lut ~orientation ~w ~h coeffs =
     let b = make_blk ?lut ~orientation ~w ~h () in
     let enc = ref (Mq.encoder ()) in
     let io = make_encoder_io b enc coeffs w in
-    let segments =
-      List.map
-        (fun pass ->
-          run_pass b io pass;
-          let segment = Mq.flush !enc in
-          enc := Mq.encoder ();
-          segment)
-        (pass_schedule ~planes)
-    in
-    (planes, segments)
+    let segments = ref [] in
+    for i = 0 to total_passes ~planes - 1 do
+      run_pass b io ~planes i;
+      segments := Mq.flush !enc :: !segments;
+      enc := Mq.encoder ()
+    done;
+    (planes, List.rev !segments)
   end
 
 let decode_block_scalable ?lut ~orientation ~w ~h ~planes segments =
-  check_decode_args ~w ~h ~planes;
-  let mag = Array.make (w * h) 0 in
-  if planes > 0 then begin
-    let b = make_blk ?lut ~orientation ~w ~h () in
-    decode_segments b mag ~planes segments;
-    apply_signs b mag
-  end;
-  mag
+  decode_fresh ?lut ~orientation ~w ~h ~planes (Segments segments)
 
 (* -- per-domain scratch decode ----------------------------------------
 
-   The allocating entry points above pay one flags array, one
-   magnitude buffer and 19 context records per code block — on the
-   parallel decode path that per-block minor-heap churn is what forces
-   the domains to rendezvous at every collection. The scratch variant
-   keeps one decode state per domain in [Domain.DLS] and
-   re-initialises it in place ([Array.fill] + [Mq.reset_context]), so
-   a worker decodes an entire tile's blocks without allocating
-   anything but the per-pass MQ decoders. *)
+   The allocating entry points above pay a word array, a magnitude
+   buffer and a context array per code block; on the parallel decode
+   path that per-block minor-heap churn is what forces the domains to
+   rendezvous at every collection. The scratch variant keeps one
+   decode state per domain in [Domain.DLS] and re-initialises it in
+   place, so a worker decodes an entire tile's blocks allocating only
+   a few words per block (the block record, the input and two
+   closures). *)
 
 type scratch = {
-  mutable sc_flags : int array;
+  mutable sc_words : int array;
   mutable sc_mag : int array;
-  sc_contexts : Mq.context array;
+  sc_contexts : int array;
+  sc_mq : mq_decoder;
 }
 
 let scratch_key : scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { sc_flags = [||]; sc_mag = [||]; sc_contexts = fresh_contexts () })
+      {
+        sc_words = [||];
+        sc_mag = [||];
+        sc_contexts = fresh_contexts ();
+        sc_mq = mq_blank ();
+      })
 
-(* Back to the ISO Table D.7 initial states, in place. *)
-let reset_contexts ctxs =
-  for i = 0 to num_contexts - 1 do
-    let index =
-      if i = 0 then 4 else if i = ctx_rl then 3 else if i = ctx_uni then 46 else 0
-    in
-    Mq.reset_context ctxs.(i) ~index ~mps:0
-  done
-
-let scratch_blk ?(lut = true) ~orientation ~w ~h () =
+let decode_block_scalable_scratch ?(lut = true) ~orientation ~w ~h ~planes
+    segments =
+  check_decode_args ~w ~h ~planes;
   let s = Domain.DLS.get scratch_key in
-  let fn = (w + 2) * (h + 2) in
-  if Array.length s.sc_flags < fn then s.sc_flags <- Array.make fn 0
-  else Array.fill s.sc_flags 0 fn 0;
+  let n = words_for ~w ~h in
+  if Array.length s.sc_words < n then s.sc_words <- Array.make n 0
+  else Array.fill s.sc_words 0 n 0;
   if Array.length s.sc_mag < w * h then s.sc_mag <- Array.make (w * h) 0
   else Array.fill s.sc_mag 0 (w * h) 0;
   reset_contexts s.sc_contexts;
-  ( {
-      w;
-      h;
-      stride = w + 2;
-      orientation;
-      lut;
-      flags = s.sc_flags;
-      zc_lut = zc_lut_for orientation;
-      contexts = s.sc_contexts;
-    },
-    s.sc_mag )
-
-let decode_block_scalable_scratch ?lut ~orientation ~w ~h ~planes segments =
-  check_decode_args ~w ~h ~planes;
-  let b, mag = scratch_blk ?lut ~orientation ~w ~h () in
-  if planes > 0 then begin
-    decode_segments b mag ~planes segments;
-    apply_signs b mag
-  end;
-  mag
+  let k = cblk ~orientation ~w ~h s.sc_words s.sc_contexts s.sc_mag in
+  if planes > 0 then
+    decode_into ~lut ~orientation ~planes k s.sc_mq (Segments segments);
+  s.sc_mag

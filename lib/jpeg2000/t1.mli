@@ -19,21 +19,21 @@
     encoding bit-exactly, which the property tests check on random
     blocks.
 
-    Per-coefficient state is one packed flags word (own significance/
-    sign/visited/refined plus incrementally maintained neighbour
-    significance and sign bits); zero-coding and sign-coding contexts
-    are precomputed LUTs indexed by that word.
-
     Two drivers run the passes. Every decode entry point runs, by
-    default, passes written for decoding only: they call the MQ
-    decoder directly and walk positions incrementally, with no
-    per-decision closure call. [~lut:false] selects the generic driver
-    instead — one pass implementation behind a record of encode/decode
-    closures, with the reference per-probe context formation the LUTs
-    are generated from. The encoder always runs the generic driver
-    (with LUT contexts by default). The two decoders are bit-identical
-    by construction; the generic one stays as the cross-check the
-    tests compare against and as the benchmark baseline. *)
+    default, passes written for decoding only. Their state is one
+    [int] per four-row stripe column: the significance of its 3x6
+    neighbourhood, the signs of its rows and its rows' refined and
+    visited bits, maintained incrementally. A pass skips a column on
+    one load, zero-coding and refinement contexts come from one LUT
+    indexed by a row's 3x3 window, and the MQ decision is compiled
+    into the passes ({!mq_decode}). [~lut:false] selects the generic
+    passes instead: one pass implementation behind a record of
+    encode/decode closures, over one flags word per coefficient, with
+    the reference per-probe context formation the LUTs are generated
+    from. The encoder always runs the generic passes (with LUT
+    contexts by default). The two decoders are bit-identical by
+    construction; the generic one stays as the cross-check the tests
+    compare against and as the benchmark baseline. *)
 
 val num_planes : int array -> int
 (** Number of magnitude bit-planes needed for the given coefficients
@@ -98,13 +98,32 @@ val decode_block_scalable_scratch :
   string list ->
   int array
 (** {!decode_block_scalable} into per-domain scratch state
-    ([Domain.DLS]): the flags array, magnitude buffer and MQ contexts
-    of the calling domain are re-initialised in place instead of
-    allocated, so decoding a stream of blocks performs no per-block
+    ([Domain.DLS]): the column words, magnitude buffer, MQ contexts
+    and MQ registers of the calling domain are re-initialised in place
+    instead of allocated, so decoding a stream of blocks performs no per-block
     heap allocation. The returned array is that scratch buffer — its
     [w * h] row-major prefix holds the signed coefficients, it may be
     longer than [w * h], and it is only valid until the next scratch
     decode on the same domain: callers must copy (blit) the block out
     before decoding another. Decodes that raise leave no partial
     output anywhere but the scratch buffer, so a failed block cannot
-    poison shared planes (the robust path's containment). *)
+    poison shared planes (the robust path's containment). The column
+    words are one per stripe column, [(w + 2) * (ceil (h / 4) + 2)]:
+    a 4096x4096 block takes 4.2 M words where one word per
+    coefficient took 16.8 M. *)
+
+(** {1 MQ decoding}
+
+    The MQ decoder (ISO/IEC 15444-1, C.3) of every T1 decode. It is
+    defined here, not in {!Mq}, so that its decision compiles into
+    the decoding passes. Contexts are {!Mq}'s packed states. *)
+
+type mq_decoder
+
+val mq_decoder : string -> mq_decoder
+(** Initialises decoding over a terminated codeword. Reading past the
+    end behaves as if [0xFF] bytes followed, per the standard. *)
+
+val mq_decode : mq_decoder -> int array -> int -> int
+(** [mq_decode d contexts i] decodes one binary decision in context
+    [contexts.(i)] and updates that context's state. *)

@@ -57,7 +57,7 @@ let acquire t holder =
   let rec attempt () =
     let granted =
       t.owner = None
-      && Osss.Arbiter.choose t.arbiter ~pending:t.pending = Some holder.id
+      && Osss.Arbiter.choose t.arbiter ~pending:t.pending = holder.id
     in
     if granted then begin
       t.owner <- Some holder.id;

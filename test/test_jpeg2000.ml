@@ -654,10 +654,10 @@ let test_mq_empty_flush () =
 let test_mq_stuffing_pattern () =
   (* Long runs of LPS force renormalisation traffic; the stream must
      never contain 0xFF followed by a byte > 0x8F (marker range). *)
-  let ctx = Jpeg2000.Mq.context () in
+  let contexts = [| 0 |] in
   let enc = Jpeg2000.Mq.encoder () in
   for i = 0 to 4000 do
-    Jpeg2000.Mq.encode enc ctx (if i mod 5 = 0 then 1 else 0)
+    Jpeg2000.Mq.encode enc contexts 0 (if i mod 5 = 0 then 1 else 0)
   done;
   let data = Jpeg2000.Mq.flush enc in
   for i = 0 to String.length data - 2 do
@@ -703,6 +703,52 @@ let test_mq_table_c2 () =
           ignore (Jpeg2000.Mq.state i)))
     [ -1; 47 ]
 
+(* The packed-state arrays against Table C.2 transcribed once more,
+   row by row as the standard prints it: for each of the 94 (index,
+   MPS) pairs, Qe, the state after an MPS (NMPS, same MPS) and after an
+   LPS (NLPS, the MPS flipped where SWITCH is 1: states 0, 6 and 14). *)
+let test_mq_packed_states () =
+  let rows =
+    [ (0x5601, 1, 1, 1); (0x3401, 2, 6, 0); (0x1801, 3, 9, 0);
+      (0x0AC1, 4, 12, 0); (0x0521, 5, 29, 0); (0x0221, 38, 33, 0);
+      (0x5601, 7, 6, 1); (0x5401, 8, 14, 0); (0x4801, 9, 14, 0);
+      (0x3801, 10, 14, 0); (0x3001, 11, 17, 0); (0x2401, 12, 18, 0);
+      (0x1C01, 13, 20, 0); (0x1601, 29, 21, 0); (0x5601, 15, 14, 1);
+      (0x5401, 16, 14, 0); (0x5101, 17, 15, 0); (0x4801, 18, 16, 0);
+      (0x3801, 19, 17, 0); (0x3401, 20, 18, 0); (0x3001, 21, 19, 0);
+      (0x2801, 22, 19, 0); (0x2401, 23, 20, 0); (0x2201, 24, 21, 0);
+      (0x1C01, 25, 22, 0); (0x1801, 26, 23, 0); (0x1601, 27, 24, 0);
+      (0x1401, 28, 25, 0); (0x1201, 29, 26, 0); (0x1101, 30, 27, 0);
+      (0x0AC1, 31, 28, 0); (0x09C1, 32, 29, 0); (0x08A1, 33, 30, 0);
+      (0x0521, 34, 31, 0); (0x0441, 35, 32, 0); (0x02A1, 36, 33, 0);
+      (0x0221, 37, 34, 0); (0x0141, 38, 35, 0); (0x0111, 39, 36, 0);
+      (0x0085, 40, 37, 0); (0x0049, 41, 38, 0); (0x0025, 42, 39, 0);
+      (0x0015, 43, 40, 0); (0x0009, 44, 41, 0); (0x0005, 45, 42, 0);
+      (0x0001, 45, 43, 0); (0x5601, 46, 46, 0) ]
+  in
+  Alcotest.(check int) "94 packed states" 94 (Array.length Jpeg2000.Mq.qe);
+  List.iteri
+    (fun index (qe, nmps, nlps, switch) ->
+      List.iter
+        (fun mps ->
+          let st = (index lsl 1) lor mps in
+          let lps_mps = if switch = 1 then 1 - mps else mps in
+          Alcotest.(check (list int))
+            (Printf.sprintf "state %d, MPS %d" index mps)
+            [ qe; (nmps lsl 1) lor mps; (nlps lsl 1) lor lps_mps ]
+            [ Jpeg2000.Mq.qe.(st); Jpeg2000.Mq.after_mps.(st);
+              Jpeg2000.Mq.after_lps.(st) ])
+        [ 0; 1 ])
+    rows;
+  List.iter
+    (fun index ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "SWITCH state %d flips the MPS" index)
+        [ 1; 0 ]
+        [ Jpeg2000.Mq.after_lps.(index lsl 1) land 1;
+          Jpeg2000.Mq.after_lps.((index lsl 1) lor 1) land 1 ])
+    [ 0; 6; 14 ]
+
 let mq_roundtrip_qcheck =
   QCheck.Test.make ~name:"MQ encode/decode identity (random contexts)"
     ~count:100
@@ -710,16 +756,16 @@ let mq_roundtrip_qcheck =
       pair (int_range 1 6)
         (list_of_size Gen.(1 -- 2000) (pair (int_bound 5) (int_bound 1))))
     (fun (nctx, stream) ->
-      let enc_ctx = Array.init nctx (fun _ -> Jpeg2000.Mq.context ()) in
+      let enc_ctx = Array.make nctx 0 in
       let enc = Jpeg2000.Mq.encoder () in
       List.iter
-        (fun (c, bit) -> Jpeg2000.Mq.encode enc enc_ctx.(c mod nctx) bit)
+        (fun (c, bit) -> Jpeg2000.Mq.encode enc enc_ctx (c mod nctx) bit)
         stream;
       let data = Jpeg2000.Mq.flush enc in
-      let dec_ctx = Array.init nctx (fun _ -> Jpeg2000.Mq.context ()) in
-      let dec = Jpeg2000.Mq.decoder data in
+      let dec_ctx = Array.make nctx 0 in
+      let dec = Jpeg2000.T1.mq_decoder data in
       List.for_all
-        (fun (c, bit) -> Jpeg2000.Mq.decode dec dec_ctx.(c mod nctx) = bit)
+        (fun (c, bit) -> Jpeg2000.T1.mq_decode dec dec_ctx (c mod nctx) = bit)
         stream)
 
 let mq_skewed_roundtrip_qcheck =
@@ -728,20 +774,20 @@ let mq_skewed_roundtrip_qcheck =
     (fun stream ->
       (* 1% ones: exercises the high-compression end of the table. *)
       let bits = List.map (fun v -> if v = 0 then 1 else 0) stream in
-      let ctx = Jpeg2000.Mq.context () in
+      let ctx = [| 0 |] in
       let enc = Jpeg2000.Mq.encoder () in
-      List.iter (Jpeg2000.Mq.encode enc ctx) bits;
+      List.iter (Jpeg2000.Mq.encode enc ctx 0) bits;
       let data = Jpeg2000.Mq.flush enc in
-      let ctx2 = Jpeg2000.Mq.context () in
-      let dec = Jpeg2000.Mq.decoder data in
-      List.for_all (fun bit -> Jpeg2000.Mq.decode dec ctx2 = bit) bits)
+      let ctx2 = [| 0 |] in
+      let dec = Jpeg2000.T1.mq_decoder data in
+      List.for_all (fun bit -> Jpeg2000.T1.mq_decode dec ctx2 0 = bit) bits)
 
 let test_mq_compression_on_skewed_input () =
-  let ctx = Jpeg2000.Mq.context () in
+  let ctx = [| 0 |] in
   let enc = Jpeg2000.Mq.encoder () in
   let n = 8192 in
   for i = 0 to n - 1 do
-    Jpeg2000.Mq.encode enc ctx (if i mod 100 = 0 then 1 else 0)
+    Jpeg2000.Mq.encode enc ctx 0 (if i mod 100 = 0 then 1 else 0)
   done;
   let data = Jpeg2000.Mq.flush enc in
   (* 8192 highly skewed bits must compress far below 1024 bytes. *)
@@ -749,15 +795,15 @@ let test_mq_compression_on_skewed_input () =
     (String.length data < 200)
 
 let test_mq_context_isolation () =
-  let c0 = Jpeg2000.Mq.context () in
-  let c1 = Jpeg2000.Mq.context () in
+  let contexts = [| 0; 0 |] in
   let enc = Jpeg2000.Mq.encoder () in
   for _ = 1 to 100 do
-    Jpeg2000.Mq.encode enc c0 0;
-    Jpeg2000.Mq.encode enc c1 1
+    Jpeg2000.Mq.encode enc contexts 0 0;
+    Jpeg2000.Mq.encode enc contexts 1 1
   done;
+  (* A packed state's low bit is its MPS. *)
   Alcotest.(check bool) "contexts adapt independently" true
-    (Jpeg2000.Mq.context_mps c0 = 0 && Jpeg2000.Mq.context_mps c1 = 1);
+    (contexts.(0) land 1 = 0 && contexts.(1) land 1 = 1);
   ignore (Jpeg2000.Mq.flush enc)
 
 (* -- T1 -------------------------------------------------------------- *)
@@ -885,19 +931,27 @@ let t1_lut_equals_reference_qcheck =
            ~planes:sp_lut sd_lut
          = coeffs)
 
-(* Random block: about a third of the coefficients non-zero, with
-   magnitudes below 2^bits. *)
-let t1_random_block ~w ~h ~bits seed =
+(* Random block with magnitudes below 2^bits: about a third of the
+   coefficients non-zero or, [dense], every one of them. *)
+let t1_random_block ?(dense = false) ~w ~h ~bits seed =
   let state = ref (seed + 11) in
   let next () =
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
     !state
   in
   Array.init (w * h) (fun _ ->
-      if next () mod 3 <> 0 then 0
+      if (not dense) && next () mod 3 <> 0 then 0
       else
-        let v = next () land ((1 lsl bits) - 1) in
+        let v =
+          if dense then 1 + (next () mod ((1 lsl bits) - 1))
+          else next () land ((1 lsl bits) - 1)
+        in
         if next () land 1 = 0 then v else -v)
+
+(* Heights 4q + 1 .. 4q + 4: one block of every [h mod 4] class, so
+   each draw has a partial last stripe of every length and the full
+   one. *)
+let t1_heights q = List.init 4 (fun c -> (4 * q) + c + 1)
 
 (* A full 32x32 block decoded through the scratch path right before a
    smaller one, so the smaller decode starts from this domain's longer,
@@ -942,22 +996,25 @@ let t1_specialised_decoder_qcheck =
     ~name:"T1 specialised decoder equals the generic reference" ~count:300
     QCheck.(
       quad
-        (pair (int_range 1 32) (int_range 1 32))
-        (int_bound 3) (int_range 1 12) (pair small_nat small_nat))
-    (fun ((w, h), band_code, bits, (seed, cut)) ->
+        (pair (int_range 1 64) (int_range 0 15))
+        (pair (int_bound 3) bool) (int_range 1 12) (pair small_nat small_nat))
+    (fun ((w, q), (band_code, dense), bits, (seed, cut)) ->
       let orientation = Jpeg2000.Subband.orientation_of_code band_code in
-      let coeffs = t1_random_block ~w ~h ~bits seed in
-      let planes, codeword =
-        Jpeg2000.T1.encode_block ~orientation ~w ~h coeffs
-      in
-      let sp, segments =
-        Jpeg2000.T1.encode_block_scalable ~orientation ~w ~h coeffs
-      in
-      let keep = cut mod (List.length segments + 1) in
-      let prefix = List.filteri (fun i _ -> i < keep) segments in
-      Jpeg2000.T1.decode_block ~orientation ~w ~h ~planes codeword = coeffs
-      && t1_decoders_agree ~orientation ~w ~h ~planes ~codeword
-           ~scalable_planes:sp prefix)
+      List.for_all
+        (fun h ->
+          let coeffs = t1_random_block ~dense ~w ~h ~bits seed in
+          let planes, codeword =
+            Jpeg2000.T1.encode_block ~orientation ~w ~h coeffs
+          in
+          let sp, segments =
+            Jpeg2000.T1.encode_block_scalable ~orientation ~w ~h coeffs
+          in
+          let keep = cut mod (List.length segments + 1) in
+          let prefix = List.filteri (fun i _ -> i < keep) segments in
+          Jpeg2000.T1.decode_block ~orientation ~w ~h ~planes codeword = coeffs
+          && t1_decoders_agree ~orientation ~w ~h ~planes ~codeword
+               ~scalable_planes:sp prefix)
+        (t1_heights q))
 
 (* Damaged input: both drivers must return the same block, or both
    raise an exception the robust decode path contains. *)
@@ -989,40 +1046,46 @@ let t1_hostile_segments_qcheck =
   QCheck.Test.make ~name:"T1 drivers agree on damaged segments" ~count:300
     QCheck.(
       quad
-        (pair (int_range 1 32) (int_range 1 32))
-        (int_bound 3) (int_range 0 40) (pair small_nat small_nat))
-    (fun ((w, h), band_code, planes, (seed, extra)) ->
+        (pair (int_range 1 64) (int_range 0 15))
+        (pair (int_bound 3) bool) (int_range 0 40) (pair small_nat small_nat))
+    (fun ((w, q), (band_code, dense), planes, (seed, extra)) ->
       let orientation = Jpeg2000.Subband.orientation_of_code band_code in
-      let _, segments =
-        Jpeg2000.T1.encode_block_scalable ~orientation ~w ~h
-          (t1_random_block ~w ~h ~bits:8 seed)
-      in
-      let damaged = t1_damage seed segments in
-      (* Junk segments beyond the encoder's, and a codeword that is the
-         damaged segments glued together. *)
-      let damaged =
-        damaged @ List.init (extra mod 3) (fun i -> String.make (i + 1) '\x9f')
-      in
-      let codeword = String.concat "" damaged in
-      let contained f =
-        match f () with
-        | v -> Ok v
-        | exception (Failure _ | Invalid_argument _ | Exit | Not_found) -> Error ()
-      in
-      let outcome lut =
-        ( contained (fun () ->
-              Jpeg2000.T1.decode_block ~lut ~orientation ~w ~h ~planes codeword),
-          contained (fun () ->
-              Jpeg2000.T1.decode_block_scalable ~lut ~orientation ~w ~h ~planes
-                damaged),
-          contained (fun () ->
-              t1_big_scratch_decode ();
-              Array.sub
-                (Jpeg2000.T1.decode_block_scalable_scratch ~lut ~orientation ~w
-                   ~h ~planes damaged)
-                0 (w * h)) )
-      in
-      outcome true = outcome false)
+      List.for_all
+        (fun h ->
+          let _, segments =
+            Jpeg2000.T1.encode_block_scalable ~orientation ~w ~h
+              (t1_random_block ~dense ~w ~h ~bits:8 seed)
+          in
+          let damaged = t1_damage seed segments in
+          (* Junk segments beyond the encoder's, and a codeword that is
+             the damaged segments glued together. *)
+          let damaged =
+            damaged
+            @ List.init (extra mod 3) (fun i -> String.make (i + 1) '\x9f')
+          in
+          let codeword = String.concat "" damaged in
+          let contained f =
+            match f () with
+            | v -> Ok v
+            | exception (Failure _ | Invalid_argument _ | Exit | Not_found) ->
+              Error ()
+          in
+          let outcome lut =
+            ( contained (fun () ->
+                  Jpeg2000.T1.decode_block ~lut ~orientation ~w ~h ~planes
+                    codeword),
+              contained (fun () ->
+                  Jpeg2000.T1.decode_block_scalable ~lut ~orientation ~w ~h
+                    ~planes damaged),
+              contained (fun () ->
+                  t1_big_scratch_decode ();
+                  Array.sub
+                    (Jpeg2000.T1.decode_block_scalable_scratch ~lut
+                       ~orientation ~w ~h ~planes damaged)
+                    0 (w * h)) )
+          in
+          outcome true = outcome false)
+        (t1_heights q))
 
 let test_t1_compresses_structure () =
   (* A structured block must code smaller than raw size. *)
@@ -1916,6 +1979,59 @@ let flat_golden_qcheck =
       Printf.sprintf "%016Lx" (flat_golden_digest seed)
       = flat_golden_digests.(seed))
 
+(* Every code block of one lossless and one lossy case-study stream
+   (Models.Workload.codestream: 128x128, 32x32 tiles, 3 levels, 16x16
+   code blocks, 3 components), decoded through the scratch entry point
+   the decoder runs. FNV-1a-64 over each block's orientation, size,
+   plane count and signed coefficients. Recorded before the decoding
+   passes moved to stripe-column words. *)
+let t1_block_digest mode =
+  let cs =
+    match Jpeg2000.Codestream.parse_result (Models.Workload.codestream mode) with
+    | Ok cs -> cs
+    | Error e -> Alcotest.fail (Jpeg2000.Codestream.error_message e)
+  in
+  let code_block = cs.Jpeg2000.Codestream.header.Jpeg2000.Codestream.code_block in
+  let block h (band : Jpeg2000.Codestream.band_segment) (_, _, w, bh)
+      (blk : Jpeg2000.Codestream.block_segment) =
+    let coeffs =
+      Jpeg2000.T1.decode_block_scalable_scratch
+        ~orientation:band.Jpeg2000.Codestream.seg_orientation ~w ~h:bh
+        ~planes:blk.Jpeg2000.Codestream.blk_planes
+        blk.Jpeg2000.Codestream.blk_passes
+    in
+    let h =
+      fnv_int h
+        (Jpeg2000.Subband.orientation_code band.Jpeg2000.Codestream.seg_orientation)
+    in
+    let h = fnv_int (fnv_int (fnv_int h w) bh) blk.Jpeg2000.Codestream.blk_planes in
+    let h = ref h in
+    for i = 0 to (w * bh) - 1 do
+      h := fnv_int !h coeffs.(i)
+    done;
+    !h
+  in
+  let band h (band : Jpeg2000.Codestream.band_segment) =
+    List.fold_left2 (fun h cell blk -> block h band cell blk) h
+      (Jpeg2000.Codestream.block_grid ~code_block ~w:band.Jpeg2000.Codestream.seg_w
+         ~h:band.Jpeg2000.Codestream.seg_h)
+      band.Jpeg2000.Codestream.seg_blocks
+  in
+  List.fold_left
+    (fun h (tile : Jpeg2000.Codestream.tile_segment) ->
+      Array.fold_left (List.fold_left band) h tile.Jpeg2000.Codestream.comps)
+    0xcbf29ce484222325L cs.Jpeg2000.Codestream.tiles
+
+let test_t1_block_digests () =
+  List.iter
+    (fun (name, mode, want) ->
+      Alcotest.(check string) name want
+        (Printf.sprintf "%016Lx" (t1_block_digest mode)))
+    [
+      ("lossless", Jpeg2000.Codestream.Lossless, "0d42e993fb77d56c");
+      ("lossy", Jpeg2000.Codestream.Lossy, "71fc9e5b28090a64");
+    ]
+
 let test_flat_identity_across_pools () =
   (* The flat planes are shared mutable state across pool domains;
      disjoint-rectangle blits must keep any schedule bit-identical to
@@ -2031,6 +2147,7 @@ let () =
             test_mq_compression_on_skewed_input;
           Alcotest.test_case "context isolation" `Quick test_mq_context_isolation;
           Alcotest.test_case "flat Table C.2" `Quick test_mq_table_c2;
+          Alcotest.test_case "packed Table C.2" `Quick test_mq_packed_states;
           qc mq_roundtrip_qcheck;
           qc mq_skewed_roundtrip_qcheck;
         ] );
@@ -2047,6 +2164,8 @@ let () =
           qc t1_lut_equals_reference_qcheck;
           qc t1_specialised_decoder_qcheck;
           qc t1_hostile_segments_qcheck;
+          Alcotest.test_case "case-study block digests" `Quick
+            test_t1_block_digests;
         ] );
       ( "misc",
         [
