@@ -103,6 +103,9 @@ let output name n (p : Image.plane) =
     invalid_arg (name ^ ": output plane size mismatch");
   p.Image.data
 
+(* A component's coefficients. The plane's type is spelled out here, so
+   that the loops' Bigarray reads compile to plain loads; with its kind
+   left to inference they would be generic C calls. *)
 let coefficients name n (p : Plane.t) =
   if Plane.width p * Plane.height p <> n then
     invalid_arg (name ^ ": component length mismatch");
@@ -135,18 +138,42 @@ let shift_inverse ~bit_depth p ~into =
       (shift_clamp ~offset ~top (Bigarray.Array1.unsafe_get src i))
   done
 
+(* [int_of_float (Float.round v)], inline: round half away from zero
+   without the C call. Below 2^52 the truncation [i] and the fraction
+   [v - i] are both exact, so comparing the fraction with +-0.5 decides
+   ties and the one-ulp cases like 0.49999999999999994 exactly; the
+   comparisons are added as 0/1 values rather than branched on, since
+   the sign of a fraction is a coin toss the branch predictor loses.
+   From 2^52 on (and for NaN) [v] is already integral, [Float.round v]
+   is [v], and the truncation is the result. *)
+let[@inline] round_half_away v =
+  if Float.abs v < 0x1p52 then begin
+    let i = int_of_float v in
+    let frac = v -. float_of_int i in
+    i + Bool.to_int (frac >= 0.5) - Bool.to_int (frac <= -0.5)
+  end
+  else int_of_float v
+
 let[@inline] round_shift ~offset ~top v =
-  shift_clamp ~offset ~top (int_of_float (Float.round v))
+  shift_clamp ~offset ~top (round_half_away v)
+
+let float_coefficients name n (p : Plane.floats) =
+  if Plane.width p * Plane.height p <> n then
+    invalid_arg (name ^ ": component length mismatch");
+  p.Plane.data
 
 let ict_inverse_shift ~bit_depth y cb cr ~r ~g ~b =
   let name = "Colour.ict_inverse_shift" in
-  if Array.length y <> Array.length cb || Array.length cb <> Array.length cr
-  then invalid_arg (name ^ ": component length mismatch");
   let offset, top = shift_range name ~bit_depth in
-  let n = Array.length y in
+  let n = Plane.width y * Plane.height y in
+  let y = float_coefficients name n y
+  and cb = float_coefficients name n cb
+  and cr = float_coefficients name n cr in
   let r = output name n r and g = output name n g and b = output name n b in
   for i = 0 to n - 1 do
-    let lum = y.(i) and u = cb.(i) and v = cr.(i) in
+    let lum = Bigarray.Array1.unsafe_get y i
+    and u = Bigarray.Array1.unsafe_get cb i
+    and v = Bigarray.Array1.unsafe_get cr i in
     let red = lum +. (k_cr *. v) in
     let blue = lum +. (k_cb *. u) in
     let green = (lum -. (w_r *. red) -. (w_b *. blue)) /. w_g in
@@ -155,11 +182,12 @@ let ict_inverse_shift ~bit_depth y cb cr ~r ~g ~b =
     set16 b (2 * i) (round_shift ~offset ~top blue)
   done
 
-let round_shift_inverse ~bit_depth values ~into =
+let round_shift_inverse ~bit_depth p ~into =
   let name = "Colour.round_shift_inverse" in
   let offset, top = shift_range name ~bit_depth in
-  let n = Array.length values in
-  let dst = output name n into in
+  let n = Plane.width p * Plane.height p in
+  let src = float_coefficients name n p and dst = output name n into in
   for i = 0 to n - 1 do
-    set16 dst (2 * i) (round_shift ~offset ~top values.(i))
+    set16 dst (2 * i)
+      (round_shift ~offset ~top (Bigarray.Array1.unsafe_get src i))
   done

@@ -15,8 +15,10 @@
 
     The array functions operate in place on 3 equally sized planes of
     signed coefficients stored as [int array] or [float array]. The
-    decoder runs only the fused stages of the last section; the
-    inverse array functions stay as their test oracles. *)
+    decoder runs only the fused stages of the last section, which read
+    its off-heap coefficient planes ({!Plane.t} after the 5/3 inverse,
+    {!Plane.floats} after the 9/7 one); the inverse array functions
+    stay as their test oracles. *)
 
 val dc_shift_forward : bit_depth:int -> int array -> unit
 (** Subtracts [2^(bit_depth-1)] from every sample. *)
@@ -50,9 +52,11 @@ val ict_inverse : float array -> float array -> float array -> unit
     {!rct_inverse} → {!dc_shift_inverse} on the lossless path, and
     {!ict_inverse} → [int_of_float (Float.round v)] →
     {!dc_shift_inverse} on the lossy one — because it evaluates the
-    same expressions in the same order. Every stored sample is
-    clamped to [0 .. 2^bit_depth - 1]. All raise [Invalid_argument]
-    on a size mismatch or a [bit_depth] outside [1 .. 16]. *)
+    same expressions in the same order. The lossy stages round half
+    away from zero inline, exactly as [Float.round] does, without its
+    C call per sample. Every stored sample is clamped to
+    [0 .. 2^bit_depth - 1]. All raise [Invalid_argument] on a size
+    mismatch or a [bit_depth] outside [1 .. 16]. *)
 
 val rct_inverse_shift :
   bit_depth:int ->
@@ -72,9 +76,9 @@ val shift_inverse : bit_depth:int -> Plane.t -> into:Image.plane -> unit
 
 val ict_inverse_shift :
   bit_depth:int ->
-  float array ->
-  float array ->
-  float array ->
+  Plane.floats ->
+  Plane.floats ->
+  Plane.floats ->
   r:Image.plane ->
   g:Image.plane ->
   b:Image.plane ->
@@ -82,6 +86,6 @@ val ict_inverse_shift :
 (** Lossy, three components: (Y, Cb, Cr) to (R, G, B) samples. *)
 
 val round_shift_inverse :
-  bit_depth:int -> float array -> into:Image.plane -> unit
+  bit_depth:int -> Plane.floats -> into:Image.plane -> unit
 (** Lossy, one component without a colour transform (a grey image):
     round to nearest, shift and clamp. *)

@@ -1,6 +1,6 @@
 type wavelet_domain =
   | Ints of Plane.t array
-  | Floats of Dwt97.matrix array
+  | Floats of Plane.floats array
 
 (* The whole-image entry points raise [Failure] on a malformed
    stream; [decode_robust] is the one that reports a typed error. *)
@@ -78,7 +78,9 @@ let max_robust_planes = 30
 
    A tile is flattened up front into an array of independent per-code-
    block jobs over one off-heap {!Plane} per component (Mallat layout,
-   absolute band coordinates). Every job decodes through T1's
+   absolute band coordinates): integer planes for the 5/3 path, float
+   planes for the 9/7 one, so every later stage of either path works
+   in place on the planes the jobs fill. Every job decodes through T1's
    per-domain scratch state and blits only its own rectangle, so the
    jobs can run on a [Par.Pool] in any schedule: worker domains write
    disjoint rectangles of the shared planes — race-free, and
@@ -104,7 +106,7 @@ type staged = {
   st_tile : Codestream.tile_segment;  (* effective (reduced) segment *)
   st_discard : int;
   st_bands : Subband.band array;
-  st_planes : Plane.t array;  (* one per component, tile_w x tile_h *)
+  st_coeffs : wavelet_domain;  (* one plane per component, tile_w x tile_h *)
   st_jobs : flat_job array;
 }
 
@@ -119,11 +121,14 @@ let blank_tile ~discard header tile =
     st_bands =
       Subband.decompose_array ~width:tile.Codestream.tile_w
         ~height:tile.Codestream.tile_h ~levels:header.Codestream.levels;
-    st_planes =
-      Array.map
-        (fun _ ->
-          Plane.create ~w:tile.Codestream.tile_w ~h:tile.Codestream.tile_h)
-        tile.Codestream.comps;
+    st_coeffs =
+      (let w = tile.Codestream.tile_w and h = tile.Codestream.tile_h in
+       let per_comp create =
+         Array.map (fun _ -> create ~w ~h) tile.Codestream.comps
+       in
+       match header.Codestream.mode with
+       | Codestream.Lossless -> Ints (per_comp Plane.create)
+       | Codestream.Lossy -> Floats (per_comp Plane.create_floats));
     st_jobs = [||];
   }
 
@@ -189,14 +194,19 @@ let flat_tile_jobs ~fail ?max_passes ~discard header tile =
   { st with st_jobs = Array.of_list (List.rev !jobs) }
 
 (* One job: scratch-decode the block on this domain and blit it into
-   its component plane. *)
+   its component plane, as floats on the 9/7 path. *)
 let decode_flat_job st j =
   let block =
     T1.decode_block_scalable_scratch ~orientation:j.fj_orientation ~w:j.fj_w
       ~h:j.fj_h ~planes:j.fj_planes j.fj_passes
   in
-  Plane.blit_block st.st_planes.(j.fj_comp) ~x0:j.fj_x0 ~y0:j.fj_y0 ~w:j.fj_w
-    ~h:j.fj_h block
+  match st.st_coeffs with
+  | Ints ps ->
+    Plane.blit_block ps.(j.fj_comp) ~x0:j.fj_x0 ~y0:j.fj_y0 ~w:j.fj_w ~h:j.fj_h
+      block
+  | Floats ps ->
+    Plane.blit_block_floats ps.(j.fj_comp) ~x0:j.fj_x0 ~y0:j.fj_y0 ~w:j.fj_w
+      ~h:j.fj_h block
 
 (* Containment semantics of the robust path: [false] marks a block
    whose codeword no longer decodes; its rectangle stays zero. *)
@@ -222,53 +232,45 @@ let run_jobs ~pool st =
 
 (* -- the four Fig. 1 stages -----------------------------------------
 
-   Each stage works in place on its input where it can: the lossless
-   planes go from the entropy stage through IQ to the IDWT as they
-   are, and both wavelets invert in place. *)
+   Every stage works in place on the planes the entropy stage filled:
+   the lossless planes go through IQ to the IDWT as they are, the
+   lossy ones are dequantised band by band, and both wavelets invert
+   in place. *)
 
 let entropy_decode_tile ?max_passes ?(pool = Par.Pool.sequential) header tile =
   run_jobs ~pool (stage_tile ?max_passes header tile)
 
 let dequantise header ed =
-  match header.Codestream.mode with
-  | Codestream.Lossless -> Ints ed.st_planes
-  | Codestream.Lossy ->
+  (match ed.st_coeffs with
+  | Ints _ -> ()
+  | Floats planes ->
     let levels = header.Codestream.levels in
-    let ms =
-      Array.map
-        (fun plane ->
-          let m =
-            Dwt97.matrix_create ~w:ed.st_tile.Codestream.tile_w
-              ~h:ed.st_tile.Codestream.tile_h
+    Array.iter
+      (fun (band : Subband.band) ->
+        if band.Subband.w > 0 && band.Subband.h > 0 then begin
+          let step =
+            Quant.step_for ~base_step:header.Codestream.base_step ~levels
+              ~level:band.Subband.level band.Subband.orientation
           in
-          Array.iter
-            (fun (band : Subband.band) ->
-              if band.Subband.w > 0 && band.Subband.h > 0 then begin
-                let step =
-                  Quant.step_for ~base_step:header.Codestream.base_step ~levels
-                    ~level:band.Subband.level band.Subband.orientation
-                in
-                Quant.dequantise_band ~step plane m band
-              end)
-            ed.st_bands;
-          m)
-        ed.st_planes
-    in
-    Floats ms
+          Array.iter (fun p -> Quant.dequantise_band ~step p band) planes
+        end)
+      ed.st_bands);
+  ed.st_coeffs
 
 let inverse_wavelet ?(pool = Par.Pool.sequential) header domain =
   let levels = header.Codestream.levels in
   (match domain with
   | Ints planes ->
     Par.Pool.iter pool planes (fun p -> Dwt53.inverse_flat p ~levels)
-  | Floats ms -> Par.Pool.iter pool ms (fun m -> Dwt97.inverse_ip m ~levels));
+  | Floats planes ->
+    Par.Pool.iter pool planes (fun p -> Dwt97.inverse_flat p ~levels));
   domain
 
 let inverse_colour_and_shift header tile domain =
   let bit_depth = header.Codestream.bit_depth in
   let w = tile.Codestream.tile_w and h = tile.Codestream.tile_h in
   let ncomps =
-    match domain with Ints ps -> Array.length ps | Floats ms -> Array.length ms
+    match domain with Ints ps -> Array.length ps | Floats ps -> Array.length ps
   in
   let planes =
     Array.init ncomps (fun _ -> Image.create_plane ~width:w ~height:h)
@@ -282,13 +284,12 @@ let inverse_colour_and_shift header tile domain =
       (fun c p -> Colour.shift_inverse ~bit_depth p ~into:planes.(c))
       ps
   | Floats [| y; cb; cr |] ->
-    Colour.ict_inverse_shift ~bit_depth y.Dwt97.values cb.Dwt97.values
-      cr.Dwt97.values ~r:planes.(0) ~g:planes.(1) ~b:planes.(2)
-  | Floats ms ->
+    Colour.ict_inverse_shift ~bit_depth y cb cr ~r:planes.(0) ~g:planes.(1)
+      ~b:planes.(2)
+  | Floats ps ->
     Array.iteri
-      (fun c m ->
-        Colour.round_shift_inverse ~bit_depth m.Dwt97.values ~into:planes.(c))
-      ms);
+      (fun c p -> Colour.round_shift_inverse ~bit_depth p ~into:planes.(c))
+      ps);
   {
     Tile.index = tile.Codestream.tile_index;
     x0 = tile.Codestream.tile_x0;

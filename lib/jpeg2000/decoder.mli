@@ -20,16 +20,21 @@
     on any pool is bit-identical to the sequential one.
 
     {b Memory layout.} Each component's coefficients live in one
-    off-heap {!Plane} (Mallat layout). Code blocks decode through
-    per-domain scratch state ({!T1.decode_block_scalable_scratch}) and
-    blit their rectangle into the shared plane, and the inverse
-    transforms run in place ({!Dwt53.inverse_flat},
-    {!Dwt97.inverse_ip}). No per-block or per-line allocation survives
-    into the steady state, so parallel decodes stop serialising on the
-    minor collector's stop-the-world synchronisation. The tests check
-    the output against recorded golden digests and, on random
-    streams, against a reference chain built from the per-block and
-    per-line reference kernels. *)
+    off-heap {!Plane} (Mallat layout) from the entropy stage to the
+    colour stage: an integer plane on the lossless path, a float64
+    plane on the lossy one. Code blocks decode through per-domain
+    scratch state ({!T1.decode_block_scalable_scratch}) and blit their
+    rectangle into the shared plane (as floats on the lossy path). IQ
+    scales each band of a float plane in place
+    ({!Quant.dequantise_band}), the inverse transforms run in place
+    ({!Dwt53.inverse_flat}, {!Dwt97.inverse_flat}), and the colour
+    stage reads the planes. No second coefficient buffer per tile and
+    no per-block or per-line allocation survives into the steady
+    state, so parallel decodes stop serialising on the minor
+    collector's stop-the-world synchronisation. The tests check the
+    output against recorded golden digests and, on random streams,
+    against a reference chain built from the per-block and per-line
+    reference kernels. *)
 
 type entropy_decoded
 (** A tile after Stage 1: its flat coefficient planes, one per
@@ -40,7 +45,12 @@ type wavelet_domain =
   | Ints of Plane.t array
       (** reversible path: signed 5/3 coefficients in the codec's
           coefficient type, never in an {!Image.plane} *)
-  | Floats of Dwt97.matrix array  (** irreversible path *)
+  | Floats of Plane.floats array
+      (** irreversible path: the code blocks' integer coefficients as
+          floats, dequantised and 9/7-inverted in place *)
+(** A tile's coefficient store, one plane per component. The staged
+    tile creates it from the header's mode, and every stage after the
+    entropy decode hands the same planes on. *)
 
 val entropy_decode_tile :
   ?max_passes:int ->
@@ -58,15 +68,15 @@ val entropy_decode_tile :
 
 val dequantise : Codestream.header -> entropy_decoded -> wavelet_domain
 (** Stage 2 (IQ). The lossless planes are handed over as they are,
-    without a copy. The lossy path dequantises every band into a
-    float matrix ({!Quant.dequantise_band}). A tile decoded at reduced
-    resolution needs no level compensation: both low-pass filters
-    have unit DC gain. *)
+    without a copy. The lossy planes are dequantised band by band in
+    place ({!Quant.dequantise_band}) and handed over, so a tile is
+    dequantised once. A tile decoded at reduced resolution needs no
+    level compensation: both low-pass filters have unit DC gain. *)
 
 val inverse_wavelet :
   ?pool:Par.Pool.t -> Codestream.header -> wavelet_domain -> wavelet_domain
 (** Stage 3 (IDWT): 5/3 ({!Dwt53.inverse_flat}) or 9/7
-    ({!Dwt97.inverse_ip}) multi-level inverse transform, in place —
+    ({!Dwt97.inverse_flat}) multi-level inverse transform, in place —
     the result is its argument; component planes transform in
     parallel on [pool]. *)
 

@@ -117,47 +117,139 @@ let inverse m ~levels =
   in
   List.iter (fun (w, h) -> inverse_level m ~w ~h) (sizes 0 m.mw m.mh [])
 
-(* -- in-place inverse over a per-domain scratch line -----------------
+(* -- the decoder's inverse, in place on a float plane ---------------
 
-   [inverse_1d] allocates a line copy per row/column (plus the
-   [Array.init]/[set_row] temporaries around it); this variant stages
-   each line in one [Plane.Scratch] float buffer instead. The
-   floating-point operations — K scaling on load, then the four
-   lifting steps via [lift] — run in exactly the order of
-   [inverse_1d], so the reconstruction is bit-identical. *)
+   [inverse] gathers every column and row into a fresh line. This one
+   stages each level's [w]x[h] region in one per-domain scratch buffer
+   ([Plane.Scratch.floats]). The column pass loads the plane's rows
+   into it interleaved and K-scaled and lifts whole rows, so no column
+   is ever gathered; the row pass then reads each lifted row once and
+   writes the reconstructed row into the plane. Every coefficient goes
+   through the floating-point operations of [inverse_1d] in the same
+   order, so the reconstruction is bit-identical to [inverse]'s. *)
 
-let inverse_line_ip m y n ~base ~stride =
-  let nl = (n + 1) / 2 and nh = n / 2 in
-  for i = 0 to nl - 1 do
-    y.(2 * i) <- m.values.(base + (i * stride)) *. kappa
-  done;
-  for i = 0 to nh - 1 do
-    y.((2 * i) + 1) <- m.values.(base + ((nl + i) * stride)) /. kappa
-  done;
-  lift y n ~parity:0 (-.delta);
-  lift y n ~parity:1 (-.gamma);
-  lift y n ~parity:0 (-.beta);
-  lift y n ~parity:1 (-.alpha);
-  for i = 0 to n - 1 do
-    m.values.(base + (i * stride)) <- y.(i)
+(* Row [dst] += coef * (row [a] + row [b]), [w] wide. *)
+let[@inline] lift_row s ~w ~dst ~a ~b coef =
+  for x = 0 to w - 1 do
+    s.(dst + x) <- s.(dst + x) +. (coef *. (s.(a + x) +. s.(b + x)))
   done
 
-let inverse_level_ip m ~w ~h =
-  let y = Plane.Scratch.floats (Stdlib.max w h) in
-  (* Columns first, then rows — the order of [inverse_level]. *)
-  if h > 1 then
-    for x = 0 to w - 1 do
-      inverse_line_ip m y h ~base:x ~stride:m.mw
-    done;
-  if w > 1 then
-    for yr = 0 to h - 1 do
-      inverse_line_ip m y w ~base:(yr * m.mw) ~stride:1
-    done
+(* [lift] down every column of the [n >= 2] rows of width [w] in [s]
+   at once, with the same symmetric extension. *)
+let lift_rows s ~w n ~parity coef =
+  let last = n - 1 in
+  let i = ref parity in
+  if parity = 0 then begin
+    lift_row s ~w ~dst:0 ~a:w ~b:w coef;
+    i := 2
+  end;
+  while !i < last do
+    let dst = !i * w in
+    lift_row s ~w ~dst ~a:(dst - w) ~b:(dst + w) coef;
+    i := !i + 2
+  done;
+  if !i = last then begin
+    let dst = last * w in
+    lift_row s ~w ~dst ~a:(dst - w) ~b:(dst - w) coef
+  end
 
-let inverse_ip m ~levels =
+(* [inverse_1d] of the [n >= 2] coefficients at [src] in [s] (lows,
+   then highs), written to [d] at [dst]. The four lifting steps run as
+   one pipeline, each a pair of samples behind the one before, so a
+   value is read once, stays in a register through the steps and is
+   stored once. With [e] the even (low) and [o] the odd (high)
+   samples of the interleaved line, pair [k] of step 1 needs the
+   scaled [o(k-1)] and [o(k)], step 2 the step-1 [e(k)] and [e(k+1)],
+   and so on; [lift]'s symmetric extension is the reflection
+   [o(-1) = o(0)] of steps 1 and 3 and, at the end of the line,
+   [o(no) = o(no-1)] (odd [n]) or [e(ne) = e(ne-1)] (even [n]).
+   [d]'s type is spelled out so its stores compile to plain stores
+   rather than generic Bigarray calls. *)
+let inverse_row s ~src n
+    (d : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t)
+    ~dst =
+  let ne = (n + 1) / 2 and no = n / 2 in
+  let hi = src + ne in
+  let c1 = -.delta and c2 = -.gamma and c3 = -.beta and c4 = -.alpha in
+  (* [o] is o(k-1), [e1] step 1's e(k-1), [o2] and [e3] steps 2 and
+     3 at k-2. *)
+  let o = ref (s.(hi) /. kappa) in
+  let e1 = ref ((s.(src) *. kappa) +. (c1 *. (!o +. !o))) in
+  let o2 = ref 0.0 and e3 = ref 0.0 in
+  for k = 1 to ne - 1 do
+    let ok = if k < no then s.(hi + k) /. kappa else !o in
+    let e1k = (s.(src + k) *. kappa) +. (c1 *. (!o +. ok)) in
+    let o2k = !o +. (c2 *. (!e1 +. e1k)) in
+    let o2l = if k = 1 then o2k else !o2 in
+    let e3k = !e1 +. (c3 *. (o2l +. o2k)) in
+    Bigarray.Array1.unsafe_set d (dst + (2 * (k - 1))) e3k;
+    if k >= 2 then
+      Bigarray.Array1.unsafe_set d
+        (dst + (2 * (k - 2)) + 1)
+        (!o2 +. (c4 *. (!e3 +. e3k)));
+    o := ok;
+    e1 := e1k;
+    o2 := o2k;
+    e3 := e3k
+  done;
+  (* The last pair: e(ne-1) of steps 3 and 4, and o(ne-1) of all four
+     steps when [n] is even. *)
+  let last = ne - 1 in
+  let o2k = if no = ne then !o +. (c2 *. (!e1 +. !e1)) else !o2 in
+  let o2l = if last = 0 then o2k else !o2 in
+  let e3k = !e1 +. (c3 *. (o2l +. o2k)) in
+  Bigarray.Array1.unsafe_set d (dst + (2 * last)) e3k;
+  if last >= 1 then
+    Bigarray.Array1.unsafe_set d
+      (dst + (2 * (last - 1)) + 1)
+      (!o2 +. (c4 *. (!e3 +. e3k)));
+  if no = ne then
+    Bigarray.Array1.unsafe_set d
+      (dst + (2 * last) + 1)
+      (o2k +. (c4 *. (e3k +. e3k)))
+
+let inverse_level_flat (p : Plane.floats) ~w ~h =
+  let d = p.Plane.data and pw = p.Plane.pw in
+  let s = Plane.Scratch.floats (w * h) in
+  (* Column pass, or the single row as it is: a length-1 line inverts
+     to itself. *)
+  if h > 1 then begin
+    let nl = (h + 1) / 2 and nh = h / 2 in
+    for i = 0 to nl - 1 do
+      let src = i * pw and dst = 2 * i * w in
+      for x = 0 to w - 1 do
+        s.(dst + x) <- Bigarray.Array1.unsafe_get d (src + x) *. kappa
+      done
+    done;
+    for i = 0 to nh - 1 do
+      let src = (nl + i) * pw and dst = ((2 * i) + 1) * w in
+      for x = 0 to w - 1 do
+        s.(dst + x) <- Bigarray.Array1.unsafe_get d (src + x) /. kappa
+      done
+    done;
+    lift_rows s ~w h ~parity:0 (-.delta);
+    lift_rows s ~w h ~parity:1 (-.gamma);
+    lift_rows s ~w h ~parity:0 (-.beta);
+    lift_rows s ~w h ~parity:1 (-.alpha)
+  end
+  else
+    for x = 0 to w - 1 do
+      s.(x) <- Bigarray.Array1.unsafe_get d x
+    done;
+  (* Row pass, from the region into the plane. *)
+  for r = 0 to h - 1 do
+    if w > 1 then inverse_row s ~src:(r * w) w d ~dst:(r * pw)
+    else Bigarray.Array1.unsafe_set d (r * pw) s.(r)
+  done
+
+let inverse_flat (p : Plane.floats) ~levels =
   check_levels levels;
-  let rec sizes level w h acc =
-    if level = levels then acc
-    else sizes (level + 1) (Subband.low_size w) (Subband.low_size h) ((w, h) :: acc)
+  (* Deepest level first; [w <= pw] and [h <= ph] at every level, so
+     every plane index above stays inside the plane. *)
+  let rec level l w h =
+    if l < levels then begin
+      level (l + 1) (Subband.low_size w) (Subband.low_size h);
+      inverse_level_flat p ~w ~h
+    end
   in
-  List.iter (fun (w, h) -> inverse_level_ip m ~w ~h) (sizes 0 m.mw m.mh [])
+  level 0 p.Plane.pw p.Plane.ph

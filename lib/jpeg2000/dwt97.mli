@@ -7,7 +7,8 @@
     rounding (verified to ~1e-9 by the property tests). *)
 
 type matrix = { mw : int; mh : int; values : float array }
-(** Row-major float plane used along the lossy path. *)
+(** Row-major float matrix: the encoder's lossy transform and the
+    reference the decoder's {!inverse_flat} is tested against. *)
 
 val matrix_create : w:int -> h:int -> matrix
 val matrix_get : matrix -> x:int -> y:int -> float
@@ -23,10 +24,15 @@ val forward : matrix -> levels:int -> unit
 val inverse : matrix -> levels:int -> unit
 (** Reference for tests: the inverse composed from {!inverse_1d} one
     row and column at a time, allocating per line. The decoder runs
-    {!inverse_ip}. *)
+    {!inverse_flat}. *)
 
-val inverse_ip : matrix -> levels:int -> unit
-(** The decoder's inverse: {!inverse} staged through one per-domain
-    scratch line ({!Plane.Scratch.floats}) instead of allocating per
-    row/column. The floating-point operations run in exactly the
-    order of {!inverse}, so the reconstruction is bit-identical. *)
+val inverse_flat : Plane.floats -> levels:int -> unit
+(** The decoder's inverse, in place on a float plane. Each level runs
+    through one per-domain scratch buffer ({!Plane.Scratch.floats})
+    the size of the level's [w]x[h] region: the column pass loads the
+    plane's rows into it interleaved and K-scaled and lifts whole rows
+    at a time, and the row pass reads each lifted row once, runs the
+    four lifting steps as one pipeline and writes the row into the
+    plane. Every coefficient sees the floating-point operations of
+    {!inverse} in the same order, so the reconstruction is
+    bit-identical. *)

@@ -18,7 +18,7 @@ let quantise ~step values =
       if x < 0.0 then -q else q)
     values
 
-(* Inlined into the loops below, so the float it returns is stored
+(* Inlined into the loop below, so the float it returns is stored
    unboxed instead of allocated per coefficient. *)
 let[@inline] dequantise_one ~step q =
   if q = 0 then 0.0
@@ -34,23 +34,25 @@ let dequantise ~step quantised =
   done;
   values
 
-let dequantise_band ~step (plane : Plane.t) (m : Dwt97.matrix)
-    (band : Subband.band) =
+(* The same reconstruction on a float plane, in place: each cell holds
+   [float_of_int q], and [Float.abs (float_of_int q)] is
+   [float_of_int (abs q)], so the magnitude is computed from the cell
+   directly, with no conversion back to int. A zero cell stays
+   [0.0]. *)
+let dequantise_band ~step (p : Plane.floats) (band : Subband.band) =
   let { Subband.x0; y0; w; h; _ } = band in
-  if
-    x0 < 0 || y0 < 0 || w < 0 || h < 0
-    || x0 + w > plane.pw
-    || y0 + h > plane.ph
-    || x0 + w > m.mw
-    || y0 + h > m.mh
-    || Array.length m.values < m.mw * m.mh
+  if x0 < 0 || y0 < 0 || w < 0 || h < 0 || x0 + w > p.pw || y0 + h > p.ph
   then invalid_arg "Quant.dequantise_band: band outside the plane";
-  let src = plane.data and dst = m.values in
+  let d = p.data in
   for y = y0 to y0 + h - 1 do
-    let ps = y * plane.pw and ms = y * m.mw in
-    for x = x0 to x0 + w - 1 do
-      Array.unsafe_set dst (ms + x)
-        (dequantise_one ~step (Bigarray.Array1.unsafe_get src (ps + x)))
+    let row = y * p.pw in
+    for i = row + x0 to row + x0 + w - 1 do
+      let v = Bigarray.Array1.unsafe_get d i in
+      if v <> 0.0 then begin
+        let magnitude = (Float.abs v +. 0.5) *. step in
+        Bigarray.Array1.unsafe_set d i
+          (if v < 0.0 then -.magnitude else magnitude)
+      end
     done
   done
 

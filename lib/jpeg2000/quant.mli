@@ -21,15 +21,15 @@ val dequantise : step:float -> int array -> float array
     [sign(q) * (|q| + 0.5) * step]. Reference for tests: the decoder
     runs {!dequantise_band}. *)
 
-val dequantise_band :
-  step:float -> Plane.t -> Dwt97.matrix -> Subband.band -> unit
-(** The decoder's IQ of one band rectangle: reads the
-    quantised coefficients at the band's absolute position ([x0],
-    [y0], [w], [h]) in the plane and writes the {!dequantise} value of
-    each to the same position in the matrix — no per-coefficient call, no
-    boxed intermediate array. One rectangle check per band: raises
-    [Invalid_argument] if the band leaves the plane or the matrix. No
-    step validation (the caller obtained [step] from {!step_for}). *)
+val dequantise_band : step:float -> Plane.floats -> Subband.band -> unit
+(** The decoder's IQ of one band rectangle, in place on the tile
+    component's float plane: every cell of the band at its absolute
+    position ([x0], [y0], [w], [h]) holds [float_of_int q] of a
+    quantised coefficient and is overwritten with the {!dequantise}
+    value of [q], bit for bit. Cells outside the band are not touched.
+    One rectangle check per band: raises [Invalid_argument] if the
+    band leaves the plane. No step validation (the caller obtained
+    [step] from {!step_for}). *)
 
 val max_error : step:float -> float
 (** Upper bound of [|dequantise (quantise x) - x|]: one full step (the

@@ -13,6 +13,19 @@ let plane_ints (p : Jpeg2000.Plane.t) =
     (Jpeg2000.Plane.width p * Jpeg2000.Plane.height p)
     (Bigarray.Array1.get p.Jpeg2000.Plane.data)
 
+(* A float plane holding a copy of [values], row-major. *)
+let float_plane ~w ~h values =
+  let p = Jpeg2000.Plane.create_floats ~w ~h in
+  Array.iteri (Bigarray.Array1.set p.Jpeg2000.Plane.data) values;
+  p
+
+let plane_floats (p : Jpeg2000.Plane.floats) =
+  Array.init
+    (Jpeg2000.Plane.width p * Jpeg2000.Plane.height p)
+    (Bigarray.Array1.get p.Jpeg2000.Plane.data)
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
 (* -- Image --------------------------------------------------------- *)
 
 let test_image_basics () =
@@ -235,6 +248,48 @@ let test_assemble_allocation () =
     (Printf.sprintf "%.2f bytes allocated per sample (at most 3)" per_sample)
     true (per_sample <= 3.0)
 
+(* The lossy finish works in place on each tile's float planes: over
+   every tile of a staged 256x256 lossy stream (the case-study
+   configuration), the three stage calls after the entropy decode
+   allocate on the OCaml heap little more than the 2 bytes per sample
+   of the output planes themselves. *)
+let test_lossy_finish_allocation () =
+  let side = 256 in
+  let data =
+    Models.Workload.codestream ~width:side ~height:side ~seed:11
+      Jpeg2000.Codestream.Lossy
+  in
+  let stream = parse_ok data in
+  let header = stream.Jpeg2000.Codestream.header in
+  let decoded =
+    List.map
+      (fun seg -> (seg, Jpeg2000.Decoder.entropy_decode_tile header seg))
+      stream.Jpeg2000.Codestream.tiles
+  in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let tiles =
+    List.map
+      (fun (seg, ed) ->
+        Jpeg2000.Decoder.dequantise header ed
+        |> Jpeg2000.Decoder.inverse_wavelet header
+        |> Jpeg2000.Decoder.inverse_colour_and_shift header seg)
+      decoded
+  in
+  let bytes = Gc.allocated_bytes () -. before in
+  let samples = side * side * header.Jpeg2000.Codestream.components in
+  let per_sample = bytes /. float_of_int samples in
+  let image =
+    Jpeg2000.Tile.assemble ~width:side ~height:side
+      ~components:header.Jpeg2000.Codestream.components
+      ~bit_depth:header.Jpeg2000.Codestream.bit_depth tiles
+  in
+  Alcotest.(check bool) "finished tiles equal the decode" true
+    (Jpeg2000.Image.equal image (Jpeg2000.Decoder.decode data));
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f bytes allocated per sample (at most 3)" per_sample)
+    true (per_sample <= 3.0)
+
 (* -- Tile ---------------------------------------------------------- *)
 
 let test_tile_split_assemble () =
@@ -321,6 +376,13 @@ let colour_sample bit_depth =
           (int_range (-int_of_float range) (int_of_float range));
       ])
 
+(* The lossy finish's oracle after the colour transform: round to
+   nearest with [Float.round], then [dc_shift_inverse]. *)
+let round_shift_oracle ~bit_depth a =
+  let ints = Array.map (fun v -> int_of_float (Float.round v)) a in
+  Jpeg2000.Colour.dc_shift_inverse ~bit_depth ints;
+  ints
+
 let colour_fused_qcheck =
   QCheck.Test.make ~name:"fused ICT+round+shift equals the three-stage chain"
     ~count:300
@@ -336,22 +398,83 @@ let colour_fused_qcheck =
       let y = plane (fun (v, _, _) -> v)
       and cb = plane (fun (_, v, _) -> v)
       and cr = plane (fun (_, _, v) -> v) in
-      let chain a =
-        let ints = Array.map (fun v -> int_of_float (Float.round v)) a in
-        Jpeg2000.Colour.dc_shift_inverse ~bit_depth ints;
-        ints
-      in
+      let chain = round_shift_oracle ~bit_depth in
       let y', cb', cr' = (Array.copy y, Array.copy cb, Array.copy cr) in
       Jpeg2000.Colour.ict_inverse y' cb' cr';
       let out () =
         Jpeg2000.Image.create_plane ~width:(Array.length y) ~height:1
       in
       let r = out () and g = out () and b = out () and grey = out () in
-      Jpeg2000.Colour.ict_inverse_shift ~bit_depth y cb cr ~r ~g ~b;
-      Jpeg2000.Colour.round_shift_inverse ~bit_depth y ~into:grey;
+      let coeffs a = float_plane ~w:(Array.length a) ~h:1 a in
+      let yp = coeffs y in
+      Jpeg2000.Colour.ict_inverse_shift ~bit_depth yp (coeffs cb) (coeffs cr)
+        ~r ~g ~b;
+      Jpeg2000.Colour.round_shift_inverse ~bit_depth yp ~into:grey;
       let ints = Jpeg2000.Image.plane_to_array in
       (ints r, ints g, ints b) = (chain y', chain cb', chain cr')
-      && ints grey = chain y)
+      && ints grey = chain y
+      && Array.for_all2 same_bits (plane_floats yp) y)
+
+(* The inline round-half-away-from-zero of the lossy finish on the
+   values a rounding shortcut gets wrong: ties, the largest double
+   below 0.5, one ulp either side of a tie, integral values from 2^52
+   on, non-finite values, and samples that land one step inside and
+   outside either clamp end. Same oracle chain as above, with zero
+   chroma. *)
+let test_colour_rounding_cases () =
+  let ties =
+    List.concat_map
+      (fun k ->
+        let t = float_of_int k +. 0.5 in
+        [ t; Float.pred t; Float.succ t ])
+      [ -1000; -129; -3; -2; -1; 0; 1; 2; 127; 128; 32767; 1 lsl 40 ]
+  in
+  let fixed =
+    [ 0.5; -0.5; 1.5; -1.5; 2.5; -2.5; 0.49999999999999994;
+      -0.49999999999999994; 0.0; -0.0; 0x1p52; -0x1p52; 0x1p52 +. 1.0;
+      Float.pred 0x1p52; 0x1p53 +. 2.0; 1e300; -1e300; Float.infinity;
+      Float.neg_infinity; Float.nan ]
+  in
+  List.iter
+    (fun bit_depth ->
+      let offset = Float.pow 2.0 (float_of_int (bit_depth - 1)) in
+      let top = (2.0 *. offset) -. 1.0 in
+      let clamp_ends =
+        List.concat_map
+          (fun edge ->
+            let lo = -.offset +. edge and hi = top -. offset +. edge in
+            [ lo -. 0.5; Float.pred (lo -. 0.5); Float.succ (lo -. 0.5);
+              hi +. 0.5; Float.pred (hi +. 0.5); Float.succ (hi +. 0.5) ])
+          [ -1.0; 0.0; 1.0 ]
+      in
+      let y = Array.of_list (ties @ fixed @ clamp_ends) in
+      let n = Array.length y in
+      let zeros () = Array.make n 0.0 in
+      let chain = round_shift_oracle ~bit_depth in
+      let y' = Array.copy y and cb' = zeros () and cr' = zeros () in
+      Jpeg2000.Colour.ict_inverse y' cb' cr';
+      let out () = Jpeg2000.Image.create_plane ~width:n ~height:1 in
+      let r = out () and g = out () and b = out () and grey = out () in
+      let yp = float_plane ~w:n ~h:1 y in
+      Jpeg2000.Colour.ict_inverse_shift ~bit_depth yp
+        (float_plane ~w:n ~h:1 (zeros ()))
+        (float_plane ~w:n ~h:1 (zeros ()))
+        ~r ~g ~b;
+      Jpeg2000.Colour.round_shift_inverse ~bit_depth yp ~into:grey;
+      let ints = Jpeg2000.Image.plane_to_array in
+      let check name got want =
+        Array.iteri
+          (fun i v ->
+            if v <> want.(i) then
+              Alcotest.failf "bit depth %d, %s of %h: %d, oracle %d" bit_depth
+                name y.(i) v want.(i))
+          got
+      in
+      check "grey" (ints grey) (chain y);
+      check "red" (ints r) (chain y');
+      check "green" (ints g) (chain cb');
+      check "blue" (ints b) (chain cr'))
+    [ 1; 8; 12; 16 ]
 
 (* The fused lossless finish against its oracle chain: [rct_inverse],
    then [dc_shift_inverse], on random coefficients wide enough to pass
@@ -505,9 +628,10 @@ let dwt97_roundtrip_qcheck =
 
 (* FNV-1a over the IEEE bits of a 9/7 forward + inverse over a fixed
    pseudo-random 37x29 matrix (three levels, both inverse entry
-   points) and the 1-D transforms on odd and even lengths. The
-   lifting must keep its exact operation order: a reassociated step
-   still round-trips within 1e-9 but changes these bits. *)
+   points: the reference [inverse] and the decoder's in-place
+   [inverse_flat]) and the 1-D transforms on odd and even lengths.
+   The lifting must keep its exact operation order: a reassociated
+   step still round-trips within 1e-9 but changes these bits. *)
 let dwt97_bits_digest () =
   let h = ref 0xcbf29ce484222325L in
   let mix v =
@@ -523,11 +647,11 @@ let dwt97_bits_digest () =
   Array.iteri (fun i _ -> m.Jpeg2000.Dwt97.values.(i) <- next ()) m.Jpeg2000.Dwt97.values;
   Jpeg2000.Dwt97.forward m ~levels:3;
   Array.iter mix m.Jpeg2000.Dwt97.values;
-  let m2 = { m with Jpeg2000.Dwt97.values = Array.copy m.Jpeg2000.Dwt97.values } in
+  let flat = float_plane ~w ~h:ht m.Jpeg2000.Dwt97.values in
   Jpeg2000.Dwt97.inverse m ~levels:3;
   Array.iter mix m.Jpeg2000.Dwt97.values;
-  Jpeg2000.Dwt97.inverse_ip m2 ~levels:3;
-  Array.iter mix m2.Jpeg2000.Dwt97.values;
+  Jpeg2000.Dwt97.inverse_flat flat ~levels:3;
+  Array.iter mix (plane_floats flat);
   List.iter
     (fun n ->
       let line = Array.init n (fun _ -> next ()) in
@@ -540,6 +664,33 @@ let dwt97_bits_digest () =
 let test_dwt97_bits_golden () =
   Alcotest.(check string) "digest" "bbe3690196eaf9ba"
     (Printf.sprintf "%016Lx" (dwt97_bits_digest ()))
+
+(* The in-place inverse against the reference on every shape up to
+   12x12 at 0-4 levels, bit for bit. Its column pass lifts whole rows
+   and has its own edge rows (h = 1 and h = 2, the first row, the last
+   even or odd row); random streams reach them only by chance. *)
+let test_dwt97_flat_small_shapes () =
+  let state = ref 97 in
+  let next () =
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    float_of_int ((!state mod 20001) - 10000) /. 13.0
+  in
+  for w = 1 to 12 do
+    for h = 1 to 12 do
+      for levels = 0 to 4 do
+        let values = Array.init (w * h) (fun _ -> next ()) in
+        let flat = float_plane ~w ~h values in
+        Jpeg2000.Dwt97.inverse { Jpeg2000.Dwt97.mw = w; mh = h; values } ~levels;
+        Jpeg2000.Dwt97.inverse_flat flat ~levels;
+        Array.iteri
+          (fun i v ->
+            if not (same_bits v values.(i)) then
+              Alcotest.failf "%dx%d, %d levels, sample %d: %h, reference %h" w h
+                levels i v values.(i))
+          (plane_floats flat)
+      done
+    done
+  done
 
 (* -- Quantiser ------------------------------------------------------ *)
 
@@ -563,8 +714,10 @@ let quant_error_bound_qcheck =
         (fun x r -> Float.abs (x -. r) <= Jpeg2000.Quant.max_error ~step +. 1e-9)
         xs back)
 
-(* IQ of a band rectangle on the flat path against [Quant.dequantise]
-   of the same coefficients; cells outside the band keep a sentinel. *)
+(* IQ of a band rectangle in place on a float plane against
+   [Quant.dequantise] of the int coefficients, bit for bit; cells
+   outside the band keep their values. Coefficients are 0, +-1, small,
+   or up to +-2^60, where [float_of_int] rounds. *)
 let quant_band_qcheck =
   QCheck.Test.make ~name:"dequantise_band equals Quant.dequantise" ~count:200
     QCheck.(
@@ -580,40 +733,42 @@ let quant_band_qcheck =
       in
       let x0 = bx mod pw and y0 = by mod ph in
       let w = 1 + (next () mod (pw - x0)) and h = 1 + (next () mod (ph - y0)) in
+      let sign m = if next () land 1 = 0 then m else -m in
       let coeffs =
         Array.init (pw * ph) (fun _ ->
-            if next () mod 3 = 0 then 0 else (next () mod 601) - 300)
+            match next () mod 4 with
+            | 0 -> 0
+            | 1 -> sign 1
+            | 2 -> (next () mod 601) - 300
+            | _ -> sign (1 + (((next () lsl 30) lor next ()) mod (1 lsl 60))))
       in
-      let plane = Jpeg2000.Plane.of_array ~w:pw ~h:ph coeffs in
-      let m = Jpeg2000.Dwt97.matrix_create ~w:pw ~h:ph in
-      let sentinel = -12345.0 in
-      Array.fill m.Jpeg2000.Dwt97.values 0 (pw * ph) sentinel;
+      let before = Array.map float_of_int coeffs in
+      let plane = float_plane ~w:pw ~h:ph before in
       let band =
         { Jpeg2000.Subband.level = 1; orientation = Jpeg2000.Subband.HH; x0; y0; w; h }
       in
-      Jpeg2000.Quant.dequantise_band ~step plane m band;
+      Jpeg2000.Quant.dequantise_band ~step plane band;
       let inside =
         Array.init (w * h) (fun i ->
             coeffs.(((y0 + (i / w)) * pw) + x0 + (i mod w)))
       in
       let expected = Jpeg2000.Quant.dequantise ~step inside in
+      let after = plane_floats plane in
       let ok = ref true in
       for y = 0 to ph - 1 do
         for x = 0 to pw - 1 do
-          let v = Jpeg2000.Dwt97.matrix_get m ~x ~y in
           let want =
             if x >= x0 && x < x0 + w && y >= y0 && y < y0 + h then
               expected.(((y - y0) * w) + (x - x0))
-            else sentinel
+            else before.((y * pw) + x)
           in
-          if Int64.bits_of_float v <> Int64.bits_of_float want then ok := false
+          if not (same_bits after.((y * pw) + x) want) then ok := false
         done
       done;
       !ok)
 
 let test_quant_band_bounds () =
-  let plane = Jpeg2000.Plane.create ~w:8 ~h:6 in
-  let m = Jpeg2000.Dwt97.matrix_create ~w:8 ~h:6 in
+  let plane = Jpeg2000.Plane.create_floats ~w:8 ~h:6 in
   let band x0 y0 w h =
     { Jpeg2000.Subband.level = 1; orientation = Jpeg2000.Subband.LH; x0; y0; w; h }
   in
@@ -621,23 +776,14 @@ let test_quant_band_bounds () =
     (fun (name, b) ->
       Alcotest.check_raises name
         (Invalid_argument "Quant.dequantise_band: band outside the plane")
-        (fun () -> Jpeg2000.Quant.dequantise_band ~step:1.0 plane m b))
+        (fun () -> Jpeg2000.Quant.dequantise_band ~step:1.0 plane b))
     [
       ("left", band (-1) 0 2 2);
       ("top", band 0 (-1) 2 2);
       ("right", band 7 0 2 2);
       ("bottom", band 0 5 2 2);
       ("negative width", band 0 0 (-1) 2);
-    ];
-  List.iter
-    (fun (name, (w, h), b) ->
-      let small = Jpeg2000.Dwt97.matrix_create ~w ~h in
-      Alcotest.check_raises name
-        (Invalid_argument "Quant.dequantise_band: band outside the plane")
-        (fun () -> Jpeg2000.Quant.dequantise_band ~step:1.0 plane small b))
-    [
-      ("matrix narrower than the plane", (4, 6), band 2 0 4 2);
-      ("matrix shorter than the plane", (8, 3), band 0 2 2 2);
+      ("negative height", band 0 0 2 (-1));
     ]
 
 let test_quant_zero_stays_zero () =
@@ -2099,6 +2245,8 @@ let () =
           qc pnm_random_qcheck;
           Alcotest.test_case "assemble allocation" `Quick
             test_assemble_allocation;
+          Alcotest.test_case "lossy finish allocation" `Quick
+            test_lossy_finish_allocation;
         ] );
       ( "tile",
         [
@@ -2113,6 +2261,8 @@ let () =
           qc rct_roundtrip_qcheck;
           qc ict_roundtrip_qcheck;
           qc colour_fused_qcheck;
+          Alcotest.test_case "lossy rounding cases" `Quick
+            test_colour_rounding_cases;
           qc colour_fused_lossless_qcheck;
         ] );
       ( "subband",
@@ -2130,6 +2280,8 @@ let () =
           Alcotest.test_case "9/7 constant line" `Quick test_dwt97_constant_line;
           qc dwt97_roundtrip_qcheck;
           Alcotest.test_case "9/7 bits golden" `Quick test_dwt97_bits_golden;
+          Alcotest.test_case "9/7 in place equals reference on small shapes"
+            `Quick test_dwt97_flat_small_shapes;
         ] );
       ( "quant",
         [
