@@ -44,6 +44,9 @@ let burst_cycles t ~burst_words =
   t.arbitration_cycles + t.address_cycles
   + (beats t ~burst_words * t.cycles_per_word)
 
+let burst_time t ~burst_words =
+  Sim.Sim_time.cycles ~hz:t.clock_hz (burst_cycles t ~burst_words)
+
 let transfer t master ~words =
   if words < 0 then invalid_arg "Bus.transfer: negative word count";
   if words > 0 then begin
@@ -51,20 +54,28 @@ let transfer t master ~words =
       Telemetry.Sink.incr ("bus." ^ name t ^ ".transactions");
       Telemetry.Sink.incr ~by:words ("bus." ^ name t ^ ".words")
     end;
+    let full = t.max_burst_words in
+    let full_time = burst_time t ~burst_words:full in
     let remaining = ref words in
     while !remaining > 0 do
-      let burst = Stdlib.min !remaining t.max_burst_words in
-      remaining := !remaining - burst;
-      (* [Lock.with_lock] without its per-burst closure. *)
-      Lock.acquire t.lock master;
-      match
-        Eet.consume
-          (Sim.Sim_time.cycles ~hz:t.clock_hz (burst_cycles t ~burst_words:burst))
-      with
-      | () -> Lock.release t.lock master
-      | exception exn ->
-        Lock.release t.lock master;
-        raise exn
+      (* The full bursts the idle bus grants in one kernel step. *)
+      let bursts = !remaining / full in
+      if bursts > 0 then
+        remaining :=
+          !remaining - (full * Lock.idle_grants t.lock master ~hold:full_time ~count:bursts);
+      (* Then one burst the per-burst way: a contended grant, a grant
+         past the next kernel event, or the tail. *)
+      if !remaining > 0 then begin
+        let burst = Stdlib.min !remaining full in
+        remaining := !remaining - burst;
+        (* [Lock.with_lock] without its per-burst closure. *)
+        Lock.acquire t.lock master;
+        match Eet.consume (burst_time t ~burst_words:burst) with
+        | () -> Lock.release t.lock master
+        | exception exn ->
+          Lock.release t.lock master;
+          raise exn
+      end
     done
   end
 
@@ -87,5 +98,3 @@ let opb kernel ?(clock_hz = 100_000_000) () =
 let plb kernel ?(clock_hz = 100_000_000) () =
   create kernel ~name:"plb" ~clock_hz ~data_width_bits:64 ~arbitration_cycles:2
     ~address_cycles:0 ~max_burst_words:32 ()
-
-let contention_time t = Lock.total_wait t.lock

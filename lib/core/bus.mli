@@ -45,12 +45,17 @@ val attach_master : t -> name:string -> master
 
 val transfer : t -> master -> words:int -> unit
 (** Blocking bus transaction of [words] 32-bit words (either
-    direction — the OPB is not full-duplex). Process context only. *)
+    direction — the OPB is not full-duplex). Process context only.
+
+    Each burst is one grant of the bus lock, held for the burst's
+    cycles. A run of full bursts on an idle bus goes through
+    {!Lock.idle_grants}: the bursts that end before the next calendar
+    entry and within [run ~until] take one kernel step. Every other
+    burst (a contended grant, the one that meets the next calendar
+    entry or the horizon, and the tail shorter than [max_burst_words])
+    is an {!Lock.acquire}, an {!Eet.consume} and a {!Lock.release}.
+    Both give the same grants, instants, delta cycles, statistics and
+    telemetry. *)
 
 val transfer_time_unloaded : t -> words:int -> Sim.Sim_time.t
 (** Duration of the same transaction on an idle bus. *)
-
-(** {1 Statistics} *)
-
-val contention_time : t -> Sim.Sim_time.t
-(** Total time masters spent waiting for a grant. *)

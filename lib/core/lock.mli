@@ -16,7 +16,15 @@
     in between and wins under the arbiter's rules still wins. Grant
     order, grant instants, delta cycles and the statistics below are
     those of the broadcast wake; only [process.*.wakeups] counts fewer
-    resumes. *)
+    resumes.
+
+    {b Idle grants.} On a free lock with no request pending or parked
+    and no grant or holder overhead, {!acquire} grants at once, and a
+    hold followed by {!release} wakes no one. {!idle_grants} takes a
+    run of such grants in one kernel step
+    ({!Sim.Kernel.advance_in_place}), with the grant order, instants,
+    delta cycles, statistics and telemetry of the same grants taken one
+    by one. *)
 
 type t
 type holder
@@ -53,6 +61,22 @@ val release : t -> holder -> unit
 
 val with_lock : t -> holder -> (unit -> 'a) -> 'a
 (** Acquire, run, release (also on exception). *)
+
+val idle_grants : t -> holder -> hold:Sim.Sim_time.t -> count:int -> int
+(** [idle_grants t h ~hold ~count] takes up to [count] back-to-back
+    grants of the idle lock for [h], each held for [hold], and returns
+    how many it took. Each stands for [acquire t h], a [Kernel.wait_for
+    hold] that advances in place, and [release t h]. It takes none
+    (returns [0], nothing changed) unless the lock is free, no request
+    is pending or parked, and the lock's grant overhead and [h]'s
+    overhead are zero; and it takes only as many as
+    {!Sim.Kernel.advance_in_place} does. The arbiter notes the grant,
+    {!total_held} grows by [hold] per grant and {!total_wait} by
+    nothing. Under a telemetry sink each grant records what {!acquire}
+    and {!release} record, in grant order: the grant counter, a
+    [wait_ps] of 0, the [held_ps] and the busy span, the [i]th at
+    [start + i * hold]; the kernel counts one wake-up per grant.
+    Process context only, from the process [h] stands for. *)
 
 (** {1 Statistics} *)
 

@@ -24,8 +24,9 @@ type t = {
   mutable stop_requested : bool;
   mutable started : bool;
   mutable current_label : string option;
-  mutable woke_in_place : unit -> unit;
-      (* the running process's wake-up bookkeeping, set per slice *)
+  mutable woke_in_place : int -> unit;
+      (* the running process's bookkeeping for [n] wake-ups, set per
+         slice *)
   mutable horizon : int; (* the running [run]'s [until], in ps *)
   mutable settle : unit -> bool;
       (* the running delivery's answer to "are you done?" *)
@@ -116,7 +117,7 @@ let spawn t ?name body =
      slice bumps a ref instead of hashing the key; invalidated when a
      different sink is installed between slices. *)
   let cached_cell : (Telemetry.Sink.t * int ref) option ref = ref None in
-  let note_wakeup s =
+  let note_wakeups s n =
     Telemetry.Sink.set_context s some_label;
     let cell =
       match !cached_cell with
@@ -128,19 +129,19 @@ let spawn t ?name body =
         cached_cell := Some (s, r);
         r
     in
-    Stdlib.incr cell
+    cell := !cell + n
   in
-  (* A [wait_for] that advances time in place keeps the slice running:
-     it owes the wake-up only this bookkeeping. *)
-  let woke_in_place () =
-    match Telemetry.Sink.active () with None -> () | Some s -> note_wakeup s
+  (* Time advanced in place keeps the slice running: each step owes
+     its wake-up only this bookkeeping. *)
+  let woke_in_place n =
+    match Telemetry.Sink.active () with None -> () | Some s -> note_wakeups s n
   in
   let with_label f () =
     let prev = t.current_label in
     t.current_label <- some_label;
     t.woke_in_place <- woke_in_place;
     let sink = Telemetry.Sink.active () in
-    (match sink with None -> () | Some s -> note_wakeup s);
+    (match sink with None -> () | Some s -> note_wakeups s 1);
     match f () with
     | () -> (
       t.current_label <- prev;
@@ -261,28 +262,37 @@ let suspend register = Effect.perform (Suspend register)
    [now + d] is within the horizon, and no calendar entry is due at or
    before [now + d] (one due exactly then was queued first and runs
    first). Then do the same bookkeeping here and keep the slice
-   running. *)
-let advance_in_place t d =
-  let wake = Sim_time.to_ps t.now + Sim_time.to_ps d in
-  Queue.is_empty t.current
-  && Queue.is_empty t.next_delta
-  && Queue.is_empty t.updates
-  && (not t.stop_requested)
-  && wake <= t.horizon
-  && Pqueue.next_key t.calendar > wake
-  && t.settle ()
-  && begin
-       t.settle <- settled;
-       t.deltas <- t.deltas + 1;
-       t.now <- Sim_time.of_ps wake;
-       t.advances <- t.advances + 1;
-       t.woke_in_place ();
-       true
-     end
+   running. After such a step nothing is runnable and the delivery is
+   settled, so a next wait of [d] advances in place too while its end
+   stays within the horizon and before the first calendar entry. Up to
+   [steps] of those are taken at once, each counted as the scheduler
+   would count it. *)
+let advance_in_place t d ~steps =
+  let d = Sim_time.to_ps d in
+  let now = Sim_time.to_ps t.now in
+  (* The last instant a step may end at. *)
+  let last = Stdlib.min t.horizon (Pqueue.next_key t.calendar - 1) in
+  if
+    steps <= 0 || d <= 0 || now + d > last
+    || (not (Queue.is_empty t.current))
+    || (not (Queue.is_empty t.next_delta))
+    || (not (Queue.is_empty t.updates))
+    || t.stop_requested
+    || not (t.settle ())
+  then 0
+  else begin
+    let k = if steps = 1 then 1 else Stdlib.min steps ((last - now) / d) in
+    t.settle <- settled;
+    t.deltas <- t.deltas + k;
+    t.now <- Sim_time.of_ps (now + (k * d));
+    t.advances <- t.advances + k;
+    t.woke_in_place k;
+    k
+  end
 
 let wait_for d =
   let t = self () in
-  if Sim_time.is_zero d || not (advance_in_place t d) then
+  if advance_in_place t d ~steps:1 = 0 then
     suspend (fun resume -> schedule_after t d resume)
 
 let yield () =

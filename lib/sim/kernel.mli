@@ -138,7 +138,9 @@ val suspend : ((unit -> unit) -> unit) -> unit
     once) resumes the process. *)
 
 val wait_for : Sim_time.t -> unit
-(** [wait_for d] lets the calling process resume [d] later.
+(** [wait_for d] lets the calling process resume [d] later. It is
+    [advance_in_place (self ()) d ~steps:1], followed by a suspend when
+    that takes no step.
 
     For [d > 0] it suspends only if something else could run before the
     caller's wake-up. It does not suspend, and advances time in place,
@@ -157,6 +159,27 @@ val wait_for : Sim_time.t -> unit
     wake-up ([process.<name>.wakeups]). {!delta_count},
     {!time_advances} and every ordering are the same as with a
     suspend. *)
+
+val advance_in_place : t -> Sim_time.t -> steps:int -> int
+(** [advance_in_place t d ~steps] takes up to [steps] consecutive
+    in-place advances of [d] for the calling process, which must be
+    the process [t] is running, and returns how many it took. Each is
+    what one [wait_for d] would do in place, and the conditions above
+    are checked once:
+    - the queues, the stop request and the running {!deliver}'s
+      [settle] before the first step. After a step the caller is the
+      only thing left to run and the delivery is settled, so the
+      later steps need neither;
+    - the horizon and the calendar for every step: the [i]th step
+      ([i] from 1) is taken only if [now + i * d] is within
+      [until] and before the first calendar entry. An entry due
+      exactly at a step's end stops the advance before that step.
+
+    Each step ends one delta cycle and counts one time advance and one
+    wake-up, as a suspend and a resume would. [0] means that the first
+    [wait_for d] would suspend, and nothing has changed; it is also
+    the answer for [d = 0] and [steps <= 0]. The caller decides what
+    to do instead (a [wait_for d] then suspends). *)
 
 val yield : unit -> unit
 (** Suspends the calling process until the next delta cycle. *)

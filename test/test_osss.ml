@@ -592,14 +592,20 @@ let test_bus_contention_serialises () =
   let m1 = Osss.Bus.attach_master bus ~name:"m1" in
   let m2 = Osss.Bus.attach_master bus ~name:"m2" in
   let single = Osss.Bus.transfer_time_unloaded bus ~words:64 in
-  Sim.Kernel.spawn k (fun () -> Osss.Bus.transfer bus m1 ~words:64);
-  Sim.Kernel.spawn k (fun () -> Osss.Bus.transfer bus m2 ~words:64);
+  let done1 = ref Sim.Sim_time.zero and done2 = ref Sim.Sim_time.zero in
+  Sim.Kernel.spawn k (fun () ->
+      Osss.Bus.transfer bus m1 ~words:64;
+      done1 := Sim.Kernel.now k);
+  Sim.Kernel.spawn k (fun () ->
+      Osss.Bus.transfer bus m2 ~words:64;
+      done2 := Sim.Kernel.now k);
   Sim.Kernel.run k;
   Alcotest.check time "two masters take twice as long"
     (Sim.Sim_time.mul_int single 2)
     (Sim.Kernel.now k);
-  Alcotest.(check bool) "contention recorded" true
-    Sim.Sim_time.(Osss.Bus.contention_time bus > Sim.Sim_time.zero)
+  (* The bursts interleave, so each master waited for the other's. *)
+  Alcotest.(check bool) "contention delays both" true
+    Sim.Sim_time.(!done1 > single && !done2 > single)
 
 let test_bus_presets () =
   let k = Sim.Kernel.create () in
@@ -765,6 +771,257 @@ let test_round_robin_bus_alternates () =
   Alcotest.(check bool) "fair interleaving" true
     (gap <= Sim.Sim_time.to_ps (Sim.Sim_time.cycles ~hz:clock_hz 19))
 
+(* -- Idle bursts in one kernel step ---------------------------------- *)
+
+(* [Bus.transfer] takes runs of full bursts on an idle bus through
+   [Lock.idle_grants], in one kernel step. Its reference is the
+   per-burst loop it had before: an [acquire], an [Eet.consume] and a
+   [release] per burst. Random masters move words between compute
+   phases; background processes wake on multiples of the burst time,
+   so calendar entries fall exactly on burst ends; and a first
+   [run ~until] may stop mid-transfer. Both must give every completion
+   instant at the same delta cycle, the same kernel counters and lock
+   statistics, and, under a sink, the same Chrome trace and metrics,
+   byte for byte. The bus has no grant or holder overhead, so
+   overheads are drawn in a second property, at the lock level. *)
+
+type burst_scenario = {
+  bs_policy : Osss.Arbiter.policy;
+  burst_words : int;
+  bs_grant_overhead : int;  (** ns *)
+  masters : (int * ((int * int) * int) list) list;
+      (** per master: its holder overhead (ns) and its transfers, each
+          [((bursts, ns) of compute before it, words)] *)
+  background : (int * int) list;
+      (** per process: its period in full bursts and its step count *)
+  until : (int * int) option;  (** (bursts, ns): [run ~until] first *)
+}
+
+let show_burst_scenario s =
+  let span (bursts, ns) = Printf.sprintf "%d bursts + %d ns" bursts ns in
+  Printf.sprintf "%s, %d-word bursts, grant overhead %d ns, %s\n%s\n%s"
+    (match s.bs_policy with
+    | Osss.Arbiter.Fcfs -> "fcfs"
+    | Round_robin -> "round robin"
+    | Static_priority -> "static priority")
+    s.burst_words s.bs_grant_overhead
+    (match s.until with
+    | None -> "one run"
+    | Some u -> "run until " ^ span u ^ ", then to the end")
+    (String.concat "\n"
+       (List.mapi
+          (fun i (overhead, transfers) ->
+            Printf.sprintf "  m%d (+%d ns): %s" i overhead
+              (String.concat "; "
+                 (List.map
+                    (fun (compute, words) ->
+                      Printf.sprintf "compute %s, %d words" (span compute) words)
+                    transfers)))
+          s.masters))
+    (String.concat "\n"
+       (List.mapi
+          (fun i (period, steps) ->
+            Printf.sprintf "  bg%d: %d steps of %d bursts" i steps period)
+          s.background))
+
+let burst_scenario_gen ~overheads ~words =
+  let open QCheck.Gen in
+  let span =
+    frequency
+      [
+        (2, return (0, 0));
+        (3, map (fun n -> (n, 0)) (int_range 1 40));
+        (2, map2 (fun n ns -> (n, ns)) (int_range 0 40) (int_range 1 300));
+      ]
+  in
+  (* 400 ns is longer than any burst: a holder with that overhead owns
+     the lock across calendar-free stretches another could step in. *)
+  let overhead = if overheads then oneofl [ 0; 0; 20; 400 ] else return 0 in
+  let master = pair overhead (list_size (int_range 1 3) (pair span words)) in
+  let background = pair (int_range 1 8) (int_range 1 30) in
+  map3
+    (fun (bs_policy, burst_words, bs_grant_overhead) (masters, background) until ->
+      { bs_policy; burst_words; bs_grant_overhead; masters; background; until })
+    (triple
+       (oneofl Osss.Arbiter.[ Fcfs; Round_robin; Static_priority ])
+       (int_range 1 32) overhead)
+    (pair (list_size (int_range 1 4) master) (list_size (int_range 0 2) background))
+    (opt span)
+
+(* How one side moves a master's words: given the kernel and a bus
+   built from the scenario, a function from a master's name and
+   overhead to its transfer, and the lock's statistics when the side
+   can reach its lock. *)
+type burst_side =
+  Sim.Kernel.t ->
+  Osss.Bus.t ->
+  burst_scenario ->
+  (name:string -> overhead:int -> int -> unit) * (unit -> (int * int) option)
+
+let bus_side : burst_side =
+ fun _ bus _ ->
+  ( (fun ~name ~overhead:_ ->
+      let m = Osss.Bus.attach_master bus ~name in
+      fun words -> Osss.Bus.transfer bus m ~words),
+    fun () -> None )
+
+let lock_side transfer : burst_side =
+ fun k bus s ->
+  let lock =
+    Osss.Lock.create k ~name:(Osss.Bus.name bus)
+      ~arbiter:(Osss.Arbiter.create s.bs_policy)
+      ~grant_overhead:(Sim.Sim_time.ns s.bs_grant_overhead) ()
+  in
+  ( (fun ~name ~overhead ->
+      let h = Osss.Lock.register lock ~name ~overhead:(Sim.Sim_time.ns overhead) () in
+      transfer bus lock h s),
+    fun () ->
+      Some
+        ( Sim.Sim_time.to_ps (Osss.Lock.total_wait lock),
+          Sim.Sim_time.to_ps (Osss.Lock.total_held lock) ) )
+
+(* [Bus.transfer] as it was before idle bursts took one kernel step,
+   on a lock with the bus's name. *)
+let per_burst bus lock h s words =
+  if words > 0 then begin
+    if Telemetry.Sink.enabled () then begin
+      Telemetry.Sink.incr ("bus." ^ Osss.Bus.name bus ^ ".transactions");
+      Telemetry.Sink.incr ~by:words ("bus." ^ Osss.Bus.name bus ^ ".words")
+    end;
+    let remaining = ref words in
+    while !remaining > 0 do
+      let burst = Stdlib.min !remaining s.burst_words in
+      remaining := !remaining - burst;
+      Osss.Lock.acquire lock h;
+      Osss.Eet.consume (Osss.Bus.transfer_time_unloaded bus ~words:burst);
+      Osss.Lock.release lock h
+    done
+  end
+
+(* At the lock level a transfer of [n] is [n] holds of one full burst:
+   one grant at a time, or in runs through [Lock.idle_grants], falling
+   back to one grant where it takes none. *)
+let hold_one h lock hold =
+  Osss.Lock.acquire lock h;
+  Sim.Kernel.wait_for hold;
+  Osss.Lock.release lock h
+
+let holds_one_by_one bus lock h s n =
+  let hold = Osss.Bus.transfer_time_unloaded bus ~words:s.burst_words in
+  for _ = 1 to n do
+    hold_one h lock hold
+  done
+
+let holds_idle bus lock h s n =
+  let hold = Osss.Bus.transfer_time_unloaded bus ~words:s.burst_words in
+  let left = ref n in
+  while !left > 0 do
+    left := !left - Osss.Lock.idle_grants lock h ~hold ~count:!left;
+    if !left > 0 then begin
+      hold_one h lock hold;
+      decr left
+    end
+  done
+
+let run_burst_scenario ~traced (side : burst_side) s =
+  let k = Sim.Kernel.create () in
+  let bus =
+    Osss.Bus.create k ~name:"opb" ~clock_hz ~max_burst_words:s.burst_words
+      ~arbiter:(Osss.Arbiter.create s.bs_policy)
+      ()
+  in
+  let burst = Osss.Bus.transfer_time_unloaded bus ~words:s.burst_words in
+  let span (bursts, extra_ns) =
+    Sim.Sim_time.add (Sim.Sim_time.mul_int burst bursts) (Sim.Sim_time.ns extra_ns)
+  in
+  let transfer, lock_stats = side k bus s in
+  let log = ref [] in
+  let note name step =
+    log := (name, step, Sim.Sim_time.to_ps (Sim.Kernel.now k), Sim.Kernel.delta_count k) :: !log
+  in
+  let simulate () =
+    List.iteri
+      (fun i (overhead, transfers) ->
+        let name = Printf.sprintf "m%d" i in
+        let transfer = transfer ~name ~overhead in
+        Sim.Kernel.spawn k ~name (fun () ->
+            List.iteri
+              (fun step (compute, words) ->
+                Osss.Eet.consume (span compute);
+                transfer words;
+                note name step)
+              transfers))
+      s.masters;
+    List.iteri
+      (fun i (period, steps) ->
+        let name = Printf.sprintf "bg%d" i in
+        Sim.Kernel.spawn k ~name (fun () ->
+            for step = 1 to steps do
+              Osss.Eet.consume (Sim.Sim_time.mul_int burst period);
+              note name step
+            done))
+      s.background;
+    let first_run =
+      Option.map
+        (fun u ->
+          Sim.Kernel.run ~until:(span u) k;
+          (Sim.Sim_time.to_ps (Sim.Kernel.now k), Sim.Kernel.delta_count k, List.length !log))
+        s.until
+    in
+    Sim.Kernel.run k;
+    first_run
+  in
+  let first_run, telemetry =
+    if traced then begin
+      let sink, first_run = Telemetry.Sink.with_sink simulate in
+      let report = Telemetry.Sink.report sink in
+      ( first_run,
+        Some
+          ( Telemetry.Report.dist_sum report "lock.opb.wait_ps",
+            Telemetry.Report.dist_sum report "lock.opb.held_ps",
+            Telemetry.Chrome.to_string (Telemetry.Sink.events sink),
+            Telemetry.Json.to_string (Telemetry.Report.to_json report) ) )
+    end
+    else (simulate (), None)
+  in
+  ( (first_run, List.rev !log),
+    ( Sim.Sim_time.to_ps (Sim.Kernel.now k),
+      Sim.Kernel.delta_count k,
+      Sim.Kernel.time_advances k,
+      Sim.Kernel.live_processes k ),
+    lock_stats (),
+    telemetry )
+
+(* Untraced and traced, [side] gives what [reference] gives. Where the
+   side cannot reach its lock, the statistics come from the sink. *)
+let same_bursts side reference s =
+  List.for_all
+    (fun traced ->
+      let log, kernel, stats, telemetry = run_burst_scenario ~traced side s in
+      let log', kernel', stats', telemetry' = run_burst_scenario ~traced reference s in
+      log = log' && kernel = kernel' && telemetry = telemetry'
+      && (stats = None || stats = stats')
+      &&
+      match (telemetry', stats') with
+      | Some (wait, held, _, _), Some stats' -> stats' = (wait, held)
+      | _ -> true)
+    [ false; true ]
+
+let bus_bursts_qcheck =
+  QCheck.Test.make ~name:"bus bursts as the per-burst loop takes them" ~count:200
+    (QCheck.make ~print:show_burst_scenario
+       (burst_scenario_gen ~overheads:false
+          ~words:
+            QCheck.Gen.(
+              frequency [ (1, return 0); (2, int_range 1 64); (2, int_range 0 2000) ])))
+    (same_bursts bus_side (lock_side per_burst))
+
+let idle_grants_qcheck =
+  QCheck.Test.make ~name:"idle grants as grants one by one" ~count:200
+    (QCheck.make ~print:show_burst_scenario
+       (burst_scenario_gen ~overheads:true ~words:QCheck.Gen.(int_range 0 40)))
+    (same_bursts (lock_side holds_idle) (lock_side holds_one_by_one))
+
 (* -- Platform / VTA / report -------------------------------------- *)
 
 let test_platform_ml401 () =
@@ -895,6 +1152,8 @@ let () =
           Alcotest.test_case "bad bus configs" `Quick test_bus_rejects_bad_config;
           Alcotest.test_case "round-robin fairness on bus" `Quick
             test_round_robin_bus_alternates;
+          qc bus_bursts_qcheck;
+          qc idle_grants_qcheck;
         ] );
       ( "platform_vta",
         [

@@ -652,6 +652,35 @@ let test_in_place_stop () =
   Sim.Kernel.run k;
   Alcotest.(check (option time)) "on the next run" (Some (ms 2)) !woke
 
+(* [advance_in_place] takes the steps that end before the next
+   calendar entry and within the horizon, and counts each one. *)
+let test_in_place_steps () =
+  let k = Sim.Kernel.create () in
+  let taken = ref [] in
+  let sink, () =
+    Telemetry.Sink.with_sink (fun () ->
+        Sim.Kernel.spawn k ~name:"bg" (fun () -> Sim.Kernel.wait_for (ms 3));
+        Sim.Kernel.spawn k ~name:"p" (fun () ->
+            Sim.Kernel.yield ();
+            let step () =
+              taken := Sim.Kernel.advance_in_place k (ms 1) ~steps:5 :: !taken
+            in
+            (* The entry at 3 ms stops the steps that would end there. *)
+            step ();
+            Sim.Kernel.wait_for (ms 1);
+            (* Nothing left in the calendar: the horizon stops it. *)
+            step ();
+            step ());
+        Sim.Kernel.run ~until:(ms 7) k)
+  in
+  Alcotest.(check (list int)) "steps taken" [ 2; 4; 0 ] (List.rev !taken);
+  Alcotest.check time "at the horizon" (ms 7) (Sim.Kernel.now k);
+  (* One delta and one time advance per step, as suspends would give. *)
+  Alcotest.(check (pair int int)) "deltas, time advances" (9, 7)
+    (Sim.Kernel.delta_count k, Sim.Kernel.time_advances k);
+  Alcotest.(check int) "wake-ups" 9
+    (Telemetry.Metrics.counter (Telemetry.Sink.metrics sink) "process.p.wakeups")
+
 (* Random process programs, run once with [Kernel.wait_for] and once
    with [suspending_wait_for]: every step must happen in the same
    process order, at the same instant and in the same delta cycle, and
@@ -837,6 +866,7 @@ let () =
             test_in_place_entry_due_at_wake;
           Alcotest.test_case "until horizon" `Quick test_in_place_horizon;
           Alcotest.test_case "stop" `Quick test_in_place_stop;
+          Alcotest.test_case "steps" `Quick test_in_place_steps;
           qc in_place_matches_suspend_qcheck;
         ] );
       ( "event",
