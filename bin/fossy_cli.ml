@@ -124,7 +124,7 @@ let json_of_diag (d : Fossy.Diagnostic.t) =
     ]
 
 let lint_cmd =
-  let run with_models json =
+  let run json =
     let cores =
       [
         ("idwt53", Models.Idwt_cores.idwt53_systemc);
@@ -151,19 +151,6 @@ let lint_cmd =
         collect
           (Analysis.Lint.lint_vta (Models.Vta_models.mapping ~sw_tasks ~idwt_p2p)))
       [ (1, false); (1, true); (4, false); (4, true) ];
-    (* Optionally simulate all nine decoder variants with the kernels
-       set to fault on same-delta conflicting writes. *)
-    if with_models then
-      List.iter
-        (fun mode ->
-          List.iter
-            (fun version ->
-              match Models.Experiment.run ~payload:false version mode with
-              | (_ : Models.Outcome.t) -> ()
-              | exception Sim.Kernel.Delta_race race ->
-                collect [ Analysis.Concurrency.diag_of_race race ])
-            Models.Experiment.all_versions)
-        [ Jpeg2000.Codestream.Lossless; Jpeg2000.Codestream.Lossy ];
     let ds = List.sort_uniq Fossy.Diagnostic.compare !diagnostics in
     let errors = Fossy.Diagnostic.errors ds in
     if json then
@@ -190,12 +177,6 @@ let lint_cmd =
           mappings. Exits non-zero on error-severity findings.")
     Term.(
       const run
-      $ Arg.(
-          value & flag
-          & info [ "models" ]
-              ~doc:
-                "Also simulate the nine decoder variants with delta-race \
-                 checking enabled.")
       $ Arg.(
           value & flag
           & info [ "json" ]

@@ -160,10 +160,14 @@ let decode_cmd =
       input_error input "%d-bit, %d-component images have no PGM/PPM form"
         h.Jpeg2000.Codestream.bit_depth h.Jpeg2000.Codestream.components;
     let image =
-      match passes with
-      | Some k -> Jpeg2000.Decoder.decode_progressive ~max_passes:k data
-      | None when reduce = 0 -> Jpeg2000.Decoder.decode data
-      | None -> Jpeg2000.Decoder.decode_reduced ~discard_levels:reduce data
+      match
+        match passes with
+        | Some k -> Jpeg2000.Decoder.decode_progressive ~max_passes:k data
+        | None when reduce = 0 -> Jpeg2000.Decoder.decode data
+        | None -> Jpeg2000.Decoder.decode_reduced ~discard_levels:reduce data
+      with
+      | image -> image
+      | exception Failure msg -> input_error input "%s" msg
     in
     write_file output (Jpeg2000.Image.to_pnm image);
     Printf.printf "%s: %dx%dx%d decoded%s\n" output (Jpeg2000.Image.width image)

@@ -1,11 +1,12 @@
-(* Real-time checking and waveform tracing.
+(* Real-time checking with Required Execution Times.
 
    OSSS pairs the EET annotation with its dual, the Required
    Execution Time: an OSSS_RET block asserts that a stretch of
-   behaviour meets its deadline during simulation. This example runs
-   a small clocked tile-processing loop, watches its progress signals
-   with the VCD tracer (open the dump in GTKWave), and demonstrates a
-   deadline violation being caught.
+   behaviour meets its deadline during simulation. This example feeds
+   a small tile-processing loop through a mailbox, checks each tile
+   against its budget, and shows a deadline violation being caught.
+   For a waveform of a decoder model's activity, see
+   [osss_sim trace --vcd].
 
      dune exec examples/deadline_watch.exe
 *)
@@ -14,17 +15,6 @@ let us = Sim.Sim_time.us
 
 let () =
   let kernel = Sim.Kernel.create () in
-  let clk =
-    Sim.Clock.create kernel ~period:(Sim.Sim_time.ns 10)
-      ~until:(Sim.Sim_time.us 600) ()
-  in
-
-  (* Progress signals, traced to a VCD file. *)
-  let current_tile = Sim.Signal.create kernel ~name:"current_tile" 0 in
-  let busy = Sim.Signal.create kernel ~name:"busy" false in
-  let vcd = Sim.Vcd.create kernel ~top:"tile_engine" () in
-  Sim.Vcd.probe_int vcd ~name:"current_tile" ~width:8 current_tile;
-  Sim.Vcd.probe_bool vcd ~name:"busy" busy;
 
   (* Tile queue: processing times vary per tile; tile 5 blows its
      deadline on purpose. *)
@@ -37,12 +27,10 @@ let () =
   Sim.Kernel.spawn kernel (fun () ->
       for _ = 1 to 6 do
         let tile, cost = Sim.Mailbox.get work in
-        Sim.Signal.write current_tile tile;
-        Sim.Signal.write busy true;
-        (match
-           Osss.Eet.ret_check ~label:"tile deadline" (us 100) (fun () ->
-               Osss.Eet.consume cost)
-         with
+        match
+          Osss.Eet.ret_check ~label:"tile deadline" (us 100) (fun () ->
+              Osss.Eet.consume cost)
+        with
         | (), true ->
           Printf.printf "[%8s] tile %d done within its 100 us budget\n"
             (Sim.Sim_time.to_string (Sim.Kernel.now kernel))
@@ -51,20 +39,10 @@ let () =
           Printf.printf "[%8s] tile %d MISSED its deadline (%s needed)\n"
             (Sim.Sim_time.to_string (Sim.Kernel.now kernel))
             tile
-            (Sim.Sim_time.to_string cost));
-        Sim.Signal.write busy false;
-        (* Re-synchronise with the 100 MHz clock between tiles. *)
-        Sim.Clock.wait_posedge clk
-      done;
-      Sim.Kernel.stop kernel);
+            (Sim.Sim_time.to_string cost)
+      done);
 
   Sim.Kernel.run kernel;
-
-  let path = Filename.temp_file "tile_engine" ".vcd" in
-  Sim.Vcd.save vcd path;
-  Printf.printf
-    "\ntraced %d signal changes over %d clock edges -> %s (open with GTKWave)\n"
-    (Sim.Vcd.change_count vcd) (Sim.Clock.edges clk) path;
 
   (* The raising variant turns a missed deadline into a simulation
      failure — useful under a test runner. *)

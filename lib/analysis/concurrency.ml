@@ -127,16 +127,3 @@ let guard_deadlocks vta =
             :: !acc)
     (sccs clients succ);
   List.sort_uniq D.compare !acc
-
-(* -- delta-cycle race reports ---------------------------------------- *)
-
-let diag_of_race (r : Sim.Kernel.race) =
-  D.error ~code:"E015"
-    ~path:("sim/" ^ r.Sim.Kernel.race_signal)
-    "processes %s and %s wrote signal %s in the same delta cycle (t=%.1fns, \
-     delta %d): the committed value depends on scheduling"
-    r.Sim.Kernel.race_first r.Sim.Kernel.race_second r.Sim.Kernel.race_signal
-    (Sim.Sim_time.to_float_ns r.Sim.Kernel.race_time)
-    r.Sim.Kernel.race_delta
-
-let race_diagnostics kernel = List.map diag_of_race (Sim.Kernel.races kernel)

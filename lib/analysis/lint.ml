@@ -13,5 +13,4 @@ let lint_module m =
 
 let lint_design = Vhdl_lint.run
 let lint_vta = Concurrency.guard_deadlocks
-let lint_kernel = Concurrency.race_diagnostics
 let install () = ()

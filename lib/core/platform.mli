@@ -7,7 +7,7 @@
 
     The simulated bus is not described here. The VTA models
     ([Models.Vta_models]) build it with {!Bus.create}: a 32-bit OPB at
-    [Models.Profile.clock_hz] with 2 arbitration and 1 address cycle
+    [ml401]'s [clock_hz] with 2 arbitration and 1 address cycle
     per burst and one cycle per word (the defaults), and 32-word
     bursts unless [Vta_models.run_custom ~bus_max_burst] asks for
     another length. *)

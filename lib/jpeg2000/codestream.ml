@@ -121,6 +121,11 @@ let block_grid ~code_block ~w ~h =
                  Stdlib.min code_block (h - y0) ))))
   end
 
+let block_count ~code_block ~w ~h =
+  if code_block <= 0 then invalid_arg "Codestream.block_count: code_block";
+  if w <= 0 || h <= 0 then 0
+  else ((w + code_block - 1) / code_block) * ((h + code_block - 1) / code_block)
+
 let emit_band buf seg =
   u8 buf seg.seg_level;
   u8 buf (Subband.orientation_code seg.seg_orientation);

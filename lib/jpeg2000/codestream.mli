@@ -116,4 +116,8 @@ val block_grid : code_block:int -> w:int -> h:int -> (int * int * int * int) lis
 (** Code-block rectangles [(x0, y0, w, h)] tiling a [w]x[h] band in
     raster order; empty for a zero-area band. *)
 
+val block_count : code_block:int -> w:int -> h:int -> int
+(** [List.length (block_grid ~code_block ~w ~h)] without building the
+    grid, which a hostile header can make millions of cells long. *)
+
 val pp_mode : Format.formatter -> mode -> unit

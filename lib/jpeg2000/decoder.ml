@@ -132,44 +132,83 @@ let blank_tile ~discard header tile =
     st_jobs = [||];
   }
 
+let orientation_name = function
+  | Subband.LL -> "LL"
+  | Subband.HL -> "HL"
+  | Subband.LH -> "LH"
+  | Subband.HH -> "HH"
+
 (* The jobs of the reduced view at [discard]. Band geometry is
    recomputed from the tile dimensions so that a corrupted stream
-   cannot make us write outside a plane. [fail] is called (and must
-   raise) on any inconsistency between the segment structure and that
-   geometry. *)
+   cannot make us write outside a plane. Every band of every component
+   is checked against that geometry before anything is sized from it:
+   [fail] is called (and must raise) with the first inconsistency,
+   named by tile, component and band (at its level in the stream). *)
 let flat_tile_jobs ~fail ?max_passes ~discard header tile =
   let header, tile = reduced_view header ~discard tile in
-  let st = blank_tile ~discard header tile in
-  let bands = st.st_bands in
+  let code_block = header.Codestream.code_block in
+  let bands =
+    Subband.decompose_array ~width:tile.Codestream.tile_w
+      ~height:tile.Codestream.tile_h ~levels:header.Codestream.levels
+  in
   let nbands = Array.length bands in
+  let failf where fmt =
+    Printf.ksprintf
+      (fun msg ->
+        fail
+          (Printf.sprintf "tile %d, %s: %s" tile.Codestream.tile_index where
+             msg))
+      fmt
+  in
+  Array.iteri
+    (fun ci segments ->
+      let n = List.length segments in
+      if n <> nbands then
+        failf
+          (Printf.sprintf "component %d" ci)
+          "band count mismatch (%d in the stream, %d in the tile)" n nbands;
+      List.iteri
+        (fun bi (seg : Codestream.band_segment) ->
+          let band = bands.(bi) in
+          let where () =
+            Printf.sprintf "component %d, band %s at level %d" ci
+              (orientation_name band.Subband.orientation)
+              (band.Subband.level + discard)
+          in
+          if
+            band.Subband.w <> seg.Codestream.seg_w
+            || band.Subband.h <> seg.Codestream.seg_h
+            || band.Subband.orientation <> seg.Codestream.seg_orientation
+          then failf (where ()) "band geometry mismatch";
+          let blocks = List.length seg.Codestream.seg_blocks in
+          let cells =
+            Codestream.block_count ~code_block ~w:band.Subband.w
+              ~h:band.Subband.h
+          in
+          if blocks <> cells then
+            failf (where ())
+              "code-block count mismatch (%d in the stream, %d in the band's \
+               grid)"
+              blocks cells)
+        segments)
+    tile.Codestream.comps;
   let grids =
     Array.map
       (fun (band : Subband.band) ->
         Array.of_list
-          (Codestream.block_grid ~code_block:header.Codestream.code_block
-             ~w:band.Subband.w ~h:band.Subband.h))
+          (Codestream.block_grid ~code_block ~w:band.Subband.w
+             ~h:band.Subband.h))
       bands
   in
   let jobs = ref [] in
   Array.iteri
     (fun ci segments ->
-      let segs = Array.of_list segments in
-      if Array.length segs <> nbands then fail "band count mismatch";
-      Array.iteri
+      List.iteri
         (fun bi (seg : Codestream.band_segment) ->
           let band = bands.(bi) in
-          if
-            band.Subband.w <> seg.Codestream.seg_w
-            || band.Subband.h <> seg.Codestream.seg_h
-            || band.Subband.orientation <> seg.Codestream.seg_orientation
-          then fail "band geometry mismatch";
-          let grid = grids.(bi) in
-          let blocks = Array.of_list seg.Codestream.seg_blocks in
-          if Array.length grid <> Array.length blocks then
-            fail "code-block count mismatch";
-          Array.iteri
-            (fun k (x0, y0, w, h) ->
-              let blk = blocks.(k) in
+          List.iteri
+            (fun k (blk : Codestream.block_segment) ->
+              let x0, y0, w, h = grids.(bi).(k) in
               let passes =
                 match max_passes with
                 | None -> blk.Codestream.blk_passes
@@ -188,10 +227,13 @@ let flat_tile_jobs ~fail ?max_passes ~discard header tile =
                   fj_passes = passes;
                 }
                 :: !jobs)
-            grid)
-        segs)
+            seg.Codestream.seg_blocks)
+        segments)
     tile.Codestream.comps;
-  { st with st_jobs = Array.of_list (List.rev !jobs) }
+  {
+    (blank_tile ~discard header tile) with
+    st_jobs = Array.of_list (List.rev !jobs);
+  }
 
 (* One job: scratch-decode the block on this domain and blit it into
    its component plane, as floats on the 9/7 path. *)
@@ -432,9 +474,8 @@ let tile_block_count header tile =
   List.fold_left
     (fun acc (band : Subband.band) ->
       acc
-      + List.length
-          (Codestream.block_grid ~code_block:header.Codestream.code_block
-             ~w:band.Subband.w ~h:band.Subband.h))
+      + Codestream.block_count ~code_block:header.Codestream.code_block
+          ~w:band.Subband.w ~h:band.Subband.h)
     0 bands
   * Array.length tile.Codestream.comps
 
@@ -570,14 +611,10 @@ let staged_block_classes st =
     (fun i ->
       if blocks.(i) = 0 then None
       else
-        let name =
-          match Subband.orientation_of_code i with
-          | Subband.LL -> "LL"
-          | Subband.HL -> "HL"
-          | Subband.LH -> "LH"
-          | Subband.HH -> "HH"
-        in
-        Some (name, blocks.(i), bytes.(i)))
+        Some
+          ( orientation_name (Subband.orientation_of_code i),
+            blocks.(i),
+            bytes.(i) ))
     [ 0; 1; 2; 3 ]
 
 let staged_run st i = decode_flat_job_robust st st.st_jobs.(i)

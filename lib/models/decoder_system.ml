@@ -140,9 +140,6 @@ let partition ~sw_tasks ~tiles task =
 
 let run_sw_only ~version ?idwt_deadline w =
   let kernel = Sim.Kernel.create () in
-  (* Any same-delta conflicting signal write in a decoder model is a
-     modelling bug; fault immediately rather than record. *)
-  Sim.Kernel.set_race_policy kernel Sim.Kernel.Race_raise;
   let meter = Meter.create kernel in
   let mon = make_monitor ?deadline:idwt_deadline (Workload.mode w) in
   let times = Profile.sw (Workload.mode w) in
@@ -176,7 +173,6 @@ let run_sw_only ~version ?idwt_deadline w =
 let run_coprocessor ~version ~sw_tasks ?(rig = fun _ -> application_rig)
     ?idwt_deadline w =
   let kernel = Sim.Kernel.create () in
-  Sim.Kernel.set_race_policy kernel Sim.Kernel.Race_raise;
   let rig = rig kernel in
   let meter = Meter.create kernel in
   let mode = Workload.mode w in
@@ -254,7 +250,6 @@ let queue_exists q pred = Queue.fold (fun acc x -> acc || pred x) false q
 let run_pipeline ~version ~sw_tasks ?(rig = fun _ -> application_rig)
     ?(so_policy = Osss.Arbiter.Fcfs) ?idwt_deadline w =
   let kernel = Sim.Kernel.create () in
-  Sim.Kernel.set_race_policy kernel Sim.Kernel.Race_raise;
   let rig = rig kernel in
   let meter = Meter.create kernel in
   let mode = Workload.mode w in

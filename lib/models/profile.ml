@@ -12,7 +12,7 @@ type stage_times = {
 
 let tiles = 16
 let components = 3
-let clock_hz = 100_000_000
+let clock_hz = Osss.Platform.(ml401.clock_hz)
 
 (* Figure 1 of the paper. *)
 let shares mode =

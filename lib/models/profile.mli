@@ -28,7 +28,8 @@ val components : int
 (** 3, as in Table 1. *)
 
 val clock_hz : int
-(** 100 MHz — both MicroBlaze and OPB on the ML401. *)
+(** [Osss.Platform.ml401]'s clock, 100 MHz: both MicroBlaze and OPB
+    on the ML401. *)
 
 val sw : mode -> stage_times
 (** Per-tile software execution times on the target processor

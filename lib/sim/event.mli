@@ -9,10 +9,6 @@ type t
 
 val create : Kernel.t -> ?name:string -> unit -> t
 
-val on_next : t -> (unit -> unit) -> unit
-(** [on_next e f] runs [f] once, at delivery of the next notification
-    of [e]. Callbacks run in scheduler context. *)
-
 val notify : t -> unit
 (** Delta notification: current waiters wake in the next delta cycle. *)
 

@@ -1,21 +1,8 @@
-type race = {
-  race_signal : string;
-  race_first : string;
-  race_second : string;
-  race_time : Sim_time.t;
-  race_delta : int;
-}
-
-type race_policy = Race_ignore | Race_record | Race_raise
-
-exception Delta_race of race
-
 type t = {
   mutable now : Sim_time.t;
   calendar : (unit -> unit) Pqueue.t;
   current : (unit -> unit) Queue.t;
   next_delta : (unit -> unit) Queue.t;
-  updates : (unit -> unit) Queue.t;
   mutable deltas : int;
   mutable advances : int;
   mutable live : int;
@@ -30,8 +17,6 @@ type t = {
   mutable horizon : int; (* the running [run]'s [until], in ps *)
   mutable settle : unit -> bool;
       (* the running delivery's answer to "are you done?" *)
-  mutable race_policy : race_policy;
-  mutable races : race list; (* reversed *)
 }
 
 type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
@@ -46,7 +31,6 @@ let create () =
     calendar = Pqueue.create ();
     current = Queue.create ();
     next_delta = Queue.create ();
-    updates = Queue.create ();
     deltas = 0;
     advances = 0;
     live = 0;
@@ -58,8 +42,6 @@ let create () =
     woke_in_place = ignore;
     horizon = max_int;
     settle = settled;
-    race_policy = Race_record;
-    races = [];
   }
 
 let now t = t.now
@@ -73,26 +55,7 @@ let schedule_after t d f =
   if Sim_time.is_zero d then schedule_delta t f
   else Pqueue.push t.calendar ~key:(Sim_time.to_ps (Sim_time.add t.now d)) f
 
-let at_update t f = Queue.push f t.updates
 let stop t = t.stop_requested <- true
-let current_label t = t.current_label
-let set_race_policy t p = t.race_policy <- p
-let races t = List.rev t.races
-
-let report_race t ~signal ~first ~second =
-  let race =
-    {
-      race_signal = signal;
-      race_first = first;
-      race_second = second;
-      race_time = t.now;
-      race_delta = t.deltas;
-    }
-  in
-  match t.race_policy with
-  | Race_ignore -> ()
-  | Race_record -> t.races <- race :: t.races
-  | Race_raise -> raise (Delta_race race)
 
 let spawn t ?name body =
   t.live <- t.live + 1;
@@ -101,10 +64,10 @@ let spawn t ?name body =
   let label = Option.value name ~default:(Printf.sprintf "process-%d" pid) in
   Hashtbl.replace t.unfinished pid label;
   (* Every slice of this process runs with its label as the kernel's
-     current label, so primitive channels can attribute writes to a
-     driver (the delta-race detector keys on this). The telemetry
-     sink's context mirrors the label so spans emitted from library
-     code land on the running process's track.
+     current label, and the telemetry sink's context mirrors it so
+     spans emitted from library code land on the running process's
+     track. A slice restores the label it found, so a process that
+     resumed another inline goes back to its own track.
 
      This wrapper runs once per process wakeup — the hottest telemetry
      path in the kernel — so the label option and the wakeup counter
@@ -181,17 +144,12 @@ let spawn t ?name body =
   schedule_now t start
 
 (* One delta cycle: drain the evaluation queue (actions may append
-   more), then commit updates. Returns [true] if the update phase or
-   the evaluation phase scheduled work for another delta at the same
-   time. *)
+   more). Returns [true] if it scheduled work for another delta at the
+   same time. *)
 let run_delta t =
   while not (Queue.is_empty t.current) && not t.stop_requested do
     let action = Queue.pop t.current in
     action ()
-  done;
-  while not (Queue.is_empty t.updates) do
-    let update = Queue.pop t.updates in
-    update ()
   done;
   t.deltas <- t.deltas + 1;
   not (Queue.is_empty t.next_delta)
@@ -276,7 +234,6 @@ let advance_in_place t d ~steps =
     steps <= 0 || d <= 0 || now + d > last
     || (not (Queue.is_empty t.current))
     || (not (Queue.is_empty t.next_delta))
-    || (not (Queue.is_empty t.updates))
     || t.stop_requested
     || not (t.settle ())
   then 0

@@ -6,42 +6,20 @@
     as fibers via effect handlers; they suspend by performing effects
     that the kernel's scheduler handles.
 
-    Scheduling follows the SystemC evaluate/update/delta discipline:
+    Scheduling follows SystemC's delta-cycle discipline, without the
+    update phase (processes talk through events and channels, never
+    through primitive-channel signals):
 
     + {e evaluation phase}: all runnable processes/actions of the
       current delta cycle run to their next suspension point;
-    + {e update phase}: pending primitive-channel updates (signals)
-      commit and may trigger events;
-    + if the update phase made anything runnable, a new delta cycle
-      starts at the same simulated time; otherwise time advances to
-      the earliest calendar entry.
+    + if that made anything runnable at the same simulated time, a
+      new delta cycle starts; otherwise time advances to the earliest
+      calendar entry.
 
     All queues are FIFO and the calendar is stable, so simulations are
     fully deterministic. *)
 
 type t
-
-(** {1 Delta-cycle write-write races}
-
-    Primitive channels (see {!Signal}) report two different processes
-    writing the same channel within one evaluation phase — multiple
-    drivers in SystemC terms, where the committed value would depend
-    on process ordering. *)
-
-type race = {
-  race_signal : string;
-  race_first : string;  (** process holding the pending write *)
-  race_second : string;  (** process that wrote over it *)
-  race_time : Sim_time.t;
-  race_delta : int;
-}
-
-type race_policy =
-  | Race_ignore
-  | Race_record  (** keep the race in {!races} (the default) *)
-  | Race_raise  (** raise {!Delta_race} at the second write *)
-
-exception Delta_race of race
 
 val create : unit -> t
 
@@ -80,8 +58,7 @@ val live_process_names : t -> string list
 
 (** {1 Low-level scheduling}
 
-    These are the primitives events, signals and channels are built
-    from. Callbacks run inside the scheduler, not in a process
+    These are the primitives events and channels are built from. Callbacks run inside the scheduler, not in a process
     context: they must not block. *)
 
 val schedule_now : t -> (unit -> unit) -> unit
@@ -94,10 +71,6 @@ val schedule_after : t -> Sim_time.t -> (unit -> unit) -> unit
 (** Schedules an action [d] after the current time. A zero delay is
     equivalent to {!schedule_delta}. *)
 
-val at_update : t -> (unit -> unit) -> unit
-(** Registers an action for the update phase of the current delta
-    cycle. *)
-
 val deliver : t -> 'a Queue.t -> settle:(unit -> bool) -> ('a -> unit) -> unit
 (** [deliver t q ~settle f] pops every element of [q] in order and runs
     [f] on it, within the current evaluation phase. This is how one
@@ -109,20 +82,6 @@ val deliver : t -> 'a Queue.t -> settle:(unit -> bool) -> ('a -> unit) -> unit
     removed them from [q], without running any process. Otherwise it
     returns [false]. Call it from a scheduler callback, not from a
     process. *)
-
-val current_label : t -> string option
-(** Name of the process whose slice is currently executing, [None]
-    inside scheduler callbacks and outside {!run}. *)
-
-val set_race_policy : t -> race_policy -> unit
-
-val report_race : t -> signal:string -> first:string -> second:string -> unit
-(** Applies the current policy to a conflicting-driver observation.
-    Called by primitive channels; raises {!Delta_race} under
-    [Race_raise]. *)
-
-val races : t -> race list
-(** Races recorded so far (oldest first) under [Race_record]. *)
 
 (** {1 Process context}
 
@@ -145,8 +104,8 @@ val wait_for : Sim_time.t -> unit
     For [d > 0] it suspends only if something else could run before the
     caller's wake-up. It does not suspend, and advances time in place,
     when all of these hold:
-    - nothing else is runnable now (the evaluation, next-delta and
-      update queues are empty);
+    - nothing else is runnable now (the evaluation and next-delta
+      queues are empty);
     - the running {!deliver} has no callback left, or settles;
     - no {!stop} is pending;
     - [now + d] is within the running {!run}'s [until];

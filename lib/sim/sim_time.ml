@@ -14,7 +14,6 @@ let of_ms_float x =
   else int_of_float (Float.round (x *. 1_000_000_000.0))
 
 let to_ps t = t
-let to_float_ns t = float_of_int t /. 1_000.0
 let to_float_ms t = float_of_int t /. 1_000_000_000.0
 
 let add a b = a + b

@@ -21,7 +21,6 @@ val of_ms_float : float -> t
 (** [of_ms_float x] rounds [x] milliseconds to the nearest picosecond. *)
 
 val to_ps : t -> int
-val to_float_ns : t -> float
 val to_float_ms : t -> float
 
 val add : t -> t -> t

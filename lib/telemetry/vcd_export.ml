@@ -47,6 +47,10 @@ let deltas_of events =
   |> List.sort (fun (ta, _, da) (tb, _, db) ->
          if ta <> tb then compare ta tb else compare da db)
 
+(* [vars] are [(name, width, initial value)] in declaration order, one
+   scope deep; [changes] are [(time_ps, var index, value)], oldest
+   first. Changes at one time share a [#time] line, and values are
+   written in binary, two's complement within the var's width. *)
 let document ~version ~scope ~vars ~changes =
   let vars = Array.of_list vars in
   let buf = Buffer.create 1024 in

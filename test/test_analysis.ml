@@ -1,6 +1,6 @@
 (* Tests for the analysis layer: dataflow framework, the diagnostic
-   suite on HIR/FSM/VHDL, the OSSS guard-deadlock and delta-race
-   detectors, and the synthesis lint gate. *)
+   suite on HIR/FSM/VHDL, the OSSS guard-deadlock detector, and the
+   synthesis lint gate. *)
 
 open Fossy.Hir
 module D = Fossy.Diagnostic
@@ -403,56 +403,6 @@ let test_wait_graph_export () =
     "idwt53 streams unguarded on hwsw_so" true
     (List.mem ("hwsw_so", false) (edges "idwt53"))
 
-(* -- delta-cycle races ---------------------------------------------- *)
-
-let test_delta_race_recorded () =
-  let k = Sim.Kernel.create () in
-  let s = Sim.Signal.create k ~name:"bus" 0 in
-  Sim.Kernel.spawn k ~name:"p1" (fun () -> Sim.Signal.write s 1);
-  Sim.Kernel.spawn k ~name:"p2" (fun () -> Sim.Signal.write s 2);
-  Sim.Kernel.run k;
-  (match Sim.Kernel.races k with
-  | [ r ] ->
-    Alcotest.(check string) "signal" "bus" r.Sim.Kernel.race_signal;
-    Alcotest.(check string) "first writer" "p1" r.Sim.Kernel.race_first;
-    Alcotest.(check string) "second writer" "p2" r.Sim.Kernel.race_second
-  | rs -> Alcotest.failf "expected one race, got %d" (List.length rs));
-  check_has "rendered as E015" "E015" (Analysis.Lint.lint_kernel k)
-
-let test_delta_race_raises () =
-  let k = Sim.Kernel.create () in
-  Sim.Kernel.set_race_policy k Sim.Kernel.Race_raise;
-  let s = Sim.Signal.create k ~name:"bus" 0 in
-  Sim.Kernel.spawn k ~name:"p1" (fun () -> Sim.Signal.write s 1);
-  Sim.Kernel.spawn k ~name:"p2" (fun () -> Sim.Signal.write s 2);
-  match Sim.Kernel.run k with
-  | () -> Alcotest.fail "expected Delta_race"
-  | exception Sim.Kernel.Delta_race r ->
-    Alcotest.(check string) "signal" "bus" r.Sim.Kernel.race_signal
-
-let test_same_process_rewrite_no_race () =
-  let k = Sim.Kernel.create () in
-  Sim.Kernel.set_race_policy k Sim.Kernel.Race_raise;
-  let s = Sim.Signal.create k ~name:"bus" 0 in
-  Sim.Kernel.spawn k ~name:"p1" (fun () ->
-      Sim.Signal.write s 1;
-      Sim.Signal.write s 2);
-  Sim.Kernel.run k;
-  Alcotest.(check int) "last write wins" 2 (Sim.Signal.value s);
-  Alcotest.(check (option string)) "writer tracked" (Some "p1")
-    (Sim.Signal.last_writer s)
-
-let test_sequential_writes_no_race () =
-  let k = Sim.Kernel.create () in
-  Sim.Kernel.set_race_policy k Sim.Kernel.Race_raise;
-  let s = Sim.Signal.create k ~name:"bus" 0 in
-  Sim.Kernel.spawn k ~name:"p1" (fun () -> Sim.Signal.write s 1);
-  Sim.Kernel.spawn k ~name:"p2" (fun () ->
-      Sim.Kernel.wait_for (Sim.Sim_time.ns 1);
-      Sim.Signal.write s 2);
-  Sim.Kernel.run k;
-  Alcotest.(check int) "both committed in turn" 2 (Sim.Signal.value s)
-
 (* -- Hir.validate extensions ---------------------------------------- *)
 
 let test_validate_cross_category_duplicate () =
@@ -571,23 +521,6 @@ let test_vta_mappings_deadlock_free () =
         (Analysis.Lint.lint_vta (Models.Vta_models.mapping ~sw_tasks ~idwt_p2p)))
     [ (1, false); (1, true); (4, false); (4, true) ]
 
-let test_model_variants_race_free () =
-  (* The decoder kernels run under Race_raise: finishing at all means
-     no same-delta conflicting writes occurred in any of the nine
-     versions. *)
-  List.iter
-    (fun version ->
-      match
-        Models.Experiment.run ~payload:false version Jpeg2000.Codestream.Lossless
-      with
-      | (_ : Models.Outcome.t) -> ()
-      | exception Sim.Kernel.Delta_race r ->
-        Alcotest.failf "%s: delta race on %s (%s vs %s)"
-          (Models.Experiment.version_name version)
-          r.Sim.Kernel.race_signal r.Sim.Kernel.race_first
-          r.Sim.Kernel.race_second)
-    Models.Experiment.all_versions
-
 let () =
   Alcotest.run "analysis"
     [
@@ -646,13 +579,6 @@ let () =
           Alcotest.test_case "plain call breaks deadlock" `Quick
             test_guard_deadlock_clean;
           Alcotest.test_case "wait-graph export" `Quick test_wait_graph_export;
-          Alcotest.test_case "E015 race recorded" `Quick
-            test_delta_race_recorded;
-          Alcotest.test_case "race raises" `Quick test_delta_race_raises;
-          Alcotest.test_case "same-process rewrite ok" `Quick
-            test_same_process_rewrite_no_race;
-          Alcotest.test_case "sequential writes ok" `Quick
-            test_sequential_writes_no_race;
         ] );
       ( "validate",
         [
@@ -678,7 +604,5 @@ let () =
             test_generated_vhdl_lint_error_free;
           Alcotest.test_case "VTA mappings deadlock-free" `Quick
             test_vta_mappings_deadlock_free;
-          Alcotest.test_case "nine variants race-free" `Quick
-            test_model_variants_race_free;
         ] );
     ]

@@ -379,6 +379,87 @@ let test_decode_robust_clean_stream () =
       (Jpeg2000.Image.equal image (Jpeg2000.Decoder.decode data))
   | Error e -> Alcotest.failf "clean stream rejected: %s" (Jpeg2000.Codestream.error_message e)
 
+(* A band whose block list does not match its code-block grid. The
+   strict decoder refuses the stream, naming the tile, component, band
+   and both counts; the robust one conceals that tile whole, mid-grey,
+   and decodes the others. Levels 1 and code blocks of 4 give every
+   band of a 16x16 tile four blocks. *)
+let refused_source =
+  lazy
+    (Jpeg2000.Encoder.encode
+       { fuzz_config with levels = 1; code_block = 4 }
+       (Jpeg2000.Image.smooth ~width:32 ~height:32 ~components:3 ~seed:7))
+
+(* The source stream with [edit] applied to the blocks of band [band]
+   (in decomposition order: LL, HL, LH, HH) of component [comp] in
+   tile [tile]. *)
+let edit_blocks ~tile ~comp ~band edit =
+  let open Jpeg2000.Codestream in
+  let s = Result.get_ok (parse_result (Lazy.force refused_source)) in
+  let edit_tile t =
+    if t.tile_index <> tile then t
+    else begin
+      let comps = Array.copy t.comps in
+      comps.(comp) <-
+        List.mapi
+          (fun i b -> if i = band then { b with seg_blocks = edit b.seg_blocks } else b)
+          comps.(comp);
+      { t with comps }
+    end
+  in
+  emit { s with tiles = List.map edit_tile s.tiles }
+
+let test_block_count_refused () =
+  let clean = Jpeg2000.Decoder.decode (Lazy.force refused_source) in
+  let concealed ~x0 ~y0 =
+    let image = Jpeg2000.Image.create ~width:32 ~height:32 ~components:3 () in
+    Array.iteri
+      (fun c plane ->
+        for y = 0 to 31 do
+          for x = 0 to 31 do
+            let inside = x >= x0 && x < x0 + 16 && y >= y0 && y < y0 + 16 in
+            Jpeg2000.Image.plane_set plane ~x ~y
+              (if inside then 128
+               else Jpeg2000.Image.plane_get clean.Jpeg2000.Image.planes.(c) ~x ~y)
+          done
+        done)
+      image.Jpeg2000.Image.planes;
+    image
+  in
+  List.iter
+    (fun (label, data, message, (x0, y0), digest) ->
+      (match Jpeg2000.Decoder.decode data with
+      | _ -> Alcotest.failf "%s: decode accepted the stream" label
+      | exception Failure msg -> Alcotest.(check string) label message msg);
+      match Jpeg2000.Decoder.decode_robust data with
+      | Error e ->
+        Alcotest.failf "%s: %s" label (Jpeg2000.Codestream.error_message e)
+      | Ok (image, report) ->
+        Alcotest.(check (pair int int)) (label ^ ": concealed tiles, blocks")
+          (1, 0)
+          (report.Jpeg2000.Decoder.concealed_tiles,
+           report.Jpeg2000.Decoder.concealed_blocks);
+        Alcotest.(check bool) (label ^ ": tile concealed, the rest decoded")
+          true
+          (Jpeg2000.Image.equal image (concealed ~x0 ~y0));
+        Alcotest.(check string) (label ^ ": image digest") digest
+          (Digest.to_hex (Digest.string (Jpeg2000.Image.to_pnm image))))
+    [
+      ( "no blocks",
+        edit_blocks ~tile:1 ~comp:2 ~band:3 (fun _ -> []),
+        "Decoder: tile 1, component 2, band HH at level 1: code-block count \
+         mismatch (0 in the stream, 4 in the band's grid)",
+        (16, 0),
+        "21324074a4a4723038c381fb52cac075" );
+      ( "one block too few",
+        edit_blocks ~tile:2 ~comp:0 ~band:0 (fun blocks ->
+            List.filteri (fun i _ -> i < List.length blocks - 1) blocks),
+        "Decoder: tile 2, component 0, band LL at level 1: code-block count \
+         mismatch (3 in the stream, 4 in the band's grid)",
+        (0, 16),
+        "ab1d5f36096c8c42a8bf2a36e90388b2" );
+    ]
+
 let test_parse_result_typed_errors () =
   let data = Lazy.force fuzz_stream in
   (match Jpeg2000.Codestream.parse_result "" with
@@ -720,6 +801,8 @@ let () =
             test_decode_robust_clean_stream;
           Alcotest.test_case "typed parse errors" `Quick
             test_parse_result_typed_errors;
+          Alcotest.test_case "block count refused" `Quick
+            test_block_count_refused;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |])
             mutant_qcheck;
         ] );

@@ -1306,7 +1306,13 @@ let test_block_grid () =
        (fun (_, _, w, h) -> (w, h))
        (Jpeg2000.Codestream.block_grid ~code_block:16 ~w:20 ~h:19));
   Alcotest.(check int) "degenerate" 0
-    (List.length (Jpeg2000.Codestream.block_grid ~code_block:16 ~w:0 ~h:8))
+    (List.length (Jpeg2000.Codestream.block_grid ~code_block:16 ~w:0 ~h:8));
+  List.iter
+    (fun (w, h) ->
+      Alcotest.(check int) (Printf.sprintf "block_count %dx%d" w h)
+        (List.length (Jpeg2000.Codestream.block_grid ~code_block:16 ~w ~h))
+        (Jpeg2000.Codestream.block_count ~code_block:16 ~w ~h))
+    [ (32, 32); (20, 19); (0, 8); (8, 0); (1, 1); (16, 17); (33, 64) ]
 
 let test_code_block_size_invariance () =
   (* Different code-block sizes change the stream layout but the

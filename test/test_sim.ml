@@ -288,69 +288,6 @@ let test_wait_any () =
   Sim.Kernel.run k;
   Alcotest.check time "earliest wins" (ms 2) !at
 
-(* -- Signal ------------------------------------------------------- *)
-
-let test_signal_update_semantics () =
-  let k = Sim.Kernel.create () in
-  let s = Sim.Signal.create k 0 in
-  let observed_same_phase = ref (-1) in
-  let observed_after = ref (-1) in
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Signal.write s 42;
-      observed_same_phase := Sim.Signal.value s;
-      Sim.Kernel.yield ();
-      observed_after := Sim.Signal.value s);
-  Sim.Kernel.run k;
-  Alcotest.(check int) "write invisible in same phase" 0 !observed_same_phase;
-  Alcotest.(check int) "visible one delta later" 42 !observed_after
-
-let test_signal_last_write_wins () =
-  let k = Sim.Kernel.create () in
-  let s = Sim.Signal.create k 0 in
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Signal.write s 1;
-      Sim.Signal.write s 2;
-      Sim.Kernel.yield ();
-      Alcotest.(check int) "last write" 2 (Sim.Signal.value s));
-  Sim.Kernel.run k
-
-let test_signal_change_event () =
-  let k = Sim.Kernel.create () in
-  let s = Sim.Signal.create k 0 in
-  let changes = ref 0 in
-  Sim.Kernel.spawn k (fun () ->
-      let rec loop () =
-        Sim.Signal.wait_change s;
-        incr changes;
-        loop ()
-      in
-      loop ());
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Kernel.wait_for (ms 1);
-      Sim.Signal.write s 5;
-      Sim.Kernel.wait_for (ms 1);
-      (* Writing an equal value is not a change. *)
-      Sim.Signal.write s 5;
-      Sim.Kernel.wait_for (ms 1);
-      Sim.Signal.write s 6);
-  Sim.Kernel.run k;
-  Alcotest.(check int) "two real changes" 2 !changes
-
-let test_signal_wait_value () =
-  let k = Sim.Kernel.create () in
-  let s = Sim.Signal.create k 0 in
-  let at = ref Sim.Sim_time.zero in
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Signal.wait_value s (fun v -> v >= 3);
-      at := Sim.Kernel.now k);
-  Sim.Kernel.spawn k (fun () ->
-      for v = 1 to 5 do
-        Sim.Kernel.wait_for (ms 1);
-        Sim.Signal.write s v
-      done);
-  Sim.Kernel.run k;
-  Alcotest.check time "threshold reached at 3 ms" (ms 3) !at
-
 (* -- Mailbox ------------------------------------------------------ *)
 
 let test_mailbox_fifo () =
@@ -384,179 +321,6 @@ let test_mailbox_blocks_when_full () =
       ignore (Sim.Mailbox.get mb));
   Sim.Kernel.run k;
   Alcotest.check time "third put blocked until get" (ms 5) !producer_done
-
-(* -- Clock ---------------------------------------------------------- *)
-
-let test_clock_edges () =
-  let k = Sim.Kernel.create () in
-  let clk = Sim.Clock.create k ~period:(ns 10) ~until:(ns 95) () in
-  Sim.Kernel.run k;
-  (* Rising edges at 0, 10, ..., 90. *)
-  Alcotest.(check int) "ten rising edges" 10 (Sim.Clock.edges clk)
-
-let test_clock_wait_cycles () =
-  let k = Sim.Kernel.create () in
-  let clk = Sim.Clock.create k ~period:(ns 10) ~until:(ns 200) () in
-  let at = ref Sim.Sim_time.zero in
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Clock.wait_cycles clk 5;
-      at := Sim.Kernel.now k);
-  Sim.Kernel.run k;
-  (* Process registers at t=0 after the first edge fired; it sees the
-     edges at 10,20,30,40,50. *)
-  Alcotest.check time "five edges later" (ns 50) !at
-
-let test_clock_signal_follows () =
-  let k = Sim.Kernel.create () in
-  let clk = Sim.Clock.create k ~period:(ns 10) ~duty:0.3 ~until:(ns 9) () in
-  let high_at = ref Sim.Sim_time.zero and low_at = ref Sim.Sim_time.zero in
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Signal.wait_value (Sim.Clock.signal clk) (fun v -> v);
-      high_at := Sim.Kernel.now k;
-      Sim.Signal.wait_value (Sim.Clock.signal clk) not;
-      low_at := Sim.Kernel.now k);
-  Sim.Kernel.run k;
-  Alcotest.check time "high from t=0" Sim.Sim_time.zero !high_at;
-  Alcotest.check time "low after 30% duty" (ns 3) !low_at
-
-let test_clock_invalid () =
-  let k = Sim.Kernel.create () in
-  Alcotest.(check bool) "zero period rejected" true
-    (try ignore (Sim.Clock.create k ~period:Sim.Sim_time.zero ()); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad duty rejected" true
-    (try ignore (Sim.Clock.create k ~period:(ns 10) ~duty:1.5 ()); false
-     with Invalid_argument _ -> true)
-
-(* -- Vcd ----------------------------------------------------------- *)
-
-(* An 8-bit counter steps 0 -> 1 -> 2 -> 3 one ms apart, then a flag
-   rises in the same instant as the last step. *)
-let records_changes_vcd () =
-  let k = Sim.Kernel.create () in
-  let v = Sim.Vcd.create k () in
-  let s1 = Sim.Signal.create k ~name:"counter" 0 in
-  let s2 = Sim.Signal.create k ~name:"flag" false in
-  Sim.Vcd.probe_int v ~name:"counter" ~width:8 s1;
-  Sim.Vcd.probe_bool v ~name:"flag" s2;
-  Sim.Kernel.spawn k (fun () ->
-      for i = 1 to 3 do
-        Sim.Kernel.wait_for (ms 1);
-        Sim.Signal.write s1 i
-      done;
-      Sim.Signal.write s2 true);
-  Sim.Kernel.run k;
-  v
-
-let test_vcd_records_changes () =
-  let v = records_changes_vcd () in
-  Alcotest.(check int) "four changes" 4 (Sim.Vcd.change_count v);
-  let text = Sim.Vcd.render v in
-  List.iter
-    (fun fragment ->
-      if not (Str_util.contains text fragment) then
-        Alcotest.failf "VCD missing %S" fragment)
-    [
-      "$timescale 1ps $end";
-      "$var wire 8 ! counter $end";
-      "$var wire 1 \" flag $end";
-      "$dumpvars";
-      "#1000000000";
-      "b00000011 !";
-    ]
-
-(* The whole document of the "records changes" scenario, recorded
-   before the signal-level and span-depth writers shared one renderer:
-   the file viewers open must not change under that refactoring. *)
-let test_vcd_records_changes_bytes () =
-  Alcotest.(check string) "document"
-    {|$date
-  (simulation)
-$end
-$version
-  osss-jpeg2000 sim kernel
-$end
-$timescale 1ps $end
-$scope module top $end
-$var wire 8 ! counter $end
-$var wire 1 " flag $end
-$upscope $end
-$enddefinitions $end
-$dumpvars
-b00000000 !
-b0 "
-$end
-#1000000000
-b00000001 !
-#2000000000
-b00000010 !
-#3000000000
-b00000011 !
-b1 "
-|}
-    (Sim.Vcd.render (records_changes_vcd ()))
-
-let test_vcd_rejects_duplicates () =
-  let k = Sim.Kernel.create () in
-  let v = Sim.Vcd.create k () in
-  let s = Sim.Signal.create k 0 in
-  Sim.Vcd.probe_int v ~name:"x" ~width:4 s;
-  Alcotest.(check bool) "duplicate rejected" true
-    (try
-       Sim.Vcd.probe_int v ~name:"x" ~width:4 s;
-       false
-     with Invalid_argument _ -> true)
-
-let test_vcd_zero_change_render () =
-  let k = Sim.Kernel.create () in
-  let v = Sim.Vcd.create k () in
-  let s = Sim.Signal.create k 5 in
-  Sim.Vcd.probe_int v ~name:"quiet" ~width:4 s;
-  Sim.Kernel.run k;
-  Alcotest.(check int) "no changes recorded" 0 (Sim.Vcd.change_count v);
-  let text = Sim.Vcd.render v in
-  (* Headers and the initial $dumpvars snapshot still render. *)
-  List.iter
-    (fun fragment ->
-      if not (Str_util.contains text fragment) then
-        Alcotest.failf "VCD missing %S" fragment)
-    [ "$enddefinitions $end"; "$dumpvars"; "b0101 !" ];
-  Alcotest.(check bool) "no time markers after the initial dump" false
-    (Str_util.contains text "\n#")
-
-let test_vcd_probe_projection_width () =
-  let k = Sim.Kernel.create () in
-  let v = Sim.Vcd.create k () in
-  let s = Sim.Signal.create k (0, 0) in
-  (* Custom projection: dump only the second tuple component, truncated
-     to the declared 4-bit width. *)
-  Sim.Vcd.probe v ~name:"snd" ~width:4 snd s;
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Kernel.wait_for (ms 1);
-      Sim.Signal.write s (7, 0x1f));
-  Sim.Kernel.run k;
-  let text = Sim.Vcd.render v in
-  Alcotest.(check bool) "declared width in header" true
-    (Str_util.contains text "$var wire 4 ! snd $end");
-  Alcotest.(check bool) "value truncated to width" true
-    (Str_util.contains text "b1111 !");
-  Alcotest.(check bool) "non-positive width rejected" true
-    (try
-       Sim.Vcd.probe v ~name:"bad" ~width:0 snd s;
-       false
-     with Invalid_argument _ -> true)
-
-let test_vcd_negative_values () =
-  let k = Sim.Kernel.create () in
-  let v = Sim.Vcd.create k () in
-  let s = Sim.Signal.create k 0 in
-  Sim.Vcd.probe_int v ~name:"sgn" ~width:4 s;
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Kernel.wait_for (ms 1);
-      Sim.Signal.write s (-1));
-  Sim.Kernel.run k;
-  Alcotest.(check bool) "two's complement" true
-    (Str_util.contains (Sim.Vcd.render v) "b1111 !")
 
 let monotonic_time_qcheck =
   QCheck.Test.make ~name:"kernel time is monotonic" ~count:50
@@ -684,8 +448,8 @@ let test_in_place_steps () =
 (* Random process programs, run once with [Kernel.wait_for] and once
    with [suspending_wait_for]: every step must happen in the same
    process order, at the same instant and in the same delta cycle, and
-   the time advances, races and telemetry (wake-up counters included)
-   must be the same. *)
+   the time advances and telemetry (wake-up counters included) must be
+   the same. *)
 type op =
   | Wait of int  (** [wait_for] this many ns; 0 is the next delta *)
   | Yield
@@ -694,8 +458,6 @@ type op =
   | Notify_after of int * int
   | Wait_event of int
   | Wait_any of int list
-  | Write of int * int
-  | Wait_change of int
   | Locked of int * int  (** hold lock [l] for [n] ns *)
   | Spawn of op list
   | Stop
@@ -710,8 +472,6 @@ let rec show_op = function
   | Wait_any es ->
     Printf.sprintf "wait_any [%s]"
       (String.concat " " (List.map (Printf.sprintf "e%d") es))
-  | Write (s, v) -> Printf.sprintf "write s%d %d" s v
-  | Wait_change s -> Printf.sprintf "wait_change s%d" s
   | Locked (l, n) -> Printf.sprintf "lock l%d for %d" l n
   | Spawn ops -> Printf.sprintf "spawn {%s}" (String.concat "; " (List.map show_op ops))
   | Stop -> "stop"
@@ -728,7 +488,6 @@ let show_program p =
           p.processes))
 
 let events = 2
-let signals = 2
 let locks = 2
 
 let program_gen =
@@ -744,8 +503,6 @@ let program_gen =
         (2, map2 (fun e n -> Notify_after (e, n)) (int_bound (events - 1)) ns);
         (2, map (fun e -> Wait_event e) (int_bound (events - 1)));
         (1, map (fun es -> Wait_any es) (list_size (int_range 1 events) (int_bound (events - 1))));
-        (2, map2 (fun s v -> Write (s, v)) (int_bound (signals - 1)) (int_bound 2));
-        (1, map (fun s -> Wait_change s) (int_bound (signals - 1)));
         (3, map2 (fun l n -> Locked (l, n)) (int_bound (locks - 1)) ns);
         (1, return Stop);
       ]
@@ -761,7 +518,6 @@ let program_gen =
 let run_program wait p =
   let k = Sim.Kernel.create () in
   let evs = Array.init events (fun i -> Sim.Event.create k ~name:(Printf.sprintf "e%d" i) ()) in
-  let sigs = Array.init signals (fun i -> Sim.Signal.create k ~name:(Printf.sprintf "s%d" i) 0) in
   let lks =
     Array.init locks (fun i ->
         Osss.Lock.create k ~name:(Printf.sprintf "l%d" i)
@@ -784,8 +540,6 @@ let run_program wait p =
             | Notify_after (e, n) -> Sim.Event.notify_after evs.(e) (ns n)
             | Wait_event e -> Sim.Event.wait evs.(e)
             | Wait_any es -> Sim.Event.wait_any (List.map (fun e -> evs.(e)) es)
-            | Write (s, v) -> Sim.Signal.write sigs.(s) v
-            | Wait_change s -> Sim.Signal.wait_change sigs.(s)
             | Locked (l, n) ->
               Osss.Lock.with_lock lks.(l) holders.(l) (fun () ->
                   if n > 0 then wait (ns n))
@@ -814,8 +568,6 @@ let run_program wait p =
     Sim.Kernel.delta_count k,
     Sim.Kernel.time_advances k,
     Sim.Kernel.live_process_names k,
-    List.map (fun r -> (r.Sim.Kernel.race_signal, r.race_first, r.race_second, r.race_delta))
-      (Sim.Kernel.races k),
     Telemetry.Metrics.counters (Telemetry.Sink.metrics sink),
     Telemetry.Chrome.to_string (Telemetry.Sink.events sink) )
 
@@ -881,39 +633,10 @@ let () =
           Alcotest.test_case "immediate notify" `Quick
             test_event_immediate_notify;
         ] );
-      ( "signal",
-        [
-          Alcotest.test_case "update semantics" `Quick
-            test_signal_update_semantics;
-          Alcotest.test_case "last write wins" `Quick
-            test_signal_last_write_wins;
-          Alcotest.test_case "change event" `Quick test_signal_change_event;
-          Alcotest.test_case "wait_value" `Quick test_signal_wait_value;
-        ] );
       ( "mailbox",
         [
           Alcotest.test_case "fifo order" `Quick test_mailbox_fifo;
           Alcotest.test_case "blocks when full" `Quick
             test_mailbox_blocks_when_full;
-        ] );
-      ( "clock",
-        [
-          Alcotest.test_case "edge count" `Quick test_clock_edges;
-          Alcotest.test_case "wait_cycles" `Quick test_clock_wait_cycles;
-          Alcotest.test_case "signal follows" `Quick test_clock_signal_follows;
-          Alcotest.test_case "invalid configs" `Quick test_clock_invalid;
-        ] );
-      ( "vcd",
-        [
-          Alcotest.test_case "records changes" `Quick test_vcd_records_changes;
-          Alcotest.test_case "records changes bytes" `Quick
-            test_vcd_records_changes_bytes;
-          Alcotest.test_case "rejects duplicates" `Quick
-            test_vcd_rejects_duplicates;
-          Alcotest.test_case "zero-change render" `Quick
-            test_vcd_zero_change_render;
-          Alcotest.test_case "probe projection width" `Quick
-            test_vcd_probe_projection_width;
-          Alcotest.test_case "negative values" `Quick test_vcd_negative_values;
         ] );
     ]

@@ -421,8 +421,8 @@ let test_vcd_export () =
   Alcotest.(check string) "sanitize" "x_y.z_2"
     (Telemetry.Vcd_export.sanitize "x y.z-2")
 
-(* The whole two-span document, recorded before the span-depth and
-   signal-level writers shared one renderer. *)
+(* The whole two-span document, byte for byte: the file waveform
+   viewers open must not change under a refactoring. *)
 let test_vcd_export_bytes () =
   Alcotest.(check string) "document"
     {|$date
