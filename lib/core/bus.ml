@@ -55,28 +55,12 @@ let transfer t master ~words =
       Telemetry.Sink.incr ~by:words ("bus." ^ name t ^ ".words")
     end;
     let full = t.max_burst_words in
-    let full_time = burst_time t ~burst_words:full in
-    let remaining = ref words in
-    while !remaining > 0 do
-      (* The full bursts the idle bus grants in one kernel step. *)
-      let bursts = !remaining / full in
-      if bursts > 0 then
-        remaining :=
-          !remaining - (full * Lock.idle_grants t.lock master ~hold:full_time ~count:bursts);
-      (* Then one burst the per-burst way: a contended grant, a grant
-         past the next kernel event, or the tail. *)
-      if !remaining > 0 then begin
-        let burst = Stdlib.min !remaining full in
-        remaining := !remaining - burst;
-        (* [Lock.with_lock] without its per-burst closure. *)
-        Lock.acquire t.lock master;
-        match Eet.consume (burst_time t ~burst_words:burst) with
-        | () -> Lock.release t.lock master
-        | exception exn ->
-          Lock.release t.lock master;
-          raise exn
-      end
-    done
+    Lock.grant_run t.lock master
+      ~hold:(burst_time t ~burst_words:full)
+      ~count:(words / full);
+    let tail = words mod full in
+    if tail > 0 then
+      Lock.grant_run t.lock master ~hold:(burst_time t ~burst_words:tail) ~count:1
   end
 
 let transfer_time_unloaded t ~words =

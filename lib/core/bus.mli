@@ -48,14 +48,16 @@ val transfer : t -> master -> words:int -> unit
     direction — the OPB is not full-duplex). Process context only.
 
     Each burst is one grant of the bus lock, held for the burst's
-    cycles. A run of full bursts on an idle bus goes through
-    {!Lock.idle_grants}: the bursts that end before the next calendar
-    entry and within [run ~until] take one kernel step. Every other
-    burst (a contended grant, the one that meets the next calendar
-    entry or the horizon, and the tail shorter than [max_burst_words])
-    is an {!Lock.acquire}, an {!Eet.consume} and a {!Lock.release}.
-    Both give the same grants, instants, delta cycles, statistics and
-    telemetry. *)
+    cycles. The full bursts are one {!Lock.grant_run}, and the tail
+    shorter than [max_burst_words] is another, of one grant. The run
+    takes whole arbiter rotations of the masters parked in their own
+    transfers, and runs of bursts on an idle bus, without resuming
+    anyone, up to the next calendar entry or [run ~until]. The other
+    bursts are an {!Lock.acquire}, a [Kernel.wait_for] and a
+    {!Lock.release} each: among them the tail, a burst that meets the
+    next calendar entry or the horizon, and a master's last full
+    burst. Both give the grants, instants, delta cycles, statistics
+    and telemetry of a burst at a time. *)
 
 val transfer_time_unloaded : t -> words:int -> Sim.Sim_time.t
 (** Duration of the same transaction on an idle bus. *)

@@ -4,6 +4,12 @@ type holder = {
   overhead : Sim.Sim_time.t;
   grants_key : string; (* its grant counter *)
   mutable resume : unit -> unit; (* while parked: resumes its [acquire] *)
+  mutable proc : Sim.Kernel.proc; (* while parked: its process *)
+  mutable requested : int; (* ps: the instant of its pending request *)
+  mutable hold : int; (* ps: in a grant run, the length of each hold *)
+  mutable left : int;
+      (* in a grant run, the holds it still wants, the one requested or
+         held included; 0 outside *)
 }
 
 let not_parked () = ()
@@ -15,11 +21,14 @@ type t = {
   grant_overhead : Sim.Sim_time.t;
   mutable owner : int; (* holder id, or [free] *)
   mutable pending : int list; (* arrival order *)
-  mutable num_holders : int;
+  mutable holders : holder array; (* by id *)
   parked : holder Queue.t; (* blocked in [acquire], in the order they blocked *)
-  mutable total_wait : Sim.Sim_time.t;
-  mutable total_held : Sim.Sim_time.t;
-  mutable held_since : Sim.Sim_time.t;
+  mutable total_wait : int; (* ps *)
+  mutable total_held : int; (* ps *)
+  mutable held_since : int; (* ps *)
+  mutable turns : holder array;
+      (* one rotation's grantees, in grant order; [plan] fills it *)
+  mutable rotated : int list; (* the pending list after that rotation *)
   wait_key : string; (* telemetry names, built once *)
   held_key : string;
   wait_span : string;
@@ -35,11 +44,13 @@ let create kernel ~name ~arbiter ?(grant_overhead = Sim.Sim_time.zero) () =
     grant_overhead;
     owner = free;
     pending = [];
-    num_holders = 0;
+    holders = [||];
     parked = Queue.create ();
-    total_wait = Sim.Sim_time.zero;
-    total_held = Sim.Sim_time.zero;
-    held_since = Sim.Sim_time.zero;
+    total_wait = 0;
+    total_held = 0;
+    held_since = 0;
+    turns = [||];
+    rotated = [];
     wait_key = "lock." ^ name ^ ".wait_ps";
     held_key = "lock." ^ name ^ ".held_ps";
     wait_span = "wait:" ^ name;
@@ -49,20 +60,33 @@ let name t = t.name
 let kernel t = t.kernel
 
 let register t ~name ?(overhead = Sim.Sim_time.zero) () =
-  let id = t.num_holders in
-  t.num_holders <- id + 1;
-  {
-    id;
-    hname = name;
-    overhead;
-    grants_key = Printf.sprintf "lock.%s.grants.%s" t.name name;
-    resume = not_parked;
-  }
+  let holder =
+    {
+      id = Array.length t.holders;
+      hname = name;
+      overhead;
+      grants_key = Printf.sprintf "lock.%s.grants.%s" t.name name;
+      resume = not_parked;
+      proc = Sim.Kernel.running t.kernel;
+      requested = 0;
+      hold = 0;
+      left = 0;
+    }
+  in
+  t.holders <- Array.append t.holders [| holder |];
+  t.turns <- Array.make (Array.length t.holders) holder;
+  holder
 
 let holder_id h = h.id
+let now_ps t = Sim.Sim_time.to_ps (Sim.Kernel.now t.kernel)
 
-let remove_pending t id =
-  t.pending <- List.filter (fun other -> other <> id) t.pending
+(* [l] without [id], sharing the tail after it. *)
+let rec remove id = function
+  | [] -> []
+  | other :: rest -> if other = id then rest else other :: remove id rest
+
+(* [h] is among the first [m] grantees of the rotation in [t.turns]. *)
+let rec took_turn t h m = m > 0 && (t.turns.(m - 1) == h || took_turn t h (m - 1))
 
 (* The lock is free and the arbiter picks [holder] among the pending
    requests. *)
@@ -70,15 +94,16 @@ let grantable t holder =
   t.owner = free && Arbiter.choose t.arbiter ~pending:t.pending = holder.id
 
 (* The telemetry of one grant after a wait of [wait_ps] from
-   [started_ps]. *)
-let note_grant t holder ~started_ps wait_ps =
+   [started_ps]. [track] is the holder's own track when another
+   process grants on its behalf. *)
+let note_grant ?track t holder ~started_ps wait_ps =
   Telemetry.Sink.incr holder.grants_key;
   Telemetry.Sink.observe t.wait_key wait_ps;
   if wait_ps > 0 then
     (* Arbitration wait on the requester's own track: the span covers
        request-to-grant, so contention shows up next to the stage that
        suffered it. *)
-    Telemetry.Span.complete ~ts_ps:started_ps ~dur_ps:wait_ps ~cat:"arbitration"
+    Telemetry.Span.complete ?track ~ts_ps:started_ps ~dur_ps:wait_ps ~cat:"arbitration"
       t.wait_span
 
 (* The telemetry of one release after a hold of [held_ps] from
@@ -95,27 +120,30 @@ let note_release t holder ~since_ps held_ps =
 let acquire t holder =
   if t.owner = holder.id then
     invalid_arg (Printf.sprintf "Lock.acquire: %s re-acquires %s" holder.hname t.name);
-  let started = Sim.Kernel.now t.kernel in
+  holder.requested <- now_ps t;
   t.pending <- t.pending @ [ holder.id ];
   while not (grantable t holder) do
     if holder.resume != not_parked then
       invalid_arg
         (Printf.sprintf "Lock.acquire: %s already waits for %s" holder.hname t.name);
+    holder.proc <- Sim.Kernel.running t.kernel;
     Sim.Kernel.suspend (fun resume ->
         holder.resume <- resume;
         Queue.push holder t.parked)
   done;
   t.owner <- holder.id;
-  remove_pending t holder.id;
+  t.pending <- remove holder.id t.pending;
   Arbiter.note_grant t.arbiter holder.id;
-  let waited = Sim.Sim_time.sub (Sim.Kernel.now t.kernel) started in
-  t.total_wait <- Sim.Sim_time.add t.total_wait waited;
-  if Telemetry.Sink.enabled () then
-    note_grant t holder ~started_ps:(Sim.Sim_time.to_ps started)
-      (Sim.Sim_time.to_ps waited);
+  (* Read from the record: while parked, the holder may have been
+     granted, and have requested again, in another holder's
+     rotations. *)
+  let started = holder.requested in
+  let waited = now_ps t - started in
+  t.total_wait <- t.total_wait + waited;
+  if Telemetry.Sink.enabled () then note_grant t holder ~started_ps:started waited;
   let overhead = Sim.Sim_time.add t.grant_overhead holder.overhead in
   if not (Sim.Sim_time.is_zero overhead) then Sim.Kernel.wait_for overhead;
-  t.held_since <- Sim.Kernel.now t.kernel
+  t.held_since <- now_ps t
 
 (* The holders parked when the lock was released take their turns in
    the order they parked, as if the release had woken them all. A
@@ -143,45 +171,13 @@ let release t holder =
   if t.owner <> holder.id then
     invalid_arg (Printf.sprintf "Lock.release: %s does not own %s" holder.hname t.name);
   t.owner <- free;
-  let held = Sim.Sim_time.sub (Sim.Kernel.now t.kernel) t.held_since in
-  t.total_held <- Sim.Sim_time.add t.total_held held;
-  if Telemetry.Sink.enabled () then
-    note_release t holder ~since_ps:(Sim.Sim_time.to_ps t.held_since)
-      (Sim.Sim_time.to_ps held);
+  let held = now_ps t - t.held_since in
+  t.total_held <- t.total_held + held;
+  if Telemetry.Sink.enabled () then note_release t holder ~since_ps:t.held_since held;
   if not (Queue.is_empty t.parked) then begin
     let batch = Queue.create () in
     Queue.transfer t.parked batch;
     Sim.Kernel.schedule_delta t.kernel (fun () -> wake t batch)
-  end
-
-(* On a free lock with no request pending or parked and no overhead,
-   [acquire] grants at once and waits for nothing, and [release] wakes
-   no one. Back-to-back holds of [hold] then differ from one kernel
-   step of [hold] each only in the bookkeeping done here, and the
-   kernel takes as many of those steps as nothing else could run
-   between. *)
-let idle_grants t holder ~hold ~count =
-  if
-    t.owner <> free || t.pending <> []
-    || (not (Queue.is_empty t.parked))
-    || (not (Sim.Sim_time.is_zero t.grant_overhead))
-    || not (Sim.Sim_time.is_zero holder.overhead)
-  then 0
-  else begin
-    let start_ps = Sim.Sim_time.to_ps (Sim.Kernel.now t.kernel) in
-    let granted = Sim.Kernel.advance_in_place t.kernel hold ~steps:count in
-    if granted > 0 then begin
-      Arbiter.note_grant t.arbiter holder.id;
-      t.total_held <- Sim.Sim_time.add t.total_held (Sim.Sim_time.mul_int hold granted);
-      if Telemetry.Sink.enabled () then begin
-        let hold_ps = Sim.Sim_time.to_ps hold in
-        for i = 0 to granted - 1 do
-          note_grant t holder ~started_ps:0 0;
-          note_release t holder ~since_ps:(start_ps + (i * hold_ps)) hold_ps
-        done
-      end
-    end;
-    granted
   end
 
 let with_lock t holder f =
@@ -194,5 +190,156 @@ let with_lock t holder f =
     release t holder;
     raise exn
 
-let total_wait t = t.total_wait
-let total_held t = t.total_held
+(* -- Rotations ------------------------------------------------------- *)
+
+(* [x] owns the lock, granted at [now], and its hold would advance in
+   place. What follows, up to the arbiter picking [x] again, is one
+   rotation: [x] holds, releases and requests again; the arbiter picks
+   a parked holder, which is resumed in the next delta cycle, holds in
+   place, releases and requests again; and so on. When every grantee
+   is in a grant run with a hold left after the granted one, none of
+   them leaves the lock's code, and the rotation is fixed in advance.
+
+   [plan t x ~last] works it out on a copy of the pending list. It
+   puts the other grantees in [t.turns] and the pending list the
+   rotation ends with in [t.rotated], and returns their number: [0]
+   when no one else is pending. It returns [-1] when the rotation may
+   not be taken: a hold would end after [last] (the kernel's in-place
+   limit), a grantee has an overhead, holds for no time or would take
+   its last hold, the arbiter would hand the lock straight back to the
+   holder that released it while others wait, or the parked holders
+   would not take exactly one turn each (FCFS and round robin always
+   give each one). The arbiter is left noting [x], as it is after a
+   whole rotation. *)
+let plan t x ~last =
+  let rec turn pending releaser time m =
+    let g = Arbiter.choose t.arbiter ~pending in
+    if g = x.id && (releaser <> x.id || pending = [ x.id ]) then begin
+      t.rotated <- remove x.id pending;
+      if m = Queue.length t.parked then m else -1
+    end
+    else if g = releaser then -1
+    else begin
+      let h = t.holders.(g) in
+      let time = time + h.hold in
+      if
+        h.left < 2 || h.hold = 0
+        || (not (Sim.Sim_time.is_zero h.overhead))
+        || time > last || took_turn t h m
+      then -1
+      else begin
+        Arbiter.note_grant t.arbiter g;
+        t.turns.(m) <- h;
+        turn (remove g pending @ [ g ]) g time (m + 1)
+      end
+    end
+  in
+  let time = now_ps t + x.hold in
+  let m = if time > last then -1 else turn (t.pending @ [ x.id ]) x.id time 0 in
+  Arbiter.note_grant t.arbiter x.id;
+  m
+
+(* Takes the rotation [plan] returned [m] for: the bookkeeping and
+   telemetry of every grant and release in it, in order, and the
+   kernel's of every hold and hand-off. With no one else pending, every
+   rotation up to [x]'s last hold is [x] alone, so those are taken at
+   once. *)
+let take t x m =
+  let k = t.kernel in
+  let traced = Telemetry.Sink.enabled () in
+  let start = now_ps t in
+  let hold = Sim.Sim_time.of_ps x.hold in
+  if m = 0 then begin
+    let n = Sim.Kernel.advance_in_place k hold ~steps:(x.left - 1) in
+    t.total_held <- t.total_held + (n * x.hold);
+    x.left <- x.left - n;
+    if traced then
+      for i = 0 to n - 1 do
+        let since_ps = start + (i * x.hold) in
+        note_release t x ~since_ps x.hold;
+        note_grant t x ~started_ps:(since_ps + x.hold) 0
+      done;
+    t.held_since <- now_ps t
+  end
+  else begin
+    ignore (Sim.Kernel.advance_in_place k hold ~steps:1 : int);
+    t.total_held <- t.total_held + x.hold;
+    if traced then note_release t x ~since_ps:start x.hold;
+    x.left <- x.left - 1;
+    x.requested <- start + x.hold;
+    let time = ref x.requested in
+    for i = 0 to m - 1 do
+      let g = t.turns.(i) in
+      let granted = !time in
+      Sim.Kernel.hand_off k g.proc (Sim.Sim_time.of_ps g.hold);
+      let waited = granted - g.requested in
+      t.total_wait <- t.total_wait + waited;
+      t.total_held <- t.total_held + g.hold;
+      if traced then begin
+        note_grant t g
+          ~track:(Sim.Kernel.proc_name g.proc)
+          ~started_ps:g.requested waited;
+        note_release t g ~since_ps:granted g.hold
+      end;
+      time := granted + g.hold;
+      g.left <- g.left - 1;
+      g.requested <- !time
+    done;
+    let running = Sim.Kernel.running k in
+    Sim.Kernel.hand_off k running Sim.Sim_time.zero;
+    let waited = !time - x.requested in
+    t.total_wait <- t.total_wait + waited;
+    if traced then
+      note_grant t x
+        ~track:(Sim.Kernel.proc_name running)
+        ~started_ps:x.requested waited;
+    t.held_since <- !time;
+    (* Each parked holder took one turn. It parked again when it
+       released, and the one it handed to left the queue, so the
+       grantees end up parked in reverse grant order. *)
+    Queue.clear t.parked;
+    for i = m - 1 downto 0 do
+      Queue.push t.turns.(i) t.parked
+    done
+  end;
+  t.pending <- t.rotated
+
+(* [x] owns the lock, granted at [now]: take every whole rotation that
+   fits in place. *)
+let rotations t x =
+  if
+    x.left >= 2
+    && Sim.Sim_time.is_zero t.grant_overhead
+    && Sim.Sim_time.is_zero x.overhead
+  then begin
+    let last = Sim.Kernel.in_place_limit t.kernel (Sim.Sim_time.of_ps x.hold) in
+    if last >= 0 then begin
+      let m = ref (plan t x ~last) in
+      while !m >= 0 do
+        take t x !m;
+        m := if x.left >= 2 then plan t x ~last else -1
+      done
+    end
+  end
+
+let grant_run t holder ~hold ~count =
+  if count > 0 then begin
+    holder.hold <- Sim.Sim_time.to_ps hold;
+    holder.left <- count;
+    acquire t holder;
+    while holder.left > 0 do
+      rotations t holder;
+      (* One hold the per-grant way: what no rotation may take. *)
+      (match if not (Sim.Sim_time.is_zero hold) then Sim.Kernel.wait_for hold with
+      | () -> release t holder
+      | exception exn ->
+        holder.left <- 0;
+        release t holder;
+        raise exn);
+      holder.left <- holder.left - 1;
+      if holder.left > 0 then acquire t holder
+    done
+  end
+
+let total_wait t = Sim.Sim_time.of_ps t.total_wait
+let total_held t = Sim.Sim_time.of_ps t.total_held

@@ -18,13 +18,41 @@
     those of the broadcast wake; only [process.*.wakeups] counts fewer
     resumes.
 
-    {b Idle grants.} On a free lock with no request pending or parked
-    and no grant or holder overhead, {!acquire} grants at once, and a
-    hold followed by {!release} wakes no one. {!idle_grants} takes a
-    run of such grants in one kernel step
-    ({!Sim.Kernel.advance_in_place}), with the grant order, instants,
-    delta cycles, statistics and telemetry of the same grants taken one
-    by one. *)
+    {b Rotations.} {!grant_run} takes a holder's back-to-back grants
+    of one hold length, and while it can it takes them in whole
+    arbiter rotations, without resuming anyone. A rotation starts when
+    the caller owns the lock and its hold would advance in place
+    ({!Sim.Kernel.in_place_limit}). The caller holds, releases and
+    requests again. The arbiter then picks among the parked holders,
+    on the pending list as the grants leave it. Each grantee holds in
+    place, releases and requests again, until the arbiter picks the
+    caller again. A rotation with nobody parked is the caller alone,
+    and a run of those takes one kernel step. The caller plays out
+    every grant and release of the rotation itself:
+    - the statistics and the arbiter's state;
+    - each grantee's request instant and holds left, kept in its
+      holder record;
+    - under a sink, the telemetry in grant order, each arbitration
+      wait on the grantee's own track;
+    - the kernel's delta cycles, time advances and wake-ups
+      ({!Sim.Kernel.hand_off}).
+
+    A rotation is taken whole or not at all. It is not taken when:
+    - a hold in it would end beyond [run ~until], or at or after the
+      first calendar entry;
+    - the lock has a grant overhead, or a participant has a holder
+      overhead or a zero hold;
+    - a grantee is not inside a {!grant_run}, or the granted hold is
+      its last one. Its last hold returns into its own code, so it
+      must really be resumed;
+    - the arbiter would grant the lock back to the holder that just
+      released it while others wait, or would not give every parked
+      holder exactly one turn (FCFS and round robin always do).
+
+    Such grants go one by one: an {!acquire}, a [Kernel.wait_for] and
+    a {!release}. Either way the grant order, instants, delta cycles,
+    statistics and telemetry are those of the grants taken one by
+    one, [process.*.wakeups] included. *)
 
 type t
 type holder
@@ -62,21 +90,13 @@ val release : t -> holder -> unit
 val with_lock : t -> holder -> (unit -> 'a) -> 'a
 (** Acquire, run, release (also on exception). *)
 
-val idle_grants : t -> holder -> hold:Sim.Sim_time.t -> count:int -> int
-(** [idle_grants t h ~hold ~count] takes up to [count] back-to-back
-    grants of the idle lock for [h], each held for [hold], and returns
-    how many it took. Each stands for [acquire t h], a [Kernel.wait_for
-    hold] that advances in place, and [release t h]. It takes none
-    (returns [0], nothing changed) unless the lock is free, no request
-    is pending or parked, and the lock's grant overhead and [h]'s
-    overhead are zero; and it takes only as many as
-    {!Sim.Kernel.advance_in_place} does. The arbiter notes the grant,
-    {!total_held} grows by [hold] per grant and {!total_wait} by
-    nothing. Under a telemetry sink each grant records what {!acquire}
-    and {!release} record, in grant order: the grant counter, a
-    [wait_ps] of 0, the [held_ps] and the busy span, the [i]th at
-    [start + i * hold]; the kernel counts one wake-up per grant.
-    Process context only, from the process [h] stands for. *)
+val grant_run : t -> holder -> hold:Sim.Sim_time.t -> count:int -> unit
+(** [grant_run t h ~hold ~count] is [count] times: [acquire t h], a
+    [Kernel.wait_for hold] (none for a zero [hold]) and [release t h],
+    with the grants taken in rotations where they may be (see
+    {e Rotations} above). While [h] is parked in it, other holders'
+    rotations may grant [h]'s holds, all but its last one. Process
+    context only, from the process [h] stands for. *)
 
 (** {1 Statistics} *)
 

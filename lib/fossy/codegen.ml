@@ -21,11 +21,11 @@ let binop_str = function
   | Hir.Shl | Hir.Shr -> assert false (* rendered as shift calls *)
 
 type env = {
-  widths : (string * int) list; (* variable/port/array element widths *)
-  outputs : string list;
+  widths : (string, int) Hashtbl.t; (* variable/port/array element widths *)
+  outputs : (string, unit) Hashtbl.t;
 }
 
-let width_of env name = Option.value (List.assoc_opt name env.widths) ~default:32
+let width_of env name = Option.value (Hashtbl.find_opt env.widths name) ~default:32
 
 let rec expr_width env = function
   | Hir.Const n ->
@@ -106,7 +106,7 @@ let tr_assign env lv e =
   | Hir.Lv_var n ->
     let w = width_of env n in
     let rhs = tr_expr env ~width:w e in
-    if List.mem n env.outputs then Sig_assign (n, rhs) else Var_assign (n, rhs)
+    if Hashtbl.mem env.outputs n then Sig_assign (n, rhs) else Var_assign (n, rhs)
   | Hir.Lv_arr (n, i) ->
     let w = width_of env n in
     Idx_var_assign
@@ -133,14 +133,21 @@ let tr_next env = function
           [ Var_assign ("state", Name (state_label b)) ] );
     ]
 
+(* A name's first binding wins: ports, then variables, then arrays. *)
+let table bindings =
+  let t = Hashtbl.create 64 in
+  List.iter (fun (n, v) -> if not (Hashtbl.mem t n) then Hashtbl.add t n v) bindings;
+  t
+
 let run (fsm : Fsm.t) =
   let env =
     {
       widths =
-        List.map (fun (n, ty) -> (n, ty.Hir.width)) (fsm.Fsm.inputs @ fsm.Fsm.outputs)
-        @ List.map (fun (n, ty) -> (n, ty.Hir.width)) fsm.Fsm.vars
-        @ List.map (fun (n, ty, _) -> (n, ty.Hir.width)) fsm.Fsm.arrays;
-      outputs = List.map fst fsm.Fsm.outputs;
+        table
+          (List.map (fun (n, ty) -> (n, ty.Hir.width)) (fsm.Fsm.inputs @ fsm.Fsm.outputs)
+          @ List.map (fun (n, ty) -> (n, ty.Hir.width)) fsm.Fsm.vars
+          @ List.map (fun (n, ty, _) -> (n, ty.Hir.width)) fsm.Fsm.arrays);
+      outputs = table (List.map (fun (n, _) -> (n, ())) fsm.Fsm.outputs);
     }
   in
   let n_states = Array.length fsm.Fsm.states in

@@ -445,26 +445,23 @@ let entropy_decode_tile_robust ?(pool = Par.Pool.sequential) header tile =
 (* A fully concealed tile's entropy stage: every coefficient zero. *)
 let concealed_entropy_decoded header tile = blank_tile ~discard:0 header tile
 
-(* A fully concealed tile, rendered mid-grey at the right place and
-   size. Zero coefficients dequantise to 0, invert to +-0 through
-   either wavelet and colour-transform to 0, so the four stages over
+(* A fully concealed tile, rendered mid-grey in place. Zero
+   coefficients dequantise to 0, invert to +-0 through either wavelet
+   and colour-transform to 0, so the four stages over
    [concealed_entropy_decoded] leave every sample at the DC level
-   2^(bit_depth-1); the tile is built with that value directly. *)
-let concealed_tile header tile =
-  let w = tile.Codestream.tile_w and h = tile.Codestream.tile_h in
+   2^(bit_depth-1); the tile's rectangle of every plane is filled with
+   that value directly. *)
+let conceal_tile header (image : Image.t) tile =
   let mid = 1 lsl (header.Codestream.bit_depth - 1) in
-  {
-    Tile.index = tile.Codestream.tile_index;
-    x0 = tile.Codestream.tile_x0;
-    y0 = tile.Codestream.tile_y0;
-    planes =
-      Array.map
-        (fun _ ->
-          let p = Image.create_plane ~width:w ~height:h in
-          Image.fill_plane p mid;
-          p)
-        tile.Codestream.comps;
-  }
+  let x0 = tile.Codestream.tile_x0 and y0 = tile.Codestream.tile_y0 in
+  Array.iter
+    (fun (p : Image.plane) ->
+      (* Clipped to the plane, as [Tile.assemble] clips. *)
+      let x = Stdlib.max 0 x0 and y = Stdlib.max 0 y0 in
+      let width = Stdlib.min p.Image.width (x0 + tile.Codestream.tile_w) - x
+      and height = Stdlib.min p.Image.height (y0 + tile.Codestream.tile_h) - y in
+      if width > 0 && height > 0 then Image.fill_rect p ~x ~y ~width ~height mid)
+    image.Image.planes
 
 let tile_block_count header tile =
   let bands =
@@ -481,7 +478,7 @@ let tile_block_count header tile =
 
 (* The grid cells past the first [delivered] segments, each as a
    segment with the cell's index and rectangle and no entropy payload
-   — exactly what [concealed_tile] needs to render mid-grey at the
+   — exactly what [conceal_tile] needs to render mid-grey at the
    right place. *)
 let missing_tiles (header : Codestream.header) ~delivered =
   let rec from k =
@@ -505,53 +502,51 @@ let missing_tiles (header : Codestream.header) ~delivered =
    whole. *)
 let decode_robust_tiles ~pool header ~present ~missing =
   let decode_one tile =
-    (* (tile image, concealed blocks, concealed tiles, total blocks):
-       per-tile results stay pure so the fan-out over tiles cannot
-       race on the report counters. *)
+    (* (tile image or [None] when concealed whole, concealed blocks,
+       concealed tiles, total blocks): per-tile results stay pure so
+       the fan-out over tiles cannot race on the report counters. *)
     let total = tile_block_count header tile in
     match entropy_decode_tile_robust ~pool header tile with
-    | None -> (concealed_tile header tile, 0, 1, total)
+    | None -> (None, 0, 1, total)
     | Some (ed, concealed) -> (
       match finish ed with
-      | t -> (t, concealed, 0, total)
-      | exception (Failure _ | Invalid_argument _) ->
-        (concealed_tile header tile, concealed, 1, total))
+      | t -> (Some t, concealed, 0, total)
+      | exception (Failure _ | Invalid_argument _) -> (None, concealed, 1, total))
   in
-  let results = Par.Pool.map pool (Array.of_list present) decode_one in
-  let concealed_blocks = ref 0 and concealed_tiles = ref 0 in
+  let present = Array.of_list present in
+  let results = Par.Pool.map pool present decode_one in
+  let concealed_blocks = ref 0 and concealed_tiles = ref (List.length missing) in
   let total_blocks = ref 0 in
-  let tiles =
-    Array.to_list
-      (Array.map
-         (fun (tile, blocks, tiles, total) ->
-           concealed_blocks := !concealed_blocks + blocks;
-           concealed_tiles := !concealed_tiles + tiles;
-           total_blocks := !total_blocks + total;
-           tile)
-         results)
-  in
-  let tiles =
-    tiles
-    @ List.map
-        (fun tile ->
-          concealed_tiles := !concealed_tiles + 1;
-          total_blocks := !total_blocks + tile_block_count header tile;
-          concealed_tile header tile)
-        missing
+  let decoded =
+    Array.fold_right
+      (fun (tile, blocks, tiles, total) acc ->
+        concealed_blocks := !concealed_blocks + blocks;
+        concealed_tiles := !concealed_tiles + tiles;
+        total_blocks := !total_blocks + total;
+        match tile with Some t -> t :: acc | None -> acc)
+      results []
   in
   let image =
     Tile.assemble ~width:header.Codestream.width
       ~height:header.Codestream.height
       ~components:header.Codestream.components
-      ~bit_depth:header.Codestream.bit_depth tiles
+      ~bit_depth:header.Codestream.bit_depth decoded
   in
+  Array.iteri
+    (fun i (tile, _, _, _) -> if tile = None then conceal_tile header image present.(i))
+    results;
+  List.iter
+    (fun tile ->
+      total_blocks := !total_blocks + tile_block_count header tile;
+      conceal_tile header image tile)
+    missing;
   Ok
     ( image,
       {
         concealed_blocks = !concealed_blocks;
         concealed_tiles = !concealed_tiles;
         total_blocks = !total_blocks;
-        total_tiles = List.length present + List.length missing;
+        total_tiles = Array.length present + List.length missing;
       } )
 
 let decode_robust ?(pool = Par.Pool.sequential) data =

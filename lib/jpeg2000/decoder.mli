@@ -160,13 +160,15 @@ val concealed_entropy_decoded :
     the stage-by-stage view of a whole-tile concealment (mid-grey
     after the DC shift). *)
 
-val concealed_tile : Codestream.header -> Codestream.tile_segment -> Tile.t
-(** The tile a whole-tile concealment renders: every sample of every
-    component is [2^(bit_depth-1)]. Zero coefficients dequantise to
-    0, invert to 0 through either wavelet and colour-transform to 0,
-    so this equals {!concealed_entropy_decoded} pushed through
-    {!dequantise}, {!inverse_wavelet} and {!inverse_colour_and_shift}
-    (a qcheck property), without running them. *)
+val conceal_tile : Codestream.header -> Image.t -> Codestream.tile_segment -> unit
+(** [conceal_tile header image tile] renders a whole-tile concealment
+    in place: it sets every sample of the tile's rectangle (clipped to
+    [image]) in every plane of [image] to [2^(bit_depth-1)]. Zero
+    coefficients dequantise to 0, invert to 0 through either wavelet
+    and colour-transform to 0, so this equals {!concealed_entropy_decoded}
+    pushed through {!dequantise}, {!inverse_wavelet} and
+    {!inverse_colour_and_shift} (a qcheck property), without running
+    them or building the tile. *)
 
 val entropy_decode_tile_robust :
   ?pool:Par.Pool.t ->
@@ -196,7 +198,9 @@ val decode_robust :
     complete: every tile segment the prefix delivered decodes with
     per-block containment, and each grid cell whose segment never
     arrived is concealed whole (counted in [concealed_tiles]) and
-    filled with [2^(bit_depth-1)] ({!concealed_tile}).
+    filled with [2^(bit_depth-1)] in place ({!conceal_tile}), so
+    the image is the only allocation that grows with the declared
+    size.
     [Error (Truncated _)] therefore only remains for a prefix too
     short to carry the header. The input is read once, by
     {!Codestream.parse_prefix}: its error is the one

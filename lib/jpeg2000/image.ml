@@ -29,11 +29,22 @@ let plane_set p ~x ~y v =
   check_sample "Image.plane_set" v;
   set16 p.data (2 * ((y * p.width) + x)) v
 
-let fill_plane p v =
-  check_sample "Image.fill_plane" v;
-  for i = 0 to (p.width * p.height) - 1 do
-    set16 p.data (2 * i) v
+let fill_rect p ~x ~y ~width ~height v =
+  check_sample "Image.fill_rect" v;
+  if
+    width <= 0 || height <= 0 || x < 0 || y < 0 || x + width > p.width
+    || y + height > p.height
+  then invalid_arg "Image.fill_rect: rectangle out of bounds";
+  (* The first row sample by sample, the others copied from it. *)
+  let first = 2 * ((y * p.width) + x) in
+  for i = 0 to width - 1 do
+    set16 p.data (first + (2 * i)) v
+  done;
+  for row = 1 to height - 1 do
+    Bytes.unsafe_blit p.data first p.data (first + (2 * row * p.width)) (2 * width)
   done
+
+let fill_plane p v = fill_rect p ~x:0 ~y:0 ~width:p.width ~height:p.height v
 
 let plane_to_array p =
   Array.init (p.width * p.height) (fun i -> get16 p.data (2 * i))

@@ -48,6 +48,11 @@ val fill_plane : plane -> int -> unit
 (** Sets every sample to the value; [Invalid_argument] outside
     [0 .. 0xFFFF]. *)
 
+val fill_rect : plane -> x:int -> y:int -> width:int -> height:int -> int -> unit
+(** [fill_rect p ~x ~y ~width ~height v] sets the samples of that
+    rectangle to [v]; [Invalid_argument] outside [0 .. 0xFFFF] or if
+    the rectangle is empty or leaves the plane. *)
+
 val plane_to_array : plane -> int array
 (** Row-major copy of the samples as [int]s — where a caller needs
     mutable integers to work on, such as the encoder's DC shift. *)

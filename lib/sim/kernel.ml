@@ -1,3 +1,12 @@
+(* A spawned process as the scheduler accounts for it. *)
+type proc = {
+  name : string;
+  context : string option; (* [Some name]: the sink context of its slices *)
+  wakeups_key : string;
+  mutable cell : (Telemetry.Sink.t * int ref) option;
+      (* its wake-up counter's live cell, cached per sink *)
+}
+
 type t = {
   mutable now : Sim_time.t;
   calendar : (unit -> unit) Pqueue.t;
@@ -10,10 +19,7 @@ type t = {
   mutable next_pid : int;
   mutable stop_requested : bool;
   mutable started : bool;
-  mutable current_label : string option;
-  mutable woke_in_place : int -> unit;
-      (* the running process's bookkeeping for [n] wake-ups, set per
-         slice *)
+  mutable running : proc; (* the process whose slice runs, or [outside] *)
   mutable horizon : int; (* the running [run]'s [until], in ps *)
   mutable settle : unit -> bool;
       (* the running delivery's answer to "are you done?" *)
@@ -24,6 +30,20 @@ type _ Effect.t += Self : t Effect.t
 
 (* [settle] outside a delivery, and on its last callback. *)
 let settled () = true
+
+(* The scheduler itself, between slices. *)
+let outside = { name = "main"; context = None; wakeups_key = ""; cell = None }
+
+let count_wakeups p s n =
+  let cell =
+    match p.cell with
+    | Some (s', r) when s' == s -> r
+    | Some _ | None ->
+      let r = Telemetry.Metrics.counter_ref (Telemetry.Sink.metrics s) p.wakeups_key in
+      p.cell <- Some (s, r);
+      r
+  in
+  cell := !cell + n
 
 let create () =
   {
@@ -38,8 +58,7 @@ let create () =
     next_pid = 0;
     stop_requested = false;
     started = false;
-    current_label = None;
-    woke_in_place = ignore;
+    running = outside;
     horizon = max_int;
     settle = settled;
   }
@@ -63,59 +82,46 @@ let spawn t ?name body =
   t.next_pid <- pid + 1;
   let label = Option.value name ~default:(Printf.sprintf "process-%d" pid) in
   Hashtbl.replace t.unfinished pid label;
-  (* Every slice of this process runs with its label as the kernel's
-     current label, and the telemetry sink's context mirrors it so
+  (* Every slice of this process runs with it as the kernel's running
+     process, and the telemetry sink's context mirrors its label so
      spans emitted from library code land on the running process's
-     track. A slice restores the label it found, so a process that
+     track. A slice restores the process it found, so a process that
      resumed another inline goes back to its own track.
 
      This wrapper runs once per process wakeup — the hottest telemetry
-     path in the kernel — so the label option and the wakeup counter
-     key are interned here, and the epilogue is inlined rather than a
-     [Fun.protect] closure: with a sink installed a slice costs two
-     sink loads and a counter bump, with no per-slice allocation. *)
-  let some_label = Some label in
-  let wakeups_key = "process." ^ label ^ ".wakeups" in
-  (* The wakeup counter's live cell, cached per (process, sink) so a
-     slice bumps a ref instead of hashing the key; invalidated when a
-     different sink is installed between slices. *)
-  let cached_cell : (Telemetry.Sink.t * int ref) option ref = ref None in
-  let note_wakeups s n =
-    Telemetry.Sink.set_context s some_label;
-    let cell =
-      match !cached_cell with
-      | Some (s', r) when s' == s -> r
-      | Some _ | None ->
-        let r =
-          Telemetry.Metrics.counter_ref (Telemetry.Sink.metrics s) wakeups_key
-        in
-        cached_cell := Some (s, r);
-        r
-    in
-    cell := !cell + n
-  in
-  (* Time advanced in place keeps the slice running: each step owes
-     its wake-up only this bookkeeping. *)
-  let woke_in_place n =
-    match Telemetry.Sink.active () with None -> () | Some s -> note_wakeups s n
+     path in the kernel — so the process record, with its label and
+     wakeup counter key, is built here once, and the epilogue is inlined
+     rather than a [Fun.protect] closure: with a sink installed a slice
+     costs two sink loads and a counter bump, with no per-slice
+     allocation. *)
+  let proc =
+    {
+      name = label;
+      context = Some label;
+      wakeups_key = "process." ^ label ^ ".wakeups";
+      cell = None;
+    }
   in
   let with_label f () =
-    let prev = t.current_label in
-    t.current_label <- some_label;
-    t.woke_in_place <- woke_in_place;
+    let prev = t.running in
+    t.running <- proc;
     let sink = Telemetry.Sink.active () in
-    (match sink with None -> () | Some s -> note_wakeups s 1);
+    (match sink with
+    | None -> ()
+    | Some s ->
+      Telemetry.Sink.set_context s proc.context;
+      count_wakeups proc s 1);
     match f () with
     | () -> (
-      t.current_label <- prev;
+      t.running <- prev;
       match sink with
       | None -> ()
-      | Some s -> Telemetry.Sink.set_context s prev)
+      | Some s -> Telemetry.Sink.set_context s prev.context)
     | exception exn ->
-      t.current_label <- prev;
+      t.running <- prev;
       (match sink with
       | None -> ()
-      | Some s -> Telemetry.Sink.set_context s prev);
+      | Some s -> Telemetry.Sink.set_context s prev.context);
       raise exn
   in
   let finished () =
@@ -213,38 +219,79 @@ let self () = Effect.perform Self
 
 let suspend register = Effect.perform (Suspend register)
 
+let running t = t.running
+let proc_name p = p.name
+
+(* Counts [n] wake-ups of [p] under the active sink. The running
+   process also takes the sink context back, as its resume would. *)
+let woke t p n =
+  match Telemetry.Sink.active () with
+  | None -> ()
+  | Some s ->
+    if p == t.running then Telemetry.Sink.set_context s p.context;
+    count_wakeups p s n
+
 (* Suspending the caller of [wait_for d] would end this delta cycle,
    advance time to [now + d] and resume the caller there, and nothing
    else would run in between when: nothing is runnable at [now], the
    running delivery has nothing left to run, no stop is pending,
    [now + d] is within the horizon, and no calendar entry is due at or
    before [now + d] (one due exactly then was queued first and runs
-   first). Then do the same bookkeeping here and keep the slice
-   running. After such a step nothing is runnable and the delivery is
-   settled, so a next wait of [d] advances in place too while its end
-   stays within the horizon and before the first calendar entry. Up to
-   [steps] of those are taken at once, each counted as the scheduler
-   would count it. *)
-let advance_in_place t d ~steps =
-  let d = Sim_time.to_ps d in
+   first). Then the caller may do the same bookkeeping itself and keep
+   the slice running. After such a step nothing is runnable and the
+   delivery is settled, and nothing the kernel runs changes that until
+   the slice schedules something or ends; so every later step (or
+   hand-off, [d = 0]) only has to end by the instant returned here,
+   which stays the same meanwhile. *)
+let in_place_limit_ps t d =
   let now = Sim_time.to_ps t.now in
   (* The last instant a step may end at. *)
   let last = Stdlib.min t.horizon (Pqueue.next_key t.calendar - 1) in
   if
-    steps <= 0 || d <= 0 || now + d > last
+    now + d > last
     || (not (Queue.is_empty t.current))
     || (not (Queue.is_empty t.next_delta))
     || t.stop_requested
     || not (t.settle ())
-  then 0
+  then -1
   else begin
-    let k = if steps = 1 then 1 else Stdlib.min steps ((last - now) / d) in
     t.settle <- settled;
+    last
+  end
+
+let in_place_limit t d =
+  if Sim_time.is_zero d then -1 else in_place_limit_ps t (Sim_time.to_ps d)
+
+let advance_in_place t d ~steps =
+  let d = Sim_time.to_ps d in
+  let last = if steps <= 0 || d <= 0 then -1 else in_place_limit_ps t d in
+  if last < 0 then 0
+  else begin
+    let now = Sim_time.to_ps t.now in
+    let k = if steps = 1 then 1 else Stdlib.min steps ((last - now) / d) in
     t.deltas <- t.deltas + k;
     t.now <- Sim_time.of_ps (now + (k * d));
     t.advances <- t.advances + k;
-    t.woke_in_place k;
+    woke t t.running k;
     k
+  end
+
+(* The running process suspends, ending this delta cycle, and the next
+   one resumes [p] alone, at the same instant; [p] then advances [d]
+   in place. *)
+let hand_off t p d =
+  let d = Sim_time.to_ps d in
+  if in_place_limit_ps t d < 0 then
+    invalid_arg "Kernel.hand_off: something else could run first";
+  if d = 0 then begin
+    t.deltas <- t.deltas + 1;
+    woke t p 1
+  end
+  else begin
+    t.deltas <- t.deltas + 2;
+    t.now <- Sim_time.of_ps (Sim_time.to_ps t.now + d);
+    t.advances <- t.advances + 1;
+    woke t p 2
   end
 
 let wait_for d =

@@ -140,5 +140,53 @@ val advance_in_place : t -> Sim_time.t -> steps:int -> int
     the answer for [d = 0] and [steps <= 0]. The caller decides what
     to do instead (a [wait_for d] then suspends). *)
 
+(** {2 Hand-offs in place}
+
+    A process that suspends while nothing else is runnable, in a delta
+    cycle whose only follow-up is to resume one other process at the
+    same instant, hands the simulation to that process. When that
+    process then advances time in place and hands the simulation on in
+    turn, the whole sequence runs no code but theirs, and its outcome
+    is fixed in advance. The running process may then play it out
+    itself: {!in_place_limit} tells it how far in place steps may go,
+    and {!hand_off} does the scheduler's bookkeeping of each hand-off
+    without resuming anyone. A lock uses this for arbiter rotations
+    among its parked holders. *)
+
+type proc
+(** A spawned process, as the scheduler counts it: its label and its
+    [process.<label>.wakeups] counter. *)
+
+val running : t -> proc
+(** The process whose slice is running. Process context only. *)
+
+val proc_name : proc -> string
+(** Its label, which is also its telemetry track. *)
+
+val in_place_limit : t -> Sim_time.t -> int
+(** [in_place_limit t d] is [-1] if a [wait_for d] of the running
+    process would suspend, and for [d = 0]. Otherwise it settles the
+    running {!deliver} and returns the last instant, in ps, at which
+    an in-place step may end: the running [run]'s [until], or the
+    instant before the first calendar entry. The caller must then take
+    at least that step of [d]. This is the condition {!wait_for} and
+    {!advance_in_place} check; its answer holds, unchanged, for every
+    later step and hand-off of the same slice until the slice
+    schedules something. *)
+
+val hand_off : t -> proc -> Sim_time.t -> unit
+(** [hand_off t p d] counts what a hand-off to [p] costs the
+    scheduler: the running process suspends, ending the delta cycle;
+    the next delta cycle, at the same instant, resumes [p] and nothing
+    else; and [p] advances [d] in place if [d > 0]. That is two delta
+    cycles, one time advance and two wake-ups of [p] for [d > 0], and
+    one delta cycle and one wake-up of [p] for [d = 0]. [p] may be the
+    running process, which then resumes itself. It runs nothing: the
+    caller carries on as [p] would. Under a sink, [p]'s wake-ups go to
+    its own counter, and the sink's context stays the running
+    process's. Raises [Invalid_argument] unless nothing else is
+    runnable, the running {!deliver} settles, no {!stop} is pending
+    and [now + d] is within the limit {!in_place_limit} gives. *)
+
 val yield : unit -> unit
 (** Suspends the calling process until the next delta cycle. *)

@@ -460,6 +460,70 @@ let test_block_count_refused () =
         "ab1d5f36096c8c42a8bf2a36e90388b2" );
     ]
 
+(* A stream that declares one 2048x2048 grey tile whose only band
+   carries no code blocks: 61 bytes. [decode_robust] conceals the tile
+   whole, filling the image in place, so the image is all it
+   allocates that grows with the declared size. *)
+let empty_band_stream n =
+  let open Jpeg2000.Codestream in
+  emit
+    {
+      header =
+        {
+          width = n;
+          height = n;
+          components = 1;
+          tile_w = n;
+          tile_h = n;
+          levels = 0;
+          mode = Lossless;
+          bit_depth = 8;
+          base_step = 1.0;
+          code_block = 64;
+        };
+      tiles =
+        [
+          {
+            tile_index = 0;
+            tile_x0 = 0;
+            tile_y0 = 0;
+            tile_w = n;
+            tile_h = n;
+            comps =
+              [|
+                [
+                  {
+                    seg_level = 0;
+                    seg_orientation = Jpeg2000.Subband.LL;
+                    seg_w = n;
+                    seg_h = n;
+                    seg_blocks = [];
+                  };
+                ];
+              |];
+          };
+        ];
+    }
+
+let test_concealment_allocation () =
+  let n = 2048 in
+  let data = empty_band_stream n in
+  Alcotest.(check int) "stream bytes" 61 (String.length data);
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  let result = Jpeg2000.Decoder.decode_robust data in
+  let allocated = Gc.allocated_bytes () -. before in
+  match result with
+  | Error e -> Alcotest.failf "refused: %s" (Jpeg2000.Codestream.error_message e)
+  | Ok (image, report) ->
+    let image_bytes = float_of_int (2 * n * n) in
+    if allocated > (1.1 *. image_bytes) +. 1e6 then
+      Alcotest.failf "decode_robust allocated %.0f bytes for a %.0f-byte image" allocated
+        image_bytes;
+    Alcotest.(check int) "concealed tiles" 1 report.Jpeg2000.Decoder.concealed_tiles;
+    Alcotest.(check string) "image digest" "eeb4b7ad4602e95c6f307db8f8b4d441"
+      (Digest.to_hex (Digest.string (Jpeg2000.Image.to_pnm image)))
+
 let test_parse_result_typed_errors () =
   let data = Lazy.force fuzz_stream in
   (match Jpeg2000.Codestream.parse_result "" with
@@ -803,6 +867,8 @@ let () =
             test_parse_result_typed_errors;
           Alcotest.test_case "block count refused" `Quick
             test_block_count_refused;
+          Alcotest.test_case "concealment allocates one image" `Quick
+            test_concealment_allocation;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |])
             mutant_qcheck;
         ] );

@@ -771,19 +771,21 @@ let test_round_robin_bus_alternates () =
   Alcotest.(check bool) "fair interleaving" true
     (gap <= Sim.Sim_time.to_ps (Sim.Sim_time.cycles ~hz:clock_hz 19))
 
-(* -- Idle bursts in one kernel step ---------------------------------- *)
+(* -- Bursts in rotations ---------------------------------------------- *)
 
-(* [Bus.transfer] takes runs of full bursts on an idle bus through
-   [Lock.idle_grants], in one kernel step. Its reference is the
-   per-burst loop it had before: an [acquire], an [Eet.consume] and a
-   [release] per burst. Random masters move words between compute
-   phases; background processes wake on multiples of the burst time,
-   so calendar entries fall exactly on burst ends; and a first
-   [run ~until] may stop mid-transfer. Both must give every completion
-   instant at the same delta cycle, the same kernel counters and lock
-   statistics, and, under a sink, the same Chrome trace and metrics,
-   byte for byte. The bus has no grant or holder overhead, so
-   overheads are drawn in a second property, at the lock level. *)
+(* [Bus.transfer] takes its full bursts through [Lock.grant_run], which
+   takes whole arbiter rotations of the bus's masters in one kernel
+   call each, and runs of idle bursts in one kernel step. Its
+   reference is the per-burst loop it had before: an [acquire], an
+   [Eet.consume] and a [release] per burst. Random masters move words
+   between compute phases; background processes wake on multiples of
+   the burst time, so calendar entries fall exactly on burst ends; and
+   a first [run ~until] may stop mid-transfer. Both must give every
+   completion instant at the same delta cycle, the same kernel
+   counters and lock statistics, and, under a sink, the same Chrome
+   trace and metrics, byte for byte. The bus has no grant or holder
+   overhead, so overheads are drawn in a third property, at the lock
+   level. *)
 
 type burst_scenario = {
   bs_policy : Osss.Arbiter.policy;
@@ -824,7 +826,7 @@ let show_burst_scenario s =
             Printf.sprintf "  bg%d: %d steps of %d bursts" i steps period)
           s.background))
 
-let burst_scenario_gen ~overheads ~words =
+let burst_scenario_gen ~overheads ~masters:(fewest, most) ~words =
   let open QCheck.Gen in
   let span =
     frequency
@@ -845,8 +847,35 @@ let burst_scenario_gen ~overheads ~words =
     (triple
        (oneofl Osss.Arbiter.[ Fcfs; Round_robin; Static_priority ])
        (int_range 1 32) overhead)
-    (pair (list_size (int_range 1 4) master) (list_size (int_range 0 2) background))
+    (pair
+       (list_size (int_range fewest most) master)
+       (list_size (int_range 0 2) background))
     (opt span)
+
+(* Long contention: 2-5 masters whose first transfers start within
+   three bursts of each other, each moving one or two transfers of
+   hundreds to thousands of words, so that most bursts are taken in
+   rotations of several masters, and a rotation meets the calendar,
+   the horizon or a master's last burst many times per run. *)
+let long_contention_gen =
+  let open QCheck.Gen in
+  let start = pair (int_range 0 3) (frequency [ (3, return 0); (1, int_range 1 100) ]) in
+  let later = pair (int_range 0 40) (frequency [ (3, return 0); (1, int_range 1 300) ]) in
+  let words = int_range 200 4000 in
+  let master =
+    map3
+      (fun first w rest -> (0, (first, w) :: rest))
+      start words
+      (list_size (int_range 0 1) (pair later words))
+  in
+  map3
+    (fun (bs_policy, burst_words) (masters, background) until ->
+      { bs_policy; burst_words; bs_grant_overhead = 0; masters; background; until })
+    (pair (oneofl Osss.Arbiter.[ Fcfs; Round_robin; Static_priority ]) (int_range 8 32))
+    (pair
+       (list_size (int_range 2 5) master)
+       (list_size (int_range 0 2) (pair (int_range 1 40) (int_range 1 30))))
+    (opt (pair (int_range 1 400) (int_range 0 300)))
 
 (* How one side moves a master's words: given the kernel and a bus
    built from the scenario, a function from a master's name and
@@ -899,8 +928,7 @@ let per_burst bus lock h s words =
   end
 
 (* At the lock level a transfer of [n] is [n] holds of one full burst:
-   one grant at a time, or in runs through [Lock.idle_grants], falling
-   back to one grant where it takes none. *)
+   one grant at a time, or one [Lock.grant_run] of [n] holds. *)
 let hold_one h lock hold =
   Osss.Lock.acquire lock h;
   Sim.Kernel.wait_for hold;
@@ -912,16 +940,9 @@ let holds_one_by_one bus lock h s n =
     hold_one h lock hold
   done
 
-let holds_idle bus lock h s n =
+let holds_in_runs bus lock h s n =
   let hold = Osss.Bus.transfer_time_unloaded bus ~words:s.burst_words in
-  let left = ref n in
-  while !left > 0 do
-    left := !left - Osss.Lock.idle_grants lock h ~hold ~count:!left;
-    if !left > 0 then begin
-      hold_one h lock hold;
-      decr left
-    end
-  done
+  Osss.Lock.grant_run lock h ~hold ~count:n
 
 let run_burst_scenario ~traced (side : burst_side) s =
   let k = Sim.Kernel.create () in
@@ -1010,17 +1031,23 @@ let same_bursts side reference s =
 let bus_bursts_qcheck =
   QCheck.Test.make ~name:"bus bursts as the per-burst loop takes them" ~count:200
     (QCheck.make ~print:show_burst_scenario
-       (burst_scenario_gen ~overheads:false
+       (burst_scenario_gen ~overheads:false ~masters:(1, 4)
           ~words:
             QCheck.Gen.(
               frequency [ (1, return 0); (2, int_range 1 64); (2, int_range 0 2000) ])))
     (same_bursts bus_side (lock_side per_burst))
 
-let idle_grants_qcheck =
-  QCheck.Test.make ~name:"idle grants as grants one by one" ~count:200
+let long_contention_qcheck =
+  QCheck.Test.make ~name:"long contention as the per-burst loop takes it" ~count:100
+    (QCheck.make ~print:show_burst_scenario long_contention_gen)
+    (same_bursts bus_side (lock_side per_burst))
+
+let grant_runs_qcheck =
+  QCheck.Test.make ~name:"grant runs as grants one by one" ~count:200
     (QCheck.make ~print:show_burst_scenario
-       (burst_scenario_gen ~overheads:true ~words:QCheck.Gen.(int_range 0 40)))
-    (same_bursts (lock_side holds_idle) (lock_side holds_one_by_one))
+       (burst_scenario_gen ~overheads:true ~masters:(2, 4)
+          ~words:QCheck.Gen.(int_range 1 200)))
+    (same_bursts (lock_side holds_in_runs) (lock_side holds_one_by_one))
 
 (* -- Platform / VTA / report -------------------------------------- *)
 
@@ -1153,7 +1180,8 @@ let () =
           Alcotest.test_case "round-robin fairness on bus" `Quick
             test_round_robin_bus_alternates;
           qc bus_bursts_qcheck;
-          qc idle_grants_qcheck;
+          qc long_contention_qcheck;
+          qc grant_runs_qcheck;
         ] );
       ( "platform_vta",
         [
