@@ -3,10 +3,20 @@
 
 open Cmdliner
 
+(* Every input error names the bad value on stderr and exits 2. *)
+let input_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("fossy_cli: " ^ msg);
+      exit 2)
+    fmt
+
 let core_of_name = function
-  | "idwt53" -> Ok Models.Idwt_cores.idwt53_systemc
-  | "idwt97" -> Ok Models.Idwt_cores.idwt97_systemc
-  | other -> Error (Printf.sprintf "unknown core %S (idwt53 | idwt97)" other)
+  | "idwt53" -> Models.Idwt_cores.idwt53_systemc
+  | "idwt97" -> Models.Idwt_cores.idwt97_systemc
+  | other -> input_error "unknown core %S (idwt53 | idwt97)" other
+
+let require_tasks n = if n < 1 then input_error "--tasks must be >= 1 (got %d)" n
 
 let reference_of_name = function
   | "idwt53" -> Models.Idwt_cores.idwt53_reference
@@ -23,41 +33,37 @@ let write_file path data =
 
 let synth_cmd =
   let run core_name out_dir show_systemc with_reference =
-    match core_of_name core_name with
-    | Error msg ->
-      prerr_endline msg;
+    let hir = core_of_name core_name in
+    match Fossy.Synthesis.synthesise hir with
+    | Error es ->
+      List.iter prerr_endline es;
       exit 1
-    | Ok hir -> (
-      match Fossy.Synthesis.synthesise hir with
-      | Error es ->
-        List.iter prerr_endline es;
-        exit 1
-      | Ok r ->
-        List.iter prerr_endline r.Fossy.Synthesis.warnings;
-        if show_systemc then print_string (Fossy.Hir_pp.emit hir);
-        (match out_dir with
-        | Some dir ->
-          write_file (Filename.concat dir (core_name ^ ".vhd")) r.Fossy.Synthesis.vhdl_text;
+    | Ok r ->
+      List.iter prerr_endline r.Fossy.Synthesis.warnings;
+      if show_systemc then print_string (Fossy.Hir_pp.emit hir);
+      (match out_dir with
+      | Some dir ->
+        write_file (Filename.concat dir (core_name ^ ".vhd")) r.Fossy.Synthesis.vhdl_text;
+        write_file
+          (Filename.concat dir (core_name ^ "_behavioural.cpp"))
+          (Fossy.Hir_pp.emit hir);
+        if with_reference then
           write_file
-            (Filename.concat dir (core_name ^ "_behavioural.cpp"))
-            (Fossy.Hir_pp.emit hir);
-          if with_reference then
-            write_file
-              (Filename.concat dir (core_name ^ "_ref.vhd"))
-              (Rtl.Vhdl_pp.emit (reference_of_name core_name))
-        | None -> ());
-        Printf.printf
-          "%s: %d FSM states, SystemC %d LoC -> VHDL %d LoC\n\
-           area: FF=%d LUT=%d slices=%d gates=%d\n\
-           estimated frequency: %.1f MHz%s\n"
-          r.Fossy.Synthesis.module_name
-          (Fossy.Fsm.state_count r.Fossy.Synthesis.fsm)
-          r.Fossy.Synthesis.systemc_loc r.Fossy.Synthesis.vhdl_loc
-          r.Fossy.Synthesis.area.Rtl.Area.flip_flops
-          r.Fossy.Synthesis.area.Rtl.Area.luts r.Fossy.Synthesis.area.Rtl.Area.slices
-          r.Fossy.Synthesis.area.Rtl.Area.gates r.Fossy.Synthesis.fmax_mhz
-          (if Rtl.Area.fits_lx25 r.Fossy.Synthesis.area then " (fits Virtex-4 LX25)"
-           else ""))
+            (Filename.concat dir (core_name ^ "_ref.vhd"))
+            (Rtl.Vhdl_pp.emit (reference_of_name core_name))
+      | None -> ());
+      Printf.printf
+        "%s: %d FSM states, SystemC %d LoC -> VHDL %d LoC\n\
+         area: FF=%d LUT=%d slices=%d gates=%d\n\
+         estimated frequency: %.1f MHz%s\n"
+        r.Fossy.Synthesis.module_name
+        (Fossy.Fsm.state_count r.Fossy.Synthesis.fsm)
+        r.Fossy.Synthesis.systemc_loc r.Fossy.Synthesis.vhdl_loc
+        r.Fossy.Synthesis.area.Rtl.Area.flip_flops
+        r.Fossy.Synthesis.area.Rtl.Area.luts r.Fossy.Synthesis.area.Rtl.Area.slices
+        r.Fossy.Synthesis.area.Rtl.Area.gates r.Fossy.Synthesis.fmax_mhz
+        (if Rtl.Area.fits_lx25 r.Fossy.Synthesis.area then " (fits Virtex-4 LX25)"
+         else "")
   in
   Cmd.v
     (Cmd.info "synth" ~doc:"Synthesise an IDWT core to VHDL.")
@@ -76,29 +82,25 @@ let synth_cmd =
 
 let testbench_cmd =
   let run core_name out_dir =
-    match core_of_name core_name with
-    | Error msg ->
-      prerr_endline msg;
+    let hir = core_of_name core_name in
+    (* A short line of coefficients exercises the load/compute/drain
+       phases; the reference stream is the behavioural model's. *)
+    let stimulus =
+      [
+        ("start", [ 1 ]);
+        ("data_in", List.init 64 (fun i -> ((i * 37) mod 211) - 105));
+      ]
+    in
+    match
+      Fossy.Testbench.generate_for_module hir ~stimulus ~max_outputs:65 ()
+    with
+    | Error es ->
+      List.iter prerr_endline es;
       exit 1
-    | Ok hir ->
-      (* A short line of coefficients exercises the load/compute/drain
-         phases; the reference stream is the behavioural model's. *)
-      let stimulus =
-        [
-          ("start", [ 1 ]);
-          ("data_in", List.init 64 (fun i -> ((i * 37) mod 211) - 105));
-        ]
-      in
-      (match
-         Fossy.Testbench.generate_for_module hir ~stimulus ~max_outputs:65 ()
-       with
-      | Error es ->
-        List.iter prerr_endline es;
-        exit 1
-      | Ok tb -> (
-        match out_dir with
-        | Some dir -> write_file (Filename.concat dir (core_name ^ "_tb.vhd")) tb
-        | None -> print_string tb))
+    | Ok tb -> (
+      match out_dir with
+      | Some dir -> write_file (Filename.concat dir (core_name ^ "_tb.vhd")) tb
+      | None -> print_string tb)
   in
   Cmd.v
     (Cmd.info "testbench"
@@ -287,6 +289,7 @@ let table2_cmd =
 
 let platgen_cmd =
   let run sw_tasks idwt_p2p out_dir =
+    require_tasks sw_tasks;
     let vta = Models.Vta_models.mapping ~sw_tasks ~idwt_p2p in
     let mhs = Fossy.Platgen.mhs vta ~hw_cores:[ "idwt2d"; "idwt53"; "idwt97" ] in
     let mss = Fossy.Platgen.mss vta in
@@ -311,10 +314,12 @@ let platgen_cmd =
 
 let swgen_cmd =
   let run sw_tasks mode out_dir =
+    require_tasks sw_tasks;
     let mode =
       match mode with
       | "lossless" -> Jpeg2000.Codestream.Lossless
-      | _ -> Jpeg2000.Codestream.Lossy
+      | "lossy" -> Jpeg2000.Codestream.Lossy
+      | other -> input_error "unknown --mode %S (lossless | lossy)" other
     in
     let words = Models.Profile.nominal_tile_words mode in
     List.iter

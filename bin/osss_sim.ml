@@ -926,6 +926,7 @@ let profile_cmd =
 
 let mapping_cmd =
   let run sw_tasks idwt_p2p =
+    require_min "tasks" 1 sw_tasks;
     let vta = Models.Vta_models.mapping ~sw_tasks ~idwt_p2p in
     Format.printf "%a@." Osss.Vta.pp vta
   in

@@ -152,6 +152,14 @@ let rec_arr_store st slot ~raw ~wrapped =
     joined_add r.raw_arr slot raw;
     joined_add r.wrapped_arr slot wrapped
 
+(* Joins [iv] into the interval of [key]'s entry; the first
+   observation also fixes the entry's [extra]. *)
+let site_add tab key iv extra =
+  Hashtbl.replace tab key
+    (match Hashtbl.find_opt tab key with
+    | None -> (iv, extra)
+    | Some (o, x) -> (I.join o iv, x))
+
 let rec_assign st path iv ty is_const =
   match st.sites with
   | None -> ()
@@ -163,32 +171,21 @@ let rec_assign st path iv ty is_const =
     in
     Hashtbl.replace r.assigns path v
 
-let rec_branch st path iv kind =
-  match st.sites with
-  | None -> ()
-  | Some r ->
-    let v =
-      match Hashtbl.find_opt r.branches path with
-      | None -> (iv, kind)
-      | Some (o, k) -> (I.join o iv, k)
-    in
-    Hashtbl.replace r.branches path v
+(* Syntactic [Const] conditions are idioms, not findings. *)
+let rec_branch st path (c : Hir.expr) iv kind =
+  match (st.sites, c) with
+  | None, _ | Some _, Const _ -> ()
+  | Some r, _ -> site_add r.branches path iv kind
 
 let rec_index st path arr iv len =
-  match st.sites with
-  | None -> ()
-  | Some r ->
-    let key = (path, arr) in
-    let v =
-      match Hashtbl.find_opt r.indices key with
-      | None -> (iv, len)
-      | Some (o, l) -> (I.join o iv, l)
-    in
-    Hashtbl.replace r.indices key v
+  Option.iter (fun r -> site_add r.indices (path, arr) iv len) st.sites
 
 (* Statement paths name diagnostics; nothing else reads them. *)
 let sub_path st path seg =
   match st.sites with None -> path | Some _ -> path ^ seg
+
+let stmt_path st path i =
+  match st.sites with None -> path | Some _ -> Printf.sprintf "%s/%d" path i
 
 (* ------------------------------------------------------------------ *)
 (* Small helpers                                                       *)
@@ -212,49 +209,7 @@ let negate_cmp : Hir.binop -> Hir.binop = function
 let never_nonzero iv = I.is_singleton iv = Some 0
 let may_be_zero iv = I.contains iv 0
 
-(* Only fold to a literal the VHDL layer can size sanely. *)
-let foldable_const k = k > -(1 lsl 61) && k < 1 lsl 61
-
-let folded e iv safe =
-  if not safe then e
-  else
-    match I.is_singleton iv with
-    | Some k when foldable_const k -> (
-      match e with Hir.Const _ -> e | _ -> Hir.Const k)
-    | _ -> e
-
 let rec_depth_limit = 24
-
-(* ------------------------------------------------------------------ *)
-(* Pure evaluation (no state change, no recording): used for branch
-   refinement and for FSM branch conditions. Returns the interval and
-   whether the expression is side-effect- and crash-free: no input
-   read, no call, every array index proved in bounds.                  *)
-(* ------------------------------------------------------------------ *)
-
-let rec peval st sc env (e : Hir.expr) : I.t * bool =
-  match e with
-  | Const n -> (I.of_const n, true)
-  | Var x -> (
-    let vi = Hashtbl.find st.ctx.var_tab x in
-    match vi.input with
-    | Some ty when not (is_bound sc vi.slot) -> (I.of_ty ty, false)
-    | _ -> (env.vars.(vi.slot), true))
-  | Arr (a, i) -> (
-    let iiv, isafe = peval st sc env i in
-    match Hashtbl.find_opt st.ctx.arr_tab a with
-    | Some ai ->
-      let inb = iiv.I.lo >= 0 && iiv.I.hi <= ai.len - 1 in
-      (env.arrs.(ai.aslot), isafe && inb)
-    | None -> (I.top, false))
-  | Bin (op, a, b) ->
-    let aiv, sa = peval st sc env a in
-    let biv, sb = peval st sc env b in
-    (I.binop op aiv biv, sa && sb)
-  | Un (op, a) ->
-    let aiv, sa = peval st sc env a in
-    (I.unop op aiv, sa)
-  | Call _ -> (I.top, false)
 
 (* Push a refined interval back onto a variable operand, if it is
    refinable (never input ports — their reads are independent). *)
@@ -269,15 +224,92 @@ let push_refinement st sc env e iv =
       | None -> env (* contradiction: path is dead anyway; stay sound *))
   | _ -> env
 
+(* A loop's fixpoint. [step head] walks the body once from [head] and
+   returns what flows back to the top; that is joined into the head,
+   widened from the third iteration on, until it changes nothing.
+   Returns the stable head and what its walk returned. That walk was
+   the last one, so whatever it recorded is final: no loop walks its
+   body again once it has settled. *)
+let fixpoint step env =
+  let rec fix n head =
+    let out = step head in
+    match out with
+    | None -> (head, out)
+    | Some b ->
+      let j = join_env head b in
+      if j == head then (head, out)
+      else fix (n + 1) (if n >= 2 then widen_env head j else j)
+  in
+  fix 0 env
+
+(* ------------------------------------------------------------------ *)
+(* The value evaluator and the engine. The evaluator gives an
+   expression's interval and whether it is side-effect- and
+   crash-free: no input read, no call, every array index proved in
+   bounds. [calls] says what it does at a call. The engine follows
+   the call into the callee, whose walk may change the environment,
+   and records index facts under the statement path. Branch
+   refinement, FSM branch conditions and the optimiser's folds are
+   pure queries: a call is top, and nothing is recorded. The engine
+   computes environments and records facts; it builds no HIR.         *)
+(* ------------------------------------------------------------------ *)
+
+type calls = Opaque | Follow of string
+
+(* A callee's exits so far: its joined return value and environment. *)
+type retcell = (I.t * env) option ref
+
+let join_exits a b =
+  match (a, b) with
+  | None, x | x, None -> x
+  | Some (v1, e1), Some (v2, e2) -> Some (I.join v1 v2, join_env e1 e2)
+
+let ret_join (cell : retcell option) iv env =
+  Option.iter (fun c -> c := join_exits !c (Some (iv, env))) cell
+
+(* Returns the environment after [e]'s calls, its interval and its
+   safety. *)
+let rec value st sc calls env (e : Hir.expr) : env * I.t * bool =
+  match e with
+  | Const n -> (env, I.of_const n, true)
+  | Var x -> (
+    let vi = Hashtbl.find st.ctx.var_tab x in
+    match vi.input with
+    | Some ty when not (is_bound sc vi.slot) -> (env, I.of_ty ty, false)
+    | _ -> (env, env.vars.(vi.slot), true))
+  | Arr (a, i) -> (
+    let env, iiv, isafe = value st sc calls env i in
+    match Hashtbl.find_opt st.ctx.arr_tab a with
+    | Some ai ->
+      (match calls with
+      | Follow path -> rec_index st path a iiv ai.len
+      | Opaque -> ());
+      let inb = iiv.I.lo >= 0 && iiv.I.hi <= ai.len - 1 in
+      (env, env.arrs.(ai.aslot), isafe && inb)
+    | None -> (env, I.top, false))
+  | Bin (op, a, b) ->
+    let env, aiv, sa = value st sc calls env a in
+    let env, biv, sb = value st sc calls env b in
+    (env, I.binop op aiv biv, sa && sb)
+  | Un (op, a) ->
+    let env, aiv, sa = value st sc calls env a in
+    (env, I.unop op aiv, sa)
+  | Call (f, args) -> (
+    match calls with
+    | Opaque -> (env, I.top, false)
+    | Follow path ->
+      let env, iv = call st sc path env f args in
+      (env, iv, false))
+
 (* Refine [env] under "cond evaluated truthy/falsy". [None] =
    assumption unsatisfiable (the guarded code is unreachable). *)
-let rec refine st sc env cond truth : env option =
+and refine st sc env cond truth : env option =
   match cond with
   | Hir.Const n -> if n <> 0 = truth then Some env else None
   | Hir.Bin (op, l, r) when is_cmp op ->
     let op = if truth then op else negate_cmp op in
-    let liv, _ = peval st sc env l in
-    let riv, _ = peval st sc env r in
+    let _, liv, _ = value st sc Opaque env l in
+    let _, riv, _ = value st sc Opaque env r in
     (match I.assume_cmp op liv riv with
     | None -> None
     | Some (liv', riv') ->
@@ -292,69 +324,23 @@ let rec refine st sc env cond truth : env option =
     refine st sc env (Hir.Bin (op, e, Hir.Const (-1))) true
   | _ -> Some env
 
-(* ------------------------------------------------------------------ *)
-(* The engine: evaluates, records facts, and rewrites in one walk.
-   The rewritten statements are only meaningful when the walk starts
-   from a loop-stable environment (callers re-walk after fixpoints);
-   analysis-only callers simply discard them.                          *)
-(* ------------------------------------------------------------------ *)
+(* The environment in which condition [c], of interval [civ], takes
+   its [truth] side; [None] when that side is never taken. *)
+and arm st sc env c civ truth =
+  if if truth then never_nonzero civ else not (may_be_zero civ) then None
+  else refine st sc env c truth
 
-type retcell = (I.t * env) option ref
-
-let ret_join (cell : retcell option) iv env =
-  match cell with
-  | None -> ()
-  | Some c ->
-    c :=
-      (match !c with
-      | None -> Some (iv, env)
-      | Some (v, e) -> Some (I.join v iv, join_env e env))
-
-let rec eval st sc path env (e : Hir.expr) : env * Hir.expr * I.t * bool =
-  match e with
-  | Const n -> (env, e, I.of_const n, true)
-  | Var x -> (
-    let vi = Hashtbl.find st.ctx.var_tab x in
-    match vi.input with
-    | Some ty when not (is_bound sc vi.slot) -> (env, e, I.of_ty ty, false)
-    | _ ->
-      let iv = env.vars.(vi.slot) in
-      (env, folded e iv true, iv, true))
-  | Arr (a, i) -> (
-    let env, i', iiv, isafe = eval st sc path env i in
-    match Hashtbl.find_opt st.ctx.arr_tab a with
-    | Some ai ->
-      rec_index st path a iiv ai.len;
-      let inb = iiv.I.lo >= 0 && iiv.I.hi <= ai.len - 1 in
-      let v = env.arrs.(ai.aslot) in
-      let safe = isafe && inb in
-      (env, folded (Hir.Arr (a, i')) v safe, v, safe)
-    | None -> (env, Hir.Arr (a, i'), I.top, false))
-  | Bin (op, a, b) ->
-    let env, a', aiv, sa = eval st sc path env a in
-    let env, b', biv, sb = eval st sc path env b in
-    let iv = I.binop op aiv biv in
-    let safe = sa && sb in
-    (env, folded (Hir.Bin (op, a', b')) iv safe, iv, safe)
-  | Un (op, a) ->
-    let env, a', aiv, sa = eval st sc path env a in
-    let iv = I.unop op aiv in
-    (env, folded (Hir.Un (op, a')) iv sa, iv, sa)
-  | Call (f, args) ->
-    let env, args', iv = call st sc path env f args in
-    (env, Hir.Call (f, args'), iv, false)
-
-and call st sc path env f args : env * Hir.expr list * I.t =
-  let env, rev_args, rev_ivs =
+and call st sc path env f args : env * I.t =
+  let env, rev_ivs =
     List.fold_left
-      (fun (env, es, ivs) a ->
-        let env, a', iv, _ = eval st sc path env a in
-        (env, a' :: es, iv :: ivs))
-      (env, [], []) args
+      (fun (env, ivs) a ->
+        let env, iv, _ = value st sc (Follow path) env a in
+        (env, iv :: ivs))
+      (env, []) args
   in
-  let args' = List.rev rev_args and arg_ivs = List.rev rev_ivs in
+  let arg_ivs = List.rev rev_ivs in
   match Hashtbl.find_opt st.ctx.subs f with
-  | None -> (env, args', I.top)
+  | None -> (env, I.top)
   | Some sub ->
     let ret_default () =
       match sub.Hir.s_ret with Some ty -> I.of_ty ty | None -> I.of_const 0
@@ -362,7 +348,7 @@ and call st sc path env f args : env * Hir.expr list * I.t =
     if
       st.depth >= rec_depth_limit
       || List.length sub.Hir.s_params <> List.length arg_ivs
-    then (havoc st env f, args', ret_default ())
+    then (havoc st env f, ret_default ())
     else (
       st.depth <- st.depth + 1;
       let slot n = (Hashtbl.find st.ctx.var_tab n).slot in
@@ -381,7 +367,7 @@ and call st sc path env f args : env * Hir.expr list * I.t =
         }
       in
       let ret : retcell = ref None in
-      let out, _ =
+      let out =
         exec st sc' ~ret:(Some ret) (sub_path st path ("/" ^ f))
           (Some { env with vars })
           sub.Hir.s_body
@@ -392,27 +378,18 @@ and call st sc path env f args : env * Hir.expr list * I.t =
         List.iter (fun (i, v) -> vars.(i) <- v) saved;
         { e with vars }
       in
-      let fall =
-        match out with Some e -> Some (I.of_const 0, e) | None -> None
-      in
-      let exits =
-        match (!ret, fall) with
-        | None, None -> None
-        | Some x, None | None, Some x -> Some x
-        | Some (v1, e1), Some (v2, e2) -> Some (I.join v1 v2, join_env e1 e2)
-      in
-      match exits with
+      match join_exits !ret (Option.map (fun e -> (I.of_const 0, e)) out) with
       | None ->
         (* callee provably never completes: the continuation is
            unreachable, any environment is sound *)
-        (env, args', ret_default ())
+        (env, ret_default ())
       | Some (rv, e) ->
         let rv =
           match sub.Hir.s_ret with
           | Some ty -> I.wrap_ty ty rv
           | None -> I.of_const 0
         in
-        (restore e, args', rv))
+        (restore e, rv))
 
 and havoc st env f =
   let su = st.ctx.summary f in
@@ -436,29 +413,45 @@ and havoc st env f =
       | None -> env)
     su.Dataflow.su_arr_defs env
 
-and exec st sc ~ret path (env : env option) (stmts : Hir.stmt list) :
-    env option * Hir.stmt list =
-  let rec go i env acc = function
-    | [] -> (env, List.rev acc)
+and exec st sc ~ret path (env : env option) (stmts : Hir.stmt list) =
+  let rec go i env = function
+    | [] -> env
     | s :: rest -> (
       match env with
-      | None -> go (i + 1) None (s :: acc) rest (* unreachable: keep as-is *)
-      | Some e ->
-        let p =
-          match st.sites with
-          | None -> path
-          | Some _ -> Printf.sprintf "%s/%d" path i
-        in
-        let env', ss = exec_stmt st sc ~ret p e s in
-        go (i + 1) env' (List.rev_append ss acc) rest)
+      | None -> None
+      | Some e -> go (i + 1) (exec_stmt st sc ~ret (stmt_path st path i) e s) rest)
   in
-  go 0 env [] stmts
+  go 0 env stmts
 
-and exec_stmt st sc ~ret path env (s : Hir.stmt) : env option * Hir.stmt list =
+(* [While (c, body)] entered with [env]: the loop's stable head, and
+   [c] evaluated from it. *)
+and while_loop st sc ~ret path env c body =
+  let test head = value st sc (Follow path) head c in
+  let head, _ =
+    fixpoint
+      (fun head ->
+        let h1, civ, _ = test head in
+        exec st sc ~ret (sub_path st path "/do") (arm st sc h1 c civ true) body)
+      env
+  in
+  (head, test head)
+
+(* [For (x, lo, hi, body)] entered with [env]: the scope binding [x],
+   the body's entry from the loop's stable head, and the loop's exit. *)
+and for_loop st sc ~ret path env x lo hi body =
+  let slot = (Hashtbl.find st.ctx.var_tab x).slot in
+  let sc = { sc with bound = slot :: sc.bound } and range = I.of_bounds lo hi in
+  let enter h = Some (set_var h slot range) in
+  let head, out =
+    fixpoint (fun h -> exec st sc ~ret (sub_path st path "/do") (enter h) body) env
+  in
+  (sc, enter head, Option.map (fun o -> set_var o slot env.vars.(slot)) out)
+
+and exec_stmt st sc ~ret path env (s : Hir.stmt) : env option =
   match s with
   | Assign (lv, rhs) -> (
     let is_const = match rhs with Hir.Const _ -> true | _ -> false in
-    let env, rhs', riv, _ = eval st sc path env rhs in
+    let env, riv, _ = value st sc (Follow path) env rhs in
     match lv with
     | Lv_var x ->
       let vi = Hashtbl.find st.ctx.var_tab x in
@@ -471,100 +464,43 @@ and exec_stmt st sc ~ret path env (s : Hir.stmt) : env option * Hir.stmt list =
       let wrapped = wrap_opt ty riv in
       if (not is_local) && vi.decl <> None then
         rec_store st vi.slot ~raw:riv ~wrapped;
-      (Some (set_var env vi.slot wrapped), [ Hir.Assign (Lv_var x, rhs') ])
+      Some (set_var env vi.slot wrapped)
     | Lv_arr (a, i) -> (
-      let env, i', iiv, _ = eval st sc path env i in
-      let s' = [ Hir.Assign (Hir.Lv_arr (a, i'), rhs') ] in
+      let env, iiv, _ = value st sc (Follow path) env i in
       match Hashtbl.find_opt st.ctx.arr_tab a with
-      | None -> (None, s') (* unknown array: certain runtime error *)
+      | None -> None (* unknown array: certain runtime error *)
       | Some ai ->
         rec_index st path a iiv ai.len;
         rec_assign st path riv (Some ai.ety) is_const;
-        if iiv.I.hi < 0 || iiv.I.lo > ai.len - 1 then (None, s')
+        if iiv.I.hi < 0 || iiv.I.lo > ai.len - 1 then None
         else (
           let wrapped = I.wrap_ty ai.ety riv in
           rec_arr_store st ai.aslot ~raw:riv ~wrapped;
           let prev = env.arrs.(ai.aslot) in
-          (Some (set_arr env ai.aslot (I.join prev wrapped)), s'))))
+          Some (set_arr env ai.aslot (I.join prev wrapped)))))
   | If (c, t, e) ->
-    let env, c', civ, csafe = eval st sc path env c in
-    (match c with Hir.Const _ -> () | _ -> rec_branch st path civ `If);
-    let t_reach = not (never_nonzero civ) in
-    let e_reach = may_be_zero civ in
-    let t_in = if t_reach then refine st sc env c true else None in
-    let e_in = if e_reach then refine st sc env c false else None in
-    let t_out, t' = exec st sc ~ret (sub_path st path "/then") t_in t in
-    let e_out, e' = exec st sc ~ret (sub_path st path "/else") e_in e in
-    let out = join_opt t_out e_out in
-    if t_in <> None && e_in = None && csafe && not (Hir.stmts_contain_wait e)
-    then (out, t')
-    else if e_in <> None && t_in = None && csafe
-            && not (Hir.stmts_contain_wait t)
-    then (out, e')
-    else (out, [ Hir.If (c', t', e') ])
+    let env, civ, _ = value st sc (Follow path) env c in
+    rec_branch st path c civ `If;
+    join_opt
+      (exec st sc ~ret (sub_path st path "/then") (arm st sc env c civ true) t)
+      (exec st sc ~ret (sub_path st path "/else") (arm st sc env c civ false) e)
   | While (c, body) ->
-    let body_path = sub_path st path "/do" in
-    let rec fix n head =
-      let h1, _, civ, _ = eval st sc path head c in
-      let body_in =
-        if never_nonzero civ then None else refine st sc h1 c true
-      in
-      let body_out, _ = exec st sc ~ret body_path body_in body in
-      match body_out with
-      | None -> head
-      | Some b ->
-        let j = join_env head b in
-        if j == head then head
-        else fix (n + 1) (if n >= 2 then widen_env head j else j)
-    in
-    let head = fix 0 env in
-    let h1, c', civ, csafe = eval st sc path head c in
-    (match c with Hir.Const _ -> () | _ -> rec_branch st path civ `While);
-    let body_in = if never_nonzero civ then None else refine st sc h1 c true in
-    let _, body' = exec st sc ~ret body_path body_in body in
-    let exit_env =
-      if may_be_zero civ then refine st sc h1 c false else None
-    in
-    if never_nonzero civ && csafe then (exit_env, [])
-    else (exit_env, [ Hir.While (c', body') ])
-  | For (iv_name, lo, hi, body) ->
-    if lo > hi then (Some env, [])
-    else
-      let slot = (Hashtbl.find st.ctx.var_tab iv_name).slot in
-      let saved = env.vars.(slot) in
-      let sc' = { sc with bound = slot :: sc.bound } in
-      let range = I.of_bounds lo hi in
-      let body_path = sub_path st path "/do" in
-      let step h =
-        fst (exec st sc' ~ret body_path (Some (set_var h slot range)) body)
-      in
-      let rec fix n head =
-        match step head with
-        | None -> head
-        | Some b ->
-          let j = join_env head b in
-          if j == head then head
-          else fix (n + 1) (if n >= 2 then widen_env head j else j)
-      in
-      let head = fix 0 env in
-      let out, body' =
-        exec st sc' ~ret body_path (Some (set_var head slot range)) body
-      in
-      (Option.map (fun o -> set_var o slot saved) out,
-       [ Hir.For (iv_name, lo, hi, body') ])
-  | Wait -> (Some env, [ Hir.Wait ])
-  | Call_p (f, args) ->
-    let env, args', _ = call st sc path env f args in
-    (Some env, [ Hir.Call_p (f, args') ])
-  | Return e_opt -> (
-    match e_opt with
-    | None ->
-      ret_join ret (I.of_const 0) env;
-      (None, [ s ])
-    | Some e ->
-      let env, e', riv, _ = eval st sc path env e in
-      ret_join ret riv env;
-      (None, [ Hir.Return (Some e') ]))
+    let _, (h1, civ, _) = while_loop st sc ~ret path env c body in
+    rec_branch st path c civ `While;
+    arm st sc h1 c civ false
+  | For (_, lo, hi, _) when lo > hi -> Some env
+  | For (x, lo, hi, body) ->
+    let _, _, out = for_loop st sc ~ret path env x lo hi body in
+    out
+  | Wait -> Some env
+  | Call_p (f, args) -> Some (fst (call st sc path env f args))
+  | Return None ->
+    ret_join ret (I.of_const 0) env;
+    None
+  | Return (Some e) ->
+    let env, riv, _ = value st sc (Follow path) env e in
+    ret_join ret riv env;
+    None
 
 (* ------------------------------------------------------------------ *)
 (* Slot tables                                                         *)
@@ -669,23 +605,16 @@ let init_env ctx =
     arrs = Array.make (Hashtbl.length ctx.arr_tab) (I.of_const 0);
   }
 
-(* Fixpoint over the implicit process loop (SC_CTHREAD repeats
-   forever: end-of-body state flows back to the top), then one final
-   stable walk whose recordings and rewrites cover every activation. *)
+(* The stable head of the implicit process loop (SC_CTHREAD repeats
+   forever: end-of-body state flows back to the top). The fixpoint's
+   last walk starts from it, so the recordings cover every
+   activation. *)
 let run st (md : Hir.module_def) =
   let path = md.Hir.m_name ^ "/body" in
-  let env0 = init_env st.ctx in
-  let rec fix n head =
-    match fst (exec st scope0 ~ret:None path (Some head) md.Hir.m_body) with
-    | None -> head
-    | Some o ->
-      let j = join_env head o in
-      if j == head then head
-      else fix (n + 1) (if n >= 2 then widen_env head j else j)
-  in
-  let head = fix 0 env0 in
-  let _, body' = exec st scope0 ~ret:None path (Some head) md.Hir.m_body in
-  body'
+  fst
+    (fixpoint
+       (fun head -> exec st scope0 ~ret:None path (Some head) md.Hir.m_body)
+       (init_env st.ctx))
 
 type result = {
   var_ranges : (string * Interval.t) list;
@@ -700,7 +629,7 @@ let analyse (md : Hir.module_def) : result =
   let ctx = build_ctx md in
   let r = fresh_recorder ctx in
   let st = { ctx; rec_ = Some r; sites = None; depth = 0 } in
-  let _ = run st md in
+  ignore (run st md);
   let zero = I.of_const 0 in
   let with0 = function None -> zero | Some v -> I.join zero v in
   let outs =
@@ -741,7 +670,7 @@ let lint (md : Hir.module_def) : D.t list =
   let ctx = build_ctx md in
   let r = fresh_sites () in
   let st = { ctx; rec_ = None; sites = Some r; depth = 0 } in
-  let _ = run st md in
+  ignore (run st md);
   let ds = ref [] in
   let add d = ds := d :: !ds in
   Hashtbl.iter
@@ -801,14 +730,74 @@ let narrow_ty (ty : Hir.ty) (raw : I.t option) =
       if w < ty.Hir.width then { ty with Hir.width = w } else ty
     else ty (* unsigned declaration wrapping negatives: load-bearing *)
 
+(* Only fold to a literal the VHDL layer can size sanely. *)
+let foldable_const k = k > -(1 lsl 61) && k < 1 lsl 61
+
+(* The rewrite, one walk of its own from the stable process head. The
+   module is inlined, so no call has a callee to follow: the pure
+   evaluation the folds use gives the engine's values. *)
+let rec folded st sc env (e : Hir.expr) : Hir.expr =
+  let _, iv, safe = value st sc Opaque env e in
+  match (e, I.is_singleton iv) with
+  | Const _, _ -> e
+  | _, Some k when safe && foldable_const k -> Const k
+  | Var _, _ -> e
+  | Arr (a, i), _ -> Arr (a, folded st sc env i)
+  | Bin (op, a, b), _ -> Bin (op, folded st sc env a, folded st sc env b)
+  | Un (op, a), _ -> Un (op, folded st sc env a)
+  | Call (f, args), _ -> Call (f, List.map (folded st sc env) args)
+
+(* Statements after an unreachable point stay as they are. *)
+let rec rewrite st sc env stmts : env option * Hir.stmt list =
+  match (env, stmts) with
+  | _, [] -> (env, [])
+  | None, _ -> (None, stmts)
+  | Some e, s :: rest ->
+    let env, s' = rewrite_stmt st sc e s in
+    let out, rest' = rewrite st sc env rest in
+    (out, s' @ rest')
+
+(* A safe condition proved one-sided drops the arm never taken unless
+   that arm holds a [Wait], and a While never entered goes. A loop's
+   body is rewritten from the loop's own stable head. *)
+and rewrite_stmt st sc env (s : Hir.stmt) : env option * Hir.stmt list =
+  let fold = folded st sc env in
+  let step s' = (exec_stmt st sc ~ret:None "" env s, [ s' ]) in
+  match s with
+  | Assign (Lv_var x, rhs) -> step (Hir.Assign (Lv_var x, fold rhs))
+  | Assign (Lv_arr (a, i), rhs) -> step (Hir.Assign (Lv_arr (a, fold i), fold rhs))
+  | Call_p (f, args) -> step (Hir.Call_p (f, List.map fold args))
+  | Return e -> step (Hir.Return (Option.map fold e))
+  | Wait -> step s
+  | If (c, t, e) -> (
+    let _, civ, csafe = value st sc Opaque env c in
+    let t_in = arm st sc env c civ true and e_in = arm st sc env c civ false in
+    let t_out, t' = rewrite st sc t_in t and e_out, e' = rewrite st sc e_in e in
+    let out = join_opt t_out e_out in
+    match (t_in, e_in) with
+    | Some _, None when csafe && not (Hir.stmts_contain_wait e) -> (out, t')
+    | None, Some _ when csafe && not (Hir.stmts_contain_wait t) -> (out, e')
+    | _ -> (out, [ Hir.If (fold c, t', e') ]))
+  | While (c, body) ->
+    let head, (h1, civ, csafe) = while_loop st sc ~ret:None "" env c body in
+    let _, body' = rewrite st sc (arm st sc h1 c civ true) body in
+    ( arm st sc h1 c civ false,
+      if csafe && never_nonzero civ then []
+      else [ Hir.While (folded st sc head c, body') ] )
+  | For (_, lo, hi, _) when lo > hi -> (Some env, [])
+  | For (x, lo, hi, body) ->
+    let sc', entry, out = for_loop st sc ~ret:None "" env x lo hi body in
+    (out, [ Hir.For (x, lo, hi, snd (rewrite st sc' entry body)) ])
+
 let optimise (md : Hir.module_def) : Hir.module_def =
   let inlined =
     if md.Hir.m_subprograms <> [] then Inline.run md else md
   in
   let ctx = build_ctx inlined in
   let r = fresh_recorder ctx in
-  let st = { ctx; rec_ = Some r; sites = None; depth = 0 } in
-  let body' = run st inlined in
+  let head = run { ctx; rec_ = Some r; sites = None; depth = 0 } inlined in
+  let st = { ctx; rec_ = None; sites = None; depth = 0 } in
+  let _, body' = rewrite st scope0 (Some head) inlined.Hir.m_body in
   let m_vars' =
     List.map
       (fun (n, ty) -> (n, narrow_ty ty (recorded ctx r.raw_var n)))
@@ -895,7 +884,7 @@ let fsm_envs (fsm : Fsm.t) =
     match envs.(i) with
     | None -> ()
     | Some e -> (
-      let out, _ = exec st scope0 ~ret:None fsm.Fsm.fsm_name (Some e) bodies.(i) in
+      let out = exec st scope0 ~ret:None fsm.Fsm.fsm_name (Some e) bodies.(i) in
       posts.(i) <- out;
       match out with
       | None -> () (* actions provably crash: no successors *)
@@ -903,15 +892,9 @@ let fsm_envs (fsm : Fsm.t) =
         match fsm.Fsm.states.(i).Fsm.next with
         | Fsm.Goto j -> propagate j e
         | Fsm.Branch (c, a, b) ->
-          let civ, _ = peval st scope0 e c in
-          (if not (never_nonzero civ) then
-             match refine st scope0 e c true with
-             | Some e' -> propagate a e'
-             | None -> ());
-          if may_be_zero civ then (
-            match refine st scope0 e c false with
-            | Some e' -> propagate b e'
-            | None -> ())))
+          let _, civ, _ = value st scope0 Opaque e c in
+          Option.iter (propagate a) (arm st scope0 e c civ true);
+          Option.iter (propagate b) (arm st scope0 e c civ false)))
   done;
   (envs, posts, st)
 
@@ -946,7 +929,7 @@ let prune_fsm (fsm : Fsm.t) : Fsm.t =
         (fun i (state : Fsm.state) ->
           match (state.Fsm.next, posts.(i)) with
           | Fsm.Branch (c, a, b), Some e ->
-            let civ, csafe = peval st scope0 e c in
+            let _, civ, csafe = value st scope0 Opaque e c in
             if csafe && never_nonzero civ then Fsm.Goto b
             else if csafe && not (may_be_zero civ) then Fsm.Goto a
             else state.Fsm.next

@@ -13,11 +13,22 @@
     the testbenches and the qcheck harness guarantee.
 
     Loops ([For]/[While] bodies and the implicit process loop) are
-    solved by fixpoint with threshold widening on the back-edge, so
-    analysis terminates on every validated module. Subprogram calls
-    are followed interprocedurally; past a depth cutoff (mutual
-    recursion) the callee's {!Dataflow} def summary havocs the state
-    instead.
+    solved by one fixpoint helper with threshold widening on the
+    back-edge, so analysis terminates on every validated module. A
+    fixpoint's last walk starts from the stable head, so what that
+    walk records is final: no loop walks its body again once it has
+    settled. Subprogram calls are followed interprocedurally; past a
+    depth cutoff (mutual recursion) the callee's {!Dataflow} def
+    summary havocs the state instead.
+
+    There is one value evaluator: an expression's interval, whether
+    it is free of side effects and crashes, and the index facts it
+    records. Calls are its parameter. The engine follows them into
+    the callee; branch refinement, FSM branch conditions and the
+    optimiser's constant folds treat them as opaque and record
+    nothing. The engine computes environments and records facts; it
+    builds no HIR. {!optimise} rewrites once, in a walk of its own
+    from the stable environment.
 
     The abstract state is a pair of slot arrays. Each analysed module
     or FSM gets a slot table once: every port, variable, subprogram

@@ -463,15 +463,7 @@ let test_lint_stable_and_deduped () =
    the worklist that alters any iteration count shows up here. *)
 let golden_flow_digest = "73d15876cb85886882fe250cb622fc1d"
 
-let flow_digest () =
-  let drawn =
-    QCheck.Gen.generate ~rand:(Random.State.make [| 2008 |]) ~n:300
-      typed_module_gen
-  in
-  let modules =
-    List.map fst drawn
-    @ [ Models.Idwt_cores.idwt53_systemc; Models.Idwt_cores.idwt97_systemc ]
-  in
+let digest_flow modules =
   let buf = Buffer.create (1 lsl 20) in
   let add f =
     (match f () with
@@ -518,8 +510,177 @@ let flow_digest () =
     modules;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+let flow_digest () =
+  let drawn =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 2008 |]) ~n:300
+      typed_module_gen
+  in
+  digest_flow
+    (List.map fst drawn
+    @ [ Models.Idwt_cores.idwt53_systemc; Models.Idwt_cores.idwt97_systemc ])
+
 let test_golden_flow () =
   Alcotest.(check string) "flow digest" golden_flow_digest (flow_digest ())
+
+(* Modules with what [typed_module_gen] never draws: While, For and If
+   nested to depth 3, calls in If and While conditions and in array
+   indices, a procedure call, and a Wait in an arm the analysis proves
+   dead ([x land 7 < 0]). [bump] writes the module variable [x], so a
+   call changes the environment in which the rest of its expression
+   is evaluated. Some modules fail validation (a While without a
+   Wait), and a call in a While condition makes Inline raise; the
+   digest records both. *)
+let rich_module_gen =
+  let open QCheck.Gen in
+  let* win = oneofl [ 4; 8 ] in
+  let* wx = oneofl [ 6; 10; 16 ] in
+  let* y_unsigned = bool in
+  let rec expr iters d =
+    let atom =
+      oneof
+        [
+          map c (int_range (-3) 9);
+          oneofl (List.map v ([ "x"; "y"; "din" ] @ iters));
+        ]
+    in
+    if d = 0 then atom
+    else
+      let sub = expr iters (d - 1) in
+      frequency
+        [
+          (3, atom);
+          ( 3,
+            map3
+              (fun op a b -> Bin (op, a, b))
+              (oneofl [ Add; Sub; Mul; Band; Bxor; Shr; Lt; Gt ])
+              sub sub );
+          (1, map (fun a -> Un (Neg, a)) sub);
+          (2, map (fun i -> Arr ("mem", i)) (index iters (d - 1)));
+          (2, map (fun a -> Call ("bump", [ a ])) sub);
+          (1, map (fun a -> Call ("triple", [ a ])) sub);
+        ]
+  (* mostly masked into range; unmasked, W021 and E020 can fire *)
+  and index iters d =
+    map2
+      (fun e masked -> if masked then Bin (Band, e, c 7) else e)
+      (expr iters d)
+      (frequency [ (4, return true); (1, return false) ])
+  in
+  (* While conditions draw calls less often: Inline refuses them *)
+  let cond ~calls iters d =
+    frequency
+      [
+        ( 6 * calls,
+          map3
+            (fun op a b -> Bin (op, a, b))
+            (oneofl [ Lt; Gt; Le; Ge; Eq; Ne ])
+            (expr iters d) (expr iters d) );
+        (1, map (fun a -> Call ("bump", [ a ])) (expr iters 0));
+        (1, map (fun a -> Bin (Gt, Call ("bump", [ a ]), c 3)) (expr iters 0));
+        (calls, map v (oneofl ("y" :: iters)));
+      ]
+  in
+  let rec stmts iters d = map List.concat (list_size (1 -- 3) (stmt iters d))
+  and stmt iters d =
+    let simple =
+      [
+        ( 3,
+          map2 (fun x e -> [ assign x e ]) (oneofl [ "x"; "y"; "out" ])
+            (expr iters 2) );
+        ( 2,
+          map2 (fun i e -> [ assign_arr "mem" i e ]) (index iters 1)
+            (expr iters 1) );
+        (1, return [ Wait ]);
+        (1, map (fun e -> [ Call_p ("pset", [ e ]) ]) (expr iters 1));
+        ( 1,
+          map
+            (fun e ->
+              [
+                If
+                  ( Bin (Lt, Bin (Band, v "x", c 7), c 0),
+                    [ Wait; assign "y" (c 1) ],
+                    [ assign "y" e ] );
+              ])
+            (expr iters 1) );
+      ]
+    in
+    if d >= 3 then frequency simple
+    else
+      let it = Printf.sprintf "i%d" d in
+      frequency
+        (simple
+        @ [
+            ( 2,
+              map3
+                (fun c t e -> [ If (c, t, e) ])
+                (cond ~calls:1 iters 1)
+                (stmts iters (d + 1))
+                (stmts iters (d + 1)) );
+            ( 2,
+              map3
+                (fun c body wait ->
+                  [ While (c, if wait then body @ [ Wait ] else body) ])
+                (cond ~calls:4 iters 0)
+                (stmts iters (d + 1))
+                (frequency [ (5, return true); (1, return false) ]) );
+            ( 2,
+              map2
+                (fun hi body -> [ For (it, 0, hi, body) ])
+                (0 -- 3)
+                (stmts (it :: iters) (d + 1)) );
+          ])
+  in
+  let* body = stmts [] 0 in
+  return
+    {
+      m_name = "rich";
+      m_ports = [ ("din", Pin, int_ty win); ("out", Pout, int_ty 20) ];
+      m_vars = [ ("x", int_ty wx); ("y", if y_unsigned then uint_ty 9 else int_ty 9) ];
+      m_arrays = [ ("mem", int_ty 9, 8) ];
+      m_subprograms =
+        [
+          {
+            s_name = "triple";
+            s_params = [ ("a", int_ty wx) ];
+            s_ret = Some (int_ty 9);
+            s_locals = [ ("t", int_ty (wx + 2)) ];
+            s_body = [ assign "t" (v "a" *: c 3); Return (Some (v "t" >>: 1)) ];
+          };
+          {
+            s_name = "bump";
+            s_params = [ ("b", int_ty 8) ];
+            s_ret = Some (uint_ty 4);
+            s_locals = [];
+            s_body =
+              [ assign "x" (v "x" +: v "b"); Return (Some (Bin (Band, v "x", c 7))) ];
+          };
+          {
+            s_name = "pset";
+            s_params = [ ("p", int_ty 8) ];
+            s_ret = None;
+            s_locals = [];
+            s_body =
+              [
+                assign_arr "mem" (Bin (Band, v "p", c 7)) (v "y");
+                If (Bin (Gt, v "p", c 3), [ assign "y" (v "p"); Wait ], []);
+              ];
+          };
+        ];
+      m_body = body @ [ assign "out" (v "x"); Wait ];
+    }
+
+(* Recorded before the analysis engine lost its per-node rewriting:
+   the fixpoints, the lints and the optimiser must decide exactly as
+   they did. *)
+let golden_rich_flow_digest = "dadbf9ea63c00b83225a68b673f10110"
+
+let test_golden_rich_flow () =
+  let modules =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 2008 |]) ~n:300
+      rich_module_gen
+  in
+  Alcotest.(check string) "rich flow digest" golden_rich_flow_digest
+    (digest_flow modules)
 
 (* -- the decoder cores ----------------------------------------------- *)
 
@@ -625,6 +786,8 @@ let () =
           Alcotest.test_case "W022 + prune_fsm" `Quick test_w022_and_prune;
           Alcotest.test_case "stable output" `Quick test_lint_stable_and_deduped;
           Alcotest.test_case "golden flow digest" `Quick test_golden_flow;
+          Alcotest.test_case "golden rich flow digest" `Quick
+            test_golden_rich_flow;
         ] );
       ( "cores",
         [
