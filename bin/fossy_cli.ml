@@ -16,7 +16,23 @@ let core_of_name = function
   | "idwt97" -> Models.Idwt_cores.idwt97_systemc
   | other -> input_error "unknown core %S (idwt53 | idwt97)" other
 
-let require_tasks n = if n < 1 then input_error "--tasks must be >= 1 (got %d)" n
+(* The case study maps 1 to 4 Software Tasks. *)
+let max_tasks = Models.Experiment.sw_parallel_tasks
+
+let require_tasks n =
+  if n < 1 then input_error "--tasks must be >= 1 (got %d)" n
+  else if n > max_tasks then input_error "--tasks must be <= %d (got %d)" max_tasks n
+
+let tasks_arg =
+  let doc = Printf.sprintf "SW task count, 1 to %d (the most the case study maps)." max_tasks in
+  Arg.(value & opt int max_tasks & info [ "tasks" ] ~docv:"N" ~doc)
+
+(* [-o DIR] must name an existing directory; checked before any work,
+   so a typo does not cost a whole flow and an uncaught exception. *)
+let require_out_dir = function
+  | Some dir when not (Sys.file_exists dir && Sys.is_directory dir) ->
+    input_error "--out %S is not an existing directory" dir
+  | Some _ | None -> ()
 
 let reference_of_name = function
   | "idwt53" -> Models.Idwt_cores.idwt53_reference
@@ -34,6 +50,7 @@ let write_file path data =
 let synth_cmd =
   let run core_name out_dir show_systemc with_reference =
     let hir = core_of_name core_name in
+    require_out_dir out_dir;
     match Fossy.Synthesis.synthesise hir with
     | Error es ->
       List.iter prerr_endline es;
@@ -83,6 +100,7 @@ let synth_cmd =
 let testbench_cmd =
   let run core_name out_dir =
     let hir = core_of_name core_name in
+    require_out_dir out_dir;
     (* A short line of coefficients exercises the load/compute/drain
        phases; the reference stream is the behavioural model's. *)
     let stimulus =
@@ -290,6 +308,7 @@ let table2_cmd =
 let platgen_cmd =
   let run sw_tasks idwt_p2p out_dir =
     require_tasks sw_tasks;
+    require_out_dir out_dir;
     let vta = Models.Vta_models.mapping ~sw_tasks ~idwt_p2p in
     let mhs = Fossy.Platgen.mhs vta ~hw_cores:[ "idwt2d"; "idwt53"; "idwt97" ] in
     let mss = Fossy.Platgen.mss vta in
@@ -305,7 +324,7 @@ let platgen_cmd =
     (Cmd.info "platgen" ~doc:"Generate the EDK platform files (MHS/MSS).")
     Term.(
       const run
-      $ Arg.(value & opt int 4 & info [ "tasks" ] ~docv:"N" ~doc:"SW task count.")
+      $ tasks_arg
       $ Arg.(value & flag & info [ "p2p" ] ~doc:"IDWT blocks on point-to-point channels.")
       $ Arg.(
           value
@@ -321,6 +340,7 @@ let swgen_cmd =
       | "lossy" -> Jpeg2000.Codestream.Lossy
       | other -> input_error "unknown --mode %S (lossless | lossy)" other
     in
+    require_out_dir out_dir;
     let words = Models.Profile.nominal_tile_words mode in
     List.iter
       (fun i ->
@@ -355,7 +375,7 @@ let swgen_cmd =
           of the synthesis flow).")
     Term.(
       const run
-      $ Arg.(value & opt int 4 & info [ "tasks" ] ~docv:"N" ~doc:"SW task count.")
+      $ tasks_arg
       $ Arg.(
           value & opt string "lossless"
           & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"lossless or lossy.")

@@ -51,6 +51,12 @@ let require_min flag lo n =
     exit 2
   end
 
+let require_max flag hi n =
+  if n > hi then begin
+    Printf.eprintf "osss_sim: --%s must be <= %d (got %d)\n" flag hi n;
+    exit 2
+  end
+
 let parse_spec_flag flag parse s =
   match parse s with
   | Ok v -> v
@@ -925,8 +931,13 @@ let profile_cmd =
               ~doc:"Write a fresh baseline from this run's values."))
 
 let mapping_cmd =
+  let tasks_doc =
+    Printf.sprintf "SW task count, 1 to %d (the most the case study maps)."
+      Models.Experiment.sw_parallel_tasks
+  in
   let run sw_tasks idwt_p2p =
     require_min "tasks" 1 sw_tasks;
+    require_max "tasks" Models.Experiment.sw_parallel_tasks sw_tasks;
     let vta = Models.Vta_models.mapping ~sw_tasks ~idwt_p2p in
     Format.printf "%a@." Osss.Vta.pp vta
   in
@@ -934,7 +945,7 @@ let mapping_cmd =
     (Cmd.info "mapping" ~doc:"Show the VTA mapping registry.")
     Term.(
       const run
-      $ Arg.(value & opt int 1 & info [ "tasks" ] ~docv:"N" ~doc:"SW task count.")
+      $ Arg.(value & opt int 1 & info [ "tasks" ] ~docv:"N" ~doc:tasks_doc)
       $ Arg.(value & flag & info [ "p2p" ] ~doc:"IDWT blocks on point-to-point channels."))
 
 let () =

@@ -6,9 +6,9 @@
       word; a corrupted frame costs a timeout, exponential backoff and
       a retransmission, all paid in simulated time;
    2. a seeded fault engine (`Faults.Engine`) that injects bit flips,
-      word drops, memory faults and stall jitter through the
-      `Osss.Fault_hooks` points — deterministically, so a campaign is
-      a reproducible experiment;
+      word drops and stall jitter through the `Osss.Fault_hooks`
+      points — deterministically, so a campaign is a reproducible
+      experiment;
    3. a campaign sweep over the decoder models: corrupted entropy
       payloads are decoded with per-code-block concealment and the
       table reports retries, concealments and the PSNR cost.

@@ -1,6 +1,5 @@
 type channel_hook = link:string -> int32 array -> int32 array
 type frame_hook = link:string -> words:int -> bool
-type memory_hook = mem:string -> addr:int -> int32 -> int32
 type stall_hook = proc:string -> int
 
 (* One DLS slot per carrier: hooks are domain-local so parallel fault
@@ -12,34 +11,20 @@ let channel_hook : channel_hook option Domain.DLS.key =
 let frame_hook : frame_hook option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let memory_read_hook : memory_hook option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let memory_write_hook : memory_hook option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
 let stall_hook : stall_hook option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let set_channel f = Domain.DLS.set channel_hook (Some f)
 let set_frame f = Domain.DLS.set frame_hook (Some f)
-let set_memory_read f = Domain.DLS.set memory_read_hook (Some f)
-let set_memory_write f = Domain.DLS.set memory_write_hook (Some f)
 let set_stall f = Domain.DLS.set stall_hook (Some f)
 
 let channel () = Domain.DLS.get channel_hook
 let frame () = Domain.DLS.get frame_hook
-let memory_read () = Domain.DLS.get memory_read_hook
-let memory_write () = Domain.DLS.get memory_write_hook
 let stall () = Domain.DLS.get stall_hook
 
-let active () =
-  channel () <> None || frame () <> None || memory_read () <> None
-  || memory_write () <> None || stall () <> None
+let active () = channel () <> None || frame () <> None || stall () <> None
 
 let clear () =
   Domain.DLS.set channel_hook None;
   Domain.DLS.set frame_hook None;
-  Domain.DLS.set memory_read_hook None;
-  Domain.DLS.set memory_write_hook None;
   Domain.DLS.set stall_hook None

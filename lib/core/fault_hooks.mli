@@ -1,11 +1,11 @@
 (** Fault-injection hook points for the physical carriers of the VTA
     layer.
 
-    The paper's refined models route every method call over buses,
-    point-to-point links and block RAMs; this module lets a fault
-    engine (see library [faults]) intercept exactly those carriers
-    without the unfaulted path paying anything: each carrier checks
-    one [option ref] and proceeds untouched when it is [None].
+    The paper's refined models route every method call over buses and
+    point-to-point links, and run software on processors; this module
+    lets a fault engine (see library [faults]) intercept exactly those
+    carriers without the unfaulted path paying anything: each carrier
+    checks one [option ref] and proceeds untouched when it is [None].
 
     Hooks are domain-local ([Domain.DLS]): they are meant to be
     installed around a whole simulation run on one domain and removed
@@ -25,22 +25,15 @@ type frame_hook = link:string -> words:int -> bool
     [true] means the attempt arrives corrupted. Used for the bulk
     tile transfers whose words are not materialised. *)
 
-type memory_hook = mem:string -> addr:int -> int32 -> int32
-(** Transforms the word read from / written to a {!Memory} cell. *)
-
 type stall_hook = proc:string -> int
 (** Extra stall cycles injected into one processor EET slice. *)
 
 val set_channel : channel_hook -> unit
 val set_frame : frame_hook -> unit
-val set_memory_read : memory_hook -> unit
-val set_memory_write : memory_hook -> unit
 val set_stall : stall_hook -> unit
 
 val channel : unit -> channel_hook option
 val frame : unit -> frame_hook option
-val memory_read : unit -> memory_hook option
-val memory_write : unit -> memory_hook option
 val stall : unit -> stall_hook option
 
 val active : unit -> bool

@@ -18,7 +18,6 @@ type t = {
   kernel : Sim.Kernel.t;
   name : string;
   arbiter : Arbiter.t;
-  grant_overhead : Sim.Sim_time.t;
   mutable owner : int; (* holder id, or [free] *)
   mutable pending : int list; (* arrival order *)
   mutable holders : holder array; (* by id *)
@@ -36,12 +35,11 @@ type t = {
 
 let free = -1
 
-let create kernel ~name ~arbiter ?(grant_overhead = Sim.Sim_time.zero) () =
+let create kernel ~name ~arbiter =
   {
     kernel;
     name;
     arbiter;
-    grant_overhead;
     owner = free;
     pending = [];
     holders = [||];
@@ -77,7 +75,6 @@ let register t ~name ?(overhead = Sim.Sim_time.zero) () =
   t.turns <- Array.make (Array.length t.holders) holder;
   holder
 
-let holder_id h = h.id
 let now_ps t = Sim.Sim_time.to_ps (Sim.Kernel.now t.kernel)
 
 (* [l] without [id], sharing the tail after it. *)
@@ -141,8 +138,7 @@ let acquire t holder =
   let waited = now_ps t - started in
   t.total_wait <- t.total_wait + waited;
   if Telemetry.Sink.enabled () then note_grant t holder ~started_ps:started waited;
-  let overhead = Sim.Sim_time.add t.grant_overhead holder.overhead in
-  if not (Sim.Sim_time.is_zero overhead) then Sim.Kernel.wait_for overhead;
+  if not (Sim.Sim_time.is_zero holder.overhead) then Sim.Kernel.wait_for holder.overhead;
   t.held_since <- now_ps t
 
 (* The holders parked when the lock was released take their turns in
@@ -307,11 +303,7 @@ let take t x m =
 (* [x] owns the lock, granted at [now]: take every whole rotation that
    fits in place. *)
 let rotations t x =
-  if
-    x.left >= 2
-    && Sim.Sim_time.is_zero t.grant_overhead
-    && Sim.Sim_time.is_zero x.overhead
-  then begin
+  if x.left >= 2 && Sim.Sim_time.is_zero x.overhead then begin
     let last = Sim.Kernel.in_place_limit t.kernel (Sim.Sim_time.of_ps x.hold) in
     if last >= 0 then begin
       let m = ref (plan t x ~last) in

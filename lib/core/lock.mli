@@ -38,10 +38,8 @@
       ({!Sim.Kernel.hand_off}).
 
     A rotation is taken whole or not at all. It is not taken when:
-    - a hold in it would end beyond [run ~until], or at or after the
-      first calendar entry;
-    - the lock has a grant overhead, or a participant has a holder
-      overhead or a zero hold;
+    - a hold in it would end at or after the first calendar entry;
+    - a participant has a holder overhead or a zero hold;
     - a grantee is not inside a {!grant_run}, or the granted hold is
       its last one. Its last hold returns into its own code, so it
       must really be resumed;
@@ -57,25 +55,14 @@
 type t
 type holder
 
-val create :
-  Sim.Kernel.t ->
-  name:string ->
-  arbiter:Arbiter.t ->
-  ?grant_overhead:Sim.Sim_time.t ->
-  unit ->
-  t
-(** [grant_overhead] is simulated time consumed on every successful
-    grant (models the arbitration logic latency); default zero. *)
+val create : Sim.Kernel.t -> name:string -> arbiter:Arbiter.t -> t
 
 val name : t -> string
 val kernel : t -> Sim.Kernel.t
 
 val register : t -> name:string -> ?overhead:Sim.Sim_time.t -> unit -> holder
-(** [overhead] is additional per-grant time consumed (while holding
-    the lock) whenever this holder is granted — on top of the lock's
-    global [grant_overhead]. Default zero. *)
-
-val holder_id : holder -> int
+(** [overhead] is per-grant time consumed (while holding the lock)
+    whenever this holder is granted. Default zero. *)
 
 val acquire : t -> holder -> unit
 (** Blocks the calling process until the lock is granted to this

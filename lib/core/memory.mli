@@ -2,44 +2,21 @@
 
     The paper's "explicit memory insertion" maps large Shared-Object
     arrays onto block RAMs instead of letting synthesis turn them
-    into FPGA registers. A [t] combines word storage with the access
-    timing of its implementation:
-
-    - {!register_file}: combinational access, zero latency — what an
-      un-refined [osss_array] costs in simulation (and what explodes
-      the slice count in synthesis);
-    - {!xilinx_block_ram}: one word per clock cycle with a pipeline
-      read latency — the [xilinx_block_ram<osss_array<...>,32,16>]
-      wrapper of the paper. *)
+    into FPGA registers. A [t] is the access timing of such a block
+    RAM, the [xilinx_block_ram<osss_array<...>,32,16>] wrapper of the
+    paper: one synchronous read-latency cycle, then one word per clock
+    cycle. The models only ask it for {!access_time}; the words
+    themselves stay in the Shared Object's state. *)
 
 type t
 
-val register_file : Sim.Kernel.t -> name:string -> size_words:int -> t
-
-val xilinx_block_ram :
-  Sim.Kernel.t ->
-  name:string ->
-  data_width:int ->
-  addr_width:int ->
-  clock_hz:int ->
-  ?read_latency_cycles:int ->
-  unit ->
-  t
-(** Capacity is [2^addr_width] words. [read_latency_cycles] defaults
-    to 1 (synchronous BRAM read). [data_width] above 32 is rejected —
-    the model stores 32-bit words, like the OSSS serialisation
-    layer. *)
-
-(** {1 Timed access (process context)} *)
-
-val read : t -> int -> int32
-val write : t -> int -> int32 -> unit
-val read_burst : t -> addr:int -> len:int -> int32 array
-val write_burst : t -> addr:int -> int32 array -> unit
-
-(** {1 Timing model} *)
+val xilinx_block_ram : data_width:int -> addr_width:int -> clock_hz:int -> t
+(** A block RAM of [2^addr_width] words of [data_width] bits. A
+    [data_width] outside 1..32 (the OSSS serialisation layer's 32-bit
+    words), an [addr_width] outside 1..26 and a [clock_hz] below 1
+    raise [Invalid_argument]. *)
 
 val access_time : t -> words:int -> Sim.Sim_time.t
-(** Time for a burst of [words] sequential accesses, without
-    performing them; used to compose EETs for computations whose data
-    lives in this memory. *)
+(** Time for a burst of [words] sequential accesses: zero for no
+    words, otherwise [words + 1] cycles. Used to compose EETs for
+    computations whose data lives in this memory. *)

@@ -3,20 +3,14 @@
     Software Tasks are mapped N:1 onto processors. A task's EET
     blocks then consume {e processor} time: while one task executes,
     co-mapped tasks wait. Scheduling is non-preemptive and arbitrated
-    (FCFS by default, as in the OSSS run-time). *)
+    (FCFS by default, as in the OSSS run-time), and a switch between
+    co-mapped tasks costs no time: each VTA processor of the decoder
+    models runs one task. *)
 
 type t
 
 val create :
-  Sim.Kernel.t ->
-  name:string ->
-  clock_hz:int ->
-  ?context_switch:Sim.Sim_time.t ->
-  ?arbiter:Arbiter.t ->
-  unit ->
-  t
-(** [context_switch] is consumed whenever the processor switches to a
-    different task than the one it last ran (default zero). *)
+  Sim.Kernel.t -> name:string -> clock_hz:int -> ?arbiter:Arbiter.t -> unit -> t
 
 type binding
 (** A task's seat on the processor. *)

@@ -7,9 +7,9 @@ type 'state t = {
 
 type client = Lock.holder
 
-let create kernel ~name ~arbiter ?grant_overhead state =
+let create kernel ~name ~arbiter state =
   {
-    lock = Lock.create kernel ~name ~arbiter ?grant_overhead ();
+    lock = Lock.create kernel ~name ~arbiter;
     state;
     completed = Sim.Event.create kernel ~name:(name ^ ".completed") ();
     calls = 0;

@@ -16,24 +16,15 @@
 type 'state t
 type client
 
-val create :
-  Sim.Kernel.t ->
-  name:string ->
-  arbiter:Arbiter.t ->
-  ?grant_overhead:Sim.Sim_time.t ->
-  'state ->
-  'state t
-(** [grant_overhead] models per-grant arbitration latency; it is what
-    makes many-client Shared Objects slower (paper's version 5). *)
+val create : Sim.Kernel.t -> name:string -> arbiter:Arbiter.t -> 'state -> 'state t
 
 val register_client :
   _ t -> name:string -> ?overhead:Sim.Sim_time.t -> unit -> client
 (** Declares a port-to-interface binding. Each active component that
     calls the object needs its own client handle. [overhead] is
-    per-grant scheduling time charged to this client on top of the
-    object's global [grant_overhead] — software clients going through
-    the OSSS run-time pay it, hardware blocks with dedicated ports
-    typically do not. *)
+    per-grant scheduling time charged to this client (default zero):
+    software clients going through the OSSS run-time pay it, hardware
+    blocks with dedicated ports typically do not. *)
 
 val peek : 'state t -> ('state -> 'a) -> 'a
 (** Unsynchronised, zero-time read of the object state. For test

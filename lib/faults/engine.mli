@@ -14,19 +14,12 @@
       frame inverted in flight;
     - {e channel word drop} — one word of a frame lost (shifts the
       tail, so the CRC as well as plain deserialisation notice);
-    - {e memory transient} — a read returns one flipped bit, storage
-      intact;
-    - {e memory stuck cell} — a block-RAM cell has one bit stuck at
-      0/1 for the whole run; the fate of a cell is a pure hash of
-      (seed, memory, address), so it is independent of access order;
     - {e processor stall jitter} — spurious extra stall cycles
       appended to an EET slice. *)
 
 type rates = {
   channel_bit_flip : float;  (** per-frame-attempt probability *)
   channel_word_drop : float;  (** per-frame-attempt probability *)
-  memory_transient : float;  (** per-read probability *)
-  memory_stuck_cell : float;  (** per-cell probability *)
   stall_probability : float;  (** per-EET-slice probability *)
   stall_max_cycles : int;  (** stall is uniform in [1, max] *)
 }
@@ -39,8 +32,6 @@ val channel_only : float -> rates
 type counters = {
   mutable bit_flips : int;
   mutable word_drops : int;
-  mutable mem_transients : int;
-  mutable mem_stuck_hits : int;
   mutable stalls : int;
   mutable stall_cycles : int;
 }

@@ -31,5 +31,3 @@ let int t bound =
   Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int bound))
 
 let bool t = Int64.logand (next t) 1L = 1L
-
-let float_of_hash h = Int64.to_float (Int64.shift_right_logical h 11) *. 0x1p-53

@@ -27,8 +27,5 @@ val mix64 : int64 -> int64
 (** The stateless splitmix64 finaliser — a 64-bit mixing hash. *)
 
 val hash64 : int64 -> int64 -> int64
-(** Combine two values into one well-mixed word; used for per-cell
-    stuck-at fates that must not depend on access order. *)
-
-val float_of_hash : int64 -> float
-(** Map a hash word to [0, 1) without consuming stream state. *)
+(** Combine two values into one well-mixed word, without consuming
+    stream state: for draws that must not depend on order. *)

@@ -17,6 +17,10 @@ val all_versions : version list
 val version_name : version -> string
 val version_of_name : string -> version option
 
+val sw_parallel_tasks : int
+(** The Software Tasks of versions 4, 5 and 7a/7b: 4, the most the case
+    study maps. *)
+
 val run_workload :
   ?protection:Osss.Channel.protection ->
   ?idwt_deadline:Sim.Sim_time.t ->

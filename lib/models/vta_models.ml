@@ -11,8 +11,8 @@ let make_rig kernel ~sw_tasks ~idwt_p2p ~bus_max_burst ~mode
       ~max_burst_words:bus_max_burst ()
   in
   let bram =
-    Osss.Memory.xilinx_block_ram kernel ~name:"hwsw_so_ram" ~data_width:32
-      ~addr_width:16 ~clock_hz:Profile.clock_hz ()
+    Osss.Memory.xilinx_block_ram ~data_width:32 ~addr_width:16
+      ~clock_hz:Profile.clock_hz
   in
   let processors =
     Array.init sw_tasks (fun i ->

@@ -12,16 +12,6 @@ val create : Kernel.t -> ?name:string -> unit -> t
 val notify : t -> unit
 (** Delta notification: current waiters wake in the next delta cycle. *)
 
-val notify_immediate : t -> unit
-(** Immediate notification: current waiters wake in the current
-    evaluation phase. *)
-
-val notify_after : t -> Sim_time.t -> unit
-(** Timed notification delivered after the given delay. *)
-
 val wait : t -> unit
 (** Suspends the calling process until the next notification.
     Process context only. *)
-
-val wait_any : t list -> unit
-(** Suspends until any of the listed events is notified. *)

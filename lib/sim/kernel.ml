@@ -17,10 +17,7 @@ type t = {
   mutable live : int;
   unfinished : (int, string) Hashtbl.t;
   mutable next_pid : int;
-  mutable stop_requested : bool;
-  mutable started : bool;
   mutable running : proc; (* the process whose slice runs, or [outside] *)
-  mutable horizon : int; (* the running [run]'s [until], in ps *)
   mutable settle : unit -> bool;
       (* the running delivery's answer to "are you done?" *)
 }
@@ -56,10 +53,7 @@ let create () =
     live = 0;
     unfinished = Hashtbl.create 16;
     next_pid = 0;
-    stop_requested = false;
-    started = false;
     running = outside;
-    horizon = max_int;
     settle = settled;
   }
 
@@ -67,14 +61,11 @@ let now t = t.now
 let delta_count t = t.deltas
 let time_advances t = t.advances
 let live_processes t = t.live
-let schedule_now t f = Queue.push f t.current
 let schedule_delta t f = Queue.push f t.next_delta
 
 let schedule_after t d f =
   if Sim_time.is_zero d then schedule_delta t f
   else Pqueue.push t.calendar ~key:(Sim_time.to_ps (Sim_time.add t.now d)) f
-
-let stop t = t.stop_requested <- true
 
 let spawn t ?name body =
   t.live <- t.live + 1;
@@ -146,14 +137,13 @@ let spawn t ?name body =
           | _ -> None);
     }
   in
-  let start = with_label (fun () -> Effect.Deep.match_with body () handler) in
-  schedule_now t start
+  Queue.push (with_label (fun () -> Effect.Deep.match_with body () handler)) t.current
 
 (* One delta cycle: drain the evaluation queue (actions may append
    more). Returns [true] if it scheduled work for another delta at the
    same time. *)
 let run_delta t =
-  while not (Queue.is_empty t.current) && not t.stop_requested do
+  while not (Queue.is_empty t.current) do
     let action = Queue.pop t.current in
     action ()
   done;
@@ -177,37 +167,23 @@ let deliver t q ~settle f =
     t.settle <- settled;
     raise exn
 
-let run ?until t =
-  t.started <- true;
-  t.stop_requested <- false;
-  let horizon =
-    match until with None -> max_int | Some u -> Sim_time.to_ps u
-  in
-  t.horizon <- horizon;
+let run t =
   let continue = ref true in
-  while !continue && not t.stop_requested do
-    let again = run_delta t in
-    if t.stop_requested then continue := false
-    else if again then Queue.transfer t.next_delta t.current
+  while !continue do
+    if run_delta t then Queue.transfer t.next_delta t.current
     else if Pqueue.length t.calendar = 0 then continue := false
     else begin
       let key = Pqueue.next_key t.calendar in
-      if key > horizon then begin
-        (match until with Some u -> t.now <- u | None -> ());
-        continue := false
-      end
-      else begin
-        t.now <- Sim_time.of_ps key;
-        t.advances <- t.advances + 1;
-        let rec drain () =
-          match Pqueue.pop_le t.calendar ~key with
-          | None -> ()
-          | Some action ->
-            Queue.push action t.current;
-            drain ()
-        in
-        drain ()
-      end
+      t.now <- Sim_time.of_ps key;
+      t.advances <- t.advances + 1;
+      let rec drain () =
+        match Pqueue.pop_le t.calendar ~key with
+        | None -> ()
+        | Some action ->
+          Queue.push action t.current;
+          drain ()
+      in
+      drain ()
     end
   done
 
@@ -234,24 +210,21 @@ let woke t p n =
 (* Suspending the caller of [wait_for d] would end this delta cycle,
    advance time to [now + d] and resume the caller there, and nothing
    else would run in between when: nothing is runnable at [now], the
-   running delivery has nothing left to run, no stop is pending,
-   [now + d] is within the horizon, and no calendar entry is due at or
-   before [now + d] (one due exactly then was queued first and runs
-   first). Then the caller may do the same bookkeeping itself and keep
-   the slice running. After such a step nothing is runnable and the
-   delivery is settled, and nothing the kernel runs changes that until
-   the slice schedules something or ends; so every later step (or
-   hand-off, [d = 0]) only has to end by the instant returned here,
-   which stays the same meanwhile. *)
+   running delivery has nothing left to run, and no calendar entry is
+   due at or before [now + d] (one due exactly then was queued first
+   and runs first). Then the caller may do the same bookkeeping itself
+   and keep the slice running. After such a step nothing is runnable
+   and the delivery is settled, and nothing the kernel runs changes
+   that until the slice schedules something or ends; so every later
+   step (or hand-off, [d = 0]) only has to end by the instant returned
+   here, which stays the same meanwhile. *)
 let in_place_limit_ps t d =
-  let now = Sim_time.to_ps t.now in
   (* The last instant a step may end at. *)
-  let last = Stdlib.min t.horizon (Pqueue.next_key t.calendar - 1) in
+  let last = Pqueue.next_key t.calendar - 1 in
   if
-    now + d > last
+    Sim_time.to_ps t.now + d > last
     || (not (Queue.is_empty t.current))
     || (not (Queue.is_empty t.next_delta))
-    || t.stop_requested
     || not (t.settle ())
   then -1
   else begin
@@ -298,7 +271,3 @@ let wait_for d =
   let t = self () in
   if advance_in_place t d ~steps:1 = 0 then
     suspend (fun resume -> schedule_after t d resume)
-
-let yield () =
-  let t = self () in
-  suspend (fun resume -> schedule_delta t resume)

@@ -38,31 +38,21 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
     started). Exceptions escaping [body] abort the simulation and are
     re-raised from {!run}. *)
 
-val run : ?until:Sim_time.t -> t -> unit
-(** Runs the simulation until no activity remains, [until] is
-    reached, or {!stop} is called. May be called again to resume
-    after [until]. *)
-
-val stop : t -> unit
-(** Requests the current {!run} to return at the end of the current
-    delta cycle. *)
+val run : t -> unit
+(** Runs the simulation until no activity remains. *)
 
 val live_processes : t -> int
 (** Number of spawned processes that have not yet terminated. *)
 
 val live_process_names : t -> string list
 (** Names of the processes that have not terminated (sorted). After
-    {!run} returns with no pending activity, these are the blocked
-    processes — the first place to look when diagnosing a deadlock or
-    a missing notification. *)
+    {!run} returns, these are the blocked processes — the first place
+    to look when diagnosing a deadlock or a missing notification. *)
 
 (** {1 Low-level scheduling}
 
     These are the primitives events and channels are built from. Callbacks run inside the scheduler, not in a process
     context: they must not block. *)
-
-val schedule_now : t -> (unit -> unit) -> unit
-(** Appends an action to the current evaluation phase. *)
 
 val schedule_delta : t -> (unit -> unit) -> unit
 (** Schedules an action for the next delta cycle at the current time. *)
@@ -99,7 +89,8 @@ val suspend : ((unit -> unit) -> unit) -> unit
 val wait_for : Sim_time.t -> unit
 (** [wait_for d] lets the calling process resume [d] later. It is
     [advance_in_place (self ()) d ~steps:1], followed by a suspend when
-    that takes no step.
+    that takes no step. [wait_for Sim_time.zero] always suspends, until
+    the next delta cycle.
 
     For [d > 0] it suspends only if something else could run before the
     caller's wake-up. It does not suspend, and advances time in place,
@@ -107,8 +98,6 @@ val wait_for : Sim_time.t -> unit
     - nothing else is runnable now (the evaluation and next-delta
       queues are empty);
     - the running {!deliver} has no callback left, or settles;
-    - no {!stop} is pending;
-    - [now + d] is within the running {!run}'s [until];
     - no calendar entry is due at or before [now + d].
 
     An entry due exactly at [now + d] was queued earlier and runs
@@ -125,14 +114,14 @@ val advance_in_place : t -> Sim_time.t -> steps:int -> int
     the process [t] is running, and returns how many it took. Each is
     what one [wait_for d] would do in place, and the conditions above
     are checked once:
-    - the queues, the stop request and the running {!deliver}'s
-      [settle] before the first step. After a step the caller is the
-      only thing left to run and the delivery is settled, so the
-      later steps need neither;
-    - the horizon and the calendar for every step: the [i]th step
-      ([i] from 1) is taken only if [now + i * d] is within
-      [until] and before the first calendar entry. An entry due
-      exactly at a step's end stops the advance before that step.
+    - the queues and the running {!deliver}'s [settle] before the
+      first step. After a step the caller is the only thing left to
+      run and the delivery is settled, so the later steps need
+      neither;
+    - the calendar for every step: the [i]th step ([i] from 1) is
+      taken only if [now + i * d] is before the first calendar entry.
+      An entry due exactly at a step's end stops the advance before
+      that step.
 
     Each step ends one delta cycle and counts one time advance and one
     wake-up, as a suspend and a resume would. [0] means that the first
@@ -167,9 +156,9 @@ val in_place_limit : t -> Sim_time.t -> int
 (** [in_place_limit t d] is [-1] if a [wait_for d] of the running
     process would suspend, and for [d = 0]. Otherwise it settles the
     running {!deliver} and returns the last instant, in ps, at which
-    an in-place step may end: the running [run]'s [until], or the
-    instant before the first calendar entry. The caller must then take
-    at least that step of [d]. This is the condition {!wait_for} and
+    an in-place step may end: the instant before the first calendar
+    entry ([max_int - 1] with an empty calendar). The caller must then
+    take at least that step of [d]. This is the condition {!wait_for} and
     {!advance_in_place} check; its answer holds, unchanged, for every
     later step and hand-off of the same slice until the slice
     schedules something. *)
@@ -185,8 +174,5 @@ val hand_off : t -> proc -> Sim_time.t -> unit
     caller carries on as [p] would. Under a sink, [p]'s wake-ups go to
     its own counter, and the sink's context stays the running
     process's. Raises [Invalid_argument] unless nothing else is
-    runnable, the running {!deliver} settles, no {!stop} is pending
-    and [now + d] is within the limit {!in_place_limit} gives. *)
-
-val yield : unit -> unit
-(** Suspends the calling process until the next delta cycle. *)
+    runnable, the running {!deliver} settles and [now + d] is within
+    the limit {!in_place_limit} gives. *)

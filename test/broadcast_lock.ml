@@ -3,13 +3,14 @@
    holder in the next delta cycle; each re-runs the arbiter and all but
    the granted one park again. [Osss.Lock] resumes only the holder that
    wins, and test_osss checks that it grants the same holders at the
-   same instants. Kept as it was, apart from qualifying [Osss.Arbiter]. *)
+   same instants. Kept as it was, apart from qualifying [Osss.Arbiter]
+   and dropping the lock-level grant overhead [Osss.Lock] no longer
+   has. *)
 
 type t = {
   kernel : Sim.Kernel.t;
   name : string;
   arbiter : Osss.Arbiter.t;
-  grant_overhead : Sim.Sim_time.t;
   mutable owner : int option;
   mutable pending : int list; (* arrival order *)
   mutable num_holders : int;
@@ -21,12 +22,11 @@ type t = {
 
 type holder = { id : int; hname : string; overhead : Sim.Sim_time.t }
 
-let create kernel ~name ~arbiter ?(grant_overhead = Sim.Sim_time.zero) () =
+let create kernel ~name ~arbiter =
   {
     kernel;
     name;
     arbiter;
-    grant_overhead;
     owner = None;
     pending = [];
     num_holders = 0;
@@ -80,8 +80,8 @@ let acquire t holder =
             ~ts_ps:(Sim.Sim_time.to_ps started)
             ~dur_ps:wait_ps ~cat:"arbitration" ("wait:" ^ t.name)
       end;
-      let overhead = Sim.Sim_time.add t.grant_overhead holder.overhead in
-      if not (Sim.Sim_time.is_zero overhead) then Sim.Kernel.wait_for overhead;
+      if not (Sim.Sim_time.is_zero holder.overhead) then
+        Sim.Kernel.wait_for holder.overhead;
       t.held_since <- Sim.Kernel.now t.kernel
     end
     else begin

@@ -100,55 +100,6 @@ let test_engine_rejects_bad_rates () =
       Alcotest.(check bool) "no hooks for no faults" false
         (Osss.Fault_hooks.active ()))
 
-(* -- Memory faults ------------------------------------------------- *)
-
-let mem_rates ?(transient = 0.0) ?(stuck = 0.0) () =
-  {
-    Faults.Engine.no_faults with
-    Faults.Engine.memory_transient = transient;
-    memory_stuck_cell = stuck;
-  }
-
-let popcount32 x =
-  let n = ref 0 in
-  for b = 0 to 31 do
-    if Int32.logand (Int32.shift_right_logical x b) 1l = 1l then incr n
-  done;
-  !n
-
-let test_memory_transient_fault () =
-  let k = Sim.Kernel.create () in
-  let m = Osss.Memory.register_file k ~name:"rf" ~size_words:16 in
-  let e = Faults.Engine.create ~seed:11 (mem_rates ~transient:1.0 ()) in
-  Faults.Engine.with_engine e (fun () ->
-      Osss.Memory.write m 3 0x0F0F0F0Fl;
-      let v = Osss.Memory.read m 3 in
-      Alcotest.(check int) "exactly one bit flipped" 1
-        (popcount32 (Int32.logxor v 0x0F0F0F0Fl)));
-  (* Transients corrupt the read value, not the storage. *)
-  Alcotest.(check int32) "storage intact after uninstall" 0x0F0F0F0Fl
-    (Osss.Memory.read m 3);
-  Alcotest.(check bool) "transients counted" true
-    ((Faults.Engine.counters e).Faults.Engine.mem_transients > 0)
-
-let test_memory_stuck_cell () =
-  let stuck_values seed order =
-    let k = Sim.Kernel.create () in
-    let m = Osss.Memory.register_file k ~name:"bram" ~size_words:16 in
-    let e = Faults.Engine.create ~seed (mem_rates ~stuck:1.0 ()) in
-    Faults.Engine.with_engine e (fun () ->
-        List.iter (fun a -> Osss.Memory.write m a 0l) order;
-        List.map (fun a -> (a, Osss.Memory.read m a)) (List.sort compare order))
-  in
-  let a = stuck_values 5 [ 0; 1; 2; 3 ] and b = stuck_values 5 [ 3; 2; 1; 0 ] in
-  (* The stuck fate of a cell is a pure function of (seed, mem, addr):
-     access order must not matter. *)
-  Alcotest.(check bool) "stuck fates independent of access order" true (a = b);
-  (* With every cell stuck, a write of 0 must read back non-zero
-     somewhere (some cell has a bit stuck at 1) — and repeatably so. *)
-  Alcotest.(check bool) "same seed, same stuck pattern" true
-    (stuck_values 5 [ 0; 1; 2; 3 ] = a)
-
 (* -- Stall jitter --------------------------------------------------- *)
 
 let stall_run seed =
@@ -842,8 +793,6 @@ let () =
           Alcotest.test_case "engine determinism" `Quick test_engine_determinism;
           Alcotest.test_case "bad rates rejected" `Quick
             test_engine_rejects_bad_rates;
-          Alcotest.test_case "memory transient" `Quick test_memory_transient_fault;
-          Alcotest.test_case "memory stuck cell" `Quick test_memory_stuck_cell;
           Alcotest.test_case "stall jitter" `Quick test_stall_jitter;
         ] );
       ( "hardened_rmi",

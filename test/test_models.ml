@@ -371,6 +371,29 @@ let test_table1_timing_pinned () =
     "Table 1 timing digest" "53c70b7615813cfc5354cbe1e2c09402"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* The block RAM the VTA models insert is a timing model: a run asks it
+   only for [Memory.access_time] and allocates no word storage for it.
+   After a warm-up set, the eight payload-free VTA runs together must
+   allocate no more major-heap words than one block RAM's 2^16 words
+   of storage would take. *)
+let test_vta_runs_allocate_no_block_ram () =
+  let run_set () =
+    List.iter
+      (fun mode ->
+        List.iter
+          (fun version ->
+            ignore (Models.Experiment.run ~payload:false version mode : Models.Outcome.t))
+          Models.Experiment.[ V6a; V6b; V7a; V7b ])
+      [ lossless; lossy ]
+  in
+  run_set ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  run_set ();
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  if words > 65536. then
+    Alcotest.failf "the eight VTA runs allocated %.0f major-heap words (at most 65536)"
+      words
+
 let test_idwt_cores_validate () =
   List.iter
     (fun m ->
@@ -518,6 +541,8 @@ let () =
           Alcotest.test_case "VTA traces pinned" `Quick test_vta_traces_pinned;
           Alcotest.test_case "Table 1 timing pinned" `Quick
             test_table1_timing_pinned;
+          Alcotest.test_case "VTA runs allocate no block-RAM storage" `Quick
+            test_vta_runs_allocate_no_block_ram;
         ] );
       ( "figure1",
         [ Alcotest.test_case "stage shares match" `Quick test_figure1_shares_match ]

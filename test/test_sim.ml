@@ -137,37 +137,6 @@ let test_two_processes_interleave () =
     [ "a0"; "b0"; "b1"; "a2"; "b3" ]
     (List.rev !log)
 
-let test_run_until () =
-  let k = Sim.Kernel.create () in
-  let count = ref 0 in
-  Sim.Kernel.spawn k (fun () ->
-      let rec loop () =
-        Sim.Kernel.wait_for (ms 1);
-        incr count;
-        loop ()
-      in
-      loop ());
-  Sim.Kernel.run ~until:(us 3500) k;
-  Alcotest.(check int) "ticks before horizon" 3 !count;
-  Alcotest.check time "clamped to horizon" (us 3500) (Sim.Kernel.now k);
-  (* Resuming continues from where we stopped. *)
-  Sim.Kernel.run ~until:(ms 10) k;
-  Alcotest.(check int) "ticks after resume" 10 !count
-
-let test_stop () =
-  let k = Sim.Kernel.create () in
-  let count = ref 0 in
-  Sim.Kernel.spawn k (fun () ->
-      let rec loop () =
-        Sim.Kernel.wait_for (ms 1);
-        incr count;
-        if !count = 4 then Sim.Kernel.stop k;
-        loop ()
-      in
-      loop ());
-  Sim.Kernel.run k;
-  Alcotest.(check int) "stopped after 4" 4 !count
-
 let test_spawn_during_run () =
   let k = Sim.Kernel.create () in
   let log = ref [] in
@@ -215,23 +184,11 @@ let test_delta_count_advances () =
       Sim.Event.notify e;
       Sim.Event.wait e);
   Sim.Kernel.spawn k (fun () ->
-      Sim.Kernel.yield ();
+      Sim.Kernel.wait_for Sim.Sim_time.zero;
       Sim.Event.notify e);
   Sim.Kernel.run k;
   Alcotest.(check bool) "several delta cycles ran" true
     (Sim.Kernel.delta_count k >= 2)
-
-let test_event_immediate_notify () =
-  let k = Sim.Kernel.create () in
-  let e = Sim.Event.create k () in
-  let woke_in_delta = ref (-1) in
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Event.wait e;
-      woke_in_delta := Sim.Kernel.delta_count k);
-  Sim.Kernel.spawn k (fun () -> Sim.Event.notify_immediate e);
-  Sim.Kernel.run k;
-  (* Immediate notification delivers within the first delta cycle. *)
-  Alcotest.(check int) "same evaluation phase" 0 !woke_in_delta
 
 let test_event_wakes_waiters () =
   let k = Sim.Kernel.create () in
@@ -264,29 +221,6 @@ let test_event_late_waiter_not_woken () =
       incr woken);
   Sim.Kernel.run k;
   Alcotest.(check int) "not woken by own earlier notify" 0 !woken
-
-let test_event_timed_notify () =
-  let k = Sim.Kernel.create () in
-  let e = Sim.Event.create k () in
-  let at = ref Sim.Sim_time.zero in
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Event.wait e;
-      at := Sim.Kernel.now k);
-  Sim.Kernel.spawn k (fun () -> Sim.Event.notify_after e (ms 4));
-  Sim.Kernel.run k;
-  Alcotest.check time "woken at 4 ms" (ms 4) !at
-
-let test_wait_any () =
-  let k = Sim.Kernel.create () in
-  let e1 = Sim.Event.create k () and e2 = Sim.Event.create k () in
-  let at = ref Sim.Sim_time.zero in
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Event.wait_any [ e1; e2 ];
-      at := Sim.Kernel.now k);
-  Sim.Kernel.spawn k (fun () -> Sim.Event.notify_after e2 (ms 2));
-  Sim.Kernel.spawn k (fun () -> Sim.Event.notify_after e1 (ms 9));
-  Sim.Kernel.run k;
-  Alcotest.check time "earliest wins" (ms 2) !at
 
 (* -- Mailbox ------------------------------------------------------ *)
 
@@ -363,8 +297,8 @@ let test_in_place_sibling_in_delivery () =
       Sim.Event.wait e;
       say "second");
   Sim.Kernel.spawn k (fun () ->
-      Sim.Kernel.wait_for (ms 2);
-      Sim.Event.notify_after e (ms 1));
+      Sim.Kernel.wait_for (ms 3);
+      Sim.Event.notify e);
   Sim.Kernel.run k;
   Alcotest.(check (list (pair string time)))
     "sibling at the notify time" [ ("second", ms 3); ("first", ms 4) ]
@@ -387,37 +321,8 @@ let test_in_place_entry_due_at_wake () =
     (List.rev !log);
   Alcotest.(check int) "time advances" 2 (Sim.Kernel.time_advances k)
 
-(* A wake-up beyond [run ~until] waits for the next [run]. *)
-let test_in_place_horizon () =
-  let k = Sim.Kernel.create () in
-  let woke = ref None in
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Kernel.wait_for (ms 5);
-      woke := Some (Sim.Kernel.now k));
-  Sim.Kernel.run ~until:(ms 3) k;
-  Alcotest.(check (option time)) "not before the horizon" None !woke;
-  Alcotest.check time "stopped at the horizon" (ms 3) (Sim.Kernel.now k);
-  Sim.Kernel.run k;
-  Alcotest.(check (option time)) "on the next run" (Some (ms 5)) !woke
-
-(* A process that stops the kernel and then waits is resumed by the
-   next [run], not in place. *)
-let test_in_place_stop () =
-  let k = Sim.Kernel.create () in
-  let woke = ref None in
-  Sim.Kernel.spawn k (fun () ->
-      Sim.Kernel.wait_for (ms 1);
-      Sim.Kernel.stop k;
-      Sim.Kernel.wait_for (ms 1);
-      woke := Some (Sim.Kernel.now k));
-  Sim.Kernel.run k;
-  Alcotest.(check (option time)) "stopped before the wake-up" None !woke;
-  Alcotest.check time "at the stop" (ms 1) (Sim.Kernel.now k);
-  Sim.Kernel.run k;
-  Alcotest.(check (option time)) "on the next run" (Some (ms 2)) !woke
-
 (* [advance_in_place] takes the steps that end before the next
-   calendar entry and within the horizon, and counts each one. *)
+   calendar entry, up to [steps], and counts each one. *)
 let test_in_place_steps () =
   let k = Sim.Kernel.create () in
   let taken = ref [] in
@@ -425,20 +330,20 @@ let test_in_place_steps () =
     Telemetry.Sink.with_sink (fun () ->
         Sim.Kernel.spawn k ~name:"bg" (fun () -> Sim.Kernel.wait_for (ms 3));
         Sim.Kernel.spawn k ~name:"p" (fun () ->
-            Sim.Kernel.yield ();
-            let step () =
-              taken := Sim.Kernel.advance_in_place k (ms 1) ~steps:5 :: !taken
+            Sim.Kernel.wait_for Sim.Sim_time.zero;
+            let step steps =
+              taken := Sim.Kernel.advance_in_place k (ms 1) ~steps :: !taken
             in
             (* The entry at 3 ms stops the steps that would end there. *)
-            step ();
+            step 5;
             Sim.Kernel.wait_for (ms 1);
-            (* Nothing left in the calendar: the horizon stops it. *)
-            step ();
-            step ());
-        Sim.Kernel.run ~until:(ms 7) k)
+            (* Nothing left in the calendar: only [steps] bounds it. *)
+            step 4;
+            step 0);
+        Sim.Kernel.run k)
   in
   Alcotest.(check (list int)) "steps taken" [ 2; 4; 0 ] (List.rev !taken);
-  Alcotest.check time "at the horizon" (ms 7) (Sim.Kernel.now k);
+  Alcotest.check time "after the last step" (ms 7) (Sim.Kernel.now k);
   (* One delta and one time advance per step, as suspends would give. *)
   Alcotest.(check (pair int int)) "deltas, time advances" (9, 7)
     (Sim.Kernel.delta_count k, Sim.Kernel.time_advances k);
@@ -452,40 +357,24 @@ let test_in_place_steps () =
    the same. *)
 type op =
   | Wait of int  (** [wait_for] this many ns; 0 is the next delta *)
-  | Yield
   | Notify of int
-  | Notify_now of int
-  | Notify_after of int * int
   | Wait_event of int
-  | Wait_any of int list
   | Locked of int * int  (** hold lock [l] for [n] ns *)
   | Spawn of op list
-  | Stop
 
 let rec show_op = function
   | Wait n -> Printf.sprintf "wait %d" n
-  | Yield -> "yield"
   | Notify e -> Printf.sprintf "notify e%d" e
-  | Notify_now e -> Printf.sprintf "notify_immediate e%d" e
-  | Notify_after (e, n) -> Printf.sprintf "notify_after e%d %d" e n
   | Wait_event e -> Printf.sprintf "wait e%d" e
-  | Wait_any es ->
-    Printf.sprintf "wait_any [%s]"
-      (String.concat " " (List.map (Printf.sprintf "e%d") es))
   | Locked (l, n) -> Printf.sprintf "lock l%d for %d" l n
   | Spawn ops -> Printf.sprintf "spawn {%s}" (String.concat "; " (List.map show_op ops))
-  | Stop -> "stop"
 
-type program = { horizons : int list; processes : op list list }
-
+(* A program is one op list per process. *)
 let show_program p =
-  Printf.sprintf "run until %s, then to the end\n%s"
-    (String.concat ", " (List.map string_of_int p.horizons))
-    (String.concat "\n"
-       (List.mapi
-          (fun i ops ->
-            Printf.sprintf "  p%d: %s" i (String.concat "; " (List.map show_op ops)))
-          p.processes))
+  String.concat "\n"
+    (List.mapi
+       (fun i ops -> Printf.sprintf "  p%d: %s" i (String.concat "; " (List.map show_op ops)))
+       p)
 
 let events = 2
 let locks = 2
@@ -497,23 +386,15 @@ let program_gen =
     frequency
       [
         (6, map (fun n -> Wait n) ns);
-        (2, return Yield);
         (2, map (fun e -> Notify e) (int_bound (events - 1)));
-        (1, map (fun e -> Notify_now e) (int_bound (events - 1)));
-        (2, map2 (fun e n -> Notify_after (e, n)) (int_bound (events - 1)) ns);
         (2, map (fun e -> Wait_event e) (int_bound (events - 1)));
-        (1, map (fun es -> Wait_any es) (list_size (int_range 1 events) (int_bound (events - 1))));
         (3, map2 (fun l n -> Locked (l, n)) (int_bound (locks - 1)) ns);
-        (1, return Stop);
       ]
   in
   let op =
     frequency [ (12, base); (1, map (fun ops -> Spawn ops) (list_size (int_range 1 4) base)) ]
   in
-  map2
-    (fun horizons processes -> { horizons = List.sort compare horizons; processes })
-    (list_size (int_range 0 2) (int_range 0 12))
-    (list_size (int_range 1 4) (list_size (int_range 1 8) op))
+  list_size (int_range 1 4) (list_size (int_range 1 8) op)
 
 let run_program wait p =
   let k = Sim.Kernel.create () in
@@ -521,10 +402,9 @@ let run_program wait p =
   let lks =
     Array.init locks (fun i ->
         Osss.Lock.create k ~name:(Printf.sprintf "l%d" i)
-          ~arbiter:(Osss.Arbiter.create Osss.Arbiter.Fcfs) ())
+          ~arbiter:(Osss.Arbiter.create Osss.Arbiter.Fcfs))
   in
   let log = ref [] in
-  let stops = ref 0 in
   let rec spawn name ops =
     let holders =
       Array.map (fun l -> Osss.Lock.register l ~name ()) lks
@@ -534,19 +414,12 @@ let run_program wait p =
           (fun step op ->
             (match op with
             | Wait n -> wait (ns n)
-            | Yield -> Sim.Kernel.yield ()
             | Notify e -> Sim.Event.notify evs.(e)
-            | Notify_now e -> Sim.Event.notify_immediate evs.(e)
-            | Notify_after (e, n) -> Sim.Event.notify_after evs.(e) (ns n)
             | Wait_event e -> Sim.Event.wait evs.(e)
-            | Wait_any es -> Sim.Event.wait_any (List.map (fun e -> evs.(e)) es)
             | Locked (l, n) ->
               Osss.Lock.with_lock lks.(l) holders.(l) (fun () ->
                   if n > 0 then wait (ns n))
-            | Spawn ops -> spawn (Printf.sprintf "%s.%d" name step) ops
-            | Stop ->
-              incr stops;
-              Sim.Kernel.stop k);
+            | Spawn ops -> spawn (Printf.sprintf "%s.%d" name step) ops);
             log :=
               (name, step, Sim.Sim_time.to_ps (Sim.Kernel.now k), Sim.Kernel.delta_count k)
               :: !log)
@@ -554,14 +427,8 @@ let run_program wait p =
   in
   let sink, () =
     Telemetry.Sink.with_sink (fun () ->
-        List.iteri (fun i ops -> spawn (Printf.sprintf "p%d" i) ops) p.processes;
-        List.iter (fun h -> Sim.Kernel.run ~until:(ns h) k) p.horizons;
-        (* One more run per stop, so every program runs to its end. *)
-        let runs = ref 0 in
-        while !runs <= !stops do
-          incr runs;
-          Sim.Kernel.run k
-        done)
+        List.iteri (fun i ops -> spawn (Printf.sprintf "p%d" i) ops) p;
+        Sim.Kernel.run k)
   in
   ( List.rev !log,
     Sim.Sim_time.to_ps (Sim.Kernel.now k),
@@ -600,8 +467,6 @@ let () =
             test_wait_for_advances_time;
           Alcotest.test_case "two processes interleave" `Quick
             test_two_processes_interleave;
-          Alcotest.test_case "run until horizon" `Quick test_run_until;
-          Alcotest.test_case "stop" `Quick test_stop;
           Alcotest.test_case "spawn during run" `Quick test_spawn_during_run;
           Alcotest.test_case "exception propagates" `Quick
             test_exception_propagates;
@@ -616,8 +481,6 @@ let () =
             test_in_place_sibling_in_delivery;
           Alcotest.test_case "entry due at the wake-up" `Quick
             test_in_place_entry_due_at_wake;
-          Alcotest.test_case "until horizon" `Quick test_in_place_horizon;
-          Alcotest.test_case "stop" `Quick test_in_place_stop;
           Alcotest.test_case "steps" `Quick test_in_place_steps;
           qc in_place_matches_suspend_qcheck;
         ] );
@@ -627,11 +490,7 @@ let () =
             test_event_wakes_waiters;
           Alcotest.test_case "late waiter not woken" `Quick
             test_event_late_waiter_not_woken;
-          Alcotest.test_case "timed notify" `Quick test_event_timed_notify;
-          Alcotest.test_case "wait_any" `Quick test_wait_any;
           Alcotest.test_case "delta count" `Quick test_delta_count_advances;
-          Alcotest.test_case "immediate notify" `Quick
-            test_event_immediate_notify;
         ] );
       ( "mailbox",
         [
