@@ -68,7 +68,7 @@ let () =
   in
 
   (* Network sink: 2 Mbit/s serial link; checks the frame deadline. *)
-  let link = Osss.Channel.p2p kernel ~clock_hz:62_500 ~cycles_per_word:1 () in
+  let link = Osss.Channel.p2p kernel ~clock_hz:62_500 () in
   let _sink =
     Osss.Sw_task.create kernel ~name:"network" (fun _task ->
         for _ = 1 to frames do

@@ -1,11 +1,6 @@
 type kind =
   | Bus_link of Bus.t * Bus.master
-  | P2p of {
-      kernel : Sim.Kernel.t;
-      clock_hz : int;
-      cycles_per_word : int;
-      setup_cycles : int;
-    }
+  | P2p of { kernel : Sim.Kernel.t; clock_hz : int }
 
 type protection =
   | Unprotected
@@ -41,12 +36,12 @@ let make kind link_name =
 
 let bus_transport bus master = make (Bus_link (bus, master)) (Bus.name bus)
 
-let p2p kernel ?(clock_hz = 100_000_000) ?(cycles_per_word = 1)
-    ?(setup_cycles = 2) ?(name = "p2p") () =
+let p2p kernel ?(clock_hz = 100_000_000) ?(name = "p2p") () =
   if clock_hz <= 0 then invalid_arg "Channel.p2p: clock_hz";
-  if cycles_per_word <= 0 then invalid_arg "Channel.p2p: cycles_per_word";
-  if setup_cycles < 0 then invalid_arg "Channel.p2p: setup_cycles";
-  make (P2p { kernel; clock_hz; cycles_per_word; setup_cycles }) name
+  make (P2p { kernel; clock_hz }) name
+
+(* A point-to-point transfer: 2 setup cycles and one cycle per word. *)
+let p2p_cycles ~words = 2 + words
 
 let kernel_of t =
   match t.kind with
@@ -77,22 +72,17 @@ let transfer t ~words =
     Telemetry.Sink.incr ~by:words ("channel." ^ t.link_name ^ ".words");
   match t.kind with
   | Bus_link (bus, master) -> Bus.transfer bus master ~words
-  | P2p { clock_hz; cycles_per_word; setup_cycles; _ } ->
-    if words > 0 then
-      Eet.consume
-        (Sim.Sim_time.cycles ~hz:clock_hz
-           (setup_cycles + (words * cycles_per_word)))
+  | P2p { clock_hz; _ } ->
+    if words > 0 then Eet.consume (Sim.Sim_time.cycles ~hz:clock_hz (p2p_cycles ~words))
 
 let transfer_time_unloaded t ~words =
   if words < 0 then invalid_arg "Channel.transfer_time_unloaded: negative"
   else
     match t.kind with
     | Bus_link (bus, _) -> Bus.transfer_time_unloaded bus ~words
-    | P2p { clock_hz; cycles_per_word; setup_cycles; _ } ->
+    | P2p { clock_hz; _ } ->
       if words = 0 then Sim.Sim_time.zero
-      else
-        Sim.Sim_time.cycles ~hz:clock_hz
-          (setup_cycles + (words * cycles_per_word))
+      else Sim.Sim_time.cycles ~hz:clock_hz (p2p_cycles ~words)
 
 (* -- protected transfers ------------------------------------------- *)
 

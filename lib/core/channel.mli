@@ -31,17 +31,10 @@ type transport
 
 val bus_transport : Bus.t -> Bus.master -> transport
 
-val p2p :
-  Sim.Kernel.t ->
-  ?clock_hz:int ->
-  ?cycles_per_word:int ->
-  ?setup_cycles:int ->
-  ?name:string ->
-  unit ->
-  transport
-(** Dedicated point-to-point link: no arbitration; a transfer costs
-    [setup_cycles + words * cycles_per_word] at [clock_hz]. Defaults:
-    100 MHz, 1 cycle/word, 2 setup cycles, name ["p2p"]. *)
+val p2p : Sim.Kernel.t -> ?clock_hz:int -> ?name:string -> unit -> transport
+(** Dedicated point-to-point link: no arbitration; a transfer of
+    [words > 0] costs 2 setup cycles and one cycle per word at
+    [clock_hz]. Defaults: 100 MHz, name ["p2p"]. *)
 
 val transfer : transport -> words:int -> unit
 (** Raw timed transfer (process context). Never protected, never

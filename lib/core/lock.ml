@@ -28,6 +28,7 @@ type t = {
   mutable turns : holder array;
       (* one rotation's grantees, in grant order; [plan] fills it *)
   mutable rotated : int list; (* the pending list after that rotation *)
+  mutable period : int; (* ps: that rotation's length *)
   wait_key : string; (* telemetry names, built once *)
   held_key : string;
   wait_span : string;
@@ -49,6 +50,7 @@ let create kernel ~name ~arbiter =
     held_since = 0;
     turns = [||];
     rotated = [];
+    period = 0;
     wait_key = "lock." ^ name ^ ".wait_ps";
     held_key = "lock." ^ name ^ ".held_ps";
     wait_span = "wait:" ^ name;
@@ -197,21 +199,22 @@ let with_lock t holder f =
    them leaves the lock's code, and the rotation is fixed in advance.
 
    [plan t x ~last] works it out on a copy of the pending list. It
-   puts the other grantees in [t.turns] and the pending list the
-   rotation ends with in [t.rotated], and returns their number: [0]
-   when no one else is pending. It returns [-1] when the rotation may
-   not be taken: a hold would end after [last] (the kernel's in-place
-   limit), a grantee has an overhead, holds for no time or would take
-   its last hold, the arbiter would hand the lock straight back to the
-   holder that released it while others wait, or the parked holders
-   would not take exactly one turn each (FCFS and round robin always
-   give each one). The arbiter is left noting [x], as it is after a
-   whole rotation. *)
+   puts the other grantees in [t.turns], the pending list the rotation
+   ends with in [t.rotated] and its length in [t.period], and returns
+   their number: [0] when no one else is pending. It returns [-1] when
+   the rotation may not be taken: a hold would end after [last] (the
+   kernel's in-place limit), a grantee has an overhead, holds for no
+   time or would take its last hold, the arbiter would hand the lock
+   straight back to the holder that released it while others wait, or
+   the parked holders would not take exactly one turn each (FCFS and
+   round robin always give each one). The arbiter is left noting [x],
+   as it is after a whole rotation. *)
 let plan t x ~last =
   let rec turn pending releaser time m =
     let g = Arbiter.choose t.arbiter ~pending in
     if g = x.id && (releaser <> x.id || pending = [ x.id ]) then begin
       t.rotated <- remove x.id pending;
+      t.period <- time - now_ps t;
       if m = Queue.length t.parked then m else -1
     end
     else if g = releaser then -1
@@ -235,69 +238,77 @@ let plan t x ~last =
   Arbiter.note_grant t.arbiter x.id;
   m
 
-(* Takes the rotation [plan] returned [m] for: the bookkeeping and
-   telemetry of every grant and release in it, in order, and the
-   kernel's of every hold and hand-off. With no one else pending, every
-   rotation up to [x]'s last hold is [x] alone, so those are taken at
-   once. *)
-let take t x m =
-  let k = t.kernel in
-  let traced = Telemetry.Sink.enabled () in
-  let start = now_ps t in
-  let hold = Sim.Sim_time.of_ps x.hold in
-  if m = 0 then begin
-    let n = Sim.Kernel.advance_in_place k hold ~steps:(x.left - 1) in
-    t.total_held <- t.total_held + (n * x.hold);
-    x.left <- x.left - n;
-    if traced then
-      for i = 0 to n - 1 do
-        let since_ps = start + (i * x.hold) in
-        note_release t x ~since_ps x.hold;
-        note_grant t x ~started_ps:(since_ps + x.hold) 0
-      done;
-    t.held_since <- now_ps t
-  end
+(* How many times in a row the rotation [plan] returned [m] for is
+   taken. Once, unless it leaves the pending list as it found it: the
+   arbiter notes [x] at both ends, so the next [plan] would return the
+   same rotation, [t.period] later, until [x] or a grantee would take
+   its last hold or a hold would end after [last]. *)
+let repeats t x m ~last =
+  if not (List.equal Int.equal t.rotated t.pending) then 1
   else begin
-    ignore (Sim.Kernel.advance_in_place k hold ~steps:1 : int);
-    t.total_held <- t.total_held + x.hold;
-    if traced then note_release t x ~since_ps:start x.hold;
-    x.left <- x.left - 1;
-    x.requested <- start + x.hold;
-    let time = ref x.requested in
+    let k = ref (Stdlib.min (x.left - 1) ((last - now_ps t) / t.period)) in
     for i = 0 to m - 1 do
-      let g = t.turns.(i) in
-      let granted = !time in
-      Sim.Kernel.hand_off k g.proc (Sim.Sim_time.of_ps g.hold);
-      let waited = granted - g.requested in
-      t.total_wait <- t.total_wait + waited;
-      t.total_held <- t.total_held + g.hold;
-      if traced then begin
+      k := Stdlib.min !k (t.turns.(i).left - 1)
+    done;
+    !k
+  end
+
+(* Takes [k] times in a row the rotation [plan] returned [m] for: the
+   bookkeeping of every grant and release in them, the kernel's of
+   every hold and hand-off, and under a sink the telemetry of each
+   grant and release, in order. [x] holds first. In the first rotation
+   each grantee waits from the request its record holds, in the later
+   ones from its release a rotation before; [x] always waits for the
+   others' holds. With nobody parked, [x] is granted again as it
+   releases, and each of its holds is an in-place step. Otherwise [x]
+   parks, and its hold and the last grantee's hand-off back to it cost
+   one hand-off of its hold. *)
+let take t x m k =
+  let kernel = t.kernel in
+  let running = Sim.Kernel.running kernel in
+  let start = now_ps t and period = t.period in
+  if Telemetry.Sink.enabled () then
+    for r = 0 to k - 1 do
+      let since_ps = start + (r * period) in
+      note_release t x ~since_ps x.hold;
+      let time = ref (since_ps + x.hold) in
+      for i = 0 to m - 1 do
+        let g = t.turns.(i) in
+        let started_ps = if r = 0 then g.requested else !time - period + g.hold in
         note_grant t g
           ~track:(Sim.Kernel.proc_name g.proc)
-          ~started_ps:g.requested waited;
-        note_release t g ~since_ps:granted g.hold
-      end;
-      time := granted + g.hold;
-      g.left <- g.left - 1;
-      g.requested <- !time
-    done;
-    let running = Sim.Kernel.running k in
-    Sim.Kernel.hand_off k running Sim.Sim_time.zero;
-    let waited = !time - x.requested in
-    t.total_wait <- t.total_wait + waited;
-    if traced then
+          ~started_ps (!time - started_ps);
+        note_release t g ~since_ps:!time g.hold;
+        time := !time + g.hold
+      done;
       note_grant t x
         ~track:(Sim.Kernel.proc_name running)
-        ~started_ps:x.requested waited;
-    t.held_since <- !time;
-    (* Each parked holder took one turn. It parked again when it
-       released, and the one it handed to left the queue, so the
-       grantees end up parked in reverse grant order. *)
-    Queue.clear t.parked;
-    for i = m - 1 downto 0 do
-      Queue.push t.turns.(i) t.parked
-    done
-  end;
+        ~started_ps:(since_ps + x.hold) (period - x.hold)
+    done;
+  let hold = Sim.Sim_time.of_ps x.hold in
+  if m = 0 then ignore (Sim.Kernel.advance_in_place kernel hold ~steps:k : int)
+  else Sim.Kernel.hand_off kernel running hold ~count:k;
+  t.total_held <- t.total_held + (k * period);
+  t.total_wait <- t.total_wait + (k * (period - x.hold));
+  let time = ref (start + x.hold) in
+  for i = 0 to m - 1 do
+    let g = t.turns.(i) in
+    Sim.Kernel.hand_off kernel g.proc (Sim.Sim_time.of_ps g.hold) ~count:k;
+    t.total_wait <- t.total_wait + (!time - g.requested) + ((k - 1) * (period - g.hold));
+    time := !time + g.hold;
+    g.left <- g.left - k;
+    g.requested <- !time + ((k - 1) * period)
+  done;
+  x.left <- x.left - k;
+  x.requested <- start + ((k - 1) * period) + x.hold;
+  t.held_since <- start + (k * period);
+  (* Each parked holder took one turn a rotation. It parked again when
+     it released, and the one it handed to left the queue, so the
+     grantees end up parked in reverse grant order. *)
+  Queue.clear t.parked;
+  for i = m - 1 downto 0 do
+    Queue.push t.turns.(i) t.parked
+  done;
   t.pending <- t.rotated
 
 (* [x] owns the lock, granted at [now]: take every whole rotation that
@@ -308,7 +319,7 @@ let rotations t x =
     if last >= 0 then begin
       let m = ref (plan t x ~last) in
       while !m >= 0 do
-        take t x !m;
+        take t x !m (repeats t x !m ~last);
         m := if x.left >= 2 then plan t x ~last else -1
       done
     end

@@ -26,9 +26,9 @@
     requests again. The arbiter then picks among the parked holders,
     on the pending list as the grants leave it. Each grantee holds in
     place, releases and requests again, until the arbiter picks the
-    caller again. A rotation with nobody parked is the caller alone,
-    and a run of those takes one kernel step. The caller plays out
-    every grant and release of the rotation itself:
+    caller again. A rotation with nobody parked is the caller alone.
+    The caller plays out every grant and release of the rotation
+    itself:
     - the statistics and the arbiter's state;
     - each grantee's request instant and holds left, kept in its
       holder record;
@@ -36,6 +36,19 @@
       wait on the grantee's own track;
     - the kernel's delta cycles, time advances and wake-ups
       ({!Sim.Kernel.hand_off}).
+
+    A rotation that leaves the pending list as it found it repeats:
+    the arbiter notes the caller at both ends, so the next rotation
+    grants the same holders in the same order, each hold one rotation
+    later. A run of such repeats is planned once and taken in one
+    step, up to the first of three limits: the caller or a grantee
+    would take its last hold, or a hold would end after the in-place
+    limit. Its statistics and kernel counts are those of the rotations
+    added up, and under a sink the telemetry of each grant still goes
+    out in grant order. The eight payload-free VTA runs of Table 1
+    plan 925 rotations: 386 idle runs, 135 contended runs that take
+    67 673 rotations, and 11 contended rotations taken alone; the
+    other 393 plans find no rotation to take.
 
     A rotation is taken whole or not at all. It is not taken when:
     - a hold in it would end at or after the first calendar entry;

@@ -31,15 +31,16 @@ type ctx = {
   summary : string -> Dataflow.summary;
 }
 
-(* [step old next] for every slot. Slots that hold the same interval on
-   both sides keep it without a call ([join a a = a] and
-   [widen a a = a]); the result is [a] itself, physically, when no slot
-   changed, so callers detect a fixpoint with [==]. *)
+(* [step old next] for every slot. Slots that hold equal intervals on
+   both sides keep the old one without a call ([join a a = a],
+   [widen a a = a], and so [widen a (join a a) = a]); the result is
+   [a] itself, physically, when no slot changed, so callers detect a
+   fixpoint with [==]. *)
 let combine step (a : I.t array) (b : I.t array) =
   let r = ref a in
   for i = 0 to Array.length a - 1 do
     let x = a.(i) and y = b.(i) in
-    if x != y then begin
+    if not (I.equal x y) then begin
       let z = step x y in
       if not (I.equal z x) then begin
         if !r == a then r := Array.copy a;

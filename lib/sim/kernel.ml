@@ -249,23 +249,17 @@ let advance_in_place t d ~steps =
     k
   end
 
-(* The running process suspends, ending this delta cycle, and the next
-   one resumes [p] alone, at the same instant; [p] then advances [d]
-   in place. *)
-let hand_off t p d =
+(* [count] times over: the running process suspends, ending this delta
+   cycle, and the next one resumes [p] alone, at the same instant; [p]
+   then advances [d] in place. *)
+let hand_off t p d ~count =
   let d = Sim_time.to_ps d in
-  if in_place_limit_ps t d < 0 then
-    invalid_arg "Kernel.hand_off: something else could run first";
-  if d = 0 then begin
-    t.deltas <- t.deltas + 1;
-    woke t p 1
-  end
-  else begin
-    t.deltas <- t.deltas + 2;
-    t.now <- Sim_time.of_ps (Sim_time.to_ps t.now + d);
-    t.advances <- t.advances + 1;
-    woke t p 2
-  end
+  if d <= 0 || count <= 0 || in_place_limit_ps t (count * d) < 0 then
+    invalid_arg "Kernel.hand_off: not an in-place hand-off";
+  t.deltas <- t.deltas + (2 * count);
+  t.now <- Sim_time.of_ps (Sim_time.to_ps t.now + (count * d));
+  t.advances <- t.advances + count;
+  woke t p (2 * count)
 
 let wait_for d =
   let t = self () in

@@ -163,16 +163,18 @@ val in_place_limit : t -> Sim_time.t -> int
     later step and hand-off of the same slice until the slice
     schedules something. *)
 
-val hand_off : t -> proc -> Sim_time.t -> unit
-(** [hand_off t p d] counts what a hand-off to [p] costs the
-    scheduler: the running process suspends, ending the delta cycle;
-    the next delta cycle, at the same instant, resumes [p] and nothing
-    else; and [p] advances [d] in place if [d > 0]. That is two delta
-    cycles, one time advance and two wake-ups of [p] for [d > 0], and
-    one delta cycle and one wake-up of [p] for [d = 0]. [p] may be the
-    running process, which then resumes itself. It runs nothing: the
-    caller carries on as [p] would. Under a sink, [p]'s wake-ups go to
-    its own counter, and the sink's context stays the running
-    process's. Raises [Invalid_argument] unless nothing else is
-    runnable, the running {!deliver} settles and [now + d] is within
-    the limit {!in_place_limit} gives. *)
+val hand_off : t -> proc -> Sim_time.t -> count:int -> unit
+(** [hand_off t p d ~count] counts what [count] hand-offs to [p] in a
+    row cost the scheduler. In each, the running process suspends,
+    ending the delta cycle; the next delta cycle, at the same instant,
+    resumes [p] and nothing else; and [p] advances [d] in place. That
+    is [2 * count] delta cycles, [count] time advances, [2 * count]
+    wake-ups of [p] and [count * d] of time. These are counts, so
+    the hand-offs of a sequence may be counted in any order, in runs
+    of equal ones. [p] may be the running process, which then resumes
+    itself. It runs nothing: the caller carries on as [p] would.
+    Under a sink, [p]'s wake-ups go to its own counter, and the sink's
+    context stays the running process's. Raises [Invalid_argument]
+    unless [d > 0], [count > 0], nothing else is runnable, the running
+    {!deliver} settles and [now + count * d] is within the limit
+    {!in_place_limit} gives. *)

@@ -151,6 +151,19 @@ let widen_idempotent =
   QCheck.Test.make ~name:"Interval.widen a a = a" ~count:2000 reachable_interval
     (fun a -> I.equal (I.widen a a) a)
 
+(* The FSM worklist's delayed widening, [widen a (join a b)], on a slot
+   whose two sides hold equal intervals built apart: two draws of the
+   generator from copies of one random state. *)
+let join_widen_equal =
+  QCheck.Test.make ~name:"Interval.widen a (join a b) = a when b equals a" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> I.to_string a ^ ", " ^ I.to_string b)
+       (fun st ->
+         let st' = Random.State.copy st in
+         let a = reachable_interval_gen st in
+         (a, reachable_interval_gen st')))
+    (fun (a, b) -> I.equal a b && I.equal (I.widen a (I.join a b)) a)
+
 (* -- shared random-module generator ---------------------------------- *)
 
 (* Statement pool over two variables (one optionally unsigned), a
@@ -764,6 +777,7 @@ let () =
           qc widen_soundness;
           qc join_idempotent;
           qc widen_idempotent;
+          qc join_widen_equal;
           Alcotest.test_case "corner widths" `Quick test_corner_widths;
         ] );
       ( "absint",

@@ -371,28 +371,48 @@ let test_table1_timing_pinned () =
     "Table 1 timing digest" "53c70b7615813cfc5354cbe1e2c09402"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* The eight payload-free VTA runs, once. *)
+let vta_run_set () =
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun version ->
+          ignore (Models.Experiment.run ~payload:false version mode : Models.Outcome.t))
+        Models.Experiment.[ V6a; V6b; V7a; V7b ])
+    [ lossless; lossy ]
+
+(* One warm-up set, shared by the cases that measure a set. *)
+let vta_warm_up = lazy (vta_run_set ())
+
+(* What the word count [words] reads grows by over one set, after the
+   warm-up set. *)
+let vta_set_words words =
+  Lazy.force vta_warm_up;
+  let before = words () in
+  vta_run_set ();
+  words () -. before
+
 (* The block RAM the VTA models insert is a timing model: a run asks it
    only for [Memory.access_time] and allocates no word storage for it.
-   After a warm-up set, the eight payload-free VTA runs together must
-   allocate no more major-heap words than one block RAM's 2^16 words
-   of storage would take. *)
+   The eight payload-free VTA runs together must allocate no more
+   major-heap words than one block RAM's 2^16 words of storage would
+   take. *)
 let test_vta_runs_allocate_no_block_ram () =
-  let run_set () =
-    List.iter
-      (fun mode ->
-        List.iter
-          (fun version ->
-            ignore (Models.Experiment.run ~payload:false version mode : Models.Outcome.t))
-          Models.Experiment.[ V6a; V6b; V7a; V7b ])
-      [ lossless; lossy ]
-  in
-  run_set ();
-  let before = (Gc.quick_stat ()).Gc.major_words in
-  run_set ();
-  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  let words = vta_set_words (fun () -> (Gc.quick_stat ()).Gc.major_words) in
   if words > 65536. then
     Alcotest.failf "the eight VTA runs allocated %.0f major-heap words (at most 65536)"
       words
+
+(* A run of identical OPB arbiter rotations is planned once and taken
+   in one step, so a set of the eight VTA runs plans 925 rotations.
+   Planning each of its 68 070 rotations apart allocates about 2.9 M
+   minor words a set; taken in runs, a set allocates about 0.44 M.
+   [Gc.minor_words] counts to the word; [Gc.quick_stat]'s count moves
+   only at minor collections. *)
+let test_vta_runs_take_rotations_in_runs () =
+  let words = vta_set_words Gc.minor_words in
+  if words > 1e6 then
+    Alcotest.failf "the eight VTA runs allocated %.0f minor words (at most 1000000)" words
 
 let test_idwt_cores_validate () =
   List.iter
@@ -543,6 +563,8 @@ let () =
             test_table1_timing_pinned;
           Alcotest.test_case "VTA runs allocate no block-RAM storage" `Quick
             test_vta_runs_allocate_no_block_ram;
+          Alcotest.test_case "VTA runs take rotations in runs" `Quick
+            test_vta_runs_take_rotations_in_runs;
         ] );
       ( "figure1",
         [ Alcotest.test_case "stage shares match" `Quick test_figure1_shares_match ]

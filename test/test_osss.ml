@@ -925,6 +925,40 @@ let grant_runs_qcheck =
           ~words:QCheck.Gen.(int_range 1 200)))
     (same_bursts (lock_side holds_in_runs) (lock_side holds_one_by_one))
 
+(* A run of identical rotations is taken in one step, up to the first
+   of three limits. Each scenario below ends such a run at the limit it
+   names at least once, and must give what the per-burst loop gives,
+   untraced and traced. Bursts are 16 words, 190 ns. *)
+let fixed_bursts ?(policy = Osss.Arbiter.Fcfs) ?(background = []) masters =
+  {
+    bs_policy = policy;
+    burst_words = 16;
+    masters = List.map (fun (ns, words) -> (0, [ ((0, ns), words) ])) masters;
+    background;
+  }
+
+let batch_limit_scenarios =
+  [
+    (* m0 and m1 alternate; a background process wakes every 7
+       bursts. *)
+    ("a calendar entry", fixed_bursts ~background:[ (7, 3) ] [ (0, 1600); (0, 1600) ]);
+    (* m1 plays out the rotations; m0, granted in them, has fewer
+       bursts. *)
+    ("a grantee's last hold but one", fixed_bursts [ (0, 320); (10, 1600) ]);
+    (* m1 plays out the rotations and has fewer bursts. *)
+    ("the owner's last hold but one", fixed_bursts [ (0, 1600); (10, 320) ]);
+    (* m3 holds first; m2, m0 and m1 request in that order, and m0 is
+       granted. Its first rotation grants m1, m2 and m3 by id, which
+       reorders the pending list; the later ones repeat. *)
+    ( "a round-robin reorder",
+      fixed_bursts ~policy:Osss.Arbiter.Round_robin
+        [ (20, 800); (30, 800); (10, 800); (0, 800) ] );
+  ]
+
+let test_batch_limit s () =
+  Alcotest.(check bool) "as the per-burst loop" true
+    (same_bursts bus_side (lock_side per_burst) s)
+
 (* -- Platform / VTA / report -------------------------------------- *)
 
 let test_platform_ml401 () =
@@ -1050,7 +1084,12 @@ let () =
           qc bus_bursts_qcheck;
           qc long_contention_qcheck;
           qc grant_runs_qcheck;
-        ] );
+        ]
+        @ List.map
+            (fun (limit, s) ->
+              Alcotest.test_case ("rotation runs end at " ^ limit) `Quick
+                (test_batch_limit s))
+            batch_limit_scenarios );
       ( "platform_vta",
         [
           Alcotest.test_case "ml401" `Quick test_platform_ml401;
