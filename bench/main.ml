@@ -116,26 +116,28 @@ let t1_block =
       if !state mod 5 = 0 then (!state mod 255) - 127 else 0)
 
 let t1_roundtrip () =
-  let planes, data =
-    Jpeg2000.T1.encode_block ~orientation:Jpeg2000.Subband.HL ~w:32 ~h:32 t1_block
+  let planes, passes =
+    Jpeg2000.T1.encode_block_scalable ~orientation:Jpeg2000.Subband.HL ~w:32
+      ~h:32 t1_block
   in
   ignore
-    (Jpeg2000.T1.decode_block ~orientation:Jpeg2000.Subband.HL ~w:32 ~h:32 ~planes
-       data)
+    (Jpeg2000.T1.decode_block_scalable ~orientation:Jpeg2000.Subband.HL ~w:32
+       ~h:32 ~planes passes)
 
 (* The reference coder beside the production one: t1_block_32x32
    round-trips a block through the LUT-context encoder and the
    decoder-specialised passes, this row through the generic driver
    with per-probe reference contexts on both sides ([~lut:false]). The
-   pair is production against reference. *)
+   pair is production against reference. Both code one MQ codeword
+   per pass, the layout the codestream carries. *)
 let t1_roundtrip_ref () =
-  let planes, data =
-    Jpeg2000.T1.encode_block ~lut:false ~orientation:Jpeg2000.Subband.HL ~w:32
-      ~h:32 t1_block
+  let planes, passes =
+    Jpeg2000.T1.encode_block_scalable ~lut:false
+      ~orientation:Jpeg2000.Subband.HL ~w:32 ~h:32 t1_block
   in
   ignore
-    (Jpeg2000.T1.decode_block ~lut:false ~orientation:Jpeg2000.Subband.HL ~w:32
-       ~h:32 ~planes data)
+    (Jpeg2000.T1.decode_block_scalable ~lut:false
+       ~orientation:Jpeg2000.Subband.HL ~w:32 ~h:32 ~planes passes)
 
 (* -- parallel scaling rows ------------------------------------------ *)
 

@@ -28,8 +28,7 @@ let () =
       for _ = 1 to 6 do
         let tile, cost = Sim.Mailbox.get work in
         match
-          Osss.Eet.ret_check ~label:"tile deadline" (us 100) (fun () ->
-              Osss.Eet.consume cost)
+          Osss.Eet.ret_check (us 100) (fun () -> Osss.Eet.consume cost)
         with
         | (), true ->
           Printf.printf "[%8s] tile %d done within its 100 us budget\n"

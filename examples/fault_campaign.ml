@@ -29,7 +29,7 @@ let hardened_rmi_demo () =
   in
   let client = Osss.Shared_object.register_client so ~name:"sw" () in
   let link = Osss.Channel.p2p kernel ~clock_hz ~name:"idwt_link" () in
-  Osss.Channel.set_protection link (Osss.Channel.crc_retry ());
+  Osss.Channel.set_protection link Osss.Channel.Crc_retry;
   let negate =
     Osss.Channel.rmi_method ~name:"negate" ~args:Osss.Serialisation.int_array
       ~ret:Osss.Serialisation.int_array

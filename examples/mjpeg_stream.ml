@@ -74,7 +74,7 @@ let () =
         for _ = 1 to frames do
           let p = Sim.Mailbox.get packet_queue in
           let (), on_time =
-            Osss.Eet.ret_check ~label:"frame latency" frame_period (fun () ->
+            Osss.Eet.ret_check frame_period (fun () ->
                 Osss.Channel.transfer link ~words:((p.bytes + 3) / 4))
           in
           let latency =

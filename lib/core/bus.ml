@@ -1,11 +1,14 @@
 type t = { lock : Lock.t; clock_hz : int; max_burst_words : int }
 type master = Lock.holder
 
-let create kernel ~name ~clock_hz ?(max_burst_words = 16)
-    ?(arbiter = Arbiter.create Arbiter.Fcfs) () =
+let create kernel ~name ~clock_hz ?(max_burst_words = 16) () =
   if clock_hz <= 0 then invalid_arg "Bus.create: clock_hz";
   if max_burst_words <= 0 then invalid_arg "Bus.create: max_burst_words";
-  { lock = Lock.create kernel ~name ~arbiter; clock_hz; max_burst_words }
+  {
+    lock = Lock.create kernel ~name ~arbiter:(Arbiter.create Arbiter.Fcfs);
+    clock_hz;
+    max_burst_words;
+  }
 
 let name t = Lock.name t.lock
 let kernel t = Lock.kernel t.lock

@@ -1,7 +1,8 @@
 (** Shared-bus model (IBM OPB style, as used on the paper's ML401
     platform).
 
-    Masters compete for the bus under an arbiter; a transfer is cut
+    Masters compete for the bus under a first-come-first-served
+    arbiter, as every bus of the case study does; a transfer is cut
     into bursts, and each burst pays the OPB's 2 arbitration cycles,
     1 address cycle and 1 cycle per 32-bit word. Cutting into bursts
     is what lets other masters interleave and is the source of the
@@ -14,10 +15,9 @@ val create :
   name:string ->
   clock_hz:int ->
   ?max_burst_words:int ->
-  ?arbiter:Arbiter.t ->
   unit ->
   t
-(** Defaults: 16-word bursts, FCFS arbitration. *)
+(** Default: 16-word bursts. *)
 
 val name : t -> string
 val kernel : t -> Sim.Kernel.t

@@ -2,13 +2,7 @@ type kind =
   | Bus_link of Bus.t * Bus.master
   | P2p of { kernel : Sim.Kernel.t; clock_hz : int }
 
-type protection =
-  | Unprotected
-  | Crc_retry of {
-      max_retries : int;
-      timeout_cycles : int;
-      backoff_base_cycles : int;
-    }
+type protection = Unprotected | Crc_retry
 
 type stats = {
   mutable frames : int;
@@ -50,13 +44,19 @@ let kernel_of t =
 
 let now_ps t = Sim.Sim_time.to_ps (Sim.Kernel.now (kernel_of t))
 
-let crc_retry ?(max_retries = 8) ?(timeout_cycles = 64)
-    ?(backoff_base_cycles = 16) () =
-  if max_retries < 0 then invalid_arg "Channel.crc_retry: max_retries";
-  if timeout_cycles < 0 then invalid_arg "Channel.crc_retry: timeout_cycles";
-  if backoff_base_cycles < 0 then
-    invalid_arg "Channel.crc_retry: backoff_base_cycles";
-  Crc_retry { max_retries; timeout_cycles; backoff_base_cycles }
+(* The [Crc_retry] budget: retransmissions before giving up, the
+   cycles to detect a bad frame, and the base of the backoff before
+   retry [n], [base * 2^n] cycles. *)
+let max_retries = 8
+let timeout_cycles = 64
+let backoff_base_cycles = 16
+
+let describe_protection = function
+  | Unprotected -> "unprotected channels"
+  | Crc_retry ->
+    Printf.sprintf
+      "CRC/retry channels (max %d retries, %d-cycle timeout, %d-cycle backoff)"
+      max_retries timeout_cycles backoff_base_cycles
 
 let set_protection t p = t.protection <- p
 let stats t = t.stats
@@ -87,13 +87,12 @@ let transfer_time_unloaded t ~words =
 (* -- protected transfers ------------------------------------------- *)
 
 (* Retry bookkeeping shared by the data-carrying and timing-only
-   protected paths. [attempt n] performs one transmission and returns
+   protected paths. [attempt ()] performs one transmission and returns
    [Some v] on success, [None] on a detected corruption; on [None]
    the caller pays the detection timeout, an exponential backoff, and
    retries until the budget is exhausted. The retransmission time is
    real simulated time — retries are never free. *)
-let with_retries t ~what ~max_retries ~timeout_cycles ~backoff_base_cycles
-    attempt =
+let with_retries t ~what attempt =
   let hz = clock_hz t in
   let started =
     try Some (Sim.Kernel.now (Sim.Kernel.self ())) with _ -> None
@@ -101,7 +100,7 @@ let with_retries t ~what ~max_retries ~timeout_cycles ~backoff_base_cycles
   let rec go n =
     t.stats.frames <- t.stats.frames + 1;
     Telemetry.Sink.incr ("channel." ^ t.link_name ^ ".frames");
-    match attempt n with
+    match attempt () with
     | Some v ->
       (match started with
       | Some t0 when n > 0 ->
@@ -129,7 +128,7 @@ let with_retries t ~what ~max_retries ~timeout_cycles ~backoff_base_cycles
       end;
       t.stats.retries <- t.stats.retries + 1;
       Telemetry.Sink.incr ("channel." ^ t.link_name ^ ".retries");
-      Eet.consume (Sim.Sim_time.cycles ~hz (backoff_base_cycles * (1 lsl Stdlib.min n 16)));
+      Eet.consume (Sim.Sim_time.cycles ~hz (backoff_base_cycles lsl n));
       go (n + 1)
   in
   go 0
@@ -155,9 +154,8 @@ let send_words t ~what payload =
     Telemetry.Sink.incr ("channel." ^ t.link_name ^ ".frames");
     transfer t ~words:(Array.length payload + protocol_words);
     corrupt payload
-  | Crc_retry { max_retries; timeout_cycles; backoff_base_cycles } ->
-    with_retries t ~what ~max_retries ~timeout_cycles ~backoff_base_cycles
-      (fun _n ->
+  | Crc_retry ->
+    with_retries t ~what (fun () ->
         let framed = Crc.frame payload in
         transfer t ~words:(Array.length framed + protocol_words);
         Crc.check (corrupt framed))
@@ -179,9 +177,8 @@ let payload_transfer t ~words =
       Telemetry.Sink.incr ("channel." ^ t.link_name ^ ".frames");
       transfer t ~words;
       ignore (fate ())
-    | Crc_retry { max_retries; timeout_cycles; backoff_base_cycles } ->
-      with_retries t ~what:"payload" ~max_retries ~timeout_cycles
-        ~backoff_base_cycles (fun _n ->
+    | Crc_retry ->
+      with_retries t ~what:"payload" (fun () ->
           transfer t ~words:(words + 1) (* + CRC word *);
           if fate () then None else Some ()));
     if Telemetry.Sink.enabled () then

@@ -21,8 +21,9 @@
 
     A transport optionally runs in a {!protection} mode that appends
     a {!Crc} word to every serialised frame, verifies it at the
-    receiver, and recovers from detected corruption with a timeout,
-    a bounded number of retransmissions and exponential backoff. All
+    receiver, and recovers from detected corruption within the fixed
+    budget of {!Crc_retry}: a timeout, exponential backoff and at
+    most 8 retransmissions. All
     recovery costs are paid in simulated time at the transport's
     clock, and counted in {!stats}. The default is {!Unprotected},
     whose timing is bit-for-bit the seed behaviour. *)
@@ -48,22 +49,16 @@ type protection =
   | Unprotected
       (** Seed behaviour: frames travel bare, corruption (if a fault
           hook is installed) reaches the deserialiser undetected. *)
-  | Crc_retry of {
-      max_retries : int;  (** retransmissions before giving up *)
-      timeout_cycles : int;
-          (** cycles to detect a bad frame before reacting *)
-      backoff_base_cycles : int;
-          (** backoff before retry [n] is [base * 2{^n}] cycles *)
-    }
+  | Crc_retry
+      (** A CRC word on every frame, and a fixed recovery budget: a
+          frame that fails verification costs a 64-cycle detection
+          timeout and a backoff of [16 * 2{^n}] cycles before retry
+          [n], and the transfer gives up after 8 retransmissions. *)
 
-val crc_retry :
-  ?max_retries:int ->
-  ?timeout_cycles:int ->
-  ?backoff_base_cycles:int ->
-  unit ->
-  protection
-(** [Crc_retry] with defaults 8 retries, 64-cycle timeout, 16-cycle
-    backoff base. *)
+val describe_protection : protection -> string
+(** The campaign header's words for the mode, with the [Crc_retry]
+    budget: ["CRC/retry channels (max 8 retries, 64-cycle timeout,
+    16-cycle backoff)"]. *)
 
 val set_protection : transport -> protection -> unit
 
@@ -79,8 +74,8 @@ type stats = {
 val stats : transport -> stats
 
 exception Transfer_failed of { link : string; what : string; attempts : int }
-(** Raised by a protected transfer once [max_retries] retransmissions
-    have all arrived corrupted. *)
+(** Raised by a protected transfer once its first attempt and all 8
+    retransmissions have arrived corrupted ([attempts = 9]). *)
 
 val payload_transfer : transport -> words:int -> unit
 (** Timed transfer of one timing-only bulk frame (e.g. a tile

@@ -16,12 +16,11 @@ exception Deadline_violation of {
   actual : Sim.Sim_time.t;
 }
 
-let ret_check ?(label = "ret") required f =
+let ret_check required f =
   let kernel = Sim.Kernel.self () in
   let started = Sim.Kernel.now kernel in
   let result = f () in
   let actual = Sim.Sim_time.sub (Sim.Kernel.now kernel) started in
-  ignore label;
   (result, Sim.Sim_time.( <= ) actual required)
 
 let ret ?(label = "ret") required f =

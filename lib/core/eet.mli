@@ -41,6 +41,6 @@ val ret : ?label:string -> Sim.Sim_time.t -> (unit -> 'a) -> 'a
     [t] of simulated time elapsed during its execution. Process
     context only. *)
 
-val ret_check : ?label:string -> Sim.Sim_time.t -> (unit -> 'a) -> 'a * bool
+val ret_check : Sim.Sim_time.t -> (unit -> 'a) -> 'a * bool
 (** Non-raising variant: returns the result and whether the deadline
-    held. *)
+    held. It only observes: the clock advances by [f]'s time alone. *)

@@ -1,9 +1,13 @@
 type t = { lock : Lock.t; clock_hz : int; mutable tasks : int }
 type binding = Lock.holder
 
-let create kernel ~name ~clock_hz ?(arbiter = Arbiter.create Arbiter.Fcfs) () =
+let create kernel ~name ~clock_hz =
   if clock_hz <= 0 then invalid_arg "Processor.create: clock_hz";
-  { lock = Lock.create kernel ~name ~arbiter; clock_hz; tasks = 0 }
+  {
+    lock = Lock.create kernel ~name ~arbiter:(Arbiter.create Arbiter.Fcfs);
+    clock_hz;
+    tasks = 0;
+  }
 
 let add_sw_task t ~task_name =
   t.tasks <- t.tasks + 1;

@@ -2,15 +2,14 @@
 
     Software Tasks are mapped N:1 onto processors. A task's EET
     blocks then consume {e processor} time: while one task executes,
-    co-mapped tasks wait. Scheduling is non-preemptive and arbitrated
-    (FCFS by default, as in the OSSS run-time), and a switch between
+    co-mapped tasks wait. Scheduling is non-preemptive and
+    first-come-first-served, as in the OSSS run-time, and a switch between
     co-mapped tasks costs no time: each VTA processor of the decoder
     models runs one task. *)
 
 type t
 
-val create :
-  Sim.Kernel.t -> name:string -> clock_hz:int -> ?arbiter:Arbiter.t -> unit -> t
+val create : Sim.Kernel.t -> name:string -> clock_hz:int -> t
 
 type binding
 (** A task's seat on the processor. *)

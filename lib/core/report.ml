@@ -1,22 +1,12 @@
-type align = Left | Right
-
-let pad align width s =
+(* Column [i] of a row: the first left-aligned, the rest right-aligned. *)
+let pad i width s =
   let missing = width - String.length s in
   if missing <= 0 then s
-  else
-    match align with
-    | Left -> s ^ String.make missing ' '
-    | Right -> String.make missing ' ' ^ s
+  else if i = 0 then s ^ String.make missing ' '
+  else String.make missing ' ' ^ s
 
-let render ~header ?align rows =
+let render ~header rows =
   let columns = List.length header in
-  let aligns =
-    match align with
-    | Some a ->
-      if List.length a <> columns then invalid_arg "Report.render: align"
-      else a
-    | None -> List.init columns (fun i -> if i = 0 then Left else Right)
-  in
   let normalise row =
     let n = List.length row in
     if n > columns then invalid_arg "Report.render: row too wide"
@@ -32,12 +22,8 @@ let render ~header ?align rows =
       header
   in
   let render_row cells =
-    let padded =
-      List.mapi
-        (fun i cell -> pad (List.nth aligns i) (List.nth widths i) cell)
-        cells
-    in
-    String.concat "  " padded
+    String.concat "  "
+      (List.mapi (fun i cell -> pad i (List.nth widths i) cell) cells)
   in
   let separator =
     String.concat "  " (List.map (fun w -> String.make w '-') widths)

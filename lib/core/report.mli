@@ -1,11 +1,9 @@
 (** Fixed-width text tables for experiment output. *)
 
-type align = Left | Right
-
-val render : header:string list -> ?align:align list -> string list list -> string
-(** Renders a table with a header row, a separator, and data rows.
-    [align] defaults to left for the first column and right for the
-    rest. Rows shorter than the header are padded with empty cells. *)
+val render : header:string list -> string list list -> string
+(** Renders a table with a header row, a separator, and data rows,
+    the first column left-aligned and the rest right-aligned. Rows
+    shorter than the header are padded with empty cells. *)
 
 val fmt_ms : float -> string
 (** Milliseconds with one decimal, e.g. ["3243.1"]. *)

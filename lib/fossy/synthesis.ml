@@ -13,16 +13,28 @@ type result = {
   warnings : string list;
 }
 
-let diagnostics m =
+(* The inlined module and its unoptimised FSM, or what inlining or
+   extraction raised. *)
+let extract m =
+  match Inline.run m with
+  | exception e -> Error e
+  | inlined -> (
+    match Fsm.of_module inlined with
+    | fsm -> Ok (inlined, fsm)
+    | exception e -> Error e)
+
+let findings m extracted =
   (* FSM extraction can legitimately fail on modules the HIR lints
      already reject (e.g. wait-free loops); those passes have reported
      the cause, so extraction failure is not itself a finding. *)
   let fsm_ds =
-    match Fsm.of_module (Inline.run m) with
-    | fsm -> Fsm_lint.run fsm @ Absint.lint_fsm fsm
-    | exception _ -> []
+    match extracted with
+    | Ok (_, fsm) -> Fsm_lint.run fsm @ Absint.lint_fsm fsm
+    | Error _ -> []
   in
   List.sort_uniq Diagnostic.compare (Hir_lint.run m @ Absint.lint m @ fsm_ds)
+
+let diagnostics m = findings m (extract m)
 
 let optimise = Absint.optimise
 
@@ -39,14 +51,17 @@ let synthesise m =
   match Hir.validate m with
   | Error es -> Error es
   | Ok () ->
+    let extracted = extract m in
     let errors, warnings =
-      List.partition Diagnostic.is_error (diagnostics m)
+      List.partition Diagnostic.is_error (findings m extracted)
     in
     if errors <> [] then Error (List.map Diagnostic.render errors)
     else
+      let inlined, unopt_fsm =
+        match extracted with Ok x -> x | Error e -> raise e
+      in
       let systemc_loc = Hir_pp.loc m in
-      let inlined = Inline.run m in
-      let _, unopt_summary, unopt_area, _ = cost (Fsm.of_module inlined) in
+      let _, unopt_summary, unopt_area, _ = cost unopt_fsm in
       let fsm = Absint.prune_fsm (Fsm.of_module (Absint.optimise inlined)) in
       let vhdl, summary, area, fmax_mhz = cost fsm in
       let vhdl_text = Rtl.Vhdl_pp.emit vhdl in

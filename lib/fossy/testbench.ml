@@ -1,4 +1,7 @@
-let generate (fsm : Fsm.t) ~stimulus ~reference ?(clock_ns = 10) () =
+(* The clock the generated testbench drives: 100 MHz. *)
+let clock_ns = 10
+
+let generate (fsm : Fsm.t) ~stimulus ~reference =
   let buf = Buffer.create 2048 in
   let line fmt = Format.kasprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let name = fsm.Fsm.fsm_name in
@@ -96,10 +99,10 @@ let generate (fsm : Fsm.t) ~stimulus ~reference ?(clock_ns = 10) () =
   line "end architecture;";
   Buffer.contents buf
 
-let generate_for_module md ~stimulus ?(max_outputs = 0) ?clock_ns () =
+let generate_for_module md ~stimulus ?(max_outputs = 0) () =
   match Hir.validate md with
   | Error es -> Error es
   | Ok () ->
     let fsm = Fsm.of_module (Inline.run md) in
     let reference = Interp.run_fsm ~max_outputs fsm stimulus in
-    Ok (generate fsm ~stimulus ~reference ?clock_ns ())
+    Ok (generate fsm ~stimulus ~reference)

@@ -13,7 +13,6 @@ val generate_for_module :
   Hir.module_def ->
   stimulus:Interp.stimulus ->
   ?max_outputs:int ->
-  ?clock_ns:int ->
   unit ->
   (string, string list) result
 (** Convenience driver: validate → inline → FSM → run the interpreter

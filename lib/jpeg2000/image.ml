@@ -125,11 +125,9 @@ let gradient ~width ~height ~components =
       + (c * 37))
       / 2)
 
-let checkerboard ~width ~height ~components ?(square = 8) () =
-  if square <= 0 then invalid_arg "Image.checkerboard: square";
+let checkerboard ~width ~height ~components =
   let t = create ~width ~height ~components () in
-  fill t (fun ~c ~x ~y ->
-      if (x / square + y / square + c) mod 2 = 0 then 32 else 224)
+  fill t (fun ~c ~x ~y -> if (x / 8 + y / 8 + c) mod 2 = 0 then 32 else 224)
 
 (* Numerical Recipes LCG: deterministic across platforms. *)
 let lcg state =

@@ -94,7 +94,7 @@ val psnr : t -> t -> float
     photographic test material). *)
 
 val gradient : width:int -> height:int -> components:int -> t
-val checkerboard : width:int -> height:int -> components:int -> ?square:int -> unit -> t
+val checkerboard : width:int -> height:int -> components:int -> t
 val noise : width:int -> height:int -> components:int -> seed:int -> t
 val smooth : width:int -> height:int -> components:int -> seed:int -> t
 (** Band-limited pseudo-natural content: sums of low-frequency

@@ -536,20 +536,6 @@ let make_encoder_io b enc coeffs w =
     on_refine = (fun ~x:_ ~y:_ ~plane:_ ~bit:_ -> ());
   }
 
-let encode_block ?lut ~orientation ~w ~h coeffs =
-  check_dims ~w ~h (Array.length coeffs);
-  let planes = num_planes coeffs in
-  if planes = 0 then (0, "")
-  else begin
-    let b = make_blk ?lut ~orientation ~w ~h () in
-    let enc = ref (Mq.encoder ()) in
-    let io = make_encoder_io b enc coeffs w in
-    for i = 0 to total_passes ~planes - 1 do
-      run_pass b io ~planes i
-    done;
-    (planes, Mq.flush !enc)
-  end
-
 (* The generic driver's decoder: the [~lut:false] reference the
    column-word passes below are checked against. *)
 let make_decoder_io b d magnitudes w =
@@ -840,63 +826,38 @@ let apply_signs b mag =
     done
   done
 
-(* -- decode entry points ----------------------------------------------
-
-   A block's passes come from one codeword, or from one segment per
-   pass: as many passes as there are segments, at most the schedule's.
-   [lut] selects the passes: the column-word ones by default, the
-   generic [io] ones with reference contexts under [~lut:false].
-   Either decodes into [k.mag], which must hold [w * h] zeros. *)
-
-type input = Codeword of string | Segments of string list
-
-let feed d ~planes input pass =
-  let total = total_passes ~planes in
-  match input with
-  | Codeword data ->
-    mq_start d data;
-    for i = 0 to total - 1 do
-      pass i
-    done
-  | Segments segments ->
-    List.iteri
-      (fun i segment ->
-        if i < total then begin
-          mq_start d segment;
-          pass i
-        end)
-      segments
-
-let decode_into ~lut ~orientation ~planes k d input =
-  if lut then begin
-    feed d ~planes input (dec_pass k d ~planes);
-    col_apply_signs k
-  end
-  else begin
-    let b = make_blk ~lut:false ~orientation ~w:k.cw_w ~h:k.cw_h () in
-    feed d ~planes input (run_pass b (make_decoder_io b d k.mag k.cw_w) ~planes);
-    apply_signs b k.mag
-  end
-
-let decode_fresh ?(lut = true) ~orientation ~w ~h ~planes input =
-  check_decode_args ~w ~h ~planes;
-  let k =
-    cblk ~orientation ~w ~h
-      (Array.make (words_for ~w ~h) 0)
-      (fresh_contexts ()) (Array.make (w * h) 0)
-  in
-  if planes > 0 then decode_into ~lut ~orientation ~planes k (mq_blank ()) input;
-  k.mag
-
-let decode_block ?lut ~orientation ~w ~h ~planes data =
-  decode_fresh ?lut ~orientation ~w ~h ~planes (Codeword data)
-
-(* -- SNR-scalable variant ---------------------------------------------
+(* -- coding entry points -------------------------------------------------
 
    Every coding pass is terminated into its own MQ codeword (the
    standard's RESTART/segmentation option, contexts carried across
    passes), so a codestream can be truncated at any pass boundary and
-   still decode exactly up to that pass. *)
+   still decode exactly up to that pass. A decode runs as many passes
+   as there are segments, at most the schedule's. [lut] selects the
+   passes: the column-word ones by default, the generic [io] ones with
+   reference contexts under [~lut:false]. Either decodes into [k.mag],
+   which must hold [w * h] zeros. *)
+
+let feed d ~planes segments pass =
+  let total = total_passes ~planes in
+  List.iteri
+    (fun i segment ->
+      if i < total then begin
+        mq_start d segment;
+        pass i
+      end)
+    segments
+
+let decode_into ~lut ~orientation ~planes k d segments =
+  if lut then begin
+    feed d ~planes segments (dec_pass k d ~planes);
+    col_apply_signs k
+  end
+  else begin
+    let b = make_blk ~lut:false ~orientation ~w:k.cw_w ~h:k.cw_h () in
+    feed d ~planes segments
+      (run_pass b (make_decoder_io b d k.mag k.cw_w) ~planes);
+    apply_signs b k.mag
+  end
 
 let encode_block_scalable ?lut ~orientation ~w ~h coeffs =
   check_dims ~w ~h (Array.length coeffs);
@@ -915,8 +876,16 @@ let encode_block_scalable ?lut ~orientation ~w ~h coeffs =
     (planes, List.rev !segments)
   end
 
-let decode_block_scalable ?lut ~orientation ~w ~h ~planes segments =
-  decode_fresh ?lut ~orientation ~w ~h ~planes (Segments segments)
+let decode_block_scalable ?(lut = true) ~orientation ~w ~h ~planes segments =
+  check_decode_args ~w ~h ~planes;
+  let k =
+    cblk ~orientation ~w ~h
+      (Array.make (words_for ~w ~h) 0)
+      (fresh_contexts ()) (Array.make (w * h) 0)
+  in
+  if planes > 0 then
+    decode_into ~lut ~orientation ~planes k (mq_blank ()) segments;
+  k.mag
 
 (* -- per-domain scratch decode ----------------------------------------
 
@@ -926,8 +895,7 @@ let decode_block_scalable ?lut ~orientation ~w ~h ~planes segments =
    rendezvous at every collection. The scratch variant keeps one
    decode state per domain in [Domain.DLS] and re-initialises it in
    place, so a worker decodes an entire tile's blocks allocating only
-   a few words per block (the block record, the input and two
-   closures). *)
+   a few words per block (the block record and two closures). *)
 
 type scratch = {
   mutable sc_words : int array;
@@ -945,8 +913,7 @@ let scratch_key : scratch Domain.DLS.key =
         sc_mq = mq_blank ();
       })
 
-let decode_block_scalable_scratch ?(lut = true) ~orientation ~w ~h ~planes
-    segments =
+let decode_block_scalable_scratch ~orientation ~w ~h ~planes segments =
   check_decode_args ~w ~h ~planes;
   let s = Domain.DLS.get scratch_key in
   let n = words_for ~w ~h in
@@ -957,5 +924,5 @@ let decode_block_scalable_scratch ?(lut = true) ~orientation ~w ~h ~planes
   reset_contexts s.sc_contexts;
   let k = cblk ~orientation ~w ~h s.sc_words s.sc_contexts s.sc_mag in
   if planes > 0 then
-    decode_into ~lut ~orientation ~planes k s.sc_mq (Segments segments);
+    decode_into ~lut:true ~orientation ~planes k s.sc_mq segments;
   s.sc_mag

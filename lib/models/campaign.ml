@@ -9,7 +9,7 @@ type config = {
 let default ?(seed = 2008) ?(rates = [ 0.0; 0.001; 0.01; 0.05 ])
     ?(mode = Jpeg2000.Codestream.Lossless)
     ?(versions = Experiment.all_versions)
-    ?(protection = Osss.Channel.crc_retry ()) () =
+    ?(protection = Osss.Channel.Crc_retry) () =
   { seed; rates; mode; versions; protection }
 
 type row = {
@@ -182,9 +182,9 @@ let ingest_workload seed =
 
 let run_ingest ?(pool = Par.Pool.sequential) ?(seed = 2008)
     ?(rates = [ 0.0; 0.01; 0.05; 0.2 ])
-    ?(mode = Jpeg2000.Codestream.Lossless) ?(streams = 2) () =
+    ?(mode = Jpeg2000.Codestream.Lossless) () =
   let corpus =
-    Array.init streams (fun i -> Workload.codestream ~seed:(seed + i) mode)
+    Array.init 2 (fun i -> Workload.codestream ~seed:(seed + i) mode)
   in
   let spec = ingest_workload seed in
   List.map
@@ -267,10 +267,9 @@ let fleet_workload seed =
   | Error msg -> invalid_arg ("Campaign.fleet_workload: " ^ msg)
 
 let run_fleet ?(pool = Par.Pool.sequential) ?(seed = 2008)
-    ?(replicas = [ 1; 2; 4; 8 ]) ?(l2_sizes = [ 0; 256 ])
-    ?(mode = Jpeg2000.Codestream.Lossless) ?(streams = 6) () =
+    ?(mode = Jpeg2000.Codestream.Lossless) () =
   let corpus =
-    Array.init streams (fun i -> Workload.codestream ~seed:(seed + i) mode)
+    Array.init 6 (fun i -> Workload.codestream ~seed:(seed + i) mode)
   in
   (* a deliberately small L1 per replica, so the L2 column measures
      real sharing rather than private-cache capacity *)
@@ -293,8 +292,8 @@ let run_fleet ?(pool = Par.Pool.sequential) ?(seed = 2008)
           in
           let fleet = Fleet.create ~config ~service corpus in
           { fl_replicas = r; fl_l2 = l2; fl_report = Fleet.run ~pool fleet spec })
-        l2_sizes)
-    replicas
+        [ 0; 256 ])
+    [ 1; 2; 4; 8 ]
 
 let fleet_to_json rows =
   Telemetry.Json.List
@@ -352,14 +351,7 @@ let render config rows =
        "Fault campaign: seed %d, %s, %s\n\n"
        config.seed
        (Format.asprintf "%a mode" Jpeg2000.Codestream.pp_mode config.mode)
-       (match config.protection with
-       | Osss.Channel.Unprotected -> "unprotected channels"
-       | Osss.Channel.Crc_retry { max_retries; timeout_cycles; backoff_base_cycles }
-         ->
-         Printf.sprintf
-           "CRC/retry channels (max %d retries, %d-cycle timeout, %d-cycle backoff)"
-           max_retries timeout_cycles backoff_base_cycles))
-  ;
+       (Osss.Channel.describe_protection config.protection));
   let header =
     [
       "version"; "rate"; "decode [ms]"; "inflation"; "retry [ms]"; "retries";

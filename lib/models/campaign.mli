@@ -31,7 +31,7 @@ val default :
   unit ->
   config
 (** Seed 2008, rates [0; 0.001; 0.01; 0.05], lossless, all nine
-    versions, CRC/retry protection with default budget. *)
+    versions, CRC/retry protection ({!Osss.Channel.Crc_retry}). *)
 
 type row = {
   row_version : string;
@@ -73,14 +73,12 @@ val run_ingest :
   ?seed:int ->
   ?rates:float list ->
   ?mode:Profile.mode ->
-  ?streams:int ->
   unit ->
   ingest_row list
-(** One service run per rate over a [streams]-codestream corpus
-    (default 2) and a fixed open-loop workload whose 20 ms deadline
-    clears a fault-free delivery — every flush is attributable to the
-    injected faults. Defaults: seed 2008, rates [0; 0.01; 0.05; 0.2],
-    lossless. *)
+(** One service run per rate over a 2-codestream corpus and a fixed
+    open-loop workload whose 20 ms deadline clears a fault-free
+    delivery — every flush is attributable to the injected faults.
+    Defaults: seed 2008, rates [0; 0.01; 0.05; 0.2], lossless. *)
 
 val render_ingest : ingest_row list -> string
 val ingest_to_json : ingest_row list -> Telemetry.Json.t
@@ -98,19 +96,12 @@ val ingest_to_json : ingest_row list -> Telemetry.Json.t
 type fleet_row = { fl_replicas : int; fl_l2 : int; fl_report : Fleet.report }
 
 val run_fleet :
-  ?pool:Par.Pool.t ->
-  ?seed:int ->
-  ?replicas:int list ->
-  ?l2_sizes:int list ->
-  ?mode:Profile.mode ->
-  ?streams:int ->
-  unit ->
-  fleet_row list
-(** One fleet run per (replicas, l2) grid point, replicas-major
-    order. Defaults: seed 2008, replicas [1; 2; 4; 8], L2 sizes
-    [0; 256] (0 = tier disabled), lossless, a 6-codestream corpus,
-    and a small (16-tile) per-replica L1 so the L2 column measures
-    sharing rather than private-cache capacity. *)
+  ?pool:Par.Pool.t -> ?seed:int -> ?mode:Profile.mode -> unit -> fleet_row list
+(** One fleet run per (replicas, l2) grid point of replicas
+    [1; 2; 4; 8] by L2 sizes [0; 256] (0 = tier disabled),
+    replicas-major order, over a 6-codestream corpus, with a small
+    (16-tile) per-replica L1 so the L2 column measures sharing rather
+    than private-cache capacity. Defaults: seed 2008, lossless. *)
 
 val render_fleet : fleet_row list -> string
 val fleet_to_json : fleet_row list -> Telemetry.Json.t

@@ -53,22 +53,15 @@ let invoke comm so client ?guard ?eet ~name ?(pad = 0) body arg =
 (* -- run scaffolding ------------------------------------------------ *)
 
 (* Per-run deadline monitor: wraps each IDWT service interval in
-   [Eet.ret_check] against the per-tile deadline — counting misses
+   [Eet.ret_check] against {!Profile.idwt_deadline} — counting misses
    without consuming simulated time, so a clean run's timing is
    untouched. *)
 type monitor = { deadline : Sim.Sim_time.t; mutable misses : int }
 
-let make_monitor ?deadline mode =
-  {
-    deadline =
-      (match deadline with
-      | Some d -> d
-      | None -> Profile.idwt_deadline mode);
-    misses = 0;
-  }
+let make_monitor mode = { deadline = Profile.idwt_deadline mode; misses = 0 }
 
 let monitored mon f =
-  let v, held = Osss.Eet.ret_check ~label:"idwt" mon.deadline f in
+  let v, held = Osss.Eet.ret_check mon.deadline f in
   if not held then mon.misses <- mon.misses + 1;
   v
 
@@ -86,8 +79,7 @@ let stage kernel name f =
     result
   end
 
-let finish ~version ~kernel ~workload ~meter ?(monitor = None)
-    ?(transports = []) () =
+let finish ~version ~kernel ~workload ~meter ~monitor ?(transports = []) () =
   let crc_errors = ref 0 and retries = ref 0 and giveups = ref 0 in
   let retry_time = ref Sim.Sim_time.zero in
   List.iter
@@ -117,8 +109,7 @@ let finish ~version ~kernel ~workload ~meter ?(monitor = None)
     functional_ok = Workload.check workload;
     resilience =
       {
-        Outcome.deadline_misses =
-          (match monitor with Some m -> m.misses | None -> 0);
+        Outcome.deadline_misses = monitor.misses;
         crc_errors = !crc_errors;
         retries = !retries;
         giveups = !giveups;
@@ -138,10 +129,10 @@ let partition ~sw_tasks ~tiles task =
 
 (* -- version 1: software only --------------------------------------- *)
 
-let run_sw_only ~version ?idwt_deadline w =
+let run_sw_only ~version w =
   let kernel = Sim.Kernel.create () in
   let meter = Meter.create kernel in
-  let mon = make_monitor ?deadline:idwt_deadline (Workload.mode w) in
+  let mon = make_monitor (Workload.mode w) in
   let times = Profile.sw (Workload.mode w) in
   let _task =
     Osss.Sw_task.create kernel ~name:"decoder" (fun task ->
@@ -166,17 +157,15 @@ let run_sw_only ~version ?idwt_deadline w =
         done)
   in
   Sim.Kernel.run kernel;
-  finish ~version ~kernel ~workload:w ~meter ~monitor:(Some mon) ()
+  finish ~version ~kernel ~workload:w ~meter ~monitor:mon ()
 
 (* -- versions 2 and 4: blocking IQ+IDWT co-processor ----------------- *)
 
-let run_coprocessor ~version ~sw_tasks ?(rig = fun _ -> application_rig)
-    ?idwt_deadline w =
+let run_coprocessor ~version ~sw_tasks w =
   let kernel = Sim.Kernel.create () in
-  let rig = rig kernel in
   let meter = Meter.create kernel in
   let mode = Workload.mode w in
-  let mon = make_monitor ?deadline:idwt_deadline mode in
+  let mon = make_monitor mode in
   let sw_times = Profile.sw mode and hw_times = Profile.hw mode in
   let so =
     Osss.Shared_object.create kernel ~name:"iq_idwt_coproc"
@@ -186,13 +175,12 @@ let run_coprocessor ~version ~sw_tasks ?(rig = fun _ -> application_rig)
   for t = 0 to sw_tasks - 1 do
     let client =
       Osss.Shared_object.register_client so ~name:(Printf.sprintf "sw%d" t)
-        ~overhead:(rig.sw_grant_overhead ~clients:sw_tasks)
+        ~overhead:(Profile.so_grant_overhead ~clients:sw_tasks)
         ()
     in
-    let comm = rig.link_sw t in
     let tiles = partition ~sw_tasks ~tiles:(Workload.tile_count w) t in
-    let task =
-      Osss.Sw_task.create kernel ~name:(Printf.sprintf "decoder%d" t)
+    ignore
+      (Osss.Sw_task.create kernel ~name:(Printf.sprintf "decoder%d" t)
         (fun task ->
           List.iter
             (fun i ->
@@ -201,36 +189,23 @@ let run_coprocessor ~version ~sw_tasks ?(rig = fun _ -> application_rig)
                     (Profile.sw_decode_time mode ~tile:i) (fun () ->
                       Workload.stage_decode w i));
               stage kernel "iq" (fun () ->
-                  ignore
-                    (invoke comm so client ~eet:hw_times.Profile.t_iq
-                       ~name:"iq" ~pad:rig.payload_words
-                       (fun () j ->
-                         Workload.stage_iq w j;
-                         j)
-                       i));
+                  Osss.Shared_object.call so client ~eet:hw_times.Profile.t_iq
+                    (fun () -> Workload.stage_iq w i));
               stage kernel "idwt" (fun () ->
                   monitored mon (fun () ->
                       Meter.measure meter (fun () ->
-                          ignore
-                            (invoke comm so client
-                               ~eet:hw_times.Profile.t_idwt ~name:"idwt"
-                               ~pad:rig.payload_words
-                               (fun () j ->
-                                 Workload.stage_idwt w j;
-                                 j)
-                               i))));
+                          Osss.Shared_object.call so client
+                            ~eet:hw_times.Profile.t_idwt (fun () ->
+                              Workload.stage_idwt w i))));
               stage kernel "ict" (fun () ->
                   Osss.Sw_task.eet task sw_times.Profile.t_ict (fun () ->
                       Workload.stage_ict_dc w i));
               stage kernel "dc_shift" (fun () ->
                   Osss.Sw_task.consume task sw_times.Profile.t_dc_shift))
-            tiles)
-    in
-    rig.map_task t task
+            tiles))
   done;
   Sim.Kernel.run kernel;
-  finish ~version ~kernel ~workload:w ~meter ~monitor:(Some mon)
-    ~transports:rig.transports ()
+  finish ~version ~kernel ~workload:w ~meter ~monitor:mon ()
 
 (* -- versions 3/5 and their VTA refinements: pipelined structure ----- *)
 
@@ -248,12 +223,12 @@ type params_state = {
 let queue_exists q pred = Queue.fold (fun acc x -> acc || pred x) false q
 
 let run_pipeline ~version ~sw_tasks ?(rig = fun _ -> application_rig)
-    ?(so_policy = Osss.Arbiter.Fcfs) ?idwt_deadline w =
+    ?(so_policy = Osss.Arbiter.Fcfs) w =
   let kernel = Sim.Kernel.create () in
   let rig = rig kernel in
   let meter = Meter.create kernel in
   let mode = Workload.mode w in
-  let mon = make_monitor ?deadline:idwt_deadline mode in
+  let mon = make_monitor mode in
   let sw_times = Profile.sw mode and hw_times = Profile.hw mode in
   let tile_count = Workload.tile_count w in
   let filter_tag =
@@ -420,5 +395,5 @@ let run_pipeline ~version ~sw_tasks ?(rig = fun _ -> application_rig)
   spawn_filter 0;
   spawn_filter 1;
   Sim.Kernel.run kernel;
-  finish ~version ~kernel ~workload:w ~meter ~monitor:(Some mon)
+  finish ~version ~kernel ~workload:w ~meter ~monitor:mon
     ~transports:rig.transports ()

@@ -13,9 +13,9 @@
       HW/SW object, computes, and stores the result back; the SW
       task(s) collect finished tiles for ICT and DC shift.
 
-    Whether a run is an Application-Layer or a VTA model is entirely
-    decided by the {!rig}: [Direct] links make method calls plain
-    arbitrated calls; [Rmi] links serialise them over a bus or
+    Whether a pipelined run is an Application-Layer or a VTA model is
+    entirely decided by the {!rig}: [Direct] links make method calls
+    plain arbitrated calls; [Rmi] links serialise them over a bus or
     point-to-point channel and add the full-resolution payload
     transfer; processor mapping and explicit memories likewise come
     from the rig. The behavioural code is shared — the seamless
@@ -50,29 +50,26 @@ type rig = {
           (empty on the Application Layer) *)
 }
 
-val run_sw_only :
-  version:string -> ?idwt_deadline:Sim.Sim_time.t -> Workload.t -> Outcome.t
+val run_sw_only : version:string -> Workload.t -> Outcome.t
 
-val run_coprocessor :
-  version:string ->
-  sw_tasks:int ->
-  ?rig:(Sim.Kernel.t -> rig) ->
-  ?idwt_deadline:Sim.Sim_time.t ->
-  Workload.t ->
-  Outcome.t
+val run_coprocessor : version:string -> sw_tasks:int -> Workload.t -> Outcome.t
+(** An Application-Layer model only: its method calls are plain
+    arbitrated calls. *)
 
 val run_pipeline :
   version:string ->
   sw_tasks:int ->
   ?rig:(Sim.Kernel.t -> rig) ->
   ?so_policy:Osss.Arbiter.policy ->
-  ?idwt_deadline:Sim.Sim_time.t ->
   Workload.t ->
   Outcome.t
-(** [so_policy] selects the HW/SW Shared Object's arbitration policy
-    (default FCFS) — the design-choice ablation of DESIGN.md.
-    Every run wraps each IDWT service interval in
-    [Osss.Eet.ret_check] against [idwt_deadline] (default
-    {!Profile.idwt_deadline}) and reports misses in
+(** [rig] (default: the Application Layer's direct calls) refines the
+    links; {!Vta_models} builds the VTA rigs. [so_policy] selects the
+    HW/SW Shared Object's arbitration policy (default FCFS), which
+    only [bench/main.ml]'s ablation rows vary.
+
+    Every run, of each of the three structures, wraps each IDWT
+    service interval in [Osss.Eet.ret_check] against
+    {!Profile.idwt_deadline} and reports misses in
     {!Outcome.resilience} — measurement only, no simulated time is
     added. *)

@@ -20,29 +20,24 @@ let version_of_name name =
    arithmetic decoding of disjoint parts of the image". *)
 let sw_parallel_tasks = 4
 
-let run_workload ?protection ?idwt_deadline version w =
+let run_workload ?protection version w =
   let tasks = sw_parallel_tasks in
   match version with
-  | V1 -> Decoder_system.run_sw_only ~version:"1" ?idwt_deadline w
-  | V2 ->
-    Decoder_system.run_coprocessor ~version:"2" ~sw_tasks:1 ?idwt_deadline w
-  | V3 -> Decoder_system.run_pipeline ~version:"3" ~sw_tasks:1 ?idwt_deadline w
-  | V4 ->
-    Decoder_system.run_coprocessor ~version:"4" ~sw_tasks:tasks ?idwt_deadline w
-  | V5 ->
-    Decoder_system.run_pipeline ~version:"5" ~sw_tasks:tasks ?idwt_deadline w
+  | V1 -> Decoder_system.run_sw_only ~version:"1" w
+  | V2 -> Decoder_system.run_coprocessor ~version:"2" ~sw_tasks:1 w
+  | V3 -> Decoder_system.run_pipeline ~version:"3" ~sw_tasks:1 w
+  | V4 -> Decoder_system.run_coprocessor ~version:"4" ~sw_tasks:tasks w
+  | V5 -> Decoder_system.run_pipeline ~version:"5" ~sw_tasks:tasks w
   | V6a ->
-    Vta_models.run_custom ?protection ?idwt_deadline ~version:"6a" ~sw_tasks:1
-      ~idwt_p2p:false w
+    Vta_models.run_custom ?protection ~version:"6a" ~sw_tasks:1 ~idwt_p2p:false w
   | V6b ->
-    Vta_models.run_custom ?protection ?idwt_deadline ~version:"6b" ~sw_tasks:1
-      ~idwt_p2p:true w
+    Vta_models.run_custom ?protection ~version:"6b" ~sw_tasks:1 ~idwt_p2p:true w
   | V7a ->
-    Vta_models.run_custom ?protection ?idwt_deadline ~version:"7a"
-      ~sw_tasks:tasks ~idwt_p2p:false w
+    Vta_models.run_custom ?protection ~version:"7a" ~sw_tasks:tasks
+      ~idwt_p2p:false w
   | V7b ->
-    Vta_models.run_custom ?protection ?idwt_deadline ~version:"7b"
-      ~sw_tasks:tasks ~idwt_p2p:true w
+    Vta_models.run_custom ?protection ~version:"7b" ~sw_tasks:tasks
+      ~idwt_p2p:true w
 
 let run ?payload ?pool version mode =
   run_workload version (Workload.make ?payload ?pool mode)

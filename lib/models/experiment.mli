@@ -22,14 +22,11 @@ val sw_parallel_tasks : int
     study maps. *)
 
 val run_workload :
-  ?protection:Osss.Channel.protection ->
-  ?idwt_deadline:Sim.Sim_time.t ->
-  version ->
-  Workload.t ->
-  Outcome.t
+  ?protection:Osss.Channel.protection -> version -> Workload.t -> Outcome.t
 (** Run one model version on an existing (possibly corrupted)
     workload. [protection] hardens every VTA channel (ignored by the
-    Application-Layer versions, whose links are direct calls). *)
+    Application-Layer versions, whose links are direct calls). IDWT
+    deadline misses are counted against {!Profile.idwt_deadline}. *)
 
 val run : ?payload:bool -> ?pool:Par.Pool.t -> version -> Profile.mode -> Outcome.t
 (** Runs the 16-tile, 3-component workload on the given model.

@@ -18,7 +18,7 @@ let make_rig kernel ~sw_tasks ~idwt_p2p ~bus_max_burst ~mode
     Array.init sw_tasks (fun i ->
         Osss.Processor.create kernel
           ~name:(Printf.sprintf "microblaze%d" i)
-          ~clock_hz:Profile.clock_hz ())
+          ~clock_hz:Profile.clock_hz)
   in
   let sw_transports =
     Array.init sw_tasks (fun i ->
@@ -60,12 +60,12 @@ let make_rig kernel ~sw_tasks ~idwt_p2p ~bus_max_burst ~mode
   }
 
 let run_custom ?(bus_max_burst = default_bus_max_burst) ?so_policy ?protection
-    ?idwt_deadline ~version ~sw_tasks ~idwt_p2p w =
+    ~version ~sw_tasks ~idwt_p2p w =
   Decoder_system.run_pipeline ~version ~sw_tasks
     ~rig:(fun kernel ->
       make_rig kernel ~sw_tasks ~idwt_p2p ~bus_max_burst ~mode:(Workload.mode w)
         ?protection ())
-    ?so_policy ?idwt_deadline w
+    ?so_policy w
 
 let mapping ~sw_tasks ~idwt_p2p =
   let vta = Osss.Vta.create Osss.Platform.ml401 in
@@ -93,7 +93,7 @@ let mapping ~sw_tasks ~idwt_p2p =
         (fun m -> Osss.Vta.map_link vta ~link:(m ^ "->" ^ so) ~channel ~kind)
         [ "idwt2d"; "idwt53"; "idwt97" ])
     [ ("hwsw_so", idwt_channel, idwt_kind);
-      ("params_so", "params_p2p", Osss.Vta.Point_to_point) ];
+      ("idwt_params_so", "params_p2p", Osss.Vta.Point_to_point) ];
   (* Shared-Object access declarations mirroring the method calls of
      Decoder_system.run_pipeline — the wait-for graph the analysis
      layer checks for guard-deadlock cycles. *)

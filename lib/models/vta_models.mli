@@ -16,18 +16,20 @@ val run_custom :
   ?bus_max_burst:int ->
   ?so_policy:Osss.Arbiter.policy ->
   ?protection:Osss.Channel.protection ->
-  ?idwt_deadline:Sim.Sim_time.t ->
   version:string ->
   sw_tasks:int ->
   idwt_p2p:bool ->
   Workload.t ->
   Outcome.t
 (** Parameterised VTA run for architecture exploration (the
-    [bus_contention] example sweeps the OPB burst length with it).
-    [protection] (default [Unprotected]) is applied to every channel
-    of the rig — the hardened-RMI mode of the fault campaigns;
-    [idwt_deadline] overrides the per-tile IDWT deadline monitor. *)
+    [bus_contention] example sweeps the OPB burst length with it, and
+    [bench/main.ml]'s ablation rows the HW/SW Shared Object's
+    [so_policy]). [protection] (default [Unprotected]) is applied to
+    every channel of the rig — the hardened-RMI mode of the fault
+    campaigns. *)
 
 val mapping : sw_tasks:int -> idwt_p2p:bool -> Osss.Vta.t
 (** The declarative VTA mapping registry for the given configuration
-    (validated; used by platform generation and shown by the CLI). *)
+    (validated; used by platform generation and shown by the CLI). Its
+    links and Shared-Object accesses name the Shared Objects as the
+    simulation creates them: [hwsw_so] and [idwt_params_so]. *)

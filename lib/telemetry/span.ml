@@ -30,7 +30,7 @@ let instant ~ts_ps ?track ?(cat = "instant") ?(args = []) name =
         args;
       }
 
-let counter ~ts_ps ?track ?(cat = "counter") ?(args = []) name value =
+let counter ~ts_ps ?track name value =
   match Sink.active () with
   | None -> ()
   | Some t ->
@@ -39,7 +39,7 @@ let counter ~ts_ps ?track ?(cat = "counter") ?(args = []) name value =
         Event.ts_ps;
         track = resolve_track t track;
         name;
-        cat;
+        cat = "counter";
         phase = Event.Counter value;
-        args;
+        args = [];
       }

@@ -25,14 +25,7 @@ val instant :
   string ->
   unit
 
-val counter :
-  ts_ps:int ->
-  ?track:string ->
-  ?cat:string ->
-  ?args:(string * Event.arg) list ->
-  string ->
-  int ->
-  unit
+val counter : ts_ps:int -> ?track:string -> string -> int -> unit
 (** One sample of a named time-series (queue depth, cache fill) —
-    an [Event.Counter] on the track, exported as a Chrome counter
-    lane. *)
+    an [Event.Counter] on the track, with category ["counter"] and no
+    arguments, exported as a Chrome counter lane. *)

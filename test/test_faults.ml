@@ -104,7 +104,7 @@ let test_engine_rejects_bad_rates () =
 
 let stall_run seed =
   let k = Sim.Kernel.create () in
-  let proc = Osss.Processor.create k ~name:"cpu" ~clock_hz () in
+  let proc = Osss.Processor.create k ~name:"cpu" ~clock_hz in
   let t = Osss.Sw_task.create k ~name:"t" (fun t -> Osss.Sw_task.consume t (ms 1)) in
   Osss.Sw_task.map_to_processor t proc;
   let e =
@@ -173,7 +173,7 @@ let rmi_under_flips ~protection ~corrupt_attempts =
 let test_crc_retry_recovers_flip () =
   (* Baseline: protected link, no faults. *)
   let clean, t_clean, s_clean =
-    rmi_under_flips ~protection:(Osss.Channel.crc_retry ())
+    rmi_under_flips ~protection:Osss.Channel.Crc_retry
       ~corrupt_attempts:(fun _ -> false)
   in
   Alcotest.(check (array int)) "clean result" [| 2; 4; 6 |] clean;
@@ -182,7 +182,7 @@ let test_crc_retry_recovers_flip () =
     s_clean.Osss.Channel.retry_time;
   (* Inject one flip into the first frame: recovered transparently. *)
   let r, t_faulted, s =
-    rmi_under_flips ~protection:(Osss.Channel.crc_retry ())
+    rmi_under_flips ~protection:Osss.Channel.Crc_retry
       ~corrupt_attempts:(fun n -> n = 1)
   in
   Alcotest.(check (array int)) "recovered result" [| 2; 4; 6 |] r;
@@ -210,17 +210,14 @@ let test_retry_budget_exhaustion () =
   let stats = ref None in
   (try
      ignore
-       (rmi_under_flips
-          ~protection:
-            (Osss.Channel.crc_retry ~max_retries:3 ~timeout_cycles:8
-               ~backoff_base_cycles:4 ())
+       (rmi_under_flips ~protection:Osss.Channel.Crc_retry
           ~corrupt_attempts:(fun _ -> true))
    with Osss.Channel.Transfer_failed { link; what; attempts } ->
      raised := true;
      Alcotest.(check string) "failing link" "link" link;
      Alcotest.(check bool) "what names the method frame" true
        (what = "double:args");
-     Alcotest.(check int) "attempts = 1 + max_retries" 4 attempts;
+     Alcotest.(check int) "attempts = 1 + 8 retries" 9 attempts;
      stats := Some ());
   Alcotest.(check bool) "Transfer_failed raised" true !raised;
   Alcotest.(check bool) "giveup observed" true (!stats <> None)
@@ -228,7 +225,7 @@ let test_retry_budget_exhaustion () =
 let test_payload_transfer_protected () =
   let k = Sim.Kernel.create () in
   let transport = Osss.Channel.p2p k ~clock_hz ~name:"pad" () in
-  Osss.Channel.set_protection transport (Osss.Channel.crc_retry ());
+  Osss.Channel.set_protection transport Osss.Channel.Crc_retry;
   let first = ref true in
   Osss.Fault_hooks.set_frame (fun ~link:_ ~words:_ ->
       if !first then begin

@@ -62,7 +62,7 @@ let test_generators_in_range () =
       img.Jpeg2000.Image.planes
   in
   check_img (Jpeg2000.Image.gradient ~width:33 ~height:17 ~components:3);
-  check_img (Jpeg2000.Image.checkerboard ~width:33 ~height:17 ~components:1 ());
+  check_img (Jpeg2000.Image.checkerboard ~width:33 ~height:17 ~components:1);
   check_img (Jpeg2000.Image.noise ~width:33 ~height:17 ~components:2 ~seed:3);
   check_img (Jpeg2000.Image.smooth ~width:33 ~height:17 ~components:3 ~seed:5)
 
@@ -961,15 +961,15 @@ let test_t1_num_planes () =
   Alcotest.(check int) "256 needs 9" 9 (Jpeg2000.T1.num_planes [| 256 |])
 
 let test_t1_zero_block () =
-  let planes, data =
-    Jpeg2000.T1.encode_block ~orientation:Jpeg2000.Subband.LL ~w:8 ~h:8
+  let planes, passes =
+    Jpeg2000.T1.encode_block_scalable ~orientation:Jpeg2000.Subband.LL ~w:8 ~h:8
       (Array.make 64 0)
   in
   Alcotest.(check int) "no planes" 0 planes;
-  Alcotest.(check string) "no data" "" data;
+  Alcotest.(check (list string)) "no passes" [] passes;
   Alcotest.(check (array int)) "decodes to zeros" (Array.make 64 0)
-    (Jpeg2000.T1.decode_block ~orientation:Jpeg2000.Subband.LL ~w:8 ~h:8
-       ~planes:0 "")
+    (Jpeg2000.T1.decode_block_scalable ~orientation:Jpeg2000.Subband.LL ~w:8
+       ~h:8 ~planes:0 [])
 
 let test_t1_single_coefficient () =
   List.iter
@@ -977,11 +977,13 @@ let test_t1_single_coefficient () =
       let w = 7 and h = 9 in
       let coeffs = Array.make (w * h) 0 in
       coeffs.((y * w) + x) <- v;
-      let planes, data =
-        Jpeg2000.T1.encode_block ~orientation:Jpeg2000.Subband.HH ~w ~h coeffs
+      let planes, passes =
+        Jpeg2000.T1.encode_block_scalable ~orientation:Jpeg2000.Subband.HH ~w ~h
+          coeffs
       in
       let back =
-        Jpeg2000.T1.decode_block ~orientation:Jpeg2000.Subband.HH ~w ~h ~planes data
+        Jpeg2000.T1.decode_block_scalable ~orientation:Jpeg2000.Subband.HH ~w ~h
+          ~planes passes
       in
       Alcotest.(check (array int))
         (Printf.sprintf "impulse at %d,%d" x y)
@@ -1009,10 +1011,10 @@ let t1_roundtrip_all_bands_qcheck =
               let v = next () mod (bound + 1) in
               if next () land 1 = 0 then v else -v)
       in
-      let planes, data =
-        Jpeg2000.T1.encode_block ~orientation ~w ~h coeffs
+      let planes, passes =
+        Jpeg2000.T1.encode_block_scalable ~orientation ~w ~h coeffs
       in
-      Jpeg2000.T1.decode_block ~orientation ~w ~h ~planes data = coeffs)
+      Jpeg2000.T1.decode_block_scalable ~orientation ~w ~h ~planes passes = coeffs)
 
 let t1_sparse_roundtrip_qcheck =
   QCheck.Test.make ~name:"T1 identity on sparse blocks (cleanup heavy)"
@@ -1029,10 +1031,12 @@ let t1_sparse_roundtrip_qcheck =
         Array.init (w * h) (fun _ ->
             if next () mod 23 = 0 then (next () mod 511) - 255 else 0)
       in
-      let planes, data =
-        Jpeg2000.T1.encode_block ~orientation:Jpeg2000.Subband.LH ~w ~h coeffs
+      let planes, passes =
+        Jpeg2000.T1.encode_block_scalable ~orientation:Jpeg2000.Subband.LH ~w ~h
+          coeffs
       in
-      Jpeg2000.T1.decode_block ~orientation:Jpeg2000.Subband.LH ~w ~h ~planes data
+      Jpeg2000.T1.decode_block_scalable ~orientation:Jpeg2000.Subband.LH ~w ~h
+        ~planes passes
       = coeffs)
 
 let t1_lut_equals_reference_qcheck =
@@ -1053,28 +1057,19 @@ let t1_lut_equals_reference_qcheck =
             if next () mod 3 = 0 then (next () mod 1023) - 511 else 0)
       in
       let p_lut, d_lut =
-        Jpeg2000.T1.encode_block ~lut:true ~orientation ~w ~h coeffs
-      in
-      let p_ref, d_ref =
-        Jpeg2000.T1.encode_block ~lut:false ~orientation ~w ~h coeffs
-      in
-      let sp_lut, sd_lut =
         Jpeg2000.T1.encode_block_scalable ~lut:true ~orientation ~w ~h coeffs
       in
-      let sp_ref, sd_ref =
+      let p_ref, d_ref =
         Jpeg2000.T1.encode_block_scalable ~lut:false ~orientation ~w ~h coeffs
       in
       (* Same bits out of both encoders, and each decoder inverts the
          other encoder's stream. *)
-      p_lut = p_ref && d_lut = d_ref && sp_lut = sp_ref && sd_lut = sd_ref
-      && Jpeg2000.T1.decode_block ~lut:false ~orientation ~w ~h ~planes:p_lut
-           d_lut
-         = coeffs
-      && Jpeg2000.T1.decode_block ~lut:true ~orientation ~w ~h ~planes:p_ref
-           d_ref
-         = coeffs
+      p_lut = p_ref && d_lut = d_ref
       && Jpeg2000.T1.decode_block_scalable ~lut:false ~orientation ~w ~h
-           ~planes:sp_lut sd_lut
+           ~planes:p_lut d_lut
+         = coeffs
+      && Jpeg2000.T1.decode_block_scalable ~lut:true ~orientation ~w ~h
+           ~planes:p_ref d_ref
          = coeffs)
 
 (* Random block with magnitudes below 2^bits: about a third of the
@@ -1113,29 +1108,23 @@ let t1_big_scratch_decode =
       (Jpeg2000.T1.decode_block_scalable_scratch
          ~orientation:Jpeg2000.Subband.HH ~w:32 ~h:32 ~planes segments)
 
-(* Every decode entry point, default (specialised passes) against
-   [~lut:false] (generic driver), on one block: the single codeword,
-   a prefix of the per-pass segments, and that prefix again through
-   the scratch state after a larger block. *)
-let t1_decoders_agree ~orientation ~w ~h ~planes ~codeword ~scalable_planes
-    segments =
-  let block lut =
-    Jpeg2000.T1.decode_block ~lut ~orientation ~w ~h ~planes codeword
-  in
+(* Both decode entry points on one prefix of a block's per-pass
+   segments: the fresh decode with the specialised passes (default)
+   against [~lut:false] (generic driver), and the scratch decode after
+   a larger block against the fresh one. *)
+let t1_decoders_agree ~orientation ~w ~h ~planes segments =
   let scalable lut =
-    Jpeg2000.T1.decode_block_scalable ~lut ~orientation ~w ~h
-      ~planes:scalable_planes segments
+    Jpeg2000.T1.decode_block_scalable ~lut ~orientation ~w ~h ~planes segments
   in
-  let scratch lut =
+  let scratch () =
     t1_big_scratch_decode ();
     Array.sub
-      (Jpeg2000.T1.decode_block_scalable_scratch ~lut ~orientation ~w ~h
-         ~planes:scalable_planes segments)
+      (Jpeg2000.T1.decode_block_scalable_scratch ~orientation ~w ~h ~planes
+         segments)
       0 (w * h)
   in
   let s = scalable true in
-  block true = block false && s = scalable false && scratch true = s
-  && scratch false = s
+  s = scalable false && scratch () = s
 
 let t1_specialised_decoder_qcheck =
   QCheck.Test.make
@@ -1149,21 +1138,19 @@ let t1_specialised_decoder_qcheck =
       List.for_all
         (fun h ->
           let coeffs = t1_random_block ~dense ~w ~h ~bits seed in
-          let planes, codeword =
-            Jpeg2000.T1.encode_block ~orientation ~w ~h coeffs
-          in
-          let sp, segments =
+          let planes, segments =
             Jpeg2000.T1.encode_block_scalable ~orientation ~w ~h coeffs
           in
           let keep = cut mod (List.length segments + 1) in
           let prefix = List.filteri (fun i _ -> i < keep) segments in
-          Jpeg2000.T1.decode_block ~orientation ~w ~h ~planes codeword = coeffs
-          && t1_decoders_agree ~orientation ~w ~h ~planes ~codeword
-               ~scalable_planes:sp prefix)
+          Jpeg2000.T1.decode_block_scalable ~orientation ~w ~h ~planes segments
+          = coeffs
+          && t1_decoders_agree ~orientation ~w ~h ~planes prefix)
         (t1_heights q))
 
-(* Damaged input: both drivers must return the same block, or both
-   raise an exception the robust decode path contains. *)
+(* Damaged input: both drivers, and the scratch decode, must return
+   the same block, or all raise an exception the robust decode path
+   contains. *)
 let t1_damage seed segments =
   let state = ref (seed + 17) in
   let next () =
@@ -1203,34 +1190,32 @@ let t1_hostile_segments_qcheck =
               (t1_random_block ~dense ~w ~h ~bits:8 seed)
           in
           let damaged = t1_damage seed segments in
-          (* Junk segments beyond the encoder's, and a codeword that is
-             the damaged segments glued together. *)
+          (* Junk segments beyond the encoder's. *)
           let damaged =
             damaged
             @ List.init (extra mod 3) (fun i -> String.make (i + 1) '\x9f')
           in
-          let codeword = String.concat "" damaged in
           let contained f =
             match f () with
             | v -> Ok v
             | exception (Failure _ | Invalid_argument _ | Exit | Not_found) ->
               Error ()
           in
-          let outcome lut =
-            ( contained (fun () ->
-                  Jpeg2000.T1.decode_block ~lut ~orientation ~w ~h ~planes
-                    codeword),
-              contained (fun () ->
-                  Jpeg2000.T1.decode_block_scalable ~lut ~orientation ~w ~h
-                    ~planes damaged),
-              contained (fun () ->
-                  t1_big_scratch_decode ();
-                  Array.sub
-                    (Jpeg2000.T1.decode_block_scalable_scratch ~lut
-                       ~orientation ~w ~h ~planes damaged)
-                    0 (w * h)) )
+          let scalable lut =
+            contained (fun () ->
+                Jpeg2000.T1.decode_block_scalable ~lut ~orientation ~w ~h
+                  ~planes damaged)
           in
-          outcome true = outcome false)
+          let scratch =
+            contained (fun () ->
+                t1_big_scratch_decode ();
+                Array.sub
+                  (Jpeg2000.T1.decode_block_scalable_scratch ~orientation ~w
+                     ~h ~planes damaged)
+                  0 (w * h))
+          in
+          let s = scalable true in
+          s = scalable false && scratch = s)
         (t1_heights q))
 
 let test_t1_compresses_structure () =
@@ -1239,11 +1224,12 @@ let test_t1_compresses_structure () =
   let coeffs =
     Array.init (w * h) (fun i -> if i mod 64 < 2 then 100 else 0)
   in
-  let _, data =
-    Jpeg2000.T1.encode_block ~orientation:Jpeg2000.Subband.LL ~w ~h coeffs
+  let _, passes =
+    Jpeg2000.T1.encode_block_scalable ~orientation:Jpeg2000.Subband.LL ~w ~h
+      coeffs
   in
   Alcotest.(check bool) "compressed below 1 bit/coeff" true
-    (String.length data < (w * h) / 8)
+    (String.length (String.concat "" passes) < (w * h) / 8)
 
 let test_orientation_codes () =
   List.iter
@@ -1391,7 +1377,7 @@ let test_lossless_roundtrip_colour () =
   Alcotest.(check bool) "bit exact" true (Jpeg2000.Image.equal img out)
 
 let test_lossless_roundtrip_grey () =
-  let img = Jpeg2000.Image.checkerboard ~width:37 ~height:29 ~components:1 () in
+  let img = Jpeg2000.Image.checkerboard ~width:37 ~height:29 ~components:1 in
   let config = { Jpeg2000.Encoder.default_lossless with tile_w = 20; tile_h = 20 } in
   let out = Jpeg2000.Decoder.decode (Jpeg2000.Encoder.encode config img) in
   Alcotest.(check bool) "bit exact" true (Jpeg2000.Image.equal img out)

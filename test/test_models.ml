@@ -465,6 +465,52 @@ let test_vta_mapping_names_simulated_channels () =
     Models.Experiment.
       [ (V6a, 1, false); (V6b, 1, true); (V7a, 4, false); (V7b, 4, true) ]
 
+(* The registry names each Shared Object as the simulation creates it:
+   the objects its links lead to and the ones its access records name
+   are the locks a traced run reports ([lock.<name>.*]) other than the
+   bus and the processors. *)
+let test_vta_mapping_names_simulated_shared_objects () =
+  List.iter
+    (fun (version, sw_tasks, idwt_p2p) ->
+      let sink, _ =
+        Telemetry.Sink.with_sink (fun () ->
+            Models.Experiment.run ~payload:false version lossless)
+      in
+      let vta = Models.Vta_models.mapping ~sw_tasks ~idwt_p2p in
+      let platform = "opb" :: Osss.Vta.processors vta in
+      let metrics = Telemetry.Sink.metrics sink in
+      let locked =
+        List.filter_map
+          (fun key ->
+            match String.split_on_char '.' key with
+            | "lock" :: name :: _ when not (List.mem name platform) -> Some name
+            | _ -> None)
+          (List.map fst (Telemetry.Metrics.counters metrics)
+          @ List.map fst (Telemetry.Metrics.dists metrics))
+        |> List.sort_uniq String.compare
+      in
+      let linked =
+        String.split_on_char '\n' (Format.asprintf "%a" Osss.Vta.pp vta)
+        |> List.filter_map (fun line ->
+               match String.split_on_char ' ' (String.trim line) with
+               | "link" :: link :: _ -> (
+                 (* "<client>-><so>" *)
+                 match String.split_on_char '>' link with
+                 | [ _; so ] -> Some so
+                 | _ -> None)
+               | _ -> None)
+        |> List.sort_uniq String.compare
+      in
+      let accessed =
+        List.map (fun a -> a.Osss.Vta.sa_object) (Osss.Vta.so_accesses vta)
+        |> List.sort_uniq String.compare
+      in
+      let name = Models.Experiment.version_name version in
+      Alcotest.(check (list string)) (name ^ " links") locked linked;
+      Alcotest.(check (list string)) (name ^ " accesses") locked accessed)
+    Models.Experiment.
+      [ (V6a, 1, false); (V6b, 1, true); (V7a, 4, false); (V7b, 4, true) ]
+
 let test_version_names () =
   List.iter
     (fun v ->
@@ -488,19 +534,34 @@ let test_outcome_helpers () =
     (Models.Outcome.idwt_speedup_vs base faster)
 
 let test_resilience_clean_and_misses () =
-  let run ?idwt_deadline () =
-    Models.Experiment.run_workload ?idwt_deadline Models.Experiment.V1
-      (Models.Workload.make ~payload:false lossless)
-  in
-  let o = run () in
+  let workload () = Models.Workload.make ~payload:false lossless in
+  let o = Models.Experiment.run_workload Models.Experiment.V1 (workload ()) in
   Alcotest.(check bool) "clean run has clean resilience" true
     (Models.Outcome.is_clean o.Models.Outcome.resilience);
-  let strict = run ~idwt_deadline:(Sim.Sim_time.us 1) () in
-  Alcotest.(check bool) "impossible IDWT deadline counted" true
-    (strict.Models.Outcome.resilience.Models.Outcome.deadline_misses > 0);
-  (* ret_check observes; it must not perturb the timed behaviour. *)
-  Alcotest.(check (float 1e-9)) "deadline monitoring is timing-neutral"
-    o.Models.Outcome.decode_ms strict.Models.Outcome.decode_ms
+  (* Application-Layer links, but an IDWT working memory whose one pass
+     outlasts the deadline: every IDWT service interval misses it. *)
+  let slow_memory _ =
+    {
+      Models.Decoder_system.link_sw = (fun _ -> Models.Decoder_system.Direct);
+      link_idwt = Direct;
+      link_params = Direct;
+      map_task = (fun _ _ -> ());
+      coeff_buffer_pass =
+        (fun ~words:_ ->
+          Sim.Sim_time.add (Models.Profile.idwt_deadline lossless) (Sim.Sim_time.us 1));
+      payload_words = 0;
+      sw_grant_overhead = (fun ~clients -> Models.Profile.so_grant_overhead ~clients);
+      transports = [];
+    }
+  in
+  let late =
+    Models.Decoder_system.run_pipeline ~version:"3" ~sw_tasks:1 ~rig:slow_memory
+      (workload ())
+  in
+  Alcotest.(check int) "every IDWT interval past the deadline counted"
+    late.Models.Outcome.idwt_calls
+    late.Models.Outcome.resilience.Models.Outcome.deadline_misses;
+  Alcotest.(check bool) "misses counted" true (late.Models.Outcome.idwt_calls > 0)
 
 let test_table_text_contains_rows () =
   let t1 = Models.Tables.table1 ~payload:false () in
@@ -593,5 +654,7 @@ let () =
           Alcotest.test_case "processor count" `Quick test_vta_mapping_processors;
           Alcotest.test_case "registry names the simulated channels" `Quick
             test_vta_mapping_names_simulated_channels;
+          Alcotest.test_case "registry names the simulated Shared Objects" `Quick
+            test_vta_mapping_names_simulated_shared_objects;
         ] );
     ]
